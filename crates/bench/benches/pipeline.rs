@@ -272,12 +272,17 @@ fn bench_batch_vs_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut heur = build_engine(Method::IpUdpHeuristic, config, trace.payload_map, None);
             let mut ml = build_engine(Method::IpUdpMl, config, trace.payload_map, None);
+            let mut out = Vec::with_capacity(64);
             let mut n = 0usize;
             for p in &trace.packets {
-                n += heur.push(p).len();
-                n += ml.push(p).len();
+                heur.push_into(p, &mut out);
+                ml.push_into(p, &mut out);
+                n += out.len();
+                out.clear();
             }
-            n + heur.finish().len() + ml.finish().len()
+            heur.finish_into(&mut out);
+            ml.finish_into(&mut out);
+            n + out.len()
         })
     });
     g.finish();
@@ -394,10 +399,9 @@ fn bench_runner_ingest(c: &mut Criterion) {
 }
 
 /// N-subscriber event fan-out: the Arc event bus (one allocation shared
-/// by every subscriber) against the pre-bus baseline that deep-cloned
-/// each event per subscriber, on a realistic 64-flow event stream —
-/// plus the end-to-end runner with 1 vs 8 channel subscribers, so the
-/// JSON trajectory records both the isolated fan-out cost and what an
+/// by every subscriber) on a realistic 64-flow event stream — plus the
+/// end-to-end runner with 1 vs 8 channel subscribers, so the JSON
+/// trajectory records both the isolated fan-out cost and what an
 /// operator sees.
 fn bench_runner_fanout(c: &mut Criterion) {
     // Produce one realistic event stream (window reports with feature
@@ -440,27 +444,6 @@ fn bench_runner_fanout(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("publish_8_subscribers_clone", |b| {
-        // The ROADMAP-flagged pre-bus baseline: every subscriber gets
-        // its own deep copy of every event.
-        b.iter_batched(
-            || {
-                let (txs, rxs): (Vec<_>, Vec<_>) = (0..SUBS)
-                    .map(|_| std::sync::mpsc::sync_channel::<QoeEvent>(events.len() + 1))
-                    .unzip();
-                (txs, rxs)
-            },
-            |(txs, rxs)| {
-                for event in &events {
-                    for tx in &txs {
-                        tx.try_send((**event).clone()).expect("channel sized");
-                    }
-                }
-                rxs.iter().map(|rx| rx.try_iter().count()).sum::<usize>()
-            },
-            BatchSize::LargeInput,
-        )
-    });
     g.finish();
 
     // End-to-end: the full pipeline with 1 vs 8 live subscribers.
@@ -494,38 +477,17 @@ fn bench_runner_fanout(c: &mut Criterion) {
 }
 
 /// The hot-path wins in isolation, so the JSON trajectory records each
-/// one separately from the end-to-end monitor numbers:
-/// `alloc_free_engine` — the push-into engine API with reusable report
-/// buffers (vs. `engine_30s_trace`'s allocating wrappers);
+/// one separately from the end-to-end monitor numbers (the push-into
+/// engine API with a reusable report buffer is `engine_30s_trace`):
 /// `open_addressed_table` — the linear-probe `FlowTable` hot loop with
 /// the flow hash computed once per packet, as the shard router does;
 /// `batched_seal` — one window-crossing batch sealing every flow's
 /// expired windows in a single pass over a warm 64-flow table.
 fn bench_hot_path(c: &mut Criterion) {
-    let trace = sample_trace();
     let config = EngineConfig::paper(VcaKind::Teams);
 
     let mut g = c.benchmark_group("hot_path");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(trace.packets.len() as u64));
-    g.bench_function("alloc_free_engine", |b| {
-        b.iter(|| {
-            let mut heur = build_engine(Method::IpUdpHeuristic, config, trace.payload_map, None);
-            let mut ml = build_engine(Method::IpUdpMl, config, trace.payload_map, None);
-            let mut out = Vec::with_capacity(64);
-            let mut n = 0usize;
-            for p in &trace.packets {
-                heur.push_into(p, &mut out);
-                ml.push_into(p, &mut out);
-                n += out.len();
-                out.clear();
-            }
-            heur.finish_into(&mut out);
-            ml.finish_into(&mut out);
-            n + out.len()
-        })
-    });
-
     // Pre-route the 64-flow feed the way the dispatcher does: one
     // multiplicative hash per packet, carried alongside the key.
     let feed = feed_64_flows();

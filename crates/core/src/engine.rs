@@ -10,12 +10,13 @@
 //! by hand.
 //!
 //! All four methods of the paper implement one trait — [`QoeEstimator`]:
-//! feed captured packets in arrival order via `push`, receive finalized
-//! [`WindowReport`]s as window boundaries become safe, and `finish` at end
-//! of stream. The engines share the incremental building blocks the batch
-//! pipeline is itself built from (the assemblers in [`crate::heuristic`] /
-//! [`crate::rtp_heuristic`], the [`crate::qoe::QoeWindower`], and the
-//! feature accumulators in `vcaml_features::incremental`), so a streaming
+//! feed captured packets in arrival order via `push_into`, receive
+//! finalized [`WindowReport`]s as window boundaries become safe, and
+//! `finish_into` at end of stream. The engines share the incremental
+//! building blocks the batch pipeline is itself built from (the
+//! assemblers in [`crate::heuristic`] / [`crate::rtp_heuristic`], the
+//! [`crate::qoe::QoeWindower`], and the feature accumulators in
+//! `vcaml_features::incremental`), so a streaming
 //! run reproduces the batch pipeline's numbers exactly — the batch
 //! [`crate::pipeline::build_samples`] is in fact a replay over these
 //! engines (see [`replay`]).
@@ -32,7 +33,7 @@
 //! land in a window has been sealed (a few packets after the boundary for
 //! the IP/UDP method, up to [`SCAN_DEPTH`](crate::rtp_heuristic) frames
 //! for the RTP method); ML feature reports are emitted at the first
-//! packet past the boundary. `finish` flushes everything.
+//! packet past the boundary. `finish_into` flushes everything.
 
 use crate::frames::Frame;
 use crate::heuristic::{HeuristicParams, IpUdpAssembler};
@@ -176,7 +177,7 @@ pub struct WindowReport {
 /// Contract: packets arrive with non-decreasing timestamps; negative
 /// timestamps are outside every window and are dropped. Reports come out
 /// in strict window order with no gaps (idle windows yield zero
-/// estimates / zero features). Call `finish` exactly once at end of
+/// estimates / zero features). Call `finish_into` exactly once at end of
 /// stream to flush the remaining windows.
 ///
 /// Stability: stable — re-exported from the crate root as part of the
@@ -213,27 +214,6 @@ pub trait QoeEstimator {
     /// gauge. Engines that do not account return 0.
     fn state_bytes(&self) -> usize {
         0
-    }
-
-    /// Allocating convenience form of [`Self::push_into`].
-    fn push(&mut self, pkt: &TracePacket) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.push_into(pkt, &mut out);
-        out
-    }
-
-    /// Allocating convenience form of [`Self::finish_into`].
-    fn finish(&mut self) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.finish_into(&mut out);
-        out
-    }
-
-    /// Allocating convenience form of [`Self::provisional_into`].
-    fn provisional(&self) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.provisional_into(&mut out);
-        out
     }
 }
 
@@ -1208,6 +1188,15 @@ struct FlowEntry<E> {
     last_seen: Timestamp,
 }
 
+impl<E: QoeEstimator> FlowEntry<E> {
+    /// Seals an entry taken out of the table: its key and final windows.
+    fn finish(mut self) -> (FlowKey, Vec<WindowReport>) {
+        let mut tail = Vec::new();
+        self.engine.finish_into(&mut tail);
+        (self.key, tail)
+    }
+}
+
 /// Sentinel for an unoccupied probe slot.
 const EMPTY_SLOT: u32 = u32::MAX;
 
@@ -1363,15 +1352,11 @@ impl<E: QoeEstimator> FlowTable<E> {
         ((hash >> 48) as usize) % self.shards.len()
     }
 
-    /// Inserts a pre-built engine for `key`, replacing any existing one.
-    /// The facade uses this when engine selection depends on more than the
-    /// flow key (RTP-confidence probation); plain [`Self::push`] creation
+    /// Inserts a pre-built engine for `key` (whose [`FlowKey::hash64`] the
+    /// caller already computed), replacing any existing one. The facade
+    /// uses this when engine selection depends on more than the flow key
+    /// (RTP-confidence probation); [`Self::push_hashed_into`] creation
     /// goes through the factory.
-    pub fn insert(&mut self, key: FlowKey, engine: E, last_seen: Timestamp) {
-        self.insert_hashed(key.hash64(), key, engine, last_seen);
-    }
-
-    /// [`Self::insert`] with a precomputed [`FlowKey::hash64`].
     pub fn insert_hashed(&mut self, hash: u64, key: FlowKey, engine: E, last_seen: Timestamp) {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
@@ -1388,11 +1373,6 @@ impl<E: QoeEstimator> FlowTable<E> {
     }
 
     /// Mutable access to a flow's engine, if tracked.
-    pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut E> {
-        self.get_mut_hashed(key.hash64(), key)
-    }
-
-    /// [`Self::get_mut`] with a precomputed [`FlowKey::hash64`].
     pub fn get_mut_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<&mut E> {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
@@ -1425,11 +1405,6 @@ impl<E: QoeEstimator> FlowTable<E> {
 
     /// Removes a flow's engine without finishing it; the caller owns any
     /// remaining flush.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<E> {
-        self.remove_hashed(key.hash64(), key)
-    }
-
-    /// [`Self::remove`] with a precomputed [`FlowKey::hash64`].
     pub fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<E> {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
@@ -1439,15 +1414,9 @@ impl<E: QoeEstimator> FlowTable<E> {
     }
 
     /// Routes one packet to its flow's engine (creating it on first
-    /// sight) and returns that flow's finalized windows.
-    pub fn push(&mut self, key: FlowKey, pkt: &TracePacket) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.push_hashed_into(key.hash64(), key, pkt, &mut out);
-        out
-    }
-
-    /// [`Self::push`] with a precomputed hash, appending finalized
-    /// windows into `out` — the zero-alloc per-packet entry point.
+    /// sight), appending that flow's finalized windows into `out` — the
+    /// zero-alloc per-packet entry point. `hash` is the key's
+    /// [`FlowKey::hash64`].
     // lint: hot_path
     pub fn push_hashed_into(
         &mut self,
@@ -1496,8 +1465,7 @@ impl<E: QoeEstimator> FlowTable<E> {
                 let e = &shard.entries[idx];
                 if e.last_seen.as_micros() < deadline || e.last_seen.as_micros() > future_bound {
                     let slot = e.slot as usize;
-                    let mut entry = shard.remove_slot(slot);
-                    out.push((entry.key, entry.engine.finish()));
+                    out.push(shard.remove_slot(slot).finish());
                     // swap_remove refilled `idx`; re-examine it.
                 } else {
                     idx += 1;
@@ -1507,23 +1475,17 @@ impl<E: QoeEstimator> FlowTable<E> {
         out
     }
 
-    /// Finishes every flow (end of capture), returning each flow's
-    /// remaining windows.
-    pub fn finish_all(mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
-        self.drain_finish_all()
-    }
-
-    /// [`Self::finish_all`] without consuming the table: drains and
-    /// finishes every flow in place, leaving the table empty but
-    /// reusable. This is the shape a shard worker needs — it owns its
-    /// table inside long-lived state and seals flows at end of stream
-    /// without moving out of itself.
+    /// Finishes every flow (end of capture) in place, returning each
+    /// flow's remaining windows sorted by flow and leaving the table
+    /// empty but reusable. This is the shape a shard worker needs — it
+    /// owns its table inside long-lived state and seals flows at end of
+    /// stream without moving out of itself.
     pub fn drain_finish_all(&mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
         let mut out = Vec::new();
         for shard in &mut self.shards {
             shard.slots.clear();
-            for mut entry in shard.entries.drain(..) {
-                out.push((entry.key, entry.engine.finish()));
+            for entry in shard.entries.drain(..) {
+                out.push(entry.finish());
             }
         }
         out.sort_by_key(|(k, _)| (k.addr_a, k.port_a, k.addr_b, k.port_b));
@@ -1615,9 +1577,34 @@ mod tests {
     fn run<E: QoeEstimator>(engine: &mut E, packets: &[TracePacket]) -> Vec<WindowReport> {
         let mut reports = Vec::new();
         for p in packets {
-            reports.extend(engine.push(p));
+            engine.push_into(p, &mut reports);
         }
-        reports.extend(engine.finish());
+        engine.finish_into(&mut reports);
+        reports
+    }
+
+    /// The windows one packet finalizes.
+    fn push<E: QoeEstimator>(engine: &mut E, p: &TracePacket) -> Vec<WindowReport> {
+        let mut reports = Vec::new();
+        engine.push_into(p, &mut reports);
+        reports
+    }
+
+    /// The windows end of stream flushes.
+    fn finish<E: QoeEstimator>(engine: &mut E) -> Vec<WindowReport> {
+        let mut reports = Vec::new();
+        engine.finish_into(&mut reports);
+        reports
+    }
+
+    /// Routes one packet through a table, returning its flow's windows.
+    fn table_push<E: QoeEstimator>(
+        table: &mut FlowTable<E>,
+        key: FlowKey,
+        p: &TracePacket,
+    ) -> Vec<WindowReport> {
+        let mut reports = Vec::new();
+        table.push_hashed_into(key.hash64(), key, p, &mut reports);
         reports
     }
 
@@ -1678,8 +1665,8 @@ mod tests {
     #[test]
     fn idle_gap_emits_empty_windows() {
         let mut engine = IpUdpHeuristicEngine::new(config());
-        engine.push(&pkt(100_000, 1100));
-        let reports = engine.push(&pkt(3_100_000, 1100));
+        push(&mut engine, &pkt(100_000, 1100));
+        let reports = push(&mut engine, &pkt(3_100_000, 1100));
         // The second packet matches the open frame (same size within Δ),
         // pulling its end into window 3 — exactly what the batch
         // assembler does — so windows 0..=2 are all final and empty.
@@ -1693,7 +1680,7 @@ mod tests {
     #[test]
     fn negative_timestamps_dropped() {
         let mut engine = IpUdpMlEngine::new(config());
-        assert!(engine.push(&pkt(-5_000, 1100)).is_empty());
+        assert!(push(&mut engine, &pkt(-5_000, 1100)).is_empty());
         let reports = run(&mut engine, &synthetic_stream(1));
         assert_eq!(reports.len(), 1);
         // The negative-time packet contributed nothing.
@@ -1706,7 +1693,7 @@ mod tests {
         // An hour of adversarial all-distinct sizes.
         for i in 0..200_000i64 {
             let size = 450 + (i % 900) as u16;
-            engine.push(&pkt(i * 18_000, size));
+            push(&mut engine, &pkt(i * 18_000, size));
         }
         assert!(engine.driver.source.assembler.open_frames() <= config().heuristic.lookback + 1);
     }
@@ -1717,20 +1704,20 @@ mod tests {
         // caller with ~3600 empty windows.
         let hour_us = 3_600i64 * 1_000_000;
         let mut heur = IpUdpHeuristicEngine::new(config());
-        assert!(heur.push(&pkt(hour_us + 1_000, 1100)).is_empty());
+        assert!(push(&mut heur, &pkt(hour_us + 1_000, 1100)).is_empty());
         // Two more non-matching packets seal the first frame (lookback 2),
         // making window 3600 final — and only then is it emitted.
-        assert!(heur.push(&pkt(hour_us + 1_100_000, 1000)).is_empty());
-        let reports = heur.push(&pkt(hour_us + 1_200_000, 900));
+        assert!(push(&mut heur, &pkt(hour_us + 1_100_000, 1000)).is_empty());
+        let reports = push(&mut heur, &pkt(hour_us + 1_200_000, 900));
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 3_600);
 
         let mut ml = IpUdpMlEngine::new(config());
-        assert!(ml.push(&pkt(hour_us + 1_000, 1100)).is_empty());
-        let reports = ml.push(&pkt(hour_us + 1_100_000, 1000));
+        assert!(push(&mut ml, &pkt(hour_us + 1_000, 1100)).is_empty());
+        let reports = push(&mut ml, &pkt(hour_us + 1_100_000, 1000));
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 3_600);
-        let tail = ml.finish();
+        let tail = finish(&mut ml);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].window, 3_601);
     }
@@ -1749,13 +1736,13 @@ mod tests {
         for (i, p) in stream.iter().enumerate() {
             if i == stream.len() / 2 {
                 // The corrupt packet is dropped, emitting nothing.
-                assert!(dirty.push(&pkt(year_us, 800)).is_empty());
+                assert!(push(&mut dirty, &pkt(year_us, 800)).is_empty());
             }
-            clean_reports.extend(clean.push(p));
-            dirty_reports.extend(dirty.push(p));
+            clean.push_into(p, &mut clean_reports);
+            dirty.push_into(p, &mut dirty_reports);
         }
-        clean_reports.extend(clean.finish());
-        dirty_reports.extend(dirty.finish());
+        clean.finish_into(&mut clean_reports);
+        dirty.finish_into(&mut dirty_reports);
         assert_eq!(clean_reports.len(), dirty_reports.len());
         for (c, d) in clean_reports.iter().zip(&dirty_reports) {
             assert_eq!(c.window, d.window);
@@ -1763,10 +1750,13 @@ mod tests {
         }
 
         let mut ml = IpUdpMlEngine::new(config());
-        ml.push(&pkt(0, 1100));
-        assert!(ml.push(&pkt(year_us, 800)).is_empty(), "outlier dropped");
+        push(&mut ml, &pkt(0, 1100));
+        assert!(
+            push(&mut ml, &pkt(year_us, 800)).is_empty(),
+            "outlier dropped"
+        );
         // Sane traffic continues in the original epoch.
-        let reports = ml.push(&pkt(1_100_000, 1000));
+        let reports = push(&mut ml, &pkt(1_100_000, 1000));
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 0);
     }
@@ -1779,13 +1769,13 @@ mod tests {
         // dropped forever.
         let year_us = 365 * 24 * 3_600i64 * 1_000_000;
         let mut heur = IpUdpHeuristicEngine::new(config());
-        heur.push(&pkt(year_us, 800));
+        push(&mut heur, &pkt(year_us, 800));
         let stream = synthetic_stream(3);
         let mut reports = Vec::new();
         for p in &stream {
-            reports.extend(heur.push(p));
+            heur.push_into(p, &mut reports);
         }
-        reports.extend(heur.finish());
+        heur.finish_into(&mut reports);
         // Windows 0..=2 of the sane epoch come out (the corrupt epoch's
         // lone frame flushes at a far-future index and is discarded here).
         let sane: Vec<_> = reports.iter().filter(|r| r.window < 10).collect();
@@ -1796,12 +1786,12 @@ mod tests {
         }
 
         let mut ml = IpUdpMlEngine::new(config());
-        ml.push(&pkt(year_us, 800));
+        push(&mut ml, &pkt(year_us, 800));
         let mut reports = Vec::new();
         for p in &stream {
-            reports.extend(ml.push(p));
+            ml.push_into(p, &mut reports);
         }
-        reports.extend(ml.finish());
+        ml.finish_into(&mut reports);
         let sane: Vec<_> = reports.iter().filter(|r| r.window < 10).collect();
         assert_eq!(sane.len(), 3, "sane ML windows");
         assert!(sane.iter().all(|r| r.video_packets > 0));
@@ -1815,15 +1805,15 @@ mod tests {
         // Two hours exceeds MAX_WINDOW_GAP (4096 one-second windows).
         let jump_us = 2 * 3_600i64 * 1_000_000;
         let mut ml = IpUdpMlEngine::new(config());
-        ml.push(&pkt(0, 1100));
-        assert!(ml.push(&pkt(jump_us, 1000)).is_empty());
-        assert!(ml.push(&pkt(jump_us + 1_000, 1000)).is_empty());
-        let reports = ml.push(&pkt(jump_us + 2_000, 1000));
+        push(&mut ml, &pkt(0, 1100));
+        assert!(push(&mut ml, &pkt(jump_us, 1000)).is_empty());
+        assert!(push(&mut ml, &pkt(jump_us + 1_000, 1000)).is_empty());
+        let reports = push(&mut ml, &pkt(jump_us + 2_000, 1000));
         // The corroborating packet finalizes the old in-progress window…
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 0);
         // …and emission resumes at the new epoch.
-        let tail = ml.finish();
+        let tail = finish(&mut ml);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].window, 7_200);
     }
@@ -1891,10 +1881,10 @@ mod tests {
             per_flow
                 .entry(*key)
                 .or_default()
-                .extend(table.push(*key, p));
+                .extend(table_push(&mut table, *key, p));
         }
         assert_eq!(table.len(), 2);
-        for (key, rest) in table.finish_all() {
+        for (key, rest) in table.drain_finish_all() {
             per_flow.entry(key).or_default().extend(rest);
         }
 
@@ -1916,8 +1906,8 @@ mod tests {
         let mut table = FlowTable::new(2, Timestamp::from_secs(5), |_: &FlowKey| {
             IpUdpHeuristicEngine::new(config())
         });
-        table.push(flow_key(1), &pkt(0, 1100));
-        table.push(flow_key(2), &pkt(9_000_000, 1100));
+        table_push(&mut table, flow_key(1), &pkt(0, 1100));
+        table_push(&mut table, flow_key(2), &pkt(9_000_000, 1100));
         assert_eq!(table.len(), 2);
         let evicted = table.evict_idle(Timestamp::from_secs(10));
         assert_eq!(evicted.len(), 1);
@@ -1932,7 +1922,7 @@ mod tests {
             IpUdpMlEngine::new(config())
         });
         for n in 0..64 {
-            table.push(flow_key(n), &pkt(0, 1100));
+            table_push(&mut table, flow_key(n), &pkt(0, 1100));
         }
         assert_eq!(table.len(), 64);
         assert_eq!(table.shard_count(), 8);

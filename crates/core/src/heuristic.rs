@@ -91,21 +91,13 @@ impl IpUdpAssembler {
 
     /// Offers one video packet (`ts` non-decreasing). Returns the frame id
     /// the packet was assigned to (ids count frames in creation order) and
-    /// any frames sealed by this packet, each tagged with its id.
+    /// appends any frames sealed by this packet, each tagged with its id,
+    /// into the caller-owned `sealed` (sealing happens every couple of
+    /// packets, so a fresh `Vec` per call would dominate the hot path).
     ///
     /// Frame sizes subtract the 40-byte IP/UDP and 12-byte fixed RTP
     /// overheads per packet, as the paper's bitrate accounting does
     /// (§5.1.3).
-    pub fn push(&mut self, ts: Timestamp, size: u16) -> (u64, Vec<(u64, Frame)>) {
-        let mut sealed = Vec::new();
-        let fid = self.push_into(ts, size, &mut sealed);
-        (fid, sealed)
-    }
-
-    /// [`Self::push`] appending sealed frames into a caller-owned buffer
-    /// instead of allocating — the per-packet form the streaming engine
-    /// uses (sealing happens every couple of packets, so a fresh `Vec`
-    /// per call would dominate the hot path).
     // lint: hot_path
     pub fn push_into(&mut self, ts: Timestamp, size: u16, sealed: &mut Vec<(u64, Frame)>) -> u64 {
         let payload = usize::from(size).saturating_sub(52).max(1);
@@ -165,15 +157,9 @@ impl IpUdpAssembler {
         fid
     }
 
-    /// Seals every open frame (end of stream) and resets the assembler.
-    pub fn finish(&mut self) -> Vec<(u64, Frame)> {
-        let mut out = Vec::new();
-        self.finish_into(&mut out);
-        out
-    }
-
-    /// [`Self::finish`] appending into a caller-owned buffer; the drained
-    /// map and lookback deque retain their capacity for the next stream.
+    /// Seals every open frame (end of stream) into `out` and resets the
+    /// assembler; the open list and lookback deque retain their capacity
+    /// for the next stream.
     pub fn finish_into(&mut self, out: &mut Vec<(u64, Frame)>) {
         self.recent.clear();
         // `open` is id-sorted by construction, so the append is too; it
@@ -224,14 +210,13 @@ impl IpUdpHeuristic {
         let mut assignments = Vec::with_capacity(packets.len());
         let mut frames: Vec<(u64, Frame)> = Vec::new();
         for (i, &(ts, size)) in packets.iter().enumerate() {
-            let (fid, sealed) = asm.push(ts, size);
+            let fid = asm.push_into(ts, size, &mut frames);
             assignments.push(Assignment {
                 packet_idx: i,
                 frame_id: fid as usize,
             });
-            frames.extend(sealed);
         }
-        frames.extend(asm.finish());
+        asm.finish_into(&mut frames);
         // End-time order with creation order breaking ties, matching the
         // stable sort the batch algorithm historically applied.
         frames.sort_by_key(|&(id, f)| (f.end_ts, id));

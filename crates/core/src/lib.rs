@@ -47,10 +47,11 @@
 //!   [`qoe::QoeWindower`];
 //! * [`engine`] — the unified streaming engine underneath the facade:
 //!   all four methods behind the [`engine::QoeEstimator`] trait
-//!   (`push`/`finish`), plus the sharded, flow-keyed [`engine::FlowTable`]
-//!   that monitors many concurrent calls in one process (§7's "streaming
-//!   versions of the methods"). *Unstable internals* — construct through
-//!   [`api`] unless you are a parity test or a benchmark;
+//!   (`push_into`/`finish_into`), plus the sharded, flow-keyed
+//!   [`engine::FlowTable`] that monitors many concurrent calls in one
+//!   process (§7's "streaming versions of the methods"). *Unstable
+//!   internals* — construct through [`api`] unless you are a parity test
+//!   or a benchmark;
 //! * [`pipeline`] — the **IP/UDP ML** and **RTP ML** methods: feature
 //!   extraction (a replay over the engines), 5-fold cross-validated
 //!   random forests, transfer evaluation, and feature importances

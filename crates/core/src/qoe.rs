@@ -108,15 +108,8 @@ impl QoeWindower {
     }
 
     /// Emits every window strictly before `safe` (consecutive from the
-    /// last emission; windows without frames yield zero estimates).
-    pub fn drain_until(&mut self, safe: u64) -> Vec<(u64, QoeEstimate)> {
-        let mut out = Vec::new();
-        self.drain_until_into(safe, &mut out);
-        out
-    }
-
-    /// [`Self::drain_until`] appending into a caller-owned buffer — the
-    /// allocation-free form the streaming engines use.
+    /// last emission; windows without frames yield zero estimates),
+    /// appending into the caller-owned `out`.
     pub fn drain_until_into(&mut self, safe: u64, out: &mut Vec<(u64, QoeEstimate)>) {
         while self.next_emit < safe {
             let w = self.next_emit;
@@ -246,11 +239,9 @@ pub fn estimate_windows(frames: &[Frame], n_windows: usize, window_secs: u32) ->
             windower.offer(id as u64, f);
         }
     }
-    windower
-        .drain_until(n_windows as u64)
-        .into_iter()
-        .map(|(_, e)| e)
-        .collect()
+    let mut out = Vec::with_capacity(n_windows);
+    windower.drain_until_into(n_windows as u64, &mut out);
+    out.into_iter().map(|(_, e)| e).collect()
 }
 
 #[cfg(test)]

@@ -54,27 +54,13 @@ impl RtpAssembler {
     }
 
     /// Offers one video-stream packet (`ts` non-decreasing): its arrival,
-    /// RTP timestamp, marker bit, and IP total length. Returns any frames
-    /// sealed by this packet, tagged with creation-order ids.
+    /// RTP timestamp, marker bit, and IP total length. Appends any frames
+    /// sealed by this packet, tagged with creation-order ids, into the
+    /// caller-owned `sealed`.
     ///
     /// Frame sizes count RTP payload bytes (IP total length minus the 52
     /// bytes of IP/UDP/RTP headers), matching the heuristic bitrate
     /// accounting.
-    pub fn push(
-        &mut self,
-        ts: Timestamp,
-        rtp_ts: u32,
-        marker: bool,
-        size: u16,
-    ) -> Vec<(u64, Frame)> {
-        let mut sealed = Vec::new();
-        self.push_into(ts, rtp_ts, marker, size, &mut sealed);
-        sealed
-    }
-
-    /// [`Self::push`] appending sealed frames into a caller-owned buffer
-    /// instead of allocating — the per-packet form the streaming engine
-    /// uses.
     // lint: hot_path
     pub fn push_into(
         &mut self,
@@ -121,15 +107,8 @@ impl RtpAssembler {
         }
     }
 
-    /// Seals every open frame (end of stream) and resets the assembler.
-    pub fn finish(&mut self) -> Vec<(u64, Frame)> {
-        let mut out = Vec::new();
-        self.finish_into(&mut out);
-        out
-    }
-
-    /// [`Self::finish`] appending into a caller-owned buffer; the open
-    /// deque keeps its capacity for the next stream.
+    /// Seals every open frame (end of stream) into `out` and resets the
+    /// assembler; the open deque keeps its capacity for the next stream.
     pub fn finish_into(&mut self, out: &mut Vec<(u64, Frame)>) {
         out.extend(self.open.drain(..).map(Acc::finalize));
     }
@@ -163,9 +142,9 @@ pub fn assemble(trace: &Trace) -> Vec<Frame> {
     let mut frames: Vec<(u64, Frame)> = Vec::new();
     for p in trace.rtp_video_packets() {
         let h = p.rtp.expect("rtp_video_packets yields RTP packets"); // lint: allow(no-unwrap-in-lib) -- rtp_video_packets filters on rtp.is_some()
-        frames.extend(asm.push(p.ts, h.timestamp, h.marker, p.size));
+        asm.push_into(p.ts, h.timestamp, h.marker, p.size, &mut frames);
     }
-    frames.extend(asm.finish());
+    asm.finish_into(&mut frames);
     frames.sort_by_key(|&(id, f)| (f.end_ts, id));
     frames.into_iter().map(|(_, f)| f).collect()
 }

@@ -67,7 +67,7 @@
 
 use crate::api::{IngestPort, Monitor, MonitorBuilder, MonitorStats};
 use crate::bus::{EventBus, EventFilter};
-use crate::control::MonitorHandle;
+use crate::control::{MonitorHandle, StopToken};
 use crate::sink::EventSink;
 use crate::source::{PacketSource, SourcePacket};
 use serde::Serialize;
@@ -113,11 +113,6 @@ pub struct MonitorRunner {
 
 impl MonitorRunner {
     /// A runner over a monitor built from `builder`.
-    ///
-    /// A builder-configured callback sink
-    /// ([`MonitorBuilder::sink`](crate::api::MonitorBuilder::sink))
-    /// bypasses the event queue and therefore the runner's bus; use
-    /// runner subscriptions instead when running through here.
     pub fn new(builder: MonitorBuilder) -> Self {
         MonitorRunner::with_monitor(builder.build())
     }
@@ -298,56 +293,62 @@ impl std::fmt::Debug for RunningMonitor {
     }
 }
 
+/// The one pull loop: hands `source`'s packets to `ingest` until the
+/// stream ends, a read fails, or a graceful stop is requested (checked
+/// between packets).
+fn pump(
+    source: &mut dyn PacketSource,
+    stop: &StopToken,
+    mut ingest: impl FnMut(SourcePacket),
+) -> SourceReport {
+    let mut packets = 0u64;
+    let mut error = None;
+    while !stop.is_stopped() {
+        match source.next_packet() {
+            Ok(Some(pkt)) => {
+                packets += 1;
+                ingest(pkt);
+            }
+            Ok(None) => break,
+            Err(e) => {
+                error = Some(e.to_string());
+                break;
+            }
+        }
+    }
+    SourceReport { packets, error }
+}
+
 /// Sequential fallback: drive every source on the caller's thread,
 /// draining to the bus after each packet (the inline monitor produces
 /// events synchronously, so this is maximal freshness at no extra
-/// cost). Checks the graceful-stop flag between packets.
+/// cost).
 fn run_inline(
     monitor: &mut Monitor,
     sources: Vec<Box<dyn PacketSource + Send>>,
     bus: &mut EventBus,
     handle: &MonitorHandle,
 ) -> Vec<SourceReport> {
-    let mut reports = Vec::with_capacity(sources.len());
-    for mut source in sources {
-        let mut packets = 0u64;
-        let mut error = None;
-        while !handle.stop_requested() {
-            match source.next_packet() {
-                Ok(Some(pkt)) => {
-                    packets += 1;
-                    match pkt {
-                        SourcePacket::Record { link, record } => {
-                            monitor.ingest_pcap_record(link, &record)
-                        }
-                        SourcePacket::Captured(cap) => monitor.ingest_captured(&cap),
-                        SourcePacket::Parsed { flow, packet } => {
-                            monitor.ingest_packet(flow, packet)
-                        }
-                    }
-                    for event in monitor.drain_shared() {
-                        bus.publish(&event);
-                    }
+    let stop = handle.stop_token();
+    sources
+        .into_iter()
+        .map(|mut source| {
+            pump(&mut *source, &stop, |pkt| {
+                monitor.ingest(pkt);
+                for event in monitor.drain_shared() {
+                    bus.publish(&event);
                 }
-                Ok(None) => break,
-                Err(e) => {
-                    error = Some(e.to_string());
-                    break;
-                }
-            }
-        }
-        reports.push(SourceReport { packets, error });
-    }
-    reports
+            })
+        })
+        .collect()
 }
 
 /// Threaded path: one ingest thread per source, each with its own port;
 /// the caller's thread is the event loop that drains the queue to the
 /// bus until every ingest thread is done. That loop is what keeps a
 /// `Block` queue live — workers it parks are woken by our drains. Each
-/// ingest thread checks the graceful-stop flag between packets and
-/// flushes its port on the way out, so a stop loses nothing already
-/// pulled.
+/// ingest thread flushes its port on the way out, so a stop loses
+/// nothing already pulled.
 fn run_threaded(
     monitor: &mut Monitor,
     sources: Vec<Box<dyn PacketSource + Send>>,
@@ -362,40 +363,20 @@ fn run_threaded(
             .map(|(mut source, mut port)| {
                 let stop = handle.stop_token();
                 scope.spawn(move || {
-                    let mut packets = 0u64;
-                    let mut error = None;
                     // Live sources (taps, paced replays) hand every
                     // packet straight to its shard worker: at wall-clock
                     // rates the batch would otherwise sit half-filled
                     // for seconds, starving the workers — and every
                     // live observer — of traffic that already arrived.
                     let live = source.is_live();
-                    while !stop.is_stopped() {
-                        match source.next_packet() {
-                            Ok(Some(pkt)) => {
-                                packets += 1;
-                                match pkt {
-                                    SourcePacket::Record { link, record } => {
-                                        port.ingest_pcap_record(link, &record)
-                                    }
-                                    SourcePacket::Captured(cap) => port.ingest_captured(&cap),
-                                    SourcePacket::Parsed { flow, packet } => {
-                                        port.ingest_packet(flow, packet)
-                                    }
-                                }
-                                if live {
-                                    port.flush();
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                error = Some(e.to_string());
-                                break;
-                            }
+                    let report = pump(&mut *source, &stop, |pkt| {
+                        port.ingest(pkt);
+                        if live {
+                            port.flush();
                         }
-                    }
+                    });
                     port.flush();
-                    SourceReport { packets, error }
+                    report
                 })
             })
             .collect();

@@ -458,6 +458,17 @@ fn parse_annotations(
 /// Token ranges covered by `#[cfg(test)]` items and `#[test]` fns.
 fn find_test_regions(tokens: &[Token]) -> Vec<std::ops::Range<usize>> {
     let mut regions = Vec::new();
+    // A file opening with the inner attribute `#![cfg(test)]` is the
+    // out-of-line body of a test module: all of it is test code.
+    if let [hash, bang, open, ..] = tokens {
+        if hash.is_punct('#') && bang.is_punct('!') && open.is_punct('[') {
+            let close = match_bracket(tokens, 2);
+            if attr_is_test(&tokens[3..close.min(tokens.len())]) {
+                regions.push(0..tokens.len());
+                return regions;
+            }
+        }
+    }
     let mut i = 0usize;
     while i < tokens.len() {
         if tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
@@ -792,6 +803,14 @@ mod tests {
         );
         assert!(m.allowed("hot-path-alloc", 3));
         assert!(!m.allowed("hot-path-alloc", 2));
+    }
+
+    #[test]
+    fn inner_cfg_test_covers_the_whole_file() {
+        let m = model("#![cfg(test)]\nfn helper() { x.unwrap(); }\n");
+        assert!(m.in_test(m.tokens.len() - 1));
+        let m = model("#![allow(dead_code)]\nfn lib() {}\n");
+        assert!(!m.in_test(m.tokens.len() - 1));
     }
 
     #[test]

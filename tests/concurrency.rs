@@ -508,3 +508,64 @@ fn parallel_matches_sequential_across_slot_recycling() {
         }
     }
 }
+
+/// Same input, same event stream: flows still in RTP-confidence
+/// probation at end of stream — or reclaimed together by one idle sweep —
+/// live in a hash map whose iteration order differs from run to run, and
+/// that order must not leak into the output. Inline runs must repeat
+/// byte for byte; threaded runs interleave workers freely, so they must
+/// repeat per flow.
+#[test]
+fn probation_flows_seal_in_a_reproducible_order() {
+    let pkt = |us: i64| TracePacket {
+        ts: Timestamp::from_micros(us),
+        size: 1_100,
+        rtp: None,
+        truth_media: None,
+    };
+    // 40 flows × 6 packets 0.7 s apart: none reaches the 16-packet
+    // probation decision.
+    let mut at_finish = Vec::new();
+    for i in 0..6i64 {
+        for n in 0..40u16 {
+            at_finish.push((flow_key(n), pkt(i * 700_000 + i64::from(n))));
+        }
+    }
+    // The same, then a straggler far past a 5 s idle timeout: the sweep
+    // it triggers finds all 40 probation flows stale at once.
+    let mut at_sweep = at_finish.clone();
+    at_sweep.extend((0..3i64).map(|s| (flow_key(99), pkt(20_000_000 + s * 1_000_000))));
+
+    for (label, feed, idle_secs) in [("finish", &at_finish, 60), ("sweep", &at_sweep, 5)] {
+        let run = |threads: usize| -> Vec<(Option<FlowKey>, String)> {
+            let mut monitor = MonitorBuilder::new(VcaKind::Teams)
+                .idle_timeout(Timestamp::from_secs(idle_secs))
+                .threads(threads)
+                .build();
+            for (flow, p) in feed {
+                monitor.ingest_packet(*flow, *p);
+            }
+            let events = monitor.finish();
+            events
+                .iter()
+                .map(|e| (e.flow(), e.to_json_line()))
+                .collect()
+        };
+        let (first, second) = (run(1), run(1));
+        assert!(first.len() > 80, "{label}: 40 flows open, report, and seal");
+        assert_eq!(first, second, "{label}: inline event order");
+
+        let per_flow = |events: Vec<(Option<FlowKey>, String)>| {
+            let mut out: BTreeMap<Option<FlowKey>, Vec<String>> = BTreeMap::new();
+            for (flow, line) in events {
+                out.entry(flow).or_default().push(line);
+            }
+            out
+        };
+        assert_eq!(
+            per_flow(run(2)),
+            per_flow(run(2)),
+            "{label}: per-flow order"
+        );
+    }
+}

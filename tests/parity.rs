@@ -33,9 +33,9 @@ fn corpus(vca: VcaKind, seed: u64, n: usize) -> Vec<Trace> {
 fn stream<E: QoeEstimator>(engine: &mut E, trace: &Trace) -> Vec<WindowReport> {
     let mut out = Vec::new();
     for p in &trace.packets {
-        out.extend(engine.push(p));
+        engine.push_into(p, &mut out);
     }
-    out.extend(engine.finish());
+    engine.finish_into(&mut out);
     out
 }
 
@@ -324,11 +324,11 @@ fn flow_table_separates_interleaved_calls() {
     });
     let mut got: HashMap<FlowKey, Vec<WindowReport>> = HashMap::new();
     for (key, p) in &feed {
-        got.entry(*key).or_default().extend(table.push(*key, p));
+        table.push_hashed_into(key.hash64(), *key, p, got.entry(*key).or_default());
     }
     assert_eq!(table.len(), 3);
     assert!(table.shard_loads().iter().sum::<usize>() == 3);
-    for (key, rest) in table.finish_all() {
+    for (key, rest) in table.drain_finish_all() {
         got.entry(key).or_default().extend(rest);
     }
 
@@ -366,7 +366,8 @@ fn qoe_windower_agrees_with_estimate_windows() {
             windower.offer(id as u64, f);
         }
     }
-    let streamed = windower.drain_until(n as u64);
+    let mut streamed = Vec::new();
+    windower.drain_until_into(n as u64, &mut streamed);
     assert_eq!(streamed.len(), batch.len());
     for ((_, s), b) in streamed.iter().zip(&batch) {
         assert_eq!(s, b);
@@ -409,10 +410,8 @@ fn recycled_slots_stay_window_exact() {
     let mut life1: HashMap<FlowKey, Vec<WindowReport>> = HashMap::new();
     for p in &trace.packets {
         for i in 0..FLOWS {
-            life1
-                .entry(key_of(i))
-                .or_default()
-                .extend(table.push(key_of(i), p));
+            let key = key_of(i);
+            table.push_hashed_into(key.hash64(), key, p, life1.entry(key).or_default());
         }
     }
     assert_eq!(table.len(), FLOWS);
@@ -430,10 +429,8 @@ fn recycled_slots_stay_window_exact() {
     let mut life2: HashMap<FlowKey, Vec<WindowReport>> = HashMap::new();
     for p in &shifted {
         for i in 0..FLOWS {
-            life2
-                .entry(key_of(i))
-                .or_default()
-                .extend(table.push(key_of(i), p));
+            let key = key_of(i);
+            table.push_hashed_into(key.hash64(), key, p, life2.entry(key).or_default());
         }
     }
     assert_eq!(table.len(), FLOWS);
@@ -448,9 +445,9 @@ fn recycled_slots_stay_window_exact() {
     let mut solo2 = IpUdpHeuristicEngine::new(config);
     let mut want2 = Vec::new();
     for p in &shifted {
-        want2.extend(solo2.push(p));
+        solo2.push_into(p, &mut want2);
     }
-    want2.extend(solo2.finish());
+    solo2.finish_into(&mut want2);
 
     for i in 0..FLOWS {
         let key = key_of(i);
