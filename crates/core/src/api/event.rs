@@ -4,7 +4,7 @@
 #[cfg(doc)]
 use super::{Monitor, OverflowPolicy};
 use crate::engine::WindowReport;
-use serde::{Map, Serialize, Value};
+use crate::json;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use vcaml_netpkt::{Error as NetError, FlowKey, Timestamp};
 
@@ -210,7 +210,71 @@ impl QoeEvent {
     /// One compact JSON object per event — the JSON-lines form consumed
     /// by dashboards and log shippers.
     pub fn to_json_line(&self) -> String {
-        serde_json::to_string(self).expect("event serialization is infallible") // lint: allow(no-unwrap-in-lib) -- serializing an in-memory event via the serde shim cannot fail
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
+    }
+
+    /// Appends the [`QoeEvent::to_json_line`] object to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let mut o = json::Object::begin(out);
+        json::string(o.key("type"), self.tag());
+        match self {
+            QoeEvent::FlowOpened { flow, ts } => {
+                json::string(o.key("flow"), flow);
+                json::plain(o.key("ts_us"), ts.as_micros());
+            }
+            QoeEvent::WindowReport {
+                flow,
+                report,
+                provisional,
+            } => {
+                json::string(o.key("flow"), flow);
+                json::plain(o.key("provisional"), provisional);
+                report.write_json(o.key("report"));
+            }
+            QoeEvent::FlowEvicted {
+                flow,
+                reason,
+                final_reports,
+            } => {
+                json::string(o.key("flow"), flow);
+                let reason = match reason {
+                    EvictReason::Idle => "idle",
+                    EvictReason::EndOfStream => "end_of_stream",
+                    EvictReason::Requested => "requested",
+                };
+                json::string(o.key("reason"), reason);
+                json::array(o.key("final_reports"), final_reports, |out, report| {
+                    report.write_json(out)
+                });
+            }
+            QoeEvent::ParseDrop { ts, reason } => {
+                json::plain(o.key("ts_us"), ts.as_micros());
+                json::string(o.key("reason"), reason.tag());
+                match reason {
+                    ParseDropReason::Truncated { layer } | ParseDropReason::Checksum { layer } => {
+                        json::string(o.key("layer"), layer);
+                    }
+                    ParseDropReason::Malformed { layer, what } => {
+                        json::string(o.key("layer"), layer);
+                        json::string(o.key("what"), what);
+                    }
+                    ParseDropReason::NotUdp | ParseDropReason::NegativeTimestamp => {}
+                }
+            }
+            QoeEvent::Dropped { count, per_flow } => {
+                json::plain(o.key("count"), count);
+                if !per_flow.is_empty() {
+                    let mut flows = json::Object::begin(o.key("per_flow"));
+                    for (flow, n) in per_flow {
+                        json::plain(flows.key(flow), n);
+                    }
+                    flows.end();
+                }
+            }
+        }
+        o.end();
     }
 
     /// The flow this event belongs to (`None` for [`QoeEvent::ParseDrop`],
@@ -247,74 +311,8 @@ impl QoeEvent {
     }
 }
 
-impl Serialize for QoeEvent {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("type".into(), Value::String(self.tag().into()));
-        match self {
-            QoeEvent::FlowOpened { flow, ts } => {
-                m.insert("flow".into(), Value::String(flow.to_string()));
-                m.insert("ts_us".into(), ts.as_micros().to_value());
-            }
-            QoeEvent::WindowReport {
-                flow,
-                report,
-                provisional,
-            } => {
-                m.insert("flow".into(), Value::String(flow.to_string()));
-                m.insert("provisional".into(), Value::Bool(*provisional));
-                m.insert("report".into(), report.to_value());
-            }
-            QoeEvent::FlowEvicted {
-                flow,
-                reason,
-                final_reports,
-            } => {
-                m.insert("flow".into(), Value::String(flow.to_string()));
-                m.insert(
-                    "reason".into(),
-                    Value::String(
-                        match reason {
-                            EvictReason::Idle => "idle",
-                            EvictReason::EndOfStream => "end_of_stream",
-                            EvictReason::Requested => "requested",
-                        }
-                        .into(),
-                    ),
-                );
-                m.insert("final_reports".into(), final_reports.to_value());
-            }
-            QoeEvent::ParseDrop { ts, reason } => {
-                m.insert("ts_us".into(), ts.as_micros().to_value());
-                m.insert("reason".into(), Value::String(reason.tag().into()));
-                match reason {
-                    ParseDropReason::Truncated { layer } | ParseDropReason::Checksum { layer } => {
-                        m.insert("layer".into(), Value::String((*layer).into()));
-                    }
-                    ParseDropReason::Malformed { layer, what } => {
-                        m.insert("layer".into(), Value::String((*layer).into()));
-                        m.insert("what".into(), Value::String((*what).into()));
-                    }
-                    _ => {}
-                }
-            }
-            QoeEvent::Dropped { count, per_flow } => {
-                m.insert("count".into(), count.to_value());
-                if !per_flow.is_empty() {
-                    let mut flows = Map::new();
-                    for (flow, n) in per_flow {
-                        flows.insert(flow.to_string(), n.to_value());
-                    }
-                    m.insert("per_flow".into(), Value::Object(flows));
-                }
-            }
-        }
-        Value::Object(m)
-    }
-}
-
 /// Running counters over everything a [`Monitor`] has seen.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MonitorStats {
     /// Packets routed to a flow engine.
     pub packets: u64,
@@ -338,6 +336,33 @@ pub struct MonitorStats {
     /// the monitor's lifetime) so long-running monitors with endless
     /// flow churn keep O(1) accounting state.
     pub dropped_by_flow: Vec<(FlowKey, u64)>,
+}
+
+impl MonitorStats {
+    /// Appends the `"stats"` member of the snapshot line to `out`. A
+    /// shed flow is spelled as in [`QoeEvent::Dropped`]: its `Display`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let mut o = json::Object::begin(out);
+        json::plain(o.key("packets"), self.packets);
+        json::plain(o.key("parse_drops"), self.parse_drops);
+        json::plain(o.key("flows_opened"), self.flows_opened);
+        json::plain(o.key("flows_evicted"), self.flows_evicted);
+        json::plain(o.key("window_reports"), self.window_reports);
+        json::plain(o.key("provisional_reports"), self.provisional_reports);
+        json::plain(o.key("events_dropped"), self.events_dropped);
+        json::array(
+            o.key("dropped_by_flow"),
+            &self.dropped_by_flow,
+            |out, (flow, n)| {
+                out.push('[');
+                json::string(out, flow);
+                out.push(',');
+                json::plain(out, n);
+                out.push(']');
+            },
+        );
+        o.end();
+    }
 }
 
 /// Shared, thread-safe counter cells behind [`MonitorStats`]: shard

@@ -36,8 +36,8 @@
 use crate::api::{MonitorStats, QoeEvent, StatsCells};
 use crate::backpressure::EventQueue;
 use crate::bus::{AlertThresholds, Severity};
+use crate::json;
 use crate::pipeline::Method;
-use serde::{Map, Serialize, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use vcaml_netpkt::FlowKey;
@@ -218,50 +218,47 @@ impl MonitorSnapshot {
     /// One compact JSON object (`"type":"stats"`), the JSON-lines form
     /// the CLI's `--stats-every` emits to stderr.
     pub fn to_json_line(&self) -> String {
-        // lint: allow(no-unwrap-in-lib) -- serializing an in-memory snapshot via the serde shim cannot fail
-        serde_json::to_string(self).expect("snapshot serialization is infallible")
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
     }
-}
 
-impl Serialize for MonitorSnapshot {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("type".into(), Value::String("stats".into()));
-        m.insert("stats".into(), self.stats.to_value());
-        m.insert("flows_live".into(), self.flows_live.to_value());
-        m.insert("pending_events".into(), self.pending_events.to_value());
-        m.insert(
-            "shard_depths".into(),
-            Value::Array(self.shard_depths.iter().map(|d| d.to_value()).collect()),
-        );
-        m.insert("bytes_per_flow".into(), self.bytes_per_flow.to_value());
+    /// Appends the [`MonitorSnapshot::to_json_line`] object to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let mut o = json::Object::begin(out);
+        json::string(o.key("type"), "stats");
+        self.stats.write_json(o.key("stats"));
+        json::plain(o.key("flows_live"), self.flows_live);
+        json::plain(o.key("pending_events"), self.pending_events);
+        json::array(o.key("shard_depths"), &self.shard_depths, json::plain);
+        json::plain(o.key("bytes_per_flow"), self.bytes_per_flow);
         if let Some(fps) = self.alert_fps {
-            m.insert("alert_fps".into(), fps.to_value());
+            json::float(o.key("alert_fps"), fps);
         }
         if let Some(kbps) = self.alert_min_kbps {
-            m.insert("alert_min_kbps".into(), kbps.to_value());
+            json::float(o.key("alert_min_kbps"), kbps);
         }
         if let Some(height) = self.alert_resolution_floor {
-            m.insert("alert_resolution_floor".into(), height.to_value());
+            json::plain(o.key("alert_resolution_floor"), height);
         }
-        let mut sev = Map::new();
+        let mut by_severity = json::Object::begin(o.key("events_by_severity"));
         for s in Severity::ALL {
-            sev.insert(
-                s.name().into(),
-                self.events_by_severity[s.index()].to_value(),
+            json::plain(
+                by_severity.key(s.name()),
+                self.events_by_severity[s.index()],
             );
         }
-        m.insert("events_by_severity".into(), Value::Object(sev));
-        let mut methods = Map::new();
+        by_severity.end();
+        let mut by_method = json::Object::begin(o.key("windows_by_method"));
         for method in Method::ALL {
-            methods.insert(
-                method.slug().into(),
-                self.windows_by_method[method.index()].to_value(),
+            json::plain(
+                by_method.key(method.slug()),
+                self.windows_by_method[method.index()],
             );
         }
-        m.insert("windows_by_method".into(), Value::Object(methods));
-        m.insert("stop_requested".into(), Value::Bool(self.stop_requested));
-        Value::Object(m)
+        by_method.end();
+        json::plain(o.key("stop_requested"), self.stop_requested);
+        o.end();
     }
 }
 

@@ -484,13 +484,17 @@ fn serve_control<S: Read + Write>(mut stream: S, ctx: &ControlCtx) {
                 // The connection is now a one-way event stream; it ends
                 // when the client disconnects (write fails → the sink
                 // detaches and the bus prunes it) or the daemon stops.
+                let mut line = String::new();
                 loop {
                     if ctx.stop.load(Relaxed) {
                         return;
                     }
                     match rx.recv_timeout(POLL) {
                         Ok(event) => {
-                            if writeln!(stream, "{}", event.to_json_line()).is_err() {
+                            line.clear();
+                            event.write_json(&mut line);
+                            line.push('\n');
+                            if stream.write_all(line.as_bytes()).is_err() {
                                 return;
                             }
                         }

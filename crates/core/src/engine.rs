@@ -37,12 +37,12 @@
 
 use crate::frames::Frame;
 use crate::heuristic::{HeuristicParams, IpUdpAssembler};
+use crate::json;
 use crate::media::MediaClassifier;
 use crate::pipeline::Method;
 use crate::qoe::{QoeEstimate, QoeWindower};
 use crate::rtp_heuristic::RtpAssembler;
 use crate::trace::{Trace, TracePacket};
-use serde::{Deserialize, Serialize};
 use vcaml_features::rtp_feats::LagReference;
 use vcaml_features::{FlowFeatureAcc, IpUdpFeatureAcc, RtpWindowAcc, StatsMode};
 use vcaml_mlcore::RandomForest;
@@ -53,7 +53,7 @@ use vcaml_rtp::{MediaKind, PayloadMap, VcaKind};
 ///
 /// Stability: stable — re-exported from the crate root as part of the
 /// supported API surface (see `ARCHITECTURE.md` § stability).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Media-classification size threshold (IP/UDP methods).
     pub vmin: u16,
@@ -156,7 +156,7 @@ impl GapGuard {
 ///
 /// Stability: stable — re-exported from the crate root as part of the
 /// supported API surface (see `ARCHITECTURE.md` § stability).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WindowReport {
     /// Window index (0-based from stream start).
     pub window: u64,
@@ -170,6 +170,25 @@ pub struct WindowReport {
     pub model_fps: Option<f64>,
     /// Packets the method attributed to video in this window (by arrival).
     pub video_packets: usize,
+}
+
+impl WindowReport {
+    /// Appends this report as a JSON object; `method` is the variant
+    /// name (`"RtpHeuristic"`).
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let mut o = json::Object::begin(out);
+        json::plain(o.key("window"), self.window);
+        json::string(o.key("method"), format_args!("{:?}", self.method));
+        json::opt(o.key("estimate"), self.estimate.as_ref(), |out, e| {
+            e.write_json(out)
+        });
+        json::opt(o.key("features"), self.features.as_ref(), |out, v| {
+            json::array(out, v, |out, x| json::float(out, *x))
+        });
+        json::opt(o.key("model_fps"), self.model_fps, json::float);
+        json::plain(o.key("video_packets"), self.video_packets);
+        o.end();
+    }
 }
 
 /// The unified per-flow estimator interface all four methods implement.

@@ -11,11 +11,10 @@
 //!   RTP timestamp (case 1).
 
 use crate::heuristic::{Assignment, HeuristicParams};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Error counts over one analysis window, in frames.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ErrorCounts {
     /// Ground-truth frames split by intra-frame size spread.
     pub splits: f64,

@@ -23,11 +23,10 @@
 //! assert_eq!(frame.assembly_time(), Timestamp::from_millis(3));
 //! ```
 
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::Timestamp;
 
 /// A reconstructed (or ground-truth) video frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frame {
     /// Arrival time of the first packet assigned to the frame.
     pub start_ts: Timestamp,

@@ -8,12 +8,11 @@
 //! previous packets (most recent first) absorbs mild reordering.
 
 use crate::frames::Frame;
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::VcaKind;
 
 /// Parameters of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeuristicParams {
     /// Maximum intra-frame packet size difference, bytes (paper: 2 for
     /// all VCAs).
@@ -49,7 +48,7 @@ impl Default for HeuristicParams {
 
 /// Per-packet frame assignment produced by the heuristic (used by the
 /// error-taxonomy analysis of Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// Index of the packet in the input sequence.
     pub packet_idx: usize,

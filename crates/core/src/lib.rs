@@ -77,6 +77,7 @@ pub mod engine;
 pub mod errors;
 pub mod frames;
 pub mod heuristic;
+mod json;
 pub mod media;
 pub mod modes;
 pub mod pipeline;

@@ -7,7 +7,6 @@
 //! below any sensible `Vmin` and are filtered out automatically.
 
 use crate::trace::{Trace, TracePacket};
-use serde::{Deserialize, Serialize};
 use vcaml_mlcore::ConfusionMatrix;
 use vcaml_rtp::MediaKind;
 
@@ -16,7 +15,7 @@ use vcaml_rtp::MediaKind;
 pub const DEFAULT_VMIN: u16 = 450;
 
 /// The size-threshold media classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MediaClassifier {
     /// Minimum IP total length to tag a packet as video.
     pub vmin: u16,

@@ -15,7 +15,6 @@ use crate::qoe::QoeEstimate;
 use crate::resolution::ResolutionScheme;
 use crate::source::{PacketSource, ReplaySource, SourcePacket};
 use crate::trace::{Trace, TruthRow};
-use serde::{Deserialize, Serialize};
 use vcaml_features::flow_stats::flow_feature_names;
 use vcaml_features::{ipudp_feature_names, rtp_feature_names};
 use vcaml_mlcore::{
@@ -29,7 +28,7 @@ use vcaml_rtp::MediaKind;
 use vcaml_rtp::VcaKind;
 
 /// The four methods compared throughout the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Frame reconstruction from packet sizes only (Algorithm 1).
     IpUdpHeuristic,
@@ -88,7 +87,7 @@ impl Method {
 }
 
 /// The four estimated QoE metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Target {
     /// Frames per second (regression; MAE).
     FrameRate,
@@ -101,7 +100,7 @@ pub enum Target {
 }
 
 /// Pipeline configuration (paper defaults via [`PipelineOpts::paper`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineOpts {
     /// Media-classification size threshold.
     pub vmin: u16,
@@ -143,7 +142,7 @@ impl PipelineOpts {
 }
 
 /// One prediction window with every method's inputs and outputs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowSample {
     /// IP/UDP ML feature vector (14 features).
     pub ipudp_features: Vec<f64>,
@@ -160,7 +159,7 @@ pub struct WindowSample {
 }
 
 /// A corpus of windows ready for training/evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SampleSet {
     /// The VCA the corpus belongs to.
     pub vca: VcaKind,
@@ -369,7 +368,7 @@ pub fn build_samples(traces: &[Trace], opts: &PipelineOpts) -> SampleSet {
 }
 
 /// Summary statistics for one (method, target) cell of the evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalSummary {
     /// Mean absolute error.
     pub mae: f64,

@@ -8,11 +8,11 @@
 //!   within the window.
 
 use crate::frames::Frame;
-use serde::{Deserialize, Serialize};
+use crate::json;
 use vcaml_netpkt::Timestamp;
 
 /// Per-window heuristic QoE estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QoeEstimate {
     /// Estimated video bitrate, kbps.
     pub bitrate_kbps: f64,
@@ -20,6 +20,17 @@ pub struct QoeEstimate {
     pub fps: f64,
     /// Estimated frame jitter, milliseconds.
     pub frame_jitter_ms: f64,
+}
+
+impl QoeEstimate {
+    /// Appends this estimate as a JSON object.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let mut o = json::Object::begin(out);
+        json::float(o.key("bitrate_kbps"), self.bitrate_kbps);
+        json::float(o.key("fps"), self.fps);
+        json::float(o.key("frame_jitter_ms"), self.frame_jitter_ms);
+        o.end();
+    }
 }
 
 /// One open window's frames: `(frame id, end, bytes)` per frame.

@@ -19,11 +19,10 @@
 //! assert_eq!(meet.class_of(540), None); // never observed → no class
 //! ```
 
-use serde::{Deserialize, Serialize};
 use vcaml_rtp::VcaKind;
 
 /// Maps frame heights to class ids and back to labels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResolutionScheme {
     /// One class per distinct height (sorted ascending).
     PerValue {

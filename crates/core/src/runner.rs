@@ -70,10 +70,9 @@ use crate::bus::{EventBus, EventFilter};
 use crate::control::{MonitorHandle, StopToken};
 use crate::sink::EventSink;
 use crate::source::{PacketSource, SourcePacket};
-use serde::Serialize;
 
 /// What one source contributed to a run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SourceReport {
     /// Packets pulled from the source (before parse classification).
     pub packets: u64,
@@ -84,7 +83,7 @@ pub struct SourceReport {
 
 /// The outcome of [`MonitorRunner::run`] (or a joined
 /// [`RunningMonitor`]).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunnerReport {
     /// The monitor's final counters, settled after `finish()` — unlike a
     /// mid-run [`Monitor::stats`] snapshot, nothing is still in flight.

@@ -112,12 +112,18 @@ impl EventSink for Box<dyn EventSink + Send> {
 /// dashboards and log shippers consume ([`QoeEvent::to_json_line`]).
 pub struct JsonLinesSink<W: Write> {
     writer: W,
+    /// The line being written, kept so steady-state events allocate
+    /// nothing.
+    line: String,
 }
 
 impl<W: Write> JsonLinesSink<W> {
     /// Writes JSON lines to `writer`.
     pub fn new(writer: W) -> Self {
-        JsonLinesSink { writer }
+        JsonLinesSink {
+            writer,
+            line: String::new(),
+        }
     }
 
     /// Returns the inner writer (tests that assert on the bytes).
@@ -128,8 +134,12 @@ impl<W: Write> JsonLinesSink<W> {
 
 impl<W: Write> EventSink for JsonLinesSink<W> {
     fn on_event(&mut self, event: &Arc<QoeEvent>) {
-        // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
-        writeln!(self.writer, "{}", event.to_json_line()).expect("event sink write");
+        self.line.clear();
+        event.write_json(&mut self.line);
+        self.line.push('\n');
+        self.writer
+            .write_all(self.line.as_bytes())
+            .expect("event sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
     }
 
     fn flush(&mut self) {

@@ -30,7 +30,6 @@
 //! assert!(!trace.is_complete());
 //! ```
 
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::{MediaKind, PayloadMap, RtpHeader, VcaKind};
 
@@ -40,7 +39,7 @@ use vcaml_rtp::{MediaKind, PayloadMap, RtpHeader, VcaKind};
 /// only by the RTP baselines); `truth_media` is simulator ground truth
 /// used exclusively for evaluating media classification, never as a model
 /// input.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePacket {
     /// Capture timestamp.
     pub ts: Timestamp,
@@ -53,7 +52,7 @@ pub struct TracePacket {
 }
 
 /// One second of ground-truth QoE (a `webrtc-internals` row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruthRow {
     /// Second index from call start.
     pub second: i64,
@@ -68,7 +67,7 @@ pub struct TruthRow {
 }
 
 /// A full captured session with ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// Which VCA produced the session.
     pub vca: VcaKind,

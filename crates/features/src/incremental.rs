@@ -54,7 +54,7 @@
 use vcaml_netpkt::Timestamp;
 
 /// How order statistics are accumulated per window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StatsMode {
     /// Per-window value histograms; exact parity with the batch formulas.
     #[default]

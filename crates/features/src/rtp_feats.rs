@@ -1,6 +1,5 @@
 //! RTP-header features (Table 1, third row), used by the RTP ML baseline.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::{RtpClock, RtpHeader};
@@ -36,7 +35,7 @@ pub fn rtp_feature_names() -> Vec<String> {
 /// Session-level reference for RTP-lag computation: the first video
 /// frame's arrival time and RTP timestamp ("we assume that the first
 /// frame had zero delay", §3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LagReference {
     /// Arrival time of the first frame.
     pub t0: Timestamp,

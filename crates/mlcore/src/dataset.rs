@@ -1,12 +1,10 @@
 //! Feature-matrix container shared by trees, forests and cross-validation.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major feature matrix with a target vector.
 ///
 /// Regression targets are used as-is; classification targets must be
 /// integer class ids stored as `f64` (0.0, 1.0, ...).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     x: Vec<f64>,
     y: Vec<f64>,

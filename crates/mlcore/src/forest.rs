@@ -6,11 +6,10 @@ use crate::dataset::Dataset;
 use crate::tree::{DecisionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Learning task. The paper regresses frame rate / bitrate / frame jitter
 /// and classifies resolution (§3.2.2, §5.1.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Task {
     /// Predict a continuous value (forest averages tree outputs).
     Regression,
@@ -22,7 +21,7 @@ pub enum Task {
 }
 
 /// Forest hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomForestParams {
     /// Number of trees.
     pub n_trees: usize,
@@ -50,7 +49,7 @@ impl Default for RandomForestParams {
 }
 
 /// A fitted random forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     task: Task,

@@ -5,10 +5,9 @@
 //! numerically safe.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// A fitted ridge-regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RidgeRegression {
     weights: Vec<f64>,
     bias: f64,

@@ -3,8 +3,6 @@
 //! matrices (Tables 2/4/A.1–A.3), and percentiles for the box-plot
 //! whiskers (10th/90th).
 
-use serde::{Deserialize, Serialize};
-
 /// Mean absolute error.
 ///
 /// # Panics
@@ -71,7 +69,7 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 /// A labeled confusion matrix with row-normalized percentage views.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfusionMatrix {
     labels: Vec<String>,
     /// counts[actual][predicted]

@@ -5,10 +5,9 @@ use crate::dataset::Dataset;
 use crate::forest::Task;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Tree-growing hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeParams {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -31,7 +30,7 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Split {
         feature: usize,
@@ -45,7 +44,7 @@ enum Node {
 }
 
 /// A fitted CART tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     task: Task,

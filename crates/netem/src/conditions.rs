@@ -1,11 +1,10 @@
 //! Per-second network condition schedules (paper §4.2: "Each throughput,
 //! delay, and loss value is emulated for a period of 1 second").
 
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::Timestamp;
 
 /// Network conditions applied during one second of emulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecondCondition {
     /// Bottleneck throughput in kilobits per second.
     pub throughput_kbps: f64,
@@ -40,7 +39,7 @@ impl SecondCondition {
 
 /// A sequence of per-second conditions; the last entry persists once the
 /// schedule is exhausted (calls can outlast speed-test traces).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConditionSchedule {
     seconds: Vec<SecondCondition>,
 }

@@ -7,10 +7,9 @@
 use crate::conditions::{ConditionSchedule, SecondCondition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which single network parameter a profile varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ImpairmentDim {
     /// Mean throughput sweep: {100, 200, 500, 1000, 2000, 4000} kbps.
     MeanThroughput,
@@ -61,7 +60,7 @@ impl ImpairmentDim {
 
 /// One cell of the Table A.6 grid: a dimension at a specific value, all
 /// other parameters at their defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpairmentProfile {
     /// The varied dimension.
     pub dim: ImpairmentDim,

@@ -9,11 +9,10 @@
 use crate::conditions::ConditionSchedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::Timestamp;
 
 /// Why a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Bernoulli random loss.
     Random,
@@ -31,7 +30,7 @@ pub enum LinkVerdict {
 }
 
 /// Static link parameters (dynamic conditions come from the schedule).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Maximum queuing delay before drop-tail, in milliseconds. Home
     /// routers commonly buffer 100–300 ms; the paper's tc-based emulation

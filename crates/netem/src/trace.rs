@@ -12,14 +12,13 @@
 use crate::conditions::{ConditionSchedule, SecondCondition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Upper bound on mean test speed, per the paper ("We only use traces with
 /// average speeds below 10 Mbps to create challenging network conditions").
 pub const MAX_MEAN_KBPS: f64 = 10_000.0;
 
 /// A synthetic speed test: summary statistics plus its per-second series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NdtTest {
     /// Mean throughput of the test in kbps.
     pub mean_kbps: f64,

@@ -1,14 +1,13 @@
 //! Ethernet II frame codec.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Length of the Ethernet II header (dst + src + ethertype).
 pub const HEADER_LEN: usize = 14;
 
 /// A 48-bit IEEE 802 MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -38,7 +37,7 @@ impl fmt::Display for MacAddr {
 }
 
 /// The EtherType values this library distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EtherType {
     /// 0x0800 — IPv4.
     Ipv4,
@@ -122,7 +121,7 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
 }
 
 /// Owned representation used to build frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EthernetRepr {
     /// Source MAC address.
     pub src: MacAddr,

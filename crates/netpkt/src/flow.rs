@@ -1,12 +1,11 @@
 //! Flow identification: the 5-tuple key used to group a VCA session's
 //! packets and to tell upstream from downstream.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::IpAddr;
 
 /// Direction of a packet relative to the monitored client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowDirection {
     /// Towards the monitored client (the paper infers QoE of the receiver).
     Downstream,
@@ -19,7 +18,7 @@ pub enum FlowDirection {
 /// `FlowKey::canonical` orders the endpoints so that both directions of a
 /// conversation map to the same key, which is how a passive monitor groups
 /// a VCA session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowKey {
     /// Lower endpoint address (after canonicalization).
     pub addr_a: IpAddr,

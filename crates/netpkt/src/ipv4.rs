@@ -2,7 +2,6 @@
 
 use crate::checksum;
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Minimum IPv4 header length (IHL = 5).
 pub const MIN_HEADER_LEN: usize = 20;
@@ -142,7 +141,7 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
 }
 
 /// Owned IPv4 header representation (no options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Repr {
     /// Source address.
     pub src: [u8; 4],

@@ -3,7 +3,6 @@
 //! UDP-only traffic this library observes.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Fixed IPv6 header length.
 pub const HEADER_LEN: usize = 40;
@@ -81,7 +80,7 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
 }
 
 /// Owned IPv6 header representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv6Repr {
     /// Source address.
     pub src: [u8; 16],

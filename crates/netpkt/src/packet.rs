@@ -11,7 +11,6 @@ use crate::ipv4::Ipv4Packet;
 use crate::ipv6::Ipv6Packet;
 use crate::udp::UdpPacket;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 use std::ops::{Add, Sub};
 
@@ -20,9 +19,7 @@ use std::ops::{Add, Sub};
 /// Stored as microseconds since an arbitrary epoch (the pcap epoch for real
 /// traces, simulation start for synthetic ones). Microseconds are plenty for
 /// per-second QoE windows while keeping arithmetic exact.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub i64);
 
 impl Timestamp {

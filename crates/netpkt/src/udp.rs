@@ -2,7 +2,6 @@
 
 use crate::checksum::{self, Checksum};
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
@@ -89,7 +88,7 @@ impl<T: AsRef<[u8]>> UdpPacket<T> {
 }
 
 /// Owned UDP header representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpRepr {
     /// Source port.
     pub src_port: u16,

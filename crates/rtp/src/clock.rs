@@ -1,11 +1,10 @@
 //! RTP media clocks: conversion between wall-clock time and RTP timestamp
 //! units, plus the "RTP lag" computation used as an RTP-ML feature.
 
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::Timestamp;
 
 /// A media sampling clock (90 kHz for video, 48 kHz for Opus audio).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtpClock {
     hz: u32,
 }

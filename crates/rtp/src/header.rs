@@ -1,6 +1,5 @@
 //! RFC 3550 §5.1 fixed RTP header codec.
 
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::{Error, Result};
 
 /// Fixed RTP header length (no CSRC, no extension) — the 12 bytes the
@@ -12,7 +11,7 @@ pub const HEADER_LEN: usize = 12;
 /// CSRC entries and header extensions are length-validated and skipped; the
 /// payload accessor accounts for them. Padding (P bit) is honoured when
 /// delimiting the payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtpHeader {
     /// Marker bit — set on the last packet of a video frame, which is what
     /// the RTP Heuristic uses to detect frame ends.

@@ -6,10 +6,8 @@
 //! stream. Meet's PTs are not enumerated in the paper, so we use the stock
 //! Chrome WebRTC defaults (111 Opus, 96 VP8/VP9, 97 rtx).
 
-use serde::{Deserialize, Serialize};
-
 /// Which VCA a session belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcaKind {
     /// Google Meet (VP8/VP9 over WebRTC).
     Meet,
@@ -41,7 +39,7 @@ impl std::fmt::Display for VcaKind {
 
 /// Media class of an RTP packet, as ground truth derived from the payload
 /// type header (the paper's Table 2 rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MediaKind {
     /// Opus audio.
     Audio,
@@ -54,7 +52,7 @@ pub enum MediaKind {
 }
 
 /// Payload-type mapping for one VCA in one deployment environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PayloadMap {
     /// PT carrying Opus audio.
     pub audio: u8,

@@ -2,7 +2,6 @@
 //! NACK feedback message (RFC 4585 §6.2.1) that drives the simulator's
 //! retransmission stream.
 
-use serde::{Deserialize, Serialize};
 use vcaml_netpkt::{Error, Result};
 
 /// RTCP packet type for sender reports.
@@ -15,7 +14,7 @@ pub const PT_RTPFB: u8 = 205;
 pub const NACK_FMT: u8 = 1;
 
 /// Decoded RTCP packet (only the kinds the simulator exchanges).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RtcpPacket {
     /// Sender report: who sent, their NTP-less timestamp pair, and counts.
     SenderReport {

@@ -2,8 +2,6 @@
 //! sequence tracker used both by the simulator's receiver and by the RTP-ML
 //! "out-of-order sequence numbers" feature.
 
-use serde::{Deserialize, Serialize};
-
 /// Returns true if `a` is strictly newer than `b` in 16-bit serial
 /// arithmetic (RFC 1982 semantics with window 2^15).
 pub fn seq_greater(a: u16, b: u16) -> bool {
@@ -23,7 +21,7 @@ pub fn seq_distance(a: u16, b: u16) -> i32 {
 
 /// Tracks a stream's sequence numbers, extending them to 64 bits across
 /// wrap-arounds and counting reordering/gap events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SequenceTracker {
     highest_ext: Option<u64>,
     /// Packets that arrived with a sequence number older than the highest

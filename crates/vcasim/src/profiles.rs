@@ -9,11 +9,10 @@
 //! *unequal* packets — 4.26% of lab frames and 14.48% of real-world frames
 //! exceed the 2-byte intra-frame spread (§5.2.1).
 
-use serde::{Deserialize, Serialize};
 use vcaml_rtp::{PayloadMap, VcaKind};
 
 /// One rung of a VCA's resolution ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderRung {
     /// Frame height in pixels (the paper's resolution measure).
     pub height: u32,
@@ -22,7 +21,7 @@ pub struct LadderRung {
 }
 
 /// Static behaviour profile for one VCA in one environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcaProfile {
     /// Which VCA this models.
     pub vca: VcaKind,

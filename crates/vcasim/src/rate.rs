@@ -7,10 +7,8 @@
 //! queue build-up. This is the mechanism that couples network conditions
 //! to the QoE metrics the paper estimates.
 
-use serde::{Deserialize, Serialize};
-
 /// Receiver feedback for one update interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Feedback {
     /// Fraction of packets lost in the interval, 0–1.
     pub loss_fraction: f64,
@@ -21,7 +19,7 @@ pub struct Feedback {
 }
 
 /// Stateful rate controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateController {
     target_kbps: f64,
     min_kbps: f64,

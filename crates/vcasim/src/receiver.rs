@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::MediaKind;
@@ -48,7 +47,7 @@ pub struct ArrivedPacket {
 }
 
 /// Per-second ground truth, the analogue of a `webrtc-internals` log row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecondTruth {
     /// Wall-clock second index from call start.
     pub second: i64,

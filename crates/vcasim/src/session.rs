@@ -15,7 +15,6 @@ use crate::rate::RateController;
 use crate::receiver::{ArrivedPacket, Receiver, SecondTruth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use vcaml_netem::{ConditionSchedule, Link, LinkConfig, LinkVerdict};
@@ -44,7 +43,7 @@ pub struct SessionConfig {
 
 /// One delivered packet as the monitor sees it, with simulator-side ground
 /// truth attached (media kind; RTP header when the packet is RTP).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimPacket {
     /// Send time at the far endpoint.
     pub send_ts: Timestamp,
@@ -59,7 +58,7 @@ pub struct SimPacket {
 }
 
 /// Result of a simulated call.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionTrace {
     /// Which VCA was simulated.
     pub vca: VcaKind,

@@ -1,24 +1,16 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build container has no access to crates.io, so this shim provides
-//! exactly the surface the workspace uses:
+//! exactly the surface the bench harness (`crates/bench`, its only user)
+//! needs to print its JSON artifacts:
 //!
-//! * `#[derive(Serialize, Deserialize)]` attributes (re-exported from the
-//!   sibling `serde_derive` shim). Derived `Serialize` impls produce a
-//!   field-by-field [`Value`] tree for plain named-field structs and
-//!   `Value::Null` otherwise — enough for the JSON artifacts the bench
-//!   harness writes.
 //! * The [`Serialize`] trait, implemented for the primitives, strings,
 //!   tuples, vectors, options, and maps that flow into
 //!   `serde_json::to_string_pretty`.
 //! * The [`Value`] tree itself, which the `serde_json` shim re-exports.
 //!
-//! `Deserialize` is a marker only: nothing in the workspace parses JSON.
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker trait mirroring `serde::de::Deserialize`. Never invoked.
-pub trait DeserializeOwned {}
+//! There are no derive macros and nothing deserializes: the product's
+//! own JSON (event and stats lines) is written directly by `vcaml`.
 
 /// A JSON document tree (the `serde_json::Value` this workspace sees).
 #[derive(Debug, Clone, PartialEq)]
@@ -175,30 +167,6 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
             self.1.to_value(),
             self.2.to_value(),
         ])
-    }
-}
-
-impl Serialize for std::net::IpAddr {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Serialize for std::net::Ipv4Addr {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Serialize for std::net::Ipv6Addr {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
     }
 }
 

@@ -111,44 +111,6 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(out)
 }
 
-fn write_compact(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => write_number(*n, out),
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(map) => {
-            out.push('{');
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_compact(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Serializes a value as compact single-line JSON (the JSON-lines form).
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_compact(&value.to_value(), &mut out);
-    Ok(out)
-}
-
 /// Builds a [`Value`] from JSON-ish syntax, mirroring `serde_json::json!`.
 ///
 /// Values may be nested object/array literals, `null`, or arbitrary Rust
@@ -248,12 +210,5 @@ mod tests {
         let mut out = String::new();
         write_number(30.0, &mut out);
         assert_eq!(out, "30");
-    }
-
-    #[test]
-    fn compact_is_single_line() {
-        let v = json!({"a": 1, "b": [1.5, true, "x"], "c": {"d": null}});
-        let s = to_string(&v).unwrap();
-        assert_eq!(s, r#"{"a":1,"b":[1.5,true,"x"],"c":{"d":null}}"#);
     }
 }

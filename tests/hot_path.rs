@@ -10,16 +10,26 @@
 //!
 //! ML engines run in [`StatsMode::Sketch`], the strict-O(1) configuration
 //! (exact mode keeps unbounded per-window sets by design).
+//!
+//! The output end is held to the same rule: once its line buffer has
+//! grown, [`JsonLinesSink`] serializes any event without touching the
+//! heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::{IpAddr, Ipv4Addr};
+use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::StatsMode;
+use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
+use vcaml_suite::vcaml::api::{EvictReason, ParseDropReason, QoeEvent};
 use vcaml_suite::vcaml::engine::{
     IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
-use vcaml_suite::vcaml::{EngineConfig, QoeEstimator, Trace, WindowReport};
+use vcaml_suite::vcaml::{
+    EngineConfig, EventSink, JsonLinesSink, Method, QoeEstimate, QoeEstimator, Trace, WindowReport,
+};
 
 /// Wraps the system allocator with a per-thread allocation counter. The
 /// counter only advances while the owning thread has armed it, so
@@ -163,4 +173,77 @@ fn rtp_ml_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Teams);
     let engine = RtpMlEngine::new(sketch_config(VcaKind::Teams), t.payload_map);
     assert_alloc_free_steady_state(engine, &t, "RtpMl");
+}
+
+/// One event of each variant, with a heuristic and an ML report among
+/// them.
+fn one_event_per_variant() -> Vec<Arc<QoeEvent>> {
+    let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let flow = FlowKey::canonical(IpAddr::V4(a), 5000, IpAddr::V4(b), 3478, 17).0;
+    let heuristic = WindowReport {
+        window: 3,
+        method: Method::IpUdpHeuristic,
+        estimate: Some(QoeEstimate {
+            bitrate_kbps: 1234.5,
+            fps: 30.0,
+            frame_jitter_ms: 0.1 + 0.2,
+        }),
+        features: None,
+        model_fps: None,
+        video_packets: 412,
+    };
+    let ml = WindowReport {
+        window: 4,
+        method: Method::IpUdpMl,
+        estimate: None,
+        features: Some((1..=14).map(|i| f64::from(i) / 7.0).collect()),
+        model_fps: Some(28.75),
+        video_packets: 96,
+    };
+    let events = vec![
+        QoeEvent::FlowOpened {
+            flow,
+            ts: Timestamp::from_micros(1_500_000),
+        },
+        QoeEvent::WindowReport {
+            flow,
+            report: heuristic.clone(),
+            provisional: false,
+        },
+        QoeEvent::WindowReport {
+            flow,
+            report: ml.clone(),
+            provisional: true,
+        },
+        QoeEvent::FlowEvicted {
+            flow,
+            reason: EvictReason::Idle,
+            final_reports: vec![heuristic, ml],
+        },
+        QoeEvent::ParseDrop {
+            ts: Timestamp::from_micros(7),
+            reason: ParseDropReason::Malformed {
+                layer: "udp",
+                what: "length mismatch",
+            },
+        },
+        QoeEvent::Dropped {
+            count: 12,
+            per_flow: vec![(flow, 3)],
+        },
+    ];
+    events.into_iter().map(Arc::new).collect()
+}
+
+#[test]
+fn json_lines_sink_is_alloc_free_after_warmup() {
+    let events = one_event_per_variant();
+    let mut sink = JsonLinesSink::new(std::io::sink());
+    for event in &events {
+        sink.on_event(event);
+    }
+    for event in &events {
+        let (allocs, ()) = metered(|| sink.on_event(event));
+        assert_eq!(allocs, 0, "serializing a {} event allocated", event.tag());
+    }
 }
