@@ -37,7 +37,7 @@
 
 use crate::control::StopToken;
 use crate::trace::{Trace, TracePacket};
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr};
 use std::path::Path;
 use vcaml_netem::{synth_ndt_schedule, LinkConfig};
@@ -115,11 +115,11 @@ pub struct PcapFileSource<R: Read> {
     link: LinkType,
 }
 
-impl PcapFileSource<BufReader<std::fs::File>> {
-    /// Opens a pcap file from disk.
+impl PcapFileSource<std::fs::File> {
+    /// Opens a pcap file from disk. The file is read unbuffered: the
+    /// reader's own 64 KiB block is the buffer.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, NetError> {
-        let file = std::fs::File::open(path)?;
-        PcapFileSource::new(BufReader::new(file))
+        PcapFileSource::new(std::fs::File::open(path)?)
     }
 }
 

@@ -3,7 +3,7 @@
 //! window, so subslices ([`Bytes::slice`], [`Bytes::slice_ref`]) share
 //! the parent's storage instead of copying.
 
-use std::ops::{Deref, RangeBounds};
+use std::ops::{Deref, Range, RangeBounds};
 use std::sync::Arc;
 
 /// Immutable shared byte buffer (a window onto refcounted storage).
@@ -31,6 +31,26 @@ impl Bytes {
             data,
             start: 0,
             end,
+        }
+    }
+
+    /// The `range` window of storage the caller already shares — no copy
+    /// and no allocation. Shim-only (the published crate takes shared
+    /// storage through `from_owner`): a block reader keeps the
+    /// `Arc<[u8]>` itself, so that `Arc::get_mut` tells it when every
+    /// window it handed out is gone and the block can be refilled in
+    /// place.
+    ///
+    /// Panics when the range is out of bounds.
+    pub fn from_shared(data: Arc<[u8]>, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= data.len(),
+            "window out of bounds"
+        );
+        Bytes {
+            data,
+            start: range.start,
+            end: range.end,
         }
     }
 
@@ -181,6 +201,29 @@ mod tests {
         let c = b.slice(1..);
         assert_eq!(&c[..], &[3, 4]);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn from_shared_windows_the_callers_storage() {
+        let mut storage: Arc<[u8]> = Arc::from(&[1u8, 2, 3, 4, 5][..]);
+        let window = Bytes::from_shared(Arc::clone(&storage), 1..4);
+        assert_eq!(&window[..], &[2, 3, 4]);
+        assert!(
+            Arc::get_mut(&mut storage).is_none(),
+            "a live window shares the storage"
+        );
+        drop(window);
+        assert!(
+            Arc::get_mut(&mut storage).is_some(),
+            "and gives it back when dropped"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "window out of bounds")]
+    fn from_shared_rejects_a_window_past_the_end() {
+        let storage: Arc<[u8]> = Arc::from(&[1u8, 2, 3][..]);
+        let _ = Bytes::from_shared(storage, 2..4);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! The output end is held to the same rule: once its line buffer has
 //! grown, [`JsonLinesSink`] serializes any event without touching the
-//! heap.
+//! heap. So is the input end: a [`PcapFileSource`] allocates its read
+//! block when it is opened and nothing per record, as long as each
+//! packet is dropped before the next is pulled.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,14 +23,15 @@ use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::StatsMode;
-use vcaml_suite::netpkt::{FlowKey, Timestamp};
+use vcaml_suite::netpkt::{FlowKey, LinkType, PcapWriter, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::{EvictReason, ParseDropReason, QoeEvent};
 use vcaml_suite::vcaml::engine::{
     IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
 use vcaml_suite::vcaml::{
-    EngineConfig, EventSink, JsonLinesSink, Method, QoeEstimate, QoeEstimator, Trace, WindowReport,
+    EngineConfig, EventSink, JsonLinesSink, Method, PacketSource, PcapFileSource, QoeEstimate,
+    QoeEstimator, Trace, WindowReport,
 };
 
 /// Wraps the system allocator with a per-thread allocation counter. The
@@ -246,4 +249,59 @@ fn json_lines_sink_is_alloc_free_after_warmup() {
         let (allocs, ()) = metered(|| sink.on_event(event));
         assert_eq!(allocs, 0, "serializing a {} event allocated", event.tag());
     }
+}
+
+/// `PcapReader`'s block size (private there).
+const READ_BLOCK: usize = 64 * 1024;
+
+/// ≈ 6 read blocks of full-size frames with a few runts among them.
+fn capture_image() -> Vec<u8> {
+    let mut writer = PcapWriter::new(Vec::new(), LinkType::Ethernet).expect("header");
+    let frame = [0x5au8; 1400];
+    for i in 0..300usize {
+        let len = if i % 7 == 0 { 60 } else { 1400 - i % 200 };
+        writer
+            .write_packet(Timestamp::from_micros(i as i64 * 250), &frame[..len])
+            .expect("record");
+    }
+    let image = writer.finish().expect("flush");
+    assert!(image.len() > 4 * READ_BLOCK, "at least four read blocks");
+    image
+}
+
+#[test]
+fn pcap_source_is_alloc_free_after_construction() {
+    let mut source = PcapFileSource::new(std::io::Cursor::new(capture_image())).expect("open");
+    let (allocs, packets) = metered(|| {
+        let mut packets = 0;
+        // As the runner does: each packet is let go before the next pull.
+        while let Some(packet) = source.next_packet().expect("read") {
+            drop(packet);
+            packets += 1;
+        }
+        packets
+    });
+    assert_eq!(packets, 300);
+    assert_eq!(allocs, 0, "reading 300 records allocated {allocs} times");
+}
+
+#[test]
+fn pcap_source_allocates_per_block_when_packets_are_held() {
+    let image = capture_image();
+    let blocks = image.len().div_ceil(READ_BLOCK) as u64;
+    let mut source = PcapFileSource::new(std::io::Cursor::new(image)).expect("open");
+    let mut held = Vec::with_capacity(300);
+    let (allocs, ()) = metered(|| {
+        while let Some(packet) = source.next_packet().expect("read") {
+            held.push(packet);
+        }
+    });
+    assert_eq!(held.len(), 300);
+    // One slab for each block after the first (which the source already
+    // had) and one more when the end of input is met: per block, never
+    // per record.
+    assert!(
+        (blocks - 1..=blocks).contains(&allocs),
+        "{allocs} allocations reading {blocks} blocks"
+    );
 }

@@ -14,6 +14,30 @@ use vcaml_suite::vcaml::{EstimationMethod, Method, MonitorBuilder, QoeEvent};
 use vcaml_suite::vcaml::{HeuristicParams, IpUdpHeuristic};
 use vcaml_suite::vcasim::{packetize, FragmentPolicy};
 
+/// A `Read` that hands over between 1 and `k` bytes per call, as a pipe
+/// or a socket may.
+struct Trickle<'a> {
+    rest: &'a [u8],
+    k: usize,
+    state: u64,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // xorshift64
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        let n = (1 + self.state as usize % self.k)
+            .min(buf.len())
+            .min(self.rest.len());
+        let (now, later) = self.rest.split_at(n);
+        buf[..n].copy_from_slice(now);
+        self.rest = later;
+        Ok(n)
+    }
+}
+
 proptest! {
     // ---------------- netpkt ----------------
 
@@ -90,6 +114,41 @@ proptest! {
             prop_assert_eq!(rec.ts.0, *us);
             prop_assert_eq!(&rec.data, data);
         }
+    }
+
+    #[test]
+    fn pcap_read_is_the_same_however_the_bytes_arrive(
+        lens in proptest::collection::vec(0usize..1500, 60..200),
+        big_endian in any::<bool>(),
+        k in 1usize..4096,
+        seed in any::<u64>(),
+    ) {
+        // 45–150 KB as a rule — one to three read blocks — in either byte order.
+        let u32_bytes = |v: u32| if big_endian { v.to_be_bytes() } else { v.to_le_bytes() };
+        let mut image = Vec::new();
+        // Version 2.4 is two u16s: as one word, their order follows the byte order.
+        let version = if big_endian { 0x0002_0004 } else { 0x0004_0002 };
+        for word in [0xa1b2_c3d4, version, 0, 0, 65_535, 1] {
+            image.extend_from_slice(&u32_bytes(word));
+        }
+        for (i, &len) in lens.iter().enumerate() {
+            for word in [i as u32, 999_999 - i as u32, len as u32, len as u32 + 2] {
+                image.extend_from_slice(&u32_bytes(word));
+            }
+            image.extend((0..len).map(|b| (b * 13 + i) as u8));
+        }
+
+        let whole = PcapReader::new(std::io::Cursor::new(&image[..])).unwrap().read_all().unwrap();
+        prop_assert_eq!(whole.len(), lens.len());
+        for (i, (rec, &len)) in whole.iter().zip(&lens).enumerate() {
+            prop_assert_eq!(rec.ts.0, i as i64 * 1_000_000 + 999_999 - i as i64);
+            prop_assert_eq!(rec.orig_len as usize, len + 2);
+            prop_assert!(rec.data.iter().copied().eq((0..len).map(|b| (b * 13 + i) as u8)));
+        }
+
+        let trickle = Trickle { rest: &image, k, state: seed | 1 };
+        let mut reader = PcapReader::new(trickle).unwrap();
+        prop_assert_eq!(reader.read_all().unwrap(), whole);
     }
 
     // ---------------- rtp ----------------
