@@ -39,15 +39,33 @@ pub enum ParseDropReason {
 }
 
 impl ParseDropReason {
-    /// Short machine-readable tag used in JSON output.
-    pub fn tag(&self) -> &'static str {
+    /// The [`ParseDropReason::tag`] of every variant, in
+    /// [`ParseDropReason::index`] order — the labels of
+    /// [`MonitorStats::parse_drops_by_reason`].
+    pub const TAGS: [&'static str; 5] = [
+        "truncated",
+        "malformed",
+        "checksum",
+        "not_udp",
+        "negative_timestamp",
+    ];
+
+    /// The variant's position in [`ParseDropReason::TAGS`] — a dense slot
+    /// for per-reason counter arrays (the layer and constraint a variant
+    /// carries do not enter into it).
+    pub fn index(&self) -> usize {
         match self {
-            ParseDropReason::Truncated { .. } => "truncated",
-            ParseDropReason::Malformed { .. } => "malformed",
-            ParseDropReason::Checksum { .. } => "checksum",
-            ParseDropReason::NotUdp => "not_udp",
-            ParseDropReason::NegativeTimestamp => "negative_timestamp",
+            ParseDropReason::Truncated { .. } => 0,
+            ParseDropReason::Malformed { .. } => 1,
+            ParseDropReason::Checksum { .. } => 2,
+            ParseDropReason::NotUdp => 3,
+            ParseDropReason::NegativeTimestamp => 4,
         }
+    }
+
+    /// Short machine-readable tag used in JSON output and metric labels.
+    pub fn tag(&self) -> &'static str {
+        Self::TAGS[self.index()]
     }
 }
 
@@ -316,8 +334,12 @@ impl QoeEvent {
 pub struct MonitorStats {
     /// Packets routed to a flow engine.
     pub packets: u64,
-    /// Packets dropped at parse time (see [`QoeEvent::ParseDrop`]).
+    /// Packets dropped at parse time (see [`QoeEvent::ParseDrop`]): the
+    /// sum of `parse_drops_by_reason`.
     pub parse_drops: u64,
+    /// `parse_drops` split by why, in [`ParseDropReason::index`] order
+    /// (labels: [`ParseDropReason::TAGS`]) — what a tap is rejecting.
+    pub parse_drops_by_reason: [u64; 5],
     /// Flows opened.
     pub flows_opened: u64,
     /// Flows evicted (idle or end of stream).
@@ -345,6 +367,11 @@ impl MonitorStats {
         let mut o = json::Object::begin(out);
         json::plain(o.key("packets"), self.packets);
         json::plain(o.key("parse_drops"), self.parse_drops);
+        let mut by_reason = json::Object::begin(o.key("parse_drops_by_reason"));
+        for (tag, n) in ParseDropReason::TAGS.iter().zip(self.parse_drops_by_reason) {
+            json::plain(by_reason.key(tag), n);
+        }
+        by_reason.end();
         json::plain(o.key("flows_opened"), self.flows_opened);
         json::plain(o.key("flows_evicted"), self.flows_evicted);
         json::plain(o.key("window_reports"), self.window_reports);
@@ -373,7 +400,8 @@ impl MonitorStats {
 #[derive(Debug, Default)]
 pub(crate) struct StatsCells {
     pub(super) packets: AtomicU64,
-    pub(super) parse_drops: AtomicU64,
+    /// By [`ParseDropReason::index`]: one `fetch_add` per drop.
+    pub(super) parse_drops: [AtomicU64; 5],
     pub(super) flows_opened: AtomicU64,
     pub(super) flows_evicted: AtomicU64,
     pub(super) window_reports: AtomicU64,
@@ -386,9 +414,11 @@ impl StatsCells {
         events_dropped: u64,
         dropped_by_flow: Vec<(FlowKey, u64)>,
     ) -> MonitorStats {
+        let parse_drops_by_reason = self.parse_drops.each_ref().map(|c| c.load(Relaxed));
         MonitorStats {
             packets: self.packets.load(Relaxed),
-            parse_drops: self.parse_drops.load(Relaxed),
+            parse_drops: parse_drops_by_reason.iter().sum(),
+            parse_drops_by_reason,
             flows_opened: self.flows_opened.load(Relaxed),
             flows_evicted: self.flows_evicted.load(Relaxed),
             window_reports: self.window_reports.load(Relaxed),

@@ -30,10 +30,13 @@ fn unshare(event: Arc<QoeEvent>) -> QoeEvent {
     Arc::try_unwrap(event).unwrap_or_else(|shared| (*shared).clone())
 }
 
-/// Counts a parse drop and wraps its event for the queue.
-fn parse_drop(stats: &StatsCells, ts: Timestamp, reason: ParseDropReason) -> Vec<Arc<QoeEvent>> {
-    stats.parse_drops.fetch_add(1, Relaxed);
-    vec![Arc::new(QoeEvent::ParseDrop { ts, reason })]
+/// Counts a parse drop under its reason and queues its event: one
+/// allocation (the delivery `Arc`) and one queue lock per dropped record.
+/// `may_wait` as for [`EventQueue::push`].
+fn parse_drop(shared: &MonitorHandle, ts: Timestamp, reason: ParseDropReason, may_wait: bool) {
+    shared.stats.parse_drops[reason.index()].fetch_add(1, Relaxed);
+    let event = Arc::new(QoeEvent::ParseDrop { ts, reason });
+    shared.queue.push(std::iter::once(event), may_wait);
 }
 
 /// One message on a shard worker's bounded ingest channel.
@@ -178,12 +181,10 @@ fn dispatch_batch(
             Ok(()) => return,
             Err(std::sync::mpsc::TrySendError::Full(back)) => {
                 msg = back;
-                let events = queue.drain();
-                if events.is_empty() {
+                if queue.drain_into(drained) == 0 {
                     // Channel full, queue empty: the worker is mid-batch.
                     std::thread::yield_now();
                 }
-                drained.extend(events);
             }
             Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {
                 unreachable!("shard workers outlive dispatch")
@@ -225,7 +226,7 @@ fn worker_loop(
                 state.ingest_batch(batch);
                 state.control.depth_sub(worker, n);
                 state.apply_control();
-                queue.push_batch(state.take_events());
+                state.deliver(&queue);
             }
             Ok(ShardMsg::Finish) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {
@@ -237,12 +238,12 @@ fn worker_loop(
                 } else {
                     poll = (poll * 2).min(CONTROL_POLL_MAX);
                 }
-                queue.push_batch(state.take_events());
+                state.deliver(&queue);
             }
         }
     }
     state.finish();
-    queue.push_batch(state.take_events());
+    state.deliver(&queue);
 }
 
 /// A passive QoE monitor: feed it raw packets, read typed [`QoeEvent`]s.
@@ -271,8 +272,9 @@ pub struct Monitor {
     /// event queue into staging (true only when workers can park on it:
     /// threaded + `Block`) — see [`dispatch_batch`].
     stage_on_full: bool,
-    /// Staging buffer backing the `drain_events` iterator.
-    drained: VecDeque<Arc<QoeEvent>>,
+    /// Staging buffer backing the `drain_events` iterator. Visible to
+    /// the facade's white-box tests, which stage into it directly.
+    pub(super) drained: VecDeque<Arc<QoeEvent>>,
 }
 
 impl Monitor {
@@ -385,10 +387,13 @@ impl Monitor {
         self.shared.stats_snapshot().flows_live as usize
     }
 
-    /// Queued events not yet drained (on a threaded monitor, what the
-    /// shard workers have delivered so far).
+    /// Events the next [`Monitor::drain_events`] would return without
+    /// waiting for anything: what is queued (on a threaded monitor, what
+    /// the shard workers have delivered so far) plus what an
+    /// [`Monitor::ingest_packet`] has already moved out of the queue into
+    /// staging while it waited on a full shard channel.
     pub fn pending_events(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.queue.len() + self.drained.len()
     }
 
     /// Drains every queued event, oldest first. Flushes any partially
@@ -419,14 +424,14 @@ impl Monitor {
         match &mut self.dispatch {
             Dispatch::Inline(shard) => {
                 shard.apply_control();
-                queue.push_batch(shard.take_events());
+                shard.deliver(queue);
             }
             Dispatch::Threaded { lanes, .. } => lanes.flush(|tx, msg| {
                 dispatch_batch(tx, queue, &mut self.drained, self.stage_on_full, msg)
             }),
             Dispatch::Done => {}
         }
-        self.drained.extend(queue.drain());
+        queue.drain_into(&mut self.drained);
     }
 
     // -- ingestion ---------------------------------------------------------
@@ -479,7 +484,6 @@ impl Monitor {
     /// Where every front door ends: the packet goes to its flow's shard,
     /// or its drop is counted and reported.
     fn route(&mut self, decoded: Decoded) {
-        let MonitorHandle { queue, stats, .. } = &self.shared;
         let (flow, pkt) = match decoded {
             Ok(routed) => routed,
             Err((ts, reason)) => {
@@ -487,15 +491,16 @@ impl Monitor {
                 // against a full Block queue would be waiting on itself
                 // (workers only widen the queue, they never drain it),
                 // so the drop marker goes in without waiting.
-                queue.push_nowait(parse_drop(stats, ts, reason));
+                parse_drop(&self.shared, ts, reason, false);
                 return;
             }
         };
+        let queue = &self.shared.queue;
         match &mut self.dispatch {
             Dispatch::Inline(shard) => {
                 shard.ingest(flow, pkt);
                 shard.apply_control();
-                queue.push_batch(shard.take_events());
+                shard.deliver(queue);
             }
             Dispatch::Threaded { lanes, .. } => lanes.push(flow, pkt, |tx, msg| {
                 dispatch_batch(tx, queue, &mut self.drained, self.stage_on_full, msg)
@@ -520,13 +525,12 @@ impl Monitor {
         // workers flushing their sealed tails must neither park against
         // a queue nobody is draining yet nor have those tails shed by
         // DropOldest — the end-of-stream flush is lossless by contract.
-        let queue = Arc::clone(&self.shared.queue);
+        let queue = &self.shared.queue;
         queue.release();
-        let mut out: Vec<Arc<QoeEvent>> = self.drained.drain(..).collect();
         match std::mem::replace(&mut self.dispatch, Dispatch::Done) {
             Dispatch::Inline(mut shard) => {
                 shard.finish();
-                queue.push_batch(shard.take_events());
+                shard.deliver(queue);
             }
             Dispatch::Threaded { lanes, handles } => {
                 lanes.finish();
@@ -536,8 +540,9 @@ impl Monitor {
             }
             Dispatch::Done => unreachable!("finish runs once"),
         }
-        out.extend(queue.drain());
-        out
+        // Behind whatever earlier dispatches staged, as every drain.
+        queue.drain_into(&mut self.drained);
+        std::mem::take(&mut self.drained).into()
     }
 
     /// Opens an independent ingest port on a threaded monitor (`None`
@@ -587,10 +592,7 @@ impl IngestPort {
             // full Block queue: the port holder is an ingest thread, and
             // the runner's event loop is the concurrent drainer that
             // frees it.
-            Err((ts, reason)) => {
-                let MonitorHandle { queue, stats, .. } = &self.shared;
-                queue.push_batch(parse_drop(stats, ts, reason));
-            }
+            Err((ts, reason)) => parse_drop(&self.shared, ts, reason, true),
         }
     }
 

@@ -7,6 +7,7 @@ use super::{
     BoxedEngine, EstimationMethod, EvictReason, MonitorBuilder, QoeEvent, EVICT_CHECK_US,
     RTP_CONFIDENCE, RTP_PROBATION_PACKETS, RTP_REPROBE_PACKETS,
 };
+use crate::backpressure::EventQueue;
 use crate::control::ControlShared;
 use crate::engine::{EngineConfig, FlowTable, QoeEstimator, WindowReport};
 use crate::engine::{IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine};
@@ -162,7 +163,7 @@ impl PendingFlow {
     }
 }
 
-/// Events produced since the last [`ShardState::take_events`], and the
+/// Events produced since the last [`ShardState::deliver`], and the
 /// counters that move with them. A field of its own so emission can run
 /// while the flow table or a scratch buffer is borrowed.
 struct Outbox {
@@ -430,9 +431,16 @@ impl ShardState {
         }
     }
 
-    /// Takes the events produced since the last call, in emission order.
-    pub(super) fn take_events(&mut self) -> Vec<Arc<QoeEvent>> {
-        std::mem::take(&mut self.outbox.events)
+    /// Moves the events produced since the last call onto `queue`, in
+    /// emission order. The outbox is drained in place, so it keeps the
+    /// capacity it has grown instead of regrowing after every packet that
+    /// produced an event. May park the caller against a full `Block`
+    /// queue (never on an inline monitor, whose queue does not block).
+    pub(super) fn deliver(&mut self, queue: &EventQueue) {
+        // Runs after every packet, and nearly every packet emits nothing.
+        if !self.outbox.events.is_empty() {
+            queue.push(self.outbox.events.drain(..), true);
+        }
     }
 
     /// Applies pending control-plane requests

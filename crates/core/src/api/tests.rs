@@ -508,6 +508,46 @@ fn drop_oldest_bounds_queue_and_accounts_drops() {
 }
 
 #[test]
+fn pending_events_counts_what_dispatch_already_staged() {
+    let mut m = fixed(Method::IpUdpHeuristic).build();
+    m.ingest_packet(flow_key(1), pkt(-5, 1100)); // one ParseDrop, queued
+    assert_eq!(m.pending_events(), 1);
+    // What `dispatch_batch` does while it waits on a full shard channel
+    // (threads ≥ 2 under Block): the queue is emptied into staging.
+    let queue = m.handle().queue;
+    assert_eq!(queue.drain_into(&mut m.drained), 1);
+    assert_eq!(queue.len(), 0);
+    assert_eq!(m.pending_events(), 1, "taken, not yet returned: pending");
+    let events: Vec<QoeEvent> = m.drain_events().collect();
+    assert!(matches!(events[..], [QoeEvent::ParseDrop { .. }]));
+    assert_eq!(m.pending_events(), 0);
+}
+
+#[test]
+fn parse_drops_are_counted_by_reason() {
+    let mut m = fixed(Method::IpUdpHeuristic).build();
+    m.ingest_packet(flow_key(1), pkt(-5, 1100)); // negative timestamp
+    m.ingest_frame(Timestamp::from_millis(1), &[0u8; 10]); // cut Ethernet header
+    let mut arp = [0u8; 42];
+    arp[12..14].copy_from_slice(&[0x08, 0x06]);
+    for ms in 2..5 {
+        m.ingest_frame(Timestamp::from_millis(ms), &arp); // not UDP
+    }
+    let stats = m.stats();
+    assert_eq!(stats.parse_drops, 5);
+    assert_eq!(stats.parse_drops_by_reason, [1, 0, 0, 3, 1]);
+    // The counters agree with the events the same records produced.
+    let mut by_event = [0u64; 5];
+    for event in m.drain_events() {
+        let QoeEvent::ParseDrop { reason, .. } = event else {
+            panic!("only drops were fed: {event:?}");
+        };
+        by_event[reason.index()] += 1;
+    }
+    assert_eq!(by_event, stats.parse_drops_by_reason);
+}
+
+#[test]
 fn inline_block_policy_never_loses_events() {
     // The single-threaded producer cannot park on its own queue:
     // Block grows past the bound instead, so nothing is lost.

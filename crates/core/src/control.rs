@@ -34,7 +34,7 @@
 //! and a dropped or forgotten handle costs nothing.
 
 use crate::api::{MonitorStats, QoeEvent, StatsCells};
-use crate::backpressure::EventQueue;
+use crate::backpressure::{EventQueue, QueueAccounting};
 use crate::bus::{AlertThresholds, Severity};
 use crate::json;
 use crate::pipeline::Method;
@@ -273,12 +273,17 @@ pub struct MonitorHandle {
 }
 
 impl MonitorHandle {
-    /// Takes a live [`MonitorSnapshot`]. Never blocks the data path
-    /// (counter loads plus one short queue lock).
+    /// Takes a live [`MonitorSnapshot`]. Never blocks the data path:
+    /// counter loads plus one short queue lock, under which
+    /// `events_dropped`, its per-flow breakdown and `pending_events` are
+    /// all read — the three agree with each other in every snapshot.
     pub fn stats_snapshot(&self) -> MonitorSnapshot {
-        let stats = self
-            .stats
-            .snapshot(self.queue.dropped_total(), self.queue.dropped_by_flow());
+        let QueueAccounting {
+            dropped_total,
+            dropped_by_flow,
+            pending,
+        } = self.queue.accounting();
+        let stats = self.stats.snapshot(dropped_total, dropped_by_flow);
         let flows_live = stats.flows_opened.saturating_sub(stats.flows_evicted);
         let (footprint_bytes, footprint_flows) = self.control.flow_footprint();
         MonitorSnapshot {
@@ -286,7 +291,7 @@ impl MonitorHandle {
             bytes_per_flow: footprint_bytes
                 .checked_div(footprint_flows)
                 .unwrap_or_default(),
-            pending_events: self.queue.len(),
+            pending_events: pending,
             shard_depths: self
                 .control
                 .depths

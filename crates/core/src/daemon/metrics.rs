@@ -13,6 +13,7 @@
 //! terminator). Optional families (alert floors) are omitted while
 //! unset rather than exported as magic sentinels.
 
+use crate::api::ParseDropReason;
 use crate::bus::Severity;
 use crate::control::MonitorSnapshot;
 use crate::pipeline::Method;
@@ -40,6 +41,21 @@ pub fn render_openmetrics(snap: &MonitorSnapshot) -> String {
         "Packets dropped at parse time.",
         snap.stats.parse_drops,
     );
+    family(
+        &mut out,
+        "vcaml_parse_drops_by_reason_total",
+        "Packets dropped at parse time, by why they were rejected.",
+        "counter",
+    );
+    for (reason, n) in ParseDropReason::TAGS
+        .iter()
+        .zip(snap.stats.parse_drops_by_reason)
+    {
+        let _ = writeln!(
+            out,
+            "vcaml_parse_drops_by_reason_total{{reason=\"{reason}\"}} {n}"
+        );
+    }
     counter(
         &mut out,
         "vcaml_flows_opened_total",
@@ -226,6 +242,7 @@ mod tests {
             stats: MonitorStats {
                 packets: 100,
                 parse_drops: 2,
+                parse_drops_by_reason: [0, 1, 0, 1, 0],
                 flows_opened: 5,
                 flows_evicted: 1,
                 window_reports: 40,
@@ -274,6 +291,8 @@ mod tests {
         let body = render_openmetrics(&snapshot());
         assert!(body.contains("vcaml_ingest_depth{shard=\"0\"} 3"));
         assert!(body.contains("vcaml_ingest_depth{shard=\"1\"} 0"));
+        assert!(body.contains("vcaml_parse_drops_by_reason_total{reason=\"malformed\"} 1"));
+        assert!(body.contains("vcaml_parse_drops_by_reason_total{reason=\"checksum\"} 0"));
         assert!(body.contains("vcaml_events_published_total{severity=\"warning\"} 2"));
         assert!(body.contains("vcaml_windows_by_method_total{method=\"ip_udp_heuristic\"} 40"));
         assert!(body.contains("vcaml_alert_fps 24"));

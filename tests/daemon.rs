@@ -19,6 +19,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
+use vcaml_suite::vcaml::api::ParseDropReason;
 use vcaml_suite::vcaml::daemon::{
     parse_request, BoundControl, ControlEndpoint, Daemon, DaemonConfig, Request, MAX_LINE_BYTES,
 };
@@ -328,9 +329,17 @@ fn metrics_scrapes_are_wellformed_and_monotone_mid_ingest() {
             .control(ControlEndpoint::Tcp("127.0.0.1:0".into())),
     )
     .expect("daemon binds ephemeral ports");
-    runner = runner.source(
-        Paced::new(ReplaySource::from_packets(merged_feed(4, 60))).with_stop(handle.stop_token()),
-    );
+    // Three records from before the epoch lead the feed: parse drops,
+    // so the per-reason family has something to split.
+    let mut feed = merged_feed(4, 60);
+    let (flow, early) = feed[0];
+    let early = TracePacket {
+        ts: Timestamp::from_micros(-1),
+        ..early
+    };
+    feed.splice(0..0, [(flow, early); 3]);
+    runner =
+        runner.source(Paced::new(ReplaySource::from_packets(feed)).with_stop(handle.stop_token()));
     let running = runner.spawn();
     let metrics_addr = daemon.metrics_addr().expect("metrics exporter bound");
 
@@ -358,6 +367,16 @@ fn metrics_scrapes_are_wellformed_and_monotone_mid_ingest() {
             .get(name)
             .unwrap_or_else(|| panic!("counter {name} vanished from the second scrape"));
         assert!(v2 >= v1, "counter {name} went backwards: {v1} -> {v2}");
+    }
+    // The per-reason family always lists all five reasons, and within
+    // one scrape they add up to the unlabelled total.
+    for counters in [&c1, &c2] {
+        let by_reason: Vec<f64> = ParseDropReason::TAGS
+            .iter()
+            .map(|tag| counters[&format!("vcaml_parse_drops_by_reason_total{{reason=\"{tag}\"}}")])
+            .collect();
+        assert_eq!(by_reason, [0.0, 0.0, 0.0, 0.0, 3.0]);
+        assert_eq!(counters["vcaml_parse_drops_total"], 3.0);
     }
 }
 

@@ -16,6 +16,11 @@
 //! heap. So is the input end: a [`PcapFileSource`] allocates its read
 //! block when it is opened and nothing per record, as long as each
 //! packet is dropped before the next is pulled.
+//!
+//! And the facade between them: a record the [`Monitor`] rejects costs
+//! exactly one allocation from `ingest_frame` to `drain_shared` — the
+//! delivery `Arc` of its `ParseDrop` event — and a record it accepts onto
+//! an established flow costs none unless it seals a window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,9 +28,12 @@ use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::StatsMode;
-use vcaml_suite::netpkt::{FlowKey, LinkType, PcapWriter, Timestamp};
+use vcaml_suite::netpkt::{
+    EtherType, EthernetRepr, FlowKey, Ipv4Repr, LinkType, MacAddr, PcapReader, PcapWriter,
+    Timestamp, UdpRepr, IP_PROTO_UDP,
+};
 use vcaml_suite::rtp::VcaKind;
-use vcaml_suite::vcaml::api::{EvictReason, ParseDropReason, QoeEvent};
+use vcaml_suite::vcaml::api::{EstimationMethod, EvictReason, Monitor, ParseDropReason, QoeEvent};
 use vcaml_suite::vcaml::engine::{
     IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
@@ -303,5 +311,120 @@ fn pcap_source_allocates_per_block_when_packets_are_held() {
     assert!(
         (blocks - 1..=blocks).contains(&allocs),
         "{allocs} allocations reading {blocks} blocks"
+    );
+}
+
+fn ethernet(ethertype: EtherType) -> EthernetRepr {
+    EthernetRepr {
+        src: MacAddr([2, 0, 0, 0, 0, 1]),
+        dst: MacAddr([2, 0, 0, 0, 0, 2]),
+        ethertype,
+    }
+}
+
+fn heuristic_monitor() -> Monitor {
+    Monitor::builder(VcaKind::Teams)
+        .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+        .build()
+}
+
+/// The reject path, which on a tap is the common path: the only heap
+/// traffic between a dropped record and its drained event is the event's
+/// delivery `Arc` — no wrapper `Vec` around it on the way in, none on the
+/// way out (three allocations per record before the hand-off was
+/// reworked).
+#[test]
+fn rejected_frame_costs_one_allocation_from_ingest_to_drain() {
+    let mut arp = [0u8; 14 + 28];
+    ethernet(EtherType::Arp).emit(&mut arp);
+    let mut monitor = heuristic_monitor();
+    let mut replay = |frames: i64| {
+        let mut events = 0;
+        for i in 0..frames {
+            monitor.ingest_frame(Timestamp::from_micros(i), &arp);
+            events += monitor.drain_shared().count();
+        }
+        events
+    };
+    assert_eq!(replay(64), 64, "warm-up: queue and staging deque grown");
+    let (allocs, events) = metered(|| replay(10_000));
+    assert_eq!(events, 10_000, "one ParseDrop event per rejected frame");
+    assert_eq!(allocs, 10_000, "one allocation per rejected frame");
+}
+
+/// One UDP flow at 30 frames/s, four 1 100-byte packets a frame, as the
+/// records a capture reader hands out (payloads are slices of the read
+/// block, so decoding them copies nothing).
+fn video_flow_records(secs: i64) -> Vec<vcaml_suite::netpkt::pcap::PcapRecord> {
+    const PAYLOAD: usize = 1058;
+    let (src, dst) = ([10, 0, 0, 1], [10, 0, 0, 2]);
+    let mut frame = vec![0u8; 14 + 20 + 8 + PAYLOAD];
+    ethernet(EtherType::Ipv4).emit(&mut frame);
+    Ipv4Repr {
+        src,
+        dst,
+        protocol: IP_PROTO_UDP,
+        payload_len: 8 + PAYLOAD,
+        ttl: 64,
+        ident: 7,
+    }
+    .emit(&mut frame[14..]);
+    UdpRepr {
+        src_port: 40_000,
+        dst_port: 3478,
+    }
+    .emit_v4(&mut frame[34..], PAYLOAD, src, dst);
+    let mut writer = PcapWriter::new(Vec::new(), LinkType::Ethernet).expect("header");
+    for video_frame in 0..secs * 30 {
+        for k in 0..4 {
+            let ts = Timestamp::from_micros(video_frame * 33_333 + k * 200);
+            writer.write_packet(ts, &frame).expect("record");
+        }
+    }
+    let image = writer.finish().expect("flush");
+    PcapReader::new(std::io::Cursor::new(image))
+        .expect("open")
+        .read_all()
+        .expect("records")
+}
+
+/// The accept path: a record routed to an established flow that seals no
+/// window makes no allocation anywhere in the facade — decode, table
+/// probe, engine push, the (empty) outbox hand-off and the drain.
+#[test]
+fn accepted_record_on_an_established_flow_is_alloc_free() {
+    let records = video_flow_records(92);
+    let (warmup, steady) = records.split_at(5 * 120);
+    let mut monitor = heuristic_monitor();
+    for record in warmup {
+        monitor.ingest_pcap_record(LinkType::Ethernet, record);
+        monitor.drain_shared().for_each(drop);
+    }
+    assert_eq!(monitor.stats().packets, warmup.len() as u64);
+    assert_eq!(monitor.stats().parse_drops, 0);
+
+    let (mut quiet, mut sealing, mut dirty) = (0u64, 0u64, Vec::new());
+    for (i, record) in steady.iter().enumerate() {
+        let (allocs, events) = metered(|| {
+            monitor.ingest_pcap_record(LinkType::Ethernet, record);
+            monitor.drain_shared().count()
+        });
+        if events > 0 {
+            // A sealed window owns its report and the event its `Arc`.
+            sealing += 1;
+        } else {
+            quiet += 1;
+            if allocs > 0 {
+                dirty.push((i, allocs));
+            }
+        }
+    }
+    assert!(sealing >= 80, "the flow is live: {sealing} windows sealed");
+    assert!(quiet >= 10_000, "{quiet} packets sealed nothing");
+    assert!(
+        dirty.is_empty(),
+        "{} of {quiet} non-sealing packets allocated: {:?}",
+        dirty.len(),
+        &dirty[..dirty.len().min(8)]
     );
 }
