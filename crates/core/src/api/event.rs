@@ -100,6 +100,17 @@ pub enum EvictReason {
     Requested,
 }
 
+impl EvictReason {
+    /// Short machine-readable tag used in JSON output.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            EvictReason::Idle => "idle",
+            EvictReason::EndOfStream => "end_of_stream",
+            EvictReason::Requested => "requested",
+        }
+    }
+}
+
 /// Deep copies of [`QoeEvent`] made over the process lifetime — the
 /// enforcement hook for the event bus's zero-copy contract.
 ///
@@ -234,21 +245,22 @@ impl QoeEvent {
     }
 
     /// Appends the [`QoeEvent::to_json_line`] object to `out`.
+    // lint: hot_path
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
-        json::string(o.key("type"), self.tag());
+        json::str(o.key("type"), self.tag());
         match self {
             QoeEvent::FlowOpened { flow, ts } => {
-                json::string(o.key("flow"), flow);
-                json::plain(o.key("ts_us"), ts.as_micros());
+                json::flow(o.key("flow"), flow);
+                json::int(o.key("ts_us"), ts.as_micros());
             }
             QoeEvent::WindowReport {
                 flow,
                 report,
                 provisional,
             } => {
-                json::string(o.key("flow"), flow);
-                json::plain(o.key("provisional"), provisional);
+                json::flow(o.key("flow"), flow);
+                json::bool(o.key("provisional"), *provisional);
                 report.write_json(o.key("report"));
             }
             QoeEvent::FlowEvicted {
@@ -256,37 +268,32 @@ impl QoeEvent {
                 reason,
                 final_reports,
             } => {
-                json::string(o.key("flow"), flow);
-                let reason = match reason {
-                    EvictReason::Idle => "idle",
-                    EvictReason::EndOfStream => "end_of_stream",
-                    EvictReason::Requested => "requested",
-                };
-                json::string(o.key("reason"), reason);
+                json::flow(o.key("flow"), flow);
+                json::str(o.key("reason"), reason.tag());
                 json::array(o.key("final_reports"), final_reports, |out, report| {
                     report.write_json(out)
                 });
             }
             QoeEvent::ParseDrop { ts, reason } => {
-                json::plain(o.key("ts_us"), ts.as_micros());
-                json::string(o.key("reason"), reason.tag());
+                json::int(o.key("ts_us"), ts.as_micros());
+                json::str(o.key("reason"), reason.tag());
                 match reason {
                     ParseDropReason::Truncated { layer } | ParseDropReason::Checksum { layer } => {
-                        json::string(o.key("layer"), layer);
+                        json::str(o.key("layer"), layer);
                     }
                     ParseDropReason::Malformed { layer, what } => {
-                        json::string(o.key("layer"), layer);
-                        json::string(o.key("what"), what);
+                        json::str(o.key("layer"), layer);
+                        json::str(o.key("what"), what);
                     }
                     ParseDropReason::NotUdp | ParseDropReason::NegativeTimestamp => {}
                 }
             }
             QoeEvent::Dropped { count, per_flow } => {
-                json::plain(o.key("count"), count);
+                json::uint(o.key("count"), *count);
                 if !per_flow.is_empty() {
                     let mut flows = json::Object::begin(o.key("per_flow"));
                     for (flow, n) in per_flow {
-                        json::plain(flows.key(flow), n);
+                        json::uint(flows.flow_key(flow), *n);
                     }
                     flows.end();
                 }
@@ -365,26 +372,26 @@ impl MonitorStats {
     /// shed flow is spelled as in [`QoeEvent::Dropped`]: its `Display`.
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
-        json::plain(o.key("packets"), self.packets);
-        json::plain(o.key("parse_drops"), self.parse_drops);
+        json::uint(o.key("packets"), self.packets);
+        json::uint(o.key("parse_drops"), self.parse_drops);
         let mut by_reason = json::Object::begin(o.key("parse_drops_by_reason"));
-        for (tag, n) in ParseDropReason::TAGS.iter().zip(self.parse_drops_by_reason) {
-            json::plain(by_reason.key(tag), n);
+        for (&tag, n) in ParseDropReason::TAGS.iter().zip(self.parse_drops_by_reason) {
+            json::uint(by_reason.key(tag), n);
         }
         by_reason.end();
-        json::plain(o.key("flows_opened"), self.flows_opened);
-        json::plain(o.key("flows_evicted"), self.flows_evicted);
-        json::plain(o.key("window_reports"), self.window_reports);
-        json::plain(o.key("provisional_reports"), self.provisional_reports);
-        json::plain(o.key("events_dropped"), self.events_dropped);
+        json::uint(o.key("flows_opened"), self.flows_opened);
+        json::uint(o.key("flows_evicted"), self.flows_evicted);
+        json::uint(o.key("window_reports"), self.window_reports);
+        json::uint(o.key("provisional_reports"), self.provisional_reports);
+        json::uint(o.key("events_dropped"), self.events_dropped);
         json::array(
             o.key("dropped_by_flow"),
             &self.dropped_by_flow,
             |out, (flow, n)| {
                 out.push('[');
-                json::string(out, flow);
+                json::flow(out, flow);
                 out.push(',');
-                json::plain(out, n);
+                json::uint(out, *n);
                 out.push(']');
             },
         );

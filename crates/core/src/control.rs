@@ -226,12 +226,14 @@ impl MonitorSnapshot {
     /// Appends the [`MonitorSnapshot::to_json_line`] object to `out`.
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
-        json::string(o.key("type"), "stats");
+        json::str(o.key("type"), "stats");
         self.stats.write_json(o.key("stats"));
-        json::plain(o.key("flows_live"), self.flows_live);
-        json::plain(o.key("pending_events"), self.pending_events);
-        json::array(o.key("shard_depths"), &self.shard_depths, json::plain);
-        json::plain(o.key("bytes_per_flow"), self.bytes_per_flow);
+        json::uint(o.key("flows_live"), self.flows_live);
+        json::uint(o.key("pending_events"), self.pending_events as u64);
+        json::array(o.key("shard_depths"), &self.shard_depths, |out, depth| {
+            json::uint(out, *depth)
+        });
+        json::uint(o.key("bytes_per_flow"), self.bytes_per_flow);
         if let Some(fps) = self.alert_fps {
             json::float(o.key("alert_fps"), fps);
         }
@@ -239,11 +241,11 @@ impl MonitorSnapshot {
             json::float(o.key("alert_min_kbps"), kbps);
         }
         if let Some(height) = self.alert_resolution_floor {
-            json::plain(o.key("alert_resolution_floor"), height);
+            json::uint(o.key("alert_resolution_floor"), u64::from(height));
         }
         let mut by_severity = json::Object::begin(o.key("events_by_severity"));
         for s in Severity::ALL {
-            json::plain(
+            json::uint(
                 by_severity.key(s.name()),
                 self.events_by_severity[s.index()],
             );
@@ -251,13 +253,13 @@ impl MonitorSnapshot {
         by_severity.end();
         let mut by_method = json::Object::begin(o.key("windows_by_method"));
         for method in Method::ALL {
-            json::plain(
+            json::uint(
                 by_method.key(method.slug()),
                 self.windows_by_method[method.index()],
             );
         }
         by_method.end();
-        json::plain(o.key("stop_requested"), self.stop_requested);
+        json::bool(o.key("stop_requested"), self.stop_requested);
         o.end();
     }
 }

@@ -175,10 +175,11 @@ pub struct WindowReport {
 impl WindowReport {
     /// Appends this report as a JSON object; `method` is the variant
     /// name (`"RtpHeuristic"`).
+    // lint: hot_path
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
-        json::plain(o.key("window"), self.window);
-        json::string(o.key("method"), format_args!("{:?}", self.method));
+        json::uint(o.key("window"), self.window);
+        json::str(o.key("method"), self.method.variant_name());
         json::opt(o.key("estimate"), self.estimate.as_ref(), |out, e| {
             e.write_json(out)
         });
@@ -186,7 +187,7 @@ impl WindowReport {
             json::array(out, v, |out, x| json::float(out, *x))
         });
         json::opt(o.key("model_fps"), self.model_fps, json::float);
-        json::plain(o.key("video_packets"), self.video_packets);
+        json::uint(o.key("video_packets"), self.video_packets as u64);
         o.end();
     }
 }

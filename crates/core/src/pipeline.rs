@@ -59,6 +59,17 @@ impl Method {
         }
     }
 
+    /// The variant's own name, as `{:?}` prints it — how a window
+    /// report's JSON spells its `method`.
+    pub(crate) fn variant_name(&self) -> &'static str {
+        match self {
+            Method::IpUdpHeuristic => "IpUdpHeuristic",
+            Method::IpUdpMl => "IpUdpMl",
+            Method::RtpHeuristic => "RtpHeuristic",
+            Method::RtpMl => "RtpMl",
+        }
+    }
+
     /// Whether this is one of the ML methods.
     pub fn is_ml(&self) -> bool {
         matches!(self, Method::IpUdpMl | Method::RtpMl)

@@ -24,6 +24,7 @@ pub struct QoeEstimate {
 
 impl QoeEstimate {
     /// Appends this estimate as a JSON object.
+    // lint: hot_path
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
         json::float(o.key("bitrate_kbps"), self.bitrate_kbps);

@@ -45,6 +45,7 @@
 use crate::api::QoeEvent;
 use crate::bus::AlertThresholds;
 use crate::engine::WindowReport;
+use crate::json;
 use crate::pipeline::Method;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -133,6 +134,7 @@ impl<W: Write> JsonLinesSink<W> {
 }
 
 impl<W: Write> EventSink for JsonLinesSink<W> {
+    // lint: hot_path
     fn on_event(&mut self, event: &Arc<QoeEvent>) {
         self.line.clear();
         event.write_json(&mut self.line);
@@ -274,6 +276,9 @@ pub struct AlertSink<W: Write> {
     writer: W,
     thresholds: AlertThresholds,
     alerts: u64,
+    /// The line being written: each alert reaches `writer` whole, in
+    /// one `write_all`.
+    line: String,
 }
 
 impl<W: Write> AlertSink<W> {
@@ -291,12 +296,40 @@ impl<W: Write> AlertSink<W> {
             writer,
             thresholds,
             alerts: 0,
+            line: String::new(),
         }
     }
 
     /// Alerts emitted so far.
     pub fn alerts(&self) -> u64 {
         self.alerts
+    }
+
+    /// Writes one alert line: the members every alert has, what
+    /// `reading` adds between them (the value that tripped the bar),
+    /// and the bar itself — `null` should it not be a finite number.
+    fn alert(
+        &mut self,
+        metric: &'static str,
+        flow: &FlowKey,
+        window: u64,
+        threshold: f64,
+        reading: impl FnOnce(&mut json::Object),
+    ) {
+        self.alerts += 1;
+        self.line.clear();
+        let mut o = json::Object::begin(&mut self.line);
+        json::str(o.key("type"), "alert");
+        json::str(o.key("metric"), metric);
+        json::flow(o.key("flow"), flow);
+        json::uint(o.key("window"), window);
+        reading(&mut o);
+        json::float(o.key("threshold"), threshold);
+        o.end();
+        self.line.push('\n');
+        self.writer
+            .write_all(self.line.as_bytes())
+            .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
     }
 }
 
@@ -305,36 +338,26 @@ impl<W: Write> EventSink for AlertSink<W> {
         let Some(flow) = event.flow() else { return };
         let bar = self.thresholds.bar();
         for report in event.final_reports() {
+            let window = report.window;
             if let Some(fps) = report_fps(report) {
                 if fps < bar.fps {
-                    self.alerts += 1;
-                    writeln!(
-                        self.writer,
-                        "{{\"type\":\"alert\",\"metric\":\"fps\",\"flow\":\"{flow}\",\"window\":{},\"fps\":{fps:.1},\"threshold\":{}}}",
-                        report.window, bar.fps
-                    )
-                    .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+                    self.alert("fps", &flow, window, bar.fps, |o| {
+                        json::fixed(o.key("fps"), fps, 1);
+                    });
                 }
             }
             if let Some(est) = &report.estimate {
                 let kbps = est.bitrate_kbps;
                 if kbps < bar.min_kbps {
-                    self.alerts += 1;
-                    writeln!(
-                        self.writer,
-                        "{{\"type\":\"alert\",\"metric\":\"bitrate\",\"flow\":\"{flow}\",\"window\":{},\"kbps\":{kbps:.0},\"threshold\":{}}}",
-                        report.window, bar.min_kbps
-                    )
-                    .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+                    self.alert("bitrate", &flow, window, bar.min_kbps, |o| {
+                        json::fixed(o.key("kbps"), kbps, 0);
+                    });
                 } else if let Some(height) = bar.res_height {
                     if kbps < bar.res_min_kbps {
-                        self.alerts += 1;
-                        writeln!(
-                            self.writer,
-                            "{{\"type\":\"alert\",\"metric\":\"resolution\",\"flow\":\"{flow}\",\"window\":{},\"kbps\":{kbps:.0},\"floor_height\":{height},\"threshold\":{}}}",
-                            report.window, bar.res_min_kbps
-                        )
-                        .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+                        self.alert("resolution", &flow, window, bar.res_min_kbps, |o| {
+                            json::fixed(o.key("kbps"), kbps, 0);
+                            json::uint(o.key("floor_height"), u64::from(height));
+                        });
                     }
                 }
             }
@@ -618,6 +641,52 @@ mod tests {
 
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
+        }
+    }
+
+    /// Every `write` call it receives, as its own chunk.
+    #[derive(Default)]
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl Write for Chunks {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn alert_sink_hands_each_line_over_in_one_write() {
+        let report = |window, bitrate_kbps, fps| WindowReport {
+            window,
+            method: Method::IpUdpHeuristic,
+            estimate: Some(crate::qoe::QoeEstimate {
+                bitrate_kbps,
+                fps,
+                frame_jitter_ms: 0.0,
+            }),
+            features: None,
+            model_fps: None,
+            video_packets: 1,
+        };
+        let thresholds = AlertThresholds::with_fps(24.0);
+        thresholds.set_min_kbps(300.0);
+        let mut chunks = Chunks::default();
+        let mut sink = AlertSink::with_thresholds(&mut chunks, thresholds);
+        // Two windows, three bars tripped between them.
+        sink.on_event(&Arc::new(QoeEvent::FlowEvicted {
+            flow: flow(),
+            reason: crate::api::EvictReason::Idle,
+            final_reports: vec![report(0, 100.0, 12.0), report(1, 900.0, 20.0)],
+        }));
+        assert_eq!(sink.alerts(), 3);
+        assert_eq!(chunks.0.len(), 3, "one write per alert");
+        for line in &chunks.0 {
+            assert!(line.starts_with(b"{\"type\":\"alert\",") && line.ends_with(b"}\n"));
         }
     }
 

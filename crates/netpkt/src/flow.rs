@@ -150,15 +150,108 @@ impl FlowKey {
         let (b, pb) = endpoint(&endpoints[split + 1..])?;
         Some(FlowKey::canonical(a, pa, b, pb, protocol).0)
     }
+
+    /// Writes the key's text form, `A:PORT <-> B:PORT proto N` (IPv6
+    /// addresses unbracketed) — what [`fmt::Display`] prints and how the
+    /// JSON event stream spells a flow. Ports, protocol and IPv4 octets
+    /// are rendered digit by digit with no formatter in between, so an
+    /// all-IPv4 key reaches `out` as a single `write_str`.
+    pub fn write_text<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        // ASCII staged on its way to `out`. The longest run between
+        // flushes is a whole IPv4 key, 57 bytes; `octet` may scribble
+        // two bytes past what it keeps, and 64 hold that too.
+        let mut buf = [0u8; 64];
+        let mut at = 0;
+        for (addr, port, then) in [
+            (self.addr_a, self.port_a, &b" <-> "[..]),
+            (self.addr_b, self.port_b, &b" proto "[..]),
+        ] {
+            match addr {
+                IpAddr::V4(v4) => {
+                    let [a, b, c, d] = v4.octets();
+                    at = octet(&mut buf, at, a);
+                    for n in [b, c, d] {
+                        at = put(&mut buf, at, b".");
+                        at = octet(&mut buf, at, n);
+                    }
+                }
+                IpAddr::V6(v6) => {
+                    flush(out, &buf[..at])?;
+                    at = 0;
+                    // The formatter stays for IPv6: RFC 5952 zero-run
+                    // compression and the embedded-IPv4 forms are std's
+                    // to get right, and such flows are rare at a tap.
+                    write!(out, "{v6}")?;
+                }
+            }
+            at = put(&mut buf, at, b":");
+            at = decimal(&mut buf, at, port);
+            at = put(&mut buf, at, then);
+        }
+        at = octet(&mut buf, at, self.protocol);
+        flush(out, &buf[..at])
+    }
+}
+
+/// Every `u8` in decimal: its digits, left-aligned in three bytes, then
+/// how many of them there are.
+const OCTETS: [[u8; 4]; 256] = {
+    const fn digit(n: usize, power: usize) -> u8 {
+        b'0' + (n / power % 10) as u8
+    }
+    let mut table = [[0u8; 4]; 256];
+    let mut n = 0;
+    while n < 256 {
+        table[n] = match n {
+            0..=9 => [digit(n, 1), 0, 0, 1],
+            10..=99 => [digit(n, 10), digit(n, 1), 0, 2],
+            _ => [digit(n, 100), digit(n, 10), digit(n, 1), 3],
+        };
+        n += 1;
+    }
+    table
+};
+
+/// The staging helpers of [`FlowKey::write_text`]: each writes at `at`
+/// and returns where the next one goes. The cursor is passed by value
+/// so that it lives in a register, not behind a pointer.
+#[inline]
+fn put(buf: &mut [u8; 64], at: usize, ascii: &[u8]) -> usize {
+    buf[at..at + ascii.len()].copy_from_slice(ascii);
+    at + ascii.len()
+}
+
+#[inline]
+fn octet(buf: &mut [u8; 64], at: usize, n: u8) -> usize {
+    let [a, b, c, width] = OCTETS[usize::from(n)];
+    buf[at..at + 3].copy_from_slice(&[a, b, c]);
+    at + usize::from(width)
+}
+
+#[inline]
+fn decimal(buf: &mut [u8; 64], at: usize, n: u16) -> usize {
+    let width = match n {
+        0..=9 => 1,
+        10..=99 => 2,
+        100..=999 => 3,
+        1000..=9999 => 4,
+        _ => 5,
+    };
+    let mut rest = n;
+    for digit in buf[at..at + width].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    at + width
+}
+
+fn flush<W: fmt::Write>(out: &mut W, staged: &[u8]) -> fmt::Result {
+    out.write_str(std::str::from_utf8(staged).map_err(|_| fmt::Error)?)
 }
 
 impl fmt::Display for FlowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{} <-> {}:{} proto {}",
-            self.addr_a, self.port_a, self.addr_b, self.port_b, self.protocol
-        )
+        self.write_text(f)
     }
 }
 
@@ -211,6 +304,37 @@ mod tests {
     fn display_is_readable() {
         let (k, _) = FlowKey::canonical(ip(1), 50000, ip(2), 3478, 17);
         assert_eq!(k.to_string(), "10.0.0.1:50000 <-> 10.0.0.2:3478 proto 17");
+    }
+
+    #[test]
+    fn text_form_matches_the_formatter_for_every_address_shape() {
+        let addrs = [
+            "0.0.0.0",
+            "9.10.99.100",
+            "255.255.255.255",
+            "::",
+            "2001:db8::1",
+            "::ffff:192.0.2.128",
+            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+        ];
+        for a in addrs {
+            for b in addrs {
+                for (pa, pb, protocol) in [(0, 65535, 255), (9, 10, 0), (99, 100, 17)] {
+                    let key = FlowKey {
+                        addr_a: a.parse().unwrap(),
+                        port_a: pa,
+                        addr_b: b.parse().unwrap(),
+                        port_b: pb,
+                        protocol,
+                    };
+                    let reference = format!("{a}:{pa} <-> {b}:{pb} proto {protocol}");
+                    assert_eq!(key.to_string(), reference);
+                    let mut text = String::from("> ");
+                    key.write_text(&mut text).unwrap();
+                    assert_eq!(text, format!("> {reference}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -435,7 +435,9 @@ fn parse_args() -> Args {
     if args.pcap.is_none() == args.synthetic_secs.is_none() {
         usage();
     }
-    // The builder asserts on these; fail with usage, not a panic.
+    // The builder asserts on these (and an alert bar that is not a
+    // number is refused as `SET alert_fps` refuses it); fail with
+    // usage, not a panic.
     if args.window_secs == 0
         || args.flush_after == Some(0)
         || args.idle_timeout_secs <= 0
@@ -443,6 +445,7 @@ fn parse_args() -> Args {
         || args.queue_cap == Some(0)
         || args.stats_every == Some(0)
         || args.pace.is_some_and(|p| !p.is_finite() || p <= 0.0)
+        || args.alert_fps.is_some_and(|fps| !fps.is_finite())
     {
         usage();
     }

@@ -24,7 +24,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::StatsMode;
@@ -187,10 +187,17 @@ fn rtp_ml_steady_state_is_alloc_free() {
 }
 
 /// One event of each variant, with a heuristic and an ML report among
-/// them.
+/// them — and the arms of the serializer that still reach a formatter
+/// (a non-integral `f64`, an IPv6 address) or write `null` for a number
+/// (a non-finite `model_fps`).
 fn one_event_per_variant() -> Vec<Arc<QoeEvent>> {
     let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
     let flow = FlowKey::canonical(IpAddr::V4(a), 5000, IpAddr::V4(b), 3478, 17).0;
+    let (a6, b6) = (
+        Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1),
+        Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2),
+    );
+    let flow6 = FlowKey::canonical(IpAddr::V6(a6), 40000, IpAddr::V6(b6), 3478, 17).0;
     let heuristic = WindowReport {
         window: 3,
         method: Method::IpUdpHeuristic,
@@ -225,6 +232,14 @@ fn one_event_per_variant() -> Vec<Arc<QoeEvent>> {
             flow,
             report: ml.clone(),
             provisional: true,
+        },
+        QoeEvent::WindowReport {
+            flow: flow6,
+            report: WindowReport {
+                model_fps: Some(f64::NAN),
+                ..ml.clone()
+            },
+            provisional: false,
         },
         QoeEvent::FlowEvicted {
             flow,

@@ -1,17 +1,27 @@
-//! The product's two JSON documents, pinned byte for byte: the event
-//! line ([`QoeEvent::to_json_line`]) for every variant and reason shape,
-//! and the `"type":"stats"` line ([`MonitorSnapshot::to_json_line`]).
+//! The product's JSON documents, pinned byte for byte: the event line
+//! ([`QoeEvent::to_json_line`]) for every variant and reason shape, the
+//! `"type":"stats"` line ([`MonitorSnapshot::to_json_line`]) and the
+//! three alert lines of [`AlertSink`].
 //!
 //! Every literal here also holds on the commit before the serializer
 //! was rewritten to write directly, except the two in
 //! [`shed_flow_is_spelled_like_the_dropped_event`] and
 //! [`integers_print_exactly`]: there a shed flow in the stats line was
 //! a struct dump and integers above 2^53 were rounded through `f64`.
+//! The finite alert lines hold on the commit before [`AlertSink`] moved
+//! onto the same writer; [`alert_bar_that_is_not_a_number_is_null`]
+//! does not (`"threshold":inf` there).
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
+use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::{EvictReason, MonitorStats, ParseDropReason, QoeEvent};
-use vcaml_suite::vcaml::{Method, MonitorSnapshot, QoeEstimate, WindowReport};
+use vcaml_suite::vcaml::sink::EventSink;
+use vcaml_suite::vcaml::{
+    AlertSink, AlertThresholds, Method, MonitorSnapshot, QoeEstimate, WindowReport,
+};
+use vcaml_suite::vcasim::{LadderRung, VcaProfile};
 
 const FLOW: &str = "10.0.0.1:5000 <-> 10.0.0.2:3478 proto 17";
 const FLOW6: &str = "2001:db8::1:40000 <-> 2001:db8::2:3478 proto 17";
@@ -356,5 +366,106 @@ fn integers_print_exactly() {
     assert_eq!(
         opened.to_json_line(),
         format!(r#"{{"type":"flow_opened","flow":"{FLOW}","ts_us":9223372036854775807}}"#)
+    );
+}
+
+/// What an [`AlertSink`] over `thresholds` writes for `events`.
+fn alerts(thresholds: AlertThresholds, events: Vec<QoeEvent>) -> String {
+    let mut out = Vec::new();
+    let mut sink = AlertSink::with_thresholds(&mut out, thresholds);
+    for event in events {
+        sink.on_event(&Arc::new(event));
+    }
+    sink.flush();
+    String::from_utf8(out).expect("utf8")
+}
+
+#[test]
+fn alert_lines() {
+    let thresholds = AlertThresholds::with_fps(24.5);
+    thresholds.set_min_kbps(300.0);
+    // One window under both bars: a line for each, the readings to one
+    // decimal (fps) and none (kbps), the bars under the number rule.
+    let both = QoeEvent::WindowReport {
+        flow: flow(),
+        report: heuristic_report(3, 249.6, 21.04, 2.25),
+        provisional: false,
+    };
+    assert_eq!(
+        alerts(thresholds.clone(), vec![both]),
+        format!(
+            r#"{{"type":"alert","metric":"fps","flow":"{FLOW}","window":3,"fps":21.0,"threshold":24.5}}
+{{"type":"alert","metric":"bitrate","flow":"{FLOW}","window":3,"kbps":250,"threshold":300}}
+"#
+        )
+    );
+    // The resolution floor, in an eviction's sealed tail on an IPv6
+    // flow: above the bitrate floor, below the 360p rung.
+    let ladder = VcaProfile {
+        ladder: vec![
+            LadderRung {
+                height: 180,
+                min_kbps: 0.0,
+            },
+            LadderRung {
+                height: 360,
+                min_kbps: 812.5,
+            },
+        ],
+        ..VcaProfile::lab(VcaKind::Meet)
+    };
+    thresholds.set_resolution_floor(360, &ladder);
+    let tail = QoeEvent::FlowEvicted {
+        flow: flow6(),
+        reason: EvictReason::Idle,
+        final_reports: vec![heuristic_report(28, 640.4, 30.0, 1.5)],
+    };
+    assert_eq!(
+        alerts(thresholds.clone(), vec![tail]),
+        format!(
+            r#"{{"type":"alert","metric":"resolution","flow":"{FLOW6}","window":28,"kbps":640,"floor_height":360,"threshold":812.5}}
+"#
+        )
+    );
+    // Nothing for a provisional snapshot, a healthy window, or an event
+    // that carries no flow.
+    let quiet = vec![
+        QoeEvent::WindowReport {
+            flow: flow(),
+            report: heuristic_report(4, 10.0, 1.0, 0.0),
+            provisional: true,
+        },
+        QoeEvent::WindowReport {
+            flow: flow(),
+            report: heuristic_report(5, 1234.5, 30.0, 2.25),
+            provisional: false,
+        },
+        QoeEvent::Dropped {
+            count: 9,
+            per_flow: Vec::new(),
+        },
+    ];
+    assert_eq!(alerts(thresholds, quiet), "");
+}
+
+/// Does not hold on the parent commit, which printed the bar's
+/// `Display`: `"threshold":inf`, a line no JSON parser accepts.
+#[test]
+fn alert_bar_that_is_not_a_number_is_null() {
+    let mut out = Vec::new();
+    let mut sink = AlertSink::new(&mut out, f64::INFINITY);
+    sink.on_event(&Arc::new(QoeEvent::WindowReport {
+        flow: flow(),
+        report: heuristic_report(0, 810.0, 30.0, 1.5),
+        provisional: false,
+    }));
+    assert_eq!(sink.alerts(), 1);
+    drop(sink);
+    assert_eq!(
+        String::from_utf8(out).expect("utf8"),
+        format!(
+            r#"{{"type":"alert","metric":"fps","flow":"{FLOW}","window":0,"fps":30.0,"threshold":null}}
+"#
+        )
     );
 }

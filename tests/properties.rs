@@ -2,16 +2,18 @@
 //! invariants across the workspace.
 
 use proptest::prelude::*;
+use std::net::{IpAddr, Ipv4Addr};
 use vcaml_suite::features::{microbursts, unique_sizes, windows_by_second, PktObs};
 use vcaml_suite::mlcore::{percentile, ConfusionMatrix};
 use vcaml_suite::netpkt::checksum::{checksum, verify, Checksum};
 use vcaml_suite::netpkt::{
-    Ipv4Packet, Ipv4Repr, LinkType, PcapReader, PcapWriter, Timestamp, UdpPacket, UdpRepr,
+    FlowKey, Ipv4Packet, Ipv4Repr, LinkType, PcapReader, PcapWriter, Timestamp, UdpPacket, UdpRepr,
 };
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::rtp::{seq_distance, seq_greater, RtpHeader, SequenceTracker};
+use vcaml_suite::vcaml::api::{EvictReason, ParseDropReason};
 use vcaml_suite::vcaml::{EstimationMethod, Method, MonitorBuilder, QoeEvent};
-use vcaml_suite::vcaml::{HeuristicParams, IpUdpHeuristic};
+use vcaml_suite::vcaml::{HeuristicParams, IpUdpHeuristic, QoeEstimate, WindowReport};
 use vcaml_suite::vcasim::{packetize, FragmentPolicy};
 
 /// A `Read` that hands over between 1 and `k` bytes per call, as a pipe
@@ -38,7 +40,315 @@ impl std::io::Read for Trickle<'_> {
     }
 }
 
+/// The event line as `format!` and `Display` spell it — the semantics
+/// the product's typed writer (`crates/core/src/json.rs`) must
+/// reproduce byte for byte. It shares no code with that writer: std
+/// prints every number and address here.
+mod reference {
+    use super::*;
+
+    fn string(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out + "\""
+    }
+
+    fn number(x: f64) -> String {
+        if !x.is_finite() {
+            "null".to_string()
+        } else if x == x.trunc() && x.abs() < 9.0e15 {
+            format!("{}", x as i64)
+        } else {
+            format!("{x}")
+        }
+    }
+
+    fn flow(k: &FlowKey) -> String {
+        let FlowKey {
+            addr_a,
+            port_a,
+            addr_b,
+            port_b,
+            protocol,
+        } = k;
+        format!("\"{addr_a}:{port_a} <-> {addr_b}:{port_b} proto {protocol}\"")
+    }
+
+    fn report(r: &WindowReport) -> String {
+        let null = || "null".to_string();
+        let estimate = r.estimate.map_or_else(null, |e| {
+            format!(
+                r#"{{"bitrate_kbps":{},"fps":{},"frame_jitter_ms":{}}}"#,
+                number(e.bitrate_kbps),
+                number(e.fps),
+                number(e.frame_jitter_ms)
+            )
+        });
+        let features = r.features.as_ref().map_or_else(null, |v| {
+            let items: Vec<String> = v.iter().map(|x| number(*x)).collect();
+            format!("[{}]", items.join(","))
+        });
+        format!(
+            r#"{{"window":{},"method":"{:?}","estimate":{estimate},"features":{features},"model_fps":{},"video_packets":{}}}"#,
+            r.window,
+            r.method,
+            r.model_fps.map_or_else(null, number),
+            r.video_packets
+        )
+    }
+
+    pub fn line(event: &QoeEvent) -> String {
+        let body = match event {
+            QoeEvent::FlowOpened { flow: k, ts } => {
+                format!(
+                    r#""flow_opened","flow":{},"ts_us":{}"#,
+                    flow(k),
+                    ts.as_micros()
+                )
+            }
+            QoeEvent::WindowReport {
+                flow: k,
+                report: r,
+                provisional,
+            } => format!(
+                r#""window_report","flow":{},"provisional":{provisional},"report":{}"#,
+                flow(k),
+                report(r)
+            ),
+            QoeEvent::FlowEvicted {
+                flow: k,
+                reason,
+                final_reports,
+            } => {
+                let reason = match reason {
+                    EvictReason::Idle => "idle",
+                    EvictReason::EndOfStream => "end_of_stream",
+                    EvictReason::Requested => "requested",
+                };
+                let tail: Vec<String> = final_reports.iter().map(report).collect();
+                format!(
+                    r#""flow_evicted","flow":{},"reason":"{reason}","final_reports":[{}]"#,
+                    flow(k),
+                    tail.join(",")
+                )
+            }
+            QoeEvent::ParseDrop { ts, reason } => {
+                let detail = match reason {
+                    ParseDropReason::Truncated { layer } => {
+                        format!(r#""truncated","layer":{}"#, string(layer))
+                    }
+                    ParseDropReason::Malformed { layer, what } => {
+                        format!(
+                            r#""malformed","layer":{},"what":{}"#,
+                            string(layer),
+                            string(what)
+                        )
+                    }
+                    ParseDropReason::Checksum { layer } => {
+                        format!(r#""checksum","layer":{}"#, string(layer))
+                    }
+                    ParseDropReason::NotUdp => r#""not_udp""#.to_string(),
+                    ParseDropReason::NegativeTimestamp => r#""negative_timestamp""#.to_string(),
+                };
+                format!(
+                    r#""parse_drop","ts_us":{},"reason":{detail}"#,
+                    ts.as_micros()
+                )
+            }
+            QoeEvent::Dropped { count, per_flow } => {
+                let shed: Vec<String> = per_flow
+                    .iter()
+                    .map(|(k, n)| format!("{}:{n}", flow(k)))
+                    .collect();
+                let per_flow = match shed.is_empty() {
+                    true => String::new(),
+                    false => format!(r#","per_flow":{{{}}}"#, shed.join(",")),
+                };
+                format!(r#""dropped","count":{count}{per_flow}"#)
+            }
+        };
+        format!(r#"{{"type":{body}}}"#)
+    }
+}
+
+/// Draws the events [`reference::line`] is checked against: every
+/// variant and reason shape, over the values where a hand-written
+/// number or address printer goes wrong first.
+struct EventGen(u64);
+
+impl EventGen {
+    fn next(&mut self) -> u64 {
+        // xorshift64*
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[(self.next() % from.len() as u64) as usize]
+    }
+
+    /// An edge value half the time, anything at all otherwise.
+    fn uint(&mut self) -> u64 {
+        let any = self.next();
+        self.pick(&[
+            0,
+            9,
+            10,
+            99,
+            100,
+            (1 << 53) + 1,
+            u64::MAX,
+            any,
+            any >> 32,
+            any >> 48,
+        ])
+    }
+
+    fn float(&mut self) -> f64 {
+        let any = f64::from_bits(self.next());
+        let ordinary = (self.next() % 4_000_000) as f64 / 1000.0 - 1000.0;
+        self.pick(&[
+            0.0,
+            -0.0,
+            30.0,
+            -2.0,
+            f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            9e15 - 1.0,
+            9e15,
+            9e15 + 1.0,
+            -9e15,
+            1e21,
+            1.5e-7,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            any,
+            ordinary,
+            ordinary / 7.0,
+        ])
+    }
+
+    fn addr(&mut self) -> IpAddr {
+        let bytes = ((self.next() as u128) << 64 | self.next() as u128).to_be_bytes();
+        let v4 = [bytes[0], bytes[1], bytes[2], bytes[3]];
+        self.pick(&[
+            IpAddr::from(v4),
+            IpAddr::from(v4),
+            IpAddr::from([0, 9, 10, 99]),
+            IpAddr::from([100, 199, 200, 255]),
+            IpAddr::from(bytes),
+            IpAddr::from(Ipv4Addr::from(v4).to_ipv6_mapped()),
+            IpAddr::from([0u8; 16]),
+            IpAddr::from(0x2001_0db8_0000_0000_0000_0000_0000_0001_u128.to_be_bytes()),
+        ])
+    }
+
+    fn flow(&mut self) -> FlowKey {
+        let any = self.next();
+        FlowKey {
+            addr_a: self.addr(),
+            port_a: self.pick(&[0, 65535, 3478, any as u16]),
+            addr_b: self.addr(),
+            port_b: self.pick(&[0, 65535, 9, (any >> 16) as u16]),
+            protocol: self.pick(&[17, 0, 255, (any >> 32) as u8]),
+        }
+    }
+
+    fn report(&mut self) -> WindowReport {
+        let n_features = self.pick(&[0, 1, 14, 24]);
+        WindowReport {
+            window: self.uint(),
+            method: self.pick(&Method::ALL),
+            estimate: self.pick(&[true, true, false]).then(|| QoeEstimate {
+                bitrate_kbps: self.float(),
+                fps: self.float(),
+                frame_jitter_ms: self.float(),
+            }),
+            features: self
+                .pick(&[true, false])
+                .then(|| (0..n_features).map(|_| self.float()).collect()),
+            model_fps: self.pick(&[true, false]).then(|| self.float()),
+            video_packets: self.uint() as usize,
+        }
+    }
+
+    fn event(&mut self) -> QoeEvent {
+        const TEXT: [&str; 6] = [
+            "udp",
+            "",
+            "length mismatch",
+            "a\"b\\c",
+            "l1\nl2\r\tend\u{1}\u{1f}é\u{7f}",
+            "𝄞 \u{0}",
+        ];
+        let any = self.next() as i64;
+        let ts = Timestamp::from_micros(self.pick(&[i64::MIN, -1, 0, 1_500_000, i64::MAX, any]));
+        match self.next() % 5 {
+            0 => QoeEvent::FlowOpened {
+                flow: self.flow(),
+                ts,
+            },
+            1 => QoeEvent::WindowReport {
+                flow: self.flow(),
+                report: self.report(),
+                provisional: self.pick(&[true, false]),
+            },
+            2 => QoeEvent::FlowEvicted {
+                flow: self.flow(),
+                reason: self.pick(&[
+                    EvictReason::Idle,
+                    EvictReason::EndOfStream,
+                    EvictReason::Requested,
+                ]),
+                final_reports: (0..self.next() % 4).map(|_| self.report()).collect(),
+            },
+            3 => {
+                let (layer, what) = (self.pick(&TEXT), self.pick(&TEXT));
+                let reason = self.pick(&[
+                    ParseDropReason::Truncated { layer },
+                    ParseDropReason::Malformed { layer, what },
+                    ParseDropReason::Checksum { layer },
+                    ParseDropReason::NotUdp,
+                    ParseDropReason::NegativeTimestamp,
+                ]);
+                QoeEvent::ParseDrop { ts, reason }
+            }
+            _ => QoeEvent::Dropped {
+                count: self.uint(),
+                per_flow: (0..self.next() % 4)
+                    .map(|_| (self.flow(), self.uint()))
+                    .collect(),
+            },
+        }
+    }
+}
+
 proptest! {
+    // ---------------- event JSON ----------------
+
+    #[test]
+    fn event_lines_match_the_format_reference(seed in any::<u64>()) {
+        let mut gen = EventGen(seed | 1);
+        for _ in 0..32 {
+            let event = gen.event();
+            prop_assert_eq!(event.to_json_line(), reference::line(&event));
+        }
+    }
+
     // ---------------- netpkt ----------------
 
     #[test]
