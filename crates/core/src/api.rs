@@ -2,8 +2,8 @@
 //!
 //! This module is the stable contract of the crate. A [`MonitorBuilder`]
 //! turns typed configuration — estimation method (with RTP-confidence
-//! fallback), [`StatsMode`], window length, idle-eviction policy, optional
-//! max-lag flush — into a [`Monitor`] that owns the flow demultiplexer and
+//! fallback), window length, idle-eviction policy, optional max-lag
+//! flush — into a [`Monitor`] that owns the flow demultiplexer and
 //! per-flow engines internally. Ingestion accepts raw link-layer bytes,
 //! raw IP bytes, decoded [`CapturedPacket`]s, or pre-parsed
 //! [`TracePacket`]s (for simulated feeds), performing the layered
@@ -71,7 +71,6 @@
 //! `monitor` (dispatch, lanes onto the shard workers, the drain side).
 //! Every item keeps its `vcaml::api::…` path.
 //!
-//! [`StatsMode`]: vcaml_features::StatsMode
 //! [`CapturedPacket`]: vcaml_netpkt::CapturedPacket
 //! [`TracePacket`]: crate::trace::TracePacket
 
@@ -119,6 +118,11 @@ const EVICT_CHECK_US: i64 = 1_000_000;
 /// Default bound on the outgoing event queue (see
 /// [`MonitorBuilder::queue_capacity`]).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
+
+/// Flow-table shards per monitor: all in the one table of an inline
+/// monitor, split evenly across the workers of a threaded one (at least
+/// one each).
+const TABLE_SHARDS: usize = 8;
 
 /// Packets accumulated per shard before a batch is sent to its worker
 /// (threaded monitors only). Batching amortizes the channel hand-off —

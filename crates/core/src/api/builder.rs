@@ -5,7 +5,6 @@ use super::QoeEvent;
 use super::{Monitor, OverflowPolicy, DEFAULT_QUEUE_CAPACITY};
 use crate::engine::EngineConfig;
 use crate::pipeline::Method;
-use vcaml_features::StatsMode;
 use vcaml_mlcore::RandomForest;
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::{PayloadMap, VcaKind};
@@ -60,7 +59,6 @@ pub struct MonitorBuilder {
     pub(super) config: EngineConfig,
     pub(super) payload_map: PayloadMap,
     pub(super) model: Option<RandomForest>,
-    pub(super) shards: usize,
     pub(super) threads: usize,
     pub(super) queue_capacity: usize,
     pub(super) overflow: OverflowPolicy,
@@ -71,7 +69,7 @@ pub struct MonitorBuilder {
 impl MonitorBuilder {
     /// Starts from the paper's configuration for a VCA: auto method
     /// selection (RTP when it parses, IP/UDP otherwise), exact statistics,
-    /// 1-second windows, 8 shards on one thread, a
+    /// 1-second windows, one thread, a
     /// [`DEFAULT_QUEUE_CAPACITY`]-event queue with [`OverflowPolicy::Block`],
     /// 60-second idle eviction, no max-lag flush.
     pub fn new(vca: VcaKind) -> Self {
@@ -81,7 +79,6 @@ impl MonitorBuilder {
             config: EngineConfig::paper(vca),
             payload_map: PayloadMap::lab(vca),
             model: None,
-            shards: 8,
             threads: 1,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             overflow: OverflowPolicy::Block,
@@ -93,13 +90,6 @@ impl MonitorBuilder {
     /// Selects the estimation method (fixed, or RTP-confidence auto).
     pub fn method(mut self, method: EstimationMethod) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Order-statistic accumulation: `Exact` (batch-bit-compatible) or
-    /// `Sketch` (strict O(1) per-flow state).
-    pub fn stats_mode(mut self, stats: StatsMode) -> Self {
-        self.config.stats = stats;
         self
     }
 
@@ -128,14 +118,6 @@ impl MonitorBuilder {
     /// prediction in every report.
     pub fn model(mut self, model: RandomForest) -> Self {
         self.model = Some(model);
-        self
-    }
-
-    /// Number of flow-table shards (default 8). With worker threads
-    /// configured, shards are distributed across the workers.
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "zero shards");
-        self.shards = n;
         self
     }
 
@@ -207,7 +189,6 @@ impl std::fmt::Debug for MonitorBuilder {
             .field("method", &self.method)
             .field("window_secs", &self.config.window_secs)
             .field("stats", &self.config.stats)
-            .field("shards", &self.shards)
             .field("threads", &self.threads)
             .field("queue_capacity", &self.queue_capacity)
             .field("overflow", &self.overflow)

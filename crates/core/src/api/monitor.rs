@@ -6,7 +6,7 @@ use super::event::StatsCells;
 use super::shard::{RoutedPacket, ShardState};
 use super::{
     EstimationMethod, MonitorBuilder, MonitorStats, OverflowPolicy, ParseDropReason, QoeEvent,
-    INGEST_BATCH,
+    INGEST_BATCH, TABLE_SHARDS,
 };
 use crate::backpressure::EventQueue;
 use crate::control::{ControlShared, MonitorHandle};
@@ -303,28 +303,27 @@ impl Monitor {
             builder.overflow,
             !inline,
         ));
-        let shard_state = |n_shards: usize, worker: usize| {
+        let table_shards = (TABLE_SHARDS / threads).max(1);
+        let shard_state = |worker: usize| {
             ShardState::new(
                 &builder,
-                n_shards,
+                table_shards,
                 worker,
                 Arc::clone(&stats),
                 Arc::clone(&control),
             )
         };
         let dispatch = if inline {
-            Dispatch::Inline(Box::new(shard_state(builder.shards, 0)))
+            Dispatch::Inline(Box::new(shard_state(0)))
         } else {
-            // Distribute the configured shards across the workers; the
-            // ingest channels share the event queue's capacity knob
+            // The ingest channels share the event queue's capacity knob
             // (counted in batches) so one bound governs the pipeline.
-            let inner_shards = (builder.shards / threads).max(1);
             let channel_batches = (builder.queue_capacity / INGEST_BATCH).max(1);
             let mut senders = Vec::with_capacity(threads);
             let mut handles = Vec::with_capacity(threads);
             for worker in 0..threads {
                 let (tx, rx) = sync_channel::<ShardMsg>(channel_batches);
-                let state = shard_state(inner_shards, worker);
+                let state = shard_state(worker);
                 let queue = Arc::clone(&queue);
                 let handle = std::thread::Builder::new()
                     .name(format!("vcaml-shard-{worker}"))

@@ -109,7 +109,6 @@ fn main() {
         MonitorBuilder::new(vca)
             .method(EstimationMethod::Fixed(Method::IpUdpMl))
             .model(model.clone())
-            .shards(8)
             .threads(4)
             .queue_capacity(16_384)
             .idle_timeout(Timestamp::from_secs(30)),

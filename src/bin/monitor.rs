@@ -140,167 +140,9 @@ struct Args {
     pace: Option<f64>,
 }
 
-/// One `{group, id, ns_per_iter, rate_per_sec?}` measurement from a
-/// `VCAML_BENCH_JSON` trajectory file.
-struct BenchEntry {
-    group: String,
-    id: String,
-    ns: u128,
-    rate: Option<f64>,
-}
-
-/// Parses a bench trajectory file. The writer (the criterion shim)
-/// emits one measurement object per line, so a line-oriented field
-/// extractor is exact for files it produced.
-fn parse_baseline(path: &str) -> Vec<BenchEntry> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("monitor: cannot read baseline {path}: {e}");
-        std::process::exit(2);
-    });
-    let field = |line: &str, key: &str| -> Option<String> {
-        let rest = line.split(&format!("\"{key}\":")).nth(1)?;
-        let rest = rest.trim_start();
-        Some(if let Some(s) = rest.strip_prefix('"') {
-            s.split('"').next().unwrap_or_default().to_string()
-        } else {
-            rest.split([',', '}'])
-                .next()
-                .unwrap_or_default()
-                .to_string()
-        })
-    };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let (Some(group), Some(id), Some(ns)) = (
-            field(line, "group"),
-            field(line, "id"),
-            field(line, "ns_per_iter"),
-        ) else {
-            continue;
-        };
-        let Ok(ns) = ns.parse::<u128>() else { continue };
-        out.push(BenchEntry {
-            group,
-            id,
-            ns,
-            rate: field(line, "rate_per_sec").and_then(|r| r.parse().ok()),
-        });
-    }
-    if out.is_empty() {
-        eprintln!("monitor: no measurements in {path}");
-        std::process::exit(2);
-    }
-    out
-}
-
-fn fmt_rate(rate: Option<f64>) -> String {
-    match rate {
-        Some(r) if r >= 1e9 => format!("{:.2}G/s", r / 1e9),
-        Some(r) if r >= 1e6 => format!("{:.2}M/s", r / 1e6),
-        Some(r) if r >= 1e3 => format!("{:.1}k/s", r / 1e3),
-        Some(r) => format!("{r:.0}/s"),
-        None => "-".to_string(),
-    }
-}
-
-/// `--bench-summary <old> <new> [--gate g1,g2] [--max-regress pct]`:
-/// pretty-prints per-benchmark ns/iter deltas between two trajectory
-/// files and, when `--gate` names groups, exits nonzero if any gated
-/// benchmark regressed by more than the allowance. CI runs this against
-/// the committed baseline so a hot-path regression fails the build with
-/// a readable table instead of a raw diff.
-fn bench_summary(args: &[String]) -> ! {
-    let mut files = Vec::new();
-    let mut gate: Vec<String> = Vec::new();
-    let mut max_regress = 25.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--gate" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                gate.extend(v.split(',').map(|s| s.trim().to_string()));
-            }
-            "--max-regress" => {
-                max_regress = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            f => files.push(f.to_string()),
-        }
-    }
-    let [old_path, new_path] = files.as_slice() else {
-        usage();
-    };
-    let old = parse_baseline(old_path);
-    let new = parse_baseline(new_path);
-
-    println!(
-        "{:<44} {:>14} {:>14} {:>8}  {:>10} -> {:>10}",
-        "benchmark", "old ns/iter", "new ns/iter", "delta", "old rate", "new rate"
-    );
-    let mut offenders = Vec::new();
-    for n in &new {
-        let name = format!("{}/{}", n.group, n.id);
-        let Some(o) = old.iter().find(|o| o.group == n.group && o.id == n.id) else {
-            println!(
-                "{:<44} {:>14} {:>14} {:>8}  {:>10} -> {:>10}",
-                name,
-                "(new)",
-                n.ns,
-                "-",
-                "-",
-                fmt_rate(n.rate)
-            );
-            continue;
-        };
-        let delta = (n.ns as f64 - o.ns as f64) / (o.ns as f64) * 100.0;
-        let gated = gate.contains(&n.group);
-        let flag = if gated && delta > max_regress {
-            offenders.push((name.clone(), delta));
-            "  << REGRESSION"
-        } else {
-            ""
-        };
-        println!(
-            "{:<44} {:>14} {:>14} {:>+7.1}%  {:>10} -> {:>10}{flag}",
-            name,
-            o.ns,
-            n.ns,
-            delta,
-            fmt_rate(o.rate),
-            fmt_rate(n.rate)
-        );
-    }
-    for o in &old {
-        if !new.iter().any(|n| n.group == o.group && n.id == o.id) {
-            println!(
-                "{:<44} {:>14} {:>14} {:>8}",
-                format!("{}/{}", o.group, o.id),
-                o.ns,
-                "(gone)",
-                "-"
-            );
-        }
-    }
-    if !offenders.is_empty() {
-        eprintln!(
-            "monitor: {} gated benchmark(s) regressed more than {max_regress:.0}%:",
-            offenders.len()
-        );
-        for (name, delta) in &offenders {
-            eprintln!("  {name}: +{delta:.1}% ns/iter");
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: monitor (--pcap <file> | --synthetic <secs>) [options]\n\
-         \u{20}      monitor --bench-summary <old.json> <new.json>\n\
-         \u{20}              [--gate <group,...>] [--max-regress <pct>]\n\
          \n\
          options:\n\
            --calls <n>          synthetic concurrent calls (default 2)\n\
@@ -343,8 +185,8 @@ fn usage() -> ! {
                                 (default 127.0.0.1:9465 when no Unix\n\
                                 path is given)\n\
          \n\
-         accuracy (as opposed to perf) regressions are gated by the\n\
-         impairment-grid harness: see `vcaml-scenario --help`"
+         accuracy regressions are gated by the impairment-grid harness:\n\
+         see `vcaml-scenario --help`"
     );
     std::process::exit(2)
 }
@@ -435,12 +277,15 @@ fn parse_args() -> Args {
     if args.pcap.is_none() == args.synthetic_secs.is_none() {
         usage();
     }
-    // The builder asserts on these (and an alert bar that is not a
-    // number is refused as `SET alert_fps` refuses it); fail with
+    // The builder and the synthetic generator assert on these, an idle
+    // timeout must fit in `i64` microseconds, and an alert bar that is
+    // not a number is refused as `SET alert_fps` refuses it: fail with
     // usage, not a panic.
     if args.window_secs == 0
+        || args.synthetic_secs == Some(0)
         || args.flush_after == Some(0)
         || args.idle_timeout_secs <= 0
+        || args.idle_timeout_secs > i64::MAX / 1_000_000
         || args.threads == Some(0)
         || args.queue_cap == Some(0)
         || args.stats_every == Some(0)
@@ -461,10 +306,6 @@ fn parse_args() -> Args {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("--bench-summary") {
-        bench_summary(&raw[1..]);
-    }
     let args = parse_args();
     let mut builder = MonitorBuilder::new(args.vca)
         .method(args.method)
@@ -624,41 +465,4 @@ fn main() {
         stats.window_reports,
         stats.events_dropped
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_parser_reads_shim_output() {
-        let dir = std::env::temp_dir().join("vcaml_bench_summary_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(
-            &path,
-            "{\n\"cores\": 1,\n\"measurements\": [\n  \
-             {\"group\":\"hot_path\",\"id\":\"alloc_free_engine\",\"ns_per_iter\":123,\
-             \"rate_per_sec\":4567.8,\"rate_unit\":\"elements\"},\n  \
-             {\"group\":\"random_forest\",\"id\":\"predict_one_window\",\"ns_per_iter\":554}\n]\n}\n",
-        )
-        .unwrap();
-        let entries = parse_baseline(path.to_str().unwrap());
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].group, "hot_path");
-        assert_eq!(entries[0].id, "alloc_free_engine");
-        assert_eq!(entries[0].ns, 123);
-        assert_eq!(entries[0].rate, Some(4567.8));
-        assert_eq!(entries[1].ns, 554);
-        assert_eq!(entries[1].rate, None);
-    }
-
-    #[test]
-    fn rate_formatting_scales_units() {
-        assert_eq!(fmt_rate(Some(29.1e9)), "29.10G/s");
-        assert_eq!(fmt_rate(Some(1_847_081.0)), "1.85M/s");
-        assert_eq!(fmt_rate(Some(4_567.8)), "4.6k/s");
-        assert_eq!(fmt_rate(Some(12.0)), "12/s");
-        assert_eq!(fmt_rate(None), "-");
-    }
 }

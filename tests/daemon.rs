@@ -66,7 +66,6 @@ fn merged_feed(flows: u16, secs: i64) -> Vec<(FlowKey, TracePacket)> {
 fn builder() -> MonitorBuilder {
     MonitorBuilder::new(VcaKind::Teams)
         .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
-        .shards(2)
         .threads(2)
 }
 
