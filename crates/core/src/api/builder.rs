@@ -68,10 +68,10 @@ pub struct MonitorBuilder {
 
 impl MonitorBuilder {
     /// Starts from the paper's configuration for a VCA: auto method
-    /// selection (RTP when it parses, IP/UDP otherwise), exact statistics,
-    /// 1-second windows, one thread, a
-    /// [`DEFAULT_QUEUE_CAPACITY`]-event queue with [`OverflowPolicy::Block`],
-    /// 60-second idle eviction, no max-lag flush.
+    /// selection (RTP when it parses, IP/UDP otherwise), 1-second
+    /// windows, one thread, a [`DEFAULT_QUEUE_CAPACITY`]-event queue with
+    /// [`OverflowPolicy::Block`], 60-second idle eviction, no max-lag
+    /// flush.
     pub fn new(vca: VcaKind) -> Self {
         MonitorBuilder {
             vca,
@@ -103,6 +103,8 @@ impl MonitorBuilder {
     /// Replaces the full engine configuration (power users; the other
     /// knobs are views onto it).
     pub fn engine_config(mut self, config: EngineConfig) -> Self {
+        assert!(config.window_secs > 0, "zero window");
+        assert!(config.theta_iat_us > 0, "non-positive theta");
         self.config = config;
         self
     }
@@ -188,7 +190,6 @@ impl std::fmt::Debug for MonitorBuilder {
             .field("vca", &self.vca)
             .field("method", &self.method)
             .field("window_secs", &self.config.window_secs)
-            .field("stats", &self.config.stats)
             .field("threads", &self.threads)
             .field("queue_capacity", &self.queue_capacity)
             .field("overflow", &self.overflow)

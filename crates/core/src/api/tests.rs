@@ -1,7 +1,7 @@
 #![cfg(test)]
 
 use super::*;
-use crate::engine::WindowReport;
+use crate::engine::{EngineConfig, WindowReport};
 use crate::pipeline::Method;
 use crate::trace::TracePacket;
 use std::collections::HashMap;
@@ -657,4 +657,66 @@ fn corrupt_future_timestamp_does_not_mass_evict() {
         .filter(|e| matches!(e, QoeEvent::FlowEvicted { .. }))
         .count();
     assert_eq!(evicted, 0);
+}
+
+/// `engine_config()` is checked where it is called, as the sibling
+/// setters are — not at the first packet, which a threaded monitor meets
+/// on a worker thread.
+#[test]
+#[should_panic(expected = "zero window")]
+fn engine_config_rejects_a_zero_window_at_the_call() {
+    let _unbuilt = fixed(Method::IpUdpHeuristic)
+        .threads(2)
+        .engine_config(EngineConfig {
+            window_secs: 0,
+            ..EngineConfig::paper(VcaKind::Teams)
+        });
+}
+
+#[test]
+#[should_panic(expected = "non-positive theta")]
+fn engine_config_rejects_a_non_positive_theta_at_the_call() {
+    let _unbuilt = fixed(Method::IpUdpMl).engine_config(EngineConfig {
+        theta_iat_us: 0,
+        ..EngineConfig::paper(VcaKind::Teams)
+    });
+}
+
+/// `build_engine` clones the attached forest into every ML flow, so the
+/// operator's gauge counts that copy with the rest of the flow's state.
+#[test]
+fn bytes_per_flow_counts_each_flows_copy_of_the_model() {
+    use vcaml_mlcore::{Dataset, RandomForest, RandomForestParams, Task};
+    let mut data = Dataset::new(vcaml_features::ipudp_feature_names());
+    for i in 0..240 {
+        let row: Vec<f64> = (0..14).map(|j| f64::from((i * (j + 3)) % 31)).collect();
+        data.push(&row, row[1] + 0.5 * row[12]);
+    }
+    let params = RandomForestParams {
+        n_trees: 6,
+        ..RandomForestParams::default()
+    };
+    let forest = RandomForest::fit(&data, Task::Regression, &params);
+    // `Vec::clone` sizes the copy to its length; `fit` grew the original.
+    let copy_bytes = forest.clone().heap_bytes() as u64;
+    assert!(copy_bytes > 0);
+
+    // One flow, streamed past several 1 Hz idle sweeps (which publish the
+    // gauge).
+    let gauge = |builder: MonitorBuilder| {
+        let mut m = builder.build();
+        for p in video_stream(3) {
+            m.ingest_packet(flow_key(1), p);
+        }
+        m.handle().stats_snapshot().bytes_per_flow
+    };
+    for method in [Method::IpUdpMl, Method::RtpMl] {
+        let bare = gauge(fixed(method));
+        let with_model = gauge(fixed(method).model(forest.clone()));
+        assert!(bare > 0, "{method:?}: a sweep has published the gauge");
+        assert!(
+            with_model >= bare + copy_bytes,
+            "{method:?}: {with_model} B/flow with a {copy_bytes} B forest, {bare} B/flow without"
+        );
+    }
 }

@@ -189,13 +189,11 @@ pub struct MonitorSnapshot {
     /// Per-shard-worker ingest backlog, in packets handed to the worker
     /// and not yet processed. Empty on an inline monitor.
     pub shard_depths: Vec<u64>,
-    /// Estimated resident bytes per tracked flow: engine state plus flow
-    /// table overhead, averaged over the flows live at the last idle
-    /// sweep (0 until a shard has swept). [`StatsMode::Sketch`]
-    /// engines hold this constant regardless of window content — the
-    /// strictly-O(1)-per-flow deployment story.
-    ///
-    /// [`StatsMode::Sketch`]: vcaml_features::StatsMode::Sketch
+    /// Estimated resident bytes per tracked flow, averaged over the flows
+    /// live at the last idle sweep (0 until a shard has swept): each
+    /// engine's struct, its accumulators' retained heap capacity (one
+    /// window's content at its high-water mark), its own copy of the
+    /// attached model, and flow-table overhead.
     pub bytes_per_flow: u64,
     /// The live alert frame-rate bar, if one is set.
     pub alert_fps: Option<f64>,

@@ -63,8 +63,9 @@ pub struct EngineConfig {
     pub window_secs: u32,
     /// Microburst inter-arrival threshold, microseconds.
     pub theta_iat_us: i64,
-    /// Order-statistic accumulation mode: `Exact` reproduces the batch
-    /// formulas bit-compatibly; `Sketch` caps per-flow state at O(1).
+    /// Vestige, selects nothing ([`StatsMode`] has one variant):
+    /// `benchmark/src/layers.rs` is its only reader, and the next
+    /// `[benchmark]`-typed PR drops it.
     pub stats: StatsMode,
 }
 
@@ -961,6 +962,7 @@ impl QoeEstimator for IpUdpMlEngine {
         std::mem::size_of::<Self>()
             + (self.acc.state_bytes() - std::mem::size_of::<IpUdpFeatureAcc>())
             + self.empty_features.capacity() * std::mem::size_of::<f64>()
+            + self.model.as_ref().map_or(0, RandomForest::heap_bytes)
     }
 }
 
@@ -991,12 +993,12 @@ impl RtpMlEngine {
         // An empty window's features are lag-ref independent (no frames
         // means no lags), so one pristine-accumulator evaluation covers
         // every empty report.
-        let mut empty_features = FlowFeatureAcc::new(config.stats).features(window_secs);
-        empty_features.extend(RtpWindowAcc::with_mode(config.stats).features(None));
+        let mut empty_features = FlowFeatureAcc::new().features(window_secs);
+        empty_features.extend(RtpWindowAcc::new().features(None));
         RtpMlEngine {
             payload_map,
-            flow: FlowFeatureAcc::new(config.stats),
-            rtp: RtpWindowAcc::with_mode(config.stats),
+            flow: FlowFeatureAcc::new(),
+            rtp: RtpWindowAcc::new(),
             lag_ref: None,
             empty_features,
             window_secs,
@@ -1055,14 +1057,10 @@ impl QoeEstimator for RtpMlEngine {
                     // The lag clock anchors at the session's first video
                     // packet ("we assume that the first frame had zero
                     // delay", §3.3).
-                    let lr = *self.lag_ref.get_or_insert(LagReference {
+                    self.lag_ref.get_or_insert(LagReference {
                         t0: pkt.ts,
                         ts0: h.timestamp,
                     });
-                    // The accumulator's window-local anchor resets each
-                    // window; re-arm it with the session anchor so Sketch
-                    // mode folds ring-evicted frame lags correctly.
-                    self.rtp.set_lag_anchor(lr);
                     self.flow.push(pkt.ts, pkt.size);
                     self.rtp.push_video(pkt.ts, &h);
                     self.video_packets += 1;
@@ -1102,6 +1100,7 @@ impl QoeEstimator for RtpMlEngine {
             + (self.flow.state_bytes() - std::mem::size_of::<FlowFeatureAcc>())
             + (self.rtp.state_bytes() - std::mem::size_of::<RtpWindowAcc>())
             + self.empty_features.capacity() * std::mem::size_of::<f64>()
+            + self.model.as_ref().map_or(0, RandomForest::heap_bytes)
     }
 }
 
@@ -1186,8 +1185,7 @@ pub fn place_windows<E: QoeEstimator + ?Sized>(
 /// hashed entry points (`*_hashed`) let callers that already computed
 /// the flow hash (the facade hashes once per packet for worker routing)
 /// skip rehashing. Idle flows are evicted — flushing their final
-/// windows — so memory is O(active flows), each O(window content)
-/// ([`StatsMode::Sketch`]: O(1)).
+/// windows — so memory is O(active flows), each O(window content).
 ///
 /// Hash-bit usage across the routing layers (one hash per packet):
 /// workers take `hash64 % n_threads` (low bits), shards take the top 16

@@ -5,7 +5,7 @@
 //! the batch function here replays a window slice through that accumulator
 //! so the batch and streaming paths share one implementation.
 
-use crate::incremental::{FlowFeatureAcc, StatsMode};
+use crate::incremental::FlowFeatureAcc;
 use crate::stats::STAT_SUFFIXES;
 use crate::window::PktObs;
 
@@ -27,7 +27,7 @@ pub fn flow_feature_names() -> Vec<String> {
 /// per-second (normalized by `window_secs`). Implemented as a replay over
 /// the incremental accumulator.
 pub fn flow_features(pkts: &[PktObs], window_secs: f64) -> Vec<f64> {
-    let mut acc = FlowFeatureAcc::new(StatsMode::Exact);
+    let mut acc = FlowFeatureAcc::new();
     for p in pkts {
         acc.push(p.ts, p.size);
     }

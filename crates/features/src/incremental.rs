@@ -7,18 +7,14 @@
 //! streaming engine in `vcaml::engine` feeds them packet by packet — so
 //! batch and streaming cannot drift apart.
 //!
-//! Two accumulation modes are offered:
-//!
-//! * [`StatsMode::Exact`] (default) keeps a value histogram per window
-//!   (bounded by the window's distinct values) and reproduces the batch
-//!   order statistics exactly — including exact medians.
-//! * [`StatsMode::Sketch`] keeps strictly O(1) state per flow: Welford
-//!   mean/variance plus a P² quantile sketch for medians, trading exact
-//!   medians for constant memory (the "streaming versions of the methods"
-//!   deployment shape of §7).
+//! There is one accumulation mode: each window keeps an arrival-order
+//! log of its raw values (bounded by the window's packet count, capacity
+//! retained across windows) and the seal reproduces the batch order
+//! statistics exactly — including exact medians, which Table 1's methods
+//! are defined over.
 //!
 //! ```
-//! use vcaml_features::incremental::{IpUdpFeatureAcc, P2Quantile};
+//! use vcaml_features::incremental::IpUdpFeatureAcc;
 //! use vcaml_features::{ipudp_features, PktObs, StatsMode, DEFAULT_THETA_IAT_US};
 //! use vcaml_netpkt::Timestamp;
 //!
@@ -41,183 +37,44 @@
 //! // through this accumulator).
 //! assert_eq!(streamed, ipudp_features(&pkts, 1.0, DEFAULT_THETA_IAT_US));
 //! assert_eq!(streamed.len(), 14, "Table 1's IP/UDP feature vector");
-//!
-//! // The P² sketch estimates quantiles in O(1) memory: exact for its
-//! // first five observations, approximate afterwards.
-//! let mut median = P2Quantile::new(0.5);
-//! for x in [1.0, 9.0, 5.0, 3.0, 7.0] {
-//!     median.push(x);
-//! }
-//! assert_eq!(median.estimate(), 5.0);
 //! ```
 
 use vcaml_netpkt::Timestamp;
 
-/// How order statistics are accumulated per window.
+/// How order statistics are accumulated per window: exactly, and only so.
+///
+/// Vestige, selects nothing: `benchmark/src/layers.rs` is its only reader;
+/// the next `[benchmark]`-typed PR drops it, `EngineConfig.stats` and
+/// [`IpUdpFeatureAcc::new`]'s first parameter together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StatsMode {
-    /// Per-window value histograms; exact parity with the batch formulas.
+    /// Per-window value logs; exact parity with the batch formulas.
     #[default]
     Exact,
-    /// O(1) state: Welford variance + P² median sketch (bounded error).
-    Sketch,
-}
-
-/// The P² (piecewise-parabolic) streaming quantile estimator of Jain &
-/// Chlamtac (1985): five markers, O(1) memory, no buffering. Exact for
-/// the first five observations, approximate afterwards.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    p: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `p` in `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile out of (0,1)");
-        P2Quantile {
-            p,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            increments: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Offers one observation.
-    // lint: hot_path
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(|a, b| a.total_cmp(b));
-            }
-            return;
-        }
-        self.count += 1;
-        // Cell index k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4).find(|&i| x < self.heights[i + 1]).unwrap_or(3)
-        };
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                let new_h = if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    candidate
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.heights;
-        let n = &self.positions;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate (`0.0` before any observation).
-    pub fn estimate(&self) -> f64 {
-        match self.count {
-            0 => 0.0,
-            n if n <= 5 => {
-                let mut buf = self.heights[..n].to_vec();
-                buf.sort_by(|a, b| a.total_cmp(b));
-                let rank = self.p * (n - 1) as f64;
-                let lo = rank.floor() as usize;
-                let hi = rank.ceil() as usize;
-                if lo == hi {
-                    buf[lo]
-                } else {
-                    // Linear rank interpolation (reduces to the median
-                    // midpoint for p = 0.5 and even counts).
-                    buf[lo] + (rank - lo as f64) * (buf[hi] - buf[lo])
-                }
-            }
-            _ => self.heights[2],
-        }
-    }
 }
 
 /// One five-statistic stream (`[mean, stdev, median, min, max]`) over
 /// integer-keyed values decoded by a fixed scale.
 ///
-/// Exact mode appends raw values to an *unsorted log* and defers all
-/// ordering work to the once-per-window [`StatAcc::five`] call — the
-/// same cost structure as the batch path, which sorts each window slice
-/// once in `five_stats`. A per-push sorted insert was measured at
-/// ~10–20× the append cost on IAT streams (hundreds of distinct values
-/// per window ⇒ an `O(n)` memmove per packet). Critically for the
-/// zero-allocation steady state, [`StatAcc::reset`] retains the log's
-/// capacity, so after warmup no push allocates.
+/// Raw values are appended to an *unsorted log* and all ordering work is
+/// deferred to the once-per-window [`StatAcc::five`] call — the same
+/// cost structure as the batch path, which sorts each window slice once
+/// in `five_stats`. A per-push sorted insert was measured at ~10–20× the
+/// append cost on IAT streams (hundreds of distinct values per window ⇒
+/// an `O(n)` memmove per packet). Critically for the zero-allocation
+/// steady state, [`StatAcc::reset`] retains the log's capacity, so after
+/// warmup no push allocates.
 #[derive(Debug, Clone)]
 struct StatAcc {
-    mode: StatsMode,
     divisor: f64,
-    n: u64,
-    sum: f64,
-    min_raw: i64,
-    max_raw: i64,
     vals: Vec<i64>,
-    // Sketch-mode state.
-    mean: f64,
-    m2: f64,
-    p2: P2Quantile,
 }
 
 impl StatAcc {
-    fn new(mode: StatsMode, divisor: f64) -> Self {
+    fn new(divisor: f64) -> Self {
         StatAcc {
-            mode,
             divisor,
-            n: 0,
-            sum: 0.0,
-            min_raw: i64::MAX,
-            max_raw: i64::MIN,
             vals: Vec::new(),
-            mean: 0.0,
-            m2: 0.0,
-            p2: P2Quantile::new(0.5),
         }
     }
 
@@ -233,37 +90,17 @@ impl StatAcc {
         }
     }
 
+    /// Every statistic is deferred to the once-per-seal `five` pass; the
+    /// per-packet cost is one append.
     // lint: hot_path
     fn push(&mut self, raw: i64) {
-        match self.mode {
-            // Exact mode defers every statistic to the once-per-seal
-            // `five` pass; the per-packet cost is one append.
-            StatsMode::Exact => self.vals.push(raw),
-            StatsMode::Sketch => {
-                let v = self.decode(raw);
-                self.n += 1;
-                self.sum += v;
-                self.min_raw = self.min_raw.min(raw);
-                self.max_raw = self.max_raw.max(raw);
-                let delta = v - self.mean;
-                self.mean += delta / self.n as f64;
-                self.m2 += delta * (v - self.mean);
-                self.p2.push(v);
-            }
-        }
+        self.vals.push(raw);
     }
 
     /// Clears the window without releasing value-log capacity (the
     /// steady-state per-packet path must not allocate).
     fn reset(&mut self) {
-        self.n = 0;
-        self.sum = 0.0;
-        self.min_raw = i64::MAX;
-        self.max_raw = i64::MIN;
         self.vals.clear();
-        self.mean = 0.0;
-        self.m2 = 0.0;
-        self.p2 = P2Quantile::new(0.5);
     }
 
     /// Heap bytes currently held (capacity, not length).
@@ -273,49 +110,24 @@ impl StatAcc {
 
     /// Values pushed this window.
     fn count(&self) -> u64 {
-        match self.mode {
-            StatsMode::Exact => self.vals.len() as u64,
-            StatsMode::Sketch => self.n,
-        }
+        self.vals.len() as u64
     }
 
     /// Arrival-order sum of decoded values — bit-identical to a running
     /// `+=` per push, since both reduce the same sequence left-to-right.
     fn total(&self) -> f64 {
-        match self.mode {
-            StatsMode::Exact => self.vals.iter().map(|&raw| self.decode(raw)).sum(),
-            StatsMode::Sketch => self.sum,
-        }
+        self.vals.iter().map(|&raw| self.decode(raw)).sum()
     }
 
     /// `[mean, stdev, median, min, max]`, zeros when empty — the same
-    /// contract as [`crate::stats::five_stats`].
+    /// contract as [`crate::stats::five_stats`], replayed over the
+    /// arrival-ordered value log: the same summation order (mean and
+    /// variance are bit-identical to the batch slice) and the same
+    /// sorted-slice median/min/max. `decode` is monotonic, so sorting raw
+    /// integers picks the same elements as sorting the decoded values.
+    /// The scratch copy and the two passes are a once-per-seal cost,
+    /// matching the batch path's.
     fn five(&self) -> [f64; 5] {
-        match self.mode {
-            StatsMode::Exact => self.five_exact(),
-            StatsMode::Sketch => {
-                if self.n == 0 {
-                    return [0.0; 5];
-                }
-                let n = self.n as f64;
-                [
-                    self.sum / n,
-                    (self.m2 / n).sqrt(),
-                    self.p2.estimate(),
-                    self.decode(self.min_raw),
-                    self.decode(self.max_raw),
-                ]
-            }
-        }
-    }
-
-    /// Replays `five_stats` over the arrival-ordered value log: the same
-    /// summation order (mean and variance are bit-identical to the batch
-    /// slice) and the same sorted-slice median/min/max. `decode` is
-    /// monotonic, so sorting raw integers picks the same elements as
-    /// sorting the decoded values. The scratch copy and the two passes
-    /// are a once-per-seal cost, matching the batch path's.
-    fn five_exact(&self) -> [f64; 5] {
         if self.vals.is_empty() {
             return [0.0; 5];
         }
@@ -354,14 +166,20 @@ pub struct FlowFeatureAcc {
     prev_ts: Option<Timestamp>,
 }
 
+impl Default for FlowFeatureAcc {
+    fn default() -> Self {
+        FlowFeatureAcc::new()
+    }
+}
+
 impl FlowFeatureAcc {
     /// Creates an empty accumulator.
-    pub fn new(mode: StatsMode) -> Self {
+    pub fn new() -> Self {
         FlowFeatureAcc {
-            sizes: StatAcc::new(mode, 1.0),
+            sizes: StatAcc::new(1.0),
             // IATs are stored as whole microseconds and decoded to
             // milliseconds, matching `Timestamp::as_millis_f64`.
-            iats: StatAcc::new(mode, 1e3),
+            iats: StatAcc::new(1e3),
             prev_ts: None,
         }
     }
@@ -418,7 +236,7 @@ pub struct IpUdpFeatureAcc {
     flow: FlowFeatureAcc,
     theta_iat_us: i64,
     /// Bitset over the u16 size domain: exact distinct-size counting in
-    /// O(1) memory for both modes.
+    /// O(1) memory.
     size_seen: Box<[u64; 1024]>,
     unique_sizes: u64,
     bursts: u64,
@@ -427,10 +245,13 @@ pub struct IpUdpFeatureAcc {
 
 impl IpUdpFeatureAcc {
     /// Creates an empty accumulator with the microburst threshold.
-    pub fn new(mode: StatsMode, theta_iat_us: i64) -> Self {
+    /// `_mode` is ignored: `benchmark/src/layers.rs` is the only caller that
+    /// needs it, and the next `[benchmark]`-typed PR drops it (see
+    /// [`StatsMode`]).
+    pub fn new(_mode: StatsMode, theta_iat_us: i64) -> Self {
         assert!(theta_iat_us > 0, "non-positive theta");
         IpUdpFeatureAcc {
-            flow: FlowFeatureAcc::new(mode),
+            flow: FlowFeatureAcc::new(),
             theta_iat_us,
             size_seen: Box::new([0u64; 1024]),
             unique_sizes: 0,
@@ -502,8 +323,8 @@ mod tests {
             .collect()
     }
 
-    fn run_acc(mode: StatsMode, ps: &[PktObs], w: f64) -> Vec<f64> {
-        let mut acc = FlowFeatureAcc::new(mode);
+    fn run_acc(ps: &[PktObs], w: f64) -> Vec<f64> {
+        let mut acc = FlowFeatureAcc::new();
         for p in ps {
             acc.push(p.ts, p.size);
         }
@@ -522,34 +343,13 @@ mod tests {
             (99_001, 701),
         ]);
         let batch = flow_features(&ps, 1.0);
-        let inc = run_acc(StatsMode::Exact, &ps, 1.0);
+        let inc = run_acc(&ps, 1.0);
         assert_eq!(batch.len(), inc.len());
         for (i, (b, x)) in batch.iter().zip(&inc).enumerate() {
             assert!(
                 (b - x).abs() <= 1e-9 * b.abs().max(1.0),
                 "feature {i}: {b} vs {x}"
             );
-        }
-    }
-
-    #[test]
-    fn sketch_mode_bounded_error() {
-        let ps: Vec<PktObs> = (0..500)
-            .map(|i| PktObs {
-                ts: Timestamp::from_micros(i * 997),
-                size: 600 + ((i * 37) % 700) as u16,
-            })
-            .collect();
-        let batch = flow_features(&ps, 1.0);
-        let inc = run_acc(StatsMode::Sketch, &ps, 1.0);
-        for (i, (b, x)) in batch.iter().zip(&inc).enumerate() {
-            let tol = if i == 4 || i == 9 {
-                // Medians come from the P² sketch: bounded, not exact.
-                0.10 * b.abs().max(1.0)
-            } else {
-                1e-6 * b.abs().max(1.0)
-            };
-            assert!((b - x).abs() <= tol, "feature {i}: batch {b} vs sketch {x}");
         }
     }
 
@@ -623,29 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn p2_small_samples_exact() {
-        let mut q = P2Quantile::new(0.5);
-        for v in [5.0, 1.0, 3.0] {
-            q.push(v);
-        }
-        assert_eq!(q.estimate(), 3.0);
-        q.push(9.0);
-        assert_eq!(q.estimate(), 4.0); // (3+5)/2
-    }
-
-    #[test]
-    fn p2_converges_on_uniform() {
-        let mut q = P2Quantile::new(0.5);
-        for i in 0..10_000 {
-            q.push(((i * 7919) % 10_000) as f64);
-        }
-        let est = q.estimate();
-        assert!((est - 5_000.0).abs() < 250.0, "median estimate {est}");
-    }
-
-    #[test]
     fn empty_accumulator_is_all_zeros() {
-        assert_eq!(run_acc(StatsMode::Exact, &[], 1.0), vec![0.0; 12]);
-        assert_eq!(run_acc(StatsMode::Sketch, &[], 1.0), vec![0.0; 12]);
+        assert_eq!(run_acc(&[], 1.0), vec![0.0; 12]);
     }
 }

@@ -27,15 +27,13 @@ pub mod flow_stats;
 pub mod incremental;
 pub mod rtp_feats;
 pub mod semantics;
-pub mod sketch;
 pub mod stats;
 pub mod window;
 
 pub use flow_stats::{flow_feature_names, flow_features};
-pub use incremental::{FlowFeatureAcc, IpUdpFeatureAcc, P2Quantile, StatsMode};
+pub use incremental::{FlowFeatureAcc, IpUdpFeatureAcc, StatsMode};
 pub use rtp_feats::{rtp_feature_names, RtpWindow, RtpWindowAcc};
 pub use semantics::{microbursts, unique_sizes, DEFAULT_THETA_IAT_US};
-pub use sketch::Hll;
 pub use window::{windows_by_second, PktObs};
 
 /// Feature names for the IP/UDP ML model (flow stats + semantics).

@@ -1,19 +1,10 @@
 //! RTP-header features (Table 1, third row), used by the RTP ML baseline.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::{RtpClock, RtpHeader};
 
-use crate::incremental::P2Quantile;
-use crate::sketch::Hll;
 use crate::stats::{five_stats, STAT_SUFFIXES};
-use crate::StatsMode;
-
-/// Open frames retained in [`StatsMode::Sketch`]: a frame older than the
-/// last `FRAME_RING` first-arrivals is considered complete and its lag is
-/// folded into the streaming statistics. VCAs interleave at most a few
-/// frames, so 64 is far beyond any real reordering depth.
-const FRAME_RING: usize = 64;
 
 /// Names of the 12 RTP features, in vector order.
 pub fn rtp_feature_names() -> Vec<String> {
@@ -69,144 +60,39 @@ impl RtpWindow {
     }
 }
 
-/// Streaming five-statistic summary over frame lags: Welford
-/// mean/variance, P² median, exact min/max. O(1) memory; only used in
-/// [`StatsMode::Sketch`] where exact per-frame retention is disallowed.
-#[derive(Debug, Clone)]
-struct LagStream {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    p2: P2Quantile,
-    min: f64,
-    max: f64,
-}
-
-impl Default for LagStream {
-    fn default() -> Self {
-        LagStream {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            p2: P2Quantile::new(0.5),
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl LagStream {
-    // lint: hot_path
-    fn push(&mut self, v: f64) {
-        self.n += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (v - self.mean);
-        self.p2.push(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn five(&self) -> [f64; 5] {
-        if self.n == 0 {
-            return [0.0; 5];
-        }
-        [
-            self.mean,
-            (self.m2 / self.n as f64).sqrt(),
-            self.p2.estimate(),
-            self.min,
-            self.max,
-        ]
-    }
-
-    fn clear(&mut self) {
-        *self = LagStream::default();
-    }
-}
-
 /// Incremental accumulator for the 12 RTP features of one window.
 ///
-/// In [`StatsMode::Exact`] (the default, and what [`RtpWindowAcc::new`]
-/// builds) state is bounded by the window's content — unique timestamp
-/// sets and one entry per frame — and the batch formulas are reproduced
-/// exactly. In [`StatsMode::Sketch`] the per-flow state is strictly O(1):
-/// unique-timestamp counts come from [`Hll`] sketches, and frames beyond
-/// a fixed ring are folded into streaming lag statistics. Resets retain
-/// capacity, keeping the steady-state per-packet path allocation-free.
-#[derive(Debug, Clone)]
+/// State is bounded by the window's content — the unique timestamp sets
+/// and one entry per frame — and the batch formulas are reproduced
+/// exactly. Resets retain capacity, so a push allocates only when a
+/// window holds more distinct timestamps than any window before it.
+#[derive(Debug, Clone, Default)]
 pub struct RtpWindowAcc {
-    mode: StatsMode,
     vid_ts: HashSet<u32>,
     rtx_ts: HashSet<u32>,
-    vid_sketch: Hll,
-    rtx_sketch: Hll,
     marker_vid: u64,
     marker_rtx: u64,
     last_vid_seq: Option<u16>,
     ooo: u64,
-    /// Frames in first-arrival order: (RTP timestamp, completion time).
-    /// Exact mode: every frame of the window. Sketch mode: a ring of the
-    /// last [`FRAME_RING`] frames; older frames spill into `lag_stream`.
-    frames: VecDeque<(u32, Timestamp)>,
-    /// Sketch mode: streaming lag statistics over spilled frames.
-    lag_stream: LagStream,
-    /// Sketch mode: the anchor spilled lags were computed against
-    /// (session anchor when [`RtpWindowAcc::set_lag_anchor`] was called,
-    /// else the window's first frame).
+    /// Every frame of the window in first-arrival order: (RTP timestamp,
+    /// completion time).
+    frames: Vec<(u32, Timestamp)>,
+    /// Window-local lag anchor (the window's first frame), used when
+    /// [`RtpWindowAcc::features`] is given no session reference.
     anchor: Option<LagReference>,
 }
 
-impl Default for RtpWindowAcc {
-    fn default() -> Self {
-        RtpWindowAcc::with_mode(StatsMode::Exact)
-    }
-}
-
 impl RtpWindowAcc {
-    /// Creates an empty accumulator in [`StatsMode::Exact`].
+    /// Creates an empty accumulator.
     pub fn new() -> Self {
         RtpWindowAcc::default()
-    }
-
-    /// Creates an empty accumulator in the given mode.
-    pub fn with_mode(mode: StatsMode) -> Self {
-        RtpWindowAcc {
-            mode,
-            vid_ts: HashSet::new(),
-            rtx_ts: HashSet::new(),
-            vid_sketch: Hll::new(),
-            rtx_sketch: Hll::new(),
-            marker_vid: 0,
-            marker_rtx: 0,
-            last_vid_seq: None,
-            ooo: 0,
-            frames: VecDeque::new(),
-            lag_stream: LagStream::default(),
-            anchor: None,
-        }
-    }
-
-    /// Pins the session-level lag anchor (Sketch mode): spilled frames'
-    /// lags are computed against it immediately, so the engine must call
-    /// this with the same reference it later passes to
-    /// [`RtpWindowAcc::features`]. Exact mode ignores it (lags are
-    /// computed lazily from retained frames).
-    pub fn set_lag_anchor(&mut self, anchor: LagReference) {
-        self.anchor.get_or_insert(anchor);
     }
 
     /// Offers one video-stream packet (arrival order).
     // lint: hot_path
     pub fn push_video(&mut self, t: Timestamp, h: &RtpHeader) {
-        match self.mode {
-            StatsMode::Exact => {
-                // lint: allow(hot-path-alloc) -- Exact mode trades allocation for exactness; the zero-alloc contract covers Sketch mode (tests/hot_path.rs)
-                self.vid_ts.insert(h.timestamp);
-            }
-            // lint: allow(hot-path-alloc) -- fixed-width sketch insert mutates O(1) state; no container growth
-            StatsMode::Sketch => self.vid_sketch.insert(h.timestamp),
-        }
+        // lint: allow(hot-path-alloc) -- the set's capacity survives reset(), so this allocates only when a window holds more distinct timestamps than any before it (tests/hot_path.rs)
+        self.vid_ts.insert(h.timestamp);
         if h.marker {
             self.marker_vid += 1;
         }
@@ -223,21 +109,12 @@ impl RtpWindowAcc {
         match self.frames.iter_mut().find(|(ts, _)| *ts == h.timestamp) {
             Some((_, done)) => *done = (*done).max(t),
             None => {
-                if self.anchor.is_none() {
-                    // Window-local fallback anchor: the first frame, as
-                    // the exact path's lazy computation uses.
-                    self.anchor = Some(LagReference {
-                        t0: t,
-                        ts0: h.timestamp,
-                    });
-                }
-                self.frames.push_back((h.timestamp, t));
-                if self.mode == StatsMode::Sketch && self.frames.len() > FRAME_RING {
-                    let (ts, done) = self.frames.pop_front().expect("len checked"); // lint: allow(no-unwrap-in-lib) -- loop guard holds frames.len() > depth, so the deque is non-empty
-                    let a = self.anchor.expect("anchor set with first frame"); // lint: allow(no-unwrap-in-lib) -- anchor is recorded when the first frame is pushed; frames is non-empty here
-                    let lag = RtpClock::video().lag_secs(a.t0, a.ts0, done, ts) * 1000.0;
-                    self.lag_stream.push(lag);
-                }
+                // Window-local fallback anchor: the first frame.
+                self.anchor.get_or_insert(LagReference {
+                    t0: t,
+                    ts0: h.timestamp,
+                });
+                self.frames.push((h.timestamp, t));
             }
         }
     }
@@ -245,14 +122,8 @@ impl RtpWindowAcc {
     /// Offers one retransmission-stream packet (arrival order).
     // lint: hot_path
     pub fn push_rtx(&mut self, _t: Timestamp, h: &RtpHeader) {
-        match self.mode {
-            StatsMode::Exact => {
-                // lint: allow(hot-path-alloc) -- Exact mode trades allocation for exactness; the zero-alloc contract covers Sketch mode (tests/hot_path.rs)
-                self.rtx_ts.insert(h.timestamp);
-            }
-            // lint: allow(hot-path-alloc) -- fixed-width sketch insert mutates O(1) state; no container growth
-            StatsMode::Sketch => self.rtx_sketch.insert(h.timestamp),
-        }
+        // lint: allow(hot-path-alloc) -- the set's capacity survives reset(), so this allocates only when a window holds more distinct timestamps than any before it (tests/hot_path.rs)
+        self.rtx_ts.insert(h.timestamp);
         if h.marker {
             self.marker_rtx += 1;
         }
@@ -260,33 +131,16 @@ impl RtpWindowAcc {
 
     /// True when no packet has been offered this window.
     pub fn is_empty(&self) -> bool {
-        match self.mode {
-            StatsMode::Exact => self.vid_ts.is_empty() && self.rtx_ts.is_empty(),
-            StatsMode::Sketch => self.vid_sketch.is_empty() && self.rtx_sketch.is_empty(),
-        }
+        self.vid_ts.is_empty() && self.rtx_ts.is_empty()
     }
 
     /// Emits the 12 features for the current window.
     pub fn features(&self, lag_ref: Option<LagReference>) -> Vec<f64> {
-        let (vid, rtx, intersect, union) = match self.mode {
-            StatsMode::Exact => (
-                self.vid_ts.len() as f64,
-                self.rtx_ts.len() as f64,
-                self.vid_ts.intersection(&self.rtx_ts).count() as f64,
-                self.vid_ts.union(&self.rtx_ts).count() as f64,
-            ),
-            StatsMode::Sketch => (
-                self.vid_sketch.estimate().round(),
-                self.rtx_sketch.estimate().round(),
-                self.vid_sketch.intersect_estimate(&self.rtx_sketch).round(),
-                self.vid_sketch.union_estimate(&self.rtx_sketch).round(),
-            ),
-        };
         let mut v = Vec::with_capacity(12);
-        v.push(vid);
-        v.push(rtx);
-        v.push(intersect);
-        v.push(union);
+        v.push(self.vid_ts.len() as f64);
+        v.push(self.rtx_ts.len() as f64);
+        v.push(self.vid_ts.intersection(&self.rtx_ts).count() as f64);
+        v.push(self.vid_ts.union(&self.rtx_ts).count() as f64);
         v.push(self.marker_vid as f64);
         v.push(self.marker_rtx as f64);
         v.push(self.ooo as f64);
@@ -299,14 +153,11 @@ impl RtpWindowAcc {
     pub fn reset(&mut self) {
         self.vid_ts.clear();
         self.rtx_ts.clear();
-        self.vid_sketch.clear();
-        self.rtx_sketch.clear();
         self.marker_vid = 0;
         self.marker_rtx = 0;
         self.last_vid_seq = None;
         self.ooo = 0;
         self.frames.clear();
-        self.lag_stream.clear();
         self.anchor = None;
     }
 
@@ -320,32 +171,19 @@ impl RtpWindowAcc {
 
     /// Five lag statistics `[mean, stdev, median, min, max]`.
     fn lag_five(&self, lag_ref: Option<LagReference>) -> [f64; 5] {
-        if self.frames.is_empty() && self.lag_stream.n == 0 {
+        if self.frames.is_empty() {
             return [0.0; 5];
         }
         let anchor = lag_ref
             .or(self.anchor)
             .expect("anchor recorded with first frame"); // lint: allow(no-unwrap-in-lib) -- anchor is recorded when the first frame is pushed
         let clock = RtpClock::video();
-        match self.mode {
-            StatsMode::Exact => {
-                let lags: Vec<f64> = self
-                    .frames
-                    .iter()
-                    .map(|(ts, t)| clock.lag_secs(anchor.t0, anchor.ts0, *t, *ts) * 1000.0)
-                    .collect();
-                five_stats(&lags)
-            }
-            StatsMode::Sketch => {
-                // Fold the still-ringed frames into a copy of the spilled
-                // stream (boundary-time work, not per-packet).
-                let mut all = self.lag_stream.clone();
-                for (ts, t) in &self.frames {
-                    all.push(clock.lag_secs(anchor.t0, anchor.ts0, *t, *ts) * 1000.0);
-                }
-                all.five()
-            }
-        }
+        let lags: Vec<f64> = self
+            .frames
+            .iter()
+            .map(|(ts, t)| clock.lag_secs(anchor.t0, anchor.ts0, *t, *ts) * 1000.0)
+            .collect();
+        five_stats(&lags)
     }
 }
 
@@ -467,44 +305,6 @@ mod tests {
         // Without an anchor the single frame defines zero lag trivially.
         let f2 = w.features(None);
         assert_eq!(f2[7], 0.0);
-    }
-
-    #[test]
-    fn sketch_mode_is_bounded_and_close_to_exact() {
-        // A long, reordered window: exact mode keeps one entry per frame;
-        // sketch mode must stay within FRAME_RING + O(1) yet agree on
-        // counts (linear-counting regime) and lag statistics.
-        let mut exact = RtpWindowAcc::with_mode(StatsMode::Exact);
-        let mut sketch = RtpWindowAcc::with_mode(StatsMode::Sketch);
-        let anchor = LagReference { t0: at(0), ts0: 0 };
-        sketch.set_lag_anchor(anchor);
-        for i in 0..600u32 {
-            let t = Timestamp::from_micros(i64::from(i) * 33_333 + i64::from(i % 5) * 700);
-            let h = hdr(i as u16, i * 3000, i % 2 == 0);
-            exact.push_video(t, &h);
-            sketch.push_video(t, &h);
-            if i % 7 == 0 {
-                let hr = hdr(i as u16, i * 3000, false);
-                exact.push_rtx(t, &hr);
-                sketch.push_rtx(t, &hr);
-            }
-        }
-        assert!(sketch.state_bytes() < exact.state_bytes());
-        let fe = exact.features(Some(anchor));
-        let fs = sketch.features(Some(anchor));
-        for (i, (e, s)) in fe.iter().zip(&fs).enumerate() {
-            let tol = match i {
-                0 | 1 | 3 => 0.15 * e.abs().max(8.0), // HLL counts, ~3 sigma
-                2 => 0.15 * fe[3].max(8.0),           // intersect: error scales with union
-                9 => 0.15 * e.abs().max(1.0),         // P² median
-                _ => 0.05 * e.abs().max(1e-6),
-            };
-            assert!((e - s).abs() <= tol, "feature {i}: exact {e} sketch {s}");
-        }
-        // Markers and out-of-order counts are exact in both modes.
-        assert_eq!(fe[4], fs[4]);
-        assert_eq!(fe[5], fs[5]);
-        assert_eq!(fe[6], fs[6]);
     }
 
     #[test]

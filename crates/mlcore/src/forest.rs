@@ -196,6 +196,24 @@ impl RandomForest {
     pub fn task(&self) -> Task {
         self.task
     }
+
+    /// Heap bytes held (capacity, not length): every tree's nodes and raw
+    /// importances, the tree vector itself, the feature names and the
+    /// normalized importances.
+    pub fn heap_bytes(&self) -> usize {
+        self.trees
+            .iter()
+            .map(DecisionTree::heap_bytes)
+            .sum::<usize>()
+            + self.trees.capacity() * std::mem::size_of::<DecisionTree>()
+            + self
+                .feature_names
+                .iter()
+                .map(String::capacity)
+                .sum::<usize>()
+            + self.feature_names.capacity() * std::mem::size_of::<String>()
+            + self.importances.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
 #[cfg(test)]
@@ -297,6 +315,18 @@ mod tests {
         };
         let f = RandomForest::fit(&d, Task::Regression, &p);
         assert_eq!(f.n_trees(), 7);
+    }
+
+    #[test]
+    fn heap_bytes_covers_every_trees_nodes() {
+        let d = make_regression(300);
+        let f = RandomForest::fit(&d, Task::Regression, &RandomForestParams::default());
+        let nodes: usize = f.trees.iter().map(DecisionTree::n_nodes).sum();
+        // A split node alone is four 8-byte fields.
+        assert!(f.heap_bytes() >= nodes * 32, "{} B", f.heap_bytes());
+        // A clone is sized to length, never above the grown original.
+        let copy = f.clone().heap_bytes();
+        assert!(copy >= nodes * 32 && copy <= f.heap_bytes());
     }
 
     #[test]

@@ -108,6 +108,12 @@ impl DecisionTree {
         self.nodes.len()
     }
 
+    /// Heap bytes held by the node and importance vectors (capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.importances_raw.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Grows a subtree over `idx` (reordered in place); returns its node id.
     fn grow(
         &mut self,

@@ -466,8 +466,8 @@ fn force_flush_reaches_threaded_workers() {
 /// `bytes_per_flow` in a stats snapshot reflects each method's per-flow
 /// memory footprint: heuristics keep frame rings in the low kilobytes,
 /// the IP/UDP ML accumulator carries an 8 KiB inter-arrival histogram,
-/// and everything stays bounded (O(1) per flow) — the §7 "system
-/// considerations" answer in one observable number.
+/// and everything stays bounded by one window's content — the §7
+/// "system considerations" answer in one observable number.
 #[test]
 fn bytes_per_flow_is_pinned_per_method() {
     let trace: Trace = inlab_corpus(

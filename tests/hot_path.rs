@@ -8,8 +8,13 @@
 //! do seal a window are exempt: a sealed [`WindowReport`] legitimately
 //! owns a fresh feature vector.
 //!
-//! ML engines run in [`StatsMode::Sketch`], the strict-O(1) configuration
-//! (exact mode keeps unbounded per-window sets by design).
+//! Every engine runs under [`EngineConfig::paper`], the configuration
+//! `MonitorBuilder::new` ships. The ML engines keep per-window value logs
+//! and timestamp sets, whose capacity survives the per-window reset: a
+//! push allocates only when a window holds more packets (or distinct RTP
+//! timestamps) than any window before it, which warmup has seen. The
+//! same retention bounds a flow's memory by its fullest window — pinned
+//! by the two `*_state_is_one_windows_content` tests.
 //!
 //! The output end is held to the same rule: once its line buffer has
 //! grown, [`JsonLinesSink`] serializes any event without touching the
@@ -27,19 +32,18 @@ use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
-use vcaml_suite::features::StatsMode;
 use vcaml_suite::netpkt::{
     EtherType, EthernetRepr, FlowKey, Ipv4Repr, LinkType, MacAddr, PcapReader, PcapWriter,
     Timestamp, UdpRepr, IP_PROTO_UDP,
 };
-use vcaml_suite::rtp::VcaKind;
+use vcaml_suite::rtp::{PayloadMap, RtpHeader, VcaKind};
 use vcaml_suite::vcaml::api::{EstimationMethod, EvictReason, Monitor, ParseDropReason, QoeEvent};
 use vcaml_suite::vcaml::engine::{
     IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
 use vcaml_suite::vcaml::{
     EngineConfig, EventSink, JsonLinesSink, Method, PacketSource, PcapFileSource, QoeEstimate,
-    QoeEstimator, Trace, WindowReport,
+    QoeEstimator, Trace, TracePacket, WindowReport,
 };
 
 /// Wraps the system allocator with a per-thread allocation counter. The
@@ -141,13 +145,6 @@ fn assert_alloc_free_steady_state<E: QoeEstimator>(mut engine: E, trace: &Trace,
     );
 }
 
-fn sketch_config(vca: VcaKind) -> EngineConfig {
-    EngineConfig {
-        stats: StatsMode::Sketch,
-        ..EngineConfig::paper(vca)
-    }
-}
-
 /// The meter itself must see allocations, or every test above is vacuous.
 #[test]
 fn allocation_meter_detects_heap_traffic() {
@@ -161,29 +158,150 @@ fn allocation_meter_detects_heap_traffic() {
 #[test]
 fn ipudp_heuristic_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Meet);
-    let engine = IpUdpHeuristicEngine::new(sketch_config(VcaKind::Meet));
+    let engine = IpUdpHeuristicEngine::new(EngineConfig::paper(VcaKind::Meet));
     assert_alloc_free_steady_state(engine, &t, "IpUdpHeuristic");
 }
 
 #[test]
 fn rtp_heuristic_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Meet);
-    let engine = RtpHeuristicEngine::new(sketch_config(VcaKind::Meet), t.payload_map);
+    let engine = RtpHeuristicEngine::new(EngineConfig::paper(VcaKind::Meet), t.payload_map);
     assert_alloc_free_steady_state(engine, &t, "RtpHeuristic");
 }
 
 #[test]
 fn ipudp_ml_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Teams);
-    let engine = IpUdpMlEngine::new(sketch_config(VcaKind::Teams));
+    let engine = IpUdpMlEngine::new(EngineConfig::paper(VcaKind::Teams));
     assert_alloc_free_steady_state(engine, &t, "IpUdpMl");
 }
 
 #[test]
 fn rtp_ml_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Teams);
-    let engine = RtpMlEngine::new(sketch_config(VcaKind::Teams), t.payload_map);
+    let engine = RtpMlEngine::new(EngineConfig::paper(VcaKind::Teams), t.payload_map);
     assert_alloc_free_steady_state(engine, &t, "RtpMl");
+}
+
+/// Video frames in an ordinary window of [`windowed_flow`] and in its one
+/// burst window; every frame is [`PKTS_PER_FRAME`] packets.
+const FRAMES: usize = 25;
+const BURST_FRAMES: usize = 4 * FRAMES;
+const PKTS_PER_FRAME: usize = 4;
+/// Ordinary windows before [`windowed_flow`]'s burst window, and after it.
+const WINDOWS_BEFORE: usize = 60;
+const WINDOWS_AFTER: usize = 20;
+
+/// One flow of 1 100-byte RTP video packets (Teams' lab payload type):
+/// exactly [`FRAMES`] evenly spaced frames in each 1 s window, but
+/// [`BURST_FRAMES`] in window [`WINDOWS_BEFORE`], and a lone closing
+/// frame that seals the last of the [`WINDOWS_AFTER`] that follow.
+fn windowed_flow() -> Vec<TracePacket> {
+    let video_pt = PayloadMap::lab(VcaKind::Teams).video;
+    let plan = [
+        vec![FRAMES; WINDOWS_BEFORE],
+        vec![BURST_FRAMES],
+        vec![FRAMES; WINDOWS_AFTER],
+        vec![1],
+    ]
+    .concat();
+    let mut packets = Vec::new();
+    let (mut seq, mut rtp_ts) = (0u16, 0u32);
+    for (window, &frames) in plan.iter().enumerate() {
+        let frame_us = 1_000_000 / frames;
+        for frame in 0..frames {
+            for k in 0..PKTS_PER_FRAME {
+                let us = window * 1_000_000 + frame * frame_us + k * 200;
+                packets.push(TracePacket {
+                    ts: Timestamp::from_micros(us as i64),
+                    size: 1100,
+                    rtp: Some(RtpHeader::basic(
+                        video_pt,
+                        seq,
+                        rtp_ts,
+                        1,
+                        k + 1 == PKTS_PER_FRAME,
+                    )),
+                    truth_media: None,
+                });
+                seq = seq.wrapping_add(1);
+            }
+            rtp_ts += 90 * frame_us as u32 / 1_000;
+        }
+    }
+    packets
+}
+
+/// README § One engine: "Per-flow state is O(one window's content)".
+/// `state_bytes()` is sampled as each window seals. It stops growing once
+/// the first windows have sized the buffers; a window 4× as full raises
+/// it once, to no more than a fresh engine plus the two 8-byte value logs
+/// at the next power of two above that window's packet count plus
+/// `sets_bound`; and the ordinary windows after it leave it exactly there
+/// — capacity is retained, never compounded.
+fn assert_state_is_one_windows_content<E: QoeEstimator>(
+    mut engine: E,
+    sets_bound: usize,
+    label: &str,
+) {
+    let fresh = engine.state_bytes();
+    let mut out: Vec<WindowReport> = Vec::new();
+    let mut sealed: Vec<(u64, usize)> = Vec::new();
+    for p in &windowed_flow() {
+        engine.push_into(p, &mut out);
+        sealed.extend(out.drain(..).map(|r| (r.window, engine.state_bytes())));
+    }
+    let windows: Vec<u64> = sealed.iter().map(|&(w, _)| w).collect();
+    let expected: Vec<u64> = (0..=(WINDOWS_BEFORE + WINDOWS_AFTER) as u64).collect();
+    assert_eq!(windows, expected, "{label}: one sample per sealed window");
+    let peak = |windows: std::ops::Range<usize>| {
+        let bytes = sealed[windows].iter().map(|&(_, bytes)| bytes);
+        bytes.max().expect("non-empty range")
+    };
+
+    let warm = peak(0..10);
+    assert!(warm > fresh, "{label}: the first windows size the buffers");
+    assert_eq!(
+        peak(10..WINDOWS_BEFORE),
+        warm,
+        "{label}: steady windows grew the state"
+    );
+
+    let burst = sealed[WINDOWS_BEFORE].1;
+    let logs = 16 * (BURST_FRAMES * PKTS_PER_FRAME).next_power_of_two();
+    assert!(
+        burst > warm,
+        "{label}: the burst window did not fit the old buffers"
+    );
+    assert!(
+        burst <= fresh + logs + sets_bound,
+        "{label}: {burst} B after the burst window, bound {fresh} + {logs} + {sets_bound}"
+    );
+    for &(window, bytes) in &sealed[WINDOWS_BEFORE + 1..] {
+        assert_eq!(
+            bytes, burst,
+            "{label}: window {window} moved the high-water mark"
+        );
+    }
+}
+
+#[test]
+fn ipudp_ml_state_is_one_windows_content() {
+    let engine = IpUdpMlEngine::new(EngineConfig::paper(VcaKind::Teams));
+    // The 8 KiB size bitset is allocated at construction: no set grows.
+    assert_state_is_one_windows_content(engine, 0, "IpUdpMl");
+}
+
+#[test]
+fn rtp_ml_state_is_one_windows_content() {
+    let engine = RtpMlEngine::new(
+        EngineConfig::paper(VcaKind::Teams),
+        PayloadMap::lab(VcaKind::Teams),
+    );
+    // Per distinct RTP timestamp: a 16-byte frame entry at the next power
+    // of two, and a 4-byte set slot at no more than twice that.
+    let sets_bound = BURST_FRAMES.next_power_of_two() * (16 + 2 * 4);
+    assert_state_is_one_windows_content(engine, sets_bound, "RtpMl");
 }
 
 /// One event of each variant, with a heuristic and an ML report among

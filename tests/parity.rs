@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
-use vcaml_suite::features::{ipudp_features, windows_by_second, PktObs, StatsMode};
+use vcaml_suite::features::{ipudp_features, windows_by_second, PktObs};
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::engine::{
@@ -235,67 +235,6 @@ fn build_samples_windows_reproducible_by_streaming() {
         }
     }
     let _ = Method::ALL; // the four methods above are exactly Method::ALL
-}
-
-/// Sketch mode (strict O(1) state) must stay within bounded error of the
-/// exact features: identical everywhere except the two P²-estimated
-/// medians.
-#[test]
-fn sketch_mode_bounded_deviation_from_exact() {
-    let vca = VcaKind::Webex;
-    let trace = &corpus(vca, 15, 1)[0];
-    let exact_cfg = EngineConfig::paper(vca);
-    let sketch_cfg = EngineConfig {
-        stats: StatsMode::Sketch,
-        ..exact_cfg
-    };
-    let exact = replay(&mut IpUdpMlEngine::new(exact_cfg), trace, 1);
-    let sketch = replay(&mut IpUdpMlEngine::new(sketch_cfg), trace, 1);
-    for (e, s) in exact.iter().zip(&sketch) {
-        let (ef, sf) = (
-            e.features.as_deref().unwrap(),
-            s.features.as_deref().unwrap(),
-        );
-        for i in 0..ef.len() {
-            match i {
-                // Medians come from the P² sketch. Per-window IAT
-                // distributions are strongly bimodal (sub-ms intra-burst
-                // gaps vs ~30 ms inter-frame gaps), where P²'s guarantee
-                // is containment in the observed range, not a relative
-                // error bound.
-                4 | 9 => {
-                    let (lo, hi) = (ef[i + 1], ef[i + 2]); // matching min/max
-                    assert!(
-                        sf[i] >= lo - 1e-9 && sf[i] <= hi + 1e-9,
-                        "window {} feature {i}: sketch median {} outside [{lo}, {hi}]",
-                        e.window,
-                        sf[i]
-                    );
-                }
-                // Stdevs use Welford instead of the two-pass formula.
-                3 | 8 => {
-                    let tol = 1e-6 * ef[i].abs().max(1.0);
-                    assert!(
-                        (ef[i] - sf[i]).abs() <= tol,
-                        "window {} feature {i}: exact {} vs sketch {}",
-                        e.window,
-                        ef[i],
-                        sf[i]
-                    );
-                }
-                _ => {
-                    let tol = 1e-9 * ef[i].abs().max(1.0);
-                    assert!(
-                        (ef[i] - sf[i]).abs() <= tol,
-                        "window {} feature {i}: exact {} vs sketch {}",
-                        e.window,
-                        ef[i],
-                        sf[i]
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// A FlowTable fed three interleaved calls must reproduce, per flow, the
