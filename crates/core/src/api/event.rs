@@ -245,7 +245,6 @@ impl QoeEvent {
     }
 
     /// Appends the [`QoeEvent::to_json_line`] object to `out`.
-    // lint: hot_path
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
         json::str(o.key("type"), self.tag());

@@ -126,7 +126,6 @@ struct GapGuard {
 }
 
 impl GapGuard {
-    // lint: hot_path
     fn check(&mut self, clock: u64, started: bool, w: u64) -> GapVerdict {
         if !started || w.abs_diff(clock) <= MAX_WINDOW_GAP {
             // Near the established epoch: any earlier outlier was corrupt.
@@ -176,7 +175,6 @@ pub struct WindowReport {
 impl WindowReport {
     /// Appends this report as a JSON object; `method` is the variant
     /// name (`"RtpHeuristic"`).
-    // lint: hot_path
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
         json::uint(o.key("window"), self.window);
@@ -275,16 +273,13 @@ struct ArrivalCounts {
 }
 
 impl ArrivalCounts {
-    // lint: hot_path
     fn bump(&mut self, window: u64) {
         match self.counts.binary_search_by_key(&window, |&(w, _)| w) {
             Ok(i) => self.counts[i].1 += 1,
-            // lint: allow(hot-path-alloc) -- counts is bounded by the drain lookback; capacity is warmed after the first windows
             Err(i) => self.counts.insert(i, (window, 1)),
         }
     }
 
-    // lint: hot_path
     fn take(&mut self, window: u64) -> usize {
         match self.counts.binary_search_by_key(&window, |&(w, _)| w) {
             Ok(i) => self.counts.remove(i).1,
@@ -292,7 +287,6 @@ impl ArrivalCounts {
         }
     }
 
-    // lint: hot_path
     fn peek(&self, window: u64) -> usize {
         match self.counts.binary_search_by_key(&window, |&(w, _)| w) {
             Ok(i) => self.counts[i].1,
@@ -357,7 +351,6 @@ impl HeuristicState {
     /// Window index for a non-negative microsecond timestamp, memoized
     /// on the window of the previous lookup.
     #[inline]
-    // lint: hot_path
     fn memo_map(&mut self, us: i64) -> u64 {
         if us >= self.memo_lo && us < self.memo_hi {
             return self.memo_w;
@@ -372,7 +365,6 @@ impl HeuristicState {
     /// Window index for a timestamp, or `None` for negative timestamps
     /// (outside every window).
     #[inline]
-    // lint: hot_path
     fn window_of(&mut self, ts: Timestamp) -> Option<u64> {
         let us = ts.as_micros();
         (us >= 0).then(|| self.memo_map(us))
@@ -380,7 +372,6 @@ impl HeuristicState {
 
     /// Classifies a packet's window against the bounded emission gap
     /// ([`MAX_WINDOW_GAP`]): process, quarantine-drop, or re-anchor.
-    // lint: hot_path
     fn gap_check(&mut self, w: u64) -> GapVerdict {
         self.gap.check(self.clock, self.started, w)
     }
@@ -395,7 +386,6 @@ impl HeuristicState {
     }
 
     /// Advances the clock for one accepted packet in window `w`.
-    // lint: hot_path
     fn observe(&mut self, w: u64) {
         if !self.started {
             self.started = true;
@@ -408,7 +398,6 @@ impl HeuristicState {
     /// Emits every window that is final — arrivals have moved past it and
     /// no still-open frame (bounded below by `min_open_end`) could seal
     /// into it — appending into `out`.
-    // lint: hot_path
     fn drain_safe_into(
         &mut self,
         min_open_end: Option<Timestamp>,
@@ -530,7 +519,6 @@ impl<S: FrameSource> HeuristicDriver<S> {
 
     /// Offers freshly sealed frames from `self.sealed` to the windower,
     /// clearing the scratch buffer.
-    // lint: hot_path
     fn offer_sealed(&mut self) {
         for &(id, ref frame) in &self.sealed {
             self.state.windower.offer(id, frame);
@@ -540,7 +528,6 @@ impl<S: FrameSource> HeuristicDriver<S> {
 
     /// Converts windows drained into `self.drained` to reports, clearing
     /// the scratch buffer.
-    // lint: hot_path
     fn report_drained(&mut self, out: &mut Vec<WindowReport>) {
         let method = self.method;
         // (index loop: `drained` and `state` are disjoint fields, but the
@@ -552,7 +539,6 @@ impl<S: FrameSource> HeuristicDriver<S> {
         self.drained.clear();
     }
 
-    // lint: hot_path
     fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
         let Some(w) = self.state.window_of(pkt.ts) else {
             return;
@@ -611,7 +597,6 @@ struct IpUdpSource {
 }
 
 impl FrameSource for IpUdpSource {
-    // lint: hot_path
     fn accept_into(&mut self, pkt: &TracePacket, sealed: &mut Vec<(u64, Frame)>) -> bool {
         if !self.classifier.is_video(pkt) {
             return false;
@@ -640,7 +625,6 @@ struct RtpSource {
 }
 
 impl FrameSource for RtpSource {
-    // lint: hot_path
     fn accept_into(&mut self, pkt: &TracePacket, sealed: &mut Vec<(u64, Frame)>) -> bool {
         let Some(h) = pkt
             .rtp
@@ -693,7 +677,6 @@ impl QoeEstimator for IpUdpHeuristicEngine {
         Method::IpUdpHeuristic
     }
 
-    // lint: hot_path
     fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
         self.driver.push_into(pkt, out)
     }
@@ -742,7 +725,6 @@ impl QoeEstimator for RtpHeuristicEngine {
         Method::RtpHeuristic
     }
 
-    // lint: hot_path
     fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
         self.driver.push_into(pkt, out)
     }
@@ -791,7 +773,6 @@ impl MlWindowClock {
     }
 
     /// Re-anchors the current-window bounds memo after `current` moved.
-    // lint: hot_path
     fn rememo(&mut self) {
         self.cur_lo = self.current as i64 * self.window_us;
         self.cur_hi = self.cur_lo + self.window_us;
@@ -803,7 +784,6 @@ impl MlWindowClock {
     /// quarantined far-future jump — see [`MAX_WINDOW_GAP`]). A
     /// corroborated discontinuity finalizes only the in-progress window,
     /// then skips to the new window without per-window reports.
-    // lint: hot_path
     fn advance(&mut self, ts: Timestamp) -> Option<std::ops::Range<u64>> {
         let us = ts.as_micros();
         if us < 0 {
@@ -919,13 +899,11 @@ impl QoeEstimator for IpUdpMlEngine {
         Method::IpUdpMl
     }
 
-    // lint: hot_path
     fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
         let Some(emit) = self.clock.advance(pkt.ts) else {
             return;
         };
         for w in emit {
-            // lint: allow(hot-path-alloc-transitive) -- per-window snapshot; amortized across every packet in the window
             let r = self.emit_window(w);
             out.push(r);
         }
@@ -1041,13 +1019,11 @@ impl QoeEstimator for RtpMlEngine {
         Method::RtpMl
     }
 
-    // lint: hot_path
     fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
         let Some(emit) = self.clock.advance(pkt.ts) else {
             return;
         };
         for w in emit {
-            // lint: allow(hot-path-alloc-transitive) -- per-window snapshot; amortized across every packet in the window
             let r = self.emit_window(w);
             out.push(r);
         }
@@ -1235,7 +1211,6 @@ impl<E> FlowShard<E> {
     }
 
     #[inline]
-    // lint: hot_path
     fn home(&self, hash: u64) -> usize {
         // Bits 16.. seed the probe: low bits route workers, top bits
         // route shards.
@@ -1244,7 +1219,6 @@ impl<E> FlowShard<E> {
 
     /// Finds the slot holding `key`, if present.
     #[inline]
-    // lint: hot_path
     fn find_slot(&self, hash: u64, key: &FlowKey) -> Option<usize> {
         if self.entries.is_empty() {
             return None;
@@ -1266,7 +1240,6 @@ impl<E> FlowShard<E> {
 
     /// Index into `entries` for `key`, if present.
     #[inline]
-    // lint: hot_path
     fn find(&self, hash: u64, key: &FlowKey) -> Option<usize> {
         self.find_slot(hash, key)
             .map(|slot| self.slots[slot] as usize)
@@ -1403,7 +1376,6 @@ impl<E: QoeEstimator> FlowTable<E> {
     /// toward `ts` (bounded by one idle timeout per call, like
     /// [`Self::push_hashed_into`]) — the facade's per-packet lookup,
     /// which needs the entry's bookkeeping hot before pushing.
-    // lint: hot_path
     pub fn get_mut_seen_hashed(
         &mut self,
         hash: u64,
@@ -1435,7 +1407,6 @@ impl<E: QoeEstimator> FlowTable<E> {
     /// sight), appending that flow's finalized windows into `out` — the
     /// zero-alloc per-packet entry point. `hash` is the key's
     /// [`FlowKey::hash64`].
-    // lint: hot_path
     pub fn push_hashed_into(
         &mut self,
         hash: u64,

@@ -97,7 +97,6 @@ impl IpUdpAssembler {
     /// Frame sizes subtract the 40-byte IP/UDP and 12-byte fixed RTP
     /// overheads per packet, as the paper's bitrate accounting does
     /// (§5.1.3).
-    // lint: hot_path
     pub fn push_into(&mut self, ts: Timestamp, size: u16, sealed: &mut Vec<(u64, Frame)>) -> u64 {
         let payload = usize::from(size).saturating_sub(52).max(1);
         // Compare with up to Nmax previous packets, most recent first.

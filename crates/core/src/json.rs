@@ -26,7 +26,6 @@ fn needs_escape(b: u8) -> bool {
 /// control below 0x20 as `\u00XX`, everything else as is. One scan, and
 /// one copy when nothing needs escaping. Inlined, as [`Object::key`] is:
 /// most callers pass a literal, whose length the copy then knows.
-// lint: hot_path
 #[inline]
 pub(crate) fn str(out: &mut String, s: &str) {
     out.push('"');
@@ -39,7 +38,6 @@ pub(crate) fn str(out: &mut String, s: &str) {
 }
 
 /// The inside of a string that has something to escape in it.
-// lint: hot_path
 fn escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut rest = s;
@@ -74,18 +72,15 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
 
 /// An unsigned integer, exact at any magnitude: digits into a stack
 /// buffer from the low end, two at a time, then one copy.
-// lint: hot_path
 pub(crate) fn uint(out: &mut String, n: u64) {
     digits(out, n, false);
 }
 
 /// A signed integer, exact at any magnitude.
-// lint: hot_path
 pub(crate) fn int(out: &mut String, n: i64) {
     digits(out, n.unsigned_abs(), n < 0);
 }
 
-// lint: hot_path
 fn digits(out: &mut String, magnitude: u64, negative: bool) {
     // A sign and the 20 digits of `u64::MAX` (`i64::MIN` needs 19).
     let mut buf = [0u8; 21];
@@ -117,7 +112,6 @@ fn digits(out: &mut String, magnitude: u64, negative: bool) {
 }
 
 /// `true` or `false`.
-// lint: hot_path
 pub(crate) fn bool(out: &mut String, b: bool) {
     out.push_str(if b { "true" } else { "false" });
 }
@@ -126,7 +120,6 @@ pub(crate) fn bool(out: &mut String, b: bool) {
 /// NaN or infinity), integral ones below 9e15 in magnitude print as
 /// integers (`30`, and `-0.0` as `0`), the rest as `f64`'s shortest
 /// round-trip `Display`.
-// lint: hot_path
 pub(crate) fn float(out: &mut String, x: f64) {
     if !x.is_finite() {
         out.push_str("null");
@@ -155,7 +148,6 @@ pub(crate) fn fixed(out: &mut String, x: f64, decimals: usize) {
 
 /// A flow as a string: the key's text form
 /// ([`FlowKey::write_text`]), which has nothing in it to escape.
-// lint: hot_path
 pub(crate) fn flow(out: &mut String, flow: &FlowKey) {
     out.push('"');
     // Writing into a `String` cannot fail.
@@ -164,7 +156,6 @@ pub(crate) fn flow(out: &mut String, flow: &FlowKey) {
 }
 
 /// `null` for `None`, otherwise whatever `some` writes.
-// lint: hot_path
 pub(crate) fn opt<T>(out: &mut String, value: Option<T>, some: impl FnOnce(&mut String, T)) {
     match value {
         Some(v) => some(out, v),
@@ -173,7 +164,6 @@ pub(crate) fn opt<T>(out: &mut String, value: Option<T>, some: impl FnOnce(&mut 
 }
 
 /// An array with one value per item, written by `each`.
-// lint: hot_path
 pub(crate) fn array<T>(
     out: &mut String,
     items: impl IntoIterator<Item = T>,
@@ -197,13 +187,11 @@ pub(crate) struct Object<'a> {
 }
 
 impl<'a> Object<'a> {
-    // lint: hot_path
     pub(crate) fn begin(out: &'a mut String) -> Self {
         out.push('{');
         Object { out, empty: true }
     }
 
-    // lint: hot_path
     fn separate(&mut self) {
         if !std::mem::take(&mut self.empty) {
             self.out.push(',');
@@ -213,7 +201,6 @@ impl<'a> Object<'a> {
     /// Writes `"key":` and hands back the buffer for the member's value.
     /// Keys are the program's own words — field names, reason tags,
     /// method slugs — and are pushed as they are, with no escape scan.
-    // lint: hot_path
     #[inline]
     pub(crate) fn key(&mut self, key: &'static str) -> &mut String {
         debug_assert!(!key.bytes().any(needs_escape));
@@ -225,7 +212,6 @@ impl<'a> Object<'a> {
     }
 
     /// [`Object::key`] for a member named after a flow.
-    // lint: hot_path
     pub(crate) fn flow_key(&mut self, key: &FlowKey) -> &mut String {
         self.separate();
         flow(self.out, key);
@@ -233,7 +219,6 @@ impl<'a> Object<'a> {
         self.out
     }
 
-    // lint: hot_path
     pub(crate) fn end(self) {
         self.out.push('}');
     }

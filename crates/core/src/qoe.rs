@@ -24,7 +24,6 @@ pub struct QoeEstimate {
 
 impl QoeEstimate {
     /// Appends this estimate as a JSON object.
-    // lint: hot_path
     pub(crate) fn write_json(&self, out: &mut String) {
         let mut o = json::Object::begin(out);
         json::float(o.key("bitrate_kbps"), self.bitrate_kbps);
@@ -88,7 +87,6 @@ impl QoeWindower {
 
     /// Offers one sealed frame (`id` in creation order, used to break
     /// end-time ties deterministically).
-    // lint: hot_path
     pub fn offer(&mut self, id: u64, frame: &Frame) {
         if let Some(w) = self.window_of(frame.end_ts) {
             debug_assert!(w >= self.next_emit, "frame sealed into an emitted window");
@@ -105,7 +103,6 @@ impl QoeWindower {
                         std::cmp::Ordering::Less => {
                             let mut frames = self.spare.pop().unwrap_or_default();
                             frames.push(entry);
-                            // lint: allow(hot-path-alloc) -- open is bounded by the window lookback and recycles spare buffers; capacity is warmed
                             self.open.insert(i + 1, (w, frames));
                             return;
                         }

@@ -61,7 +61,6 @@ impl RtpAssembler {
     /// Frame sizes count RTP payload bytes (IP total length minus the 52
     /// bytes of IP/UDP/RTP headers), matching the heuristic bitrate
     /// accounting.
-    // lint: hot_path
     pub fn push_into(
         &mut self,
         ts: Timestamp,

@@ -134,7 +134,6 @@ impl<W: Write> JsonLinesSink<W> {
 }
 
 impl<W: Write> EventSink for JsonLinesSink<W> {
-    // lint: hot_path
     fn on_event(&mut self, event: &Arc<QoeEvent>) {
         self.line.clear();
         event.write_json(&mut self.line);

@@ -92,7 +92,6 @@ impl StatAcc {
 
     /// Every statistic is deferred to the once-per-seal `five` pass; the
     /// per-packet cost is one append.
-    // lint: hot_path
     fn push(&mut self, raw: i64) {
         self.vals.push(raw);
     }
@@ -187,7 +186,6 @@ impl FlowFeatureAcc {
     /// Offers one packet (arrival order). Byte and packet totals are
     /// derived from the size stream at seal time, keeping this hot call
     /// to two appends and a timestamp save.
-    // lint: hot_path
     pub fn push(&mut self, ts: Timestamp, size: u16) {
         self.sizes.push(i64::from(size));
         if let Some(prev) = self.prev_ts {
@@ -261,7 +259,6 @@ impl IpUdpFeatureAcc {
     }
 
     /// Offers one video-classified packet (arrival order).
-    // lint: hot_path
     pub fn push(&mut self, ts: Timestamp, size: u16) {
         self.flow.push(ts, size);
         let (word, bit) = (usize::from(size) / 64, usize::from(size) % 64);

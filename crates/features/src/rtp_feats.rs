@@ -89,9 +89,7 @@ impl RtpWindowAcc {
     }
 
     /// Offers one video-stream packet (arrival order).
-    // lint: hot_path
     pub fn push_video(&mut self, t: Timestamp, h: &RtpHeader) {
-        // lint: allow(hot-path-alloc) -- the set's capacity survives reset(), so this allocates only when a window holds more distinct timestamps than any before it (tests/hot_path.rs)
         self.vid_ts.insert(h.timestamp);
         if h.marker {
             self.marker_vid += 1;
@@ -120,9 +118,7 @@ impl RtpWindowAcc {
     }
 
     /// Offers one retransmission-stream packet (arrival order).
-    // lint: hot_path
     pub fn push_rtx(&mut self, _t: Timestamp, h: &RtpHeader) {
-        // lint: allow(hot-path-alloc) -- the set's capacity survives reset(), so this allocates only when a window holds more distinct timestamps than any before it (tests/hot_path.rs)
         self.rtx_ts.insert(h.timestamp);
         if h.marker {
             self.marker_rtx += 1;

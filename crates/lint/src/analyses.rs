@@ -1,30 +1,28 @@
 //! The interprocedural analyses over the workspace call graph
-//! ([`crate::graph`]): transitive hot-path allocation, panic
-//! reachability from hot roots, held-guard propagation across calls,
-//! and the global lock-order graph with cycle (deadlock) detection.
+//! ([`crate::graph`]): held-guard propagation across calls, and the
+//! global lock-order graph with cycle (deadlock) detection.
 //!
-//! All four share one shape: **local facts** are extracted per
-//! function (allocation sites, panic sites, blocking sites, lock
-//! acquisitions), then propagated **bottom-up** over the SCC-condensed
-//! call graph (Tarjan emission order is callees-first; within an SCC a
-//! bounded fixpoint runs). Every finding carries a witness chain
-//! `root (file:line) → helper (file:line) → .to_vec() (file:line)`.
+//! Both share one shape: **local facts** are extracted per function
+//! (blocking sites, lock acquisitions), then propagated **bottom-up**
+//! over the SCC-condensed call graph (Tarjan emission order is
+//! callees-first; within an SCC a bounded fixpoint runs). Every finding
+//! carries a witness chain
+//! `caller (file:line) → helper (file:line) → .recv() (file:line)`.
 //!
 //! ## Suppression model
 //!
-//! * A **site** allow kills the fact at its source: an allocation line
-//!   allowed for `hot-path-alloc` (or `-transitive`) contributes no
-//!   transitive fact; a panic line allowed for `no-unwrap-in-lib` (or
-//!   `panic-path`) likewise — a justified local allow means there is
-//!   nothing to upgrade.
+//! * A **site** allow kills the fact at its source: a blocking line
+//!   allowed for `lock-discipline` (or `-transitive`) contributes no
+//!   transitive fact — a justified local allow means there is nothing
+//!   to propagate.
 //! * An **edge** allow cuts propagation: an allow on a *call-site*
 //!   line (for the transitive rule) severs that edge for both summary
 //!   propagation and reporting — the per-edge escape hatch.
 
 use crate::graph::{CallEdge, Graph};
-use crate::model::{FileModel, FileRole};
+use crate::model::FileModel;
 use crate::report::Finding;
-use crate::rules::{alloc_at, is_wait_point, severity, walk_guards, GuardEvent};
+use crate::rules::{is_wait_point, severity, walk_guards, GuardEvent};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A local fact site: line + display form for witness chains.
@@ -37,11 +35,6 @@ struct Site {
 /// Per-node local facts.
 #[derive(Default)]
 struct Facts {
-    /// Allocation sites (suppressed sites excluded).
-    alloc: Vec<Site>,
-    /// Panic sites: `.unwrap()` / `.expect()` / `panic!` in library
-    /// code (suppressed sites excluded).
-    panic: Vec<Site>,
     /// Blocking sites: `.send()` / `.recv()` / `.wait()`…
     wait: Vec<Site>,
     /// Lock acquisitions: (normalized lock id, site).
@@ -63,42 +56,11 @@ enum Reason {
     Via { line: u32, to: usize },
 }
 
-/// Runs all four graph analyses (honoring rule selection) and appends
+/// Runs both graph analyses (honoring rule selection) and appends
 /// findings.
 pub(crate) fn run(files: &[FileModel], graph: &Graph, selected: &[String], out: &mut Vec<Finding>) {
     let on = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
     let facts = collect_facts(files, graph);
-    if on("hot-path-alloc-transitive") {
-        let reasons = propagate(
-            files,
-            graph,
-            &facts,
-            |f| &f.alloc,
-            &["hot-path-alloc-transitive", "hot-path-alloc"],
-        );
-        report_hot_roots(
-            files,
-            graph,
-            &reasons,
-            "hot-path-alloc-transitive",
-            &["hot-path-alloc-transitive", "hot-path-alloc"],
-            "reaches an allocation",
-            out,
-        );
-    }
-    if on("panic-path") {
-        let reasons = propagate(files, graph, &facts, |f| &f.panic, &["panic-path"]);
-        report_hot_roots(
-            files,
-            graph,
-            &reasons,
-            "panic-path",
-            &["panic-path"],
-            "reaches a panic site",
-            out,
-        );
-        report_local_panics_in_hot(files, graph, &facts, out);
-    }
     let lock_rules: &[&str] = &["lock-discipline-transitive", "lock-discipline"];
     if on("lock-discipline-transitive") {
         let reasons = propagate(files, graph, &facts, |f| &f.wait, lock_rules);
@@ -129,35 +91,6 @@ fn collect_facts(files: &[FileModel], graph: &Graph) -> Vec<Facts> {
                 continue;
             }
             let line = toks[i].line;
-            if let Some((display, _)) = alloc_at(toks, i) {
-                if !f.allowed("hot-path-alloc", line)
-                    && !f.allowed("hot-path-alloc-transitive", line)
-                {
-                    facts.alloc.push(Site {
-                        line,
-                        desc: format!("`{display}`"),
-                    });
-                }
-            }
-            if f.role == FileRole::Lib {
-                let t = &toks[i];
-                let panic_desc = if (t.is_ident("unwrap") || t.is_ident("expect"))
-                    && i >= 1
-                    && toks[i - 1].is_punct('.')
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-                {
-                    Some(format!("`.{}()`", t.text))
-                } else if t.is_ident("panic") && toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-                    Some("`panic!`".to_string())
-                } else {
-                    None
-                };
-                if let Some(desc) = panic_desc {
-                    if !f.allowed("no-unwrap-in-lib", line) && !f.allowed("panic-path", line) {
-                        facts.panic.push(Site { line, desc });
-                    }
-                }
-            }
             if is_wait_point(toks, i)
                 && !f.allowed("lock-discipline", line)
                 && !f.allowed("lock-discipline-transitive", line)
@@ -287,83 +220,6 @@ fn chain_for(
                 n = *to;
             }
             None => return out, // unreachable by construction
-        }
-    }
-}
-
-/// Findings for hot roots whose callees carry the property: one
-/// finding per offending edge (so a per-edge allow silences exactly
-/// that edge), anchored at the call-site line.
-fn report_hot_roots(
-    files: &[FileModel],
-    graph: &Graph,
-    reasons: &[Option<Reason>],
-    rule: &'static str,
-    cut_rules: &[&str],
-    what: &str,
-    out: &mut Vec<Finding>,
-) {
-    for (n, node) in graph.nodes.iter().enumerate() {
-        if !node.hot || node.test {
-            continue;
-        }
-        let f = &files[node.file];
-        for e in &graph.out[n] {
-            if edge_cut(files, graph, e, cut_rules) || reasons[e.to].is_none() {
-                continue;
-            }
-            let chain = chain_for(files, graph, reasons, n, e);
-            out.push(Finding {
-                rule,
-                severity: severity(rule),
-                file: f.path.clone(),
-                line: e.line,
-                message: format!(
-                    "hot path `{}` {} through `{}`: {}",
-                    node.label(),
-                    what,
-                    graph.nodes[e.to].label(),
-                    chain.join(" → ")
-                ),
-                snippet: f.snippet(e.line),
-                chain,
-            });
-        }
-    }
-}
-
-/// `panic-path` also covers the degenerate chain: a panic site *in*
-/// the hot fn itself upgrades the `no-unwrap-in-lib` warning to an
-/// error (suppressed sites carry no fact, hence no upgrade).
-fn report_local_panics_in_hot(
-    files: &[FileModel],
-    graph: &Graph,
-    facts: &[Facts],
-    out: &mut Vec<Finding>,
-) {
-    for (n, node) in graph.nodes.iter().enumerate() {
-        if !node.hot || node.test {
-            continue;
-        }
-        let f = &files[node.file];
-        for site in &facts[n].panic {
-            let chain = vec![
-                format!("{} ({}:{})", node.label(), f.path, site.line),
-                format!("{} ({}:{})", site.desc, f.path, site.line),
-            ];
-            out.push(Finding {
-                rule: "panic-path",
-                severity: severity("panic-path"),
-                file: f.path.clone(),
-                line: site.line,
-                message: format!(
-                    "{} in hot path `{}` — a per-packet panic is an outage, not a bug report",
-                    site.desc,
-                    node.label()
-                ),
-                snippet: f.snippet(site.line),
-                chain,
-            });
         }
     }
 }
@@ -588,99 +444,71 @@ mod tests {
     }
 
     #[test]
-    fn transitive_alloc_flagged_with_chain() {
-        let src = "\
-// lint: hot_path
-fn root(x: u32) { helper(x); }
-fn helper(x: u32) { let s = x.to_string(); }
-";
-        let f = findings(src);
-        let hit = f
-            .iter()
-            .find(|f| f.rule == "hot-path-alloc-transitive")
-            .expect("transitive finding");
-        assert_eq!(hit.line, 2);
-        assert_eq!(hit.chain.len(), 3);
-        assert!(hit.chain[0].starts_with("root "));
-        assert!(hit.chain[1].starts_with("helper "));
-        assert!(hit.chain[2].contains(".to_string()"));
-    }
-
-    #[test]
     fn two_level_chain_resolves() {
         let src = "\
-// lint: hot_path
-fn root() { mid(); }
-fn mid() { leaf(); }
-fn leaf() { let v = Vec::new(); }
+fn root(m: &Mutex<u32>, rx: &Receiver<u32>) {
+    let g = m.lock().ok();
+    mid(rx);
+}
+fn mid(rx: &Receiver<u32>) { leaf(rx); }
+fn leaf(rx: &Receiver<u32>) { let _ = rx.recv(); }
 ";
         let f = findings(src);
         let hit = f
             .iter()
-            .find(|f| f.rule == "hot-path-alloc-transitive")
+            .find(|f| f.rule == "lock-discipline-transitive")
             .expect("transitive finding");
+        assert_eq!(hit.line, 3);
         assert_eq!(hit.chain.len(), 4);
-        assert!(hit.chain[3].contains("Vec::new"));
+        assert!(hit.chain[0].starts_with("root "));
+        assert!(hit.chain[1].starts_with("mid "));
+        assert!(hit.chain[2].starts_with("leaf "));
+        assert!(hit.chain[3].contains(".recv()"));
     }
 
     #[test]
     fn edge_allow_cuts_propagation() {
         let src = "\
-// lint: hot_path
-fn root() {
-    helper(); // lint: allow(hot-path-alloc-transitive) -- seal path, cold by contract
+fn root(m: &Mutex<u32>, rx: &Receiver<u32>) {
+    let g = m.lock().ok();
+    mid(rx);
 }
-fn helper() { let s = a.to_owned(); }
+fn mid(rx: &Receiver<u32>) {
+    leaf(rx); // lint: allow(lock-discipline-transitive) -- the sender is dropped first
+}
+fn leaf(rx: &Receiver<u32>) { let _ = rx.recv(); }
 ";
         let f = findings(src);
-        assert!(!f.iter().any(|f| f.rule == "hot-path-alloc-transitive"));
+        assert!(!f.iter().any(|f| f.rule == "lock-discipline-transitive"));
     }
 
     #[test]
     fn site_allow_kills_the_fact() {
         let src = "\
-// lint: hot_path
-fn root() { helper(); }
-fn helper() {
-    let s = a.to_owned(); // lint: allow(hot-path-alloc) -- warmup only
+fn root(m: &Mutex<u32>, rx: &Receiver<u32>) {
+    let g = m.lock().ok();
+    helper(rx);
+}
+fn helper(rx: &Receiver<u32>) {
+    let _ = rx.recv(); // lint: allow(lock-discipline) -- the sender is dropped first
 }
 ";
         let f = findings(src);
-        assert!(!f.iter().any(|f| f.rule == "hot-path-alloc-transitive"));
+        assert!(!f.iter().any(|f| f.rule == "lock-discipline-transitive"));
     }
 
     #[test]
     fn recursion_scc_converges() {
         let src = "\
-// lint: hot_path
-fn root() { a(); }
-fn a() { b(); }
-fn b() { a(); let v = vec![1]; }
+fn root(m: &Mutex<u32>, rx: &Receiver<u32>) {
+    let g = m.lock().ok();
+    a(rx);
+}
+fn a(rx: &Receiver<u32>) { b(rx); }
+fn b(rx: &Receiver<u32>) { a(rx); let _ = rx.recv(); }
 ";
         let f = findings(src);
-        assert!(f.iter().any(|f| f.rule == "hot-path-alloc-transitive"));
-    }
-
-    #[test]
-    fn panic_path_upgrades_and_chains() {
-        let src = "\
-// lint: hot_path
-fn root(x: Option<u32>) { helper(x); x.expect(\"set\"); }
-fn helper(x: Option<u32>) { x.unwrap(); }
-";
-        let f = findings(src);
-        // Transitive: root → helper → .unwrap()
-        let trans = f
-            .iter()
-            .find(|f| f.rule == "panic-path" && !f.chain.is_empty() && f.chain.len() == 3)
-            .expect("transitive panic finding");
-        assert!(trans.chain[2].contains(".unwrap()"));
-        // Local upgrade: .expect() in the hot fn itself.
-        assert!(f
-            .iter()
-            .any(|f| f.rule == "panic-path" && f.line == 2 && f.message.contains(".expect()")));
-        // The warning-level rule still fires alongside.
-        assert!(f.iter().any(|f| f.rule == "no-unwrap-in-lib"));
+        assert!(f.iter().any(|f| f.rule == "lock-discipline-transitive"));
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub struct FnNode {
     pub owner: Option<String>,
     pub trait_name: Option<String>,
     pub line: u32,
-    pub hot: bool,
     pub test: bool,
     pub role: FileRole,
 }
@@ -284,7 +283,6 @@ impl Graph {
                     owner: fun.owner.clone(),
                     trait_name: fun.trait_name.clone(),
                     line: fun.line,
-                    hot: fun.hot,
                     test: fun.test,
                     role: f.role,
                 });
@@ -317,14 +315,13 @@ impl Graph {
         for (i, n) in self.nodes.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"id\": {}, \"fn\": {}, \"owner\": {}, \"trait\": {}, \"file\": {}, \
-                 \"line\": {}, \"hot\": {}, \"test\": {}}}{}\n",
+                 \"line\": {}, \"test\": {}}}{}\n",
                 i,
                 jstr(&n.name),
                 opt_jstr(n.owner.as_deref()),
                 opt_jstr(n.trait_name.as_deref()),
                 jstr(&files[n.file].path),
                 n.line,
-                n.hot,
                 n.test,
                 comma(i, self.nodes.len())
             ));

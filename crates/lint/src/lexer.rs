@@ -1,7 +1,7 @@
 //! A small hand-rolled Rust lexer, exactly deep enough for rule
 //! matching: it separates code tokens from comments, strings, raw
 //! strings, char literals, and lifetimes, so a banned API name inside a
-//! string literal or a commented-out allocation can never trip a rule.
+//! string literal or a commented-out `.unwrap()` can never trip a rule.
 //!
 //! The lexer is intentionally not a parser: it produces a flat token
 //! stream with line numbers plus a side list of comments (the carrier
@@ -473,7 +473,7 @@ mod tests {
     fn punctuation_char_literals_do_not_open_strings() {
         // `'"'` must lex as a char literal, not a lifetime followed by
         // a string that swallows the rest of the file.
-        let lexed = lex("let q = '\"'; let b = '{'; let s = \" // lint: hot_path \"; done");
+        let lexed = lex("let q = '\"'; let b = '{'; let s = \" // lint: allow(x) \"; done");
         let chars = lexed
             .tokens
             .iter()

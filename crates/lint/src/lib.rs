@@ -1,12 +1,15 @@
 //! # vcaml-lint — in-repo static analysis for the vcaml workspace
 //!
-//! A workspace-aware linter that machine-checks the invariants the
-//! runtime suites can only spot-check dynamically: the zero-allocation
-//! hot path (`hot-path-alloc`), lock/channel ordering
-//! (`lock-discipline`), panic-freedom of library code
+//! A workspace-aware linter for the invariants no runtime suite
+//! checks: lock/channel ordering, locally and through the call graph
+//! (`lock-discipline`, `lock-discipline-transitive`,
+//! `lock-order-cycle`), panic-freedom of library code
 //! (`no-unwrap-in-lib`), exhaustive event handling
-//! (`exhaustive-events`), and the documented stability surface
-//! (`stability-surface`). Findings are typed ([`report::Finding`]) and
+//! (`exhaustive-events`), the documented stability surface
+//! (`stability-surface`), and the well-formedness of its own `// lint:`
+//! annotations (`annotation-grammar`). The zero-allocation hot path is
+//! not among them: `tests/hot_path.rs` meters it with a counting
+//! allocator. Findings are typed ([`report::Finding`]) and
 //! emitted as a terminal table plus a structured JSON report with
 //! CI-meaningful exit codes: 0 clean, 1 findings, 2 usage/IO error.
 //!

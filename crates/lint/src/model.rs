@@ -4,15 +4,12 @@
 //!
 //! ## Annotation grammar
 //!
-//! * `// lint: hot_path` — standalone comment line: marks the **next
-//!   `fn` item** as a hot region for the `hot-path-alloc` rule
-//!   (doc comments and attributes may sit between the annotation and
-//!   the `fn`).
-//! * `// lint: allow(<rule>[, <rule>…]) -- <reason>` — suppresses the
-//!   named rule(s). Trailing on a code line it applies to that line;
-//!   standalone it applies to the next code line. The `-- <reason>`
-//!   justification is mandatory: an allow without one is itself a
-//!   finding (`annotation-grammar`).
+//! `// lint: allow(<rule>[, <rule>…]) -- <reason>` is the one
+//! directive: it suppresses the named rule(s). Trailing on a code line
+//! it applies to that line; standalone it applies to the next code
+//! line. Every name must be one of [`crate::rules::ALL_RULES`] and the
+//! `-- <reason>` justification is mandatory: an allow breaking either
+//! is itself a finding (`annotation-grammar`) and suppresses nothing.
 
 use crate::lexer::{lex, Comment, DocKind, Lexed, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,8 +49,6 @@ pub struct FnSpan {
     pub owner: Option<String>,
     /// Trait name when the enclosing impl is `impl Trait for Type`.
     pub trait_name: Option<String>,
-    /// Marked `// lint: hot_path`.
-    pub hot: bool,
     /// Inside a `#[cfg(test)]` region or carrying `#[test]`.
     pub test: bool,
 }
@@ -69,7 +64,7 @@ pub struct FileModel {
     /// `line -> rules allowed on that line` (already resolved from
     /// standalone/trailing placement).
     pub allows: BTreeMap<u32, BTreeSet<String>>,
-    /// Lines of `lint: allow` annotations missing the `-- reason`.
+    /// Lines of malformed `// lint:` annotations.
     pub bad_allows: Vec<u32>,
     /// Token ranges (exclusive of braces) that are test-only code.
     pub test_regions: Vec<std::ops::Range<usize>>,
@@ -152,10 +147,10 @@ pub fn build(path_for_display: &str, fs_path: &Path, src: &str) -> FileModel {
         FileRole::Lib
     };
 
-    let (allows, bad_allows, hot_lines) = parse_annotations(&comments, &tokens);
+    let (allows, bad_allows) = parse_annotations(&comments, &tokens);
     let test_regions = find_test_regions(&tokens);
     let impls = find_impls(&tokens);
-    let fns = find_fns(&tokens, &hot_lines, &test_regions, &impls);
+    let fns = find_fns(&tokens, &test_regions, &impls);
     let structs = find_structs(&tokens);
     let (unstable_module, stable_items, pub_items) = stability_markers(&comments, &tokens);
 
@@ -396,15 +391,13 @@ pub fn type_base(tokens: &[Token]) -> Option<String> {
 }
 
 /// Extracts `// lint:` annotations. Returns (allow map, malformed
-/// allow lines, hot_path annotation lines).
-#[allow(clippy::type_complexity)]
+/// annotation lines).
 fn parse_annotations(
     comments: &[Comment],
     tokens: &[Token],
-) -> (BTreeMap<u32, BTreeSet<String>>, Vec<u32>, BTreeSet<u32>) {
+) -> (BTreeMap<u32, BTreeSet<String>>, Vec<u32>) {
     let mut allows: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
     let mut bad = Vec::new();
-    let mut hot = BTreeSet::new();
     for c in comments {
         if c.doc != DocKind::Plain {
             continue;
@@ -414,9 +407,7 @@ fn parse_annotations(
             continue;
         };
         let rest = rest.trim();
-        if rest == "hot_path" {
-            hot.insert(c.line);
-        } else if let Some(spec) = rest.strip_prefix("allow(") {
+        if let Some(spec) = rest.strip_prefix("allow(") {
             let Some(close) = spec.find(')') else {
                 bad.push(c.line);
                 continue;
@@ -430,7 +421,10 @@ fn parse_annotations(
             let justified = tail
                 .strip_prefix("--")
                 .is_some_and(|r| !r.trim().is_empty());
-            if rules.is_empty() || !justified {
+            let known = rules
+                .iter()
+                .all(|r| crate::rules::ALL_RULES.contains(&r.as_str()));
+            if rules.is_empty() || !known || !justified {
                 bad.push(c.line);
                 continue;
             }
@@ -448,11 +442,11 @@ fn parse_annotations(
             allows.entry(target).or_default().extend(rules);
         } else {
             // Unknown `lint:` directive — surface it rather than
-            // silently ignoring a typo like `lint: hotpath`.
+            // silently ignoring a typo like `lint: alow(…)`.
             bad.push(c.line);
         }
     }
-    (allows, bad, hot)
+    (allows, bad)
 }
 
 /// Token ranges covered by `#[cfg(test)]` items and `#[test]` fns.
@@ -528,11 +522,9 @@ fn match_bracket(tokens: &[Token], open: usize) -> usize {
     tokens.len()
 }
 
-/// Scans for `fn` items and resolves their bodies, annotations, and
-/// impl ownership.
+/// Scans for `fn` items and resolves their bodies and impl ownership.
 fn find_fns(
     tokens: &[Token],
-    hot_lines: &BTreeSet<u32>,
     test_regions: &[std::ops::Range<usize>],
     impls: &[ImplSpan],
 ) -> Vec<FnSpan> {
@@ -547,12 +539,7 @@ fn find_fns(
                     continue; // `fn(` type position
                 }
             };
-            // A `lint: hot_path` annotation anywhere in the comment gap
-            // above this fn (attributes/docs in between are fine): any
-            // hot line in (prev code line, fn line).
             let fn_line = tokens[i].line;
-            let prev_code_line = prev_item_boundary(tokens, i);
-            let hot = hot_lines.iter().any(|&l| l < fn_line && l > prev_code_line);
             // Body: first `{` before a `;` at bracket level 0.
             let mut j = i + 2;
             let mut body = None;
@@ -601,7 +588,6 @@ fn find_fns(
                     body,
                     owner: enclosing.map(|im| im.owner.clone()),
                     trait_name: enclosing.and_then(|im| im.trait_name.clone()),
-                    hot,
                     test,
                 });
             }
@@ -612,9 +598,8 @@ fn find_fns(
 }
 
 /// Line of the last "real" code token before token `i`, skipping the
-/// attribute soup directly above an item so `// lint: hot_path` can sit
-/// above `#[inline]`. Conservative: walks back over `# [ … ]` groups
-/// only.
+/// attribute soup directly above an item so a doc marker can sit above
+/// `#[inline]`. Conservative: walks back over `# [ … ]` groups only.
 fn prev_item_boundary(tokens: &[Token], i: usize) -> u32 {
     let mut j = i;
     loop {
@@ -778,12 +763,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_annotation_attaches_to_next_fn() {
-        let m =
-            model("// lint: hot_path\n#[inline]\npub fn fast(x: u32) -> u32 { x }\nfn slow() {}\n");
-        assert_eq!(m.fns.len(), 2);
-        assert!(m.fns[0].hot, "annotated fn is hot");
-        assert!(!m.fns[1].hot, "next fn is not");
+    fn hot_path_is_an_unknown_directive() {
+        // Spelled in two pieces so a grep for leftover directives in the
+        // tree stays empty.
+        let m = model(concat!("// lint: ", "hot_path\nfn fast() {}\n"));
+        assert_eq!(m.bad_allows, vec![1]);
+        assert!(m.allows.is_empty());
     }
 
     #[test]
@@ -799,10 +784,10 @@ mod tests {
     #[test]
     fn standalone_allow_applies_to_next_code_line() {
         let m = model(
-            "fn a() {\n    // lint: allow(hot-path-alloc) -- warmup growth\n    v.push(1);\n}\n",
+            "fn a() {\n    // lint: allow(no-unwrap-in-lib) -- set two lines up\n    v.unwrap();\n}\n",
         );
-        assert!(m.allowed("hot-path-alloc", 3));
-        assert!(!m.allowed("hot-path-alloc", 2));
+        assert!(m.allowed("no-unwrap-in-lib", 3));
+        assert!(!m.allowed("no-unwrap-in-lib", 2));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct Finding {
     pub message: String,
     pub snippet: String,
     /// Witness call chain for the interprocedural rules, root first
-    /// (`Engine::push (file:12)` → … → `.to_vec() (file:30)`); empty
+    /// (`Pump::pump (file:12)` → … → `.recv() (file:30)`); empty
     /// for the per-file rules.
     pub chain: Vec<String>,
 }
@@ -377,7 +377,7 @@ mod tests {
         let mut a = finding();
         a.line = 1;
         let mut b = finding();
-        b.rule = "hot-path-alloc";
+        b.rule = "lock-order-cycle";
         b.line = 9;
         let base = report(vec![a.clone(), b]).to_json();
         let mut c = finding();
@@ -387,8 +387,8 @@ mod tests {
         assert!(r.is_regression());
         assert_eq!(r.new_findings.len(), 1);
         assert!(r.new_findings[0].contains(":7"));
-        // hot-path-alloc count went 1 → 0: disappeared-rule anomaly.
-        assert_eq!(r.disappeared_rules, vec!["hot-path-alloc".to_string()]);
+        // lock-order-cycle count went 1 → 0: disappeared-rule anomaly.
+        assert_eq!(r.disappeared_rules, vec!["lock-order-cycle".to_string()]);
     }
 
     #[test]

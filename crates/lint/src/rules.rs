@@ -1,4 +1,4 @@
-//! The rule engine: five repo-grounded rules over [`FileModel`]s, plus
+//! The rule engine: six repo-grounded rules over [`FileModel`]s, plus
 //! the `annotation-grammar` meta-rule. Each rule is a pure function
 //! from model(s) to [`Finding`]s; suppression via
 //! `// lint: allow(<rule>) -- <reason>` is resolved here.
@@ -7,15 +7,12 @@ use crate::lexer::{TokKind, Token};
 use crate::model::{match_brace, FileModel, FileRole};
 use crate::report::{Finding, Severity};
 
-/// Names of all rules, in report order. The four `*-transitive` /
-/// graph rules live in [`crate::analyses`]; the rest are per-file.
+/// Names of all rules, in report order. The two graph rules live in
+/// [`crate::analyses`]; the rest are per-file.
 pub const ALL_RULES: &[&str] = &[
-    "hot-path-alloc",
-    "hot-path-alloc-transitive",
     "lock-discipline",
     "lock-discipline-transitive",
     "lock-order-cycle",
-    "panic-path",
     "no-unwrap-in-lib",
     "exhaustive-events",
     "stability-surface",
@@ -27,9 +24,6 @@ pub fn run_all(files: &[FileModel], selected: &[String]) -> Vec<Finding> {
     let on = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
     let mut findings = Vec::new();
     for f in files {
-        if on("hot-path-alloc") {
-            hot_path_alloc(f, &mut findings);
-        }
         if on("lock-discipline") {
             lock_discipline(f, &mut findings);
         }
@@ -46,15 +40,7 @@ pub fn run_all(files: &[FileModel], selected: &[String]) -> Vec<Finding> {
     if on("stability-surface") {
         stability_surface(files, &mut findings);
     }
-    if [
-        "hot-path-alloc-transitive",
-        "lock-discipline-transitive",
-        "lock-order-cycle",
-        "panic-path",
-    ]
-    .iter()
-    .any(|r| on(r))
-    {
+    if on("lock-discipline-transitive") || on("lock-order-cycle") {
         let graph = crate::graph::Graph::build(files);
         crate::analyses::run(files, &graph, selected, &mut findings);
     }
@@ -69,7 +55,7 @@ fn emit(out: &mut Vec<Finding>, f: &FileModel, rule: &'static str, line: u32, me
     }
     out.push(Finding {
         rule,
-        severity: severity_of(rule),
+        severity: severity(rule),
         file: f.path.clone(),
         line,
         message,
@@ -78,146 +64,13 @@ fn emit(out: &mut Vec<Finding>, f: &FileModel, rule: &'static str, line: u32, me
     });
 }
 
-/// Rule severity; shared with [`crate::analyses`]. All graph rules are
-/// errors — a transitive allocation or deadlock shape is as real as a
-/// local one.
+/// Rule severity; shared with [`crate::analyses`]. Both graph rules are
+/// errors — a deadlock shape through a call is as real as a local one.
 pub(crate) fn severity(rule: &str) -> Severity {
-    severity_of(rule)
-}
-
-fn severity_of(rule: &str) -> Severity {
     match rule {
         "no-unwrap-in-lib" => Severity::Warning,
         _ => Severity::Error,
     }
-}
-
-// ---------------------------------------------------------------------------
-// hot-path-alloc
-// ---------------------------------------------------------------------------
-
-/// Allocating (or allocation-prone) call patterns forbidden inside
-/// `// lint: hot_path` functions: (token pattern, display form for
-/// witness chains, why). Matched against the code token stream, so
-/// strings/comments never trip it.
-const BANNED_HOT: &[(&[&str], &str, &str)] = &[
-    (
-        &["Vec", ":", ":", "new"],
-        "Vec::new",
-        "Vec::new allocates on first push",
-    ),
-    (
-        &["Vec", ":", ":", "with_capacity"],
-        "Vec::with_capacity",
-        "Vec::with_capacity heap-allocates",
-    ),
-    (&["vec", "!"], "vec!", "vec! macro allocates"),
-    (&["format", "!"], "format!", "format! allocates a String"),
-    (
-        &["Box", ":", ":", "new"],
-        "Box::new",
-        "Box::new heap-allocates",
-    ),
-    (
-        &["String", ":", ":", "new"],
-        "String::new",
-        "String::new allocates on first push",
-    ),
-    (
-        &["String", ":", ":", "from"],
-        "String::from",
-        "String::from allocates",
-    ),
-    (
-        &[".", "to_vec"],
-        ".to_vec()",
-        ".to_vec() copies into a fresh Vec",
-    ),
-    (
-        &[".", "to_string"],
-        ".to_string()",
-        ".to_string() allocates a String",
-    ),
-    (&[".", "to_owned"], ".to_owned()", ".to_owned() allocates"),
-    (
-        &[".", "collect"],
-        ".collect()",
-        ".collect() builds a fresh container",
-    ),
-    (
-        &[".", "insert"],
-        ".insert()",
-        "insert may grow/rehash its container (allow when capacity is warmed)",
-    ),
-    (
-        &[".", "clone"],
-        ".clone()",
-        "clone() on a non-Copy type allocates (allow when the type is Copy)",
-    ),
-];
-
-/// The banned-allocation pattern starting at absolute token index `i`,
-/// if any: `(display, why)`. Method patterns must be *calls* — `(`
-/// required after the name so `.insert` in a path (no call) or a field
-/// can't trip.
-pub(crate) fn alloc_at(toks: &[Token], i: usize) -> Option<(&'static str, &'static str)> {
-    for (pat, display, why) in BANNED_HOT {
-        if match_seq(toks, i, pat) {
-            if pat[0] == "." {
-                let after = i + pat.len();
-                if !toks.get(after).is_some_and(|t| t.is_punct('(')) {
-                    continue;
-                }
-            }
-            return Some((display, why));
-        }
-    }
-    None
-}
-
-/// `hot-path-alloc`: functions annotated `// lint: hot_path` — the
-/// per-packet paths whose zero-allocation contract
-/// `tests/hot_path.rs` meters dynamically — must not call allocating
-/// APIs. Seal-path or warmup allocations inside a hot function carry
-/// a justified inline allow. (Allocations in *callees* are the
-/// `hot-path-alloc-transitive` analysis.)
-fn hot_path_alloc(f: &FileModel, out: &mut Vec<Finding>) {
-    for fun in f.fns.iter().filter(|fun| fun.hot) {
-        let nested = crate::graph::nested_fn_ranges(f, fun);
-        let mut i = fun.body.start;
-        while i < fun.body.end {
-            if let Some(r) = nested.iter().find(|r| r.contains(&i)) {
-                i = r.end;
-                continue;
-            }
-            if let Some((_, why)) = alloc_at(&f.tokens, i) {
-                emit(
-                    out,
-                    f,
-                    "hot-path-alloc",
-                    f.tokens[i].line,
-                    format!("allocation in hot path `{}`: {}", fun.name, why),
-                );
-            }
-            i += 1;
-        }
-    }
-}
-
-/// Does the token sequence starting at `i` match `pat`? Pattern
-/// elements are ident texts or single punct chars.
-fn match_seq(tokens: &[Token], i: usize, pat: &[&str]) -> bool {
-    if i + pat.len() > tokens.len() {
-        return false;
-    }
-    pat.iter().enumerate().all(|(k, p)| {
-        let t = &tokens[i + k];
-        match t.kind {
-            TokKind::Ident => t.text == *p,
-            TokKind::Punct => t.text == *p,
-            _ => false,
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -789,8 +642,9 @@ fn split_dir_stem(path: &str) -> (String, String) {
 // annotation-grammar
 // ---------------------------------------------------------------------------
 
-/// `annotation-grammar`: every `// lint:` annotation must parse, and
-/// every allow must carry a `-- <reason>` justification.
+/// `annotation-grammar`: every `// lint:` annotation must parse, every
+/// allow must name only rules in [`ALL_RULES`], and carry a
+/// `-- <reason>` justification.
 fn annotation_grammar(f: &FileModel, out: &mut Vec<Finding>) {
     for &line in &f.bad_allows {
         emit(
@@ -798,8 +652,8 @@ fn annotation_grammar(f: &FileModel, out: &mut Vec<Finding>) {
             f,
             "annotation-grammar",
             line,
-            "malformed `// lint:` annotation — expected `hot_path` or \
-             `allow(<rule>[, <rule>…]) -- <reason>`"
+            "malformed `// lint:` annotation — expected \
+             `allow(<rule>[, <rule>…]) -- <reason>` naming known rules"
                 .to_string(),
         );
     }
@@ -814,29 +668,6 @@ mod tests {
     fn findings(src: &str) -> Vec<Finding> {
         let m = build("x.rs", Path::new("crates/x/src/x.rs"), src);
         run_all(std::slice::from_ref(&m), &[])
-    }
-
-    #[test]
-    fn hot_fn_with_alloc_flagged_cold_fn_ignored() {
-        let src = "\
-// lint: hot_path
-fn hot(v: &mut Vec<u32>) { let s = x.to_string(); }
-fn cold() { let s = x.to_string(); }
-";
-        let f = findings(src);
-        assert_eq!(f.iter().filter(|f| f.rule == "hot-path-alloc").count(), 1);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn hot_alloc_allow_suppresses() {
-        let src = "\
-// lint: hot_path
-fn hot(v: &mut Vec<u32>) {
-    v.insert(0, 1); // lint: allow(hot-path-alloc) -- capacity warmed in setup
-}
-";
-        assert!(findings(src).is_empty());
     }
 
     #[test]
@@ -1013,11 +844,26 @@ pub struct EngineConfig;
     }
 
     #[test]
+    fn annotation_grammar_flags_unknown_rule_names() {
+        // A typo, alone or beside a real rule, makes the whole allow
+        // malformed: one finding, and nothing on the line is suppressed.
+        for allow in ["no-unwrap-in-lb", "no-unwrap-in-lib, no-such-rule"] {
+            let src = format!("fn f() {{ x.unwrap(); }} // lint: allow({allow}) -- typo\n");
+            let f = findings(&src);
+            let grammar = f.iter().filter(|f| f.rule == "annotation-grammar");
+            assert_eq!(grammar.count(), 1, "allow({allow})");
+            assert!(
+                f.iter().any(|f| f.rule == "no-unwrap-in-lib"),
+                "allow({allow})"
+            );
+        }
+    }
+
+    #[test]
     fn banned_names_in_strings_do_not_trip() {
         let src = "\
-// lint: hot_path
-fn hot() { let s = \"x.to_string() vec![] format!\"; }
 fn lib() { let m = \"don't panic!('x') or .unwrap()\"; }
+fn locked(m: &Mutex<u32>) { let g = m.lock(); let s = \"tx.send(1)\"; }
 ";
         assert!(findings(src).is_empty());
     }

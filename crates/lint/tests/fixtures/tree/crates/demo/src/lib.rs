@@ -3,12 +3,9 @@
 pub mod annotations;
 pub mod engine;
 pub mod events;
-pub mod hot;
 pub mod lockgraph;
 pub mod locks;
 pub mod noise;
-pub mod panics;
-pub mod transitive;
 pub mod unwraps;
 
 pub use engine::EngineConfig; // clean: marked `Stability: stable`

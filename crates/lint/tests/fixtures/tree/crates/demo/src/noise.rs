@@ -30,10 +30,6 @@ pub fn raw_identifiers() -> u32 {
     r#fn + r#match
 }
 
-// The next line is inside a string, so it must NOT mark anything hot:
-pub const DOC: &str = "// lint: hot_path";
-
-pub fn allocates_freely_because_not_hot() -> String {
-    let v: Vec<u8> = Vec::with_capacity(8);
-    format!("{}B", v.capacity())
-}
+// The next line is inside a string, so it must NOT parse as a
+// (malformed) annotation:
+pub const DOC: &str = "// lint: allow(no-such-rule)";

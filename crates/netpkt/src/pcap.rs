@@ -167,7 +167,6 @@ impl<R: Read> PcapReader<R> {
     /// hold the whole next record, and then once: a capture arriving
     /// over a pipe is handed on record by record as it arrives, not a
     /// block at a time.
-    // lint: hot_path
     pub fn next_record(&mut self) -> Result<Option<PcapRecord>> {
         loop {
             let buffered = &self.slab[self.pos..self.filled];
@@ -201,7 +200,6 @@ impl<R: Read> PcapReader<R> {
                 }
             };
             let in_header = buffered.len() < RECORD_HEADER;
-            // lint: allow(hot-path-alloc-transitive) -- the refill runs once per block and allocates only while the caller still holds records of the last one
             if !self.refill(need)? {
                 // A capture cut inside a record header ends like one cut
                 // between records; one cut inside a record's bytes is an

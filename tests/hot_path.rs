@@ -4,9 +4,18 @@
 //! current thread. After a warmup phase (first half of a trace) has grown
 //! every scratch buffer, ring, and accumulator to its steady-state
 //! capacity, pushing a packet that does **not** seal a window must make
-//! zero heap allocations — for all four estimation methods. Packets that
-//! do seal a window are exempt: a sealed [`WindowReport`] legitimately
-//! owns a fresh feature vector.
+//! zero heap allocations — for all four estimation methods, pushed one
+//! engine at a time and through a [`FlowTable`] holding several flows.
+//! Packets that do seal a window are exempt: a sealed [`WindowReport`]
+//! legitimately owns a fresh feature vector.
+//!
+//! This file is where the contract is held; no static rule shadows it.
+//! Seeding an allocation into each per-packet function makes a test here
+//! fail, except in four that no non-sealing packet reaches and so need no
+//! case: `ArrivalCounts::take` / `peek` run only when a report is built,
+//! `MlWindowClock::rememo` only when the window index moves, and
+//! `json::escaped` only for a string that needs escaping, which no event
+//! field is.
 //!
 //! Every engine runs under [`EngineConfig::paper`], the configuration
 //! `MonitorBuilder::new` ships. The ML engines keep per-window value logs
@@ -39,7 +48,7 @@ use vcaml_suite::netpkt::{
 use vcaml_suite::rtp::{PayloadMap, RtpHeader, VcaKind};
 use vcaml_suite::vcaml::api::{EstimationMethod, EvictReason, Monitor, ParseDropReason, QoeEvent};
 use vcaml_suite::vcaml::engine::{
-    IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
+    FlowTable, IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
 use vcaml_suite::vcaml::{
     EngineConfig, EventSink, JsonLinesSink, Method, PacketSource, PcapFileSource, QoeEstimate,
@@ -109,20 +118,24 @@ fn trace(vca: VcaKind) -> Trace {
     .remove(0)
 }
 
-/// Warm an engine on the first half of a trace, then assert that every
-/// non-sealing push in the second half allocates nothing.
-fn assert_alloc_free_steady_state<E: QoeEstimator>(mut engine: E, trace: &Trace, label: &str) {
-    let mid = trace.packets.len() / 2;
+/// Warm on the first half of `packets`, then assert that every push in
+/// the second half that seals no window allocates nothing.
+fn assert_alloc_free_steady_state<P>(
+    packets: &[P],
+    mut push: impl FnMut(&P, &mut Vec<WindowReport>),
+    label: &str,
+) {
+    let mid = packets.len() / 2;
     let mut out: Vec<WindowReport> = Vec::with_capacity(64);
-    for p in &trace.packets[..mid] {
-        engine.push_into(p, &mut out);
+    for p in &packets[..mid] {
+        push(p, &mut out);
         out.clear();
     }
 
     let mut steady = 0usize;
     let mut dirty = Vec::new();
-    for (i, p) in trace.packets[mid..].iter().enumerate() {
-        let (allocs, ()) = metered(|| engine.push_into(p, &mut out));
+    for (i, p) in packets[mid..].iter().enumerate() {
+        let (allocs, ()) = metered(|| push(p, &mut out));
         if out.is_empty() {
             // No window sealed: the pure per-packet path must be heap-silent.
             steady += 1;
@@ -155,32 +168,88 @@ fn allocation_meter_detects_heap_traffic() {
     assert_eq!(quiet, 0, "counter advanced with no allocation");
 }
 
+/// Warm an engine on the first half of a trace, then meter the second.
+fn assert_engine_alloc_free<E: QoeEstimator>(mut engine: E, trace: &Trace, label: &str) {
+    let push = |p: &TracePacket, out: &mut Vec<WindowReport>| engine.push_into(p, out);
+    assert_alloc_free_steady_state(&trace.packets, push, label);
+}
+
 #[test]
 fn ipudp_heuristic_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Meet);
     let engine = IpUdpHeuristicEngine::new(EngineConfig::paper(VcaKind::Meet));
-    assert_alloc_free_steady_state(engine, &t, "IpUdpHeuristic");
+    assert_engine_alloc_free(engine, &t, "IpUdpHeuristic");
 }
 
 #[test]
 fn rtp_heuristic_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Meet);
     let engine = RtpHeuristicEngine::new(EngineConfig::paper(VcaKind::Meet), t.payload_map);
-    assert_alloc_free_steady_state(engine, &t, "RtpHeuristic");
+    assert_engine_alloc_free(engine, &t, "RtpHeuristic");
 }
 
 #[test]
 fn ipudp_ml_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Teams);
     let engine = IpUdpMlEngine::new(EngineConfig::paper(VcaKind::Teams));
-    assert_alloc_free_steady_state(engine, &t, "IpUdpMl");
+    assert_engine_alloc_free(engine, &t, "IpUdpMl");
 }
 
 #[test]
 fn rtp_ml_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Teams);
     let engine = RtpMlEngine::new(EngineConfig::paper(VcaKind::Teams), t.payload_map);
-    assert_alloc_free_steady_state(engine, &t, "RtpMl");
+    assert_engine_alloc_free(engine, &t, "RtpMl");
+}
+
+/// [`trace`]'s call on three flows, merged into one arrival-ordered feed
+/// as a tap delivers them. The same call on each keeps every flow's
+/// windows as full as in the single-engine tests, so the table layer is
+/// all that differs.
+fn interleaved_calls(vca: VcaKind) -> (Vec<(FlowKey, TracePacket)>, PayloadMap) {
+    let t = trace(vca);
+    let relay = IpAddr::V4(Ipv4Addr::new(198, 51, 100, 4));
+    let mut feed = Vec::new();
+    for i in 0..3u8 {
+        let client = IpAddr::V4(Ipv4Addr::new(10, 7, 0, i + 1));
+        let key = FlowKey::canonical(relay, 3478, client, 52_000 + u16::from(i), 17).0;
+        feed.extend(t.packets.iter().map(|p| (key, *p)));
+    }
+    feed.sort_by_key(|(_, p)| p.ts);
+    (feed, t.payload_map)
+}
+
+/// The per-packet entry point of the benchmark's `engine.table` layer and
+/// of `tests/parity.rs`, which the facade does not take: once warmup has
+/// opened every flow, a packet costs a shard probe, a `last_seen` update
+/// and its engine's push — none of which may allocate.
+fn assert_table_alloc_free<E: QoeEstimator>(
+    factory: impl FnMut(&FlowKey) -> E + Send + 'static,
+    feed: &[(FlowKey, TracePacket)],
+    label: &str,
+) {
+    let mut table = FlowTable::new(4, Timestamp::from_secs(120), factory);
+    let push = |(key, p): &(FlowKey, TracePacket), out: &mut Vec<WindowReport>| {
+        table.push_hashed_into(key.hash64(), *key, p, out)
+    };
+    assert_alloc_free_steady_state(feed, push, label);
+}
+
+#[test]
+fn flow_table_steady_state_is_alloc_free() {
+    let (meet, map) = interleaved_calls(VcaKind::Meet);
+    let config = EngineConfig::paper(VcaKind::Meet);
+    let ipudp = move |_: &FlowKey| IpUdpHeuristicEngine::new(config);
+    assert_table_alloc_free(ipudp, &meet, "FlowTable<IpUdpHeuristic>");
+    let rtp = move |_: &FlowKey| RtpHeuristicEngine::new(config, map);
+    assert_table_alloc_free(rtp, &meet, "FlowTable<RtpHeuristic>");
+
+    let (teams, map) = interleaved_calls(VcaKind::Teams);
+    let config = EngineConfig::paper(VcaKind::Teams);
+    let ipudp = move |_: &FlowKey| IpUdpMlEngine::new(config);
+    assert_table_alloc_free(ipudp, &teams, "FlowTable<IpUdpMl>");
+    let rtp = move |_: &FlowKey| RtpMlEngine::new(config, map);
+    assert_table_alloc_free(rtp, &teams, "FlowTable<RtpMl>");
 }
 
 /// Video frames in an ordinary window of [`windowed_flow`] and in its one
