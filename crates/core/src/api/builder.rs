@@ -3,6 +3,8 @@
 #[cfg(doc)]
 use super::QoeEvent;
 use super::{Monitor, OverflowPolicy, DEFAULT_QUEUE_CAPACITY};
+#[cfg(doc)]
+use crate::control::MonitorSnapshot;
 use crate::engine::EngineConfig;
 use crate::pipeline::Method;
 use vcaml_mlcore::RandomForest;
@@ -117,7 +119,10 @@ impl MonitorBuilder {
     }
 
     /// Attaches a trained frame-rate model; ML engines include its
-    /// prediction in every report.
+    /// prediction in every report. One forest per monitor, shared by
+    /// every shard and flow: cloning a [`RandomForest`] shares its trees,
+    /// so per-flow state stays one window's content and the forest is
+    /// reported once, as [`MonitorSnapshot::model_bytes`].
     pub fn model(mut self, model: RandomForest) -> Self {
         self.model = Some(model);
         self

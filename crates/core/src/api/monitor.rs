@@ -294,7 +294,11 @@ impl Monitor {
         };
         let inline = threads == 1;
         let stats = Arc::new(StatsCells::default());
-        let control = Arc::new(ControlShared::new(if inline { 0 } else { threads }));
+        let model_bytes = builder.model.as_ref().map_or(0, |m| m.heap_bytes() as u64);
+        let control = Arc::new(ControlShared::new(
+            if inline { 0 } else { threads },
+            model_bytes,
+        ));
         // A single-threaded monitor must never park on its own queue
         // (the producer is the consumer), so Block only waits when shard
         // workers exist.

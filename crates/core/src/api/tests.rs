@@ -682,10 +682,10 @@ fn engine_config_rejects_a_non_positive_theta_at_the_call() {
     });
 }
 
-/// `build_engine` clones the attached forest into every ML flow, so the
-/// operator's gauge counts that copy with the rest of the flow's state.
+/// Every ML flow shares the monitor's one forest, so the per-flow gauge
+/// counts the flow's own state only and the forest is reported once.
 #[test]
-fn bytes_per_flow_counts_each_flows_copy_of_the_model() {
+fn bytes_per_flow_excludes_the_shared_model() {
     use vcaml_mlcore::{Dataset, RandomForest, RandomForestParams, Task};
     let mut data = Dataset::new(vcaml_features::ipudp_feature_names());
     for i in 0..240 {
@@ -697,26 +697,26 @@ fn bytes_per_flow_counts_each_flows_copy_of_the_model() {
         ..RandomForestParams::default()
     };
     let forest = RandomForest::fit(&data, Task::Regression, &params);
-    // `Vec::clone` sizes the copy to its length; `fit` grew the original.
-    let copy_bytes = forest.clone().heap_bytes() as u64;
-    assert!(copy_bytes > 0);
 
     // One flow, streamed past several 1 Hz idle sweeps (which publish the
     // gauge).
-    let gauge = |builder: MonitorBuilder| {
+    let gauges = |builder: MonitorBuilder| {
         let mut m = builder.build();
         for p in video_stream(3) {
             m.ingest_packet(flow_key(1), p);
         }
-        m.handle().stats_snapshot().bytes_per_flow
+        let snap = m.handle().stats_snapshot();
+        (snap.bytes_per_flow, snap.model_bytes)
     };
     for method in [Method::IpUdpMl, Method::RtpMl] {
-        let bare = gauge(fixed(method));
-        let with_model = gauge(fixed(method).model(forest.clone()));
+        let (bare, no_model) = gauges(fixed(method));
+        let (with_model, model_bytes) = gauges(fixed(method).model(forest.clone()));
         assert!(bare > 0, "{method:?}: a sweep has published the gauge");
-        assert!(
-            with_model >= bare + copy_bytes,
-            "{method:?}: {with_model} B/flow with a {copy_bytes} B forest, {bare} B/flow without"
+        assert_eq!(
+            with_model, bare,
+            "{method:?}: attaching a forest moved the per-flow gauge"
         );
+        assert_eq!(no_model, 0, "{method:?}: no model, no model bytes");
+        assert_eq!(model_bytes, forest.heap_bytes() as u64, "{method:?}");
     }
 }

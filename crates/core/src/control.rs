@@ -69,6 +69,9 @@ pub(crate) struct ControlShared {
     flow_bytes: Vec<AtomicU64>,
     /// Flows counted into the matching `flow_bytes` slot.
     flow_counts: Vec<AtomicU64>,
+    /// Heap bytes of the monitor's one attached forest (0 without one),
+    /// fixed at build.
+    model_bytes: u64,
     /// Events published by the bus, by [`Severity`] slot
     /// ([`Severity::index`]). Written only by the drain thread (where
     /// severity is classified, exactly once per event); read by
@@ -80,7 +83,7 @@ pub(crate) struct ControlShared {
 }
 
 impl ControlShared {
-    pub(crate) fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize, model_bytes: u64) -> Self {
         ControlShared {
             stop: AtomicBool::new(false),
             flush_epoch: AtomicU64::new(0),
@@ -90,6 +93,7 @@ impl ControlShared {
             depths: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             flow_bytes: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             flow_counts: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            model_bytes,
             severity_counts: Default::default(),
             windows_by_method: Default::default(),
         }
@@ -192,9 +196,13 @@ pub struct MonitorSnapshot {
     /// Estimated resident bytes per tracked flow, averaged over the flows
     /// live at the last idle sweep (0 until a shard has swept): each
     /// engine's struct, its accumulators' retained heap capacity (one
-    /// window's content at its high-water mark), its own copy of the
-    /// attached model, and flow-table overhead.
+    /// window's content at its high-water mark), and flow-table overhead.
+    /// The attached model is shared by every flow and counted once, in
+    /// `model_bytes`.
     pub bytes_per_flow: u64,
+    /// Heap bytes of the attached forest, which every shard and flow of
+    /// the monitor shares: set once at build, 0 without a model.
+    pub model_bytes: u64,
     /// The live alert frame-rate bar, if one is set.
     pub alert_fps: Option<f64>,
     /// The live alert bitrate floor (kbps), if one is set.
@@ -232,6 +240,7 @@ impl MonitorSnapshot {
             json::uint(out, *depth)
         });
         json::uint(o.key("bytes_per_flow"), self.bytes_per_flow);
+        json::uint(o.key("model_bytes"), self.model_bytes);
         if let Some(fps) = self.alert_fps {
             json::float(o.key("alert_fps"), fps);
         }
@@ -291,6 +300,7 @@ impl MonitorHandle {
             bytes_per_flow: footprint_bytes
                 .checked_div(footprint_flows)
                 .unwrap_or_default(),
+            model_bytes: self.control.model_bytes,
             pending_events: pending,
             shard_depths: self
                 .control

@@ -152,6 +152,12 @@ pub fn render_openmetrics(snap: &MonitorSnapshot) -> String {
         "Estimated resident bytes per tracked flow (engine + table overhead).",
         snap.bytes_per_flow,
     );
+    gauge(
+        &mut out,
+        "vcaml_model_bytes",
+        "Heap bytes of the attached model, shared by every flow (0 without one).",
+        snap.model_bytes,
+    );
 
     family(
         &mut out,
@@ -254,6 +260,7 @@ mod tests {
             pending_events: 11,
             shard_depths: vec![3, 0],
             bytes_per_flow: 512,
+            model_bytes: 150_000,
             alert_fps: Some(24.0),
             alert_min_kbps: None,
             alert_resolution_floor: Some(360),
@@ -295,6 +302,7 @@ mod tests {
         assert!(body.contains("vcaml_parse_drops_by_reason_total{reason=\"checksum\"} 0"));
         assert!(body.contains("vcaml_events_published_total{severity=\"warning\"} 2"));
         assert!(body.contains("vcaml_windows_by_method_total{method=\"ip_udp_heuristic\"} 40"));
+        assert!(body.contains("vcaml_model_bytes 150000"));
         assert!(body.contains("vcaml_alert_fps 24"));
         assert!(body.contains("vcaml_alert_resolution_floor 360"));
         assert!(

@@ -230,7 +230,8 @@ pub trait QoeEstimator {
 
     /// Approximate resident size of this flow's state — the engine value
     /// itself plus owned heap — feeding the monitor's bytes-per-flow
-    /// gauge. Engines that do not account return 0.
+    /// gauge. An attached model's trees are shared by every flow and are
+    /// not counted. Engines that do not account return 0.
     fn state_bytes(&self) -> usize {
         0
     }
@@ -869,7 +870,8 @@ impl IpUdpMlEngine {
     }
 
     /// Attaches a trained frame-rate model; its prediction is included in
-    /// every report.
+    /// every report. A cloned forest shares its trees, so flows built from
+    /// one forest hold one copy between them.
     pub fn with_model(mut self, model: RandomForest) -> Self {
         self.model = Some(model);
         self
@@ -940,7 +942,6 @@ impl QoeEstimator for IpUdpMlEngine {
         std::mem::size_of::<Self>()
             + (self.acc.state_bytes() - std::mem::size_of::<IpUdpFeatureAcc>())
             + self.empty_features.capacity() * std::mem::size_of::<f64>()
-            + self.model.as_ref().map_or(0, RandomForest::heap_bytes)
     }
 }
 
@@ -986,7 +987,8 @@ impl RtpMlEngine {
         }
     }
 
-    /// Attaches a trained frame-rate model.
+    /// Attaches a trained frame-rate model (shared, as for
+    /// [`IpUdpMlEngine::with_model`]).
     pub fn with_model(mut self, model: RandomForest) -> Self {
         self.model = Some(model);
         self
@@ -1076,7 +1078,6 @@ impl QoeEstimator for RtpMlEngine {
             + (self.flow.state_bytes() - std::mem::size_of::<FlowFeatureAcc>())
             + (self.rtp.state_bytes() - std::mem::size_of::<RtpWindowAcc>())
             + self.empty_features.capacity() * std::mem::size_of::<f64>()
-            + self.model.as_ref().map_or(0, RandomForest::heap_bytes)
     }
 }
 

@@ -126,9 +126,12 @@ impl StatAcc {
     /// integers picks the same elements as sorting the decoded values.
     /// The scratch copy and the two passes are a once-per-seal cost,
     /// matching the batch path's.
-    fn five(&self) -> [f64; 5] {
+    ///
+    /// Also hands back the sorted copy (empty when the log is), for a
+    /// caller that reads more from the order than the five statistics.
+    fn five(&self) -> ([f64; 5], Vec<i64>) {
         if self.vals.is_empty() {
-            return [0.0; 5];
+            return ([0.0; 5], Vec::new());
         }
         let n = self.vals.len() as f64;
         let mean = self.vals.iter().map(|&raw| self.decode(raw)).sum::<f64>() / n;
@@ -146,13 +149,16 @@ impl StatAcc {
             (self.decode(sorted[sorted.len() / 2 - 1]) + self.decode(sorted[sorted.len() / 2]))
                 / 2.0
         };
-        [
-            mean,
-            var.sqrt(),
-            median,
-            self.decode(sorted[0]),
-            self.decode(sorted[sorted.len() - 1]),
-        ]
+        (
+            [
+                mean,
+                var.sqrt(),
+                median,
+                self.decode(sorted[0]),
+                self.decode(sorted[sorted.len() - 1]),
+            ],
+            sorted,
+        )
     }
 }
 
@@ -201,13 +207,28 @@ impl FlowFeatureAcc {
 
     /// Emits the 12 features for the current window.
     pub fn features(&self, window_secs: f64) -> Vec<f64> {
-        assert!(window_secs > 0.0, "non-positive window");
         let mut v = Vec::with_capacity(12);
+        self.extend_features(&mut v, window_secs);
+        v
+    }
+
+    /// Appends the 12 features to `v` and returns the window's number of
+    /// distinct packet sizes: one linear pass over the sorted copy the
+    /// size statistics already took, where each distinct size starts one
+    /// run. Sizes are `u16` widened losslessly, so the count is exact.
+    fn extend_features(&self, v: &mut Vec<f64>, window_secs: f64) -> u64 {
+        assert!(window_secs > 0.0, "non-positive window");
+        // Scoped so the sorted sizes are freed before the IATs are sorted.
+        let (sizes, unique_sizes) = {
+            let (five, sorted) = self.sizes.five();
+            let run_starts = sorted.windows(2).filter(|w| w[0] != w[1]).count();
+            (five, (run_starts + usize::from(!sorted.is_empty())) as u64)
+        };
         v.push(self.sizes.total() / window_secs);
         v.push(self.sizes.count() as f64 / window_secs);
-        v.extend_from_slice(&self.sizes.five());
-        v.extend_from_slice(&self.iats.five());
-        v
+        v.extend_from_slice(&sizes);
+        v.extend_from_slice(&self.iats.five().0);
+        unique_sizes
     }
 
     /// Clears per-window state (IAT chains do not span windows, matching
@@ -229,14 +250,14 @@ impl FlowFeatureAcc {
 /// Incremental computation of the full 14-feature IP/UDP ML vector
 /// ([`crate::ipudp_features`]): flow features plus the two VCA-semantics
 /// features (`# unique sizes`, `# microbursts`).
+///
+/// The window's state is its two value logs plus a burst counter: the
+/// unique-size count is taken from the size log's sorted copy at seal,
+/// so no per-flow set over the size domain is kept.
 #[derive(Debug, Clone)]
 pub struct IpUdpFeatureAcc {
     flow: FlowFeatureAcc,
     theta_iat_us: i64,
-    /// Bitset over the u16 size domain: exact distinct-size counting in
-    /// O(1) memory.
-    size_seen: Box<[u64; 1024]>,
-    unique_sizes: u64,
     bursts: u64,
     prev_ts: Option<Timestamp>,
 }
@@ -251,8 +272,6 @@ impl IpUdpFeatureAcc {
         IpUdpFeatureAcc {
             flow: FlowFeatureAcc::new(),
             theta_iat_us,
-            size_seen: Box::new([0u64; 1024]),
-            unique_sizes: 0,
             bursts: 0,
             prev_ts: None,
         }
@@ -261,11 +280,6 @@ impl IpUdpFeatureAcc {
     /// Offers one video-classified packet (arrival order).
     pub fn push(&mut self, ts: Timestamp, size: u16) {
         self.flow.push(ts, size);
-        let (word, bit) = (usize::from(size) / 64, usize::from(size) % 64);
-        if self.size_seen[word] & (1 << bit) == 0 {
-            self.size_seen[word] |= 1 << bit;
-            self.unique_sizes += 1;
-        }
         match self.prev_ts {
             None => self.bursts = 1,
             Some(prev) if (ts - prev).as_micros() >= self.theta_iat_us => self.bursts += 1,
@@ -281,8 +295,9 @@ impl IpUdpFeatureAcc {
 
     /// Emits the 14 features for the current window.
     pub fn features(&self, window_secs: f64) -> Vec<f64> {
-        let mut v = self.flow.features(window_secs);
-        v.push(self.unique_sizes as f64);
+        let mut v = Vec::with_capacity(14);
+        let unique_sizes = self.flow.extend_features(&mut v, window_secs);
+        v.push(unique_sizes as f64);
         v.push(self.bursts as f64);
         v
     }
@@ -290,17 +305,15 @@ impl IpUdpFeatureAcc {
     /// Clears per-window state.
     pub fn reset(&mut self) {
         self.flow.reset();
-        self.size_seen.fill(0);
-        self.unique_sizes = 0;
         self.bursts = 0;
         self.prev_ts = None;
     }
 
-    /// Estimated bytes of state held by this accumulator (inline struct,
-    /// the size bitset, and histogram heap capacity).
+    /// Estimated bytes of state held by this accumulator: the inline
+    /// struct plus the value logs' retained heap capacity, the only part
+    /// that grows (unique sizes are counted from the size log at seal).
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + std::mem::size_of::<[u64; 1024]>()
             + (self.flow.state_bytes() - std::mem::size_of::<FlowFeatureAcc>())
     }
 }
@@ -403,6 +416,45 @@ mod tests {
         let f = acc.features(1.0);
         assert_eq!(f[12], unique_sizes(&ps));
         assert_eq!(f[13], microbursts(&ps, 3_000));
+    }
+
+    proptest::proptest! {
+        // The unique-size count comes from the size log's sorted copy at
+        // seal: it must stay exact over windows of any content, across
+        // resets, and under provisional snapshots that read a window
+        // without consuming it.
+        #[test]
+        fn unique_sizes_stay_exact_across_windows(
+            windows in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0i64..40_000, proptest::any::<u16>(), 1_000u16..1_016, proptest::any::<bool>()),
+                    0..150,
+                ),
+                1..6,
+            )
+        ) {
+            use crate::semantics::unique_sizes;
+            let mut acc = IpUdpFeatureAcc::new(StatsMode::Exact, 3_000);
+            let mut us = 0i64;
+            for window in &windows {
+                let mut seen = Vec::new();
+                for (i, &(gap, wide, narrow, is_wide)) in window.iter().enumerate() {
+                    us += gap;
+                    let size = if is_wide { wide } else { narrow };
+                    acc.push(Timestamp::from_micros(us), size);
+                    seen.push(PktObs {
+                        ts: Timestamp::from_micros(us),
+                        size,
+                    });
+                    if i == window.len() / 3 || i == 2 * window.len() / 3 {
+                        let provisional = acc.features(1.0);
+                        proptest::prop_assert_eq!(provisional[12], unique_sizes(&seen));
+                    }
+                }
+                proptest::prop_assert_eq!(acc.features(1.0)[12], unique_sizes(&seen));
+                acc.reset();
+            }
+        }
     }
 
     #[test]

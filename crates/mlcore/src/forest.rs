@@ -6,6 +6,7 @@ use crate::dataset::Dataset;
 use crate::tree::{DecisionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Learning task. The paper regresses frame rate / bitrate / frame jitter
 /// and classifies resolution (§3.2.2, §5.1.5).
@@ -49,12 +50,16 @@ impl Default for RandomForestParams {
 }
 
 /// A fitted random forest.
+///
+/// Cloning shares the fitted trees: `fit` freezes them, the feature
+/// names and the importances behind [`Arc`]s, and nothing mutates a
+/// fitted forest, so a clone is three refcount bumps, not a copy.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    trees: Vec<DecisionTree>,
+    trees: Arc<[DecisionTree]>,
     task: Task,
-    feature_names: Vec<String>,
-    importances: Vec<f64>,
+    feature_names: Arc<[String]>,
+    importances: Arc<[f64]>,
 }
 
 impl RandomForest {
@@ -135,10 +140,10 @@ impl RandomForest {
         }
 
         RandomForest {
-            trees,
+            trees: trees.into(),
             task,
-            feature_names: data.feature_names().to_vec(),
-            importances,
+            feature_names: data.feature_names().into(),
+            importances: importances.into(),
         }
     }
 
@@ -150,7 +155,7 @@ impl RandomForest {
             }
             Task::Classification { n_classes } => {
                 let mut votes = vec![0usize; n_classes];
-                for t in &self.trees {
+                for t in self.trees.iter() {
                     votes[t.predict(row) as usize] += 1;
                 }
                 votes
@@ -197,22 +202,23 @@ impl RandomForest {
         self.task
     }
 
-    /// Heap bytes held (capacity, not length): every tree's nodes and raw
-    /// importances, the tree vector itself, the feature names and the
-    /// normalized importances.
+    /// Heap bytes of the shared storage (capacity, not length): every
+    /// tree's nodes and raw importances, the tree slice itself, the
+    /// feature names and the normalized importances. Clones share this
+    /// storage, so they report the same figure.
     pub fn heap_bytes(&self) -> usize {
         self.trees
             .iter()
             .map(DecisionTree::heap_bytes)
             .sum::<usize>()
-            + self.trees.capacity() * std::mem::size_of::<DecisionTree>()
+            + std::mem::size_of_val(&*self.trees)
             + self
                 .feature_names
                 .iter()
                 .map(String::capacity)
                 .sum::<usize>()
-            + self.feature_names.capacity() * std::mem::size_of::<String>()
-            + self.importances.capacity() * std::mem::size_of::<f64>()
+            + std::mem::size_of_val(&*self.feature_names)
+            + std::mem::size_of_val(&*self.importances)
     }
 }
 
@@ -324,9 +330,33 @@ mod tests {
         let nodes: usize = f.trees.iter().map(DecisionTree::n_nodes).sum();
         // A split node alone is four 8-byte fields.
         assert!(f.heap_bytes() >= nodes * 32, "{} B", f.heap_bytes());
-        // A clone is sized to length, never above the grown original.
-        let copy = f.clone().heap_bytes();
-        assert!(copy >= nodes * 32 && copy <= f.heap_bytes());
+    }
+
+    #[test]
+    fn a_clone_shares_the_fitted_trees() {
+        let d = make_regression(300);
+        let p = RandomForestParams {
+            n_trees: 10,
+            ..Default::default()
+        };
+        let f = RandomForest::fit(&d, Task::Regression, &p);
+        let copy = f.clone();
+        assert!(
+            Arc::ptr_eq(&f.trees, &copy.trees),
+            "a clone copied the trees"
+        );
+        assert!(Arc::ptr_eq(&f.feature_names, &copy.feature_names));
+        assert!(Arc::ptr_eq(&f.importances, &copy.importances));
+        assert_eq!(copy.heap_bytes(), f.heap_bytes());
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let row = [rng.gen_range(-0.5..1.5), rng.gen_range(-0.5..1.5)];
+            assert_eq!(
+                copy.predict(&row).to_bits(),
+                f.predict(&row).to_bits(),
+                "{row:?}"
+            );
+        }
     }
 
     #[test]

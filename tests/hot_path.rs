@@ -357,7 +357,11 @@ fn assert_state_is_one_windows_content<E: QoeEstimator>(
 #[test]
 fn ipudp_ml_state_is_one_windows_content() {
     let engine = IpUdpMlEngine::new(EngineConfig::paper(VcaKind::Teams));
-    // The 8 KiB size bitset is allocated at construction: no set grows.
+    // No set over the size domain: unique sizes are counted from the size
+    // log at seal, so a fresh engine is its struct and one empty-window
+    // vector, and only the two value logs grow.
+    let fresh = engine.state_bytes();
+    assert!(fresh < 1_024, "IpUdpMl: a fresh engine holds {fresh} B");
     assert_state_is_one_windows_content(engine, 0, "IpUdpMl");
 }
 
