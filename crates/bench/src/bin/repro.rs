@@ -13,6 +13,8 @@ use vcaml_bench::ctx::{Ctx, Scale};
 use vcaml_bench::experiments::registry;
 use vcaml_bench::report::Sink;
 
+const USAGE: &str = "usage: repro [--scale small|full] [--out DIR] [ids...] | --list";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
@@ -34,7 +36,11 @@ fn main() {
             }
             "--out" => {
                 i += 1;
-                out_dir = args.get(i).cloned().unwrap_or(out_dir);
+                let Some(dir) = args.get(i) else {
+                    eprintln!("--out needs a directory\n{USAGE}");
+                    std::process::exit(2);
+                };
+                out_dir = dir.clone();
             }
             "--list" => {
                 for (id, desc, _) in registry() {
@@ -43,7 +49,7 @@ fn main() {
                 return;
             }
             "--help" | "-h" => {
-                println!("usage: repro [--scale small|full] [--out DIR] [ids...] | --list");
+                println!("{USAGE}");
                 return;
             }
             id => ids.push(id.to_lowercase()),

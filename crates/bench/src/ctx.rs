@@ -1,7 +1,8 @@
 //! Experiment context: corpus/sample caching and global configuration.
 
+use crate::pipeline::EvalOpts;
 use std::collections::HashMap;
-use vcaml::{build_samples, PipelineOpts, SampleSet, Trace};
+use vcaml::{build_samples, SampleSet, Trace};
 use vcaml_datasets::{inlab_corpus, realworld_corpus, CorpusConfig};
 use vcaml_mlcore::RandomForestParams;
 use vcaml_rtp::VcaKind;
@@ -74,10 +75,10 @@ impl Ctx {
         }
     }
 
-    /// The pipeline options used everywhere (paper §4.3), with a forest
+    /// The evaluation options used everywhere (paper §4.3), with a forest
     /// sized to the scale.
-    pub fn opts(&self, vca: VcaKind) -> PipelineOpts {
-        let mut o = PipelineOpts::paper(vca);
+    pub fn opts(&self, vca: VcaKind) -> EvalOpts {
+        let mut o = EvalOpts::paper(vca);
         o.forest = match self.scale {
             Scale::Full => RandomForestParams {
                 n_trees: 40,
@@ -109,11 +110,11 @@ impl Ctx {
     /// Window samples for a corpus at a window size (built on first use).
     pub fn samples(&mut self, corpus: Corpus, vca: VcaKind, window_secs: u32) -> &SampleSet {
         if !self.samples.contains_key(&(corpus, vca, window_secs)) {
-            let mut opts = self.opts(vca);
-            opts.window_secs = window_secs;
+            let mut config = self.opts(vca).engine;
+            config.window_secs = window_secs;
             // Ensure the traces exist before borrowing immutably.
             self.traces(corpus, vca);
-            let set = build_samples(&self.traces[&(corpus, vca)], &opts);
+            let set = build_samples(&self.traces[&(corpus, vca)], &config);
             self.samples.insert((corpus, vca, window_secs), set);
         }
         &self.samples[&(corpus, vca, window_secs)]

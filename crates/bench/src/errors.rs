@@ -10,8 +10,8 @@
 //!   heuristic frame, detected as heuristic frames spanning more than one
 //!   RTP timestamp (case 1).
 
-use crate::heuristic::{Assignment, HeuristicParams};
 use std::collections::{HashMap, HashSet};
+use vcaml::heuristic::{Assignment, HeuristicParams};
 
 /// Error counts over one analysis window, in frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -102,7 +102,7 @@ pub fn analyze_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristic::IpUdpHeuristic;
+    use vcaml::heuristic::IpUdpHeuristic;
     use vcaml_netpkt::Timestamp;
 
     fn run(pkts: &[(u16, u32)], params: HeuristicParams) -> ErrorCounts {

@@ -6,17 +6,17 @@
 #![allow(clippy::unwrap_used)]
 
 use crate::ctx::{Corpus, Ctx};
+use crate::errors::{analyze_window, ErrorCounts};
+use crate::modes::{detect_video_off, estimate_participants_ipudp, estimate_participants_rtp};
+use crate::pipeline::{
+    eval_heuristic, eval_ml_regression, eval_ml_resolution, feature_importances,
+    transfer_regression, Target,
+};
 use crate::report::{cdf_points, fraction_le, section, table, Sink};
 use serde_json::json;
 use std::collections::HashMap;
 use vcaml::{
-    errors::{analyze_window, ErrorCounts},
-    eval_heuristic, eval_ml_regression, eval_ml_resolution, feature_importances,
-    heuristic::IpUdpHeuristic,
-    media::MediaClassifier,
-    pipeline::{summarize, transfer_regression},
-    qoe::estimate_windows,
-    Method, Target, Trace,
+    heuristic::IpUdpHeuristic, media::MediaClassifier, qoe::estimate_windows, Method, Trace,
 };
 use vcaml_mlcore::{mae, percentile, Dataset, RandomForest, Task};
 use vcaml_netem::{ImpairmentDim, ImpairmentProfile};
@@ -253,7 +253,7 @@ fn media_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, vca: VcaKind) {
     );
     let traces = ctx.traces(Corpus::InLab, vca).to_vec();
     let opts = ctx.opts(vca);
-    let classifier = MediaClassifier::new(opts.vmin);
+    let classifier = MediaClassifier::new(opts.engine.vmin);
     let mut m = vcaml_mlcore::ConfusionMatrix::new(vec!["Non-video".into(), "Video".into()]);
     for t in &traces {
         let part = classifier.evaluate(t, 304);
@@ -366,7 +366,7 @@ fn fa3(ctx: &mut Ctx, sink: &Sink) {
         .map(|p| (p.ts, p.size, p.rtp.unwrap().timestamp)) // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
         .collect();
     let input: Vec<(Timestamp, u16)> = pkts.iter().map(|&(t, s, _)| (t, s)).collect();
-    let (_, asg) = IpUdpHeuristic::new(opts.heuristic).assemble(&input);
+    let (_, asg) = IpUdpHeuristic::new(opts.engine.heuristic).assemble(&input);
     // Renumber RTP timestamps and frame ids for readability.
     let mut ts_ids: Vec<u32> = Vec::new();
     let mut rows = Vec::new();
@@ -574,9 +574,9 @@ fn f4(ctx: &mut Ctx, sink: &Sink) {
                     continue;
                 }
                 let input: Vec<(Timestamp, u16)> = pkts.iter().map(|&(t, s, _)| (t, s)).collect();
-                let (_, asg) = IpUdpHeuristic::new(opts.heuristic).assemble(&input);
+                let (_, asg) = IpUdpHeuristic::new(opts.engine.heuristic).assemble(&input);
                 let st: Vec<(u16, u32)> = pkts.iter().map(|&(_, s, ts)| (s, ts)).collect();
-                total.add(&analyze_window(&st, &asg, &opts.heuristic));
+                total.add(&analyze_window(&st, &asg, &opts.engine.heuristic));
             }
         }
         let (s, i, c) = total.averages();
@@ -917,7 +917,7 @@ fn f11(ctx: &mut Ctx, sink: &Sink) {
                 secs,
                 0xf11 + vca as u64,
             );
-            let set = vcaml::build_samples(&traces, &opts);
+            let set = vcaml::build_samples(&traces, &opts.engine);
             let mut test_rows = Vec::new();
             for (i, s) in set.samples.iter().enumerate() {
                 if i % 2 == 0 {
@@ -970,9 +970,8 @@ fn f12(ctx: &mut Ctx, sink: &Sink) {
     let mut artifact = serde_json::Map::new();
     for vca in VcaKind::ALL {
         let mut per_w = Vec::new();
+        let opts = ctx.opts(vca);
         for &w in &windows {
-            let mut opts = ctx.opts(vca);
-            opts.window_secs = w;
             let set = ctx.samples(Corpus::InLab, vca, w).clone();
             let (p, t) = eval_ml_regression(&set, Method::IpUdpMl, Target::FrameRate, &opts);
             per_w.push((w, mae(&p, &t)));
@@ -1009,7 +1008,7 @@ fn fa10(ctx: &mut Ctx, sink: &Sink) {
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
-        let classifier = MediaClassifier::new(opts.vmin);
+        let classifier = MediaClassifier::new(opts.engine.vmin);
         let mut per_lb = Vec::new();
         for lookback in 1..=10usize {
             let params = vcaml::HeuristicParams {
@@ -1068,27 +1067,6 @@ fn ta6(_ctx: &mut Ctx, sink: &Sink) {
             .collect::<Vec<_>>()),
     )
     .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
-}
-
-// ---------------------------------------------------------------------
-// Per-method summaries (used by the summarize helper re-export)
-// ---------------------------------------------------------------------
-
-/// Convenience for external callers: full (method × target) summary for a
-/// corpus.
-pub fn full_summary(
-    ctx: &mut Ctx,
-    corpus: Corpus,
-    vca: VcaKind,
-) -> Vec<(Method, Target, vcaml::EvalSummary)> {
-    let mut out = Vec::new();
-    for method in Method::ALL {
-        for target in [Target::FrameRate, Target::Bitrate, Target::FrameJitter] {
-            let (p, t) = run_method(ctx, corpus, vca, method, target);
-            out.push((method, target, summarize(&p, &t)));
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1216,8 +1194,8 @@ pub fn ab4(ctx: &mut Ctx, sink: &Sink) {
     let mut artifact = Vec::new();
     for &theta in &thetas {
         let mut opts = ctx.opts(vca);
-        opts.theta_iat_us = theta;
-        let set = vcaml::build_samples(&traces, &opts);
+        opts.engine.theta_iat_us = theta;
+        let set = vcaml::build_samples(&traces, &opts.engine);
         let (p, t) = eval_ml_regression(&set, Method::IpUdpMl, Target::FrameRate, &opts);
         let m = mae(&p, &t);
         rows.push(vec![
@@ -1242,13 +1220,13 @@ pub fn ab5(ctx: &mut Ctx, sink: &Sink) {
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
-        let classifier = MediaClassifier::new(opts.vmin);
+        let classifier = MediaClassifier::new(opts.engine.vmin);
         let mut row = vec![vca.name().to_string()];
         let mut per_d = Vec::new();
         for &delta in &deltas {
             let params = vcaml::HeuristicParams {
                 delta_max_size: delta,
-                lookback: opts.heuristic.lookback,
+                lookback: opts.engine.heuristic.lookback,
             };
             let mut preds = Vec::new();
             let mut truths = Vec::new();
@@ -1384,7 +1362,7 @@ pub fn am1(ctx: &mut Ctx, sink: &Sink) {
         let off = video_off(&on);
         for (session, truth_off) in [(&on, false), (&off, true)] {
             let trace = vcaml_datasets::to_core_trace(session, profile.payload_map);
-            let detected = vcaml::modes::detect_video_off(&trace.packets, &classifier);
+            let detected = detect_video_off(&trace.packets, &classifier);
             correct += usize::from(detected == truth_off);
             total += 1;
         }
@@ -1410,9 +1388,8 @@ pub fn am1(ctx: &mut Ctx, sink: &Sink) {
         let est = estimate_windows(&frames, 20, 1);
         let stable: Vec<f64> = est[5..].iter().map(|e| e.fps).collect();
         let agg_fps = stable.iter().sum::<f64>() / stable.len() as f64;
-        let ipudp_n = vcaml::modes::estimate_participants_ipudp(agg_fps, 30.0);
-        let rtp_n =
-            vcaml::modes::estimate_participants_rtp(&trace.packets, profile.payload_map.video);
+        let ipudp_n = estimate_participants_ipudp(agg_fps, 30.0);
+        let rtp_n = estimate_participants_rtp(&trace.packets, profile.payload_map.video);
         rows.push(vec![
             format!("{n}"),
             format!("{agg_fps:.1}"),
@@ -1479,16 +1456,5 @@ mod tests {
     fn f2_small_matches_fragmentation_model() {
         let mut ctx = Ctx::new(Scale::Small);
         f2(&mut ctx, &tmp_sink());
-    }
-
-    #[test]
-    fn full_summary_produces_all_cells() {
-        let mut ctx = Ctx::new(Scale::Small);
-        let cells = full_summary(&mut ctx, Corpus::InLab, VcaKind::Webex);
-        assert_eq!(cells.len(), 12);
-        for (_, _, s) in &cells {
-            assert!(s.n > 0);
-            assert!(s.mae.is_finite());
-        }
     }
 }

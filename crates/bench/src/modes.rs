@@ -5,8 +5,8 @@
 //!
 //! ```
 //! use vcaml::media::MediaClassifier;
-//! use vcaml::modes::{detect_video_off, estimate_participants_ipudp};
 //! use vcaml::TracePacket;
+//! use vcaml_bench::modes::{detect_video_off, estimate_participants_ipudp};
 //! use vcaml_netpkt::Timestamp;
 //!
 //! // An audio-only call: steady 150-byte packets every 20 ms.
@@ -25,9 +25,8 @@
 //! assert_eq!(estimate_participants_ipudp(58.0, 30.0), 2);
 //! ```
 
-use crate::media::MediaClassifier;
-use crate::trace::TracePacket;
-use vcaml_rtp::MediaKind;
+use vcaml::media::MediaClassifier;
+use vcaml::TracePacket;
 
 /// Minimum sustained rate of video-sized packets (per second) for a call
 /// to count as having video. A single 180p stream at 7 fps with one packet
@@ -42,17 +41,21 @@ pub const WARMUP_SECS: i64 = 2;
 /// video-sized packets after warm-up stays below [`MIN_VIDEO_PPS`]. The
 /// paper: "Determining whether user video is disabled seems possible by
 /// analyzing UDP packet size distribution".
+///
+/// Call time counts from the first packet's second, so a capture
+/// stamped in wall-clock epoch time reads the same as one starting at 0.
 pub fn detect_video_off(packets: &[TracePacket], classifier: &MediaClassifier) -> bool {
-    let Some(last) = packets.last() else {
+    let (Some(first), Some(last)) = (packets.first(), packets.last()) else {
         return true;
     };
-    let horizon_secs = last.ts.second_index() - WARMUP_SECS + 1;
+    let start = first.ts.second_index();
+    let horizon_secs = last.ts.second_index() - start - WARMUP_SECS + 1;
     if horizon_secs <= 0 {
         return true;
     }
     let video_count = packets
         .iter()
-        .filter(|p| p.ts.second_index() >= WARMUP_SECS && classifier.is_video(p))
+        .filter(|p| p.ts.second_index() - start >= WARMUP_SECS && classifier.is_video(p))
         .count();
     (video_count as f64 / horizon_secs as f64) < MIN_VIDEO_PPS
 }
@@ -76,33 +79,6 @@ pub fn estimate_participants_rtp(packets: &[TracePacket], video_pt: u8) -> usize
         .map(|h| h.ssrc)
         .collect();
     ssrcs.len()
-}
-
-/// Splits a multi-party trace into per-SSRC video substreams (RTP
-/// baseline), returning `(ssrc, packets)` pairs ordered by first
-/// appearance — the "additional step" the paper anticipates before
-/// per-stream QoE estimation.
-pub fn split_by_ssrc(packets: &[TracePacket], video_pt: u8) -> Vec<(u32, Vec<TracePacket>)> {
-    let mut out: Vec<(u32, Vec<TracePacket>)> = Vec::new();
-    for p in packets {
-        let Some(h) = p.rtp else { continue };
-        if h.payload_type != video_pt {
-            continue;
-        }
-        match out.iter_mut().find(|(s, _)| *s == h.ssrc) {
-            Some((_, v)) => v.push(*p),
-            None => out.push((h.ssrc, vec![*p])),
-        }
-    }
-    out
-}
-
-/// Ground-truth helper for evaluation: true when the trace actually
-/// carries video packets.
-pub fn has_video_truth(packets: &[TracePacket]) -> bool {
-    packets
-        .iter()
-        .any(|p| p.truth_media == Some(MediaKind::Video))
 }
 
 #[cfg(test)]
@@ -135,11 +111,13 @@ mod tests {
     #[test]
     fn video_call_not_flagged() {
         let classifier = MediaClassifier::default();
-        let mut pkts = Vec::new();
-        for i in 0..300 {
-            pkts.push(pkt(i * 33, 1100, None));
+        // From 0, and stamped as a real capture is: in epoch time.
+        for start_ms in [0, 1_700_000_000_000] {
+            let pkts: Vec<TracePacket> = (0..300)
+                .map(|i| pkt(start_ms + i * 33, 1100, None))
+                .collect();
+            assert!(!detect_video_off(&pkts, &classifier), "start {start_ms} ms");
         }
-        assert!(!detect_video_off(&pkts, &classifier));
     }
 
     #[test]
@@ -164,11 +142,6 @@ mod tests {
             pkt(3, 150, Some((111, 9))), // audio doesn't count
         ];
         assert_eq!(estimate_participants_rtp(&pkts, 102), 2);
-        let streams = split_by_ssrc(&pkts, 102);
-        assert_eq!(streams.len(), 2);
-        assert_eq!(streams[0].0, 1);
-        assert_eq!(streams[0].1.len(), 2);
-        assert_eq!(streams[1].1.len(), 1);
     }
 
     #[test]

@@ -5,8 +5,7 @@ use super::QoeEvent;
 use super::{Monitor, OverflowPolicy, DEFAULT_QUEUE_CAPACITY};
 #[cfg(doc)]
 use crate::control::MonitorSnapshot;
-use crate::engine::EngineConfig;
-use crate::pipeline::Method;
+use crate::engine::{EngineConfig, Method};
 use vcaml_mlcore::RandomForest;
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::{PayloadMap, VcaKind};

@@ -10,7 +10,7 @@ use super::{
 };
 use crate::backpressure::EventQueue;
 use crate::control::{ControlShared, MonitorHandle};
-use crate::pipeline::Method;
+use crate::engine::Method;
 use crate::source::SourcePacket;
 use crate::trace::TracePacket;
 use std::collections::VecDeque;

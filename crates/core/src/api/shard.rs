@@ -9,9 +9,8 @@ use super::{
 };
 use crate::backpressure::EventQueue;
 use crate::control::ControlShared;
-use crate::engine::{EngineConfig, FlowTable, QoeEstimator, WindowReport};
+use crate::engine::{EngineConfig, FlowTable, Method, QoeEstimator, WindowReport};
 use crate::engine::{IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine};
-use crate::pipeline::Method;
 use crate::trace::TracePacket;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;

@@ -1,8 +1,7 @@
 #![cfg(test)]
 
 use super::*;
-use crate::engine::{EngineConfig, WindowReport};
-use crate::pipeline::Method;
+use crate::engine::{EngineConfig, Method, WindowReport};
 use crate::trace::TracePacket;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};

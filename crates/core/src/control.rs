@@ -36,8 +36,8 @@
 use crate::api::{MonitorStats, QoeEvent, StatsCells};
 use crate::backpressure::{EventQueue, QueueAccounting};
 use crate::bus::{AlertThresholds, Severity};
+use crate::engine::Method;
 use crate::json;
-use crate::pipeline::Method;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use vcaml_netpkt::FlowKey;

@@ -16,7 +16,7 @@
 use crate::api::ParseDropReason;
 use crate::bus::Severity;
 use crate::control::MonitorSnapshot;
-use crate::pipeline::Method;
+use crate::engine::Method;
 use std::fmt::Write;
 
 /// Flows listed in the `dropped_by_flow` family — the top-K offenders

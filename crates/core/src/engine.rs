@@ -39,7 +39,6 @@ use crate::frames::Frame;
 use crate::heuristic::{HeuristicParams, IpUdpAssembler};
 use crate::json;
 use crate::media::MediaClassifier;
-use crate::pipeline::Method;
 use crate::qoe::{QoeEstimate, QoeWindower};
 use crate::rtp_heuristic::RtpAssembler;
 use crate::trace::{Trace, TracePacket};
@@ -48,6 +47,79 @@ use vcaml_features::{FlowFeatureAcc, IpUdpFeatureAcc, RtpWindowAcc, StatsMode};
 use vcaml_mlcore::RandomForest;
 use vcaml_netpkt::{FlowKey, Timestamp};
 use vcaml_rtp::{MediaKind, PayloadMap, VcaKind};
+
+/// The paper's four estimation methods, one engine each.
+///
+/// Stability: stable — re-exported from the crate root as part of the
+/// supported API surface (see `ARCHITECTURE.md` § stability).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Method {
+    /// Frame reconstruction from packet sizes only (Algorithm 1).
+    IpUdpHeuristic,
+    /// Random forest on IP/UDP features.
+    IpUdpMl,
+    /// Frame reconstruction from RTP timestamps + marker bits.
+    RtpHeuristic,
+    /// Random forest on flow + RTP features.
+    RtpMl,
+}
+
+impl Method {
+    /// All four, in the paper's legend order.
+    pub const ALL: [Method; 4] = [
+        Method::RtpMl,
+        Method::IpUdpMl,
+        Method::RtpHeuristic,
+        Method::IpUdpHeuristic,
+    ];
+
+    /// Display name as used in the paper's figures.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Method::IpUdpHeuristic => "IP/UDP Heuristic",
+            Method::IpUdpMl => "IP/UDP ML",
+            Method::RtpHeuristic => "RTP Heuristic",
+            Method::RtpMl => "RTP ML",
+        }
+    }
+
+    /// The variant's own name, as `{:?}` prints it — how a window
+    /// report's JSON spells its `method`.
+    pub(crate) fn variant_name(&self) -> &'static str {
+        match self {
+            Method::IpUdpHeuristic => "IpUdpHeuristic",
+            Method::IpUdpMl => "IpUdpMl",
+            Method::RtpHeuristic => "RtpHeuristic",
+            Method::RtpMl => "RtpMl",
+        }
+    }
+
+    /// Whether this is one of the ML methods.
+    pub fn is_ml(&self) -> bool {
+        matches!(self, Method::IpUdpMl | Method::RtpMl)
+    }
+
+    /// Stable machine-readable slug (metric labels, JSON keys).
+    pub fn slug(&self) -> &'static str {
+        match self {
+            Method::IpUdpHeuristic => "ip_udp_heuristic",
+            Method::IpUdpMl => "ip_udp_ml",
+            Method::RtpHeuristic => "rtp_heuristic",
+            Method::RtpMl => "rtp_ml",
+        }
+    }
+
+    /// Position in [`Method::ALL`] — a dense slot for per-method
+    /// counter arrays.
+    pub fn index(&self) -> usize {
+        match self {
+            Method::RtpMl => 0,
+            Method::IpUdpMl => 1,
+            Method::RtpHeuristic => 2,
+            Method::IpUdpHeuristic => 3,
+        }
+    }
+}
 
 /// Engine configuration shared by all four methods.
 ///

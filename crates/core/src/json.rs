@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn method_names_are_the_debug_names() {
-        for m in crate::pipeline::Method::ALL {
+        for m in crate::engine::Method::ALL {
             assert_eq!(m.variant_name(), format!("{m:?}"));
         }
     }

@@ -13,9 +13,9 @@
 //!   pull-based [`source::PacketSource`]s (pcap files, synthetic calls,
 //!   in-memory replays, real-time pacing), typed [`sink::EventSink`]s
 //!   (JSON lines, callbacks, bounded channel subscribers, frame-rate
-//!   alerts, per-flow summaries, [`sink::Tee`] fan-out), and the
-//!   [`runner::MonitorRunner`] that drives N sources on N ingest threads
-//!   into one monitor and fans the event stream out to every sink;
+//!   alerts, per-flow summaries), and the [`runner::MonitorRunner`] that
+//!   drives N sources on N ingest threads into one monitor and fans the
+//!   event stream out to every sink;
 //! * [`bus`] / [`control`] — **the output/control plane**: events are
 //!   shared (`Arc<QoeEvent>`) end to end, the [`bus::EventBus`] fans
 //!   them out to typed [`bus::EventFilter`] subscriptions (by kind,
@@ -46,20 +46,18 @@
 //!   jitter estimators (§3.2.1), implemented as the incremental
 //!   [`qoe::QoeWindower`];
 //! * [`engine`] — the unified streaming engine underneath the facade:
-//!   all four methods behind the [`engine::QoeEstimator`] trait
+//!   the four [`Method`]s and their shared [`EngineConfig`], all four
+//!   behind the [`engine::QoeEstimator`] trait
 //!   (`push_into`/`finish_into`), plus the sharded, flow-keyed
 //!   [`engine::FlowTable`] that monitors many concurrent calls in one
 //!   process (§7's "streaming versions of the methods"). *Unstable
 //!   internals* — construct through [`api`] unless you are a parity test
 //!   or a benchmark;
-//! * [`pipeline`] — the **IP/UDP ML** and **RTP ML** methods: feature
-//!   extraction (a replay over the engines), 5-fold cross-validated
-//!   random forests, transfer evaluation, and feature importances
-//!   (§3.2.2);
+//! * [`pipeline`] — window samples for training: the **IP/UDP ML** and
+//!   **RTP ML** feature rows with their ground truth (a replay over the
+//!   engines), which random forests are fitted on (§3.2.2);
 //! * [`resolution`] — resolution class schemes (per-height for Meet/Webex,
 //!   low/medium/high bins for Teams, §5.1.5);
-//! * [`errors`] — the heuristic error taxonomy of Fig. 4 (splits /
-//!   interleaves / coalesces);
 //! * [`trace`] — the monitor-side trace model consumed by all methods.
 //!
 //! Batch and streaming share one implementation: the batch entry points
@@ -74,12 +72,10 @@ pub mod bus;
 pub mod control;
 pub mod daemon;
 pub mod engine;
-pub mod errors;
 pub mod frames;
 pub mod heuristic;
 mod json;
 pub mod media;
-pub mod modes;
 pub mod pipeline;
 pub mod qoe;
 pub mod resolution;
@@ -99,22 +95,18 @@ pub use daemon::{ControlEndpoint, Daemon, DaemonConfig};
 pub use runner::{MonitorRunner, RunnerReport, RunningMonitor, SourceReport};
 pub use sink::{
     AlertSink, CallbackSink, ChannelSink, CountingSink, EventSink, JsonLinesSink, Summary,
-    SummarySink, Tee,
+    SummarySink,
 };
 pub use source::{
     Paced, PacketSource, PcapFileSource, ReplaySource, SourcePacket, SyntheticSource,
 };
 // The concrete engines, `FlowTable`, and `replay` stay at their
 // `engine::` paths only: they are unstable internals behind the facade.
-pub use engine::{EngineConfig, QoeEstimator, WindowReport};
+pub use engine::{EngineConfig, Method, QoeEstimator, WindowReport};
 pub use frames::Frame;
 pub use heuristic::{HeuristicParams, IpUdpAssembler, IpUdpHeuristic};
 pub use media::MediaClassifier;
-pub use pipeline::{
-    build_samples, eval_heuristic, eval_ml_regression, eval_ml_resolution, feature_importances,
-    summarize, transfer_regression, EvalSummary, Method, PipelineOpts, SampleSet, Target,
-    WindowSample,
-};
+pub use pipeline::{build_samples, PipelineOpts, SampleSet, WindowSample};
 pub use qoe::{estimate_windows, QoeEstimate, QoeWindower};
 pub use resolution::ResolutionScheme;
 pub use trace::{Trace, TracePacket, TruthRow};

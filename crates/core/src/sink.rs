@@ -4,8 +4,7 @@
 //! [`EventSink::on_event`] per event, one [`EventSink::flush`] at end of
 //! run — and is the output half of the pluggable I/O layer (the input
 //! half is [`crate::source`]). A [`crate::runner::MonitorRunner`] fans
-//! every drained event out to all of its configured sinks; [`Tee`] does
-//! the same as a standalone combinator so sink trees compose.
+//! every drained event out to all of its configured sinks, in order.
 //!
 //! Provided sinks:
 //!
@@ -17,8 +16,7 @@
 //! * [`AlertSink`] — frame-rate threshold alerts as JSON lines (lifted
 //!   out of the `monitor` CLI);
 //! * [`SummarySink`] — end-of-run per-flow rollup table (windows, mean
-//!   frame rate / bitrate, method, shed events);
-//! * [`Tee`] — fan-out to any number of child sinks, in order.
+//!   frame rate / bitrate, method, shed events).
 //!
 //! ```
 //! use vcaml::api::{EstimationMethod, MonitorBuilder};
@@ -44,9 +42,8 @@
 
 use crate::api::QoeEvent;
 use crate::bus::AlertThresholds;
-use crate::engine::WindowReport;
+use crate::engine::{Method, WindowReport};
 use crate::json;
-use crate::pipeline::Method;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -531,52 +528,6 @@ impl<W: Write> EventSink for SummarySink<W> {
     }
 }
 
-/// Fan-out combinator: every event goes to every child, in the order the
-/// children were added, so multiple consumers observe byte-identical
-/// event sequences (a tested invariant).
-#[derive(Default)]
-pub struct Tee {
-    sinks: Vec<Box<dyn EventSink + Send>>,
-}
-
-impl Tee {
-    /// An empty tee; add children with [`Tee::with`].
-    pub fn new() -> Self {
-        Tee::default()
-    }
-
-    /// Adds a child sink (builder-style). Children are `Send` so a tee
-    /// can ride a spawned runner onto its supervisor thread.
-    pub fn with(mut self, sink: impl EventSink + Send + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-
-    /// Number of child sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether the tee has no children.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl EventSink for Tee {
-    fn on_event(&mut self, event: &Arc<QoeEvent>) {
-        for sink in &mut self.sinks {
-            sink.on_event(event);
-        }
-    }
-
-    fn flush(&mut self) {
-        for sink in &mut self.sinks {
-            sink.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,37 +561,6 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).expect("utf8");
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.contains("\"flow_opened\"")));
-    }
-
-    #[test]
-    fn tee_fans_out_in_order_to_every_child() {
-        let (a, b) = (SharedBuf::default(), SharedBuf::default());
-        let mut tee = Tee::new()
-            .with(JsonLinesSink::new(a.clone()))
-            .with(JsonLinesSink::new(b.clone()));
-        assert_eq!(tee.len(), 2);
-        for i in 0..4 {
-            tee.on_event(&opened(i));
-        }
-        tee.flush();
-        let (a, b) = (a.0.lock().unwrap(), b.0.lock().unwrap());
-        assert!(!a.is_empty());
-        assert_eq!(*a, *b, "every child sees byte-identical output");
-    }
-
-    /// A `Write` handle tests can keep after giving a sink ownership.
-    #[derive(Clone, Default)]
-    pub(crate) struct SharedBuf(pub std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("buf poisoned").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
     }
 
     /// Every `write` call it receives, as its own chunk.

@@ -5,7 +5,7 @@
 //! training seeds are small constants), so no scenario scores a model on
 //! its own training traffic.
 
-use vcaml::{build_samples, PipelineOpts};
+use vcaml::{build_samples, EngineConfig};
 use vcaml_datasets::{inlab_corpus, CorpusConfig};
 use vcaml_mlcore::{Dataset, RandomForest, RandomForestParams, Task};
 use vcaml_rtp::VcaKind;
@@ -39,14 +39,12 @@ pub fn train(vca: VcaKind) -> VcaModels {
         seed: 0x5eed + vca as u64,
     };
     let traces = inlab_corpus(vca, &cfg);
-    let mut opts = PipelineOpts::paper(vca);
-    opts.forest = RandomForestParams {
+    let set = build_samples(&traces, &EngineConfig::paper(vca));
+    let params = RandomForestParams {
         n_trees: 12,
         seed: 1,
         ..Default::default()
     };
-    let set = build_samples(&traces, &opts);
-    let params = opts.forest;
     VcaModels {
         ipudp_fps: fit(
             &set.ipudp_names,

@@ -24,19 +24,18 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, TcpStream};
 use std::sync::{Arc, Mutex};
 use vcaml_suite::datasets::{inlab_corpus, realworld_corpus, CorpusConfig};
-use vcaml_suite::mlcore::{Dataset, RandomForest, Task};
+use vcaml_suite::mlcore::{Dataset, RandomForest, RandomForestParams, Task};
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::daemon::{BoundControl, ControlEndpoint, Daemon, DaemonConfig};
 use vcaml_suite::vcaml::{
-    build_samples, CallbackSink, EstimationMethod, EventFilter, Method, MonitorBuilder,
-    MonitorRunner, PipelineOpts, ReplaySource, Severity, TracePacket,
+    build_samples, CallbackSink, EngineConfig, EstimationMethod, EventFilter, Method,
+    MonitorBuilder, MonitorRunner, ReplaySource, Severity, TracePacket,
 };
 use vcaml_suite::vcasim::VcaProfile;
 
 fn main() {
     let vca = VcaKind::Meet;
-    let opts = PipelineOpts::paper(vca);
 
     // --- Offline: train on the lab corpus (the operator's one-time cost).
     println!("training IP/UDP ML frame-rate model on lab data...");
@@ -49,12 +48,12 @@ fn main() {
             seed: 1,
         },
     );
-    let lab_set = build_samples(&lab, &opts);
+    let lab_set = build_samples(&lab, &EngineConfig::paper(vca));
     let mut train = Dataset::new(lab_set.ipudp_names.clone());
     for s in &lab_set.samples {
         train.push(&s.ipudp_features, s.truth.fps);
     }
-    let model = RandomForest::fit(&train, Task::Regression, &opts.forest);
+    let model = RandomForest::fit(&train, Task::Regression, &RandomForestParams::default());
     println!(
         "model: {} trees on {} windows",
         model.n_trees(),

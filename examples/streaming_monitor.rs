@@ -16,13 +16,13 @@
 
 use std::collections::BTreeMap;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
-use vcaml_suite::mlcore::{Dataset, RandomForest, Task};
+use vcaml_suite::mlcore::{Dataset, RandomForest, RandomForestParams, Task};
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_suite::netpkt::CapturedPacket;
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::{
-    build_samples, ChannelSink, EstimationMethod, Method, MonitorBuilder, MonitorRunner,
-    PipelineOpts, ReplaySource, WindowReport,
+    build_samples, ChannelSink, EngineConfig, EstimationMethod, Method, MonitorBuilder,
+    MonitorRunner, ReplaySource, WindowReport,
 };
 use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
 
@@ -57,7 +57,6 @@ fn run_method(
 
 fn main() {
     let vca = VcaKind::Webex;
-    let opts = PipelineOpts::paper(vca);
 
     // Train a frame-rate model offline (once).
     println!("training model...");
@@ -70,12 +69,12 @@ fn main() {
             seed: 2,
         },
     );
-    let set = build_samples(&lab, &opts);
+    let set = build_samples(&lab, &EngineConfig::paper(vca));
     let mut train = Dataset::new(set.ipudp_names.clone());
     for s in &set.samples {
         train.push(&s.ipudp_features, s.truth.fps);
     }
-    let model = RandomForest::fit(&train, Task::Regression, &opts.forest);
+    let model = RandomForest::fit(&train, Task::Regression, &RandomForestParams::default());
 
     // "Live" feed: a fresh call, consumed packet by packet from raw
     // captured datagrams.

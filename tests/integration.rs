@@ -1,26 +1,13 @@
-//! Cross-crate integration tests: simulator → datasets → feature
-//! extraction → heuristics/ML → evaluation, plus wire-format round trips.
+//! Cross-crate integration tests: simulator → datasets → media
+//! classification, plus wire-format round trips. (The evaluation
+//! pipeline's end-to-end tests live with it, in `crates/bench/tests`.)
 
-use vcaml_suite::datasets::{inlab_corpus, realworld_corpus, to_core_trace, CorpusConfig};
-use vcaml_suite::mlcore::{mae, RandomForestParams};
+use vcaml_suite::datasets::{inlab_corpus, to_core_trace, CorpusConfig};
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_suite::netpkt::{LinkType, PcapReader, PcapWriter, UdpDatagram};
 use vcaml_suite::rtp::{MediaKind, RtpHeader, VcaKind};
-use vcaml_suite::vcaml::{
-    build_samples, eval_heuristic, eval_ml_regression, eval_ml_resolution, transfer_regression,
-    MediaClassifier, Method, PipelineOpts, Target,
-};
+use vcaml_suite::vcaml::MediaClassifier;
 use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
-
-fn small_opts(vca: VcaKind) -> PipelineOpts {
-    let mut o = PipelineOpts::paper(vca);
-    o.forest = RandomForestParams {
-        n_trees: 10,
-        seed: 1,
-        ..Default::default()
-    };
-    o
-}
 
 fn small_corpus(vca: VcaKind, seed: u64) -> Vec<vcaml_suite::vcaml::Trace> {
     inlab_corpus(
@@ -32,36 +19,6 @@ fn small_corpus(vca: VcaKind, seed: u64) -> Vec<vcaml_suite::vcaml::Trace> {
             seed,
         },
     )
-}
-
-#[test]
-fn end_to_end_all_methods_reasonable_on_webex() {
-    let vca = VcaKind::Webex;
-    let opts = small_opts(vca);
-    let set = build_samples(&small_corpus(vca, 1), &opts);
-    assert!(set.samples.len() > 100);
-
-    for method in Method::ALL {
-        let (p, t) = if method.is_ml() {
-            eval_ml_regression(&set, method, Target::FrameRate, &opts)
-        } else {
-            eval_heuristic(&set, method, Target::FrameRate)
-        };
-        let m = mae(&p, &t);
-        assert!(m < 5.0, "{} frame-rate MAE {m}", method.name());
-    }
-}
-
-#[test]
-fn ipudp_ml_close_to_rtp_ml() {
-    // The paper's headline: IP/UDP features are nearly as good as RTP.
-    let vca = VcaKind::Teams;
-    let opts = small_opts(vca);
-    let set = build_samples(&small_corpus(vca, 2), &opts);
-    let (ip_p, ip_t) = eval_ml_regression(&set, Method::IpUdpMl, Target::FrameRate, &opts);
-    let (rt_p, rt_t) = eval_ml_regression(&set, Method::RtpMl, Target::FrameRate, &opts);
-    let gap = mae(&ip_p, &ip_t) - mae(&rt_p, &rt_t);
-    assert!(gap < 2.5, "IP/UDP ML trails RTP ML by {gap} FPS");
 }
 
 #[test]
@@ -79,36 +36,6 @@ fn media_classification_high_accuracy_all_vcas() {
         let acc = correct as f64 / total as f64;
         assert!(acc > 0.97, "{vca}: media accuracy {acc}");
     }
-}
-
-#[test]
-fn resolution_classification_works_for_teams() {
-    let vca = VcaKind::Teams;
-    let opts = small_opts(vca);
-    let set = build_samples(&small_corpus(vca, 4), &opts);
-    let (m, acc) = eval_ml_resolution(&set, Method::IpUdpMl, &opts).expect("classifiable");
-    assert!(acc > 0.6, "resolution accuracy {acc}");
-    assert_eq!(m.labels(), &["Low", "Medium", "High"]);
-}
-
-#[test]
-fn lab_model_transfers_to_real_world() {
-    let vca = VcaKind::Webex;
-    let opts = small_opts(vca);
-    let train = build_samples(&small_corpus(vca, 5), &opts);
-    let rw = realworld_corpus(
-        vca,
-        &CorpusConfig {
-            n_calls: 8,
-            min_secs: 15,
-            max_secs: 20,
-            seed: 6,
-        },
-    );
-    let test = build_samples(&rw, &opts);
-    let (p, t) = transfer_regression(&train, &test, Method::IpUdpMl, Target::FrameRate, &opts);
-    let m = mae(&p, &t);
-    assert!(m < 6.0, "transfer MAE {m}");
 }
 
 #[test]
@@ -213,20 +140,4 @@ fn corpora_are_deterministic_across_processes() {
             assert_eq!(tx.bitrate_kbps, ty.bitrate_kbps);
         }
     }
-}
-
-#[test]
-fn window_sweep_reduces_ml_error() {
-    // Fig 12's trend: larger windows -> easier prediction.
-    let vca = VcaKind::Webex;
-    let traces = small_corpus(vca, 12);
-    let mut maes = Vec::new();
-    for w in [1u32, 5] {
-        let mut opts = small_opts(vca);
-        opts.window_secs = w;
-        let set = build_samples(&traces, &opts);
-        let (p, t) = eval_ml_regression(&set, Method::IpUdpMl, Target::FrameRate, &opts);
-        maes.push(mae(&p, &t));
-    }
-    assert!(maes[1] < maes[0], "window sweep: {maes:?}");
 }

@@ -1,5 +1,5 @@
-//! I/O-layer invariants: `Tee` fan-out delivers byte-identical event
-//! sequences to every sink, a multi-source `MonitorRunner` is
+//! I/O-layer invariants: the runner's sink fan-out delivers
+//! byte-identical event sequences to every sink, a multi-source `MonitorRunner` is
 //! window-exact against sequential single-source ingest for all four
 //! methods, the pcap source round-trips written captures (property
 //! test), and the per-flow shed accounting survives the whole pipeline.
@@ -15,7 +15,7 @@ use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::source::{PacketSource, PcapFileSource, SourcePacket};
 use vcaml_suite::vcaml::{
     AlertSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder, MonitorRunner,
-    OverflowPolicy, QoeEvent, ReplaySource, SummarySink, SyntheticSource, Tee, Trace, TracePacket,
+    OverflowPolicy, QoeEvent, ReplaySource, SummarySink, SyntheticSource, Trace, TracePacket,
     WindowReport,
 };
 
@@ -139,26 +139,22 @@ fn multi_source_runner_matches_sequential_ingest_for_all_methods() {
     }
 }
 
-/// `Tee` fan-out: every child sink observes the byte-identical event
-/// sequence, whether the children hang off one tee or off the runner's
-/// own sink list.
+/// Sink fan-out: every sink on the runner's list observes the
+/// byte-identical event sequence, in order.
 #[test]
 fn tee_delivers_byte_identical_sequences_to_every_sink() {
     let bufs: Vec<SharedBuf> = (0..3).map(|_| SharedBuf::default()).collect();
     let direct = SharedBuf::default();
-    let tee = Tee::new()
-        .with(JsonLinesSink::new(bufs[0].clone()))
-        .with(JsonLinesSink::new(bufs[1].clone()))
-        .with(JsonLinesSink::new(bufs[2].clone()));
-    let report = MonitorRunner::new(
+    let mut runner = MonitorRunner::new(
         MonitorBuilder::new(VcaKind::Teams)
             .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
             .threads(2),
     )
-    .source(SyntheticSource::new(VcaKind::Teams, 3, 2, 5))
-    .sink(tee)
-    .sink(JsonLinesSink::new(direct.clone()))
-    .run();
+    .source(SyntheticSource::new(VcaKind::Teams, 3, 2, 5));
+    for buf in &bufs {
+        runner = runner.sink(JsonLinesSink::new(buf.clone()));
+    }
+    let report = runner.sink(JsonLinesSink::new(direct.clone())).run();
     assert!(report.events > 0, "the run produced events");
     let want = direct.bytes();
     assert!(!want.is_empty());
@@ -168,7 +164,7 @@ fn tee_delivers_byte_identical_sequences_to_every_sink() {
         "one JSON line per delivered event"
     );
     for (i, buf) in bufs.iter().enumerate() {
-        assert_eq!(buf.bytes(), want, "tee child {i} diverged");
+        assert_eq!(buf.bytes(), want, "sink {i} diverged");
     }
 }
 

@@ -15,7 +15,7 @@ use vcaml_suite::vcaml::engine::{
 };
 use vcaml_suite::vcaml::{
     build_samples, estimate_windows, qoe::QoeWindower, rtp_heuristic, EngineConfig, IpUdpHeuristic,
-    MediaClassifier, Method, PipelineOpts, QoeEstimator, Trace, TracePacket, WindowReport,
+    MediaClassifier, Method, QoeEstimator, Trace, TracePacket, WindowReport,
 };
 
 fn corpus(vca: VcaKind, seed: u64, n: usize) -> Vec<Trace> {
@@ -196,12 +196,11 @@ fn rtp_ml_features_streaming_equals_batch() {
 #[test]
 fn build_samples_windows_reproducible_by_streaming() {
     let vca = VcaKind::Meet;
-    let opts = PipelineOpts::paper(vca);
+    let config = EngineConfig::paper(vca);
     let traces = corpus(vca, 14, 2);
-    let set = build_samples(&traces, &opts);
+    let set = build_samples(&traces, &config);
     assert!(set.samples.len() > 30);
 
-    let config = opts.engine_config();
     for (trace_id, trace) in traces.iter().enumerate() {
         let heur = stream(&mut IpUdpHeuristicEngine::new(config), trace);
         let ip_ml = stream(&mut IpUdpMlEngine::new(config), trace);
