@@ -9,6 +9,11 @@
 //! (default `bench_results/`), one JSON per experiment, alongside the
 //! printed paper-style tables.
 
+#![allow(
+    clippy::expect_used,
+    reason = "the CLI fails fast: an IO error here has no caller to report to"
+)]
+
 use vcaml_bench::ctx::{Ctx, Scale};
 use vcaml_bench::experiments::registry;
 use vcaml_bench::report::Sink;

@@ -1,10 +1,6 @@
 //! One function per paper table/figure. Each prints a paper-style text
 //! rendering and writes a JSON artifact via [`crate::report::Sink`].
 
-// The experiment harness fails fast: artifact IO and corpus invariants
-// are fatal here (each site carries a `// lint: allow` justification).
-#![allow(clippy::unwrap_used)]
-
 use crate::ctx::{Corpus, Ctx};
 use crate::errors::{analyze_window, ErrorCounts};
 use crate::modes::{detect_video_off, estimate_participants_ipudp, estimate_participants_rtp};
@@ -181,7 +177,7 @@ fn f1(ctx: &mut Ctx, sink: &Sink) {
         (1.0 - fraction_le(video, 564.0)) * 100.0
     );
     sink.write("f1", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 /// Per-frame packet sizes from PT-classified video packets, in arrival
@@ -189,7 +185,7 @@ fn f1(ctx: &mut Ctx, sink: &Sink) {
 fn truth_frames_sizes(trace: &Trace) -> Vec<Vec<u16>> {
     let mut frames: Vec<(u32, Vec<u16>)> = Vec::new();
     for p in trace.rtp_video_packets() {
-        let ts = p.rtp.unwrap().timestamp; // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        let ts = p.rtp.unwrap().timestamp;
         match frames.iter_mut().rev().take(8).find(|(t, _)| *t == ts) {
             Some((_, v)) => v.push(p.size),
             None => frames.push((ts, vec![p.size])),
@@ -210,13 +206,13 @@ fn f2(ctx: &mut Ctx, sink: &Sink) {
         let frames = truth_frames_sizes(t);
         for f in &frames {
             if f.len() >= 2 {
-                let lo = *f.iter().min().unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
-                let hi = *f.iter().max().unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+                let lo = *f.iter().min().unwrap();
+                let hi = *f.iter().max().unwrap();
                 intra.push(f64::from(hi - lo));
             }
         }
         for w in frames.windows(2) {
-            let last = *w[0].last().unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+            let last = *w[0].last().unwrap();
             let first = w[1][0];
             inter.push(f64::from(last.abs_diff(first)));
         }
@@ -243,7 +239,7 @@ fn f2(ctx: &mut Ctx, sink: &Sink) {
             "inter_ge_2": 1.0 - fraction_le(&inter, 1.99),
         }),
     )
-    .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+    .unwrap();
 }
 
 fn media_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, vca: VcaKind) {
@@ -274,7 +270,7 @@ fn media_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, vca: VcaKind) {
             "video": { "correct_pct": m.percent(1,1), "missed_pct": m.percent(1,0), "total": m.row_total(1) },
         }),
     )
-    .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+    .unwrap();
 }
 
 fn t2(ctx: &mut Ctx, sink: &Sink) {
@@ -341,7 +337,7 @@ fn truth_cdfs(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
         )
     );
     sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn fa1(ctx: &mut Ctx, sink: &Sink) {
@@ -363,7 +359,7 @@ fn fa3(ctx: &mut Ctx, sink: &Sink) {
     let pkts: Vec<(Timestamp, u16, u32)> = trace
         .rtp_video_packets()
         .filter(|p| p.ts.second_index() == 5)
-        .map(|p| (p.ts, p.size, p.rtp.unwrap().timestamp)) // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .map(|p| (p.ts, p.size, p.rtp.unwrap().timestamp))
         .collect();
     let input: Vec<(Timestamp, u16)> = pkts.iter().map(|&(t, s, _)| (t, s)).collect();
     let (_, asg) = IpUdpHeuristic::new(opts.engine.heuristic).assemble(&input);
@@ -393,7 +389,7 @@ fn fa3(ctx: &mut Ctx, sink: &Sink) {
         "{}",
         table(&["Pkt", "Size [B]", "True frame", "Assigned frame"], &rows)
     );
-    sink.write("fa3", &artifact).unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+    sink.write("fa3", &artifact).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -480,7 +476,7 @@ fn error_figure(
         )
     );
     sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn f3(ctx: &mut Ctx, sink: &Sink) {
@@ -548,7 +544,7 @@ fn f10(ctx: &mut Ctx, sink: &Sink) {
         false,
     );
     sink.write("f10", &json!({"see": ["f10a", "f10b", "f10c"]}))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn f4(ctx: &mut Ctx, sink: &Sink) {
@@ -566,7 +562,7 @@ fn f4(ctx: &mut Ctx, sink: &Sink) {
                 by_sec.entry(p.ts.second_index()).or_default().push((
                     p.ts,
                     p.size,
-                    p.rtp.unwrap().timestamp, // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+                    p.rtp.unwrap().timestamp,
                 ));
             }
             for pkts in by_sec.values() {
@@ -596,7 +592,7 @@ fn f4(ctx: &mut Ctx, sink: &Sink) {
         table(&["VCA", "Splits", "Interleaves", "Coalesces"], &rows)
     );
     sink.write("f4", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn f8(ctx: &mut Ctx, sink: &Sink) {
@@ -609,8 +605,8 @@ fn f8(ctx: &mut Ctx, sink: &Sink) {
         .iter()
         .max_by(|a, b| a.truth.frame_jitter_ms.total_cmp(&b.truth.frame_jitter_ms))
         .map(|s| s.trace_id)
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
-                   // Train on every other trace, predict the chosen one.
+        .unwrap();
+    // Train on every other trace, predict the chosen one.
     let mut train = Dataset::new(set.ipudp_names.clone());
     let mut test_feats: Vec<(i64, Vec<f64>, f64)> = Vec::new();
     for s in &set.samples {
@@ -641,7 +637,7 @@ fn f8(ctx: &mut Ctx, sink: &Sink) {
         "{}",
         table(&["t [s]", "IP/UDP ML [ms]", "Ground truth [ms]"], &rows)
     );
-    sink.write("f8", &artifact).unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+    sink.write("f8", &artifact).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -678,7 +674,7 @@ fn importance_figure(
         );
     }
     sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn f5(ctx: &mut Ctx, sink: &Sink) {
@@ -803,7 +799,7 @@ fn t3(ctx: &mut Ctx, sink: &Sink) {
     }
     println!("{}", table(&["Method", "Meet", "Teams", "Webex"], &rows));
     sink.write("t3", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn resolution_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
@@ -833,7 +829,7 @@ fn resolution_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
                 })
                 .collect();
             sink.write(id, &json!({"accuracy": acc, "cells": cells}))
-                .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+                .unwrap();
         }
         None => println!("not classifiable (single resolution class)"),
     }
@@ -872,7 +868,7 @@ fn transfer_table(ctx: &mut Ctx, sink: &Sink, id: &str, target: Target, unit: &s
     }
     println!("{}", table(&["Method", "Meet", "Teams", "Webex"], &rows));
     sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn t5(ctx: &mut Ctx, sink: &Sink) {
@@ -957,7 +953,7 @@ fn f11(ctx: &mut Ctx, sink: &Sink) {
     headers.extend(labels.iter().map(String::as_str));
     println!("{}", table(&headers, &rows));
     sink.write("f11", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn f12(ctx: &mut Ctx, sink: &Sink) {
@@ -995,7 +991,7 @@ fn f12(ctx: &mut Ctx, sink: &Sink) {
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
     sink.write("f12", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn fa10(ctx: &mut Ctx, sink: &Sink) {
@@ -1048,7 +1044,7 @@ fn fa10(ctx: &mut Ctx, sink: &Sink) {
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
     sink.write("fa10", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 fn ta6(_ctx: &mut Ctx, sink: &Sink) {
@@ -1066,7 +1062,7 @@ fn ta6(_ctx: &mut Ctx, sink: &Sink) {
             .map(|d| json!({"dim": d.label(), "values": d.values()}))
             .collect::<Vec<_>>()),
     )
-    .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+    .unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -1105,7 +1101,7 @@ pub fn ab1(ctx: &mut Ctx, sink: &Sink) {
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
     sink.write("ab1", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 /// AB2: value of the semantics features — IP/UDP ML with flow statistics
@@ -1153,7 +1149,7 @@ pub fn ab2(ctx: &mut Ctx, sink: &Sink) {
         table(&["VCA", "Flow-only MAE", "Full MAE", "Δ"], &rows)
     );
     sink.write("ab2", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 /// AB3: forest size vs accuracy — the accuracy/cost trade-off an operator
@@ -1177,7 +1173,7 @@ pub fn ab3(ctx: &mut Ctx, sink: &Sink) {
         artifact.push(json!({"n_trees": n, "mae": m}));
     }
     println!("{}", table(&["Trees", "MAE"], &rows));
-    sink.write("ab3", &artifact).unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+    sink.write("ab3", &artifact).unwrap();
 }
 
 /// AB4: microburst θ_IAT sensitivity — how the only timing-based semantics
@@ -1205,7 +1201,7 @@ pub fn ab4(ctx: &mut Ctx, sink: &Sink) {
         artifact.push(json!({"theta_us": theta, "mae": m}));
     }
     println!("{}", table(&["θ_IAT", "MAE"], &rows));
-    sink.write("ab4", &artifact).unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+    sink.write("ab4", &artifact).unwrap();
 }
 
 /// AB5: Δmax_size sensitivity for the IP/UDP Heuristic.
@@ -1259,7 +1255,7 @@ pub fn ab5(ctx: &mut Ctx, sink: &Sink) {
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
     sink.write("ab5", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 /// AB6: model-family comparison (§4.3: "we experiment with several
@@ -1329,7 +1325,7 @@ pub fn ab6(ctx: &mut Ctx, sink: &Sink) {
         table(&["VCA", "Ridge MAE", "Tree MAE", "Forest MAE"], &rows)
     );
     sink.write("ab6", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 /// AM1: application modes (§7) — video-off detection accuracy and
@@ -1418,7 +1414,7 @@ pub fn am1(ctx: &mut Ctx, sink: &Sink) {
         json!(correct as f64 / total as f64),
     );
     sink.write("am1", &serde_json::Value::Object(artifact))
-        .unwrap(); // lint: allow(no-unwrap-in-lib) -- experiment harness fails fast: artifact IO and corpus invariants are fatal
+        .unwrap();
 }
 
 #[cfg(test)]

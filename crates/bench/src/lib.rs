@@ -11,6 +11,12 @@
 //! samples, [`errors`] is the heuristic error taxonomy of Fig. 4, and
 //! [`modes`] the application-mode analysis of §7.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "the experiment harness fails fast: artifact IO and corpus invariants are fatal here"
+)]
+
 pub mod ctx;
 pub mod errors;
 pub mod experiments;

@@ -81,7 +81,7 @@ fn heuristic_estimate(s: &WindowSample, method: Method, target: Target) -> f64 {
     let est = match method {
         Method::IpUdpHeuristic => &s.heur,
         Method::RtpHeuristic => &s.rtp_heur,
-        _ => unreachable!("not a heuristic method"),
+        Method::IpUdpMl | Method::RtpMl => unreachable!("not a heuristic method"),
     };
     match target {
         Target::FrameRate => est.fps,
@@ -95,7 +95,7 @@ fn features_of(s: &WindowSample, method: Method) -> &[f64] {
     match method {
         Method::IpUdpMl => &s.ipudp_features,
         Method::RtpMl => &s.rtp_features,
-        _ => unreachable!("not an ML method"),
+        Method::IpUdpHeuristic | Method::RtpHeuristic => unreachable!("not an ML method"),
     }
 }
 
@@ -103,7 +103,7 @@ fn names_of(set: &SampleSet, method: Method) -> &[String] {
     match method {
         Method::IpUdpMl => &set.ipudp_names,
         Method::RtpMl => &set.rtp_names,
-        _ => unreachable!("not an ML method"),
+        Method::IpUdpHeuristic | Method::RtpHeuristic => unreachable!("not an ML method"),
     }
 }
 
@@ -207,7 +207,9 @@ pub fn feature_importances(
             };
             (resolution_dataset(set, method, &scheme), task)
         }
-        _ => (regression_dataset(set, method, target), Task::Regression),
+        Target::FrameRate | Target::Bitrate | Target::FrameJitter => {
+            (regression_dataset(set, method, target), Task::Regression)
+        }
     };
     RandomForest::fit(&d, task, &opts.forest).top_features(k)
 }

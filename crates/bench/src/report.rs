@@ -85,7 +85,7 @@ impl Sink {
         let mut f = std::fs::File::create(path)?;
         f.write_all(
             serde_json::to_string_pretty(value)
-                .expect("serialize") // lint: allow(no-unwrap-in-lib) -- serializing an in-memory artifact via the serde shim cannot fail
+                .expect("serialize")
                 .as_bytes(),
         )
     }

@@ -6,6 +6,11 @@
 //! * a run of one experiment exits 0 and writes its JSON artifact into
 //!   the `--out` directory.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fail fast, as the tests they serve do"
+)]
+
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {

@@ -11,6 +11,7 @@ use super::{
 use crate::backpressure::EventQueue;
 use crate::control::{ControlShared, MonitorHandle};
 use crate::engine::Method;
+use crate::leaf::leaf_held;
 use crate::source::SourcePacket;
 use crate::trace::TracePacket;
 use std::collections::VecDeque;
@@ -123,7 +124,12 @@ impl Lanes {
     /// again, so every channel drains.
     fn finish(mut self) {
         let mut send = |tx: &SyncSender<ShardMsg>, msg| {
-            tx.send(msg).expect("shard worker alive"); // lint: allow(no-unwrap-in-lib) -- shard worker channel lives until the caller's join
+            debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
+            #[expect(
+                clippy::expect_used,
+                reason = "shard worker channel lives until the caller's join"
+            )]
+            tx.send(msg).expect("shard worker alive");
         };
         self.flush(&mut send);
         for tx in &self.senders {
@@ -135,9 +141,14 @@ impl Lanes {
 /// The send policy of producers that have a concurrent drainer (ingest
 /// ports): block until the worker's channel has room.
 fn blocking_send(sender: &SyncSender<ShardMsg>, msg: ShardMsg) {
+    debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
+    #[expect(
+        clippy::expect_used,
+        reason = "ingest ports are dropped before shard workers shut down"
+    )]
     sender
         .send(msg)
-        .expect("shard workers outlive ingest ports"); // lint: allow(no-unwrap-in-lib) -- ingest ports are dropped before shard workers shut down
+        .expect("shard workers outlive ingest ports");
 }
 
 /// How packets reach the per-flow engines: on the caller's thread, or
@@ -173,7 +184,12 @@ fn dispatch_batch(
     mut msg: ShardMsg,
 ) {
     if !stage_on_full {
-        sender.send(msg).expect("shard workers outlive dispatch"); // lint: allow(no-unwrap-in-lib) -- shard workers are owned by this struct and outlive dispatch by construction
+        debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
+        #[expect(
+            clippy::expect_used,
+            reason = "shard workers are owned by this struct and outlive dispatch by construction"
+        )]
+        sender.send(msg).expect("shard workers outlive dispatch");
         return;
     }
     loop {
@@ -329,10 +345,14 @@ impl Monitor {
                 let (tx, rx) = sync_channel::<ShardMsg>(channel_batches);
                 let state = shard_state(worker);
                 let queue = Arc::clone(&queue);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
+                )]
                 let handle = std::thread::Builder::new()
                     .name(format!("vcaml-shard-{worker}"))
                     .spawn(move || worker_loop(state, rx, queue, worker))
-                    .expect("spawn shard worker"); // lint: allow(no-unwrap-in-lib) -- spawn fails only on OS thread exhaustion; no recovery at this layer
+                    .expect("spawn shard worker");
                 senders.push(tx);
                 handles.push(handle);
             }
@@ -538,7 +558,11 @@ impl Monitor {
             Dispatch::Threaded { lanes, handles } => {
                 lanes.finish();
                 for handle in handles {
-                    handle.join().expect("shard worker panicked"); // lint: allow(no-unwrap-in-lib) -- join re-raises a worker panic instead of hiding it
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "join re-raises a worker panic instead of hiding it"
+                    )]
+                    handle.join().expect("shard worker panicked");
                 }
             }
             Dispatch::Done => unreachable!("finish runs once"),

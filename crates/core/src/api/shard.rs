@@ -558,16 +558,24 @@ impl ShardState {
         // Replay the probation buffer through the decided engine; the
         // max-lag accounting sees the burst as one push of N packets.
         for pkt in &pending.packets {
+            #[expect(
+                clippy::expect_used,
+                reason = "probation flow was inserted into the table just above"
+            )]
             let tracked = self
                 .table
                 .get_mut_seen_hashed(hash, &flow, pkt.ts)
-                .expect("just inserted"); // lint: allow(no-unwrap-in-lib) -- probation flow was inserted into the table just above
+                .expect("just inserted");
             tracked.engine.push_into(pkt, &mut self.reports);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "probation flow was inserted into the table just above"
+        )]
         let tracked = self
             .table
             .get_mut_hashed(hash, &flow)
-            .expect("just inserted"); // lint: allow(no-unwrap-in-lib) -- probation flow was inserted into the table just above
+            .expect("just inserted");
         tracked.note_pushed(
             pending.packets.len() as u32,
             !self.reports.is_empty(),

@@ -1,4 +1,8 @@
 #![cfg(test)]
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "tests match out the one event kind they check"
+)]
 
 use super::*;
 use crate::engine::{EngineConfig, Method, WindowReport};

@@ -28,9 +28,10 @@
 //! exactly one shard — survives the merge into the outgoing stream.
 
 use crate::api::QoeEvent;
+use crate::leaf::LeafMutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use vcaml_netpkt::FlowKey;
 
 /// Bound on the flows the shed-attribution maps track, per interval and
@@ -107,7 +108,7 @@ fn bump_bounded(map: &mut HashMap<FlowKey, u64>, flow: FlowKey) {
 /// its inline ingest path) and the draining caller. See the
 /// [module docs](self) for the policy semantics.
 pub(crate) struct EventQueue {
-    inner: Mutex<QueueInner>,
+    inner: LeafMutex<QueueInner>,
     not_full: Condvar,
     /// Queued events plus any pending drop marker — maintained under the
     /// lock, read lock-free. The per-packet drain of an otherwise idle
@@ -122,7 +123,7 @@ impl EventQueue {
         assert!(capacity >= 1, "zero event-queue capacity");
         EventQueue {
             approx_len: AtomicUsize::new(0),
-            inner: Mutex::new(QueueInner {
+            inner: LeafMutex::new(QueueInner {
                 buf: VecDeque::new(),
                 capacity,
                 policy,
@@ -151,7 +152,7 @@ impl EventQueue {
     /// the queue is waiting on itself: `Block` grows past the bound
     /// instead. `DropOldest` is unaffected.
     pub(crate) fn push(&self, events: impl IntoIterator<Item = Arc<QoeEvent>>, may_wait: bool) {
-        let mut inner = self.inner.lock().expect("event queue poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned queue lock means a producer/consumer already panicked; escalate
+        let mut inner = self.inner.lock();
         for event in events {
             while !inner.unbounded && inner.buf.len() >= inner.capacity {
                 match inner.policy {
@@ -174,8 +175,7 @@ impl EventQueue {
                             Ordering::Release,
                         );
                         inner.waiters += 1;
-                        // lint: allow(no-unwrap-in-lib) -- poisoned queue lock means a producer/consumer already panicked; escalate
-                        inner = self.not_full.wait(inner).expect("event queue poisoned");
+                        inner = inner.wait(&self.not_full);
                         inner.waiters -= 1;
                     }
                     // Single-threaded (or released, or consumer-side)
@@ -211,7 +211,7 @@ impl EventQueue {
             return 0;
         }
         let before = out.len();
-        let mut inner = self.inner.lock().expect("event queue poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned queue lock means a producer/consumer already panicked; escalate
+        let mut inner = self.inner.lock();
         let dropped = std::mem::take(&mut inner.dropped_since_drain);
         if dropped > 0 {
             let mut per_flow: Vec<(FlowKey, u64)> =
@@ -234,14 +234,14 @@ impl EventQueue {
 
     /// Queued events not yet drained (excludes any pending drop marker).
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().expect("event queue poisoned").buf.len() // lint: allow(no-unwrap-in-lib) -- poisoned queue lock means a producer/consumer already panicked; escalate
+        self.inner.lock().buf.len()
     }
 
     /// Lifetime shed counts, their per-flow breakdown and the queued
     /// backlog, all from one instant: one lock, so a snapshot's per-flow
     /// sum can never exceed its total.
     pub(crate) fn accounting(&self) -> QueueAccounting {
-        let inner = self.inner.lock().expect("event queue poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned queue lock means a producer/consumer already panicked; escalate
+        let inner = self.inner.lock();
         let mut accounting = QueueAccounting {
             dropped_total: inner.dropped_total,
             dropped_by_flow: inner
@@ -265,7 +265,7 @@ impl EventQueue {
     /// end-of-stream flush, which carries every flow's sealed tail
     /// windows, must neither drop nor deadlock against a full queue.
     pub(crate) fn release(&self) {
-        let mut inner = self.inner.lock().expect("event queue poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned queue lock means a producer/consumer already panicked; escalate
+        let mut inner = self.inner.lock();
         inner.may_block = false;
         inner.unbounded = true;
         drop(inner);
@@ -286,10 +286,10 @@ mod tests {
     }
 
     fn ts_of(event: &QoeEvent) -> i64 {
-        match event {
-            QoeEvent::ParseDrop { ts, .. } => ts.as_micros(),
-            other => panic!("not a parse drop: {other:?}"),
-        }
+        let QoeEvent::ParseDrop { ts, .. } = event else {
+            panic!("not a parse drop: {event:?}");
+        };
+        ts.as_micros()
     }
 
     /// Everything one `drain_into` moves, as a fresh batch.

@@ -36,10 +36,11 @@
 
 use crate::api::QoeEvent;
 use crate::control::ControlShared;
+use crate::leaf::LeafMutex;
 use crate::sink::{report_fps, EventSink};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
 use vcaml_vcasim::VcaProfile;
 
@@ -448,7 +449,7 @@ struct Subscription {
 /// while the bus is already running, waiting to be adopted by the drain
 /// thread at its next publish.
 struct PendingSubs {
-    pending: Mutex<Vec<Subscription>>,
+    pending: LeafMutex<Vec<Subscription>>,
     /// Length mirror of `pending`, readable without the lock — the
     /// per-publish fast path is one relaxed load.
     n: AtomicUsize,
@@ -470,7 +471,7 @@ impl BusHandle {
     /// Registers a subscriber for the slice of the stream `filter`
     /// selects, starting at the drain thread's next publish.
     pub fn subscribe(&self, filter: EventFilter, sink: impl EventSink + Send + 'static) {
-        let mut pending = self.shared.pending.lock().expect("pending subs poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned pending-subs lock means a peer thread already panicked; escalate
+        let mut pending = self.shared.pending.lock();
         pending.push(Subscription {
             filter,
             sink: Box::new(sink),
@@ -542,7 +543,7 @@ impl EventBus {
     pub fn handle(&mut self) -> BusHandle {
         let shared = self.remote.get_or_insert_with(|| {
             Arc::new(PendingSubs {
-                pending: Mutex::new(Vec::new()),
+                pending: LeafMutex::new(Vec::new()),
                 n: AtomicUsize::new(0),
             })
         });
@@ -582,7 +583,7 @@ impl EventBus {
     fn adopt_and_prune(&mut self) {
         if let Some(remote) = &self.remote {
             if remote.n.load(Relaxed) > 0 {
-                let mut pending = remote.pending.lock().expect("pending subs poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned pending-subs lock means a peer thread already panicked; escalate
+                let mut pending = remote.pending.lock();
                 self.subscriptions.append(&mut pending);
                 remote.n.store(0, Relaxed);
             }

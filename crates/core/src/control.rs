@@ -38,8 +38,9 @@ use crate::backpressure::{EventQueue, QueueAccounting};
 use crate::bus::{AlertThresholds, Severity};
 use crate::engine::Method;
 use crate::json;
+use crate::leaf::LeafMutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
 use vcaml_vcasim::VcaProfile;
 
@@ -54,7 +55,7 @@ pub(crate) struct ControlShared {
     flush_epoch: AtomicU64,
     /// Append-only eviction requests; each shard keeps a cursor and
     /// seals the requested flows it owns.
-    evictions: Mutex<Vec<FlowKey>>,
+    evictions: LeafMutex<Vec<FlowKey>>,
     /// `evictions.len()`, readable without the lock (shards skip the
     /// lock entirely while no new request exists).
     evict_len: AtomicUsize,
@@ -87,7 +88,7 @@ impl ControlShared {
         ControlShared {
             stop: AtomicBool::new(false),
             flush_epoch: AtomicU64::new(0),
-            evictions: Mutex::new(Vec::new()),
+            evictions: LeafMutex::new(Vec::new()),
             evict_len: AtomicUsize::new(0),
             thresholds: AlertThresholds::new(),
             depths: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -139,7 +140,7 @@ impl ControlShared {
         if self.evict_len.load(Relaxed) == *cursor {
             return Vec::new();
         }
-        let requests = self.evictions.lock().expect("evictions poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned evictions lock means a peer thread already panicked; escalate
+        let requests = self.evictions.lock();
         let fresh = requests[(*cursor).min(requests.len())..].to_vec();
         *cursor = requests.len();
         fresh
@@ -334,7 +335,7 @@ impl MonitorHandle {
     /// Unknown flows are ignored. Same application timing as
     /// [`MonitorHandle::force_flush`].
     pub fn evict_flow(&self, flow: FlowKey) {
-        let mut requests = self.control.evictions.lock().expect("evictions poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned evictions lock means a peer thread already panicked; escalate
+        let mut requests = self.control.evictions.lock();
         requests.push(flow);
         self.control.evict_len.store(requests.len(), Relaxed);
     }

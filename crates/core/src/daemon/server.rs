@@ -180,11 +180,15 @@ impl Daemon {
                 let bound = listener.local_addr()?;
                 let handle = handle.clone();
                 let stop = Arc::clone(&stop);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
+                )]
                 threads.push(
                     std::thread::Builder::new()
                         .name("vcaml-metrics".into())
                         .spawn(move || metrics_loop(listener, handle, stop, read_timeout))
-                        .expect("spawn metrics server"), // lint: allow(no-unwrap-in-lib) -- spawn fails only on OS thread exhaustion; no recovery at this layer
+                        .expect("spawn metrics server"),
                 );
                 Some(bound)
             }
@@ -198,11 +202,15 @@ impl Daemon {
                 let bound = listener.local_addr()?;
                 let ctx = ctx.clone();
                 let stop = Arc::clone(&stop);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
+                )]
                 threads.push(
                     std::thread::Builder::new()
                         .name("vcaml-control".into())
                         .spawn(move || control_tcp_loop(listener, ctx, stop, read_timeout))
-                        .expect("spawn control server"), // lint: allow(no-unwrap-in-lib) -- spawn fails only on OS thread exhaustion; no recovery at this layer
+                        .expect("spawn control server"),
                 );
                 Some(BoundControl::Tcp(bound))
             }
@@ -215,11 +223,15 @@ impl Daemon {
                 listener.set_nonblocking(true)?;
                 let ctx = ctx.clone();
                 let stop = Arc::clone(&stop);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
+                )]
                 threads.push(
                     std::thread::Builder::new()
                         .name("vcaml-control".into())
                         .spawn(move || control_unix_loop(listener, ctx, stop, read_timeout))
-                        .expect("spawn control server"), // lint: allow(no-unwrap-in-lib) -- spawn fails only on OS thread exhaustion; no recovery at this layer
+                        .expect("spawn control server"),
                 );
                 Some(BoundControl::Unix(path.clone()))
             }

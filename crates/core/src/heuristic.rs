@@ -110,12 +110,16 @@ impl IpUdpAssembler {
             Some(fid) => {
                 // Matched frames are overwhelmingly the newest: scan from
                 // the back.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "frame index comes from the open-frame scan just above"
+                )]
                 let (_, f) = self
                     .open
                     .iter_mut()
                     .rev()
                     .find(|(id, _)| *id == fid)
-                    .expect("matched frame is open"); // lint: allow(no-unwrap-in-lib) -- frame index comes from the open-frame scan just above
+                    .expect("matched frame is open");
                 f.size_bytes += payload;
                 f.n_packets += 1;
                 f.end_ts = f.end_ts.max(ts);
@@ -139,9 +143,13 @@ impl IpUdpAssembler {
             }
         };
         if self.recent.len() == self.params.lookback {
-            let (_, evicted) = self.recent.pop_front().expect("non-empty lookback"); // lint: allow(no-unwrap-in-lib) -- loop guard holds recent.len() > lookback, so the deque is non-empty
-                                                                                     // Seal the evicted frame once no other lookback entry keeps it
-                                                                                     // matchable (and the current packet did not rejoin it).
+            #[expect(
+                clippy::expect_used,
+                reason = "loop guard holds recent.len() > lookback, so the deque is non-empty"
+            )]
+            let (_, evicted) = self.recent.pop_front().expect("non-empty lookback");
+            // Seal the evicted frame once no other lookback entry keeps it
+            // matchable (and the current packet did not rejoin it).
             if evicted != fid && !self.recent.iter().any(|&(_, f)| f == evicted) {
                 // Evicted ids are the oldest: scan from the front. The
                 // order-preserving remove keeps `open` id-sorted.

@@ -75,6 +75,7 @@ pub mod engine;
 pub mod frames;
 pub mod heuristic;
 mod json;
+mod leaf;
 pub mod media;
 pub mod pipeline;
 pub mod qoe;

@@ -10,6 +10,7 @@
 
 use crate::api::build_engine;
 use crate::engine::{place_windows, EngineConfig, Method, WindowReport};
+use crate::leaf::LeafMutex;
 use crate::qoe::QoeEstimate;
 use crate::source::{PacketSource, ReplaySource, SourcePacket};
 use crate::trace::{Trace, TruthRow};
@@ -99,11 +100,10 @@ fn trace_samples(
         Method::RtpHeuristic,
         Method::RtpMl,
     ];
-    let mut engines: Vec<_> = methods
-        .iter()
-        .map(|m| build_engine(*m, config, trace.payload_map, None))
-        .collect();
-    let mut reports: Vec<Vec<WindowReport>> = methods.iter().map(|_| Vec::new()).collect();
+    let mut lanes = methods.map(|m| {
+        let engine = build_engine(m, config, trace.payload_map, None);
+        (engine, Vec::<WindowReport>::new())
+    });
     let flow = vcaml_netpkt::FlowKey::canonical(
         std::net::IpAddr::V4(std::net::Ipv4Addr::new(127, 0, 0, 1)),
         1,
@@ -113,26 +113,25 @@ fn trace_samples(
     )
     .0;
     let mut source = ReplaySource::from_trace(trace, flow);
+    #[expect(
+        clippy::expect_used,
+        reason = "replay over an in-memory trace never returns an IO error"
+    )]
     while let Some(pkt) = source
         .next_packet()
-        // lint: allow(no-unwrap-in-lib) -- replay over an in-memory trace never returns an IO error
         .expect("in-memory replay is infallible")
     {
         let SourcePacket::Parsed { packet, .. } = pkt else {
             unreachable!("trace replays yield pre-parsed packets");
         };
-        for (engine, out) in engines.iter_mut().zip(&mut reports) {
+        for (engine, out) in &mut lanes {
             engine.push_into(&packet, out);
         }
     }
-    let mut placed = engines.iter_mut().zip(reports).map(|(engine, mut out)| {
+    let [heur_r, ip_ml_r, rtp_heur_r, rtp_ml_r] = lanes.map(|(mut engine, mut out)| {
         engine.finish_into(&mut out);
         place_windows(engine.as_ref(), out, trace.duration_secs, w)
     });
-    let heur_r = placed.next().expect("four replays"); // lint: allow(no-unwrap-in-lib) -- the engines vec is constructed with exactly four entries above
-    let ip_ml_r = placed.next().expect("four replays"); // lint: allow(no-unwrap-in-lib) -- the engines vec is constructed with exactly four entries above
-    let rtp_heur_r = placed.next().expect("four replays"); // lint: allow(no-unwrap-in-lib) -- the engines vec is constructed with exactly four entries above
-    let rtp_ml_r = placed.next().expect("four replays"); // lint: allow(no-unwrap-in-lib) -- the engines vec is constructed with exactly four entries above
 
     let mut samples = Vec::new();
     for wi in 0..heur_r.len() {
@@ -150,22 +149,26 @@ fn trace_samples(
         }
         let truth = aggregate_truth(&rows);
 
+        #[expect(
+            clippy::expect_used,
+            reason = "ML engines always attach features, and heuristic engines an estimate, to their reports"
+        )]
         samples.push(WindowSample {
             ipudp_features: ip_ml_r[wi]
                 .features
                 .clone()
-                .expect("ML report carries features"), // lint: allow(no-unwrap-in-lib) -- ML engines always attach features to their reports
+                .expect("ML report carries features"),
             rtp_features: rtp_ml_r[wi]
                 .features
                 .clone()
-                .expect("ML report carries features"), // lint: allow(no-unwrap-in-lib) -- ML engines always attach features to their reports
+                .expect("ML report carries features"),
             truth,
             heur: heur_r[wi]
                 .estimate
-                .expect("heuristic report carries estimate"), // lint: allow(no-unwrap-in-lib) -- heuristic engines always attach an estimate to their reports
+                .expect("heuristic report carries estimate"),
             rtp_heur: rtp_heur_r[wi]
                 .estimate
-                .expect("heuristic report carries estimate"), // lint: allow(no-unwrap-in-lib) -- heuristic engines always attach an estimate to their reports
+                .expect("heuristic report carries estimate"),
             trace_id,
         });
     }
@@ -191,7 +194,7 @@ pub fn build_samples(traces: &[Trace], config: &EngineConfig) -> SampleSet {
         .unwrap_or(1)
         .min(traces.len());
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let collected = std::sync::Mutex::new(Vec::new());
+    let collected = LeafMutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -203,14 +206,11 @@ pub fn build_samples(traces: &[Trace], config: &EngineConfig) -> SampleSet {
                     continue; // §4.1 filtering
                 }
                 let samples = trace_samples(i, &traces[i], *config, w);
-                collected
-                    .lock()
-                    .expect("collector poisoned") // lint: allow(no-unwrap-in-lib) -- poisoned collector lock means a worker already panicked; escalate
-                    .push((i, samples));
+                collected.lock().push((i, samples));
             });
         }
     });
-    let mut collected = collected.into_inner().expect("collector poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned collector lock means a worker already panicked; escalate
+    let mut collected = collected.into_inner();
     collected.sort_by_key(|(i, _)| *i);
     let samples: Vec<WindowSample> = collected.into_iter().flat_map(|(_, s)| s).collect();
 

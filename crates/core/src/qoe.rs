@@ -124,7 +124,11 @@ impl QoeWindower {
             let w = self.next_emit;
             let estimate = match self.open.front_mut() {
                 Some((front, _)) if *front == w => {
-                    let (_, mut frames) = self.open.pop_front().expect("front checked"); // lint: allow(no-unwrap-in-lib) -- the while condition just checked the front window exists
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the while condition just checked the front window exists"
+                    )]
+                    let (_, mut frames) = self.open.pop_front().expect("front checked");
                     let e = self.estimate_slice(&mut frames);
                     frames.clear();
                     if self.spare.len() < SPARE_POOL {

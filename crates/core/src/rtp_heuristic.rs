@@ -99,7 +99,10 @@ impl RtpAssembler {
                 });
                 self.next_id += 1;
                 while self.open.len() > SCAN_DEPTH {
-                    // lint: allow(no-unwrap-in-lib) -- loop guard holds open.len() > lookback, so the deque is non-empty
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "loop guard holds open.len() > lookback, so the deque is non-empty"
+                    )]
                     sealed.push(self.open.pop_front().expect("len checked").finalize());
                 }
             }
@@ -140,7 +143,11 @@ pub fn assemble(trace: &Trace) -> Vec<Frame> {
     let mut asm = RtpAssembler::new();
     let mut frames: Vec<(u64, Frame)> = Vec::new();
     for p in trace.rtp_video_packets() {
-        let h = p.rtp.expect("rtp_video_packets yields RTP packets"); // lint: allow(no-unwrap-in-lib) -- rtp_video_packets filters on rtp.is_some()
+        #[expect(
+            clippy::expect_used,
+            reason = "rtp_video_packets filters on rtp.is_some()"
+        )]
+        let h = p.rtp.expect("rtp_video_packets yields RTP packets");
         asm.push_into(p.ts, h.timestamp, h.marker, p.size, &mut frames);
     }
     asm.finish_into(&mut frames);

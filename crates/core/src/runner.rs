@@ -223,10 +223,14 @@ impl MonitorRunner {
     /// [`RunningMonitor::join`]).
     pub fn spawn(self) -> RunningMonitor {
         let handle = self.monitor.handle();
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
+        )]
         let supervisor = std::thread::Builder::new()
             .name("vcaml-runner".into())
             .spawn(move || self.run())
-            .expect("spawn runner supervisor"); // lint: allow(no-unwrap-in-lib) -- spawn fails only on OS thread exhaustion; no recovery at this layer
+            .expect("spawn runner supervisor");
         RunningMonitor { handle, supervisor }
     }
 }
@@ -269,8 +273,12 @@ impl RunningMonitor {
     ///
     /// # Panics
     /// Propagates a panic from the supervisor thread.
+    #[expect(
+        clippy::expect_used,
+        reason = "join re-raises the supervisor panic instead of hiding it"
+    )]
     pub fn join(self) -> RunnerReport {
-        self.supervisor.join().expect("runner supervisor panicked") // lint: allow(no-unwrap-in-lib) -- join re-raises the supervisor panic instead of hiding it
+        self.supervisor.join().expect("runner supervisor panicked")
     }
 
     /// Requests a graceful stop and waits for the run to wind down:
@@ -348,6 +356,10 @@ fn run_inline(
 /// `Block` queue live — workers it parks are woken by our drains. Each
 /// ingest thread flushes its port on the way out, so a stop loses
 /// nothing already pulled.
+#[expect(
+    clippy::expect_used,
+    reason = "join re-raises an ingest panic instead of hiding it"
+)]
 fn run_threaded(
     monitor: &mut Monitor,
     sources: Vec<Box<dyn PacketSource + Send>>,
@@ -396,7 +408,7 @@ fn run_threaded(
         }
         handles
             .into_iter()
-            .map(|h| h.join().expect("ingest thread panicked")) // lint: allow(no-unwrap-in-lib) -- join re-raises an ingest panic instead of hiding it
+            .map(|h| h.join().expect("ingest thread panicked"))
             .collect()
     })
 }

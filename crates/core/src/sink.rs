@@ -135,13 +135,21 @@ impl<W: Write> EventSink for JsonLinesSink<W> {
         self.line.clear();
         event.write_json(&mut self.line);
         self.line.push('\n');
+        #[expect(
+            clippy::expect_used,
+            reason = "EventSink is infallible by contract; a dead sink must abort, not drop telemetry"
+        )]
         self.writer
             .write_all(self.line.as_bytes())
-            .expect("event sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+            .expect("event sink write");
     }
 
     fn flush(&mut self) {
-        self.writer.flush().expect("event sink flush"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+        #[expect(
+            clippy::expect_used,
+            reason = "EventSink is infallible by contract; a dead sink must abort, not drop telemetry"
+        )]
+        self.writer.flush().expect("event sink flush");
     }
 }
 
@@ -323,9 +331,13 @@ impl<W: Write> AlertSink<W> {
         json::float(o.key("threshold"), threshold);
         o.end();
         self.line.push('\n');
+        #[expect(
+            clippy::expect_used,
+            reason = "EventSink is infallible by contract; a dead sink must abort, not drop telemetry"
+        )]
         self.writer
             .write_all(self.line.as_bytes())
-            .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+            .expect("alert sink write");
     }
 }
 
@@ -361,7 +373,11 @@ impl<W: Write> EventSink for AlertSink<W> {
     }
 
     fn flush(&mut self) {
-        self.writer.flush().expect("alert sink flush"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+        #[expect(
+            clippy::expect_used,
+            reason = "EventSink is infallible by contract; a dead sink must abort, not drop telemetry"
+        )]
+        self.writer.flush().expect("alert sink flush");
     }
 }
 
@@ -520,11 +536,19 @@ impl<W: Write> EventSink for SummarySink<W> {
     fn flush(&mut self) {
         if !self.written {
             self.written = true;
+            #[expect(
+                clippy::expect_used,
+                reason = "EventSink is infallible by contract; a dead sink must abort, not drop telemetry"
+            )]
             self.summary
                 .write_table(&mut self.writer)
-                .expect("summary sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+                .expect("summary sink write");
         }
-        self.writer.flush().expect("summary sink flush"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
+        #[expect(
+            clippy::expect_used,
+            reason = "EventSink is infallible by contract; a dead sink must abort, not drop telemetry"
+        )]
+        self.writer.flush().expect("summary sink flush");
     }
 }
 

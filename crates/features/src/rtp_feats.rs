@@ -170,9 +170,13 @@ impl RtpWindowAcc {
         if self.frames.is_empty() {
             return [0.0; 5];
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "anchor is recorded when the first frame is pushed"
+        )]
         let anchor = lag_ref
             .or(self.anchor)
-            .expect("anchor recorded with first frame"); // lint: allow(no-unwrap-in-lib) -- anchor is recorded when the first frame is pushed
+            .expect("anchor recorded with first frame");
         let clock = RtpClock::video();
         let lags: Vec<f64> = self
             .frames

@@ -99,6 +99,10 @@ impl RandomForest {
         let n_threads = std::thread::available_parallelism()
             .map_or(4, |c| c.get())
             .min(16);
+        #[expect(
+            clippy::expect_used,
+            reason = "join re-raises a tree-fit panic instead of hiding it"
+        )]
         let trees: Vec<DecisionTree> = std::thread::scope(|scope| {
             let chunks: Vec<Vec<u64>> = seeds
                 .chunks(params.n_trees.div_ceil(n_threads).max(1))
@@ -121,7 +125,7 @@ impl RandomForest {
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("tree fit panicked")) // lint: allow(no-unwrap-in-lib) -- join re-raises a tree-fit panic instead of hiding it
+                .flat_map(|h| h.join().expect("tree fit panicked"))
                 .collect()
         });
 

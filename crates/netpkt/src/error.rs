@@ -53,7 +53,10 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Io(e) => Some(e),
-            _ => None,
+            Error::Truncated { .. }
+            | Error::Malformed { .. }
+            | Error::Checksum { .. }
+            | Error::BadMagic(_) => None,
         }
     }
 }

@@ -132,7 +132,7 @@ impl UdpDatagram {
         match frame.ethertype() {
             EtherType::Ipv4 => Self::parse_ipv4_inner(frame.payload(), backing),
             EtherType::Ipv6 => Self::parse_ipv6_inner(frame.payload(), backing),
-            _ => Ok(None),
+            EtherType::Arp | EtherType::Other(_) => Ok(None),
         }
     }
 

@@ -231,7 +231,10 @@ impl<R: Read> PcapReader<R> {
             Some(block) if block.len() == want => None,
             _ => Some(std::mem::replace(&mut self.slab, zeroed_slab(want))),
         };
-        // lint: allow(no-unwrap-in-lib) -- found unreferenced or allocated one statement up, and `&mut self` lets nobody take a reference since
+        #[expect(
+            clippy::expect_used,
+            reason = "found unreferenced or allocated one statement up, and `&mut self` lets nobody take a reference since"
+        )]
         let block = Arc::get_mut(&mut self.slab).expect("the slab has no other owner");
         match &held {
             None => block.copy_within(buffered.clone(), 0),

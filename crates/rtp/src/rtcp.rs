@@ -234,6 +234,10 @@ fn encode_nack_fci(lost: &[u16]) -> Vec<(u16, u16)> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "tests match out the one packet kind they check"
+)]
 mod tests {
     use super::*;
 

@@ -91,14 +91,13 @@ pub struct ModelCache {
 impl ModelCache {
     /// The models for `vca`, training them on first use.
     pub fn get(&mut self, vca: VcaKind) -> &VcaModels {
-        if let Some(i) = self.trained.iter().position(|(v, _)| *v == vca) {
-            return &self.trained[i].1;
-        }
-        self.trained.push((vca, train(vca)));
-        &self
-            .trained
-            .last()
-            .expect("pushed just above") // lint: allow(no-unwrap-in-lib) -- a push on the line above guarantees a last element
-            .1
+        let i = match self.trained.iter().position(|(v, _)| *v == vca) {
+            Some(i) => i,
+            None => {
+                self.trained.push((vca, train(vca)));
+                self.trained.len() - 1
+            }
+        };
+        &self.trained[i].1
     }
 }

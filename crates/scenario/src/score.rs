@@ -175,7 +175,10 @@ pub struct CellScore {
 /// reduces to the three metrics plus verdicts. `tol_scale` is the
 /// scenario's difficulty multiplier (error bands widen by it, accuracy
 /// thresholds shrink by it).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one scorecard cell's inputs, each a separate axis of the grid"
+)]
 pub fn score_cell(
     scenario: &str,
     method: Method,

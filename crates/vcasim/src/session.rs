@@ -191,7 +191,10 @@ impl Session {
 
     /// Sends one packet through the link; on delivery, records it and
     /// queues the receiver-side arrival.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one packet's full description, passed by value from every media path"
+    )]
     fn transmit(
         &mut self,
         now: Timestamp,
@@ -409,12 +412,16 @@ impl Session {
         let payload = usize::from(self.cfg.profile.keepalive_size) - IP_UDP_OVERHEAD - RTP_OVERHEAD;
         let seq = self.rtx_seq;
         self.rtx_seq = self.rtx_seq.wrapping_add(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "path is gated on profile.has_rtx, which implies an rtx payload type"
+        )]
         let pt = self
             .cfg
             .profile
             .payload_map
             .video_rtx
-            .expect("rtx keepalive without rtx PT"); // lint: allow(no-unwrap-in-lib) -- path is gated on profile.has_rtx, which implies an rtx payload type
+            .expect("rtx keepalive without rtx PT");
         let hdr = RtpHeader::basic(
             pt,
             seq,
@@ -466,12 +473,16 @@ impl Session {
         let info = *info;
         let rtx_seq = self.rtx_seq;
         self.rtx_seq = self.rtx_seq.wrapping_add(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "path is gated on profile.has_rtx, which implies an rtx payload type"
+        )]
         let pt = self
             .cfg
             .profile
             .payload_map
             .video_rtx
-            .expect("retransmit without rtx PT"); // lint: allow(no-unwrap-in-lib) -- path is gated on profile.has_rtx, which implies an rtx payload type
+            .expect("retransmit without rtx PT");
         let hdr = RtpHeader::basic(pt, rtx_seq, info.rtp_ts, 0x0000_0111, false);
         // RFC 4588: original sequence number prefixes the payload.
         self.transmit(
@@ -621,16 +632,12 @@ mod tests {
     fn audio_sizes_within_envelope_video_larger() {
         let trace = run(VcaKind::Teams, good_network(), 15, 5);
         for p in &trace.packets {
-            match p.media {
-                MediaKind::Audio => {
-                    assert!(
-                        (89..=385).contains(&p.ip_total_len),
-                        "audio {}",
-                        p.ip_total_len
-                    )
-                }
-                MediaKind::Video => {}
-                _ => {}
+            if p.media == MediaKind::Audio {
+                assert!(
+                    (89..=385).contains(&p.ip_total_len),
+                    "audio {}",
+                    p.ip_total_len
+                );
             }
         }
         // 99% of Teams video packets should exceed 564 bytes on a good

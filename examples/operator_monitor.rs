@@ -16,8 +16,10 @@
 //! cargo run --release --example operator_monitor
 //! ```
 
-// Example code: fail fast keeps the walkthrough readable.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "example code: failing fast keeps the walkthrough readable"
+)]
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};

@@ -8,6 +8,11 @@
 //! cargo run --release --example pcap_pipeline
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example fails fast: an IO error here has no caller to report to"
+)]
+
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_suite::netpkt::{
     EtherType, EthernetRepr, Ipv4Repr, LinkType, MacAddr, PcapWriter, Timestamp, UdpRepr,

@@ -8,6 +8,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example fails fast: an IO error here has no caller to report to"
+)]
+
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::{

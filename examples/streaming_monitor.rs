@@ -14,6 +14,11 @@
 //! cargo run --release --example streaming_monitor
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example fails fast: an IO error here has no caller to report to"
+)]
+
 use std::collections::BTreeMap;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::mlcore::{Dataset, RandomForest, RandomForestParams, Task};

@@ -175,8 +175,12 @@ pub fn run_property<F: FnMut(&mut StdRng) -> TestCaseResult>(name: &str, mut bod
             seed = (seed ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
         let mut rng = StdRng::seed_from_u64(seed ^ (case as u64).wrapping_mul(0x9E37));
+        #[expect(
+            clippy::panic,
+            reason = "property failure must abort the run; mirrors upstream proptest"
+        )]
         if let Err(TestCaseError(msg)) = body(&mut rng) {
-            panic!("property '{name}' failed at case {case}: {msg}"); // lint: allow(no-unwrap-in-lib) -- property failure must abort the run; mirrors upstream proptest
+            panic!("property '{name}' failed at case {case}: {msg}");
         }
     }
 }

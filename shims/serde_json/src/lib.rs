@@ -119,13 +119,13 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 macro_rules! json {
     (null) => { $crate::Value::Null };
     ([ $($tt:tt)* ]) => {{
-        #[allow(unused_mut)]
+        #[allow(unused_mut, reason = "an empty literal never pushes")]
         let mut array = Vec::new();
         $crate::json_internal!(@array array $($tt)*);
         $crate::Value::Array(array)
     }};
     ({ $($tt:tt)* }) => {{
-        #[allow(unused_mut)]
+        #[allow(unused_mut, reason = "an empty literal never inserts")]
         let mut object = $crate::Map::new();
         $crate::json_internal!(@object object $($tt)*);
         $crate::Value::Object(object)

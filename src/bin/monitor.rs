@@ -26,6 +26,11 @@
 //!     --daemon --metrics-addr 127.0.0.1:9464 --control-socket /tmp/vcaml.sock
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "the CLI fails fast: an IO error here has no caller to report to"
+)]
+
 use std::io::{BufWriter, Stdout, Write};
 use std::sync::{Arc, Mutex};
 use vcaml_suite::netpkt::Timestamp;

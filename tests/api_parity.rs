@@ -4,8 +4,11 @@
 //! through both the pre-parsed and the raw-datagram ingestion paths —
 //! and must classify the same bytes the same way at every front door.
 
-// Test target: panicking is the idiomatic failure mode.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test target: panicking is the idiomatic failure mode"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -283,7 +286,7 @@ fn every_front_door_classifies_alike() {
             let ts = Timestamp::from_millis(i as i64 + 1);
             let bytes = match link {
                 LinkType::Ethernet => framed(ip, *ethertype),
-                _ => ip.clone(),
+                LinkType::RawIp | LinkType::Other(_) => ip.clone(),
             };
             writer.write_packet(ts, &bytes).expect("write record");
         }

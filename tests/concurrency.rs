@@ -3,6 +3,11 @@
 //! preserve per-flow event ordering across shard workers, and must
 //! account precisely for everything a bounded `DropOldest` queue sheds.
 
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "tests match out the one event kind they check"
+)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::net::{IpAddr, Ipv4Addr};
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};

@@ -13,6 +13,11 @@
 //!   per-shard depth accounting settles to zero;
 //! * `stop()` + drop is deadlock-free under both overflow policies.
 
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "tests match out the one event kind they check"
+)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};

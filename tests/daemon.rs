@@ -11,6 +11,12 @@
 //!   well-formed, the body ends in `# EOF`, and `_total` counters are
 //!   monotone across two scrapes taken mid-ingest.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fail fast, as the tests they serve do"
+)]
+
 use proptest::prelude::*;
 use rand::prelude::*;
 use std::collections::HashMap;

@@ -36,6 +36,11 @@
 //! delivery `Arc` of its `ParseDrop` event — and a record it accepts onto
 //! an established flow costs none unless it seals a window.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fail fast, as the tests they serve do"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};

@@ -4,6 +4,11 @@
 //! methods, the pcap source round-trips written captures (property
 //! test), and the per-flow shed accounting survives the whole pipeline.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fail fast, as the tests they serve do"
+)]
+
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;

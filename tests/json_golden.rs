@@ -12,6 +12,11 @@
 //! onto the same writer; [`alert_bar_that_is_not_a_number_is_null`]
 //! does not (`"threshold":inf` there).
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fail fast, as the tests they serve do"
+)]
+
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use vcaml_suite::netpkt::{FlowKey, Timestamp};

@@ -7,6 +7,11 @@
 //!   that is not a number, a zero window — exits 2 with usage on stderr
 //!   and never reaches an assert further in.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fail fast, as the tests they serve do"
+)]
+
 use std::process::{Command, Output};
 
 fn monitor(command_line: &str) -> Output {

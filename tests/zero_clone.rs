@@ -6,6 +6,11 @@
 //! this file holds exactly one test so no unrelated consumer in the
 //! same process can disturb the counter.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fail fast, as the tests they serve do"
+)]
+
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use vcaml_suite::rtp::VcaKind;
