@@ -112,7 +112,9 @@ pub const RTP_CONFIDENCE: f64 = 0.5;
 /// keeping the fallback forever.
 pub const RTP_REPROBE_PACKETS: u32 = 256;
 
-/// How often (in stream time) the monitor sweeps for idle flows.
+/// How often (in stream time) a shard sweeps its probation flows for idle
+/// ones and publishes its flow footprint. Established flows expire on
+/// their own deadlines, checked every packet.
 const EVICT_CHECK_US: i64 = 1_000_000;
 
 /// Default bound on the outgoing event queue (see

@@ -227,8 +227,8 @@ impl Outbox {
 
 /// The per-worker slice of the monitor: a partition of the flow table
 /// plus everything per-flow processing needs — probation buffers,
-/// max-lag flush bookkeeping, the bounded-advance stream clock, and the
-/// idle-eviction sweep. `Send`, so it runs inline or on a worker thread
+/// max-lag flush bookkeeping, the bounded-advance stream clock, and idle
+/// expiry. `Send`, so it runs inline or on a worker thread
 /// unchanged; because a flow is hashed to exactly one shard, per-flow
 /// results are identical either way (the tested parallel-vs-sequential
 /// parity invariant).
@@ -256,6 +256,7 @@ pub(super) struct ShardState {
     /// `now` — corroboration that `now` itself came from a corrupt
     /// timestamp and must re-anchor backward.
     behind_streak: u32,
+    /// Stream time of the last probation sweep ([`EVICT_CHECK_US`]).
     last_evict_us: i64,
     /// Control-plane cells this shard polls between batches.
     pub(super) control: Arc<ControlShared>,
@@ -270,6 +271,9 @@ pub(super) struct ShardState {
     reports: Vec<WindowReport>,
     /// Scratch for provisional (max-lag flush) snapshots, same lifecycle.
     snapshots: Vec<WindowReport>,
+    /// Scratch for the flows each packet's expiry check seals, same
+    /// lifecycle.
+    expired: Vec<(FlowKey, Vec<WindowReport>)>,
 }
 
 impl ShardState {
@@ -309,11 +313,12 @@ impl ShardState {
             },
             reports: Vec::new(),
             snapshots: Vec::new(),
+            expired: Vec::new(),
         }
     }
 
     /// Routes one packet through probation, re-probe, its flow engine,
-    /// and the idle sweep. The caller has already rejected negative
+    /// and idle expiry. The caller has already rejected negative
     /// timestamps.
     pub(super) fn ingest(&mut self, flow: FlowKey, pkt: TracePacket) {
         self.outbox.stats.packets.fetch_add(1, Relaxed);
@@ -365,20 +370,18 @@ impl ShardState {
         true
     }
 
-    /// Builds the engine for a flow's resolved method and installs it.
-    fn open_engine(
-        &mut self,
-        hash: u64,
-        flow: FlowKey,
-        method: Method,
-        reprobe: Option<Reprobe>,
-        first_seen: Timestamp,
-    ) {
-        let tracked = TrackedEngine {
+    /// Builds the engine for a flow's resolved method.
+    fn tracked(&self, method: Method, reprobe: Option<Reprobe>) -> TrackedEngine {
+        TrackedEngine {
             engine: build_engine(method, self.config, self.payload_map, self.model.as_ref()),
             since_report: 0,
             reprobe,
-        };
+        }
+    }
+
+    /// Builds the engine for a flow's resolved method and installs it.
+    fn open_engine(&mut self, hash: u64, flow: FlowKey, method: Method, first_seen: Timestamp) {
+        let tracked = self.tracked(method, None);
         self.table.insert_hashed(hash, flow, tracked, first_seen);
     }
 
@@ -388,7 +391,7 @@ impl ShardState {
         if !self.pending.contains_key(&flow) {
             self.outbox.opened(flow, pkt.ts);
             if !self.method.is_auto() {
-                self.open_engine(hash, flow, self.method.fallback(), None, pkt.ts);
+                self.open_engine(hash, flow, self.method.fallback(), pkt.ts);
                 self.push_established(hash, flow, &pkt);
                 return;
             }
@@ -411,20 +414,30 @@ impl ShardState {
             .max(Timestamp::from_micros(pkt.ts.as_micros().min(bound)));
         pending.packets.push(pkt);
         if pending.packets.len() >= RTP_PROBATION_PACKETS {
-            self.resolve_pending(flow);
+            if let Some((tracked, last_seen)) = self.resolve(flow) {
+                self.table.insert_hashed(hash, flow, tracked, last_seen);
+            }
         }
     }
 
     /// Seals and reports every remaining flow (end of stream).
     pub(super) fn finish(&mut self) {
-        // Sorted: the map's iteration order differs from run to run, and
-        // the event stream must not.
+        let mut sealed = self.table.drain_finish_all();
+        // Probation flows are sealed straight from their replayed engines:
+        // nothing expires after this, so they skip the table and its
+        // schedule. Sorted: the map's iteration order differs from run to
+        // run, and the event stream must not.
         let mut keys: Vec<FlowKey> = self.pending.keys().copied().collect();
         keys.sort_unstable();
         for flow in keys {
-            self.resolve_pending(flow);
+            if let Some((mut tracked, _)) = self.resolve(flow) {
+                let mut tail = Vec::new();
+                tracked.engine.finish_into(&mut tail);
+                sealed.push((flow, tail));
+            }
         }
-        for (flow, final_reports) in self.table.drain_finish_all() {
+        sealed.sort_unstable_by_key(|(flow, _)| *flow);
+        for (flow, final_reports) in sealed {
             self.outbox
                 .sealed(flow, EvictReason::EndOfStream, final_reports);
         }
@@ -467,8 +480,13 @@ impl ShardState {
                 // so even a young flow's windows surface. Flows this
                 // shard does not own are ignored (their owner processes
                 // the same request).
-                self.resolve_pending(flow);
-                self.seal_tracked(flow, EvictReason::Requested);
+                let tracked = match self.resolve(flow) {
+                    Some((tracked, _)) => Some(tracked),
+                    None => self.table.remove_hashed(flow.hash64(), &flow),
+                };
+                if let Some(tracked) = tracked {
+                    self.seal(flow, tracked, EvictReason::Requested);
+                }
             }
             applied = true;
         }
@@ -495,14 +513,11 @@ impl ShardState {
         });
     }
 
-    /// Removes a flow's engine, flushes its remaining windows, and seals
-    /// the flow with them. No-op for a flow this shard does not track.
-    fn seal_tracked(&mut self, flow: FlowKey, reason: EvictReason) {
-        if let Some(mut tracked) = self.table.remove_hashed(flow.hash64(), &flow) {
-            let mut final_reports = Vec::new();
-            tracked.engine.finish_into(&mut final_reports);
-            self.outbox.sealed(flow, reason, final_reports);
-        }
+    /// Flushes a flow's remaining windows and seals the flow with them.
+    fn seal(&mut self, flow: FlowKey, mut tracked: TrackedEngine, reason: EvictReason) {
+        let mut final_reports = Vec::new();
+        tracked.engine.finish_into(&mut final_reports);
+        self.outbox.sealed(flow, reason, final_reports);
     }
 
     /// Advances the stream clock by at most one idle timeout per packet,
@@ -510,7 +525,7 @@ impl ShardState {
     /// quarantine) cannot fast-forward time and mass-evict healthy flows.
     /// The inverse corruption — the *first* packet carrying the bogus
     /// timestamp — would otherwise pin the clock forever (sane traffic is
-    /// all "in the past", and a pinned clock never sweeps idle flows
+    /// all "in the past", and a pinned clock never expires idle flows
     /// again); when enough consecutive packets agree the clock is more
     /// than one idle timeout ahead of reality, it re-anchors backward.
     fn advance_clock(&mut self, ts: Timestamp) {
@@ -536,15 +551,14 @@ impl ShardState {
         );
     }
 
-    /// Decides a probation flow's method from its RTP parse confidence,
-    /// builds the engine, and replays the buffered packets through it.
-    /// A flow resolved to the fallback keeps re-probing for RTP (see
-    /// [`RTP_REPROBE_PACKETS`]); one resolved to the RTP variant is
-    /// settled for good. No-op for a flow that is not in probation.
-    fn resolve_pending(&mut self, flow: FlowKey) {
-        let Some(pending) = self.pending.remove(&flow) else {
-            return;
-        };
+    /// Takes a flow out of probation: decides its method from its RTP
+    /// parse confidence, builds the engine, and replays the buffered
+    /// packets through it, returning the engine and the flow's
+    /// `last_seen`. A flow resolved to the fallback keeps re-probing for
+    /// RTP (see [`RTP_REPROBE_PACKETS`]); one resolved to the RTP variant
+    /// is settled for good. `None` for a flow that is not in probation.
+    fn resolve(&mut self, flow: FlowKey) -> Option<(TrackedEngine, Timestamp)> {
+        let pending = self.pending.remove(&flow)?;
         let confident = pending.confident_rtp();
         let method = if confident {
             self.method.preferred()
@@ -552,30 +566,12 @@ impl ShardState {
             self.method.fallback()
         };
         let reprobe = (!confident && self.method.preferred() != method).then(Reprobe::default);
-        let first_seen = pending.packets.first().map_or(pending.last_seen, |p| p.ts);
-        let hash = flow.hash64();
-        self.open_engine(hash, flow, method, reprobe, first_seen);
+        let mut tracked = self.tracked(method, reprobe);
         // Replay the probation buffer through the decided engine; the
         // max-lag accounting sees the burst as one push of N packets.
         for pkt in &pending.packets {
-            #[expect(
-                clippy::expect_used,
-                reason = "probation flow was inserted into the table just above"
-            )]
-            let tracked = self
-                .table
-                .get_mut_seen_hashed(hash, &flow, pkt.ts)
-                .expect("just inserted");
             tracked.engine.push_into(pkt, &mut self.reports);
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "probation flow was inserted into the table just above"
-        )]
-        let tracked = self
-            .table
-            .get_mut_hashed(hash, &flow)
-            .expect("just inserted");
         tracked.note_pushed(
             pending.packets.len() as u32,
             !self.reports.is_empty(),
@@ -584,6 +580,9 @@ impl ShardState {
         );
         self.outbox
             .windows(flow, &mut self.reports, &mut self.snapshots);
+        // Probation advanced `last_seen` by the table's bounded rule over
+        // these same packets.
+        Some((tracked, pending.last_seen))
     }
 
     /// Post-probation RTP upgrade, reached when [`Self::push_established`]
@@ -608,20 +607,32 @@ impl ShardState {
             let provisional = report.window >= anchor;
             self.outbox.window(flow, report, provisional);
         }
-        self.open_engine(hash, flow, self.method.preferred(), None, pkt.ts);
+        self.open_engine(hash, flow, self.method.preferred(), pkt.ts);
         self.push_established(hash, flow, pkt);
     }
 
-    /// Periodic idle sweep over both established and probation flows.
+    /// Idle expiry, after every packet. An established flow is sealed by
+    /// the first packet on this worker after its `last_seen +
+    /// idle_timeout` (the table's deadline schedule, which costs nothing
+    /// when no flow is due). Once per [`EVICT_CHECK_US`] of stream time,
+    /// probation flows are swept too and the footprint gauge published.
     fn maybe_evict(&mut self) {
         let Some(now) = self.now else { return };
+        // A packet more than one timeout behind the clock left the clock
+        // where it was, so only flows it opened "in the past" can have
+        // fallen due — against a clock that may be corrupt and about to
+        // re-anchor backward (`advance_clock`). They wait for the next
+        // packet that is not behind.
+        if self.behind_streak == 0 {
+            self.table.evict_idle_into(now, &mut self.expired);
+            for (flow, final_reports) in self.expired.drain(..) {
+                self.outbox.sealed(flow, EvictReason::Idle, final_reports);
+            }
+        }
         if now.as_micros().saturating_sub(self.last_evict_us) < EVICT_CHECK_US {
             return;
         }
         self.last_evict_us = now.as_micros();
-        for (flow, final_reports) in self.table.evict_idle(now) {
-            self.outbox.sealed(flow, EvictReason::Idle, final_reports);
-        }
         // Like FlowTable::evict_idle: reclaim probation flows that went
         // idle, and ones whose last_seen claims to be from far in the
         // future (a corrupt timestamp that slipped in before clamping).
@@ -640,8 +651,9 @@ impl ShardState {
         for flow in stale {
             // Decide with whatever probation evidence exists, replay, and
             // seal immediately: short flows still get their windows.
-            self.resolve_pending(flow);
-            self.seal_tracked(flow, EvictReason::Idle);
+            if let Some((tracked, _)) = self.resolve(flow) {
+                self.seal(flow, tracked, EvictReason::Idle);
+            }
         }
         // Piggyback the bytes-per-flow gauge on the sweep cadence: the
         // survivors' engine state is what the monitor is resident for.

@@ -151,6 +151,40 @@ fn idle_eviction_surfaces_tail_reports() {
     );
 }
 
+/// An established flow is sealed by the first packet on its worker past
+/// `last_seen + idle_timeout`, not at a later once-a-second sweep; a flow
+/// idle for exactly the timeout is not sealed.
+#[test]
+fn idle_flow_is_sealed_by_the_first_packet_past_its_timeout() {
+    let mut m = fixed(Method::IpUdpHeuristic)
+        .idle_timeout(Timestamp::from_secs(5))
+        .build();
+    let (a, b) = (flow_key(1), flow_key(2));
+    let idle_sealed = |m: &mut Monitor, b_us: i64| -> Vec<FlowKey> {
+        m.ingest_packet(b, pkt(b_us, 1100));
+        m.drain_events()
+            .filter_map(|e| match e {
+                QoeEvent::FlowEvicted {
+                    flow,
+                    reason: EvictReason::Idle,
+                    ..
+                } => Some(flow),
+                _ => None,
+            })
+            .collect()
+    };
+    m.ingest_packet(a, pkt(0, 1100));
+    for b_us in [1_000_000, 4_000_000, 5_000_000] {
+        assert_eq!(idle_sealed(&mut m, b_us), [], "A idle for {b_us} µs");
+    }
+    assert_eq!(
+        idle_sealed(&mut m, 5_001_000),
+        [a],
+        "A idle for the timeout + 1 ms"
+    );
+    assert_eq!(m.active_flows(), 1, "only B remains");
+}
+
 #[test]
 fn auto_method_picks_rtp_for_rtp_flows() {
     use vcaml_rtp::RtpHeader;
@@ -379,6 +413,32 @@ fn corrupt_first_timestamp_does_not_pin_the_clock() {
         "idle sweeps must survive the corruption"
     );
     assert_eq!(m.active_flows(), 1, "only the live flow remains");
+}
+
+/// Flows opened by packets more than one timeout behind a clock that a
+/// corrupt first timestamp pinned are not expired against that clock.
+/// The corroborating packets re-anchor it, the flows live on, and the
+/// flow "from the future" is reclaimed at once.
+#[test]
+fn flows_opened_behind_a_corrupt_clock_are_not_expired_against_it() {
+    let year_us = 365 * 24 * 3_600i64 * 1_000_000;
+    let mut m = fixed(Method::IpUdpHeuristic)
+        .idle_timeout(Timestamp::from_secs(5))
+        .build();
+    m.ingest_packet(flow_key(9), pkt(year_us, 1100));
+    // Two packets behind the clock, then the third that re-anchors it.
+    for n in 1..=3u8 {
+        m.ingest_packet(flow_key(n), pkt(i64::from(n) * 1_000, 1100));
+    }
+    let sealed: Vec<FlowKey> = m
+        .drain_events()
+        .filter_map(|e| match e {
+            QoeEvent::FlowEvicted { flow, .. } => Some(flow),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sealed, [flow_key(9)]);
+    assert_eq!(m.active_flows(), 3);
 }
 
 /// Finalized windows per flow, from a finished monitor's events.

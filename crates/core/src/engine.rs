@@ -42,6 +42,8 @@ use crate::media::MediaClassifier;
 use crate::qoe::{QoeEstimate, QoeWindower};
 use crate::rtp_heuristic::RtpAssembler;
 use crate::trace::{Trace, TracePacket};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use vcaml_features::rtp_feats::LagReference;
 use vcaml_features::{FlowFeatureAcc, IpUdpFeatureAcc, RtpWindowAcc, StatsMode};
 use vcaml_mlcore::RandomForest;
@@ -1236,6 +1238,14 @@ pub fn place_windows<E: QoeEstimator + ?Sized>(
 /// skip rehashing. Idle flows are evicted — flushing their final
 /// windows — so memory is O(active flows), each O(window content).
 ///
+/// Expiry is a deadline schedule, not a scan: a lazy min-heap of
+/// `(due, hash)` items, one pushed when a flow is inserted, where
+/// `due = last_seen + idle_timeout`. The per-packet `last_seen` update
+/// leaves the heap alone; [`Self::evict_idle_into`] pops only the items
+/// that are due, evicts the flows that really are idle, and re-pushes the
+/// rest at their current due time. Called on every packet, it seals a
+/// flow by the first call whose `now` passes `last_seen + idle_timeout`.
+///
 /// Hash-bit usage across the routing layers (one hash per packet):
 /// workers take `hash64 % n_threads` (low bits), shards take the top 16
 /// bits, slot probing starts from bits 16.. — so the three layers stay
@@ -1244,6 +1254,16 @@ pub struct FlowTable<E: QoeEstimator> {
     shards: Vec<FlowShard<E>>,
     factory: Box<dyn FnMut(&FlowKey) -> E + Send>,
     idle_timeout_us: i64,
+    /// Min-heap of `(due_us, hash)`. Each tracked flow has one item,
+    /// whose due time its entry records as a [`due_tag`]; items left
+    /// behind by removals and re-inserts match no entry and die when
+    /// popped.
+    schedule: BinaryHeap<Reverse<(i64, u64)>>,
+    /// Upper bound on every tracked flow's `last_seen` (µs), exact after
+    /// each reschedule. A flow last seen beyond `now + idle_timeout`
+    /// must be reclaimed at once, which its due time cannot say: when
+    /// this bound passes `now + idle_timeout`, the schedule is rebuilt.
+    max_seen_us: i64,
 }
 
 struct FlowEntry<E> {
@@ -1253,6 +1273,19 @@ struct FlowEntry<E> {
     slot: u32,
     engine: E,
     last_seen: Timestamp,
+    /// [`due_tag`] of this flow's one schedule item.
+    due_tag: u32,
+}
+
+/// What a flow entry records of its schedule item's due time: the low
+/// 32 bits, which fit in the entry's padding. They tell the item from
+/// the leftovers of removals and re-inserts, except a leftover with the
+/// same hash due a multiple of 2³² µs (≈ 72 min) away. Popping that one
+/// re-checks the flow's idleness and, if it is live, re-pushes its item,
+/// after which its old item matches nothing: no wrong eviction, no extra
+/// item.
+fn due_tag(due_us: i64) -> u32 {
+    due_us as u32
 }
 
 impl<E: QoeEstimator> FlowEntry<E> {
@@ -1261,6 +1294,18 @@ impl<E: QoeEstimator> FlowEntry<E> {
         let mut tail = Vec::new();
         self.engine.finish_into(&mut tail);
         (self.key, tail)
+    }
+
+    /// Advances `last_seen` toward `ts` by at most one idle timeout and
+    /// returns it (µs): a corrupt far-future timestamp (which the engine
+    /// quarantines) then delays eviction by at most one timeout instead
+    /// of marking a healthy flow as "from the future" and getting it
+    /// evicted — or, with a plain max, pinning it forever.
+    #[inline]
+    fn see(&mut self, ts: Timestamp, idle_us: i64) -> i64 {
+        let bound = self.last_seen.as_micros().saturating_add(idle_us);
+        self.last_seen = self.last_seen.max(ts.min(Timestamp::from_micros(bound)));
+        self.last_seen.as_micros()
     }
 }
 
@@ -1290,9 +1335,11 @@ impl<E> FlowShard<E> {
         (hash >> 16) as usize & (self.slots.len() - 1)
     }
 
-    /// Finds the slot holding `key`, if present.
+    /// The slot of the first entry in `hash`'s probe run that carries
+    /// that hash and satisfies `is`, if any. Every entry in the run is
+    /// checked: two keys may share a hash.
     #[inline]
-    fn find_slot(&self, hash: u64, key: &FlowKey) -> Option<usize> {
+    fn probe(&self, hash: u64, is: impl Fn(&FlowEntry<E>) -> bool) -> Option<usize> {
         if self.entries.is_empty() {
             return None;
         }
@@ -1304,11 +1351,17 @@ impl<E> FlowShard<E> {
                 return None;
             }
             let e = &self.entries[s as usize];
-            if e.hash == hash && e.key == *key {
+            if e.hash == hash && is(e) {
                 return Some(i);
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// Finds the slot holding `key`, if present.
+    #[inline]
+    fn find_slot(&self, hash: u64, key: &FlowKey) -> Option<usize> {
+        self.probe(hash, |e| e.key == *key)
     }
 
     /// Index into `entries` for `key`, if present.
@@ -1334,9 +1387,16 @@ impl<E> FlowShard<E> {
         }
     }
 
-    /// Inserts a new entry (caller guarantees the key is absent),
-    /// returning its index in `entries`.
-    fn insert_new(&mut self, key: FlowKey, hash: u64, engine: E, last_seen: Timestamp) -> usize {
+    /// Inserts a new entry (caller guarantees the key is absent and
+    /// schedules it under `due_tag`), returning its index in `entries`.
+    fn insert_new(
+        &mut self,
+        key: FlowKey,
+        hash: u64,
+        engine: E,
+        last_seen: Timestamp,
+        due_tag: u32,
+    ) -> usize {
         // Keep load ≤ 7/8 so probe runs stay short.
         if self.slots.is_empty() || (self.entries.len() + 1) * 8 > self.slots.len() * 7 {
             self.grow();
@@ -1354,6 +1414,7 @@ impl<E> FlowShard<E> {
             slot: i as u32,
             engine,
             last_seen,
+            due_tag,
         });
         idx
     }
@@ -1408,12 +1469,23 @@ impl<E: QoeEstimator> FlowTable<E> {
             shards: (0..n_shards).map(|_| FlowShard::new()).collect(),
             factory: Box::new(factory),
             idle_timeout_us: idle_timeout.as_micros(),
+            schedule: BinaryHeap::new(),
+            max_seen_us: i64::MIN,
         }
     }
 
     #[inline]
     fn shard_of(&self, hash: u64) -> usize {
         ((hash >> 48) as usize) % self.shards.len()
+    }
+
+    /// Pushes the schedule item of a flow last seen at `last_seen_us`,
+    /// returning the [`due_tag`] for its entry to record.
+    fn enqueue(&mut self, hash: u64, last_seen_us: i64) -> u32 {
+        let due_us = last_seen_us.saturating_add(self.idle_timeout_us);
+        self.schedule.push(Reverse((due_us, hash)));
+        self.max_seen_us = self.max_seen_us.max(last_seen_us);
+        due_tag(due_us)
     }
 
     /// Inserts a pre-built engine for `key` (whose [`FlowKey::hash64`] the
@@ -1423,15 +1495,19 @@ impl<E: QoeEstimator> FlowTable<E> {
     /// goes through the factory.
     pub fn insert_hashed(&mut self, hash: u64, key: FlowKey, engine: E, last_seen: Timestamp) {
         let shard_idx = self.shard_of(hash);
+        let due_tag = self.enqueue(hash, last_seen.as_micros());
         let shard = &mut self.shards[shard_idx];
         match shard.find(hash, &key) {
             Some(idx) => {
+                // The replaced engine's item no longer matches and dies
+                // when popped.
                 let e = &mut shard.entries[idx];
                 e.engine = engine;
                 e.last_seen = last_seen;
+                e.due_tag = due_tag;
             }
             None => {
-                shard.insert_new(key, hash, engine, last_seen);
+                shard.insert_new(key, hash, engine, last_seen, due_tag);
             }
         }
     }
@@ -1455,19 +1531,16 @@ impl<E: QoeEstimator> FlowTable<E> {
         key: &FlowKey,
         ts: Timestamp,
     ) -> Option<&mut E> {
-        let idle = self.idle_timeout_us;
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
-        shard.find(hash, key).map(move |idx| {
-            let entry = &mut shard.entries[idx];
-            let bound = Timestamp::from_micros(entry.last_seen.as_micros().saturating_add(idle));
-            entry.last_seen = entry.last_seen.max(ts.min(bound));
-            &mut entry.engine
-        })
+        let idx = shard.find(hash, key)?;
+        let entry = &mut shard.entries[idx];
+        self.max_seen_us = self.max_seen_us.max(entry.see(ts, self.idle_timeout_us));
+        Some(&mut entry.engine)
     }
 
     /// Removes a flow's engine without finishing it; the caller owns any
-    /// remaining flush.
+    /// remaining flush. The flow's schedule item dies when popped.
     pub fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<E> {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
@@ -1488,53 +1561,90 @@ impl<E: QoeEstimator> FlowTable<E> {
         out: &mut Vec<WindowReport>,
     ) {
         let shard_idx = self.shard_of(hash);
-        let shard = &mut self.shards[shard_idx];
-        let idx = match shard.find(hash, &key) {
+        let idx = match self.shards[shard_idx].find(hash, &key) {
             Some(idx) => idx,
             None => {
                 let engine = (self.factory)(&key);
-                shard.insert_new(key, hash, engine, pkt.ts)
+                let due_tag = self.enqueue(hash, pkt.ts.as_micros());
+                self.shards[shard_idx].insert_new(key, hash, engine, pkt.ts, due_tag)
             }
         };
-        let entry = &mut shard.entries[idx];
-        // Advance `last_seen` by at most one idle timeout per packet: a
-        // corrupt far-future timestamp (which the engine quarantines)
-        // then delays eviction by at most one timeout instead of marking
-        // a healthy flow as "from the future" and getting it evicted —
-        // or, with a plain max, pinning it forever.
-        let bound = Timestamp::from_micros(
-            entry
-                .last_seen
-                .as_micros()
-                .saturating_add(self.idle_timeout_us),
-        );
-        entry.last_seen = entry.last_seen.max(pkt.ts.min(bound));
+        let entry = &mut self.shards[shard_idx].entries[idx];
+        self.max_seen_us = self
+            .max_seen_us
+            .max(entry.see(pkt.ts, self.idle_timeout_us));
         entry.engine.push_into(pkt, out);
     }
 
-    /// Evicts flows idle longer than the timeout at `now`, flushing each
-    /// evicted flow's remaining windows.
+    /// [`Self::evict_idle_into`] into a fresh `Vec`.
     pub fn evict_idle(&mut self, now: Timestamp) -> Vec<(FlowKey, Vec<WindowReport>)> {
-        let deadline = now.as_micros() - self.idle_timeout_us;
-        // A flow whose last packet claims to be from far in the future
-        // relative to `now` carries a corrupt timestamp; reclaim it too
-        // rather than letting it pin memory forever.
-        let future_bound = now.as_micros().saturating_add(self.idle_timeout_us);
         let mut out = Vec::new();
-        for shard in &mut self.shards {
-            let mut idx = 0;
-            while idx < shard.entries.len() {
-                let e = &shard.entries[idx];
-                if e.last_seen.as_micros() < deadline || e.last_seen.as_micros() > future_bound {
-                    let slot = e.slot as usize;
-                    out.push(shard.remove_slot(slot).finish());
-                    // swap_remove refilled `idx`; re-examine it.
-                } else {
-                    idx += 1;
-                }
+        self.evict_idle_into(now, &mut out);
+        out
+    }
+
+    /// Evicts every flow idle longer than the timeout at `now` — last
+    /// seen before `now - idle_timeout` — appending each one's key and
+    /// remaining windows to `out` in due order. A flow whose last packet
+    /// claims to be from beyond `now + idle_timeout` carries a corrupt
+    /// timestamp and is reclaimed too, rather than pinning memory
+    /// forever. Only due schedule items are touched, so a call with
+    /// nothing due allocates nothing and costs two comparisons.
+    pub fn evict_idle_into(&mut self, now: Timestamp, out: &mut Vec<(FlowKey, Vec<WindowReport>)>) {
+        let now_us = now.as_micros();
+        let idle = self.idle_timeout_us;
+        let future_bound = now_us.saturating_add(idle);
+        if self.max_seen_us > future_bound {
+            self.reschedule(future_bound);
+        }
+        while let Some(&Reverse((due_us, hash))) = self.schedule.peek() {
+            if due_us >= now_us {
+                break;
+            }
+            self.schedule.pop();
+            let shard_idx = self.shard_of(hash);
+            let shard = &mut self.shards[shard_idx];
+            let Some(slot) = shard.probe(hash, |e| e.due_tag == due_tag(due_us)) else {
+                continue;
+            };
+            let entry = &mut shard.entries[shard.slots[slot] as usize];
+            let last_us = entry.last_seen.as_micros();
+            if last_us.saturating_add(idle) < now_us || last_us > future_bound {
+                out.push(shard.remove_slot(slot).finish());
+            } else {
+                // Seen since it was scheduled: due again, at or after
+                // `now`, so this loop stops at it.
+                let due_us = last_us.saturating_add(idle);
+                entry.due_tag = due_tag(due_us);
+                self.schedule.push(Reverse((due_us, hash)));
             }
         }
-        out
+    }
+
+    /// Rebuilds the schedule from the entry slabs in one pass, with every
+    /// flow last seen beyond `future_bound` due at once. Needed only when
+    /// `now` falls behind the schedule (the stream clock re-anchored
+    /// backward, or a flow was opened by a far-future timestamp); it also
+    /// drops every item that matched no entry.
+    fn reschedule(&mut self, future_bound: i64) {
+        let idle = self.idle_timeout_us;
+        let mut items = std::mem::take(&mut self.schedule).into_vec();
+        items.clear();
+        self.max_seen_us = i64::MIN;
+        for shard in &mut self.shards {
+            for e in &mut shard.entries {
+                let last_us = e.last_seen.as_micros();
+                let due_us = if last_us > future_bound {
+                    i64::MIN
+                } else {
+                    self.max_seen_us = self.max_seen_us.max(last_us);
+                    last_us.saturating_add(idle)
+                };
+                e.due_tag = due_tag(due_us);
+                items.push(Reverse((due_us, e.hash)));
+            }
+        }
+        self.schedule = BinaryHeap::from(items);
     }
 
     /// Finishes every flow (end of capture) in place, returning each
@@ -1543,6 +1653,8 @@ impl<E: QoeEstimator> FlowTable<E> {
     /// owns its table inside long-lived state and seals flows at end of
     /// stream without moving out of itself.
     pub fn drain_finish_all(&mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
+        self.schedule.clear();
+        self.max_seen_us = i64::MIN;
         let mut out = Vec::new();
         for shard in &mut self.shards {
             shard.slots.clear();
@@ -1584,11 +1696,12 @@ impl<E: QoeEstimator> FlowTable<E> {
         self.shards.iter().map(|s| s.entries.len()).collect()
     }
 
-    /// Total resident bytes of tracked-flow state: the probe tables, the
-    /// entry slabs, and each engine's own [`QoeEstimator::state_bytes`]
-    /// accounting — the numerator of the monitor's bytes-per-flow gauge.
+    /// Total resident bytes of tracked-flow state: the expiry schedule,
+    /// the probe tables, the entry slabs, and each engine's own
+    /// [`QoeEstimator::state_bytes`] accounting — the numerator of the
+    /// monitor's bytes-per-flow gauge.
     pub fn state_bytes(&self) -> usize {
-        let mut total = 0;
+        let mut total = self.schedule.capacity() * std::mem::size_of::<Reverse<(i64, u64)>>();
         for shard in &self.shards {
             total += shard.slots.capacity() * std::mem::size_of::<u32>();
             total += shard.entries.capacity() * std::mem::size_of::<FlowEntry<E>>();
@@ -1976,6 +2089,164 @@ mod tests {
         assert_eq!(evicted[0].0, flow_key(1));
         assert!(!evicted[0].1.is_empty(), "eviction flushes final windows");
         assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn flow_table_expires_a_flow_one_microsecond_past_its_timeout() {
+        let mut table = FlowTable::new(2, Timestamp::from_secs(5), |_: &FlowKey| {
+            IpUdpHeuristicEngine::new(config())
+        });
+        table_push(&mut table, flow_key(1), &pkt(1_000_000, 1100));
+        table_push(&mut table, flow_key(1), &pkt(2_000_000, 1100));
+        // Scheduled at its first packet; the second moved its deadline.
+        assert!(table
+            .evict_idle(Timestamp::from_micros(6_000_001))
+            .is_empty());
+        assert!(table
+            .evict_idle(Timestamp::from_micros(7_000_000))
+            .is_empty());
+        let evicted = table.evict_idle(Timestamp::from_micros(7_000_001));
+        assert_eq!(evicted.len(), 1);
+        assert!(table.is_empty());
+        assert!(table.schedule.is_empty(), "the popped item is gone");
+    }
+
+    #[test]
+    fn flow_table_state_bytes_counts_the_schedule() {
+        let mut table = FlowTable::new(2, Timestamp::from_secs(5), |_: &FlowKey| {
+            IpUdpHeuristicEngine::new(config())
+        });
+        for n in 0..100 {
+            table_push(&mut table, flow_key(n), &pkt(0, 1100));
+        }
+        let mut rest = 0;
+        for shard in &table.shards {
+            rest += shard.slots.capacity() * std::mem::size_of::<u32>();
+            rest +=
+                shard.entries.capacity() * std::mem::size_of::<FlowEntry<IpUdpHeuristicEngine>>();
+            rest += shard
+                .entries
+                .iter()
+                .map(|e| e.engine.state_bytes())
+                .sum::<usize>();
+        }
+        assert!(table.schedule.capacity() >= 100);
+        assert_eq!(table.state_bytes(), rest + table.schedule.capacity() * 16);
+    }
+
+    /// The rule the schedule reproduces, as the scan of every entry that
+    /// it replaced: evict flows last seen before `now - idle_timeout` or
+    /// after `now + idle_timeout`.
+    fn evict_idle_by_scan<E: QoeEstimator>(
+        table: &mut FlowTable<E>,
+        now: Timestamp,
+    ) -> Vec<(FlowKey, Vec<WindowReport>)> {
+        let deadline = now.as_micros() - table.idle_timeout_us;
+        let future_bound = now.as_micros().saturating_add(table.idle_timeout_us);
+        let mut out = Vec::new();
+        for shard in &mut table.shards {
+            let mut idx = 0;
+            while idx < shard.entries.len() {
+                let e = &shard.entries[idx];
+                if e.last_seen.as_micros() < deadline || e.last_seen.as_micros() > future_bound {
+                    let slot = e.slot as usize;
+                    out.push(shard.remove_slot(slot).finish());
+                } else {
+                    idx += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// Sealed flows by key, each tail rendered (reports have no
+    /// `PartialEq`), so two eviction orders compare as sets.
+    fn by_key(mut sealed: Vec<(FlowKey, Vec<WindowReport>)>) -> Vec<(FlowKey, String)> {
+        sealed.sort_by_key(|(key, _)| *key);
+        sealed
+            .into_iter()
+            .map(|(key, tail)| (key, format!("{tail:?}")))
+            .collect()
+    }
+
+    fn last_seen_us<E: QoeEstimator>(
+        table: &FlowTable<E>,
+        hash: u64,
+        key: &FlowKey,
+    ) -> Option<i64> {
+        let shard = &table.shards[table.shard_of(hash)];
+        shard
+            .find(hash, key)
+            .map(|idx| shard.entries[idx].last_seen.as_micros())
+    }
+
+    // Two tables take the same inserts, pushes, removals and re-inserts;
+    // one evicts by its schedule, the other by a scan. Every eviction call
+    // must seal the same flows with the same tails, with `now` stepping
+    // backward too and two distinct keys sharing one hash.
+    proptest::proptest! {
+        #[test]
+        fn schedule_evicts_what_a_scan_evicts(
+            ops in proptest::collection::vec((0u8..8, 0usize..6, 0i64..1_000), 1..120)
+        ) {
+            const IDLE_US: i64 = 1_000_000;
+            let keys: Vec<FlowKey> = (1..=6).map(flow_key).collect();
+            let hash_of = |k: usize| keys[k.min(4)].hash64();
+            let new_table = || {
+                FlowTable::new(2, Timestamp::from_micros(IDLE_US), |_: &FlowKey| {
+                    IpUdpHeuristicEngine::new(config())
+                })
+            };
+            let (mut scheduled, mut scanned) = (new_table(), new_table());
+            // `last_seen` of each removed or replaced entry whose schedule
+            // item may not have been popped yet.
+            let mut unpopped: Vec<i64> = Vec::new();
+            let mut clock = 0i64;
+            for (op, k, p) in ops {
+                let (key, hash) = (keys[k], hash_of(k));
+                // Packets land from 1.5 s behind to 3.5 s ahead of the
+                // clock; the clock steps from 3 s back to 5 s forward.
+                let ts = Timestamp::from_micros((clock + (p - 300) * 5_000).max(0));
+                match op {
+                    0..=2 => {
+                        let (a, b) = (&mut Vec::new(), &mut Vec::new());
+                        scheduled.push_hashed_into(hash, key, &pkt(ts.as_micros(), 1100), a);
+                        scanned.push_hashed_into(hash, key, &pkt(ts.as_micros(), 1100), b);
+                        proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                    }
+                    3 => {
+                        unpopped.extend(last_seen_us(&scheduled, hash, &key));
+                        let engine = || IpUdpHeuristicEngine::new(config());
+                        scheduled.insert_hashed(hash, key, engine(), ts);
+                        scanned.insert_hashed(hash, key, engine(), ts);
+                    }
+                    4 => {
+                        unpopped.extend(last_seen_us(&scheduled, hash, &key));
+                        let a = scheduled.remove_hashed(hash, &key).is_some();
+                        let b = scanned.remove_hashed(hash, &key).is_some();
+                        proptest::prop_assert_eq!(a, b);
+                    }
+                    _ => {
+                        clock = (clock + (p - 375) * 8_000).max(0);
+                        let now = Timestamp::from_micros(clock);
+                        let got = by_key(scheduled.evict_idle(now));
+                        let want = by_key(evict_idle_by_scan(&mut scanned, now));
+                        proptest::prop_assert_eq!(got, want);
+                        // An item is due no later than its flow's
+                        // `last_seen + idle_timeout`, and due items pop.
+                        unpopped.retain(|&last| last + IDLE_US >= clock);
+                    }
+                }
+                proptest::prop_assert_eq!(scheduled.len(), scanned.len());
+                proptest::prop_assert!(
+                    scheduled.schedule.len() <= scheduled.len() + unpopped.len(),
+                    "{} items for {} flows and {} unpopped removals",
+                    scheduled.schedule.len(),
+                    scheduled.len(),
+                    unpopped.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -639,3 +639,98 @@ fn accepted_record_on_an_established_flow_is_alloc_free() {
         &dirty[..dirty.len().min(8)]
     );
 }
+
+/// Idle expiry on the accept path. Every packet checks the flow table's
+/// deadline schedule: with nothing due the check allocates nothing, and a
+/// packet that passes one flow's deadline allocates that flow's tail
+/// `Vec` and its `FlowEvicted` event's `Arc` — the expired flows are
+/// gathered in a reused scratch buffer, not a `Vec` per call.
+#[test]
+fn expiring_an_idle_flow_allocates_its_tail_and_event_only() {
+    let mut monitor = Monitor::builder(VcaKind::Teams)
+        .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+        .idle_timeout(Timestamp::from_secs(1))
+        .build();
+    let relay = IpAddr::V4(Ipv4Addr::new(198, 51, 100, 4));
+    let key = |i: u8| {
+        let client = IpAddr::V4(Ipv4Addr::new(10, 9, 0, i));
+        FlowKey::canonical(client, 40_000, relay, 3478, 17).0
+    };
+    let packet = |us: i64, size: u16| TracePacket {
+        ts: Timestamp::from_micros(us),
+        size,
+        rtp: None,
+        truth_media: None,
+    };
+    // A live flow sends every 10 ms for 4 s. 40 short calls start 25 ms
+    // apart, each 1.2 s of 30 fps video (so each has sealed a window and
+    // grown its engine's buffers), and expire one by one, each on a live
+    // packet, from 2.2 s on.
+    let live = key(0);
+    let mut feed: Vec<(FlowKey, TracePacket)> =
+        (0..400).map(|t| (live, packet(t * 10_000, 1100))).collect();
+    for i in 0..40u8 {
+        let start = 5_000 + i64::from(i) * 25_000;
+        for f in 0..36i64 {
+            let size = 1000 + (f % 9) as u16 * 13;
+            feed.push((key(i + 1), packet(start + f * 33_333, size)));
+            feed.push((key(i + 1), packet(start + f * 33_333 + 300, size)));
+        }
+    }
+    feed.sort_by_key(|(_, p)| p.ts);
+    let (warmup, steady) =
+        feed.split_at(feed.partition_point(|(_, p)| p.ts.as_micros() < 2_600_000));
+    for (flow, p) in warmup {
+        monitor.ingest_packet(*flow, *p);
+        monitor.drain_shared().for_each(drop);
+    }
+
+    let (mut quiet, mut expiries, mut dirty) = (0u64, 0u64, Vec::new());
+    for (flow, p) in steady {
+        let (allocs, (expired, tail, others)) = metered(|| {
+            monitor.ingest_packet(*flow, *p);
+            let (mut expired, mut tail, mut others) = (0, 0, 0);
+            for event in monitor.drain_shared() {
+                if let QoeEvent::FlowEvicted {
+                    reason: EvictReason::Idle,
+                    final_reports,
+                    ..
+                } = &*event
+                {
+                    (expired, tail) = (expired + 1, final_reports.len());
+                } else {
+                    others += 1;
+                }
+            }
+            (expired, tail, others)
+        });
+        match (expired, others) {
+            (0, 0) => {
+                quiet += 1;
+                if allocs > 0 {
+                    dirty.push((p.ts, allocs));
+                }
+            }
+            (1, 0) => {
+                // The tail is the flow's one window: one `Vec`, one report.
+                assert_eq!(tail, 1, "one window left at {:?}", p.ts);
+                expiries += 1;
+                if allocs != 2 {
+                    dirty.push((p.ts, allocs));
+                }
+            }
+            // The live flow's own window sealed on this packet.
+            _ => {}
+        }
+    }
+    assert!(
+        expiries >= 20,
+        "{expiries} flows expired in the metered second"
+    );
+    assert!(quiet >= 100, "{quiet} packets sealed nothing");
+    assert!(
+        dirty.is_empty(),
+        "packets that allocated beyond their expiries: {:?}",
+        &dirty[..dirty.len().min(8)]
+    );
+}
