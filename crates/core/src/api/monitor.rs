@@ -211,7 +211,9 @@ fn dispatch_batch(
 
 /// How often a freshly idle shard worker wakes to poll the control
 /// plane — `force_flush` and `evict_flow` apply within one tick on a
-/// quiet shard (a busy shard applies them after every batch).
+/// quiet shard (a busy shard applies them after every batch). Also the
+/// backstop of the runner's parked drain ([`Monitor::wait_for_events`]),
+/// which pushes and kicks wake long before it.
 const CONTROL_POLL: std::time::Duration = std::time::Duration::from_millis(20);
 
 /// Idle-tick ceiling: a worker whose shard stays quiet backs its poll
@@ -438,6 +440,15 @@ impl Monitor {
     pub fn drain_shared(&mut self) -> impl Iterator<Item = Arc<QoeEvent>> + '_ {
         self.drain_pending();
         self.drained.drain(..)
+    }
+
+    /// Blocks until the event queue has something to drain or is
+    /// kicked, or for at most [`CONTROL_POLL`] — the runner's drain loop
+    /// parks here between drains. Only the queue's one consumer may
+    /// call it, and only while staging is empty (right after a drain).
+    pub(crate) fn wait_for_events(&self) {
+        debug_assert!(self.drained.is_empty(), "waiting with events staged");
+        self.shared.queue.wait_for_events(CONTROL_POLL);
     }
 
     /// Flushes ingest batches (or, on an inline monitor, applies pending

@@ -26,12 +26,20 @@
 //! event batches here (one lock per batch, batch order preserved), so
 //! per-flow event order — which is per-shard order, since a flow lives on
 //! exactly one shard — survives the merge into the outgoing stream.
+//!
+//! Both sides sleep only when they must, and each is woken only when it
+//! sleeps: a drain notifies parked producers only when `waiters` says
+//! there are any, and a push notifies the consumer only when it is
+//! parked in `EventQueue::wait_for_events` (the runner's drain loop).
+//! An inline monitor's consumer never parks, so its pushes make no
+//! syscall.
 
 use crate::api::QoeEvent;
 use crate::leaf::LeafMutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
+use std::time::Duration;
 use vcaml_netpkt::FlowKey;
 
 /// Bound on the flows the shed-attribution maps track, per interval and
@@ -78,6 +86,14 @@ struct QueueInner {
     /// lowered after the wait, both under the queue lock, so a drain that
     /// reads it under that same lock knows whether anyone needs waking.
     waiters: usize,
+    /// The consumer is parked in `not_empty.wait_timeout` and nobody has
+    /// signalled it yet. Set before the wait under the queue lock; the
+    /// first producer or kick that sees it clears it (so one wake-up is
+    /// one syscall, however many pushes race it) and notifies after
+    /// releasing the lock.
+    consumer_parked: bool,
+    /// A [`EventQueue::kick`] the consumer has not yet returned for.
+    kicked: bool,
 }
 
 /// What the queue has shed and what it holds, read under one lock — see
@@ -110,6 +126,8 @@ fn bump_bounded(map: &mut HashMap<FlowKey, u64>, flow: FlowKey) {
 pub(crate) struct EventQueue {
     inner: LeafMutex<QueueInner>,
     not_full: Condvar,
+    /// Where [`EventQueue::wait_for_events`] parks the one consumer.
+    not_empty: Condvar,
     /// Queued events plus any pending drop marker — maintained under the
     /// lock, read lock-free. The per-packet drain of an otherwise idle
     /// monitor is the hot path's common case: this lets
@@ -134,8 +152,11 @@ impl EventQueue {
                 may_block,
                 unbounded: false,
                 waiters: 0,
+                consumer_parked: false,
+                kicked: false,
             }),
             not_full: Condvar::new(),
+            not_empty: Condvar::new(),
         }
     }
 
@@ -174,6 +195,13 @@ impl EventQueue {
                             inner.buf.len() + usize::from(inner.dropped_since_drain > 0),
                             Ordering::Release,
                         );
+                        // A parked consumer must hear of that backlog now:
+                        // this push's own wake below is not reached until
+                        // the consumer has made room, so otherwise both
+                        // sides would sleep until the consumer's backstop.
+                        if std::mem::take(&mut inner.consumer_parked) {
+                            self.not_empty.notify_one();
+                        }
                         inner.waiters += 1;
                         inner = inner.wait(&self.not_full);
                         inner.waiters -= 1;
@@ -185,10 +213,48 @@ impl EventQueue {
             }
             inner.buf.push_back(event);
         }
-        self.approx_len.store(
-            inner.buf.len() + usize::from(inner.dropped_since_drain > 0),
-            Ordering::Release,
-        );
+        let len = inner.buf.len() + usize::from(inner.dropped_since_drain > 0);
+        self.approx_len.store(len, Ordering::Release);
+        let wake = len > 0 && std::mem::take(&mut inner.consumer_parked);
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Parks the queue's one consumer until a push leaves something to
+    /// drain, a [`Self::kick`] arrives, or `timeout` passes, whichever is
+    /// first. It does not park at all when events or a drop marker are
+    /// already queued, or when a kick has come since the last wait; the
+    /// caller drains and re-checks its own state either way.
+    ///
+    /// No wake-up can be lost: the consumer parks only after checking,
+    /// under the queue lock, the state every push and kick change under
+    /// that same lock, and it raises `consumer_parked` before releasing
+    /// it. The `timeout` is a backstop, not the wake path.
+    pub(crate) fn wait_for_events(&self, timeout: Duration) {
+        let mut inner = self.inner.lock();
+        if inner.buf.is_empty() && inner.dropped_since_drain == 0 && !inner.kicked {
+            inner.consumer_parked = true;
+            inner = inner.wait_timeout(&self.not_empty, timeout);
+            inner.consumer_parked = false;
+        }
+        inner.kicked = false;
+    }
+
+    /// Wakes the consumer with nothing to drain: a parked
+    /// [`Self::wait_for_events`] returns now, and the next one returns at
+    /// once. The runner's ingest threads kick on their way out, so the
+    /// drain learns that a source is done without waiting out its
+    /// backstop.
+    pub(crate) fn kick(&self) {
+        let mut inner = self.inner.lock();
+        inner.kicked = true;
+        let wake = std::mem::take(&mut inner.consumer_parked);
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Moves every queued event to the back of `out` and returns how many
@@ -497,6 +563,133 @@ mod tests {
         consumer.join().expect("consumer");
         let a = q.accounting();
         assert_eq!((a.dropped_total, a.pending), (0, 0));
+    }
+
+    /// The consumer-side lost-wake-up guard. A push wakes the consumer
+    /// only when `consumer_parked` says it is parked; were that wake
+    /// missing or the flag read stale, the consumer would sleep out its
+    /// 60 s wait with events queued, and the 10 s watchdog fails the
+    /// test — the backstop cannot hide a missed wake here. (Other
+    /// producers' pushes usually rescue a producer that parks mid-batch
+    /// without waking the consumer, so that wake has its own test.)
+    #[test]
+    fn conditional_wake_never_strands_a_parked_consumer() {
+        const PRODUCERS: i64 = 4;
+        const PER_PRODUCER: i64 = 5_000;
+        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut out = VecDeque::new();
+                let mut next = [0i64; PRODUCERS as usize];
+                let mut got = 0;
+                loop {
+                    q.drain_into(&mut out);
+                    for event in out.drain(..) {
+                        let ts = ts_of(&event);
+                        let producer = (ts / PER_PRODUCER) as usize;
+                        assert_eq!(ts % PER_PRODUCER, next[producer], "per-producer order");
+                        next[producer] += 1;
+                        got += 1;
+                    }
+                    if got == PRODUCERS * PER_PRODUCER {
+                        break;
+                    }
+                    q.wait_for_events(Duration::from_secs(60));
+                }
+                let _ = done_tx.send(got);
+            })
+        };
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    // Singly and in small batches: a batch of three into
+                    // a capacity-2 queue parks mid-push.
+                    let mut i = 0;
+                    while i < PER_PRODUCER {
+                        let n = (1 + i % 3).min(PER_PRODUCER - i);
+                        q.push((i..i + n).map(|k| ev(p * PER_PRODUCER + k)), true);
+                        i += n;
+                    }
+                })
+            })
+            .collect();
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the consumer slept through its wake-up (or died)");
+        assert_eq!(got, PRODUCERS * PER_PRODUCER);
+        for producer in producers {
+            producer.join().expect("producer");
+        }
+        consumer.join().expect("consumer");
+    }
+
+    /// Starts a consumer parked in a 60 s `wait_for_events` and returns
+    /// once it is parked; the channel fires when the wait returns.
+    fn parked_consumer(q: &Arc<EventQueue>) -> std::sync::mpsc::Receiver<()> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(q);
+        std::thread::spawn(move || {
+            waiter.wait_for_events(Duration::from_secs(60));
+            let _ = tx.send(());
+        });
+        while !q.inner.lock().consumer_parked {
+            std::thread::yield_now();
+        }
+        rx
+    }
+
+    #[test]
+    fn push_wakes_a_parked_consumer() {
+        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let woke = parked_consumer(&q);
+        q.push([ev(0)], true);
+        woke.recv_timeout(Duration::from_secs(10))
+            .expect("a push left the consumer parked");
+    }
+
+    #[test]
+    fn producer_parking_mid_batch_wakes_the_consumer() {
+        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let woke = parked_consumer(&q);
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push((0..3).map(ev), true))
+        };
+        woke.recv_timeout(Duration::from_secs(10))
+            .expect("producer and consumer both parked");
+        // Make room for the rest of the batch, as the woken drain would.
+        let mut got = 0;
+        while got < 3 {
+            got += drain(&q).len();
+            std::thread::yield_now();
+        }
+        producer.join().expect("producer");
+    }
+
+    #[test]
+    fn kick_wakes_a_parked_consumer() {
+        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let woke = parked_consumer(&q);
+        q.kick();
+        woke.recv_timeout(Duration::from_secs(10))
+            .expect("a kick left the consumer parked");
+        assert!(!q.inner.lock().kicked, "the wait consumes the kick");
+    }
+
+    #[test]
+    fn kick_before_the_wait_returns_at_once() {
+        let q = EventQueue::new(2, OverflowPolicy::Block, true);
+        q.kick();
+        let start = std::time::Instant::now();
+        q.wait_for_events(Duration::from_secs(60));
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "an earlier kick was lost"
+        );
+        assert!(!q.inner.lock().kicked, "the wait consumes the kick");
     }
 
     #[test]

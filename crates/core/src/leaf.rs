@@ -11,13 +11,14 @@
 //! exercise, not only on one that happens to deadlock. Release builds
 //! compile to a plain [`Mutex`].
 //!
-//! A [`Condvar`] wait on the lock's own guard ([`LeafGuard::wait`]) is
-//! the one blocking wait allowed under a guard: it releases the lock
-//! while parked.
+//! A [`Condvar`] wait on the lock's own guard ([`LeafGuard::wait`],
+//! [`LeafGuard::wait_timeout`]) is the one blocking wait allowed under a
+//! guard: it releases the lock while parked.
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
+use std::time::Duration;
 
 thread_local! {
     static HELD: Cell<bool> = const { Cell::new(false) };
@@ -94,6 +95,14 @@ impl<'a, T> LeafGuard<'a, T> {
             guard: escalate(cv.wait(guard)),
             _held,
         }
+    }
+
+    /// [`LeafGuard::wait`], giving up after `timeout`. Whether it was
+    /// woken or timed out is not reported: callers re-check their state.
+    pub(crate) fn wait_timeout(self, cv: &Condvar, timeout: Duration) -> Self {
+        let LeafGuard { guard, _held } = self;
+        let (guard, _) = escalate(cv.wait_timeout(guard, timeout));
+        LeafGuard { guard, _held }
     }
 }
 

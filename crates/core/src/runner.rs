@@ -28,6 +28,12 @@
 //!   hold, and the run seals every flow: nothing produced before the
 //!   stop is lost).
 //!
+//! On a threaded monitor the runner's event loop parks on the event
+//! queue between drains and is woken by the next publish (or by an
+//! ingest thread ending), so an event reaches the bus one thread
+//! wake-up after its shard delivers it, and an idle run wakes the loop
+//! only at its 20 ms backstop.
+//!
 //! The runner's event loop is the queue's consumer, so the monitor's
 //! backpressure semantics hold unchanged: under
 //! [`OverflowPolicy::Block`](crate::api::OverflowPolicy) a slow
@@ -66,10 +72,12 @@
 //! ```
 
 use crate::api::{IngestPort, Monitor, MonitorBuilder, MonitorStats};
+use crate::backpressure::EventQueue;
 use crate::bus::{EventBus, EventFilter};
 use crate::control::{MonitorHandle, StopToken};
 use crate::sink::EventSink;
 use crate::source::{PacketSource, SourcePacket};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What one source contributed to a run.
 #[derive(Debug, Clone)]
@@ -350,12 +358,34 @@ fn run_inline(
         .collect()
 }
 
+/// Marks one ingest thread done and wakes the drain, however the thread
+/// ends: end of stream, graceful stop, read error or panic. A wake-up
+/// sent by a thread that is still running would not do: the drain
+/// could see it unfinished, park again and sleep out its backstop.
+struct IngestDone<'a> {
+    running: &'a AtomicUsize,
+    queue: &'a EventQueue,
+}
+
+impl Drop for IngestDone<'_> {
+    fn drop(&mut self) {
+        // Release pairs with the drain loop's Acquire load: once it reads
+        // zero, every port's final flush has happened.
+        self.running.fetch_sub(1, Ordering::Release);
+        self.queue.kick();
+    }
+}
+
 /// Threaded path: one ingest thread per source, each with its own port;
-/// the caller's thread is the event loop that drains the queue to the
-/// bus until every ingest thread is done. That loop is what keeps a
-/// `Block` queue live — workers it parks are woken by our drains. Each
-/// ingest thread flushes its port on the way out, so a stop loses
-/// nothing already pulled.
+/// the caller's thread is the event loop, draining to the bus as events
+/// are published until every ingest thread is done. Between drains it
+/// parks on the event queue ([`Monitor::wait_for_events`]); a push
+/// wakes it only when it is parked, so a busy drain makes no syscall,
+/// and each ingest thread wakes it on the way out. It never spins: on a
+/// shared box a spinning drain takes the core a shard worker or a paced
+/// source needs. That loop is what keeps a `Block` queue live — workers
+/// it parks are woken by our drains. Each ingest thread flushes its port
+/// on the way out, so a stop loses nothing already pulled.
 #[expect(
     clippy::expect_used,
     reason = "join re-raises an ingest panic instead of hiding it"
@@ -367,13 +397,22 @@ fn run_threaded(
     bus: &mut EventBus,
     handle: &MonitorHandle,
 ) -> Vec<SourceReport> {
+    let running = AtomicUsize::new(sources.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .into_iter()
             .zip(ports)
-            .map(|(mut source, mut port)| {
+            .map(|(mut source, port)| {
                 let stop = handle.stop_token();
+                let running = &running;
                 scope.spawn(move || {
+                    let _done = IngestDone {
+                        running,
+                        queue: &handle.queue,
+                    };
+                    // Declared after `_done`, so dropped before it: a
+                    // panicking thread's tail flush precedes the wake.
+                    let mut port = port;
                     // Live sources (taps, paced replays) hand every
                     // packet straight to its shard worker: at wall-clock
                     // rates the batch would otherwise sit half-filled
@@ -392,19 +431,13 @@ fn run_threaded(
             })
             .collect();
         loop {
-            let mut drained_any = false;
             for event in monitor.drain_shared() {
                 bus.publish(&event);
-                drained_any = true;
             }
-            if handles.iter().all(|h| h.is_finished()) {
+            if running.load(Ordering::Acquire) == 0 {
                 break;
             }
-            if !drained_any {
-                // Nothing ready: don't spin against the queue lock while
-                // the workers chew on their batches.
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
+            monitor.wait_for_events();
         }
         handles
             .into_iter()

@@ -2,7 +2,8 @@
 //! byte-identical event sequences to every sink, a multi-source `MonitorRunner` is
 //! window-exact against sequential single-source ingest for all four
 //! methods, the pcap source round-trips written captures (property
-//! test), and the per-flow shed accounting survives the whole pipeline.
+//! test), the per-flow shed accounting survives the whole pipeline, and
+//! a paced (live) threaded run yields the closed-loop run's events.
 
 #![allow(
     clippy::expect_used,
@@ -20,8 +21,8 @@ use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::source::{PacketSource, PcapFileSource, SourcePacket};
 use vcaml_suite::vcaml::{
     AlertSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder, MonitorRunner,
-    OverflowPolicy, QoeEvent, ReplaySource, SummarySink, SyntheticSource, Trace, TracePacket,
-    WindowReport,
+    OverflowPolicy, Paced, QoeEvent, ReplaySource, SummarySink, SyntheticSource, Trace,
+    TracePacket, WindowReport,
 };
 
 /// A `Write` handle tests can keep after handing a sink ownership.
@@ -120,27 +121,66 @@ fn multi_source_runner_matches_sequential_ingest_for_all_methods() {
     for method in Method::ALL {
         let sequential = run(method, vec![everything.clone()], 1);
         let parallel = run(method, vec![tap_a.clone(), tap_b.clone()], 2);
-        assert_eq!(
-            sequential.len(),
-            parallel.len(),
-            "{method:?}: flow count differs"
-        );
-        for (flow, want) in &sequential {
-            let got = parallel
-                .get(flow)
-                .unwrap_or_else(|| panic!("{method:?}: flow {flow} missing from multi-source run"));
-            assert_eq!(got.len(), want.len(), "{method:?} {flow}: window count");
-            for (w, want_r) in want {
-                let got_r = &got[w];
-                assert_eq!(got_r.method, want_r.method, "{method:?} window {w}");
-                assert_eq!(got_r.estimate, want_r.estimate, "{method:?} window {w}");
-                assert_eq!(got_r.features, want_r.features, "{method:?} window {w}");
-                assert_eq!(
-                    got_r.video_packets, want_r.video_packets,
-                    "{method:?} window {w}"
-                );
-            }
+        assert_same_windows(&format!("{method:?}"), &sequential, &parallel);
+    }
+}
+
+/// Window-exact agreement of two runs: the same flows, and per flow the
+/// same finalized windows with the same method, estimate, features and
+/// video-packet count.
+fn assert_same_windows(
+    label: &str,
+    want: &HashMap<FlowKey, BTreeMap<u64, WindowReport>>,
+    got: &HashMap<FlowKey, BTreeMap<u64, WindowReport>>,
+) {
+    assert_eq!(want.len(), got.len(), "{label}: flow count differs");
+    for (flow, want) in want {
+        assert!(got.contains_key(flow), "{label}: flow {flow} missing");
+        let got = &got[flow];
+        assert_eq!(got.len(), want.len(), "{label} {flow}: window count");
+        for (w, want_r) in want {
+            let got_r = &got[w];
+            assert_eq!(got_r.method, want_r.method, "{label} window {w}");
+            assert_eq!(got_r.estimate, want_r.estimate, "{label} window {w}");
+            assert_eq!(got_r.features, want_r.features, "{label} window {w}");
+            assert_eq!(
+                got_r.video_packets, want_r.video_packets,
+                "{label} window {w}"
+            );
         }
+    }
+}
+
+/// A live stream equals the closed-loop one: a synthetic capture paced
+/// at 200× through a two-worker runner (per-packet port flush, events
+/// woken onto the bus as they are published) yields exactly the events
+/// an inline run over the same capture does — the same count, and per
+/// flow the same final windows — under both auto modes and every fixed
+/// method.
+#[test]
+fn paced_threaded_run_matches_the_closed_loop_run() {
+    let capture = || SyntheticSource::new(VcaKind::Teams, 4, 3, 13);
+    let run = |method: EstimationMethod, live: bool| {
+        let (subscriber, rx) = ChannelSink::bounded(1 << 20);
+        let builder = MonitorBuilder::new(VcaKind::Teams).method(method);
+        let runner = if live {
+            MonitorRunner::new(builder.threads(2)).source(Paced::with_speed(capture(), 200.0))
+        } else {
+            MonitorRunner::new(builder.threads(1)).source(capture())
+        };
+        let report = runner.sink(subscriber).run();
+        assert!(report.sources.iter().all(|s| s.error.is_none()));
+        (report.events, final_windows(rx.try_iter()))
+    };
+    let methods = [EstimationMethod::AutoHeuristic, EstimationMethod::AutoMl]
+        .into_iter()
+        .chain(Method::ALL.map(EstimationMethod::Fixed));
+    for method in methods {
+        let (closed_events, closed) = run(method, false);
+        let (live_events, live) = run(method, true);
+        assert!(!closed.is_empty(), "{method:?}: the capture sealed windows");
+        assert_eq!(live_events, closed_events, "{method:?}: event count");
+        assert_same_windows(&format!("{method:?} paced"), &closed, &live);
     }
 }
 
