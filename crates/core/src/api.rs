@@ -112,9 +112,8 @@ pub const RTP_CONFIDENCE: f64 = 0.5;
 /// keeping the fallback forever.
 pub const RTP_REPROBE_PACKETS: u32 = 256;
 
-/// How often (in stream time) a shard sweeps its probation flows for idle
-/// ones and publishes its flow footprint. Established flows expire on
-/// their own deadlines, checked every packet.
+/// How often (in stream time) a shard publishes its flow footprint. Flows
+/// expire on their own deadlines, checked every packet.
 const EVICT_CHECK_US: i64 = 1_000_000;
 
 /// Default bound on the outgoing event queue (see

@@ -12,7 +12,6 @@ use crate::control::ControlShared;
 use crate::engine::{EngineConfig, FlowTable, Method, QoeEstimator, WindowReport};
 use crate::engine::{IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine};
 use crate::trace::TracePacket;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use vcaml_mlcore::RandomForest;
@@ -53,11 +52,31 @@ pub fn build_engine(
 /// it for the table probe, so a key is hashed exactly once per packet.
 pub(super) type RoutedPacket = (u64, FlowKey, TracePacket);
 
-/// A flow's engine plus the facade's per-flow bookkeeping, stored
-/// together in the flow table's entry slab — the steady-state per-packet
-/// path pays exactly one hash and one probe, with no side map to rehash
-/// the key into.
-struct TrackedEngine {
+/// A flow's entry in the flow table's slab: its RTP-confidence probation
+/// or its decided engine, so the steady-state per-packet path pays
+/// exactly one hash and one probe, with no side map to rehash the key
+/// into, and every flow expires on the table's deadline schedule.
+enum TrackedEngine {
+    /// An auto-method flow before its method decision. Boxed, so the
+    /// variant shares the decided engine's pointer niche and the entry
+    /// stays 32 B.
+    Probing(Box<Probation>),
+    Decided(DecidedEngine),
+}
+
+impl TrackedEngine {
+    /// Bytes this flow holds beyond its slab slot, for the footprint
+    /// gauge.
+    fn state_bytes(&self) -> usize {
+        match self {
+            TrackedEngine::Probing(_) => std::mem::size_of::<Probation>(),
+            TrackedEngine::Decided(decided) => decided.engine.state_bytes(),
+        }
+    }
+}
+
+/// A decided flow's engine plus the facade's per-flow bookkeeping.
+struct DecidedEngine {
     engine: BoxedEngine,
     /// Packets pushed since the last finalized window (max-lag flush).
     since_report: u32,
@@ -67,7 +86,7 @@ struct TrackedEngine {
     reprobe: Option<Reprobe>,
 }
 
-impl TrackedEngine {
+impl DecidedEngine {
     /// Counts one packet toward the post-probation RTP re-probe; true
     /// when the interval it completes was confidently RTP, i.e. the flow
     /// should upgrade to its RTP engine.
@@ -110,35 +129,6 @@ impl TrackedEngine {
     }
 }
 
-/// Forwarding impl so the flow table can seal, flush, and account a
-/// tracked entry exactly like a bare engine.
-impl QoeEstimator for TrackedEngine {
-    fn method(&self) -> Method {
-        self.engine.method()
-    }
-
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        self.engine.push_into(pkt, out);
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        self.engine.finish_into(out);
-    }
-
-    fn empty_report(&self, window: u64) -> WindowReport {
-        self.engine.empty_report(window)
-    }
-
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        self.engine.provisional_into(out);
-    }
-
-    fn state_bytes(&self) -> usize {
-        // The entry slab already accounts for this struct's inline size.
-        self.engine.state_bytes()
-    }
-}
-
 /// Rolling RTP-confidence evidence over the current re-probe interval.
 #[derive(Default)]
 struct Reprobe {
@@ -148,17 +138,88 @@ struct Reprobe {
     rtp_ok: u32,
 }
 
-/// A flow still in RTP-confidence probation: packets buffered until the
-/// method decision.
-struct PendingFlow {
-    packets: Vec<TracePacket>,
+/// An auto-method flow's packets, buffered until its method decision.
+/// They live inline, so probation costs a flow one allocation.
+struct Probation {
+    packets: [TracePacket; RTP_PROBATION_PACKETS],
+    len: usize,
     rtp_ok: usize,
-    last_seen: Timestamp,
 }
 
-impl PendingFlow {
+impl Probation {
+    fn new(first: TracePacket) -> Box<Self> {
+        Box::new(Probation {
+            packets: [first; RTP_PROBATION_PACKETS],
+            len: 1,
+            rtp_ok: usize::from(first.rtp.is_some()),
+        })
+    }
+
+    /// Buffers one more packet; true once the decision is due.
+    fn buffer(&mut self, pkt: TracePacket) -> bool {
+        self.packets[self.len] = pkt;
+        self.len += 1;
+        self.rtp_ok += usize::from(pkt.rtp.is_some());
+        self.len == RTP_PROBATION_PACKETS
+    }
+
     fn confident_rtp(&self) -> bool {
-        !self.packets.is_empty() && self.rtp_ok as f64 / self.packets.len() as f64 >= RTP_CONFIDENCE
+        self.rtp_ok as f64 / self.len as f64 >= RTP_CONFIDENCE
+    }
+}
+
+/// What a shard builds its flows' engines from: the method selection,
+/// the engines' inputs, and the max-lag flush. A field of its own so a
+/// flow can be decided while its table entry is borrowed.
+struct Engines {
+    method: EstimationMethod,
+    config: EngineConfig,
+    payload_map: PayloadMap,
+    model: Option<RandomForest>,
+    flush_after: Option<u32>,
+}
+
+impl Engines {
+    /// A fresh engine for `method`, with its bookkeeping.
+    fn build(&self, method: Method, reprobe: Option<Reprobe>) -> DecidedEngine {
+        DecidedEngine {
+            engine: build_engine(method, self.config, self.payload_map, self.model.as_ref()),
+            since_report: 0,
+            reprobe,
+        }
+    }
+
+    /// Ends a probation: decides the flow's method from its RTP parse
+    /// confidence, builds the engine, and replays the buffered packets
+    /// through it — finalized windows into `reports`, a max-lag snapshot
+    /// into `snapshots`. A flow decided on the fallback keeps re-probing
+    /// for RTP (see [`RTP_REPROBE_PACKETS`]); one decided on the RTP
+    /// variant is settled for good.
+    fn decide(
+        &self,
+        probation: &Probation,
+        reports: &mut Vec<WindowReport>,
+        snapshots: &mut Vec<WindowReport>,
+    ) -> DecidedEngine {
+        let confident = probation.confident_rtp();
+        let method = if confident {
+            self.method.preferred()
+        } else {
+            self.method.fallback()
+        };
+        let reprobe = (!confident && self.method.preferred() != method).then(Reprobe::default);
+        let mut decided = self.build(method, reprobe);
+        // The max-lag accounting sees the replay as one push of N packets.
+        for pkt in &probation.packets[..probation.len] {
+            decided.engine.push_into(pkt, reports);
+        }
+        decided.note_pushed(
+            probation.len as u32,
+            !reports.is_empty(),
+            self.flush_after,
+            snapshots,
+        );
+        decided
     }
 }
 
@@ -225,29 +286,25 @@ impl Outbox {
     }
 }
 
-/// The per-worker slice of the monitor: a partition of the flow table
-/// plus everything per-flow processing needs — probation buffers,
-/// max-lag flush bookkeeping, the bounded-advance stream clock, and idle
-/// expiry. `Send`, so it runs inline or on a worker thread
-/// unchanged; because a flow is hashed to exactly one shard, per-flow
-/// results are identical either way (the tested parallel-vs-sequential
-/// parity invariant).
+/// The per-worker slice of the monitor: a partition of the flow table,
+/// whose entries hold each flow's probation buffer or engine, plus
+/// everything per-flow processing needs — max-lag flush bookkeeping, the
+/// bounded-advance stream clock, and idle expiry. `Send`, so it runs
+/// inline or on a worker thread unchanged; because a flow is hashed to
+/// exactly one shard, per-flow results are identical either way (the
+/// tested parallel-vs-sequential parity invariant).
 pub(super) struct ShardState {
-    method: EstimationMethod,
-    config: EngineConfig,
-    payload_map: PayloadMap,
-    model: Option<RandomForest>,
+    engines: Engines,
     idle_timeout_us: i64,
-    flush_after: Option<u32>,
     /// Window length in µs, for anchoring method upgrades.
     window_us: i64,
     /// This shard's worker index (0 on an inline monitor) — the slot it
     /// publishes its flow footprint under.
     worker: usize,
-    /// Per-flow engines *and* facade bookkeeping, together in the table's
-    /// entry slab: one [`FlowKey::hash64`] and one probe per packet.
+    /// Every flow, in probation or decided, with the facade's bookkeeping
+    /// in the table's entry slab: one [`FlowKey::hash64`] and one probe
+    /// per packet.
     table: FlowTable<TrackedEngine>,
-    pending: HashMap<FlowKey, PendingFlow>,
     /// Stream clock: max ingest timestamp, bounded-advance so one corrupt
     /// far-future timestamp cannot mass-evict healthy flows. Per shard —
     /// a shard's clock advances only on its own flows' packets.
@@ -256,8 +313,9 @@ pub(super) struct ShardState {
     /// `now` — corroboration that `now` itself came from a corrupt
     /// timestamp and must re-anchor backward.
     behind_streak: u32,
-    /// Stream time of the last probation sweep ([`EVICT_CHECK_US`]).
-    last_evict_us: i64,
+    /// Stream time the footprint gauge was last published
+    /// ([`EVICT_CHECK_US`]).
+    last_footprint_us: i64,
     /// Control-plane cells this shard polls between batches.
     pub(super) control: Arc<ControlShared>,
     /// Last flush epoch applied (see
@@ -271,9 +329,6 @@ pub(super) struct ShardState {
     reports: Vec<WindowReport>,
     /// Scratch for provisional (max-lag flush) snapshots, same lifecycle.
     snapshots: Vec<WindowReport>,
-    /// Scratch for the flows each packet's expiry check seals, same
-    /// lifecycle.
-    expired: Vec<(FlowKey, Vec<WindowReport>)>,
 }
 
 impl ShardState {
@@ -287,23 +342,24 @@ impl ShardState {
     ) -> Self {
         ShardState {
             worker,
-            method: builder.method,
-            config: builder.config,
-            payload_map: builder.payload_map,
-            model: builder.model.clone(),
+            engines: Engines {
+                method: builder.method,
+                config: builder.config,
+                payload_map: builder.payload_map,
+                model: builder.model.clone(),
+                flush_after: builder.flush_after,
+            },
             idle_timeout_us: builder.idle_timeout.as_micros(),
-            flush_after: builder.flush_after,
             window_us: i64::from(builder.config.window_secs) * 1_000_000,
-            // The facade always inserts engines explicitly (method
-            // selection can depend on probation evidence, not just the
+            // The facade always inserts entries explicitly (what a flow
+            // starts with depends on the method selection, not just the
             // key), so the table's first-sight factory must never fire.
             table: FlowTable::new(n_shards, builder.idle_timeout, |_: &FlowKey| {
                 unreachable!("the facade inserts engines explicitly")
             }),
-            pending: HashMap::new(),
             now: None,
             behind_streak: 0,
-            last_evict_us: i64::MIN,
+            last_footprint_us: i64::MIN,
             control,
             seen_flush_epoch: 0,
             evict_cursor: 0,
@@ -313,7 +369,6 @@ impl ShardState {
             },
             reports: Vec::new(),
             snapshots: Vec::new(),
-            expired: Vec::new(),
         }
     }
 
@@ -340,106 +395,82 @@ impl ShardState {
 
     fn ingest_hashed(&mut self, hash: u64, flow: FlowKey, pkt: TracePacket) {
         self.advance_clock(pkt.ts);
-        if !self.push_established(hash, flow, &pkt) {
-            self.ingest_cold(hash, flow, pkt);
+        if !self.push_tracked(hash, flow, &pkt) {
+            self.open(hash, flow, pkt);
         }
         self.maybe_evict();
     }
 
-    /// The steady-state per-packet path: one table probe finds the flow's
-    /// engine *and* its bookkeeping; finalized windows land in the warm
-    /// scratch buffer and are emitted from there. Returns `false` when
-    /// the flow is not established (new or in probation).
-    fn push_established(&mut self, hash: u64, flow: FlowKey, pkt: &TracePacket) -> bool {
+    /// The per-packet path: one table probe finds the flow's entry. A
+    /// decided flow's engine takes the packet, a probation flow's buffer
+    /// takes it and, once full, the flow is decided in place; finalized
+    /// windows land in the warm scratch buffer and are emitted from
+    /// there. Returns `false` when the flow is new.
+    fn push_tracked(&mut self, hash: u64, flow: FlowKey, pkt: &TracePacket) -> bool {
         let Some(tracked) = self.table.get_mut_seen_hashed(hash, &flow, pkt.ts) else {
             return false;
         };
-        if tracked.reprobe_says_rtp(pkt) {
-            self.upgrade_flow(hash, flow, pkt);
-            return true;
+        match tracked {
+            TrackedEngine::Decided(decided) => {
+                if decided.reprobe_says_rtp(pkt) {
+                    self.upgrade_flow(hash, flow, pkt);
+                    return true;
+                }
+                decided.engine.push_into(pkt, &mut self.reports);
+                decided.note_pushed(
+                    1,
+                    !self.reports.is_empty(),
+                    self.engines.flush_after,
+                    &mut self.snapshots,
+                );
+            }
+            TrackedEngine::Probing(probation) => {
+                if probation.buffer(*pkt) {
+                    *tracked = TrackedEngine::Decided(self.engines.decide(
+                        probation,
+                        &mut self.reports,
+                        &mut self.snapshots,
+                    ));
+                }
+            }
         }
-        tracked.engine.push_into(pkt, &mut self.reports);
-        tracked.note_pushed(
-            1,
-            !self.reports.is_empty(),
-            self.flush_after,
-            &mut self.snapshots,
-        );
         self.outbox
             .windows(flow, &mut self.reports, &mut self.snapshots);
         true
     }
 
-    /// Builds the engine for a flow's resolved method.
-    fn tracked(&self, method: Method, reprobe: Option<Reprobe>) -> TrackedEngine {
-        TrackedEngine {
-            engine: build_engine(method, self.config, self.payload_map, self.model.as_ref()),
-            since_report: 0,
-            reprobe,
+    /// Off the fast path: a flow's first packet. A fixed-method flow gets
+    /// its engine at once; an auto-method flow enters probation,
+    /// buffering packets toward the RTP-confidence decision.
+    fn open(&mut self, hash: u64, flow: FlowKey, pkt: TracePacket) {
+        self.outbox.opened(flow, pkt.ts);
+        if self.engines.method.is_auto() {
+            let probing = TrackedEngine::Probing(Probation::new(pkt));
+            self.table.insert_hashed(hash, flow, probing, pkt.ts);
+        } else {
+            self.open_engine(hash, flow, self.engines.method.fallback(), pkt.ts);
+            self.push_tracked(hash, flow, &pkt);
         }
     }
 
-    /// Builds the engine for a flow's resolved method and installs it.
+    /// Builds the engine for a flow's decided method and installs it.
     fn open_engine(&mut self, hash: u64, flow: FlowKey, method: Method, first_seen: Timestamp) {
-        let tracked = self.tracked(method, None);
-        self.table.insert_hashed(hash, flow, tracked, first_seen);
+        let decided = TrackedEngine::Decided(self.engines.build(method, None));
+        self.table.insert_hashed(hash, flow, decided, first_seen);
     }
 
-    /// Off the fast path: the flow has no engine yet — it is brand new,
-    /// or still buffering toward the RTP-confidence decision.
-    fn ingest_cold(&mut self, hash: u64, flow: FlowKey, pkt: TracePacket) {
-        if !self.pending.contains_key(&flow) {
-            self.outbox.opened(flow, pkt.ts);
-            if !self.method.is_auto() {
-                self.open_engine(hash, flow, self.method.fallback(), pkt.ts);
-                self.push_established(hash, flow, &pkt);
-                return;
-            }
-        }
-        let pending = self.pending.entry(flow).or_insert_with(|| PendingFlow {
-            packets: Vec::with_capacity(RTP_PROBATION_PACKETS),
-            rtp_ok: 0,
-            last_seen: pkt.ts,
-        });
-        pending.rtp_ok += usize::from(pkt.rtp.is_some());
-        // Bounded advance, like FlowTable's last_seen: one corrupt
-        // far-future timestamp must not exempt the flow from the
-        // idle sweep forever.
-        let bound = pending
-            .last_seen
-            .as_micros()
-            .saturating_add(self.idle_timeout_us);
-        pending.last_seen = pending
-            .last_seen
-            .max(Timestamp::from_micros(pkt.ts.as_micros().min(bound)));
-        pending.packets.push(pkt);
-        if pending.packets.len() >= RTP_PROBATION_PACKETS {
-            if let Some((tracked, last_seen)) = self.resolve(flow) {
-                self.table.insert_hashed(hash, flow, tracked, last_seen);
-            }
-        }
-    }
-
-    /// Seals and reports every remaining flow (end of stream).
+    /// Seals and reports every remaining flow (end of stream), in key
+    /// order: the table's layout must not leak into the event stream.
     pub(super) fn finish(&mut self) {
-        let mut sealed = self.table.drain_finish_all();
-        // Probation flows are sealed straight from their replayed engines:
-        // nothing expires after this, so they skip the table and its
-        // schedule. Sorted: the map's iteration order differs from run to
-        // run, and the event stream must not.
-        let mut keys: Vec<FlowKey> = self.pending.keys().copied().collect();
-        keys.sort_unstable();
-        for flow in keys {
-            if let Some((mut tracked, _)) = self.resolve(flow) {
-                let mut tail = Vec::new();
-                tracked.engine.finish_into(&mut tail);
-                sealed.push((flow, tail));
+        // Sized up front: every flow is still resident, and growing the
+        // list by doubling would raise the heap peak by more than it holds.
+        let mut flows = Vec::with_capacity(self.table.len());
+        flows.extend(self.table.keys());
+        flows.sort_unstable();
+        for flow in flows {
+            if let Some(tracked) = self.table.remove_hashed(flow.hash64(), &flow) {
+                self.seal(flow, tracked, EvictReason::EndOfStream);
             }
-        }
-        sealed.sort_unstable_by_key(|(flow, _)| *flow);
-        for (flow, final_reports) in sealed {
-            self.outbox
-                .sealed(flow, EvictReason::EndOfStream, final_reports);
         }
     }
 
@@ -475,16 +506,9 @@ impl ShardState {
         if self.control.has_evictions_since(self.evict_cursor) {
             let control = Arc::clone(&self.control);
             for flow in control.evictions_since(&mut self.evict_cursor) {
-                // A flow still in probation is resolved first (its
-                // buffered packets replay through the decided engine),
-                // so even a young flow's windows surface. Flows this
-                // shard does not own are ignored (their owner processes
-                // the same request).
-                let tracked = match self.resolve(flow) {
-                    Some((tracked, _)) => Some(tracked),
-                    None => self.table.remove_hashed(flow.hash64(), &flow),
-                };
-                if let Some(tracked) = tracked {
+                // Flows this shard does not own are ignored (their owner
+                // processes the same request).
+                if let Some(tracked) = self.table.remove_hashed(flow.hash64(), &flow) {
                     self.seal(flow, tracked, EvictReason::Requested);
                 }
             }
@@ -493,7 +517,7 @@ impl ShardState {
         applied
     }
 
-    /// Emits provisional snapshots of every tracked flow's pending
+    /// Emits provisional snapshots of every decided flow's pending
     /// windows —
     /// [`MonitorHandle::force_flush`](crate::control::MonitorHandle::force_flush),
     /// with the same supersede-later semantics as the builder's max-lag
@@ -506,17 +530,34 @@ impl ShardState {
             ..
         } = self;
         table.for_each_mut(|flow, tracked| {
-            tracked.engine.provisional_into(snapshots);
-            for report in snapshots.drain(..) {
-                outbox.window(*flow, report, true);
+            if let TrackedEngine::Decided(decided) = tracked {
+                decided.engine.provisional_into(snapshots);
+                for report in snapshots.drain(..) {
+                    outbox.window(*flow, report, true);
+                }
             }
         });
     }
 
-    /// Flushes a flow's remaining windows and seals the flow with them.
-    fn seal(&mut self, flow: FlowKey, mut tracked: TrackedEngine, reason: EvictReason) {
+    /// Seals a flow taken out of the table — the one seal path, for every
+    /// [`EvictReason`]. A flow still in probation is decided first (its
+    /// buffered packets replay through the decided engine), so even a
+    /// young flow's windows surface, as events ahead of its
+    /// [`QoeEvent::FlowEvicted`].
+    fn seal(&mut self, flow: FlowKey, tracked: TrackedEngine, reason: EvictReason) {
+        let mut decided = match tracked {
+            TrackedEngine::Decided(decided) => decided,
+            TrackedEngine::Probing(probation) => {
+                let decided =
+                    self.engines
+                        .decide(&probation, &mut self.reports, &mut self.snapshots);
+                self.outbox
+                    .windows(flow, &mut self.reports, &mut self.snapshots);
+                decided
+            }
+        };
         let mut final_reports = Vec::new();
-        tracked.engine.finish_into(&mut final_reports);
+        decided.engine.finish_into(&mut final_reports);
         self.outbox.sealed(flow, reason, final_reports);
     }
 
@@ -538,7 +579,7 @@ impl ShardState {
             if self.behind_streak >= crate::engine::DISCONTINUITY_CORROBORATION {
                 self.behind_streak = 0;
                 self.now = Some(ts);
-                self.last_evict_us = self.last_evict_us.min(ts.as_micros());
+                self.last_footprint_us = self.last_footprint_us.min(ts.as_micros());
             }
             return;
         }
@@ -551,42 +592,8 @@ impl ShardState {
         );
     }
 
-    /// Takes a flow out of probation: decides its method from its RTP
-    /// parse confidence, builds the engine, and replays the buffered
-    /// packets through it, returning the engine and the flow's
-    /// `last_seen`. A flow resolved to the fallback keeps re-probing for
-    /// RTP (see [`RTP_REPROBE_PACKETS`]); one resolved to the RTP variant
-    /// is settled for good. `None` for a flow that is not in probation.
-    fn resolve(&mut self, flow: FlowKey) -> Option<(TrackedEngine, Timestamp)> {
-        let pending = self.pending.remove(&flow)?;
-        let confident = pending.confident_rtp();
-        let method = if confident {
-            self.method.preferred()
-        } else {
-            self.method.fallback()
-        };
-        let reprobe = (!confident && self.method.preferred() != method).then(Reprobe::default);
-        let mut tracked = self.tracked(method, reprobe);
-        // Replay the probation buffer through the decided engine; the
-        // max-lag accounting sees the burst as one push of N packets.
-        for pkt in &pending.packets {
-            tracked.engine.push_into(pkt, &mut self.reports);
-        }
-        tracked.note_pushed(
-            pending.packets.len() as u32,
-            !self.reports.is_empty(),
-            self.flush_after,
-            &mut self.snapshots,
-        );
-        self.outbox
-            .windows(flow, &mut self.reports, &mut self.snapshots);
-        // Probation advanced `last_seen` by the table's bounded rule over
-        // these same packets.
-        Some((tracked, pending.last_seen))
-    }
-
-    /// Post-probation RTP upgrade, reached when [`Self::push_established`]
-    /// finds a fallback-resolved auto flow confidently RTP over the
+    /// Post-probation RTP upgrade, reached when [`Self::push_tracked`]
+    /// finds a fallback-decided auto flow confidently RTP over the
     /// re-probe interval just seen (see [`RTP_REPROBE_PACKETS`]). The old
     /// engine's pending windows flush first — final up to the upgrade
     /// boundary, `provisional` for the boundary window itself, which the
@@ -595,7 +602,7 @@ impl ShardState {
     /// The seam is visible to consumers as the report's `method` changing
     /// mid-flow; the triggering packet replays into the new engine.
     fn upgrade_flow(&mut self, hash: u64, flow: FlowKey, pkt: &TracePacket) {
-        let Some(mut old) = self.table.remove_hashed(hash, &flow) else {
+        let Some(TrackedEngine::Decided(mut old)) = self.table.remove_hashed(hash, &flow) else {
             return;
         };
         // The new engine anchors at this packet's window; the old
@@ -607,15 +614,15 @@ impl ShardState {
             let provisional = report.window >= anchor;
             self.outbox.window(flow, report, provisional);
         }
-        self.open_engine(hash, flow, self.method.preferred(), pkt.ts);
-        self.push_established(hash, flow, pkt);
+        self.open_engine(hash, flow, self.engines.method.preferred(), pkt.ts);
+        self.push_tracked(hash, flow, pkt);
     }
 
-    /// Idle expiry, after every packet. An established flow is sealed by
-    /// the first packet on this worker after its `last_seen +
-    /// idle_timeout` (the table's deadline schedule, which costs nothing
-    /// when no flow is due). Once per [`EVICT_CHECK_US`] of stream time,
-    /// probation flows are swept too and the footprint gauge published.
+    /// Idle expiry, after every packet: a flow — in probation or decided
+    /// — is sealed by the first packet on this worker after its
+    /// `last_seen + idle_timeout` (the table's deadline schedule, which
+    /// costs nothing when no flow is due). Once per [`EVICT_CHECK_US`] of
+    /// stream time, the footprint gauge is published too.
     fn maybe_evict(&mut self) {
         let Some(now) = self.now else { return };
         // A packet more than one timeout behind the clock left the clock
@@ -624,43 +631,31 @@ impl ShardState {
         // re-anchor backward (`advance_clock`). They wait for the next
         // packet that is not behind.
         if self.behind_streak == 0 {
-            self.table.evict_idle_into(now, &mut self.expired);
-            for (flow, final_reports) in self.expired.drain(..) {
-                self.outbox.sealed(flow, EvictReason::Idle, final_reports);
-            }
-        }
-        if now.as_micros().saturating_sub(self.last_evict_us) < EVICT_CHECK_US {
-            return;
-        }
-        self.last_evict_us = now.as_micros();
-        // Like FlowTable::evict_idle: reclaim probation flows that went
-        // idle, and ones whose last_seen claims to be from far in the
-        // future (a corrupt timestamp that slipped in before clamping).
-        let deadline = now.as_micros() - self.idle_timeout_us;
-        let future_bound = now.as_micros().saturating_add(self.idle_timeout_us);
-        let mut stale: Vec<FlowKey> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| {
-                p.last_seen.as_micros() < deadline || p.last_seen.as_micros() > future_bound
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        // Sorted, like `finish`: map order must not leak into the stream.
-        stale.sort_unstable();
-        for flow in stale {
-            // Decide with whatever probation evidence exists, replay, and
-            // seal immediately: short flows still get their windows.
-            if let Some((tracked, _)) = self.resolve(flow) {
+            while let Some((flow, tracked)) = self.table.pop_idle(now) {
                 self.seal(flow, tracked, EvictReason::Idle);
             }
         }
-        // Piggyback the bytes-per-flow gauge on the sweep cadence: the
-        // survivors' engine state is what the monitor is resident for.
+        if now.as_micros().saturating_sub(self.last_footprint_us) < EVICT_CHECK_US {
+            return;
+        }
+        self.last_footprint_us = now.as_micros();
         self.control.set_flow_footprint(
             self.worker,
-            self.table.state_bytes() as u64,
+            self.table.state_bytes(TrackedEngine::state_bytes) as u64,
             self.table.len() as u64,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TrackedEngine;
+
+    /// A probation buffer held beside the engine instead of boxed would
+    /// widen every flow's slab entry (48 B), probation or not.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn tracked_engine_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<TrackedEngine>(), 32);
     }
 }

@@ -151,38 +151,50 @@ fn idle_eviction_surfaces_tail_reports() {
     );
 }
 
-/// An established flow is sealed by the first packet on its worker past
-/// `last_seen + idle_timeout`, not at a later once-a-second sweep; a flow
-/// idle for exactly the timeout is not sealed.
+/// A flow, established or still in probation, is sealed by the first
+/// packet on its worker past `last_seen + idle_timeout`, not at a later
+/// once-a-second sweep; a flow idle for exactly the timeout is not sealed.
 #[test]
 fn idle_flow_is_sealed_by_the_first_packet_past_its_timeout() {
-    let mut m = fixed(Method::IpUdpHeuristic)
-        .idle_timeout(Timestamp::from_secs(5))
-        .build();
-    let (a, b) = (flow_key(1), flow_key(2));
-    let idle_sealed = |m: &mut Monitor, b_us: i64| -> Vec<FlowKey> {
-        m.ingest_packet(b, pkt(b_us, 1100));
-        m.drain_events()
-            .filter_map(|e| match e {
-                QoeEvent::FlowEvicted {
-                    flow,
-                    reason: EvictReason::Idle,
-                    ..
-                } => Some(flow),
-                _ => None,
-            })
-            .collect()
-    };
-    m.ingest_packet(a, pkt(0, 1100));
-    for b_us in [1_000_000, 4_000_000, 5_000_000] {
-        assert_eq!(idle_sealed(&mut m, b_us), [], "A idle for {b_us} µs");
+    // Under an auto method, A (one packet) and B (five) are both still in
+    // RTP-confidence probation, and expire on the same deadline.
+    for method in [
+        EstimationMethod::Fixed(Method::IpUdpHeuristic),
+        EstimationMethod::AutoHeuristic,
+    ] {
+        let mut m = MonitorBuilder::new(VcaKind::Teams)
+            .method(method)
+            .idle_timeout(Timestamp::from_secs(5))
+            .build();
+        let (a, b) = (flow_key(1), flow_key(2));
+        let idle_sealed = |m: &mut Monitor, b_us: i64| -> Vec<FlowKey> {
+            m.ingest_packet(b, pkt(b_us, 1100));
+            m.drain_events()
+                .filter_map(|e| match e {
+                    QoeEvent::FlowEvicted {
+                        flow,
+                        reason: EvictReason::Idle,
+                        ..
+                    } => Some(flow),
+                    _ => None,
+                })
+                .collect()
+        };
+        m.ingest_packet(a, pkt(0, 1100));
+        for b_us in [1_000_000, 4_000_000, 5_000_000] {
+            assert_eq!(
+                idle_sealed(&mut m, b_us),
+                [],
+                "{method:?}: A idle {b_us} µs"
+            );
+        }
+        assert_eq!(
+            idle_sealed(&mut m, 5_001_000),
+            [a],
+            "{method:?}: A idle for the timeout + 1 ms"
+        );
+        assert_eq!(m.active_flows(), 1, "{method:?}: only B remains");
     }
-    assert_eq!(
-        idle_sealed(&mut m, 5_001_000),
-        [a],
-        "A idle for the timeout + 1 ms"
-    );
-    assert_eq!(m.active_flows(), 1, "only B remains");
 }
 
 #[test]

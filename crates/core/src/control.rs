@@ -64,8 +64,9 @@ pub(crate) struct ControlShared {
     /// Per-worker ingest backlog, in packets handed to the worker's
     /// channel and not yet processed. Empty on an inline monitor.
     depths: Vec<AtomicU64>,
-    /// Per-worker tracked-flow footprint in bytes (engine state plus
-    /// table overhead), refreshed by each shard's idle sweep. One slot
+    /// Per-worker tracked-flow footprint in bytes (engine state,
+    /// probation buffers and table overhead), refreshed once per
+    /// stream-second of each shard's traffic. One slot
     /// even on an inline monitor (its shard publishes as worker 0).
     flow_bytes: Vec<AtomicU64>,
     /// Flows counted into the matching `flow_bytes` slot.
@@ -160,8 +161,8 @@ impl ControlShared {
         }
     }
 
-    /// Publishes `worker`'s tracked-flow footprint (idle-sweep cadence:
-    /// once per stream-second of that shard's traffic).
+    /// Publishes `worker`'s tracked-flow footprint, probation flows
+    /// included (once per stream-second of that shard's traffic).
     pub(crate) fn set_flow_footprint(&self, worker: usize, bytes: u64, flows: u64) {
         if let Some(cell) = self.flow_bytes.get(worker) {
             cell.store(bytes, Relaxed);
@@ -195,9 +196,11 @@ pub struct MonitorSnapshot {
     /// and not yet processed. Empty on an inline monitor.
     pub shard_depths: Vec<u64>,
     /// Estimated resident bytes per tracked flow, averaged over the flows
-    /// live at the last idle sweep (0 until a shard has swept): each
-    /// engine's struct, its accumulators' retained heap capacity (one
-    /// window's content at its high-water mark), and flow-table overhead.
+    /// tracked at each shard's last footprint update, once per
+    /// stream-second (0 until a shard has published): each engine's
+    /// struct, its accumulators' retained heap capacity (one window's
+    /// content at its high-water mark), each probation flow's packet
+    /// buffer, and flow-table overhead.
     /// The attached model is shared by every flow and counted once, in
     /// `model_bytes`.
     pub bytes_per_flow: u64,

@@ -1241,7 +1241,7 @@ pub fn place_windows<E: QoeEstimator + ?Sized>(
 /// Expiry is a deadline schedule, not a scan: a lazy min-heap of
 /// `(due, hash)` items, one pushed when a flow is inserted, where
 /// `due = last_seen + idle_timeout`. The per-packet `last_seen` update
-/// leaves the heap alone; [`Self::evict_idle_into`] pops only the items
+/// leaves the heap alone; [`Self::evict_idle`] pops only the items
 /// that are due, evicts the flows that really are idle, and re-pushes the
 /// rest at their current due time. Called on every packet, it seals a
 /// flow by the first call whose `now` passes `last_seen + idle_timeout`.
@@ -1250,7 +1250,7 @@ pub fn place_windows<E: QoeEstimator + ?Sized>(
 /// workers take `hash64 % n_threads` (low bits), shards take the top 16
 /// bits, slot probing starts from bits 16.. — so the three layers stay
 /// uncorrelated.
-pub struct FlowTable<E: QoeEstimator> {
+pub struct FlowTable<E> {
     shards: Vec<FlowShard<E>>,
     factory: Box<dyn FnMut(&FlowKey) -> E + Send>,
     idle_timeout_us: i64,
@@ -1288,12 +1288,17 @@ fn due_tag(due_us: i64) -> u32 {
     due_us as u32
 }
 
-impl<E: QoeEstimator> FlowEntry<E> {
-    /// Seals an entry taken out of the table: its key and final windows.
-    fn finish(mut self) -> (FlowKey, Vec<WindowReport>) {
-        let mut tail = Vec::new();
-        self.engine.finish_into(&mut tail);
-        (self.key, tail)
+/// Seals a flow taken out of a table: its key and final windows.
+fn sealed<E: QoeEstimator>((key, mut engine): (FlowKey, E)) -> (FlowKey, Vec<WindowReport>) {
+    let mut tail = Vec::new();
+    engine.finish_into(&mut tail);
+    (key, tail)
+}
+
+impl<E> FlowEntry<E> {
+    /// The entry's key and its unfinished engine.
+    fn into_parts(self) -> (FlowKey, E) {
+        (self.key, self.engine)
     }
 
     /// Advances `last_seen` toward `ts` by at most one idle timeout and
@@ -1455,7 +1460,7 @@ impl<E> FlowShard<E> {
     }
 }
 
-impl<E: QoeEstimator> FlowTable<E> {
+impl<E> FlowTable<E> {
     /// Creates a table with `n_shards` shards (≥ 1), a per-flow engine
     /// factory, and an idle timeout after which flows are evictable.
     pub fn new(
@@ -1490,10 +1495,16 @@ impl<E: QoeEstimator> FlowTable<E> {
 
     /// Inserts a pre-built engine for `key` (whose [`FlowKey::hash64`] the
     /// caller already computed), replacing any existing one. The facade
-    /// uses this when engine selection depends on more than the flow key
-    /// (RTP-confidence probation); [`Self::push_hashed_into`] creation
-    /// goes through the factory.
-    pub fn insert_hashed(&mut self, hash: u64, key: FlowKey, engine: E, last_seen: Timestamp) {
+    /// inserts every flow this way, because what it stores depends on more
+    /// than the key (the method, or RTP-confidence probation);
+    /// [`Self::push_hashed_into`] creation goes through the factory.
+    pub(crate) fn insert_hashed(
+        &mut self,
+        hash: u64,
+        key: FlowKey,
+        engine: E,
+        last_seen: Timestamp,
+    ) {
         let shard_idx = self.shard_of(hash);
         let due_tag = self.enqueue(hash, last_seen.as_micros());
         let shard = &mut self.shards[shard_idx];
@@ -1512,20 +1523,11 @@ impl<E: QoeEstimator> FlowTable<E> {
         }
     }
 
-    /// Mutable access to a flow's engine, if tracked.
-    pub fn get_mut_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<&mut E> {
-        let shard_idx = self.shard_of(hash);
-        let shard = &mut self.shards[shard_idx];
-        shard
-            .find(hash, key)
-            .map(|idx| &mut shard.entries[idx].engine)
-    }
-
-    /// [`Self::get_mut_hashed`] that also advances the flow's `last_seen`
-    /// toward `ts` (bounded by one idle timeout per call, like
+    /// Mutable access to a flow's engine, if tracked, advancing the flow's
+    /// `last_seen` toward `ts` (bounded by one idle timeout per call, like
     /// [`Self::push_hashed_into`]) — the facade's per-packet lookup,
     /// which needs the entry's bookkeeping hot before pushing.
-    pub fn get_mut_seen_hashed(
+    pub(crate) fn get_mut_seen_hashed(
         &mut self,
         hash: u64,
         key: &FlowKey,
@@ -1541,7 +1543,7 @@ impl<E: QoeEstimator> FlowTable<E> {
 
     /// Removes a flow's engine without finishing it; the caller owns any
     /// remaining flush. The flow's schedule item dies when popped.
-    pub fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<E> {
+    pub(crate) fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<E> {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
         shard
@@ -1549,48 +1551,12 @@ impl<E: QoeEstimator> FlowTable<E> {
             .map(|slot| shard.remove_slot(slot).engine)
     }
 
-    /// Routes one packet to its flow's engine (creating it on first
-    /// sight), appending that flow's finalized windows into `out` — the
-    /// zero-alloc per-packet entry point. `hash` is the key's
-    /// [`FlowKey::hash64`].
-    pub fn push_hashed_into(
-        &mut self,
-        hash: u64,
-        key: FlowKey,
-        pkt: &TracePacket,
-        out: &mut Vec<WindowReport>,
-    ) {
-        let shard_idx = self.shard_of(hash);
-        let idx = match self.shards[shard_idx].find(hash, &key) {
-            Some(idx) => idx,
-            None => {
-                let engine = (self.factory)(&key);
-                let due_tag = self.enqueue(hash, pkt.ts.as_micros());
-                self.shards[shard_idx].insert_new(key, hash, engine, pkt.ts, due_tag)
-            }
-        };
-        let entry = &mut self.shards[shard_idx].entries[idx];
-        self.max_seen_us = self
-            .max_seen_us
-            .max(entry.see(pkt.ts, self.idle_timeout_us));
-        entry.engine.push_into(pkt, out);
-    }
-
-    /// [`Self::evict_idle_into`] into a fresh `Vec`.
-    pub fn evict_idle(&mut self, now: Timestamp) -> Vec<(FlowKey, Vec<WindowReport>)> {
-        let mut out = Vec::new();
-        self.evict_idle_into(now, &mut out);
-        out
-    }
-
-    /// Evicts every flow idle longer than the timeout at `now` — last
-    /// seen before `now - idle_timeout` — appending each one's key and
-    /// remaining windows to `out` in due order. A flow whose last packet
-    /// claims to be from beyond `now + idle_timeout` carries a corrupt
-    /// timestamp and is reclaimed too, rather than pinning memory
-    /// forever. Only due schedule items are touched, so a call with
-    /// nothing due allocates nothing and costs two comparisons.
-    pub fn evict_idle_into(&mut self, now: Timestamp, out: &mut Vec<(FlowKey, Vec<WindowReport>)>) {
+    /// [`Self::evict_idle`] one flow at a time, without finishing: takes
+    /// out the next idle flow in due order, its key and unfinished engine
+    /// for the caller to seal, or `None` when no flow is due. Only due
+    /// schedule items are touched, so a call with nothing due allocates
+    /// nothing and costs two comparisons.
+    pub(crate) fn pop_idle(&mut self, now: Timestamp) -> Option<(FlowKey, E)> {
         let now_us = now.as_micros();
         let idle = self.idle_timeout_us;
         let future_bound = now_us.saturating_add(idle);
@@ -1610,15 +1576,15 @@ impl<E: QoeEstimator> FlowTable<E> {
             let entry = &mut shard.entries[shard.slots[slot] as usize];
             let last_us = entry.last_seen.as_micros();
             if last_us.saturating_add(idle) < now_us || last_us > future_bound {
-                out.push(shard.remove_slot(slot).finish());
-            } else {
-                // Seen since it was scheduled: due again, at or after
-                // `now`, so this loop stops at it.
-                let due_us = last_us.saturating_add(idle);
-                entry.due_tag = due_tag(due_us);
-                self.schedule.push(Reverse((due_us, hash)));
+                return Some(shard.remove_slot(slot).into_parts());
             }
+            // Seen since it was scheduled: due again, at or after `now`,
+            // so this loop stops at it.
+            let due_us = last_us.saturating_add(idle);
+            entry.due_tag = due_tag(due_us);
+            self.schedule.push(Reverse((due_us, hash)));
         }
+        None
     }
 
     /// Rebuilds the schedule from the entry slabs in one pass, with every
@@ -1647,33 +1613,21 @@ impl<E: QoeEstimator> FlowTable<E> {
         self.schedule = BinaryHeap::from(items);
     }
 
-    /// Finishes every flow (end of capture) in place, returning each
-    /// flow's remaining windows sorted by flow and leaving the table
-    /// empty but reusable. This is the shape a shard worker needs — it
-    /// owns its table inside long-lived state and seals flows at end of
-    /// stream without moving out of itself.
-    pub fn drain_finish_all(&mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
-        self.schedule.clear();
-        self.max_seen_us = i64::MIN;
-        let mut out = Vec::new();
-        for shard in &mut self.shards {
-            shard.slots.clear();
-            for entry in shard.entries.drain(..) {
-                out.push(entry.finish());
-            }
-        }
-        out.sort_by_key(|(k, _)| (k.addr_a, k.port_a, k.addr_b, k.port_b));
-        out
-    }
-
     /// Visits every tracked flow's engine mutably, in unspecified order
     /// (the facade's forced provisional flush walks all flows at once).
-    pub fn for_each_mut(&mut self, mut f: impl FnMut(&FlowKey, &mut E)) {
+    pub(crate) fn for_each_mut(&mut self, mut f: impl FnMut(&FlowKey, &mut E)) {
         for shard in &mut self.shards {
             for entry in shard.entries.iter_mut() {
                 f(&entry.key, &mut entry.engine);
             }
         }
+    }
+
+    /// Every tracked flow's key, in unspecified order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = FlowKey> + '_ {
+        self.shards
+            .iter()
+            .flat_map(|s| s.entries.iter().map(|e| e.key))
     }
 
     /// Number of currently tracked flows.
@@ -1686,30 +1640,87 @@ impl<E: QoeEstimator> FlowTable<E> {
         self.len() == 0
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Flows per shard (for load-balance inspection).
     pub fn shard_loads(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.entries.len()).collect()
     }
 
     /// Total resident bytes of tracked-flow state: the expiry schedule,
-    /// the probe tables, the entry slabs, and each engine's own
-    /// [`QoeEstimator::state_bytes`] accounting — the numerator of the
-    /// monitor's bytes-per-flow gauge.
-    pub fn state_bytes(&self) -> usize {
+    /// the probe tables, the entry slabs, and what `engine_bytes` says
+    /// each entry's engine holds beyond its slab slot — the numerator of
+    /// the monitor's bytes-per-flow gauge.
+    pub(crate) fn state_bytes(&self, engine_bytes: impl Fn(&E) -> usize) -> usize {
         let mut total = self.schedule.capacity() * std::mem::size_of::<Reverse<(i64, u64)>>();
         for shard in &self.shards {
             total += shard.slots.capacity() * std::mem::size_of::<u32>();
             total += shard.entries.capacity() * std::mem::size_of::<FlowEntry<E>>();
             for entry in &shard.entries {
-                total += entry.engine.state_bytes();
+                total += engine_bytes(&entry.engine);
             }
         }
         total
+    }
+}
+
+/// The entry points that run the engines themselves, for callers whose
+/// table holds bare engines: the factory creates one on first sight, and
+/// eviction hands back each flow's final windows.
+impl<E: QoeEstimator> FlowTable<E> {
+    /// Routes one packet to its flow's engine (creating it on first
+    /// sight), appending that flow's finalized windows into `out` — the
+    /// zero-alloc per-packet entry point. `hash` is the key's
+    /// [`FlowKey::hash64`].
+    pub fn push_hashed_into(
+        &mut self,
+        hash: u64,
+        key: FlowKey,
+        pkt: &TracePacket,
+        out: &mut Vec<WindowReport>,
+    ) {
+        let shard_idx = self.shard_of(hash);
+        let idx = match self.shards[shard_idx].find(hash, &key) {
+            Some(idx) => idx,
+            None => {
+                let engine = (self.factory)(&key);
+                let due_tag = self.enqueue(hash, pkt.ts.as_micros());
+                self.shards[shard_idx].insert_new(key, hash, engine, pkt.ts, due_tag)
+            }
+        };
+        let entry = &mut self.shards[shard_idx].entries[idx];
+        self.max_seen_us = self
+            .max_seen_us
+            .max(entry.see(pkt.ts, self.idle_timeout_us));
+        entry.engine.push_into(pkt, out);
+    }
+
+    /// Evicts every flow idle longer than the timeout at `now` — last
+    /// seen before `now - idle_timeout` — returning each one's key and
+    /// remaining windows in due order. A flow whose last packet claims to
+    /// be from beyond `now + idle_timeout` carries a corrupt timestamp and
+    /// is reclaimed too, rather than pinning memory forever.
+    pub fn evict_idle(&mut self, now: Timestamp) -> Vec<(FlowKey, Vec<WindowReport>)> {
+        std::iter::from_fn(|| self.pop_idle(now))
+            .map(sealed)
+            .collect()
+    }
+
+    /// Finishes every flow (end of capture) in place, returning each
+    /// flow's remaining windows sorted by flow and leaving the table
+    /// empty but reusable. This is the shape a shard worker needs — it
+    /// owns its table inside long-lived state and seals flows at end of
+    /// stream without moving out of itself.
+    pub fn drain_finish_all(&mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
+        self.schedule.clear();
+        self.max_seen_us = i64::MIN;
+        let mut out = Vec::new();
+        for shard in &mut self.shards {
+            shard.slots.clear();
+            for entry in shard.entries.drain(..) {
+                out.push(sealed(entry.into_parts()));
+            }
+        }
+        out.sort_by_key(|(k, _)| (k.addr_a, k.port_a, k.addr_b, k.port_b));
+        out
     }
 }
 
@@ -2131,7 +2142,10 @@ mod tests {
                 .sum::<usize>();
         }
         assert!(table.schedule.capacity() >= 100);
-        assert_eq!(table.state_bytes(), rest + table.schedule.capacity() * 16);
+        assert_eq!(
+            table.state_bytes(QoeEstimator::state_bytes),
+            rest + table.schedule.capacity() * 16
+        );
     }
 
     /// The rule the schedule reproduces, as the scan of every entry that
@@ -2150,7 +2164,7 @@ mod tests {
                 let e = &shard.entries[idx];
                 if e.last_seen.as_micros() < deadline || e.last_seen.as_micros() > future_bound {
                     let slot = e.slot as usize;
-                    out.push(shard.remove_slot(slot).finish());
+                    out.push(sealed(shard.remove_slot(slot).into_parts()));
                 } else {
                     idx += 1;
                 }
@@ -2258,8 +2272,8 @@ mod tests {
             table_push(&mut table, flow_key(n), &pkt(0, 1100));
         }
         assert_eq!(table.len(), 64);
-        assert_eq!(table.shard_count(), 8);
         let loads = table.shard_loads();
+        assert_eq!(loads.len(), 8);
         assert!(
             loads.iter().filter(|&&l| l > 0).count() >= 4,
             "loads {loads:?}"

@@ -515,11 +515,10 @@ fn parallel_matches_sequential_across_slot_recycling() {
 }
 
 /// Same input, same event stream: flows still in RTP-confidence
-/// probation at end of stream — or reclaimed together by one idle sweep —
-/// live in a hash map whose iteration order differs from run to run, and
-/// that order must not leak into the output. Inline runs must repeat
-/// byte for byte; threaded runs interleave workers freely, so they must
-/// repeat per flow.
+/// probation at end of stream, or expiring together on one packet, are
+/// sealed in an order the flow table's layout must not decide. Inline
+/// runs must repeat byte for byte; threaded runs interleave workers
+/// freely, so they must repeat per flow.
 #[test]
 fn probation_flows_seal_in_a_reproducible_order() {
     let pkt = |us: i64| TracePacket {
@@ -536,8 +535,8 @@ fn probation_flows_seal_in_a_reproducible_order() {
             at_finish.push((flow_key(n), pkt(i * 700_000 + i64::from(n))));
         }
     }
-    // The same, then a straggler far past a 5 s idle timeout: the sweep
-    // it triggers finds all 40 probation flows stale at once.
+    // The same, then a straggler far past a 5 s idle timeout: all 40
+    // probation flows expire on its first packet.
     let mut at_sweep = at_finish.clone();
     at_sweep.extend((0..3i64).map(|s| (flow_key(99), pkt(20_000_000 + s * 1_000_000))));
 

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::netpkt::{Error as NetError, FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
+use vcaml_suite::vcaml::api::RTP_PROBATION_PACKETS;
 use vcaml_suite::vcaml::engine::{replay, IpUdpMlEngine};
 use vcaml_suite::vcaml::source::{PacketSource, SourcePacket};
 use vcaml_suite::vcaml::{
@@ -497,8 +498,8 @@ fn bytes_per_flow_is_pinned_per_method() {
         for p in &trace.packets {
             monitor.ingest_packet(flow, *p);
         }
-        // The footprint is published by the 1 Hz eviction sweep, so an
-        // 8 s single-flow trace has refreshed it several times by now.
+        // The footprint is published once per second of stream time, so
+        // an 8 s single-flow trace has refreshed it several times by now.
         handle.stats_snapshot().bytes_per_flow
     };
 
@@ -541,6 +542,30 @@ fn bytes_per_flow_is_pinned_per_method() {
         ipudp_ml > ipudp_h && rtp_ml > rtp_h,
         "ML accumulators outweigh heuristic frame rings: \
          ml {ipudp_ml}/{rtp_ml} vs heuristic {ipudp_h}/{rtp_h}"
+    );
+
+    // Flows still in RTP-confidence probation are tracked flows too: a
+    // tap's short non-media flows never leave it, and each holds its
+    // packet buffer until it expires.
+    let mut auto = MonitorBuilder::new(VcaKind::Teams)
+        .method(EstimationMethod::AutoHeuristic)
+        .build();
+    for n in 0..30u16 {
+        for k in 0..4i64 {
+            let packet = TracePacket {
+                ts: Timestamp::from_micros(i64::from(n) * 100_000 + k * 10_000),
+                size: 200,
+                rtp: None,
+                truth_media: None,
+            };
+            auto.ingest_packet(flow_key(n), packet);
+        }
+    }
+    let buffer = RTP_PROBATION_PACKETS * std::mem::size_of::<TracePacket>();
+    let probing = auto.handle().stats_snapshot().bytes_per_flow;
+    assert!(
+        probing >= buffer as u64,
+        "probation flows: {probing} B/flow, below one {buffer} B buffer"
     );
 
     // No live flows (nothing ingested) → no footprint, not a division

@@ -34,7 +34,9 @@
 //! And the facade between them: a record the [`Monitor`] rejects costs
 //! exactly one allocation from `ingest_frame` to `drain_shared` — the
 //! delivery `Arc` of its `ParseDrop` event — and a record it accepts onto
-//! an established flow costs none unless it seals a window.
+//! an established flow costs none unless it seals a window. A new flow
+//! under an auto method costs its probation buffer and its `FlowOpened`
+//! event's `Arc`, and the rest of its probation costs nothing.
 
 #![allow(
     clippy::expect_used,
@@ -644,7 +646,7 @@ fn accepted_record_on_an_established_flow_is_alloc_free() {
 /// deadline schedule: with nothing due the check allocates nothing, and a
 /// packet that passes one flow's deadline allocates that flow's tail
 /// `Vec` and its `FlowEvicted` event's `Arc` — the expired flows are
-/// gathered in a reused scratch buffer, not a `Vec` per call.
+/// taken out of the table one at a time, not gathered in a `Vec`.
 #[test]
 fn expiring_an_idle_flow_allocates_its_tail_and_event_only() {
     let mut monitor = Monitor::builder(VcaKind::Teams)
@@ -731,6 +733,66 @@ fn expiring_an_idle_flow_allocates_its_tail_and_event_only() {
     assert!(
         dirty.is_empty(),
         "packets that allocated beyond their expiries: {:?}",
+        &dirty[..dirty.len().min(8)]
+    );
+}
+
+/// RTP-confidence probation on the accept path. An auto-method flow's
+/// first packet allocates its boxed packet buffer and its `FlowOpened`
+/// event's `Arc`, and nothing else: the flow table's entry slab, probe
+/// table and deadline schedule have room from earlier flows. Packets 2
+/// to 15 only fill the buffer; the 16th decides the method and builds the
+/// engine, which is not metered here.
+#[test]
+fn probation_allocates_its_buffer_once() {
+    let mut monitor = Monitor::builder(VcaKind::Teams)
+        .method(EstimationMethod::AutoHeuristic)
+        .idle_timeout(Timestamp::from_secs(1))
+        .build();
+    let relay = IpAddr::V4(Ipv4Addr::new(198, 51, 100, 4));
+    let key = |i: u16| {
+        let client = IpAddr::V4(Ipv4Addr::new(10, 9, (i >> 8) as u8, i as u8));
+        FlowKey::canonical(client, 40_000, relay, 3478, 17).0
+    };
+    let packet = |us: i64| TracePacket {
+        ts: Timestamp::from_micros(us),
+        size: 300,
+        rtp: None,
+        truth_media: None,
+    };
+    let mut ingest = |flow: FlowKey, us: i64| {
+        monitor.ingest_packet(flow, packet(us));
+        monitor.drain_shared().count()
+    };
+    // Warm-up: 256 one-packet flows grow the table, then all expire on
+    // a 257th flow's second packet (the stream clock advances at most one
+    // idle timeout per packet).
+    for i in 0..256 {
+        ingest(key(i), i64::from(i));
+    }
+    assert_eq!(ingest(key(256), 900_000), 1, "FlowOpened");
+    assert_eq!(
+        ingest(key(256), 1_500_000),
+        256,
+        "the warm-up flows expired"
+    );
+
+    // 16 new flows, 15 packets each, all before the 257th flow expires.
+    let mut dirty = Vec::new();
+    for j in 0..16u16 {
+        let flow = key(300 + j);
+        for k in 0..15i64 {
+            let us = 1_600_000 + i64::from(j) * 40_000 + k * 2_000;
+            let (allocs, events) = metered(|| ingest(flow, us));
+            let want = if k == 0 { (2, 1) } else { (0, 0) };
+            if (allocs, events) != want {
+                dirty.push((j, k, allocs, events));
+            }
+        }
+    }
+    assert!(
+        dirty.is_empty(),
+        "(flow, packet, allocations, events) off contract: {:?}",
         &dirty[..dirty.len().min(8)]
     );
 }
