@@ -6,7 +6,7 @@ use super::ParseDropReason;
 use crate::source::SourcePacket;
 use crate::trace::TracePacket;
 use vcaml_netpkt::pcap::PcapRecord;
-use vcaml_netpkt::{Error as NetError, FlowKey, LinkType, Timestamp, UdpDatagram};
+use vcaml_netpkt::{Error as NetError, FlowKey, LinkType, Timestamp, UdpDatagram, UdpHeaders};
 use vcaml_rtp::RtpHeader;
 
 /// A packet ready for its flow's engine, or when and why it was dropped.
@@ -30,50 +30,31 @@ pub(super) fn parsed(flow: FlowKey, pkt: TracePacket) -> Decoded {
     Ok((flow, pkt))
 }
 
-/// Decodes one pcap record, dispatching on the file's link type. The
-/// record's buffer is `Bytes`-backed, so the decoded datagram's payload
-/// is a zero-copy slice of it — no per-packet payload allocation.
+/// Decodes one pcap record, dispatching on the file's link type. Only
+/// the headers are read, in place in the record's buffer: nothing is
+/// allocated or refcounted per packet.
 pub(super) fn record_packet(link: LinkType, rec: &PcapRecord, wants_rtp: bool) -> Decoded {
-    let parsed = parse_wire(
-        link,
-        &rec.data,
-        UdpDatagram::parse_shared,
-        UdpDatagram::parse_ipv4_shared,
-        UdpDatagram::parse_ipv6_shared,
-    );
-    classify(rec.ts, parsed, wants_rtp)
+    wire(link, rec.ts, &rec.data, wants_rtp)
 }
 
 /// Decodes raw bytes the caller holds as a plain slice: an Ethernet II
 /// frame ([`LinkType::Ethernet`]) or an IP packet ([`LinkType::RawIp`]).
 pub(super) fn wire(link: LinkType, ts: Timestamp, bytes: &[u8], wants_rtp: bool) -> Decoded {
-    let parsed = parse_wire(
-        link,
-        bytes,
-        UdpDatagram::parse,
-        UdpDatagram::parse_ipv4,
-        UdpDatagram::parse_ipv6,
-    );
-    classify(ts, parsed, wants_rtp)
+    match headers(link, bytes) {
+        Ok(Some(h)) => accept(ts, h.flow_key().0, h.ip_total_len, h.payload, wants_rtp),
+        Ok(None) => Err((ts, ParseDropReason::NotUdp)),
+        Err(e) => Err((ts, ParseDropReason::from(&e))),
+    }
 }
 
-type Parsed = Result<Option<UdpDatagram>, NetError>;
-
-/// Picks the parser for the header `buf` starts with — Ethernet II, or
-/// IPv4/IPv6 by version nibble — from the caller's buffer type's three
-/// `UdpDatagram` entry points (slice or zero-copy `Bytes`).
-fn parse_wire<B: AsRef<[u8]> + ?Sized>(
-    link: LinkType,
-    buf: &B,
-    ethernet: fn(&B) -> Parsed,
-    ipv4: fn(&B) -> Parsed,
-    ipv6: fn(&B) -> Parsed,
-) -> Parsed {
+/// Parses the headers `bytes` starts with: Ethernet II, or IPv4/IPv6 by
+/// version nibble.
+fn headers(link: LinkType, bytes: &[u8]) -> Result<Option<UdpHeaders<'_>>, NetError> {
     match link {
-        LinkType::Ethernet => ethernet(buf),
-        LinkType::RawIp => match buf.as_ref().first().map(|b| b >> 4) {
-            Some(4) => ipv4(buf),
-            Some(6) => ipv6(buf),
+        LinkType::Ethernet => UdpHeaders::parse(bytes),
+        LinkType::RawIp => match bytes.first().map(|b| b >> 4) {
+            Some(4) => UdpHeaders::parse_ipv4(bytes),
+            Some(6) => UdpHeaders::parse_ipv6(bytes),
             Some(_) => Err(NetError::Malformed {
                 layer: "ip",
                 what: "version is neither 4 nor 6",
@@ -91,23 +72,20 @@ fn parse_wire<B: AsRef<[u8]> + ?Sized>(
     }
 }
 
-fn classify(ts: Timestamp, parsed: Parsed, wants_rtp: bool) -> Decoded {
-    match parsed {
-        Ok(Some(dg)) => datagram_packet(ts, &dg, wants_rtp),
-        Ok(None) => Err((ts, ParseDropReason::NotUdp)),
-        Err(e) => Err((ts, ParseDropReason::from(&e))),
-    }
+/// Admits a datagram a caller decoded and kept (a
+/// [`SourcePacket::Captured`]).
+pub(super) fn datagram_packet(ts: Timestamp, dg: &UdpDatagram, wants_rtp: bool) -> Decoded {
+    accept(ts, dg.flow_key().0, dg.ip_total_len, &dg.payload, wants_rtp)
 }
 
-/// Flow-keys a decoded datagram and runs the RTP parse-attempt: the
+/// Runs the RTP parse-attempt on an accepted datagram's payload: the
 /// attempt's confidence decides the method for auto-configured monitors,
 /// and the header feeds the RTP engines. Non-RTP payloads simply leave
 /// `rtp` empty; fixed IP/UDP monitors (the paper's no-RTP-access
 /// deployment) skip the attempt entirely — nothing consumes it.
-pub(super) fn datagram_packet(ts: Timestamp, dg: &UdpDatagram, wants_rtp: bool) -> Decoded {
-    let (flow, _) = dg.flow_key();
+fn accept(ts: Timestamp, flow: FlowKey, size: u16, payload: &[u8], wants_rtp: bool) -> Decoded {
     let rtp = if wants_rtp {
-        RtpHeader::parse(&dg.payload).ok()
+        RtpHeader::parse(payload).ok()
     } else {
         None
     };
@@ -115,7 +93,7 @@ pub(super) fn datagram_packet(ts: Timestamp, dg: &UdpDatagram, wants_rtp: bool) 
         flow,
         TracePacket {
             ts,
-            size: dg.ip_total_len,
+            size,
             rtp,
             truth_media: None,
         },

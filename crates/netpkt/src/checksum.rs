@@ -28,7 +28,7 @@ impl Checksum {
     }
 
     /// Adds a single big-endian 16-bit word.
-    pub fn add_u16(&mut self, word: u16) {
+    pub(crate) fn add_u16(&mut self, word: u16) {
         self.sum += u32::from(word);
     }
 
@@ -55,23 +55,12 @@ pub fn verify(data: &[u8]) -> bool {
 }
 
 /// One's-complement sum of the IPv4 pseudo-header used by UDP/TCP.
-pub fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], proto: u8, len: u16) -> Checksum {
+pub(crate) fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], proto: u8, len: u16) -> Checksum {
     let mut c = Checksum::new();
     c.add_bytes(&src);
     c.add_bytes(&dst);
     c.add_u16(u16::from(proto));
     c.add_u16(len);
-    c
-}
-
-/// One's-complement sum of the IPv6 pseudo-header used by UDP/TCP.
-pub fn pseudo_header_v6(src: [u8; 16], dst: [u8; 16], proto: u8, len: u32) -> Checksum {
-    let mut c = Checksum::new();
-    c.add_bytes(&src);
-    c.add_bytes(&dst);
-    c.add_u16((len >> 16) as u16);
-    c.add_u16(len as u16);
-    c.add_u16(u16::from(proto));
     c
 }
 

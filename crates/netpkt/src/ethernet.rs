@@ -10,21 +10,6 @@ pub const HEADER_LEN: usize = 14;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
-impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// Returns true if the group bit (LSB of the first octet) is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// Returns true for the all-ones broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-}
-
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let b = self.0;
@@ -206,10 +191,6 @@ mod tests {
     fn mac_display_and_flags() {
         let m = MacAddr([0xde, 0xad, 0xbe, 0xef, 0x00, 0x01]);
         assert_eq!(m.to_string(), "de:ad:be:ef:00:01");
-        assert!(!m.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr([0x01, 0, 0, 0, 0, 0]).is_multicast());
-        assert!(!MacAddr([0x02, 0, 0, 0, 0, 0]).is_multicast());
     }
 
     #[test]

@@ -66,13 +66,8 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         usize::from(self.buffer.as_ref()[0] & 0x0f) * 4
     }
 
-    /// DSCP + ECN byte.
-    pub fn tos(&self) -> u8 {
-        self.buffer.as_ref()[1]
-    }
-
     /// Total length field (header + payload).
-    pub fn total_len(&self) -> u16 {
+    pub(crate) fn total_len(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
@@ -83,22 +78,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         u16::from_be_bytes([b[4], b[5]])
     }
 
-    /// Don't-fragment flag.
-    pub fn dont_frag(&self) -> bool {
-        self.buffer.as_ref()[6] & 0x40 != 0
-    }
-
-    /// More-fragments flag.
-    pub fn more_frags(&self) -> bool {
-        self.buffer.as_ref()[6] & 0x20 != 0
-    }
-
-    /// Fragment offset in 8-byte units.
-    pub fn frag_offset(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[6] & 0x1f, b[7]])
-    }
-
     /// Time to live.
     pub fn ttl(&self) -> u8 {
         self.buffer.as_ref()[8]
@@ -107,12 +86,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     /// Encapsulated protocol number (17 for UDP).
     pub fn protocol(&self) -> u8 {
         self.buffer.as_ref()[9]
-    }
-
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
     }
 
     /// Source address.
@@ -228,9 +201,8 @@ mod tests {
         assert_eq!(pkt.ident(), 0x1234);
         assert_eq!(pkt.total_len(), 28);
         assert!(pkt.verify_checksum());
-        assert!(pkt.dont_frag());
-        assert!(!pkt.more_frags());
-        assert_eq!(pkt.frag_offset(), 0);
+        // DF set; MF clear and offset 0, so the datagram is unfragmented.
+        assert_eq!(&buf[6..8], &[0x40, 0]);
         assert_eq!(Ipv4Repr::parse(&pkt), repr);
     }
 

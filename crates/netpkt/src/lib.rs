@@ -9,8 +9,8 @@
 //! The design follows smoltcp's convention: each protocol has a cheap
 //! *view* type wrapping a byte slice (`Ipv4Packet<&[u8]>` style accessors)
 //! plus an owned *repr* struct (`Ipv4Repr`) used when constructing packets.
-//! Nothing here allocates on the parse path except the payload copy taken
-//! when a packet is retained.
+//! The receive path is one fused pass, [`UdpHeaders::parse`], which borrows
+//! the payload from the capture buffer: nothing there allocates.
 //!
 //! Downstream crates only ever consume IP/UDP header fields — packet sizes,
 //! timestamps and the 5-tuple — which is exactly the measurement model of
@@ -31,7 +31,7 @@ pub use ethernet::{EtherType, EthernetFrame, EthernetRepr, MacAddr};
 pub use flow::{FlowDirection, FlowKey};
 pub use ipv4::{Ipv4Packet, Ipv4Repr};
 pub use ipv6::{Ipv6Packet, Ipv6Repr};
-pub use packet::{CapturedPacket, Timestamp, UdpDatagram};
+pub use packet::{CapturedPacket, Timestamp, UdpDatagram, UdpHeaders};
 pub use pcap::{LinkType, PcapReader, PcapWriter};
 pub use udp::{UdpPacket, UdpRepr};
 

@@ -156,11 +156,6 @@ impl<R: Read> PcapReader<R> {
         self.link_type
     }
 
-    /// Snap length declared in the global header.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
-    }
-
     /// Reads the next record; `Ok(None)` at a clean end of file.
     ///
     /// The input is read only when the bytes already buffered do not
@@ -567,7 +562,7 @@ mod tests {
         let lens = [300, 100_000, 200, 70_000, 50];
         let bytes = image(262_144, &lens);
         let mut r = PcapReader::new(Cursor::new(&bytes[..])).unwrap();
-        assert_eq!(r.snaplen(), 262_144);
+        assert_eq!(r.snaplen, 262_144);
         for (i, &len) in lens.iter().enumerate() {
             assert_is_record(&r.next_record().unwrap().unwrap(), i, len);
             // A large record's slab holds that record alone, and the

@@ -4,7 +4,7 @@
 
 use vcaml_suite::datasets::{inlab_corpus, to_core_trace, CorpusConfig};
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
-use vcaml_suite::netpkt::{LinkType, PcapReader, PcapWriter, UdpDatagram};
+use vcaml_suite::netpkt::{LinkType, PcapReader, PcapWriter, UdpHeaders};
 use vcaml_suite::rtp::{MediaKind, RtpHeader, VcaKind};
 use vcaml_suite::vcaml::MediaClassifier;
 use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
@@ -85,8 +85,8 @@ fn captured_bytes_roundtrip_through_pcap() {
     assert_eq!(r.link_type(), LinkType::RawIp);
     let mut n = 0usize;
     while let Some(rec) = r.next_record().unwrap() {
-        let dg = UdpDatagram::parse_ipv4(&rec.data).unwrap().expect("udp");
-        assert_eq!(dg.ip_total_len, captured[n].size());
+        let h = UdpHeaders::parse_ipv4(&rec.data).unwrap().expect("udp");
+        assert_eq!(h.ip_total_len, captured[n].size());
         assert_eq!(rec.ts, captured[n].ts);
         n += 1;
     }

@@ -7,13 +7,14 @@ use vcaml_suite::features::{microbursts, unique_sizes, windows_by_second, PktObs
 use vcaml_suite::mlcore::{percentile, ConfusionMatrix};
 use vcaml_suite::netpkt::checksum::{checksum, verify, Checksum};
 use vcaml_suite::netpkt::{
-    FlowKey, Ipv4Packet, Ipv4Repr, LinkType, PcapReader, PcapWriter, Timestamp, UdpPacket, UdpRepr,
+    FlowKey, Ipv4Packet, Ipv4Repr, LinkType, PcapReader, PcapWriter, Timestamp, UdpHeaders,
+    UdpPacket, UdpRepr,
 };
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::rtp::{seq_distance, seq_greater, RtpHeader, SequenceTracker};
 use vcaml_suite::vcaml::api::{EvictReason, ParseDropReason};
 use vcaml_suite::vcaml::{EstimationMethod, Method, MonitorBuilder, QoeEvent};
-use vcaml_suite::vcaml::{HeuristicParams, IpUdpHeuristic, QoeEstimate, WindowReport};
+use vcaml_suite::vcaml::{HeuristicParams, IpUdpHeuristic, QoeEstimate, TracePacket, WindowReport};
 use vcaml_suite::vcasim::{packetize, FragmentPolicy};
 
 /// A `Read` that hands over between 1 and `k` bytes per call, as a pipe
@@ -649,53 +650,262 @@ proptest! {
     fn monitor_classifies_mutated_real_frames(
         payload_len in 12usize..160,
         cut in any::<usize>(),
-        ihl in 0u8..16,
-        udp_len in any::<u16>(),
-        mutation in 0usize..4) {
-        // Start from a well-formed Ethernet/IPv4/UDP frame whose payload
-        // looks RTP-ish (version bits = 2), then break it the ways real
-        // captures do: truncation, a bad IHL, a lying UDP length.
-        use vcaml_suite::netpkt::{EtherType, EthernetRepr, Ipv4Repr, MacAddr, UdpRepr};
+        nibble in 0u8..16,
+        word in any::<u16>(),
+        byte in any::<u8>(),
+        pad in 1usize..64) {
+        // Every mutation of every shape (IPv4 or IPv6, as an Ethernet II
+        // frame or a raw IP packet) per case: a rare shape never goes
+        // untried.
+        for mutation in 0..11 {
+            for shape in 0..4 {
+                let (v6, raw_ip) = (shape & 1 == 1, shape & 2 == 2);
+                let mut bytes = layered::datagram(payload_len, v6, raw_ip);
+                let ip = if raw_ip { 0 } else { 14 };
+                let udp = ip + if v6 { 40 } else { 20 };
+                match mutation {
+                    0 => bytes.truncate(cut % bytes.len()),             // truncated anywhere
+                    1 => bytes[ip] = (nibble << 4) | (bytes[ip] & 0x0f), // bad version nibble
+                    2 => bytes[ip] = (bytes[ip] & 0xf0) | nibble,        // bad IHL (v4)
+                    // A lying UDP length: short, long, or below the header.
+                    3 => bytes[udp + 4..udp + 6].copy_from_slice(&(word % 256).to_be_bytes()),
+                    // Fragment bits and offset (v4); the next header (v6).
+                    4 if v6 => bytes[ip + 6] = byte,
+                    4 => bytes[ip + 6..ip + 8].copy_from_slice(&word.to_be_bytes()),
+                    5 => bytes[ip + if v6 { 6 } else { 9 }] = byte,      // another protocol
+                    // A lying total length (v4) or payload length (v6).
+                    6 => {
+                        let at = ip + if v6 { 4 } else { 2 };
+                        bytes[at..at + 2].copy_from_slice(&(word % 512).to_be_bytes());
+                    }
+                    7 => bytes.resize(bytes.len() + pad, 0),             // link-layer padding
+                    // A UDP length that runs into the padding: only the IP
+                    // length bounds it.
+                    8 => {
+                        let len = bytes.len() - udp + 1 + usize::from(word) % pad;
+                        bytes.resize(bytes.len() + pad, 0);
+                        bytes[udp + 4..udp + 6].copy_from_slice(&(len as u16).to_be_bytes());
+                    }
+                    9 if !raw_ip => {
+                        let ethertype = [0x0800, 0x86dd, 0x0806, word][usize::from(byte % 4)];
+                        bytes[12..14].copy_from_slice(&ethertype.to_be_bytes());
+                    }
+                    _ => {}                                              // pristine control case
+                }
+                let link = if raw_ip { LinkType::RawIp } else { LinkType::Ethernet };
+                if let Err(TestCaseError(e)) = mutated_frame_agrees(link, &bytes, ip) {
+                    return Err(TestCaseError(format!("mutation {mutation}, shape {shape}: {e}")));
+                }
+            }
+        }
+    }
+}
+
+/// Checks one (possibly broken) datagram against the layered reference
+/// decoder: the fused netpkt parse must return the same outcome at every
+/// entry point, and the monitor must report the same flow, size and RTP
+/// header — or the same drop (tag, layer and constraint).
+fn mutated_frame_agrees(link: LinkType, bytes: &[u8], ip: usize) -> TestCaseResult {
+    if link == LinkType::Ethernet {
+        prop_assert_eq!(
+            layered::shown(layered::fused(UdpHeaders::parse(bytes))),
+            layered::shown(layered::parse(link, bytes))
+        );
+    }
+    let ip_bytes = bytes.get(ip..).unwrap_or_default();
+    prop_assert_eq!(
+        layered::shown(layered::fused(UdpHeaders::parse_ipv4(ip_bytes))),
+        layered::shown(layered::ipv4(ip_bytes))
+    );
+    prop_assert_eq!(
+        layered::shown(layered::fused(UdpHeaders::parse_ipv6(ip_bytes))),
+        layered::shown(layered::ipv6(ip_bytes))
+    );
+
+    // The monitor's front door against a twin fed the reference's
+    // decoding through `ingest_packet`.
+    let ts = Timestamp::from_millis(1);
+    let build = || {
+        MonitorBuilder::new(VcaKind::Teams)
+            .method(EstimationMethod::Fixed(Method::RtpHeuristic))
+            .build()
+    };
+    let mut monitor = build();
+    if link == LinkType::RawIp {
+        monitor.ingest_ip(ts, bytes);
+    } else {
+        monitor.ingest_frame(ts, bytes);
+    }
+    let stats = monitor.stats();
+    prop_assert_eq!(stats.packets + stats.parse_drops, 1);
+    let events = format!("{:?}", monitor.finish());
+    let expected = match layered::parse(link, bytes) {
+        Ok(Some((flow, size, payload))) => {
+            let mut twin = build();
+            twin.ingest_packet(
+                flow,
+                TracePacket {
+                    ts,
+                    size,
+                    rtp: RtpHeader::parse(&payload).ok(),
+                    truth_media: None,
+                },
+            );
+            twin.finish()
+        }
+        Ok(None) => vec![QoeEvent::ParseDrop {
+            ts,
+            reason: ParseDropReason::NotUdp,
+        }],
+        Err(e) => vec![QoeEvent::ParseDrop {
+            ts,
+            reason: ParseDropReason::from(&e),
+        }],
+    };
+    prop_assert_eq!(events, format!("{expected:?}"));
+    Ok(())
+}
+
+/// The decoder the monitor ran before its fused header parse
+/// (`UdpHeaders`): the per-layer `new_checked` views composed
+/// Ethernet → IPv4/IPv6 → UDP, and the raw-IP version-nibble dispatch.
+/// Kept as the reference the fused parse and the monitor must agree
+/// with, outcome for outcome.
+mod layered {
+    use std::net::IpAddr;
+    use vcaml_suite::netpkt::{Error, Result};
+    use vcaml_suite::netpkt::{
+        EtherType, EthernetFrame, EthernetRepr, FlowKey, Ipv4Packet, Ipv4Repr, Ipv6Packet,
+        Ipv6Repr, LinkType, MacAddr, UdpHeaders, UdpPacket, UdpRepr,
+    };
+
+    /// An accepted datagram's flow, IP size and UDP payload, or the error.
+    pub type Outcome = Result<Option<(FlowKey, u16, Vec<u8>)>>;
+
+    /// A well-formed UDP datagram with an RTP-looking payload, behind an
+    /// Ethernet II header unless `raw_ip`.
+    pub fn datagram(payload_len: usize, v6: bool, raw_ip: bool) -> Vec<u8> {
         let mut payload = vec![0u8; payload_len];
         payload[0] = 0x80; // RTP version 2, no padding/extension/CSRC
         payload[1] = 102;
-        let mut frame = vec![0u8; 14 + 20 + 8 + payload.len()];
-        EthernetRepr {
-            src: MacAddr([2, 0, 0, 0, 0, 1]),
-            dst: MacAddr([2, 0, 0, 0, 0, 2]),
-            ethertype: EtherType::Ipv4,
-        }
-        .emit(&mut frame);
-        Ipv4Repr {
-            src: [10, 0, 0, 1],
-            dst: [10, 0, 0, 2],
-            protocol: 17,
-            payload_len: 8 + payload.len(),
-            ttl: 64,
-            ident: 1,
-        }
-        .emit(&mut frame[14..]);
-        frame[42..].copy_from_slice(&payload);
-        UdpRepr { src_port: 4000, dst_port: 5000 }
-            .emit_v4(&mut frame[34..], payload.len(), [10, 0, 0, 1], [10, 0, 0, 2]);
-
-        match mutation {
-            0 => frame.truncate(cut % frame.len()),          // truncated anywhere
-            1 => frame[14] = 0x40 | (ihl & 0x0f),            // bad IHL nibble
-            2 => frame[38..40].copy_from_slice(&udp_len.to_be_bytes()), // lying UDP length
-            _ => {}                                          // pristine control case
-        }
-
-        let mut monitor = MonitorBuilder::new(VcaKind::Teams)
-            .method(EstimationMethod::Fixed(Method::RtpHeuristic))
-            .build();
-        monitor.ingest_frame(Timestamp::from_millis(1), &frame);
-        let stats = monitor.stats();
-        prop_assert_eq!(stats.packets + stats.parse_drops, 1);
-        for event in monitor.finish() {
-            if let QoeEvent::ParseDrop { reason, .. } = event {
-                prop_assert!(!reason.tag().is_empty());
+        let eth = if raw_ip { 0 } else { 14 };
+        let ip_len = if v6 { 40 } else { 20 };
+        let udp_len = 8 + payload.len();
+        let mut buf = vec![0u8; eth + ip_len + udp_len];
+        if !raw_ip {
+            EthernetRepr {
+                src: MacAddr([2, 0, 0, 0, 0, 1]),
+                dst: MacAddr([2, 0, 0, 0, 0, 2]),
+                ethertype: if v6 { EtherType::Ipv6 } else { EtherType::Ipv4 },
             }
+            .emit(&mut buf);
         }
+        if v6 {
+            let mut src = [0u8; 16];
+            src[0] = 0xfd;
+            src[15] = 1;
+            let mut dst = src;
+            dst[15] = 2;
+            Ipv6Repr {
+                src,
+                dst,
+                next_header: 17,
+                payload_len: udp_len,
+                hop_limit: 64,
+            }
+            .emit(&mut buf[eth..]);
+        } else {
+            Ipv4Repr {
+                src: [10, 0, 0, 1],
+                dst: [10, 0, 0, 2],
+                protocol: 17,
+                payload_len: udp_len,
+                ttl: 64,
+                ident: 1,
+            }
+            .emit(&mut buf[eth..]);
+        }
+        let udp = eth + ip_len;
+        buf[udp + 8..].copy_from_slice(&payload);
+        // The v4 pseudo-header checksum is wrong for v6; nothing verifies it.
+        UdpRepr {
+            src_port: 4000,
+            dst_port: 5000,
+        }
+        .emit_v4(&mut buf[udp..], payload.len(), [10, 0, 0, 1], [10, 0, 0, 2]);
+        buf
+    }
+
+    /// The fused parser's result in the reference's terms.
+    pub fn fused(parsed: Result<Option<UdpHeaders<'_>>>) -> Outcome {
+        parsed.map(|h| h.map(|h| (h.flow_key().0, h.ip_total_len, h.payload.to_vec())))
+    }
+
+    /// An outcome in comparable form: an error by its message, which
+    /// spells out its layer, constraint and lengths.
+    pub fn shown(outcome: Outcome) -> std::result::Result<Option<(FlowKey, u16, Vec<u8>)>, String> {
+        outcome.map_err(|e| e.to_string())
+    }
+
+    /// The reference decoding of `bytes` as `link` delivers them.
+    pub fn parse(link: LinkType, bytes: &[u8]) -> Outcome {
+        match link {
+            LinkType::Ethernet => {
+                let frame = EthernetFrame::new_checked(bytes)?;
+                match frame.ethertype() {
+                    EtherType::Ipv4 => ipv4(frame.payload()),
+                    EtherType::Ipv6 => ipv6(frame.payload()),
+                    EtherType::Arp | EtherType::Other(_) => Ok(None),
+                }
+            }
+            LinkType::RawIp => match bytes.first().map(|b| b >> 4) {
+                Some(4) => ipv4(bytes),
+                Some(6) => ipv6(bytes),
+                Some(_) => Err(Error::Malformed {
+                    layer: "ip",
+                    what: "version is neither 4 nor 6",
+                }),
+                None => Err(Error::Truncated {
+                    layer: "ip",
+                    needed: 1,
+                    got: 0,
+                }),
+            },
+            LinkType::Other(_) => Err(Error::Malformed {
+                layer: "pcap",
+                what: "unsupported link type",
+            }),
+        }
+    }
+
+    pub fn ipv4(bytes: &[u8]) -> Outcome {
+        let ip = Ipv4Packet::new_checked(bytes)?;
+        if ip.protocol() != 17 {
+            return Ok(None);
+        }
+        // The more-fragments flag or a fragment offset.
+        if u16::from_be_bytes([bytes[6], bytes[7]]) & 0x3fff != 0 {
+            return Err(Error::Malformed {
+                layer: "ipv4",
+                what: "fragmented UDP not supported",
+            });
+        }
+        let size = (ip.header_len() + ip.payload().len()) as u16;
+        udp(ip.src().into(), ip.dst().into(), size, ip.payload())
+    }
+
+    pub fn ipv6(bytes: &[u8]) -> Outcome {
+        let ip = Ipv6Packet::new_checked(bytes)?;
+        if ip.next_header() != 17 {
+            return Ok(None);
+        }
+        let size = u16::try_from(40 + usize::from(ip.payload_len())).unwrap_or(u16::MAX);
+        udp(ip.src().into(), ip.dst().into(), size, ip.payload())
+    }
+
+    fn udp(src: IpAddr, dst: IpAddr, size: u16, bytes: &[u8]) -> Outcome {
+        let udp = UdpPacket::new_checked(bytes)?;
+        let (flow, _) = FlowKey::canonical(src, udp.src_port(), dst, udp.dst_port(), 17);
+        Ok(Some((flow, size, udp.payload().to_vec())))
     }
 }
