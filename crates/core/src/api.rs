@@ -5,10 +5,10 @@
 //! fallback), window length, idle-eviction policy, optional max-lag
 //! flush — into a [`Monitor`] that owns the flow demultiplexer and
 //! per-flow engines internally. Ingestion accepts raw link-layer bytes,
-//! raw IP bytes, decoded [`CapturedPacket`]s, or pre-parsed
-//! [`TracePacket`]s (for simulated feeds), performing the layered
-//! eth→ip→udp parse and the RTP parse-attempt itself; callers never touch
-//! `netpkt` internals. Output is a stream of [`QoeEvent`]s — window
+//! raw IP bytes, pcap records, or pre-parsed [`TracePacket`]s (for
+//! replays of recorded traces), performing the layered eth→ip→udp parse
+//! and the RTP parse-attempt itself; callers never touch `netpkt`
+//! internals. Output is a stream of [`QoeEvent`]s — window
 //! reports, flow lifecycle, classified parse drops — drained as an
 //! iterator (or, through [`crate::runner::MonitorRunner`], published to
 //! subscriber sinks), and serializable as JSON lines for dashboards and
@@ -66,12 +66,12 @@
 //!
 //! The implementation lives in private child modules, one per seam:
 //! `event` (the output vocabulary), `builder` (typed configuration),
-//! `decode` (every front door → one flow-keyed packet or one classified
-//! drop), `shard` (per-worker flow table, probation, eviction), and
-//! `monitor` (dispatch, lanes onto the shard workers, the drain side).
+//! `decode` (each of the four front doors → one flow-keyed packet or one
+//! classified drop), `shard` (per-worker flow table, probation,
+//! eviction), and `monitor` (dispatch, lanes onto the shard workers, the
+//! drain side).
 //! Every item keeps its `vcaml::api::…` path.
 //!
-//! [`CapturedPacket`]: vcaml_netpkt::CapturedPacket
 //! [`TracePacket`]: crate::trace::TracePacket
 
 mod builder;

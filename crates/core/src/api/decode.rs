@@ -6,7 +6,7 @@ use super::ParseDropReason;
 use crate::source::SourcePacket;
 use crate::trace::TracePacket;
 use vcaml_netpkt::pcap::PcapRecord;
-use vcaml_netpkt::{Error as NetError, FlowKey, LinkType, Timestamp, UdpDatagram, UdpHeaders};
+use vcaml_netpkt::{Error as NetError, FlowKey, LinkType, Timestamp, UdpHeaders};
 use vcaml_rtp::RtpHeader;
 
 /// A packet ready for its flow's engine, or when and why it was dropped.
@@ -17,7 +17,6 @@ pub(super) type Decoded = Result<(FlowKey, TracePacket), (Timestamp, ParseDropRe
 pub(super) fn source(pkt: &SourcePacket, wants_rtp: bool) -> Decoded {
     match pkt {
         SourcePacket::Record { link, record } => record_packet(*link, record, wants_rtp),
-        SourcePacket::Captured(cap) => datagram_packet(cap.ts, &cap.datagram, wants_rtp),
         SourcePacket::Parsed { flow, packet } => parsed(*flow, *packet),
     }
 }
@@ -70,12 +69,6 @@ fn headers(link: LinkType, bytes: &[u8]) -> Result<Option<UdpHeaders<'_>>, NetEr
             what: "unsupported link type",
         }),
     }
-}
-
-/// Admits a datagram a caller decoded and kept (a
-/// [`SourcePacket::Captured`]).
-pub(super) fn datagram_packet(ts: Timestamp, dg: &UdpDatagram, wants_rtp: bool) -> Decoded {
-    accept(ts, dg.flow_key().0, dg.ip_total_len, &dg.payload, wants_rtp)
 }
 
 /// Runs the RTP parse-attempt on an accepted datagram's payload: the

@@ -20,7 +20,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use vcaml_netpkt::pcap::PcapRecord;
-use vcaml_netpkt::{CapturedPacket, FlowKey, LinkType, Timestamp};
+use vcaml_netpkt::{FlowKey, LinkType, Timestamp};
 use vcaml_rtp::VcaKind;
 
 /// Takes an event out of its delivery `Arc`. On the `Monitor`-owned
@@ -316,6 +316,7 @@ impl Monitor {
         let control = Arc::new(ControlShared::new(
             if inline { 0 } else { threads },
             model_bytes,
+            builder.vca,
         ));
         // A single-threaded monitor must never park on its own queue
         // (the producer is the consumer), so Block only waits when shard
@@ -485,17 +486,8 @@ impl Monitor {
         self.route(decode::record_packet(link, rec, self.wants_rtp));
     }
 
-    /// Ingests one decoded capture (timestamp + UDP datagram).
-    pub fn ingest_captured(&mut self, cap: &CapturedPacket) {
-        self.route(decode::datagram_packet(
-            cap.ts,
-            &cap.datagram,
-            self.wants_rtp,
-        ));
-    }
-
     /// Ingests one pre-parsed packet on an explicit flow — the entry point
-    /// for simulated feeds and replays that never materialized wire bytes.
+    /// for replays of recorded traces that never materialized wire bytes.
     ///
     /// On a threaded monitor this hashes the flow to its shard worker and
     /// enqueues the packet on that worker's bounded channel (batched);

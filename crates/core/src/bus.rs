@@ -42,7 +42,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
-use vcaml_vcasim::VcaProfile;
+use vcaml_rtp::LadderRung;
 
 /// The kind of a [`QoeEvent`], as a filterable tag (one per variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,10 +295,12 @@ impl AlertThresholds {
     }
 
     /// Sets the resolution-class floor: windows whose estimated bitrate
-    /// maps (through `ladder`) to a rung below `height` are degraded.
-    /// A height above the ladder's top rung pins the floor to the top
-    /// rung. `height` 0 clears the floor.
-    pub fn set_resolution_floor(&self, height: u32, ladder: &VcaProfile) {
+    /// maps (through `ladder`, e.g. [`VcaKind::lab_ladder`]) to a rung
+    /// below `height` are degraded. A height above the ladder's top rung
+    /// pins the floor to the top rung. `height` 0 clears the floor.
+    ///
+    /// [`VcaKind::lab_ladder`]: vcaml_rtp::VcaKind::lab_ladder
+    pub fn set_resolution_floor(&self, height: u32, ladder: &[LadderRung]) {
         if height == 0 {
             self.clear_resolution_floor();
             return;
@@ -306,7 +308,6 @@ impl AlertThresholds {
         // The lowest rung delivering `height` or better; ladders are
         // ascending, so fall back to the top rung for oversized floors.
         let bound = ladder
-            .ladder
             .iter()
             .filter(|r| r.height >= height)
             .map(|r| r.min_kbps)
@@ -315,7 +316,6 @@ impl AlertThresholds {
             bound
         } else {
             ladder
-                .ladder
                 .iter()
                 .map(|r| r.min_kbps)
                 .fold(f64::NEG_INFINITY, f64::max)

@@ -42,7 +42,7 @@ use crate::leaf::LeafMutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
-use vcaml_vcasim::VcaProfile;
+use vcaml_rtp::VcaKind;
 
 /// Shared control cells between a monitor's owner-side state (shard
 /// workers or the inline shard) and every [`MonitorHandle`].
@@ -61,6 +61,9 @@ pub(crate) struct ControlShared {
     evict_len: AtomicUsize,
     /// Live alert thresholds (severity classification + shared sinks).
     pub(crate) thresholds: AlertThresholds,
+    /// The monitor's VCA, whose lab ladder the resolution floor maps
+    /// heights through.
+    vca: VcaKind,
     /// Per-worker ingest backlog, in packets handed to the worker's
     /// channel and not yet processed. Empty on an inline monitor.
     depths: Vec<AtomicU64>,
@@ -85,13 +88,14 @@ pub(crate) struct ControlShared {
 }
 
 impl ControlShared {
-    pub(crate) fn new(workers: usize, model_bytes: u64) -> Self {
+    pub(crate) fn new(workers: usize, model_bytes: u64, vca: VcaKind) -> Self {
         ControlShared {
             stop: AtomicBool::new(false),
             flush_epoch: AtomicU64::new(0),
             evictions: LeafMutex::new(Vec::new()),
             evict_len: AtomicUsize::new(0),
             thresholds: AlertThresholds::new(),
+            vca,
             depths: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             flow_bytes: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             flow_counts: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
@@ -373,12 +377,14 @@ impl MonitorHandle {
         (kbps > f64::NEG_INFINITY).then_some(kbps)
     }
 
-    /// Sets the resolution-class floor: `height` is mapped through
-    /// `ladder` (the VCA's bitrate ladder) to a kbps bound once, here,
-    /// so per-event classification stays lock-free. Height 0 clears the
+    /// Sets the resolution-class floor: `height` is mapped through the
+    /// lab bitrate ladder of the monitor's own VCA
+    /// ([`VcaKind::lab_ladder`]) to a kbps bound once, here, so
+    /// per-event classification stays lock-free. Height 0 clears the
     /// floor. See
     /// [`AlertThresholds::set_resolution_floor`](crate::bus::AlertThresholds::set_resolution_floor).
-    pub fn set_alert_resolution_floor(&self, height: u32, ladder: &VcaProfile) {
+    pub fn set_alert_resolution_floor(&self, height: u32) {
+        let ladder = self.control.vca.lab_ladder();
         self.control.thresholds.set_resolution_floor(height, ladder);
     }
 

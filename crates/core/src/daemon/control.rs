@@ -63,7 +63,8 @@ pub enum Setting {
     /// `SET alert_min_kbps <v>` — the bitrate floor.
     AlertMinKbps(f64),
     /// `SET alert_resolution_floor <height>` — the resolution-class
-    /// floor as a frame height; `0` clears it.
+    /// floor as a frame height, mapped through the lab ladder of the
+    /// monitor's VCA; `0` clears it.
     AlertResolutionFloor(u32),
 }
 

@@ -30,14 +30,17 @@
 //! `STOP` verb ends the *run* and the CLI then shuts the servers down.
 //!
 //! ```no_run
+//! use std::io::Cursor;
 //! use vcaml::api::MonitorBuilder;
 //! use vcaml::daemon::{Daemon, DaemonConfig};
 //! use vcaml::runner::MonitorRunner;
-//! use vcaml::source::SyntheticSource;
+//! use vcaml::source::PcapFileSource;
 //! use vcaml_rtp::VcaKind;
+//! use vcaml_vcasim::synthetic_capture;
 //!
+//! let capture = synthetic_capture(VcaKind::Teams, 30, 2, 7);
 //! let mut runner = MonitorRunner::new(MonitorBuilder::new(VcaKind::Teams))
-//!     .source(SyntheticSource::new(VcaKind::Teams, 30, 2, 7));
+//!     .source(PcapFileSource::new(Cursor::new(capture)).expect("a pcap header"));
 //! let handle = runner.handle();
 //! let bus = runner.bus_handle();
 //! let daemon = Daemon::start(

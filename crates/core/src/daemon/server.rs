@@ -28,8 +28,6 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
-use vcaml_rtp::VcaKind;
-use vcaml_vcasim::VcaProfile;
 
 /// How often accept loops and subscriber streams re-check the shutdown
 /// flag while idle.
@@ -54,7 +52,6 @@ pub struct DaemonConfig {
     control: Option<ControlEndpoint>,
     subscriber_queue: usize,
     read_timeout: Duration,
-    ladder: Option<VcaProfile>,
 }
 
 impl DaemonConfig {
@@ -65,7 +62,6 @@ impl DaemonConfig {
             control: None,
             subscriber_queue: 4096,
             read_timeout: Duration::from_secs(5),
-            ladder: None,
         }
     }
 
@@ -97,13 +93,6 @@ impl DaemonConfig {
         self.read_timeout = timeout;
         self
     }
-
-    /// The bitrate ladder `SET alert_resolution_floor` maps heights
-    /// through (default: the Teams lab profile).
-    pub fn ladder(mut self, ladder: VcaProfile) -> Self {
-        self.ladder = Some(ladder);
-        self
-    }
 }
 
 /// Where a started control socket actually listens.
@@ -130,7 +119,6 @@ pub struct Daemon {
 struct ControlCtx {
     handle: MonitorHandle,
     bus: BusHandle,
-    ladder: Arc<VcaProfile>,
     subscriber_queue: usize,
     stop: Arc<AtomicBool>,
 }
@@ -154,11 +142,6 @@ impl Daemon {
         let ctx = ControlCtx {
             handle: handle.clone(),
             bus,
-            ladder: Arc::new(
-                config
-                    .ladder
-                    .unwrap_or_else(|| VcaProfile::lab(VcaKind::Teams)),
-            ),
             subscriber_queue: if config.subscriber_queue == 0 {
                 4096
             } else {
@@ -478,7 +461,7 @@ fn serve_control<S: Read + Write>(mut stream: S, ctx: &ControlCtx) {
                     Setting::AlertFps(v) => ctx.handle.set_alert_fps(v),
                     Setting::AlertMinKbps(v) => ctx.handle.set_alert_min_kbps(v),
                     Setting::AlertResolutionFloor(height) => {
-                        ctx.handle.set_alert_resolution_floor(height, &ctx.ladder)
+                        ctx.handle.set_alert_resolution_floor(height)
                     }
                 }
                 writeln!(stream, "OK")

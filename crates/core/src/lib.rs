@@ -10,12 +10,12 @@
 //!   re-probe), optional shard worker threads, idle eviction that
 //!   surfaces final windows, and JSON-lines output;
 //! * [`source`] / [`sink`] / [`runner`] — **the pluggable I/O layer**:
-//!   pull-based [`source::PacketSource`]s (pcap files, synthetic calls,
-//!   in-memory replays, real-time pacing), typed [`sink::EventSink`]s
-//!   (JSON lines, callbacks, bounded channel subscribers, frame-rate
-//!   alerts, per-flow summaries), and the [`runner::MonitorRunner`] that
-//!   drives N sources on N ingest threads into one monitor and fans the
-//!   event stream out to every sink;
+//!   pull-based [`source::PacketSource`]s (pcap files or in-memory pcap
+//!   bytes, flow-keyed replays, real-time pacing), typed
+//!   [`sink::EventSink`]s (JSON lines, callbacks, bounded channel
+//!   subscribers, frame-rate alerts, per-flow summaries), and the
+//!   [`runner::MonitorRunner`] that drives N sources on N ingest threads
+//!   into one monitor and fans the event stream out to every sink;
 //! * [`bus`] / [`control`] — **the output/control plane**: events are
 //!   shared (`Arc<QoeEvent>`) end to end, the [`bus::EventBus`] fans
 //!   them out to typed [`bus::EventFilter`] subscriptions (by kind,
@@ -98,9 +98,7 @@ pub use sink::{
     AlertSink, CallbackSink, ChannelSink, CountingSink, EventSink, JsonLinesSink, Summary,
     SummarySink,
 };
-pub use source::{
-    Paced, PacketSource, PcapFileSource, ReplaySource, SourcePacket, SyntheticSource,
-};
+pub use source::{Paced, PacketSource, PcapFileSource, ReplaySource, SourcePacket};
 // The concrete engines, `FlowTable`, and `replay` stay at their
 // `engine::` paths only: they are unstable internals behind the facade.
 pub use engine::{EngineConfig, Method, QoeEstimator, WindowReport};

@@ -43,22 +43,29 @@
 //! subscribers see exact `QoeEvent::Dropped` markers instead.
 //!
 //! ```
+//! use std::io::Cursor;
 //! use vcaml::api::{EstimationMethod, MonitorBuilder};
 //! use vcaml::runner::MonitorRunner;
 //! use vcaml::sink::CountingSink;
-//! use vcaml::source::SyntheticSource;
+//! use vcaml::source::PcapFileSource;
 //! use vcaml::Method;
 //! use vcaml_rtp::VcaKind;
+//! use vcaml_vcasim::synthetic_capture;
 //!
-//! // Two synthetic taps, two ingest threads, two shard workers — run in
-//! // the background, observed through the handle, then joined.
+//! // One simulated call per tap; distinct seeds keep their flows apart.
+//! let tap = |seed| {
+//!     let capture = synthetic_capture(VcaKind::Teams, 2, 1, seed);
+//!     PcapFileSource::new(Cursor::new(capture)).expect("a pcap header")
+//! };
+//! // Two taps, two ingest threads, two shard workers — run in the
+//! // background, observed through the handle, then joined.
 //! let running = MonitorRunner::new(
 //!     MonitorBuilder::new(VcaKind::Teams)
 //!         .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
 //!         .threads(2),
 //! )
-//! .source(SyntheticSource::new(VcaKind::Teams, 2, 1, 5))
-//! .source(SyntheticSource::new(VcaKind::Teams, 2, 1, 6))
+//! .source(tap(5))
+//! .source(tap(6))
 //! .sink(CountingSink::default())
 //! .spawn();
 //! let handle = running.handle();

@@ -19,20 +19,23 @@
 //!   frame rate / bitrate, method, shed events).
 //!
 //! ```
+//! use std::io::Cursor;
 //! use vcaml::api::{EstimationMethod, MonitorBuilder};
 //! use vcaml::runner::MonitorRunner;
 //! use vcaml::sink::ChannelSink;
-//! use vcaml::source::SyntheticSource;
+//! use vcaml::source::PcapFileSource;
 //! use vcaml::Method;
 //! use vcaml_rtp::VcaKind;
+//! use vcaml_vcasim::synthetic_capture;
 //!
 //! // A bounded channel subscriber receives every event the run produced.
+//! let capture = synthetic_capture(VcaKind::Teams, 2, 1, 3);
 //! let (subscriber, rx) = ChannelSink::bounded(65_536);
 //! let report = MonitorRunner::new(
 //!     MonitorBuilder::new(VcaKind::Teams)
 //!         .method(EstimationMethod::Fixed(Method::IpUdpHeuristic)),
 //! )
-//! .source(SyntheticSource::new(VcaKind::Teams, 2, 1, 3))
+//! .source(PcapFileSource::new(Cursor::new(capture)).expect("a pcap header"))
 //! .sink(subscriber)
 //! .run();
 //! let lines: Vec<String> = rx.try_iter().map(|e| e.to_json_line()).collect();

@@ -1,34 +1,35 @@
 //! Pull-based packet sources: where a monitor's packets come from.
 //!
 //! A [`PacketSource`] yields timestamped [`SourcePacket`]s — raw pcap
-//! records, decoded captures, or pre-parsed flow-keyed packets — until
-//! the stream ends. Sources are the input half of the pluggable I/O
-//! layer (the output half is [`crate::sink`]); a
-//! [`crate::runner::MonitorRunner`] drives any number of them, one
-//! ingest thread each, into a single [`crate::api::Monitor`].
+//! records, or pre-parsed flow-keyed packets — until the stream ends.
+//! Sources are the input half of the pluggable I/O layer (the output
+//! half is [`crate::sink`]); a [`crate::runner::MonitorRunner`] drives
+//! any number of them, one ingest thread each, into a single
+//! [`crate::api::Monitor`].
 //!
 //! Provided sources:
 //!
 //! * [`PcapFileSource`] — a classic libpcap capture (file or any
 //!   `Read`), yielding raw records that the monitor parses and
-//!   classifies itself;
-//! * [`SyntheticSource`] — simulated VCA calls via `vcaml-vcasim`,
-//!   remapped onto distinct client endpoints and interleaved in arrival
-//!   order, like a tap on a mixed access link;
-//! * [`ReplaySource`] — in-memory packets (captures, flow-keyed
-//!   [`TracePacket`]s, or a recorded [`Trace`]), for tests, benches, and
-//!   the batch pipeline;
+//!   classifies itself. Simulated calls arrive this way too, rendered
+//!   to pcap bytes by `vcaml-vcasim` and read from memory;
+//! * [`ReplaySource`] — in-memory flow-keyed [`TracePacket`]s (or a
+//!   recorded [`Trace`]), for tests, benches, and the batch pipeline;
 //! * [`Paced`] — an adapter that replays any inner source in real time
 //!   (or any speed multiple), sleeping until each packet's capture
 //!   timestamp comes due.
 //!
 //! ```
-//! use vcaml::source::{PacketSource, SyntheticSource};
+//! use std::io::Cursor;
+//! use vcaml::source::{PacketSource, PcapFileSource};
 //! use vcaml_rtp::VcaKind;
+//! use vcaml_vcasim::synthetic_capture;
 //!
-//! let mut source = SyntheticSource::new(VcaKind::Teams, 2, 2, 7);
+//! // Two concurrent 2-second Teams calls, as the bytes a tap would write.
+//! let image = synthetic_capture(VcaKind::Teams, 2, 2, 7);
+//! let mut source = PcapFileSource::new(Cursor::new(image)).expect("a pcap header");
 //! let mut n = 0usize;
-//! while let Some(pkt) = source.next_packet().expect("synthetic feeds are infallible") {
+//! while let Some(pkt) = source.next_packet().expect("in-memory reads are infallible") {
 //!     assert!(pkt.ts().as_micros() >= 0);
 //!     n += 1;
 //! }
@@ -38,13 +39,9 @@
 use crate::control::StopToken;
 use crate::trace::{Trace, TracePacket};
 use std::io::Read;
-use std::net::{IpAddr, Ipv4Addr};
 use std::path::Path;
-use vcaml_netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_netpkt::pcap::{PcapReader, PcapRecord};
-use vcaml_netpkt::{CapturedPacket, Error as NetError, FlowKey, LinkType, Timestamp};
-use vcaml_rtp::VcaKind;
-use vcaml_vcasim::{Session, SessionConfig, VcaProfile};
+use vcaml_netpkt::{Error as NetError, FlowKey, LinkType, Timestamp};
 
 /// One item pulled from a [`PacketSource`]: every shape the monitor can
 /// ingest, tagged so the runner routes it to the right parse path.
@@ -58,10 +55,8 @@ pub enum SourcePacket {
         /// The raw record.
         record: PcapRecord,
     },
-    /// A decoded UDP capture (timestamp + datagram).
-    Captured(CapturedPacket),
-    /// A pre-parsed packet on an explicit flow — simulated feeds and
-    /// replays that never materialized wire bytes.
+    /// A pre-parsed packet on an explicit flow — replays of recorded
+    /// traces that never materialized wire bytes.
     Parsed {
         /// The packet's canonical 5-tuple.
         flow: FlowKey,
@@ -75,7 +70,6 @@ impl SourcePacket {
     pub fn ts(&self) -> Timestamp {
         match self {
             SourcePacket::Record { record, .. } => record.ts,
-            SourcePacket::Captured(cap) => cap.ts,
             SourcePacket::Parsed { packet, .. } => packet.ts,
         }
     }
@@ -149,99 +143,21 @@ impl<R: Read> PacketSource for PcapFileSource<R> {
     }
 }
 
-/// Simulated concurrent VCA calls as a packet source: each call is
-/// rewritten onto its own client endpoint and the calls are interleaved
-/// in global arrival order, like a tap's mixed traffic. Generation is
-/// eager (the simulator runs at construction); iteration is free.
-pub struct SyntheticSource {
-    feed: std::vec::IntoIter<CapturedPacket>,
-}
-
-impl SyntheticSource {
-    /// Simulates `calls` concurrent `secs`-second calls of the given VCA
-    /// under NDT-like network conditions. `seed` varies the network
-    /// schedule, the codec randomness, *and* the client endpoints, so
-    /// two sources with distinct seeds (mod 200) produce disjoint flows
-    /// — the shape `MonitorRunner` multi-ingest expects (a flow must not
-    /// span sources).
-    pub fn new(vca: VcaKind, secs: u32, calls: usize, seed: u64) -> Self {
-        let mut feed = Vec::new();
-        for call in 0..calls {
-            let profile = VcaProfile::lab(vca);
-            let session = Session::new(SessionConfig {
-                profile,
-                schedule: synth_ndt_schedule(seed + call as u64, secs as usize),
-                duration_secs: secs,
-                seed: seed.wrapping_mul(1000) + call as u64,
-                link: LinkConfig::default(),
-            })
-            .run();
-            for mut cap in session.to_captured() {
-                // One client endpoint per (seed, call) so the monitor
-                // demuxes the calls like distinct households — and two
-                // differently-seeded sources never share a flow.
-                cap.datagram.dst = IpAddr::V4(Ipv4Addr::new(
-                    10,
-                    (seed % 200) as u8 + 1,
-                    (call / 100) as u8,
-                    (call % 100) as u8 + 1,
-                ));
-                cap.datagram.dst_port = 51_820 + call as u16;
-                feed.push(cap);
-            }
-        }
-        feed.sort_by_key(|c| c.ts);
-        SyntheticSource {
-            feed: feed.into_iter(),
-        }
-    }
-}
-
-impl PacketSource for SyntheticSource {
-    fn next_packet(&mut self) -> Result<Option<SourcePacket>, NetError> {
-        Ok(self.feed.next().map(SourcePacket::Captured))
-    }
-}
-
-/// An in-memory packet list as a source — the replay shape used by
-/// tests, benches, and the batch pipeline.
+/// An in-memory list of flow-keyed packets as a source — the replay
+/// shape used by tests, benches, and the batch pipeline.
 ///
-/// Flow-keyed feeds are kept in their compact `(FlowKey, TracePacket)`
-/// form and wrapped into [`SourcePacket`]s one at a time on pull, so
-/// constructing a replay of N packets never re-materializes the feed
-/// (it used to copy the whole list into a second, wider vector).
+/// The feed is kept in its compact `(FlowKey, TracePacket)` form and
+/// wrapped into [`SourcePacket`]s one at a time on pull, so constructing
+/// a replay of N packets never re-materializes it.
 pub struct ReplaySource {
-    items: ReplayItems,
-}
-
-enum ReplayItems {
-    /// Pre-parsed flow-keyed packets, wrapped lazily (both are `Copy`).
-    Parsed {
-        feed: Vec<(FlowKey, TracePacket)>,
-        pos: usize,
-    },
-    /// Already-shaped source packets (decoded captures).
-    Shaped(std::vec::IntoIter<SourcePacket>),
+    feed: Vec<(FlowKey, TracePacket)>,
+    pos: usize,
 }
 
 impl ReplaySource {
     /// Replays pre-parsed flow-keyed packets.
     pub fn from_packets(feed: Vec<(FlowKey, TracePacket)>) -> Self {
-        ReplaySource {
-            items: ReplayItems::Parsed { feed, pos: 0 },
-        }
-    }
-
-    /// Replays decoded captures.
-    pub fn from_captured(feed: Vec<CapturedPacket>) -> Self {
-        ReplaySource {
-            items: ReplayItems::Shaped(
-                feed.into_iter()
-                    .map(SourcePacket::Captured)
-                    .collect::<Vec<_>>()
-                    .into_iter(),
-            ),
-        }
+        ReplaySource { feed, pos: 0 }
     }
 
     /// Replays a recorded [`Trace`]'s packets on one flow.
@@ -252,16 +168,12 @@ impl ReplaySource {
 
 impl PacketSource for ReplaySource {
     fn next_packet(&mut self) -> Result<Option<SourcePacket>, NetError> {
-        Ok(match &mut self.items {
-            ReplayItems::Parsed { feed, pos } => {
-                let item = feed
-                    .get(*pos)
-                    .map(|&(flow, packet)| SourcePacket::Parsed { flow, packet });
-                *pos += 1;
-                item
-            }
-            ReplayItems::Shaped(items) => items.next(),
-        })
+        let item = self
+            .feed
+            .get(self.pos)
+            .map(|&(flow, packet)| SourcePacket::Parsed { flow, packet });
+        self.pos += 1;
+        Ok(item)
     }
 }
 
@@ -356,6 +268,7 @@ impl<S: PacketSource> PacketSource for Paced<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::{IpAddr, Ipv4Addr};
     use vcaml_netpkt::pcap::PcapWriter;
 
     #[test]
@@ -377,25 +290,6 @@ mod tests {
             seen.push((record.ts.as_micros(), record.data.len()));
         }
         assert_eq!(seen, vec![(5, 3), (9, 60)]);
-    }
-
-    #[test]
-    fn synthetic_source_interleaves_distinct_calls() {
-        let mut src = SyntheticSource::new(VcaKind::Meet, 2, 3, 11);
-        let mut ports = std::collections::HashSet::new();
-        let mut last_ts = Timestamp::from_micros(i64::MIN);
-        let mut n = 0;
-        while let Some(pkt) = src.next_packet().expect("infallible") {
-            let SourcePacket::Captured(cap) = pkt else {
-                panic!("synthetic sources yield captures");
-            };
-            assert!(cap.ts >= last_ts, "arrival order");
-            last_ts = cap.ts;
-            ports.insert(cap.datagram.dst_port);
-            n += 1;
-        }
-        assert!(n > 100, "three calls of traffic");
-        assert_eq!(ports.len(), 3, "one client endpoint per call");
     }
 
     #[test]

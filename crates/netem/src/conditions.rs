@@ -29,7 +29,7 @@ impl SecondCondition {
     }
 
     /// Validates the physical plausibility of the condition.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.throughput_kbps > 0.0
             && self.delay_ms >= 0.0
             && self.jitter_ms >= 0.0
@@ -72,19 +72,9 @@ impl ConditionSchedule {
         self.seconds[idx.min(self.seconds.len() - 1)]
     }
 
-    /// Number of scheduled seconds.
-    pub fn len_secs(&self) -> usize {
-        self.seconds.len()
-    }
-
     /// Iterates over the per-second entries.
     pub fn iter(&self) -> impl Iterator<Item = &SecondCondition> {
         self.seconds.iter()
-    }
-
-    /// Mean throughput across the schedule, in kbps.
-    pub fn mean_throughput_kbps(&self) -> f64 {
-        self.seconds.iter().map(|s| s.throughput_kbps).sum::<f64>() / self.seconds.len() as f64
     }
 }
 
@@ -121,23 +111,8 @@ mod tests {
     #[test]
     fn constant_schedule() {
         let sched = ConditionSchedule::constant(SecondCondition::paper_default());
-        assert_eq!(sched.len_secs(), 1);
+        assert_eq!(sched.iter().count(), 1);
         assert_eq!(sched.at(Timestamp::from_secs(42)).delay_ms, 25.0);
-    }
-
-    #[test]
-    fn mean_throughput() {
-        let sched = ConditionSchedule::new(vec![
-            SecondCondition {
-                throughput_kbps: 1000.0,
-                ..SecondCondition::paper_default()
-            },
-            SecondCondition {
-                throughput_kbps: 3000.0,
-                ..SecondCondition::paper_default()
-            },
-        ]);
-        assert_eq!(sched.mean_throughput_kbps(), 2000.0);
     }
 
     #[test]

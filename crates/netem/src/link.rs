@@ -54,9 +54,6 @@ pub struct Link {
     rng: StdRng,
     /// Time at which the serializer becomes free.
     busy_until: Timestamp,
-    delivered: u64,
-    dropped_random: u64,
-    dropped_queue: u64,
 }
 
 impl Link {
@@ -68,9 +65,6 @@ impl Link {
             config,
             rng: StdRng::seed_from_u64(seed),
             busy_until: Timestamp::ZERO,
-            delivered: 0,
-            dropped_random: 0,
-            dropped_queue: 0,
         }
     }
 
@@ -83,7 +77,6 @@ impl Link {
 
         // Bernoulli loss applies regardless of congestion.
         if cond.loss_pct > 0.0 && self.rng.gen::<f64>() * 100.0 < cond.loss_pct {
-            self.dropped_random += 1;
             return LinkVerdict::Dropped(DropReason::Random);
         }
 
@@ -91,7 +84,6 @@ impl Link {
         let start = self.busy_until.max(now);
         let queue_wait_ms = (start - now).as_millis_f64();
         if queue_wait_ms > self.config.max_queue_ms {
-            self.dropped_queue += 1;
             return LinkVerdict::Dropped(DropReason::QueueOverflow);
         }
 
@@ -111,23 +103,7 @@ impl Link {
         };
         let owd_ms = (cond.delay_ms + jitter_ms).max(0.0);
         let arrival = tx_end + Timestamp::from_micros((owd_ms * 1000.0).round() as i64);
-        self.delivered += 1;
         LinkVerdict::Delivered(arrival)
-    }
-
-    /// Packets delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Packets dropped by random loss so far.
-    pub fn dropped_random(&self) -> u64 {
-        self.dropped_random
-    }
-
-    /// Packets dropped by queue overflow so far.
-    pub fn dropped_queue(&self) -> u64 {
-        self.dropped_queue
     }
 }
 
@@ -215,7 +191,6 @@ mod tests {
             }
         }
         assert!(dropped >= 6, "only {dropped} drops");
-        assert_eq!(link.dropped_queue(), dropped);
     }
 
     #[test]

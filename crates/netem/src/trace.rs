@@ -4,7 +4,7 @@
 //! it replays each test's per-second RTT and loss series and samples
 //! throughput from a Normal distribution fitted to the test (excluding
 //! slow-start), keeping only tests with mean speed below 10 Mbps (§4.2).
-//! That dataset is not available offline, so [`NdtTest::generate`]
+//! That dataset is not available offline, so [`synth_ndt_schedule`]
 //! synthesizes tests with the same structure: a mean speed drawn from a
 //! log-uniform distribution capped at 10 Mbps, per-second Normal throughput
 //! samples, an RTT random walk, and clustered loss episodes.
@@ -32,7 +32,7 @@ pub struct NdtTest {
 
 impl NdtTest {
     /// Generates one synthetic test covering `secs` seconds.
-    pub fn generate(seed: u64, secs: usize) -> Self {
+    pub(crate) fn generate(seed: u64, secs: usize) -> Self {
         assert!(secs > 0, "test must cover at least one second");
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -80,7 +80,7 @@ impl NdtTest {
     /// throughput from `Normal(mean, stdev)` exactly as the paper does
     /// ("throughput values are sampled from a normal distribution with the
     /// same mean and variance as the test throughput").
-    pub fn to_schedule(&self, seed: u64) -> ConditionSchedule {
+    pub(crate) fn to_schedule(&self, seed: u64) -> ConditionSchedule {
         let mut rng = StdRng::seed_from_u64(seed);
         let seconds = self
             .rtt_ms
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn schedule_covers_duration() {
         let sched = synth_ndt_schedule(11, 20);
-        assert_eq!(sched.len_secs(), 20);
+        assert_eq!(sched.iter().count(), 20);
         let c = sched.at(Timestamp::from_secs(5));
         assert!(c.is_valid());
     }
@@ -147,7 +147,7 @@ mod tests {
     fn schedule_throughput_tracks_test_mean() {
         let t = NdtTest::generate(21, 200);
         let sched = t.to_schedule(99);
-        let m = sched.mean_throughput_kbps();
+        let m = sched.iter().map(|s| s.throughput_kbps).sum::<f64>() / 200.0;
         // Sample mean within 3 sigma/sqrt(n) of the test mean (floor at
         // 100 kbps biases upward slightly for slow tests, allow slack).
         assert!(

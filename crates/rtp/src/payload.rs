@@ -5,6 +5,11 @@
 //! Teams moved to video 100 / rtx 101, and Webex uses video 100 with no rtx
 //! stream. Meet's PTs are not enumerated in the paper, so we use the stock
 //! Chrome WebRTC defaults (111 Opus, 96 VP8/VP9, 97 rtx).
+//!
+//! Beside them sit the VCAs' lab resolution ladders (§5.1.5): Meet serves
+//! heights {180, 270, 360}, Teams 11 heights from 90 to 720, Webex
+//! {180, 360}. The simulator encodes along them and the monitor's
+//! resolution-class alert floor maps heights through them.
 
 /// Which VCA a session belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +39,49 @@ impl VcaKind {
 impl std::fmt::Display for VcaKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// One rung of a VCA's resolution ladder.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LadderRung {
+    /// Frame height in pixels (the paper's resolution measure).
+    pub height: u32,
+    /// Minimum target bitrate (kbps) at which this rung is selected.
+    pub min_kbps: f64,
+}
+
+const fn rung(height: u32, min_kbps: f64) -> LadderRung {
+    LadderRung { height, min_kbps }
+}
+
+const MEET_LAB_LADDER: [LadderRung; 3] = [rung(180, 0.0), rung(270, 450.0), rung(360, 800.0)];
+
+const TEAMS_LAB_LADDER: [LadderRung; 11] = [
+    rung(90, 0.0),
+    rung(120, 120.0),
+    rung(180, 200.0),
+    rung(240, 350.0),
+    rung(270, 500.0),
+    rung(360, 700.0),
+    rung(404, 1000.0),
+    rung(480, 1400.0),
+    rung(540, 1900.0),
+    rung(630, 2400.0),
+    rung(720, 3000.0),
+];
+
+const WEBEX_LAB_LADDER: [LadderRung; 2] = [rung(180, 0.0), rung(360, 550.0)];
+
+impl VcaKind {
+    /// The VCA's in-lab resolution ladder, ascending by `min_kbps` and
+    /// height, starting at 0 kbps.
+    pub fn lab_ladder(self) -> &'static [LadderRung] {
+        match self {
+            VcaKind::Meet => &MEET_LAB_LADDER,
+            VcaKind::Teams => &TEAMS_LAB_LADDER,
+            VcaKind::Webex => &WEBEX_LAB_LADDER,
+        }
     }
 }
 

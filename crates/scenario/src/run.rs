@@ -1,7 +1,10 @@
 //! Drives one grid cell through the production ingestion path: a
-//! [`ReplaySource`] feeding a [`MonitorRunner`]-wrapped monitor with the
-//! method under test, reports collected from the event bus.
+//! [`PcapFileSource`] over the cell's rendered capture (or a
+//! [`ReplaySource`] over a dataset trace) feeding a
+//! [`MonitorRunner`]-wrapped monitor with the method under test, reports
+//! collected from the event bus.
 
+use std::io::Cursor;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, Mutex};
 
@@ -9,12 +12,12 @@ use crate::model::VcaModels;
 use crate::spec::{cell_seed, ScenarioKind, ScenarioSpec};
 use crate::truth::{self, WindowTruth};
 use vcaml::{
-    EstimationMethod, EventSink, Method, MonitorBuilder, MonitorRunner, QoeEvent, ReplaySource,
-    Trace, WindowReport,
+    EstimationMethod, EventSink, Method, MonitorBuilder, MonitorRunner, PcapFileSource, QoeEvent,
+    ReplaySource, Trace, WindowReport,
 };
 use vcaml_netpkt::{CapturedPacket, FlowKey};
 use vcaml_rtp::{PayloadMap, VcaKind};
-use vcaml_vcasim::VcaProfile;
+use vcaml_vcasim::{render_pcap, VcaProfile};
 
 /// One cell's prepared traffic: ground truth plus the replay feed every
 /// method observes identically.
@@ -29,7 +32,8 @@ pub struct Prepared {
 }
 
 enum Feed {
-    Captured(Vec<CapturedPacket>),
+    /// A simulated session's capture as a pcap image.
+    Pcap(Arc<[u8]>),
     Trace(Box<Trace>),
 }
 
@@ -51,11 +55,16 @@ pub fn prepare(spec: &ScenarioSpec, grid_seed: u64) -> Prepared {
                     .map(|(ts, datagram)| CapturedPacket { ts, datagram })
                     .collect();
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "simulated IPv4 datagrams, perturbed only forward in time, always render"
+            )]
+            let image = render_pcap(&captured).expect("a simulated capture renders");
             Prepared {
                 truth,
                 vca: spec.vca,
                 payload_map: VcaProfile::lab(spec.vca).payload_map,
-                feed: Feed::Captured(captured),
+                feed: Feed::Pcap(image.into()),
             }
         }
         ScenarioKind::Dataset { build } => {
@@ -134,14 +143,18 @@ pub fn run_method(
     }
 
     let collected = Arc::new(Mutex::new(Vec::new()));
-    let source = match &prep.feed {
-        Feed::Captured(packets) => ReplaySource::from_captured(packets.clone()),
-        Feed::Trace(trace) => ReplaySource::from_trace(trace, replay_flow_key()),
+    let runner = MonitorRunner::new(builder).sink(Collect(Arc::clone(&collected)));
+    #[expect(
+        clippy::expect_used,
+        reason = "the image was written by render_pcap and starts with a pcap header"
+    )]
+    let runner = match &prep.feed {
+        Feed::Pcap(image) => runner.source(
+            PcapFileSource::new(Cursor::new(Arc::clone(image))).expect("a rendered pcap image"),
+        ),
+        Feed::Trace(trace) => runner.source(ReplaySource::from_trace(trace, replay_flow_key())),
     };
-    MonitorRunner::new(builder)
-        .source(source)
-        .sink(Collect(Arc::clone(&collected)))
-        .run();
+    runner.run();
 
     let mut reports = match collected.lock() {
         Ok(mut g) => std::mem::take(&mut *g),

@@ -31,7 +31,7 @@ impl AudioSource {
     }
 
     /// Next RTP payload size in bytes.
-    pub fn next_payload(&mut self, rng: &mut StdRng) -> usize {
+    pub(crate) fn next_payload(&mut self, rng: &mut StdRng) -> usize {
         // Random-walk the VBR level inside the envelope.
         self.level = (self.level + rng.gen_range(-8.0..8.0)).clamp(
             (MIN_TOTAL - HEADER_OVERHEAD) as f64 + 6.0,

@@ -58,12 +58,12 @@ impl FrameSource {
     }
 
     /// Requests a keyframe (e.g. on resolution switch or recovery).
-    pub fn request_keyframe(&mut self) {
+    pub(crate) fn request_keyframe(&mut self) {
         self.force_key = true;
     }
 
     /// Produces the next frame for a target bitrate and frame rate.
-    pub fn next_frame(&mut self, target_kbps: f64, fps: f64, height: u32) -> VideoFrame {
+    pub(crate) fn next_frame(&mut self, target_kbps: f64, fps: f64, height: u32) -> VideoFrame {
         assert!(fps > 0.0 && target_kbps > 0.0);
         let mean_bytes = target_kbps * 1000.0 / 8.0 / fps;
 

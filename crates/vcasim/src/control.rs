@@ -26,7 +26,7 @@ pub struct ControlPacket {
 /// receiver: ServerHello + Certificate (large, frequently above any video
 /// size threshold), ServerKeyExchange/Done, ChangeCipherSpec/Finished,
 /// preceded by STUN connectivity checks.
-pub fn dtls_handshake(rng: &mut StdRng) -> Vec<ControlPacket> {
+pub(crate) fn dtls_handshake(rng: &mut StdRng) -> Vec<ControlPacket> {
     let mut out = Vec::new();
     // STUN binding requests/responses during ICE.
     let mut t = 0u64;
@@ -60,7 +60,7 @@ pub fn dtls_handshake(rng: &mut StdRng) -> Vec<ControlPacket> {
 }
 
 /// STUN keepalive payload size (binding indication).
-pub fn stun_keepalive_payload(rng: &mut StdRng) -> usize {
+pub(crate) fn stun_keepalive_payload(rng: &mut StdRng) -> usize {
     rng.gen_range(20..64)
 }
 

@@ -22,9 +22,12 @@
 //!
 //! The output of [`Session::run`] is a [`SessionTrace`]: the packet
 //! sequence a passive monitor at the receiver's access link would capture,
-//! plus per-second ground-truth QoE.
+//! plus per-second ground-truth QoE. [`render_pcap`] turns its packets
+//! into the pcap bytes a tap would have written, and
+//! [`synthetic_capture`] renders a mix of concurrent calls that way.
 
 pub mod audio;
+pub mod capture;
 pub mod codec;
 pub mod control;
 pub mod modes;
@@ -34,10 +37,12 @@ pub mod rate;
 pub mod receiver;
 pub mod session;
 
+pub use capture::{render_pcap, synthetic_capture, MAX_SYNTHETIC_CALLS};
 pub use codec::{FrameSource, VideoFrame};
 pub use modes::{dtx_segment, merge_multiparty, video_off};
 pub use packetizer::{packetize, FragmentPolicy};
-pub use profiles::{LadderRung, VcaProfile};
+pub use profiles::VcaProfile;
 pub use rate::RateController;
 pub use receiver::{Receiver, SecondTruth};
 pub use session::{Session, SessionConfig, SessionTrace, SimPacket};
+pub use vcaml_rtp::LadderRung;

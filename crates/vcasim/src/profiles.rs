@@ -9,16 +9,7 @@
 //! *unequal* packets — 4.26% of lab frames and 14.48% of real-world frames
 //! exceed the 2-byte intra-frame spread (§5.2.1).
 
-use vcaml_rtp::{PayloadMap, VcaKind};
-
-/// One rung of a VCA's resolution ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderRung {
-    /// Frame height in pixels (the paper's resolution measure).
-    pub height: u32,
-    /// Minimum target bitrate (kbps) at which this rung is selected.
-    pub min_kbps: f64,
-}
+use vcaml_rtp::{LadderRung, PayloadMap, VcaKind};
 
 /// Static behaviour profile for one VCA in one environment.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,24 +48,12 @@ pub struct VcaProfile {
 impl VcaProfile {
     /// The in-lab profile for a VCA.
     pub fn lab(vca: VcaKind) -> Self {
+        let ladder = vca.lab_ladder().to_vec();
         match vca {
             VcaKind::Meet => VcaProfile {
                 vca,
                 payload_map: PayloadMap::lab(vca),
-                ladder: vec![
-                    LadderRung {
-                        height: 180,
-                        min_kbps: 0.0,
-                    },
-                    LadderRung {
-                        height: 270,
-                        min_kbps: 450.0,
-                    },
-                    LadderRung {
-                        height: 360,
-                        min_kbps: 800.0,
-                    },
-                ],
+                ladder,
                 min_bitrate_kbps: 60.0,
                 max_bitrate_kbps: 2800.0,
                 start_bitrate_kbps: 700.0,
@@ -89,52 +68,7 @@ impl VcaProfile {
             VcaKind::Teams => VcaProfile {
                 vca,
                 payload_map: PayloadMap::lab(vca),
-                ladder: vec![
-                    LadderRung {
-                        height: 90,
-                        min_kbps: 0.0,
-                    },
-                    LadderRung {
-                        height: 120,
-                        min_kbps: 120.0,
-                    },
-                    LadderRung {
-                        height: 180,
-                        min_kbps: 200.0,
-                    },
-                    LadderRung {
-                        height: 240,
-                        min_kbps: 350.0,
-                    },
-                    LadderRung {
-                        height: 270,
-                        min_kbps: 500.0,
-                    },
-                    LadderRung {
-                        height: 360,
-                        min_kbps: 700.0,
-                    },
-                    LadderRung {
-                        height: 404,
-                        min_kbps: 1000.0,
-                    },
-                    LadderRung {
-                        height: 480,
-                        min_kbps: 1400.0,
-                    },
-                    LadderRung {
-                        height: 540,
-                        min_kbps: 1900.0,
-                    },
-                    LadderRung {
-                        height: 630,
-                        min_kbps: 2400.0,
-                    },
-                    LadderRung {
-                        height: 720,
-                        min_kbps: 3000.0,
-                    },
-                ],
+                ladder,
                 min_bitrate_kbps: 80.0,
                 max_bitrate_kbps: 4000.0,
                 start_bitrate_kbps: 1400.0,
@@ -149,16 +83,7 @@ impl VcaProfile {
             VcaKind::Webex => VcaProfile {
                 vca,
                 payload_map: PayloadMap::lab(vca),
-                ladder: vec![
-                    LadderRung {
-                        height: 180,
-                        min_kbps: 0.0,
-                    },
-                    LadderRung {
-                        height: 360,
-                        min_kbps: 550.0,
-                    },
-                ],
+                ladder,
                 min_bitrate_kbps: 60.0,
                 max_bitrate_kbps: 900.0,
                 start_bitrate_kbps: 400.0,
@@ -224,7 +149,7 @@ impl VcaProfile {
     /// budget gets tight. Above ~600 kbps the full frame rate is
     /// sustained; below, the rate falls off toward 7 fps (monotone in
     /// bitrate, so rung switches never lower the frame rate).
-    pub fn fps_for(&self, kbps: f64) -> f64 {
+    pub(crate) fn fps_for(&self, kbps: f64) -> f64 {
         let frac = (kbps / 600.0).clamp(0.0, 1.0).sqrt();
         7.0 + frac * (f64::from(self.max_fps) - 7.0)
     }

@@ -41,7 +41,7 @@ impl RateController {
     }
 
     /// Current target bitrate in kbps.
-    pub fn target_kbps(&self) -> f64 {
+    pub(crate) fn target_kbps(&self) -> f64 {
         self.target_kbps
     }
 

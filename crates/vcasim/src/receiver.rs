@@ -117,7 +117,7 @@ impl Receiver {
 
     /// Creates a receiver with an explicit seed for its decode-delay
     /// variability model.
-    pub fn with_seed(seed: u64) -> Self {
+    pub(crate) fn with_seed(seed: u64) -> Self {
         Receiver {
             frames: HashMap::new(),
             next_decode: 0,
@@ -161,7 +161,7 @@ impl Receiver {
 
     /// Handles one arriving packet. Returns sequence numbers to NACK (new
     /// gaps detected on the video stream).
-    pub fn on_packet(&mut self, pkt: ArrivedPacket) -> Vec<u16> {
+    pub(crate) fn on_packet(&mut self, pkt: ArrivedPacket) -> Vec<u16> {
         let sec = pkt.arrival.second_index();
         *self.arrivals_per_sec.entry(sec).or_insert(0) += 1;
         *self.owd_sum_per_sec.entry(sec).or_insert(0.0) += (pkt.arrival - pkt.send).as_millis_f64();
@@ -284,7 +284,7 @@ impl Receiver {
     }
 
     /// Per-second feedback for the rate controller.
-    pub fn feedback_for_second(&self, sec: i64, sent_packets: u32) -> crate::rate::Feedback {
+    pub(crate) fn feedback_for_second(&self, sec: i64, sent_packets: u32) -> crate::rate::Feedback {
         let got = self.arrivals_per_sec.get(&sec).copied().unwrap_or(0);
         let loss = if sent_packets > 0 {
             1.0 - f64::from(got.min(sent_packets)) / f64::from(sent_packets)
@@ -309,14 +309,9 @@ impl Receiver {
         self.abandoned
     }
 
-    /// All decode events so far (ordered by decode time).
-    pub fn decoded_frames(&self) -> &[DecodedFrame] {
-        &self.decoded
-    }
-
     /// Finalizes the call and produces per-second ground truth covering
     /// seconds `0..duration_secs`.
-    pub fn ground_truth(&mut self, duration_secs: i64) -> Vec<SecondTruth> {
+    pub(crate) fn ground_truth(&mut self, duration_secs: i64) -> Vec<SecondTruth> {
         // Flush anything still waiting.
         self.drain_decodable(Timestamp::from_secs(duration_secs) + Timestamp::from_secs(10));
         let mut decode_by_sec: HashMap<i64, Vec<DecodedFrame>> = HashMap::new();
@@ -409,9 +404,9 @@ mod tests {
                 seq += 1;
             }
         }
-        assert_eq!(r.decoded_frames().len(), 30);
+        assert_eq!(r.decoded.len(), 30);
         // Decode times strictly ordered.
-        let d = r.decoded_frames();
+        let d = &r.decoded;
         assert!(d.windows(2).all(|w| w[1].decode_ts >= w[0].decode_ts));
     }
 
@@ -441,8 +436,8 @@ mod tests {
         }
         // Frame 0 blocks until 300 ms pass, then later frames decode.
         assert!(r.abandoned() >= 1);
-        assert!(r.decoded_frames().len() >= 10);
-        assert!(r.decoded_frames().iter().all(|d| d.frame_id != 0));
+        assert!(r.decoded.len() >= 10);
+        assert!(r.decoded.iter().all(|d| d.frame_id != 0));
     }
 
     #[test]
@@ -453,7 +448,7 @@ mod tests {
         let mut rtx = pkt(80, 0, 2, 1, 360);
         rtx.media = MediaKind::VideoRtx;
         r.on_packet(rtx);
-        assert_eq!(r.decoded_frames().len(), 1);
+        assert_eq!(r.decoded.len(), 1);
     }
 
     #[test]
@@ -463,7 +458,7 @@ mod tests {
         ka.media = MediaKind::VideoRtx;
         ka.payload_len = 264;
         r.on_packet(ka);
-        assert!(r.decoded_frames().is_empty());
+        assert!(r.decoded.is_empty());
         let gt = r.ground_truth(1);
         assert_eq!(gt[0].bitrate_kbps, 0.0);
     }

@@ -34,7 +34,6 @@ use vcaml_suite::vcaml::{
     build_samples, CallbackSink, EngineConfig, EstimationMethod, EventFilter, Method,
     MonitorBuilder, MonitorRunner, ReplaySource, Severity, TracePacket,
 };
-use vcaml_suite::vcasim::VcaProfile;
 
 fn main() {
     let vca = VcaKind::Meet;
@@ -141,7 +140,6 @@ fn main() {
         handle.clone(),
         runner.bus_handle(),
         DaemonConfig::new()
-            .ladder(VcaProfile::lab(vca))
             .metrics_addr("127.0.0.1:0")
             .control(ControlEndpoint::Tcp("127.0.0.1:0".into())),
     )

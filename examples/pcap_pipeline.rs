@@ -14,20 +14,17 @@
 )]
 
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
-use vcaml_suite::netpkt::{
-    EtherType, EthernetRepr, Ipv4Repr, LinkType, MacAddr, PcapWriter, Timestamp, UdpRepr,
-};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::{
     ChannelSink, EstimationMethod, Method, MonitorBuilder, MonitorRunner, PcapFileSource, QoeEvent,
 };
-use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
+use vcaml_suite::vcasim::{render_pcap, Session, SessionConfig, VcaProfile};
 
 fn main() {
-    // 1. Simulate a call and materialize wire bytes.
-    let profile = VcaProfile::lab(VcaKind::Webex);
+    // 1. Simulate a call and render it as a classic pcap with full
+    //    Ethernet/IPv4/UDP framing.
     let session = Session::new(SessionConfig {
-        profile: profile.clone(),
+        profile: VcaProfile::lab(VcaKind::Webex),
         schedule: synth_ndt_schedule(7, 20),
         duration_secs: 20,
         seed: 7,
@@ -35,46 +32,18 @@ fn main() {
     })
     .run();
     let captured = session.to_captured();
+    let mut pcap_bytes = render_pcap(&captured).expect("render capture");
 
-    // 2. Write a classic pcap with full Ethernet/IPv4/UDP framing.
-    let mut writer = PcapWriter::new(Vec::new(), LinkType::Ethernet).expect("pcap header");
-    let eth = EthernetRepr {
-        src: MacAddr([0x02, 0, 0, 0, 0, 0x01]),
-        dst: MacAddr([0x02, 0, 0, 0, 0, 0x02]),
-        ethertype: EtherType::Ipv4,
-    };
-    for cap in &captured {
-        let payload = &cap.datagram.payload;
-        let mut frame = vec![0u8; 14 + 20 + 8 + payload.len()];
-        eth.emit(&mut frame);
-        Ipv4Repr {
-            src: [203, 0, 113, 10],
-            dst: [192, 168, 1, 100],
-            protocol: vcaml_suite::netpkt::IP_PROTO_UDP,
-            payload_len: 8 + payload.len(),
-            ttl: 58,
-            ident: 0,
-        }
-        .emit(&mut frame[14..]);
-        frame[42..].copy_from_slice(payload);
-        UdpRepr {
-            src_port: cap.datagram.src_port,
-            dst_port: cap.datagram.dst_port,
-        }
-        .emit_v4(
-            &mut frame[34..],
-            payload.len(),
-            [203, 0, 113, 10],
-            [192, 168, 1, 100],
-        );
-        writer.write_packet(cap.ts, &frame).expect("write record");
+    // 2. Append a deliberately truncated record by hand: real captures
+    //    contain garbage, and the monitor must classify it rather than
+    //    fall over. A record is a 16-byte header (seconds, microseconds,
+    //    captured and original length; little-endian like the file
+    //    header) followed by the captured bytes.
+    let runt = [0x02, 0x00, 0x00];
+    for field in [21, 0, runt.len() as u32, runt.len() as u32] {
+        pcap_bytes.extend_from_slice(&field.to_le_bytes());
     }
-    // A deliberately truncated record: real captures contain garbage, and
-    // the monitor must classify it rather than fall over.
-    writer
-        .write_packet(Timestamp::from_secs(21), &[0x02, 0x00, 0x00])
-        .expect("write runt record");
-    let pcap_bytes = writer.finish().expect("flush");
+    pcap_bytes.extend_from_slice(&runt);
     std::fs::write("webex_call.pcap", &pcap_bytes).expect("write file");
     println!(
         "wrote webex_call.pcap: {} packets, {} bytes",

@@ -1,4 +1,4 @@
-//! Quickstart: simulate one Teams call, replay its captured packets
+//! Quickstart: simulate one Teams call, replay its capture bytes
 //! through a spawned `MonitorRunner`, and compare the per-second QoE
 //! events against ground truth — the paper's core loop through the
 //! public I/O layer (source → monitor → event bus) with the run
@@ -13,19 +13,19 @@
     reason = "an example fails fast: an IO error here has no caller to report to"
 )]
 
+use std::io::Cursor;
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::{
-    ChannelSink, EstimationMethod, Method, MonitorBuilder, MonitorRunner, ReplaySource,
+    ChannelSink, EstimationMethod, Method, MonitorBuilder, MonitorRunner, PcapFileSource,
 };
-use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
+use vcaml_suite::vcasim::{render_pcap, Session, SessionConfig, VcaProfile};
 
 fn main() {
     // 1. A 30-second Teams call over NDT-like emulated network conditions,
-    //    materialized as captured UDP datagrams — what a tap would hand us.
-    let profile = VcaProfile::lab(VcaKind::Teams);
+    //    rendered as the pcap bytes a tap would hand us.
     let session = Session::new(SessionConfig {
-        profile: profile.clone(),
+        profile: VcaProfile::lab(VcaKind::Teams),
         schedule: synth_ndt_schedule(42, 30),
         duration_secs: 30,
         seed: 42,
@@ -34,9 +34,11 @@ fn main() {
     .run();
     let captured = session.to_captured();
     println!("captured {} packets over 30 s", captured.len());
+    let capture = render_pcap(&captured).expect("render capture");
 
     // 2. The whole pipeline behind one typed I/O layer: the capture is a
-    //    `ReplaySource`, the monitor does packet-size media
+    //    `PcapFileSource`, the monitor parses each Ethernet/IP/UDP
+    //    record and does packet-size media
     //    classification, Algorithm-1 frame reconstruction, and per-second
     //    QoE estimation (no application headers consumed), and a
     //    bounded `ChannelSink` subscribes to the typed events (shared
@@ -52,7 +54,7 @@ fn main() {
             .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
             .threads(2),
     )
-    .source(ReplaySource::from_captured(captured))
+    .source(PcapFileSource::new(Cursor::new(capture)).expect("pcap header"))
     .sink(subscriber)
     .spawn();
     // The run is supervised in the background; the handle observes it

@@ -2,7 +2,7 @@
 //! live packet feed one packet at a time with bounded memory, emitting a
 //! QoE event at every window boundary — the deployment shape a network
 //! operator actually needs, driven entirely through the `vcaml` I/O
-//! layer: a `ReplaySource` feeds each spawned `MonitorRunner`, a
+//! layer: a `PcapFileSource` feeds each spawned `MonitorRunner`, a
 //! `ChannelSink` subscribes to its event stream (shared `Arc` events —
 //! subscribing never copies).
 //!
@@ -20,23 +20,23 @@
 )]
 
 use std::collections::BTreeMap;
+use std::io::Cursor;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::mlcore::{Dataset, RandomForest, RandomForestParams, Task};
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
-use vcaml_suite::netpkt::CapturedPacket;
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::{
     build_samples, ChannelSink, EngineConfig, EstimationMethod, Method, MonitorBuilder,
-    MonitorRunner, ReplaySource, WindowReport,
+    MonitorRunner, PcapFileSource, WindowReport,
 };
-use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
+use vcaml_suite::vcasim::{render_pcap, Session, SessionConfig, VcaProfile};
 
 /// Runs one monitor over the feed and collects its finalized windows.
 fn run_method(
     vca: VcaKind,
     method: Method,
     model: Option<RandomForest>,
-    feed: Vec<CapturedPacket>,
+    capture: &[u8],
 ) -> BTreeMap<u64, WindowReport> {
     let mut builder = MonitorBuilder::new(vca).method(EstimationMethod::Fixed(method));
     if let Some(model) = model {
@@ -47,7 +47,7 @@ fn run_method(
     // run. Its capacity is the subscriber's backpressure.
     let (subscriber, rx) = ChannelSink::bounded(65_536);
     MonitorRunner::new(builder)
-        .source(ReplaySource::from_captured(feed))
+        .source(PcapFileSource::new(Cursor::new(capture.to_vec())).expect("pcap header"))
         .sink(subscriber)
         .spawn()
         .join();
@@ -81,21 +81,20 @@ fn main() {
     }
     let model = RandomForest::fit(&train, Task::Regression, &RandomForestParams::default());
 
-    // "Live" feed: a fresh call, consumed packet by packet from raw
-    // captured datagrams.
-    let profile = VcaProfile::lab(vca);
+    // "Live" feed: a fresh call, consumed packet by packet from its raw
+    // capture bytes.
     let session = Session::new(SessionConfig {
-        profile: profile.clone(),
+        profile: VcaProfile::lab(vca),
         schedule: synth_ndt_schedule(77, 25),
         duration_secs: 25,
         seed: 77,
         link: LinkConfig::default(),
     })
     .run();
-    let captured = session.to_captured();
+    let capture = render_pcap(&session.to_captured()).expect("render capture");
 
-    let heur_windows = run_method(vca, Method::IpUdpHeuristic, None, captured.clone());
-    let ml_windows = run_method(vca, Method::IpUdpMl, Some(model), captured);
+    let heur_windows = run_method(vca, Method::IpUdpHeuristic, None, &capture);
+    let ml_windows = run_method(vca, Method::IpUdpMl, Some(model), &capture);
 
     println!("\n  t   heuristic FPS  model FPS  true FPS  kbps");
     for (w, h) in &heur_windows {

@@ -31,16 +31,16 @@
     reason = "the CLI fails fast: an IO error here has no caller to report to"
 )]
 
-use std::io::{BufWriter, Stdout, Write};
+use std::io::{BufWriter, Cursor, Read, Stdout, Write};
 use std::sync::{Arc, Mutex};
 use vcaml_suite::netpkt::Timestamp;
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::daemon::{BoundControl, ControlEndpoint, Daemon, DaemonConfig};
 use vcaml_suite::vcaml::{
     AlertSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder, MonitorRunner,
-    OverflowPolicy, Paced, PcapFileSource, SummarySink, SyntheticSource,
+    OverflowPolicy, Paced, PcapFileSource, SummarySink,
 };
-use vcaml_suite::vcasim::VcaProfile;
+use vcaml_suite::vcasim::{synthetic_capture, MAX_SYNTHETIC_CALLS};
 
 /// One block-buffered stdout shared by every sink. Subscribers run on
 /// the runner's drain thread — which `spawn()` moves to the supervisor
@@ -150,7 +150,8 @@ fn usage() -> ! {
         "usage: monitor (--pcap <file> | --synthetic <secs>) [options]\n\
          \n\
          options:\n\
-           --calls <n>          synthetic concurrent calls (default 2)\n\
+           --calls <n>          synthetic concurrent calls, at most\n\
+                                {MAX_SYNTHETIC_CALLS} (default 2)\n\
            --vca <teams|meet|webex>      (default teams)\n\
            --method <auto|auto-ml|ipudp-heuristic|ipudp-ml|rtp-heuristic|rtp-ml>\n\
                                 (default auto)\n\
@@ -282,12 +283,15 @@ fn parse_args() -> Args {
     if args.pcap.is_none() == args.synthetic_secs.is_none() {
         usage();
     }
-    // The builder and the synthetic generator assert on these, an idle
-    // timeout must fit in `i64` microseconds, and an alert bar that is
-    // not a number is refused as `SET alert_fps` refuses it: fail with
-    // usage, not a panic.
+    // The builder and the synthetic generator assert on these (each
+    // synthetic call needs a client port of its own), an idle timeout
+    // must fit in `i64` microseconds, and an alert bar that is not a
+    // number is refused as `SET alert_fps` refuses it: fail with usage,
+    // not a panic.
     if args.window_secs == 0
         || args.synthetic_secs == Some(0)
+        || args.calls == 0
+        || args.calls > MAX_SYNTHETIC_CALLS
         || args.flush_after == Some(0)
         || args.idle_timeout_secs <= 0
         || args.idle_timeout_secs > i64::MAX / 1_000_000
@@ -330,7 +334,7 @@ fn main() {
     // end-of-run rollup, all observing one shared event stream in order
     // through one buffered stdout.
     // Catch SIGINT/SIGTERM before any heavy setup (a long synthetic
-    // feed is simulated eagerly in the source constructor): a Ctrl-C
+    // feed is simulated and rendered before the run starts): a Ctrl-C
     // during setup is then honored at the first watch-loop poll instead
     // of killing the process mid-build.
     signal_bridge::install();
@@ -353,41 +357,40 @@ fn main() {
         runner = runner.sink(SummarySink::new(out.clone()));
     }
 
-    // The feed is a packet source: a pcap capture or synthetic calls,
-    // optionally paced to the wall clock (daemon deployments want a
-    // live-shaped feed, not a burst).
-    if let Some(path) = &args.pcap {
-        let source = PcapFileSource::open(path).unwrap_or_else(|e| {
-            eprintln!("monitor: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        runner = match args.pace {
-            Some(speed) => {
-                runner.source(Paced::with_speed(source, speed).with_stop(handle.stop_token()))
-            }
-            None => runner.source(source),
-        };
-    } else {
-        let secs = args.synthetic_secs.expect("validated in parse_args");
-        eprintln!(
-            "monitor: synthesizing {} concurrent {} call(s), {secs} s",
-            args.calls, args.vca
-        );
-        let source = SyntheticSource::new(args.vca, secs, args.calls, 41);
-        runner = match args.pace {
-            Some(speed) => {
-                runner.source(Paced::with_speed(source, speed).with_stop(handle.stop_token()))
-            }
-            None => runner.source(source),
-        };
-    }
+    // The feed is pcap bytes: a capture file, or synthetic calls
+    // rendered in memory, optionally paced to the wall clock (daemon
+    // deployments want a live-shaped feed, not a burst).
+    let name = args.pcap.as_deref().unwrap_or("the synthetic feed");
+    let cannot_read = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("monitor: cannot read {name}: {e}");
+        std::process::exit(1)
+    };
+    let reader: Box<dyn Read + Send> = match &args.pcap {
+        Some(path) => Box::new(std::fs::File::open(path).unwrap_or_else(|e| cannot_read(&e))),
+        None => {
+            let secs = args.synthetic_secs.expect("validated in parse_args");
+            eprintln!(
+                "monitor: synthesizing {} concurrent {} call(s), {secs} s",
+                args.calls, args.vca
+            );
+            Box::new(Cursor::new(synthetic_capture(
+                args.vca, secs, args.calls, 41,
+            )))
+        }
+    };
+    let source = PcapFileSource::new(reader).unwrap_or_else(|e| cannot_read(&e));
+    runner = match args.pace {
+        Some(speed) => {
+            runner.source(Paced::with_speed(source, speed).with_stop(handle.stop_token()))
+        }
+        None => runner.source(source),
+    };
 
     // Daemon mode: bind the operational surface before the run starts,
     // so the first scrape can't race the bind. The bus handle must be
     // taken pre-spawn (SUBSCRIBE attaches live subscribers through it).
     let daemon = if args.daemon {
         let mut config = DaemonConfig::new()
-            .ladder(VcaProfile::lab(args.vca))
             .metrics_addr(args.metrics_addr.as_deref().unwrap_or("127.0.0.1:9464"));
         config = match (&args.control_socket, &args.control_addr) {
             (Some(path), _) => config.control(ControlEndpoint::Unix(path.into())),

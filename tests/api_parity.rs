@@ -1,8 +1,8 @@
 //! Facade/engine parity: a `vcaml::api::Monitor` must reproduce, window
 //! for window, what a directly-driven `QoeEstimator` produces for the
 //! same packets — for all four methods, on realistic simulated traffic,
-//! through both the pre-parsed and the raw-datagram ingestion paths —
-//! and must classify the same bytes the same way at every front door.
+//! through both the pre-parsed and the raw-frame ingestion paths — and
+//! must classify the same bytes the same way at every byte front door.
 
 #![allow(
     clippy::unwrap_used,
@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex};
 use vcaml_suite::datasets::{inlab_corpus, to_core_trace, CorpusConfig};
 use vcaml_suite::netpkt::pcap::PcapRecord;
 use vcaml_suite::netpkt::{
-    EtherType, EthernetRepr, FlowKey, Ipv4Repr, Ipv6Repr, LinkType, MacAddr, PcapWriter, Timestamp,
-    UdpRepr, IP_PROTO_UDP,
+    EtherType, EthernetRepr, FlowKey, Ipv4Repr, Ipv6Repr, LinkType, MacAddr, PcapReader,
+    PcapWriter, Timestamp, UdpRepr, IP_PROTO_UDP,
 };
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::build_engine;
@@ -24,7 +24,7 @@ use vcaml_suite::vcaml::{
     CallbackSink, EngineConfig, EstimationMethod, Method, Monitor, MonitorBuilder, MonitorRunner,
     PcapFileSource, QoeEvent, Trace, WindowReport,
 };
-use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
+use vcaml_suite::vcasim::{render_pcap, Session, SessionConfig, VcaProfile};
 
 fn corpus(vca: VcaKind, seed: u64, n: usize) -> Vec<Trace> {
     inlab_corpus(
@@ -110,8 +110,8 @@ fn monitor_matches_direct_engine_for_all_methods() {
     }
 }
 
-/// The raw-datagram path (RTP parse-attempt included) must agree with the
-/// pre-parsed path: ingesting a session's captured wire datagrams yields
+/// The raw-frame path (RTP parse-attempt included) must agree with the
+/// pre-parsed path: ingesting a session's rendered Ethernet frames yields
 /// the same windows as replaying its decoded trace through an engine.
 #[test]
 fn raw_ingestion_matches_preparsed_trace() {
@@ -126,7 +126,12 @@ fn raw_ingestion_matches_preparsed_trace() {
     })
     .run();
     let trace = to_core_trace(&session, profile.payload_map);
-    let captured = session.to_captured();
+    let image = render_pcap(&session.to_captured()).unwrap();
+    let mut reader = PcapReader::new(&image[..]).unwrap();
+    let mut frames = Vec::new();
+    while let Some(record) = reader.next_record().unwrap() {
+        frames.push(record);
+    }
     let config = EngineConfig::paper(vca);
 
     for method in Method::ALL {
@@ -141,8 +146,8 @@ fn raw_ingestion_matches_preparsed_trace() {
             .method(EstimationMethod::Fixed(method))
             .payload_map(trace.payload_map)
             .build();
-        for cap in &captured {
-            monitor.ingest_captured(cap);
+        for frame in &frames {
+            monitor.ingest_frame(frame.ts, &frame.data);
         }
         assert_eq!(monitor.stats().parse_drops, 0, "{method:?}: clean feed");
         let got = monitor_windows(monitor.finish());

@@ -161,6 +161,6 @@ fn every_path_and_signature_the_benchmark_imports() {
     assert!(matches!(dropped, QoeEvent::Dropped { .. }));
     let _ = |pkt: SourcePacket| match pkt {
         SourcePacket::Record { link, record } => Some((link, record)),
-        SourcePacket::Captured(_) | SourcePacket::Parsed { .. } => None,
+        SourcePacket::Parsed { .. } => None,
     };
 }

@@ -19,18 +19,30 @@
 )]
 
 use std::collections::HashMap;
+use std::io::Cursor;
 use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::netpkt::{Error as NetError, FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::RTP_PROBATION_PACKETS;
 use vcaml_suite::vcaml::engine::{replay, IpUdpMlEngine};
-use vcaml_suite::vcaml::source::{PacketSource, SourcePacket};
+use vcaml_suite::vcaml::source::{PacketSource, PcapFileSource, SourcePacket};
 use vcaml_suite::vcaml::{
     CallbackSink, ChannelSink, EngineConfig, EstimationMethod, EvictReason, Method, MonitorBuilder,
-    MonitorHandle, MonitorRunner, OverflowPolicy, QoeEvent, SyntheticSource, Trace, TracePacket,
-    WindowReport,
+    MonitorHandle, MonitorRunner, OverflowPolicy, QoeEvent, Trace, TracePacket, WindowReport,
 };
+use vcaml_suite::vcasim::synthetic_capture;
+
+/// `calls` concurrent simulated Teams calls, read from their rendered
+/// pcap bytes.
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper outside #[test] fails fast, as the tests it serves do"
+)]
+fn synthetic(secs: u32, calls: usize, seed: u64) -> PcapFileSource<Cursor<Vec<u8>>> {
+    let capture = synthetic_capture(VcaKind::Teams, secs, calls, seed);
+    PcapFileSource::new(Cursor::new(capture)).expect("a rendered pcap image")
+}
 
 fn flow_key(n: u16) -> FlowKey {
     let client = std::net::IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, n as u8 + 1));
@@ -365,7 +377,7 @@ fn stop_and_drop_are_deadlock_free_under_both_policies() {
                 .queue_capacity(8)
                 .overflow(policy),
         )
-        .source(SyntheticSource::new(VcaKind::Teams, 6, 3, 5))
+        .source(synthetic(6, 3, 5))
         .sink(CallbackSink::new(|_| {
             std::thread::sleep(std::time::Duration::from_micros(200))
         }))
@@ -409,7 +421,7 @@ fn alert_threshold_retunes_live() {
     let counter = Arc::clone(&degraded);
     let (full, rx) = ChannelSink::bounded(1 << 20);
     let report = runner
-        .source(SyntheticSource::new(VcaKind::Teams, 3, 1, 21))
+        .source(synthetic(3, 1, 21))
         .sink(full)
         .subscribe(
             vcaml_suite::vcaml::EventFilter::all()

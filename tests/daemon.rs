@@ -30,9 +30,9 @@ use vcaml_suite::vcaml::daemon::{
     parse_request, BoundControl, ControlEndpoint, Daemon, DaemonConfig, Request, MAX_LINE_BYTES,
 };
 use vcaml_suite::vcaml::{
-    EstimationMethod, Method, MonitorBuilder, MonitorRunner, Paced, ReplaySource, TracePacket,
+    EstimationMethod, Method, MonitorBuilder, MonitorRunner, Paced, QoeEstimate, QoeEvent,
+    ReplaySource, Severity, TracePacket, WindowReport,
 };
-use vcaml_suite::vcasim::VcaProfile;
 
 fn flow_key(n: u16) -> FlowKey {
     let client = std::net::IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, n as u8 + 1));
@@ -234,7 +234,6 @@ fn every_verb_round_trips_against_a_live_monitor() {
         handle.clone(),
         bus,
         DaemonConfig::new()
-            .ladder(VcaProfile::lab(VcaKind::Teams))
             .metrics_addr("127.0.0.1:0")
             .control(ControlEndpoint::Tcp("127.0.0.1:0".into())),
     )
@@ -314,6 +313,50 @@ fn every_verb_round_trips_against_a_live_monitor() {
         report.stats.flows_evicted >= 1,
         "EVICT sealed a flow: {:?}",
         report.stats
+    );
+    daemon.shutdown();
+}
+
+/// `SET alert_resolution_floor` maps the height through the lab ladder
+/// of the monitor's own VCA. Meet's 360p rung starts at 800 kbps, so a
+/// 750 kbps window is below a 360p floor; Teams' 360p rung starts at
+/// 700 kbps and would let it pass.
+#[test]
+fn resolution_floor_follows_the_monitors_vca() {
+    let mut runner = MonitorRunner::new(MonitorBuilder::new(VcaKind::Meet));
+    let handle = runner.handle();
+    let daemon = Daemon::start(
+        handle.clone(),
+        runner.bus_handle(),
+        DaemonConfig::new().control(ControlEndpoint::Tcp("127.0.0.1:0".into())),
+    )
+    .expect("daemon binds an ephemeral port");
+    let mut control = BufReader::new(connect(tcp_control_addr(&daemon)));
+    assert_eq!(
+        exchange(&mut control, "SET alert_resolution_floor 360"),
+        "OK"
+    );
+    assert_eq!(handle.alert_resolution_floor(), Some(360));
+    let window = QoeEvent::WindowReport {
+        flow: flow_key(0),
+        report: WindowReport {
+            window: 4,
+            method: Method::IpUdpHeuristic,
+            estimate: Some(QoeEstimate {
+                bitrate_kbps: 750.0,
+                fps: 30.0,
+                frame_jitter_ms: 1.0,
+            }),
+            features: None,
+            model_fps: None,
+            video_packets: 120,
+        },
+        provisional: false,
+    };
+    assert_eq!(
+        Severity::of(&window, &handle.alert_thresholds().bar()),
+        Severity::Warning,
+        "750 kbps is below Meet's 360p rung"
     );
     daemon.shutdown();
 }

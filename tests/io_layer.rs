@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
+use std::io::{Cursor, Write};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, Mutex};
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
@@ -21,9 +21,16 @@ use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::source::{PacketSource, PcapFileSource, SourcePacket};
 use vcaml_suite::vcaml::{
     AlertSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder, MonitorRunner,
-    OverflowPolicy, Paced, QoeEvent, ReplaySource, SummarySink, SyntheticSource, Trace,
-    TracePacket, WindowReport,
+    OverflowPolicy, Paced, QoeEvent, ReplaySource, SummarySink, Trace, TracePacket, WindowReport,
 };
+use vcaml_suite::vcasim::synthetic_capture;
+
+/// `calls` concurrent simulated Teams calls, read from their rendered
+/// pcap bytes.
+fn synthetic(secs: u32, calls: usize, seed: u64) -> PcapFileSource<Cursor<Vec<u8>>> {
+    let capture = synthetic_capture(VcaKind::Teams, secs, calls, seed);
+    PcapFileSource::new(Cursor::new(capture)).expect("a rendered pcap image")
+}
 
 /// A `Write` handle tests can keep after handing a sink ownership.
 #[derive(Clone, Default)]
@@ -159,7 +166,7 @@ fn assert_same_windows(
 /// method.
 #[test]
 fn paced_threaded_run_matches_the_closed_loop_run() {
-    let capture = || SyntheticSource::new(VcaKind::Teams, 4, 3, 13);
+    let capture = || synthetic(4, 3, 13);
     let run = |method: EstimationMethod, live: bool| {
         let (subscriber, rx) = ChannelSink::bounded(1 << 20);
         let builder = MonitorBuilder::new(VcaKind::Teams).method(method);
@@ -195,7 +202,7 @@ fn tee_delivers_byte_identical_sequences_to_every_sink() {
             .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
             .threads(2),
     )
-    .source(SyntheticSource::new(VcaKind::Teams, 3, 2, 5));
+    .source(synthetic(3, 2, 5));
     for buf in &bufs {
         runner = runner.sink(JsonLinesSink::new(buf.clone()));
     }
@@ -227,7 +234,7 @@ fn per_flow_shed_accounting_reaches_summary_and_stats() {
             .queue_capacity(4)
             .overflow(OverflowPolicy::DropOldest),
     )
-    .source(SyntheticSource::new(VcaKind::Teams, 6, 3, 9))
+    .source(synthetic(6, 3, 9))
     .sink(SummarySink::new(table.clone()))
     .sink(subscriber)
     // A deliberately slow consumer: the drain loop is the queue's only
@@ -267,7 +274,7 @@ fn alert_sink_fires_below_threshold() {
     let report = MonitorRunner::new(
         MonitorBuilder::new(VcaKind::Teams).method(EstimationMethod::Fixed(Method::IpUdpHeuristic)),
     )
-    .source(SyntheticSource::new(VcaKind::Teams, 3, 1, 21))
+    .source(synthetic(3, 1, 21))
     .sink(AlertSink::new(alerts.clone(), 1_000.0))
     .run();
     assert!(report.stats.window_reports > 0);

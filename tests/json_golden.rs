@@ -20,13 +20,12 @@
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
-use vcaml_suite::rtp::VcaKind;
+use vcaml_suite::rtp::LadderRung;
 use vcaml_suite::vcaml::api::{EvictReason, MonitorStats, ParseDropReason, QoeEvent};
 use vcaml_suite::vcaml::sink::EventSink;
 use vcaml_suite::vcaml::{
     AlertSink, AlertThresholds, Method, MonitorSnapshot, QoeEstimate, WindowReport,
 };
-use vcaml_suite::vcasim::{LadderRung, VcaProfile};
 
 const FLOW: &str = "10.0.0.1:5000 <-> 10.0.0.2:3478 proto 17";
 const FLOW6: &str = "2001:db8::1:40000 <-> 2001:db8::2:3478 proto 17";
@@ -407,19 +406,16 @@ fn alert_lines() {
     );
     // The resolution floor, in an eviction's sealed tail on an IPv6
     // flow: above the bitrate floor, below the 360p rung.
-    let ladder = VcaProfile {
-        ladder: vec![
-            LadderRung {
-                height: 180,
-                min_kbps: 0.0,
-            },
-            LadderRung {
-                height: 360,
-                min_kbps: 812.5,
-            },
-        ],
-        ..VcaProfile::lab(VcaKind::Meet)
-    };
+    let ladder = [
+        LadderRung {
+            height: 180,
+            min_kbps: 0.0,
+        },
+        LadderRung {
+            height: 360,
+            min_kbps: 812.5,
+        },
+    ];
     thresholds.set_resolution_floor(360, &ladder);
     let tail = QoeEvent::FlowEvicted {
         flow: flow6(),

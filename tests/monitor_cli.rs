@@ -4,8 +4,9 @@
 //!   typed event, window reports among them;
 //! * input the flags cannot accept — a retired mode, an idle timeout
 //!   that does not fit in microseconds, a zero-length feed, an alert bar
-//!   that is not a number, a zero window — exits 2 with usage on stderr
-//!   and never reaches an assert further in;
+//!   that is not a number, a zero window, no calls or more calls than
+//!   client ports — exits 2 with usage on stderr and never reaches an
+//!   assert further in;
 //! * a fixed synthetic run prints the same bytes under every `--method`
 //!   as the digests recorded here, and on two shard workers as inline.
 
@@ -49,6 +50,8 @@ fn bad_input_exits_2_with_usage_not_a_panic() {
         "--synthetic 0 --calls 1",
         "--synthetic 2 --calls 1 --alert-fps inf",
         "--synthetic 2 --calls 1 --window 0",
+        "--synthetic 2 --calls 0",
+        "--synthetic 2 --calls 13717",
     ] {
         let out = monitor(command_line);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -11,14 +11,22 @@
     reason = "test helpers outside #[test] fail fast, as the tests they serve do"
 )]
 
-use std::io::Write;
+use std::io::{Cursor, Write};
 use std::sync::{Arc, Mutex};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::qoe_event_clone_count;
 use vcaml_suite::vcaml::{
     ChannelSink, CountingSink, EstimationMethod, EventFilter, JsonLinesSink, Method,
-    MonitorBuilder, MonitorRunner, Severity, SyntheticSource,
+    MonitorBuilder, MonitorRunner, PcapFileSource, Severity,
 };
+use vcaml_suite::vcasim::synthetic_capture;
+
+/// `calls` concurrent simulated Teams calls, read from their rendered
+/// pcap bytes.
+fn synthetic(secs: u32, calls: usize, seed: u64) -> PcapFileSource<Cursor<Vec<u8>>> {
+    let capture = synthetic_capture(VcaKind::Teams, secs, calls, seed);
+    PcapFileSource::new(Cursor::new(capture)).expect("a rendered pcap image")
+}
 
 /// A `Write` handle tests can keep after handing a sink ownership.
 #[derive(Clone, Default)]
@@ -49,8 +57,8 @@ fn eight_subscriber_fanout_never_clones_an_event() {
             .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
             .threads(2),
     )
-    .source(SyntheticSource::new(VcaKind::Teams, 4, 2, 11))
-    .source(SyntheticSource::new(VcaKind::Teams, 4, 2, 12))
+    .source(synthetic(4, 2, 11))
+    .source(synthetic(4, 2, 12))
     .sink(JsonLinesSink::new(SharedBuf::default()))
     .subscribe(
         EventFilter::all().min_severity(Severity::Warning),
