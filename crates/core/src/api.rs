@@ -6,8 +6,8 @@
 //! flush — into a [`Monitor`] that owns the flow demultiplexer and
 //! per-flow engines internally. Ingestion accepts raw link-layer bytes,
 //! raw IP bytes, pcap records, or pre-parsed [`TracePacket`]s (for
-//! replays of recorded traces), performing the layered eth→ip→udp parse
-//! and the RTP parse-attempt itself; callers never touch `netpkt`
+//! replays of recorded traces), performing one fused eth→ip→udp header
+//! parse and the RTP parse-attempt itself; callers never touch `netpkt`
 //! internals. Output is a stream of [`QoeEvent`]s — window
 //! reports, flow lifecycle, classified parse drops — drained as an
 //! iterator (or, through [`crate::runner::MonitorRunner`], published to
@@ -90,8 +90,9 @@ pub(crate) use monitor::IngestPort;
 pub use monitor::Monitor;
 pub use shard::build_engine;
 
-/// A per-flow estimator behind the facade. `Send` so a future sharded
-/// monitor can move engines across worker threads.
+/// A per-flow estimator behind the facade. `Send` so a threaded
+/// monitor's shard state, engines included, can move onto its worker
+/// thread.
 pub type BoxedEngine = Box<dyn crate::engine::QoeEstimator + Send>;
 
 /// Packets buffered per flow before the RTP-confidence decision is made

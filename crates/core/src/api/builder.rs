@@ -101,15 +101,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Replaces the full engine configuration (power users; the other
-    /// knobs are views onto it).
-    pub fn engine_config(mut self, config: EngineConfig) -> Self {
-        assert!(config.window_secs > 0, "zero window");
-        assert!(config.theta_iat_us > 0, "non-positive theta");
-        self.config = config;
-        self
-    }
-
     /// Payload-type → media mapping for the RTP methods (default: the
     /// lab mapping of the chosen VCA).
     pub fn payload_map(mut self, map: PayloadMap) -> Self {

@@ -5,7 +5,7 @@
 )]
 
 use super::*;
-use crate::engine::{EngineConfig, Method, WindowReport};
+use crate::engine::{Method, WindowReport};
 use crate::trace::TracePacket;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -732,29 +732,6 @@ fn corrupt_future_timestamp_does_not_mass_evict() {
         .filter(|e| matches!(e, QoeEvent::FlowEvicted { .. }))
         .count();
     assert_eq!(evicted, 0);
-}
-
-/// `engine_config()` is checked where it is called, as the sibling
-/// setters are — not at the first packet, which a threaded monitor meets
-/// on a worker thread.
-#[test]
-#[should_panic(expected = "zero window")]
-fn engine_config_rejects_a_zero_window_at_the_call() {
-    let _unbuilt = fixed(Method::IpUdpHeuristic)
-        .threads(2)
-        .engine_config(EngineConfig {
-            window_secs: 0,
-            ..EngineConfig::paper(VcaKind::Teams)
-        });
-}
-
-#[test]
-#[should_panic(expected = "non-positive theta")]
-fn engine_config_rejects_a_non_positive_theta_at_the_call() {
-    let _unbuilt = fixed(Method::IpUdpMl).engine_config(EngineConfig {
-        theta_iat_us: 0,
-        ..EngineConfig::paper(VcaKind::Teams)
-    });
 }
 
 /// Every ML flow shares the monitor's one forest, so the per-flow gauge

@@ -12,20 +12,31 @@
 //! All four methods of the paper implement one trait — [`QoeEstimator`]:
 //! feed captured packets in arrival order via `push_into`, receive
 //! finalized [`WindowReport`]s as window boundaries become safe, and
-//! `finish_into` at end of stream. The engines share the incremental
-//! building blocks the batch pipeline is itself built from (the
-//! assemblers in [`crate::heuristic`] / [`crate::rtp_heuristic`], the
-//! [`crate::qoe::QoeWindower`], and the feature accumulators in
-//! `vcaml_features::incremental`), so a streaming
-//! run reproduces the batch pipeline's numbers exactly — the batch
-//! [`crate::pipeline::build_samples`] is in fact a replay over these
-//! engines (see [`replay`]).
+//! `finish_into` at end of stream.
+//!
+//! The four methods differ in two things only: how a packet is classified
+//! (size threshold or RTP payload type) and what a window accumulates
+//! (frames or Table 1 features). The rest is one machine, written once: a
+//! per-flow window clock (timestamp → window map, first-packet anchoring,
+//! the far-jump quarantine of [`MAX_WINDOW_GAP`]) under two drivers, each
+//! implementing [`QoeEstimator`] once:
+//!
+//! * [`HeuristicDriver`] over a frame source — a classifier and an
+//!   assembler from [`crate::heuristic`] / [`crate::rtp_heuristic`] —
+//!   buckets sealed frames through [`crate::qoe::QoeWindower`]:
+//!   [`IpUdpHeuristicEngine`] and [`RtpHeuristicEngine`];
+//! * [`MlDriver`] over a feature source — a classifier and the
+//!   accumulators of `vcaml_features::incremental` — reports a feature
+//!   vector per window: [`IpUdpMlEngine`] and [`RtpMlEngine`].
+//!
+//! The batch [`crate::pipeline::build_samples`] is a replay over these
+//! engines (see [`replay`]), so streaming and batch numbers agree exactly.
 //!
 //! For network-wide deployment, [`FlowTable`] demuxes a mixed packet feed
 //! onto per-flow engines keyed by the canonical UDP 5-tuple
-//! (`vcaml_netpkt::FlowKey`), sharded for cache locality and future
-//! parallelism, with idle-flow eviction so memory tracks the set of
-//! *active* calls.
+//! (`vcaml_netpkt::FlowKey`), sharded for cache locality, with idle-flow
+//! eviction so memory tracks the set of *active* calls. A threaded
+//! monitor gives each of its workers a table of its own.
 //!
 //! ## Emission latency
 //!
@@ -200,8 +211,9 @@ struct GapGuard {
 }
 
 impl GapGuard {
-    fn check(&mut self, clock: u64, started: bool, w: u64) -> GapVerdict {
-        if !started || w.abs_diff(clock) <= MAX_WINDOW_GAP {
+    /// Checks window `w` against a started flow's clock.
+    fn check(&mut self, clock: u64, w: u64) -> GapVerdict {
+        if w.abs_diff(clock) <= MAX_WINDOW_GAP {
             // Near the established epoch: any earlier outlier was corrupt.
             self.suspect = None;
             return GapVerdict::Normal;
@@ -380,223 +392,244 @@ impl ArrivalCounts {
 }
 
 // ---------------------------------------------------------------------------
-// Shared per-flow windowing state
+// The window clock
 // ---------------------------------------------------------------------------
 
-/// Clock, window epoch, and safe-drain logic shared by the two heuristic
-/// engines.
+/// What one accepted packet does to a [`WindowClock`]; every variant
+/// carries the packet's window `w`.
+#[derive(Debug, Clone, Copy)]
+enum Tick {
+    /// The flow's first packet: emission anchors at its window.
+    Start(u64),
+    /// Within the bounded gap of the clock, which read `from` before this
+    /// packet and now reads `max(from, w)`.
+    Step { w: u64, from: u64 },
+    /// A corroborated discontinuity: the clock left `from` and now reads
+    /// `w`, which may lie before or after it.
+    Reanchor { w: u64, from: u64 },
+}
+
+/// A flow's window clock, shared by both estimator families.
 ///
 /// The window *indices* are absolute (window `w` always covers
 /// `[w·W, (w+1)·W)` on the capture clock), but emission is **anchored at
 /// the first packet the flow sees**: a flow first observed an hour into a
 /// capture starts reporting at that hour's window instead of emitting
 /// thousands of empty windows from t = 0. Replay fills any leading gap
-/// explicitly, so batch outputs are unaffected.
-struct HeuristicState {
-    windower: QoeWindower,
-    counts: ArrivalCounts,
+/// explicitly, so batch outputs are unaffected. The clock reads the
+/// highest window a packet has landed in; far jumps go through the
+/// [`GapGuard`] quarantine.
+struct WindowClock {
     window_us: i64,
-    clock: u64,
+    /// The highest window seen (the new epoch's after a re-anchor).
+    now: u64,
     started: bool,
     gap: GapGuard,
-    /// One-window memo over the timestamp→index map: consecutive packets
-    /// overwhelmingly land in the same window, so the common case is two
-    /// compares instead of an `i64` division. `memo_lo > memo_hi` until
-    /// the first lookup. (`memo_lo`, `memo_hi`] bound is exclusive.
-    memo_lo: i64,
-    memo_hi: i64,
-    memo_w: u64,
+    /// Bounds of window `now` (`lo > hi` until the first packet).
+    /// Consecutive packets overwhelmingly land in it, so the common
+    /// lookup is two compares instead of an `i64` division.
+    lo: i64,
+    hi: i64,
 }
 
-impl HeuristicState {
+impl WindowClock {
     fn new(config: EngineConfig) -> Self {
-        HeuristicState {
-            windower: QoeWindower::new(config.window_secs),
-            counts: ArrivalCounts::default(),
+        WindowClock {
             window_us: config.window_us(),
-            clock: 0,
+            now: 0,
             started: false,
             gap: GapGuard::default(),
-            memo_lo: 1,
-            memo_hi: 0,
-            memo_w: 0,
+            lo: 1,
+            hi: 0,
         }
     }
 
-    /// Window index for a non-negative microsecond timestamp, memoized
-    /// on the window of the previous lookup.
-    #[inline]
-    fn memo_map(&mut self, us: i64) -> u64 {
-        if us >= self.memo_lo && us < self.memo_hi {
-            return self.memo_w;
-        }
-        let w = us.div_euclid(self.window_us);
-        self.memo_lo = w * self.window_us;
-        self.memo_hi = self.memo_lo + self.window_us;
-        self.memo_w = w as u64;
-        self.memo_w
+    /// The window length in seconds (exact: `window_us` is a whole
+    /// number of seconds).
+    fn window_secs(&self) -> f64 {
+        self.window_us as f64 / 1e6
     }
 
-    /// Window index for a timestamp, or `None` for negative timestamps
+    /// The clock's reading, once a packet was accepted.
+    fn now(&self) -> Option<u64> {
+        self.started.then_some(self.now)
+    }
+
+    /// Window index of a timestamp, or `None` for negative timestamps
     /// (outside every window).
     #[inline]
-    fn window_of(&mut self, ts: Timestamp) -> Option<u64> {
+    fn window_of(&self, ts: Timestamp) -> Option<u64> {
         let us = ts.as_micros();
-        (us >= 0).then(|| self.memo_map(us))
+        if us >= self.lo && us < self.hi {
+            return Some(self.now);
+        }
+        (us >= 0).then(|| us.div_euclid(self.window_us) as u64)
     }
 
-    /// Classifies a packet's window against the bounded emission gap
-    /// ([`MAX_WINDOW_GAP`]): process, quarantine-drop, or re-anchor.
-    fn gap_check(&mut self, w: u64) -> GapVerdict {
-        self.gap.check(self.clock, self.started, w)
+    fn move_to(&mut self, w: u64) {
+        self.now = w;
+        self.lo = w as i64 * self.window_us;
+        self.hi = self.lo + self.window_us;
     }
 
-    /// Skips across a discontinuity: drops pending arrival counts and
-    /// re-anchors emission at `w`. The caller must seal its assembler and
-    /// flush via [`Self::drain_finish`] first.
-    fn skip_to(&mut self, w: u64) {
-        self.counts.clear();
-        self.windower.skip_to(w);
-        self.clock = w;
-    }
-
-    /// Advances the clock for one accepted packet in window `w`.
-    fn observe(&mut self, w: u64) {
+    /// Accepts one packet timestamp, or returns `None` when the packet
+    /// must be dropped (negative timestamp, or a quarantined far jump —
+    /// see [`MAX_WINDOW_GAP`]).
+    #[inline]
+    fn tick(&mut self, ts: Timestamp) -> Option<Tick> {
+        let us = ts.as_micros();
+        if us >= self.lo && us < self.hi {
+            // Inside window `now` (started is implied: the bounds are
+            // empty until the first packet). An in-window packet is a
+            // Normal verdict, which clears any quarantine streak.
+            self.gap.suspect = None;
+            return Some(Tick::Step {
+                w: self.now,
+                from: self.now,
+            });
+        }
+        if us < 0 {
+            return None;
+        }
+        let w = us.div_euclid(self.window_us) as u64;
         if !self.started {
             self.started = true;
-            self.windower.start_at(w);
-            self.clock = w;
+            self.move_to(w);
+            return Some(Tick::Start(w));
         }
-        self.clock = self.clock.max(w);
-    }
-
-    /// Emits every window that is final — arrivals have moved past it and
-    /// no still-open frame (bounded below by `min_open_end`) could seal
-    /// into it — appending into `out`.
-    fn drain_safe_into(
-        &mut self,
-        min_open_end: Option<Timestamp>,
-        out: &mut Vec<(u64, QoeEstimate)>,
-    ) {
-        let open_bound = match min_open_end {
-            // Open-frame end timestamps are never negative (their packets
-            // were window-mapped first); route through the same memo as
-            // the arrival path — they share the packet's window almost
-            // always.
-            Some(ts) if ts.as_micros() >= 0 => self.memo_map(ts.as_micros()),
-            _ => self.clock,
-        };
-        self.windower
-            .drain_until_into(self.clock.min(open_bound), out);
-    }
-
-    /// Emits everything through the last arrival window and the last
-    /// window holding a frame (end of stream), appending into `out`.
-    fn drain_finish_into(&mut self, out: &mut Vec<(u64, QoeEstimate)>) {
-        if !self.started {
-            return;
+        let from = self.now;
+        match self.gap.check(from, w) {
+            GapVerdict::Drop => None,
+            GapVerdict::Reanchor => {
+                self.move_to(w);
+                Some(Tick::Reanchor { w, from })
+            }
+            GapVerdict::Normal => {
+                if w > from {
+                    self.move_to(w);
+                }
+                Some(Tick::Step { w, from })
+            }
         }
-        let through = (self.clock + 1).max(self.windower.last_open_window().map_or(0, |w| w + 1));
-        self.windower.drain_until_into(through, out);
-    }
-
-    fn report(&mut self, method: Method, window: u64, estimate: QoeEstimate) -> WindowReport {
-        WindowReport {
-            window,
-            method,
-            estimate: Some(estimate),
-            features: None,
-            model_fps: None,
-            video_packets: self.counts.take(window),
-        }
-    }
-
-    fn empty_report(&self, method: Method, window: u64) -> WindowReport {
-        WindowReport {
-            window,
-            method,
-            estimate: Some(self.windower.empty_estimate()),
-            features: None,
-            model_fps: None,
-            video_packets: 0,
-        }
-    }
-
-    /// Snapshots every pending window (`next emission ..= clock`) without
-    /// consuming anything: frames still open in the assembler are not
-    /// included, so the estimates are lower bounds.
-    fn provisional_into(&self, method: Method, out: &mut Vec<WindowReport>) {
-        if !self.started {
-            return;
-        }
-        out.extend(
-            (self.windower.next_window()..=self.clock).map(|w| WindowReport {
-                window: w,
-                method,
-                estimate: Some(self.windower.peek(w)),
-                features: None,
-                model_fps: None,
-                video_packets: self.counts.peek(w),
-            }),
-        );
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.windower.heap_bytes() + self.counts.heap_bytes()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Heuristic engines (shared driver over two frame sources)
+// What a method adds to its family's driver
 // ---------------------------------------------------------------------------
 
-/// What a heuristic engine's frame assembly must provide; implemented by
-/// the two classification+assembler pairings so the (subtle) push/finish
-/// orchestration exists exactly once in [`HeuristicDriver`].
-trait FrameSource {
-    /// Classifies one packet and, for video, feeds the assembler,
-    /// appending any frames this packet seals into `sealed`. Returns
-    /// `false` for non-video packets, `true` for video packets.
-    fn accept_into(&mut self, pkt: &TracePacket, sealed: &mut Vec<(u64, Frame)>) -> bool;
+/// The per-method halves of the two drivers. The traits are `pub` only so
+/// the public drivers may name them in bounds; the module is private, so
+/// nothing outside this file can name or implement them.
+mod sources {
+    use super::Method;
+    use crate::frames::Frame;
+    use crate::trace::TracePacket;
+    use vcaml_netpkt::Timestamp;
 
-    /// Seals every open frame (end of stream or discontinuity) into `out`.
-    fn seal_all_into(&mut self, out: &mut Vec<(u64, Frame)>);
+    /// What a heuristic engine's frame assembly must provide; implemented by
+    /// the two classification+assembler pairings so the (subtle) push/finish
+    /// orchestration exists exactly once in [`super::HeuristicDriver`].
+    pub trait FrameSource {
+        /// The method this source implements.
+        const METHOD: Method;
 
-    /// Earliest end time any open frame can still finalize with.
-    fn min_open_end(&self) -> Option<Timestamp>;
+        /// Classifies one packet and, for video, feeds the assembler,
+        /// appending any frames this packet seals into `sealed`. Returns
+        /// `false` for non-video packets, `true` for video packets.
+        fn accept_into(&mut self, pkt: &TracePacket, sealed: &mut Vec<(u64, Frame)>) -> bool;
 
-    /// Heap bytes the assembler currently holds.
-    fn heap_bytes(&self) -> usize;
+        /// Seals every open frame (end of stream or discontinuity) into `out`.
+        fn seal_all_into(&mut self, out: &mut Vec<(u64, Frame)>);
+
+        /// Earliest end time any open frame can still finalize with.
+        fn min_open_end(&self) -> Option<Timestamp>;
+
+        /// Heap bytes the assembler currently holds.
+        fn heap_bytes(&self) -> usize;
+    }
+
+    /// What an ML engine accumulates per window; implemented by the two
+    /// feature sets so the window loop exists exactly once in [`super::MlDriver`].
+    pub trait FeatureSource {
+        /// The method this source implements.
+        const METHOD: Method;
+
+        /// Classifies one packet and accumulates it into the current window
+        /// if the method counts it.
+        fn accept(&mut self, pkt: &TracePacket);
+
+        /// The current window's feature vector.
+        fn features(&self, window_secs: f64) -> Vec<f64>;
+
+        /// Video packets accumulated into the current window.
+        fn video_packets(&self) -> usize;
+
+        /// Clears the current window, retaining buffer capacity.
+        fn reset(&mut self);
+
+        /// A source as freshly built from the same configuration: what an
+        /// empty window's features are computed from.
+        fn pristine(&self) -> Self;
+
+        /// Heap bytes the accumulators hold.
+        fn heap_bytes(&self) -> usize;
+    }
 }
 
-/// The shared heuristic state machine: gap quarantine, window clock,
-/// frame offering, and safe/final draining. Owns two scratch buffers
+use sources::{FeatureSource, FrameSource};
+
+// ---------------------------------------------------------------------------
+// Heuristic engines: one driver over two frame sources
+// ---------------------------------------------------------------------------
+
+/// A streaming heuristic engine: window clock, frame offering, and
+/// safe/final draining over a frame source. Owns two scratch buffers
 /// (sealed frames, drained windows) so the per-packet cycle recycles
 /// capacity instead of allocating.
-struct HeuristicDriver<S> {
+pub struct HeuristicDriver<S> {
     source: S,
-    state: HeuristicState,
-    method: Method,
+    clock: WindowClock,
+    windower: QoeWindower,
+    counts: ArrivalCounts,
     sealed: Vec<(u64, Frame)>,
     drained: Vec<(u64, QoeEstimate)>,
 }
 
+/// Streaming IP/UDP Heuristic: size-threshold media classification,
+/// incremental Algorithm 1, per-window QoE estimation.
+pub type IpUdpHeuristicEngine = HeuristicDriver<IpUdpFrames>;
+
+/// Streaming RTP Heuristic: payload-type media classification, incremental
+/// timestamp/marker frame grouping, per-window QoE estimation.
+pub type RtpHeuristicEngine = HeuristicDriver<RtpFrames>;
+
 impl<S: FrameSource> HeuristicDriver<S> {
-    fn new(config: EngineConfig, method: Method, source: S) -> Self {
+    fn with_source(config: EngineConfig, source: S) -> Self {
         HeuristicDriver {
             source,
-            state: HeuristicState::new(config),
-            method,
+            clock: WindowClock::new(config),
+            windower: QoeWindower::new(config.window_secs),
+            counts: ArrivalCounts::default(),
             sealed: Vec::new(),
             drained: Vec::new(),
         }
     }
 
     /// Offers freshly sealed frames from `self.sealed` to the windower,
-    /// clearing the scratch buffer.
+    /// clearing the scratch buffer. A frame ending in a window already
+    /// emitted (the capture clock stepped back) has nowhere to go and is
+    /// dropped.
     fn offer_sealed(&mut self) {
+        let next = self.windower.next_window();
         for &(id, ref frame) in &self.sealed {
-            self.state.windower.offer(id, frame);
+            if self
+                .clock
+                .window_of(frame.end_ts)
+                .is_some_and(|w| w >= next)
+            {
+                self.windower.offer(id, frame);
+            }
         }
         self.sealed.clear();
     }
@@ -604,74 +637,131 @@ impl<S: FrameSource> HeuristicDriver<S> {
     /// Converts windows drained into `self.drained` to reports, clearing
     /// the scratch buffer.
     fn report_drained(&mut self, out: &mut Vec<WindowReport>) {
-        let method = self.method;
-        // (index loop: `drained` and `state` are disjoint fields, but the
-        // report call needs `&mut self.state` while we read `drained`)
-        for i in 0..self.drained.len() {
-            let (dw, e) = self.drained[i];
-            out.push(self.state.report(method, dw, e));
+        for &(window, estimate) in &self.drained {
+            out.push(Self::report(window, estimate, self.counts.take(window)));
         }
         self.drained.clear();
     }
 
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        let Some(w) = self.state.window_of(pkt.ts) else {
-            return;
-        };
-        match self.state.gap_check(w) {
-            GapVerdict::Drop => return,
-            GapVerdict::Reanchor => {
-                // Flush everything pending before jumping: report
-                // construction must precede skip_to so window counts are
-                // consumed at their own indices.
-                self.source.seal_all_into(&mut self.sealed);
-                self.offer_sealed();
-                self.state.drain_finish_into(&mut self.drained);
-                self.report_drained(out);
-                self.state.skip_to(w);
-            }
-            GapVerdict::Normal => {}
+    fn report(window: u64, estimate: QoeEstimate, video_packets: usize) -> WindowReport {
+        WindowReport {
+            window,
+            method: S::METHOD,
+            estimate: Some(estimate),
+            features: None,
+            model_fps: None,
+            video_packets,
         }
-        self.state.observe(w);
-        if self.source.accept_into(pkt, &mut self.sealed) {
-            self.state.counts.bump(w);
+    }
+
+    /// Seals every open frame and emits everything through window
+    /// `through` and the last window holding a frame.
+    fn flush_through(&mut self, through: u64, out: &mut Vec<WindowReport>) {
+        self.source.seal_all_into(&mut self.sealed);
+        self.offer_sealed();
+        let last_open = self.windower.last_open_window().map_or(0, |w| w + 1);
+        self.windower
+            .drain_until_into((through + 1).max(last_open), &mut self.drained);
+        self.report_drained(out);
+    }
+}
+
+impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
+    fn method(&self) -> Method {
+        S::METHOD
+    }
+
+    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
+        let w = match self.clock.tick(pkt.ts) {
+            None => return,
+            Some(Tick::Start(w)) => {
+                self.windower.start_at(w);
+                w
+            }
+            Some(Tick::Step { w, .. }) => w,
+            Some(Tick::Reanchor { w, from }) => {
+                // Flush everything pending at the old epoch before
+                // jumping, so window counts are consumed at their own
+                // indices.
+                self.flush_through(from, out);
+                self.counts.clear();
+                self.windower.skip_to(w);
+                w
+            }
+        };
+        // A packet behind the emitted windows has no window left to count
+        // in.
+        if self.source.accept_into(pkt, &mut self.sealed) && w >= self.windower.next_window() {
+            self.counts.bump(w);
         }
         self.offer_sealed();
-        let min_open_end = self.source.min_open_end();
-        self.state.drain_safe_into(min_open_end, &mut self.drained);
+        // Emit every window arrivals have moved past that no still-open
+        // frame could seal into.
+        let now = self.clock.now;
+        let open_bound = self
+            .source
+            .min_open_end()
+            .and_then(|ts| self.clock.window_of(ts));
+        self.windower
+            .drain_until_into(now.min(open_bound.unwrap_or(now)), &mut self.drained);
         self.report_drained(out);
     }
 
     fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        self.source.seal_all_into(&mut self.sealed);
-        self.offer_sealed();
-        self.state.drain_finish_into(&mut self.drained);
-        self.report_drained(out);
+        if let Some(now) = self.clock.now() {
+            self.flush_through(now, out);
+        }
     }
 
     fn empty_report(&self, window: u64) -> WindowReport {
-        self.state.empty_report(self.method, window)
+        Self::report(window, self.windower.empty_estimate(), 0)
     }
 
+    /// Snapshots every pending window (`next emission ..= clock`) without
+    /// consuming anything: frames still open in the assembler are not
+    /// included, so the estimates are lower bounds.
     fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        self.state.provisional_into(self.method, out);
+        let Some(now) = self.clock.now() else {
+            return;
+        };
+        out.extend(
+            (self.windower.next_window()..=now)
+                .map(|w| Self::report(w, self.windower.peek(w), self.counts.peek(w))),
+        );
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.source.heap_bytes()
-            + self.state.heap_bytes()
+    fn state_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.source.heap_bytes()
+            + self.windower.heap_bytes()
+            + self.counts.heap_bytes()
             + self.sealed.capacity() * std::mem::size_of::<(u64, Frame)>()
             + self.drained.capacity() * std::mem::size_of::<(u64, QoeEstimate)>()
     }
 }
 
 /// Size-threshold classification feeding Algorithm 1.
-struct IpUdpSource {
+pub struct IpUdpFrames {
     classifier: MediaClassifier,
     assembler: IpUdpAssembler,
 }
 
-impl FrameSource for IpUdpSource {
+impl IpUdpHeuristicEngine {
+    /// Creates an engine from a configuration.
+    pub fn new(config: EngineConfig) -> Self {
+        HeuristicDriver::with_source(
+            config,
+            IpUdpFrames {
+                classifier: MediaClassifier::new(config.vmin),
+                assembler: IpUdpAssembler::new(config.heuristic),
+            },
+        )
+    }
+}
+
+impl FrameSource for IpUdpFrames {
+    const METHOD: Method = Method::IpUdpHeuristic;
+
     fn accept_into(&mut self, pkt: &TracePacket, sealed: &mut Vec<(u64, Frame)>) -> bool {
         if !self.classifier.is_video(pkt) {
             return false;
@@ -694,12 +784,27 @@ impl FrameSource for IpUdpSource {
 }
 
 /// Payload-type classification feeding RTP timestamp/marker grouping.
-struct RtpSource {
+pub struct RtpFrames {
     payload_map: PayloadMap,
     assembler: RtpAssembler,
 }
 
-impl FrameSource for RtpSource {
+impl RtpHeuristicEngine {
+    /// Creates an engine; the payload map supplies PT→media classification.
+    pub fn new(config: EngineConfig, payload_map: PayloadMap) -> Self {
+        HeuristicDriver::with_source(
+            config,
+            RtpFrames {
+                payload_map,
+                assembler: RtpAssembler::new(),
+            },
+        )
+    }
+}
+
+impl FrameSource for RtpFrames {
+    const METHOD: Method = Method::RtpHeuristic;
+
     fn accept_into(&mut self, pkt: &TracePacket, sealed: &mut Vec<(u64, Frame)>) -> bool {
         let Some(h) = pkt
             .rtp
@@ -725,224 +830,27 @@ impl FrameSource for RtpSource {
     }
 }
 
-/// Streaming IP/UDP Heuristic: size-threshold media classification,
-/// incremental Algorithm 1, per-window QoE estimation.
-pub struct IpUdpHeuristicEngine {
-    driver: HeuristicDriver<IpUdpSource>,
-}
-
-impl IpUdpHeuristicEngine {
-    /// Creates an engine from a configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        IpUdpHeuristicEngine {
-            driver: HeuristicDriver::new(
-                config,
-                Method::IpUdpHeuristic,
-                IpUdpSource {
-                    classifier: MediaClassifier::new(config.vmin),
-                    assembler: IpUdpAssembler::new(config.heuristic),
-                },
-            ),
-        }
-    }
-}
-
-impl QoeEstimator for IpUdpHeuristicEngine {
-    fn method(&self) -> Method {
-        Method::IpUdpHeuristic
-    }
-
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        self.driver.push_into(pkt, out)
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        self.driver.finish_into(out)
-    }
-
-    fn empty_report(&self, window: u64) -> WindowReport {
-        self.driver.empty_report(window)
-    }
-
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        self.driver.provisional_into(out)
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.driver.heap_bytes()
-    }
-}
-
-/// Streaming RTP Heuristic: payload-type media classification, incremental
-/// timestamp/marker frame grouping, per-window QoE estimation.
-pub struct RtpHeuristicEngine {
-    driver: HeuristicDriver<RtpSource>,
-}
-
-impl RtpHeuristicEngine {
-    /// Creates an engine; the payload map supplies PT→media classification.
-    pub fn new(config: EngineConfig, payload_map: PayloadMap) -> Self {
-        RtpHeuristicEngine {
-            driver: HeuristicDriver::new(
-                config,
-                Method::RtpHeuristic,
-                RtpSource {
-                    payload_map,
-                    assembler: RtpAssembler::new(),
-                },
-            ),
-        }
-    }
-}
-
-impl QoeEstimator for RtpHeuristicEngine {
-    fn method(&self) -> Method {
-        Method::RtpHeuristic
-    }
-
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        self.driver.push_into(pkt, out)
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        self.driver.finish_into(out)
-    }
-
-    fn empty_report(&self, window: u64) -> WindowReport {
-        self.driver.empty_report(window)
-    }
-
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        self.driver.provisional_into(out)
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.driver.heap_bytes()
-    }
-}
-
-/// Window clock shared by the two ML engines: first-packet anchoring,
-/// bounded gap emission, and the advance/finish bookkeeping.
-struct MlWindowClock {
-    window_us: i64,
-    current: u64,
-    started: bool,
-    gap: GapGuard,
-    /// Bounds of the `current` window (`cur_lo > cur_hi` until started):
-    /// a packet inside them is in the accumulating window — no division,
-    /// no gap check, nothing to emit. The steady-state common case.
-    cur_lo: i64,
-    cur_hi: i64,
-}
-
-impl MlWindowClock {
-    fn new(config: EngineConfig) -> Self {
-        MlWindowClock {
-            window_us: config.window_us(),
-            current: 0,
-            started: false,
-            gap: GapGuard::default(),
-            cur_lo: 1,
-            cur_hi: 0,
-        }
-    }
-
-    /// Re-anchors the current-window bounds memo after `current` moved.
-    fn rememo(&mut self) {
-        self.cur_lo = self.current as i64 * self.window_us;
-        self.cur_hi = self.cur_lo + self.window_us;
-    }
-
-    /// Accepts one packet timestamp. Returns the (bounded) range of
-    /// window indices to finalize before accumulating the packet, or
-    /// `None` when the packet must be dropped (negative timestamp, or a
-    /// quarantined far-future jump — see [`MAX_WINDOW_GAP`]). A
-    /// corroborated discontinuity finalizes only the in-progress window,
-    /// then skips to the new window without per-window reports.
-    fn advance(&mut self, ts: Timestamp) -> Option<std::ops::Range<u64>> {
-        let us = ts.as_micros();
-        if us < 0 {
-            return None;
-        }
-        if us >= self.cur_lo && us < self.cur_hi {
-            // Inside the accumulating window (started is implied: the
-            // bounds are empty until the first packet): nothing emits.
-            // An in-window packet is a Normal verdict, which clears any
-            // quarantine streak — preserve that here.
-            self.gap.suspect = None;
-            return Some(self.current..self.current);
-        }
-        let w = us.div_euclid(self.window_us) as u64;
-        if !self.started {
-            self.started = true;
-            self.current = w;
-            self.rememo();
-            return Some(w..w);
-        }
-        match self.gap.check(self.current, self.started, w) {
-            GapVerdict::Drop => None,
-            GapVerdict::Reanchor => {
-                let emit = self.current..self.current + 1;
-                self.current = w;
-                self.rememo();
-                Some(emit)
-            }
-            GapVerdict::Normal => {
-                let emit = self.current..w.max(self.current);
-                self.current = w.max(self.current);
-                self.rememo();
-                Some(emit)
-            }
-        }
-    }
-
-    /// The window to finalize at end of stream, if any packet was seen.
-    fn finish(&mut self) -> Option<u64> {
-        self.started.then(|| {
-            let w = self.current;
-            self.current += 1;
-            w
-        })
-    }
-
-    /// The window currently accumulating, if any packet was seen.
-    fn in_progress(&self) -> Option<u64> {
-        self.started.then_some(self.current)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// IP/UDP ML
+// ML engines: one driver over two feature sources
 // ---------------------------------------------------------------------------
 
-/// Streaming IP/UDP ML feature extraction (+ optional model inference):
-/// the 14-feature vector per window, computed incrementally.
-pub struct IpUdpMlEngine {
-    classifier: MediaClassifier,
-    acc: IpUdpFeatureAcc,
-    /// The (constant) feature vector of an empty window, derived once
-    /// from a pristine accumulator so the formulas stay single-sourced.
-    empty_features: Vec<f64>,
-    window_secs: f64,
-    clock: MlWindowClock,
+/// A streaming ML engine: window clock and per-window feature reports
+/// (+ optional model inference) over a feature source.
+pub struct MlDriver<F> {
+    source: F,
+    clock: WindowClock,
     model: Option<RandomForest>,
 }
 
-impl IpUdpMlEngine {
-    /// Creates an engine from a configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        let window_secs = f64::from(config.window_secs);
-        IpUdpMlEngine {
-            classifier: MediaClassifier::new(config.vmin),
-            acc: IpUdpFeatureAcc::new(config.stats, config.theta_iat_us),
-            empty_features: IpUdpFeatureAcc::new(config.stats, config.theta_iat_us)
-                .features(window_secs),
-            window_secs,
-            clock: MlWindowClock::new(config),
-            model: None,
-        }
-    }
+/// Streaming IP/UDP ML: the 14-feature vector per window, computed
+/// incrementally.
+pub type IpUdpMlEngine = MlDriver<IpUdpFeatures>;
 
+/// Streaming RTP ML: the 12 flow features over PT-classified video
+/// packets plus the 12 RTP features, computed incrementally per window.
+pub type RtpMlEngine = MlDriver<RtpFeatures>;
+
+impl<F> MlDriver<F> {
     /// Attaches a trained frame-rate model; its prediction is included in
     /// every report. A cloned forest shares its trees, so flows built from
     /// one forest hold one copy between them.
@@ -950,208 +858,218 @@ impl IpUdpMlEngine {
         self.model = Some(model);
         self
     }
+}
 
-    fn emit_window(&mut self, window: u64) -> WindowReport {
-        let report = self.snapshot_window(window);
-        self.acc.reset();
-        report
+impl<F: FeatureSource> MlDriver<F> {
+    fn with_source(config: EngineConfig, source: F) -> Self {
+        MlDriver {
+            source,
+            clock: WindowClock::new(config),
+            model: None,
+        }
     }
 
-    fn snapshot_window(&self, window: u64) -> WindowReport {
-        let features = self.acc.features(self.window_secs);
+    /// The report `window` would seal with now.
+    fn snapshot(&self, window: u64) -> WindowReport {
+        let features = self.source.features(self.clock.window_secs());
         WindowReport {
             window,
-            method: Method::IpUdpMl,
+            method: F::METHOD,
             estimate: None,
             model_fps: self.model.as_ref().map(|m| m.predict(&features)),
-            video_packets: self.acc.packets() as usize,
+            video_packets: self.source.video_packets(),
             features: Some(features),
         }
     }
+
+    fn seal(&mut self, window: u64, out: &mut Vec<WindowReport>) {
+        out.push(self.snapshot(window));
+        self.source.reset();
+    }
 }
 
-impl QoeEstimator for IpUdpMlEngine {
+impl<F: FeatureSource> QoeEstimator for MlDriver<F> {
     fn method(&self) -> Method {
-        Method::IpUdpMl
+        F::METHOD
     }
 
     fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        let Some(emit) = self.clock.advance(pkt.ts) else {
-            return;
-        };
-        for w in emit {
-            let r = self.emit_window(w);
-            out.push(r);
+        match self.clock.tick(pkt.ts) {
+            None => return,
+            Some(Tick::Start(_)) => {}
+            Some(Tick::Step { w, from }) => {
+                for window in from..w {
+                    self.seal(window, out);
+                }
+            }
+            // The in-progress window seals; the gap is skipped without
+            // per-window reports.
+            Some(Tick::Reanchor { from, .. }) => self.seal(from, out),
         }
+        self.source.accept(pkt);
+    }
+
+    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
+        if let Some(now) = self.clock.now() {
+            self.seal(now, out);
+        }
+    }
+
+    fn empty_report(&self, window: u64) -> WindowReport {
+        WindowReport {
+            window,
+            method: F::METHOD,
+            estimate: None,
+            features: Some(self.source.pristine().features(self.clock.window_secs())),
+            model_fps: None,
+            video_packets: 0,
+        }
+    }
+
+    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
+        if let Some(now) = self.clock.now() {
+            out.push(self.snapshot(now));
+        }
+    }
+
+    fn state_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.source.heap_bytes()
+    }
+}
+
+/// Size-threshold classification feeding the IP/UDP feature accumulator.
+pub struct IpUdpFeatures {
+    classifier: MediaClassifier,
+    acc: IpUdpFeatureAcc,
+}
+
+impl IpUdpMlEngine {
+    /// Creates an engine from a configuration.
+    pub fn new(config: EngineConfig) -> Self {
+        MlDriver::with_source(
+            config,
+            IpUdpFeatures {
+                classifier: MediaClassifier::new(config.vmin),
+                acc: IpUdpFeatureAcc::new(config.stats, config.theta_iat_us),
+            },
+        )
+    }
+}
+
+impl FeatureSource for IpUdpFeatures {
+    const METHOD: Method = Method::IpUdpMl;
+
+    fn accept(&mut self, pkt: &TracePacket) {
         if self.classifier.is_video(pkt) {
             self.acc.push(pkt.ts, pkt.size);
         }
     }
 
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        if let Some(w) = self.clock.finish() {
-            let r = self.emit_window(w);
-            out.push(r);
+    fn features(&self, window_secs: f64) -> Vec<f64> {
+        self.acc.features(window_secs)
+    }
+
+    fn video_packets(&self) -> usize {
+        self.acc.packets() as usize
+    }
+
+    fn reset(&mut self) {
+        self.acc.reset();
+    }
+
+    fn pristine(&self) -> Self {
+        let mut acc = self.acc.clone();
+        acc.reset();
+        IpUdpFeatures {
+            classifier: self.classifier,
+            acc,
         }
     }
 
-    fn empty_report(&self, window: u64) -> WindowReport {
-        WindowReport {
-            window,
-            method: Method::IpUdpMl,
-            estimate: None,
-            features: Some(self.empty_features.clone()),
-            model_fps: None,
-            video_packets: 0,
-        }
-    }
-
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        if let Some(w) = self.clock.in_progress() {
-            out.push(self.snapshot_window(w));
-        }
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + (self.acc.state_bytes() - std::mem::size_of::<IpUdpFeatureAcc>())
-            + self.empty_features.capacity() * std::mem::size_of::<f64>()
+    fn heap_bytes(&self) -> usize {
+        self.acc.state_bytes() - std::mem::size_of::<IpUdpFeatureAcc>()
     }
 }
 
-// ---------------------------------------------------------------------------
-// RTP ML
-// ---------------------------------------------------------------------------
-
-/// Streaming RTP ML feature extraction (+ optional model inference): the
-/// 12 flow features over PT-classified video packets plus the 12 RTP
-/// features, computed incrementally per window.
-pub struct RtpMlEngine {
+/// Payload-type classification feeding the flow and RTP feature
+/// accumulators.
+pub struct RtpFeatures {
     payload_map: PayloadMap,
     flow: FlowFeatureAcc,
     rtp: RtpWindowAcc,
+    /// The session's lag anchor, set by its first video packet; it spans
+    /// windows.
     lag_ref: Option<LagReference>,
-    /// The (constant) feature vector of an empty window.
-    empty_features: Vec<f64>,
-    window_secs: f64,
-    clock: MlWindowClock,
     video_packets: usize,
-    model: Option<RandomForest>,
 }
 
 impl RtpMlEngine {
     /// Creates an engine; the payload map supplies PT→media classification.
     pub fn new(config: EngineConfig, payload_map: PayloadMap) -> Self {
-        let window_secs = f64::from(config.window_secs);
-        // An empty window's features are lag-ref independent (no frames
-        // means no lags), so one pristine-accumulator evaluation covers
-        // every empty report.
-        let mut empty_features = FlowFeatureAcc::new().features(window_secs);
-        empty_features.extend(RtpWindowAcc::new().features(None));
-        RtpMlEngine {
+        MlDriver::with_source(config, RtpFeatures::new(payload_map))
+    }
+}
+
+impl RtpFeatures {
+    fn new(payload_map: PayloadMap) -> Self {
+        RtpFeatures {
             payload_map,
             flow: FlowFeatureAcc::new(),
             rtp: RtpWindowAcc::new(),
             lag_ref: None,
-            empty_features,
-            window_secs,
-            clock: MlWindowClock::new(config),
             video_packets: 0,
-            model: None,
-        }
-    }
-
-    /// Attaches a trained frame-rate model (shared, as for
-    /// [`IpUdpMlEngine::with_model`]).
-    pub fn with_model(mut self, model: RandomForest) -> Self {
-        self.model = Some(model);
-        self
-    }
-
-    fn emit_window(&mut self, window: u64) -> WindowReport {
-        let report = self.snapshot_window(window);
-        self.flow.reset();
-        self.rtp.reset();
-        self.video_packets = 0;
-        report
-    }
-
-    fn snapshot_window(&self, window: u64) -> WindowReport {
-        let mut features = self.flow.features(self.window_secs);
-        features.extend(self.rtp.features(self.lag_ref));
-        WindowReport {
-            window,
-            method: Method::RtpMl,
-            estimate: None,
-            model_fps: self.model.as_ref().map(|m| m.predict(&features)),
-            video_packets: self.video_packets,
-            features: Some(features),
         }
     }
 }
 
-impl QoeEstimator for RtpMlEngine {
-    fn method(&self) -> Method {
-        Method::RtpMl
-    }
+impl FeatureSource for RtpFeatures {
+    const METHOD: Method = Method::RtpMl;
 
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        let Some(emit) = self.clock.advance(pkt.ts) else {
+    fn accept(&mut self, pkt: &TracePacket) {
+        let Some(h) = pkt.rtp else {
             return;
         };
-        for w in emit {
-            let r = self.emit_window(w);
-            out.push(r);
-        }
-        if let Some(h) = pkt.rtp {
-            match self.payload_map.classify(h.payload_type) {
-                Some(MediaKind::Video) => {
-                    // The lag clock anchors at the session's first video
-                    // packet ("we assume that the first frame had zero
-                    // delay", §3.3).
-                    self.lag_ref.get_or_insert(LagReference {
-                        t0: pkt.ts,
-                        ts0: h.timestamp,
-                    });
-                    self.flow.push(pkt.ts, pkt.size);
-                    self.rtp.push_video(pkt.ts, &h);
-                    self.video_packets += 1;
-                }
-                Some(MediaKind::VideoRtx) => self.rtp.push_rtx(pkt.ts, &h),
-                _ => {}
+        match self.payload_map.classify(h.payload_type) {
+            Some(MediaKind::Video) => {
+                // The lag clock anchors at the session's first video
+                // packet ("we assume that the first frame had zero
+                // delay", §3.3).
+                self.lag_ref.get_or_insert(LagReference {
+                    t0: pkt.ts,
+                    ts0: h.timestamp,
+                });
+                self.flow.push(pkt.ts, pkt.size);
+                self.rtp.push_video(pkt.ts, &h);
+                self.video_packets += 1;
             }
+            Some(MediaKind::VideoRtx) => self.rtp.push_rtx(pkt.ts, &h),
+            _ => {}
         }
     }
 
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        if let Some(w) = self.clock.finish() {
-            let r = self.emit_window(w);
-            out.push(r);
-        }
+    fn features(&self, window_secs: f64) -> Vec<f64> {
+        let mut features = self.flow.features(window_secs);
+        features.extend(self.rtp.features(self.lag_ref));
+        features
     }
 
-    fn empty_report(&self, window: u64) -> WindowReport {
-        WindowReport {
-            window,
-            method: Method::RtpMl,
-            estimate: None,
-            features: Some(self.empty_features.clone()),
-            model_fps: None,
-            video_packets: 0,
-        }
+    fn video_packets(&self) -> usize {
+        self.video_packets
     }
 
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        if let Some(w) = self.clock.in_progress() {
-            out.push(self.snapshot_window(w));
-        }
+    fn reset(&mut self) {
+        self.flow.reset();
+        self.rtp.reset();
+        self.video_packets = 0;
     }
 
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + (self.flow.state_bytes() - std::mem::size_of::<FlowFeatureAcc>())
+    fn pristine(&self) -> Self {
+        RtpFeatures::new(self.payload_map)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.flow.state_bytes() - std::mem::size_of::<FlowFeatureAcc>())
             + (self.rtp.state_bytes() - std::mem::size_of::<RtpWindowAcc>())
-            + self.empty_features.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -1881,7 +1799,7 @@ mod tests {
             let size = 450 + (i % 900) as u16;
             push(&mut engine, &pkt(i * 18_000, size));
         }
-        assert!(engine.driver.source.assembler.open_frames() <= config().heuristic.lookback + 1);
+        assert!(engine.source.assembler.open_frames() <= config().heuristic.lookback + 1);
     }
 
     #[test]
@@ -2002,6 +1920,86 @@ mod tests {
         let tail = finish(&mut ml);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].window, 7_200);
+    }
+
+    /// `frames` video frames of two packets each at 30 fps from
+    /// `start_us`, RTP-numbered from frame `first` so all four methods
+    /// see them as video.
+    fn video_frames(first: i64, frames: i64, start_us: i64) -> Vec<TracePacket> {
+        let mut out = Vec::new();
+        for f in first..first + frames {
+            let t0 = start_us + (f - first) * 33_333;
+            let size = 1000 + ((f % 9) * 13) as u16;
+            for i in 0..2u16 {
+                out.push(TracePacket {
+                    ts: Timestamp::from_micros(t0 + i64::from(i) * 300),
+                    size,
+                    rtp: Some(vcaml_rtp::RtpHeader::basic(
+                        102,
+                        (f * 2) as u16 + i,
+                        (f * 3000) as u32,
+                        1,
+                        i == 1,
+                    )),
+                    truth_media: None,
+                });
+            }
+        }
+        out
+    }
+
+    /// Runs a clean 4 s stream and the same stream with a 2 s capture
+    /// clock step back after its third second, returning the clean run's
+    /// reports and the stepped run's, split at the step.
+    fn step_back_runs<E: QoeEstimator>(
+        new: impl Fn() -> E,
+    ) -> (Vec<WindowReport>, Vec<WindowReport>, Vec<WindowReport>) {
+        let (before, after) = (video_frames(0, 90, 0), video_frames(90, 30, 3_000_000));
+        let step = video_frames(90, 15, 1_000_000);
+        let clean = run(&mut new(), &[before.clone(), after.clone()].concat());
+        let mut engine = new();
+        let mut emitted = Vec::new();
+        for p in &before {
+            engine.push_into(p, &mut emitted);
+        }
+        let rest = run(&mut engine, &[step, after].concat());
+        (clean, emitted, rest)
+    }
+
+    fn assert_step_back_keeps_emitted_windows<E: QoeEstimator>(new: impl Fn() -> E) {
+        let (clean, emitted, rest) = step_back_runs(new);
+        let method = clean[0].method;
+        assert!(
+            !emitted.is_empty(),
+            "{method:?}: nothing emitted before the step"
+        );
+        let dump = |r: &[WindowReport]| format!("{r:?}");
+        assert_eq!(dump(&emitted), dump(&clean[..emitted.len()]), "{method:?}");
+        let windows: Vec<u64> = emitted.iter().chain(&rest).map(|r| r.window).collect();
+        assert_eq!(windows, (0..4).collect::<Vec<_>>(), "{method:?}");
+    }
+
+    #[test]
+    fn a_clock_step_back_keeps_the_emitted_windows() {
+        let map = vcaml_rtp::PayloadMap::lab(VcaKind::Teams);
+        assert_step_back_keeps_emitted_windows(|| IpUdpHeuristicEngine::new(config()));
+        assert_step_back_keeps_emitted_windows(|| RtpHeuristicEngine::new(config(), map));
+        assert_step_back_keeps_emitted_windows(|| IpUdpMlEngine::new(config()));
+        assert_step_back_keeps_emitted_windows(|| RtpMlEngine::new(config(), map));
+        // A heuristic engine keeps no arrival count for a window it
+        // already emitted.
+        let mut engine = IpUdpHeuristicEngine::new(config());
+        let mut out = Vec::new();
+        for p in &[video_frames(0, 90, 0), video_frames(90, 15, 1_000_000)].concat() {
+            engine.push_into(p, &mut out);
+        }
+        let next = engine.windower.next_window();
+        assert!(next >= 2, "windows 0 and 1 were emitted");
+        assert!(
+            engine.counts.counts.iter().all(|&(w, _)| w >= next),
+            "{:?} behind window {next}",
+            engine.counts.counts
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`api`] — **the public monitoring facade and the crate's stable
 //!   contract**: [`api::MonitorBuilder`] → [`api::Monitor`] → a stream of
-//!   [`api::QoeEvent`]s, with raw-packet ingestion (eth→ip→udp layered
-//!   parse, RTP parse-attempt with confidence fallback and periodic
+//!   [`api::QoeEvent`]s, with raw-packet ingestion (one fused
+//!   eth→ip→udp header parse, RTP parse-attempt with confidence fallback and periodic
 //!   re-probe), optional shard worker threads, idle eviction that
 //!   surfaces final windows, and JSON-lines output;
 //! * [`source`] / [`sink`] / [`runner`] — **the pluggable I/O layer**:

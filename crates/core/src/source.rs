@@ -48,7 +48,7 @@ use vcaml_netpkt::{Error as NetError, FlowKey, LinkType, Timestamp};
 #[derive(Debug, Clone)]
 pub enum SourcePacket {
     /// A raw pcap record plus the capture's link type; the monitor does
-    /// the layered eth→ip→udp parse and classifies failures.
+    /// one fused eth→ip→udp header parse and classifies failures.
     Record {
         /// Link type of the capture the record came from.
         link: LinkType,

@@ -52,8 +52,8 @@ fn main() {
     );
 
     // 3. Read it back through the I/O layer: a `PcapFileSource` yields
-    //    the raw records, the monitor does the layered eth→ip→udp parse
-    //    and the RTP parse-attempt, and a bounded channel subscriber
+    //    the raw records, the monitor does one fused eth→ip→udp header
+    //    parse and the RTP parse-attempt, and a bounded channel subscriber
     //    receives the typed events (shared `Arc`s — no event is ever
     //    deep-copied on its way out) — the exact pipeline a live tap
     //    runs. `spawn()` supervises the run on a background thread.

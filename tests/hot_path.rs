@@ -11,11 +11,10 @@
 //!
 //! This file is where the contract is held; no static rule shadows it.
 //! Seeding an allocation into each per-packet function makes a test here
-//! fail, except in four that no non-sealing packet reaches and so need no
-//! case: `ArrivalCounts::take` / `peek` run only when a report is built,
-//! `MlWindowClock::rememo` only when the window index moves, and
-//! `json::escaped` only for a string that needs escaping, which no event
-//! field is.
+//! fail, except in three that no non-sealing packet reaches and so need
+//! no case: `ArrivalCounts::take` / `peek` run only when a report is
+//! built, and `json::escaped` only for a string that needs escaping,
+//! which no event field is.
 //!
 //! Every engine runs under [`EngineConfig::paper`], the configuration
 //! `MonitorBuilder::new` ships. The ML engines keep per-window value logs
@@ -365,9 +364,14 @@ fn assert_state_is_one_windows_content<E: QoeEstimator>(
 fn ipudp_ml_state_is_one_windows_content() {
     let engine = IpUdpMlEngine::new(EngineConfig::paper(VcaKind::Teams));
     // No set over the size domain: unique sizes are counted from the size
-    // log at seal, so a fresh engine is its struct and one empty-window
-    // vector, and only the two value logs grow.
+    // log at seal, so a fresh engine is its struct and nothing on the
+    // heap, and only the two value logs grow.
     let fresh = engine.state_bytes();
+    assert_eq!(
+        fresh,
+        std::mem::size_of::<IpUdpMlEngine>(),
+        "IpUdpMl: a fresh engine holds heap"
+    );
     assert!(fresh < 1_024, "IpUdpMl: a fresh engine holds {fresh} B");
     assert_state_is_one_windows_content(engine, 0, "IpUdpMl");
 }
@@ -377,6 +381,11 @@ fn rtp_ml_state_is_one_windows_content() {
     let engine = RtpMlEngine::new(
         EngineConfig::paper(VcaKind::Teams),
         PayloadMap::lab(VcaKind::Teams),
+    );
+    assert_eq!(
+        engine.state_bytes(),
+        std::mem::size_of::<RtpMlEngine>(),
+        "RtpMl: a fresh engine holds heap"
     );
     // Per distinct RTP timestamp: a 16-byte frame entry at the next power
     // of two, and a 4-byte set slot at no more than twice that.
