@@ -9,7 +9,8 @@
 //! replays of recorded traces), performing one fused eth→ip→udp header
 //! parse and the RTP parse-attempt itself; callers never touch `netpkt`
 //! internals. Output is a stream of [`QoeEvent`]s — window
-//! reports, flow lifecycle, classified parse drops — drained as an
+//! reports, flow lifecycle, per-interval summaries of classified parse
+//! drops — drained as an
 //! iterator (or, through [`crate::runner::MonitorRunner`], published to
 //! subscriber sinks), and serializable as JSON lines for dashboards and
 //! log shippers.

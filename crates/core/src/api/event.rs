@@ -9,8 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use vcaml_netpkt::{Error as NetError, FlowKey, Timestamp};
 
 /// Why a raw packet was not ingested. Every packet offered to a
-/// [`Monitor`] is either routed to a flow or accounted for with one of
-/// these in a [`QoeEvent::ParseDrop`].
+/// [`Monitor`] is either routed to a flow or counted under one of these
+/// ([`MonitorStats::parse_drops_by_reason`], and the `by_reason` of the
+/// [`QoeEvent::ParseDrops`] summary its interval closes into). Only the
+/// variant is counted: the layer and constraint it carries are for
+/// callers that classify a record themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParseDropReason {
     /// The buffer ended before a protocol header did.
@@ -160,12 +163,22 @@ pub enum QoeEvent {
         /// The flow's final windows, flushed by sealing.
         final_reports: Vec<WindowReport>,
     },
-    /// A packet could not be ingested; the reason classifies the drop.
-    ParseDrop {
-        /// Capture time of the dropped packet.
-        ts: Timestamp,
-        /// Why it was dropped.
-        reason: ParseDropReason,
+    /// Records the monitor could not ingest, summarized. Each producer
+    /// (the monitor's own front doors, or each of a runner's ingest
+    /// ports) counts its rejects and publishes one summary per `window_secs` interval of
+    /// capture time in which any were dropped: the first record at or
+    /// past the interval's end closes it, and so does end of stream. A
+    /// record from an earlier interval folds into the pending summary.
+    /// The summaries are therefore a function of the record stream
+    /// alone, whatever the threading or drain timing.
+    ParseDrops {
+        /// Earliest capture time folded in.
+        first_ts: Timestamp,
+        /// Latest capture time folded in.
+        last_ts: Timestamp,
+        /// Records dropped, by [`ParseDropReason::index`] (labels:
+        /// [`ParseDropReason::TAGS`]).
+        by_reason: [u64; 5],
     },
     /// Events were discarded because the bounded event queue overflowed
     /// under [`OverflowPolicy::DropOldest`]. The marker leads the next
@@ -176,9 +189,10 @@ pub enum QoeEvent {
         count: u64,
         /// Flow-attributed breakdown of `count`, sorted by flow —
         /// dashboards can show *which* flows lost freshness. Events with
-        /// no flow (parse drops) are in `count` but not listed here, and
-        /// attribution is bounded (4096 flows per interval) so `count`
-        /// can exceed the breakdown's sum under extreme flow churn.
+        /// no flow (parse-drop summaries) are in `count` but not listed
+        /// here, and attribution is bounded (4096 flows per interval) so
+        /// `count` can exceed the breakdown's sum under extreme flow
+        /// churn.
         per_flow: Vec<(FlowKey, u64)>,
     },
 }
@@ -212,9 +226,14 @@ impl Clone for QoeEvent {
                 reason: *reason,
                 final_reports: final_reports.clone(),
             },
-            QoeEvent::ParseDrop { ts, reason } => QoeEvent::ParseDrop {
-                ts: *ts,
-                reason: *reason,
+            QoeEvent::ParseDrops {
+                first_ts,
+                last_ts,
+                by_reason,
+            } => QoeEvent::ParseDrops {
+                first_ts: *first_ts,
+                last_ts: *last_ts,
+                by_reason: *by_reason,
             },
             QoeEvent::Dropped { count, per_flow } => QoeEvent::Dropped {
                 count: *count,
@@ -231,7 +250,7 @@ impl QoeEvent {
             QoeEvent::FlowOpened { .. } => "flow_opened",
             QoeEvent::WindowReport { .. } => "window_report",
             QoeEvent::FlowEvicted { .. } => "flow_evicted",
-            QoeEvent::ParseDrop { .. } => "parse_drop",
+            QoeEvent::ParseDrops { .. } => "parse_drop",
             QoeEvent::Dropped { .. } => "dropped",
         }
     }
@@ -273,19 +292,15 @@ impl QoeEvent {
                     report.write_json(out)
                 });
             }
-            QoeEvent::ParseDrop { ts, reason } => {
-                json::int(o.key("ts_us"), ts.as_micros());
-                json::str(o.key("reason"), reason.tag());
-                match reason {
-                    ParseDropReason::Truncated { layer } | ParseDropReason::Checksum { layer } => {
-                        json::str(o.key("layer"), layer);
-                    }
-                    ParseDropReason::Malformed { layer, what } => {
-                        json::str(o.key("layer"), layer);
-                        json::str(o.key("what"), what);
-                    }
-                    ParseDropReason::NotUdp | ParseDropReason::NegativeTimestamp => {}
-                }
+            QoeEvent::ParseDrops {
+                first_ts,
+                last_ts,
+                by_reason,
+            } => {
+                json::int(o.key("first_ts_us"), first_ts.as_micros());
+                json::int(o.key("last_ts_us"), last_ts.as_micros());
+                json::uint(o.key("count"), by_reason.iter().sum());
+                write_by_reason(o.key("by_reason"), by_reason);
             }
             QoeEvent::Dropped { count, per_flow } => {
                 json::uint(o.key("count"), *count);
@@ -301,15 +316,16 @@ impl QoeEvent {
         o.end();
     }
 
-    /// The flow this event belongs to (`None` for [`QoeEvent::ParseDrop`],
-    /// which happens before flow attribution, and [`QoeEvent::Dropped`],
-    /// which aggregates across flows).
+    /// The flow this event belongs to (`None` for
+    /// [`QoeEvent::ParseDrops`], whose records never reached flow
+    /// attribution, and [`QoeEvent::Dropped`], which aggregates across
+    /// flows).
     pub fn flow(&self) -> Option<FlowKey> {
         match self {
             QoeEvent::FlowOpened { flow, .. }
             | QoeEvent::WindowReport { flow, .. }
             | QoeEvent::FlowEvicted { flow, .. } => Some(*flow),
-            QoeEvent::ParseDrop { .. } | QoeEvent::Dropped { .. } => None,
+            QoeEvent::ParseDrops { .. } | QoeEvent::Dropped { .. } => None,
         }
     }
 
@@ -329,7 +345,7 @@ impl QoeEvent {
             QoeEvent::FlowEvicted { final_reports, .. } => final_reports,
             QoeEvent::WindowReport { .. }
             | QoeEvent::FlowOpened { .. }
-            | QoeEvent::ParseDrop { .. }
+            | QoeEvent::ParseDrops { .. }
             | QoeEvent::Dropped { .. } => &[],
         }
     }
@@ -340,8 +356,9 @@ impl QoeEvent {
 pub struct MonitorStats {
     /// Packets routed to a flow engine.
     pub packets: u64,
-    /// Packets dropped at parse time (see [`QoeEvent::ParseDrop`]): the
-    /// sum of `parse_drops_by_reason`.
+    /// Packets dropped at parse time: the sum of `parse_drops_by_reason`,
+    /// and of the `count`s of the [`QoeEvent::ParseDrops`] summaries
+    /// published so far plus those still pending.
     pub parse_drops: u64,
     /// `parse_drops` split by why, in [`ParseDropReason::index`] order
     /// (labels: [`ParseDropReason::TAGS`]) — what a tap is rejecting.
@@ -359,10 +376,10 @@ pub struct MonitorStats {
     /// ([`OverflowPolicy::DropOldest`] only).
     pub events_dropped: u64,
     /// Flow-attributed breakdown of `events_dropped`, sorted by flow.
-    /// Events with no flow (parse drops) are counted in `events_dropped`
-    /// but not listed here, and attribution is bounded (4096 flows over
-    /// the monitor's lifetime) so long-running monitors with endless
-    /// flow churn keep O(1) accounting state.
+    /// Events with no flow (parse-drop summaries) are counted in
+    /// `events_dropped` but not listed here, and attribution is bounded
+    /// (4096 flows over the monitor's lifetime) so long-running monitors
+    /// with endless flow churn keep O(1) accounting state.
     pub dropped_by_flow: Vec<(FlowKey, u64)>,
 }
 
@@ -373,11 +390,7 @@ impl MonitorStats {
         let mut o = json::Object::begin(out);
         json::uint(o.key("packets"), self.packets);
         json::uint(o.key("parse_drops"), self.parse_drops);
-        let mut by_reason = json::Object::begin(o.key("parse_drops_by_reason"));
-        for (&tag, n) in ParseDropReason::TAGS.iter().zip(self.parse_drops_by_reason) {
-            json::uint(by_reason.key(tag), n);
-        }
-        by_reason.end();
+        write_by_reason(o.key("parse_drops_by_reason"), &self.parse_drops_by_reason);
         json::uint(o.key("flows_opened"), self.flows_opened);
         json::uint(o.key("flows_evicted"), self.flows_evicted);
         json::uint(o.key("window_reports"), self.window_reports);
@@ -396,6 +409,16 @@ impl MonitorStats {
         );
         o.end();
     }
+}
+
+/// Appends per-reason drop counts as an object keyed by
+/// [`ParseDropReason::TAGS`], in index order.
+fn write_by_reason(out: &mut String, by_reason: &[u64; 5]) {
+    let mut o = json::Object::begin(out);
+    for (&tag, &n) in ParseDropReason::TAGS.iter().zip(by_reason) {
+        json::uint(o.key(tag), n);
+    }
+    o.end();
 }
 
 /// Shared, thread-safe counter cells behind [`MonitorStats`]: shard

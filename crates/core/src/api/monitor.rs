@@ -5,8 +5,8 @@ use super::decode::{self, Decoded};
 use super::event::StatsCells;
 use super::shard::{RoutedPacket, ShardState};
 use super::{
-    EstimationMethod, MonitorBuilder, MonitorStats, OverflowPolicy, ParseDropReason, QoeEvent,
-    INGEST_BATCH, TABLE_SHARDS,
+    EstimationMethod, MonitorBuilder, MonitorStats, OverflowPolicy, QoeEvent, INGEST_BATCH,
+    TABLE_SHARDS,
 };
 use crate::backpressure::EventQueue;
 use crate::control::{ControlShared, MonitorHandle};
@@ -31,13 +31,96 @@ fn unshare(event: Arc<QoeEvent>) -> QoeEvent {
     Arc::try_unwrap(event).unwrap_or_else(|shared| (*shared).clone())
 }
 
-/// Counts a parse drop under its reason and queues its event: one
-/// allocation (the delivery `Arc`) and one queue lock per dropped record.
-/// `may_wait` as for [`EventQueue::push`].
-fn parse_drop(shared: &MonitorHandle, ts: Timestamp, reason: ParseDropReason, may_wait: bool) {
-    shared.stats.parse_drops[reason.index()].fetch_add(1, Relaxed);
-    let event = Arc::new(QoeEvent::ParseDrop { ts, reason });
-    shared.queue.push(std::iter::once(event), may_wait);
+/// One producer's pending parse-drop summary. A rejected record is a
+/// per-reason counter bump and a fold in here, nothing else: no event,
+/// no allocation, no queue lock. The summary becomes one
+/// [`QoeEvent::ParseDrops`] when a record the producer handles reaches
+/// the end of the pending summary's interval (intervals are aligned on
+/// `window_us` of capture time), and at the producer's end of stream —
+/// never on a drain, a flush or wall time, so the summaries a stream
+/// yields depend on its records alone and an inline and a threaded run
+/// of the same capture publish the same ones.
+struct DropSummary {
+    window_us: i64,
+    /// End of the pending summary's interval; `i64::MAX` when nothing is
+    /// pending. The accept path's whole cost is one compare against it.
+    close_at_us: i64,
+    first_us: i64,
+    last_us: i64,
+    by_reason: [u64; 5],
+}
+
+impl DropSummary {
+    fn new(window_us: i64) -> Self {
+        DropSummary {
+            window_us,
+            close_at_us: i64::MAX,
+            first_us: 0,
+            last_us: 0,
+            by_reason: [0; 5],
+        }
+    }
+
+    /// Where every front door's outcome passes before it is handled:
+    /// closes the pending summary if the record's timestamp has reached
+    /// its end, then hands an accepted packet back, or counts and folds
+    /// in a rejected one. `may_wait` as for [`EventQueue::push`].
+    fn admit(
+        &mut self,
+        decoded: Decoded,
+        shared: &MonitorHandle,
+        may_wait: bool,
+    ) -> Option<(FlowKey, TracePacket)> {
+        let ts = match &decoded {
+            Ok((_, pkt)) => pkt.ts,
+            Err((ts, _)) => *ts,
+        };
+        if ts.as_micros() >= self.close_at_us {
+            self.close(&shared.queue, may_wait);
+        }
+        match decoded {
+            Ok(routed) => Some(routed),
+            Err((ts, reason)) => {
+                shared.stats.parse_drops[reason.index()].fetch_add(1, Relaxed);
+                self.fold(ts.as_micros(), reason.index());
+                None
+            }
+        }
+    }
+
+    fn fold(&mut self, us: i64, reason: usize) {
+        if self.by_reason == [0; 5] {
+            // The interval's end; past the last representable one the
+            // summary waits for end of stream (or a record at i64::MAX).
+            self.close_at_us = us
+                .div_euclid(self.window_us)
+                .checked_add(1)
+                .and_then(|i| i.checked_mul(self.window_us))
+                .unwrap_or(i64::MAX);
+            (self.first_us, self.last_us) = (us, us);
+        } else {
+            // A record from an earlier interval (a clock step back) folds
+            // into the pending summary rather than opening its own.
+            self.first_us = self.first_us.min(us);
+            self.last_us = self.last_us.max(us);
+        }
+        self.by_reason[reason] += 1;
+    }
+
+    /// Publishes the pending summary, if any: one delivery `Arc` and one
+    /// queue lock per summary.
+    fn close(&mut self, queue: &EventQueue, may_wait: bool) {
+        self.close_at_us = i64::MAX;
+        if self.by_reason == [0; 5] {
+            return;
+        }
+        let event = Arc::new(QoeEvent::ParseDrops {
+            first_ts: Timestamp::from_micros(self.first_us),
+            last_ts: Timestamp::from_micros(self.last_us),
+            by_reason: std::mem::take(&mut self.by_reason),
+        });
+        queue.push(std::iter::once(event), may_wait);
+    }
 }
 
 /// One message on a shard worker's bounded ingest channel.
@@ -293,6 +376,9 @@ pub struct Monitor {
     /// Staging buffer backing the `drain_events` iterator. Visible to
     /// the facade's white-box tests, which stage into it directly.
     pub(super) drained: VecDeque<Arc<QoeEvent>>,
+    /// The parse drops of records ingested through the monitor's own
+    /// front doors (ingest ports keep their own).
+    drops: DropSummary,
 }
 
 impl Monitor {
@@ -380,6 +466,7 @@ impl Monitor {
             },
             dispatch,
             drained: VecDeque::new(),
+            drops: DropSummary::new(builder.config.window_us()),
         }
     }
 
@@ -508,18 +595,14 @@ impl Monitor {
     }
 
     /// Where every front door ends: the packet goes to its flow's shard,
-    /// or its drop is counted and reported.
+    /// or its drop is counted into the monitor's summary.
     fn route(&mut self, decoded: Decoded) {
-        let (flow, pkt) = match decoded {
-            Ok(routed) => routed,
-            Err((ts, reason)) => {
-                // The caller *is* the queue's consumer: parking here
-                // against a full Block queue would be waiting on itself
-                // (workers only widen the queue, they never drain it),
-                // so the drop marker goes in without waiting.
-                parse_drop(&self.shared, ts, reason, false);
-                return;
-            }
+        // The caller *is* the queue's consumer: parking here against a
+        // full Block queue would be waiting on itself (workers only widen
+        // the queue, they never drain it), so a closing summary goes in
+        // without waiting.
+        let Some((flow, pkt)) = self.drops.admit(decoded, &self.shared, false) else {
+            return;
         };
         let queue = &self.shared.queue;
         match &mut self.dispatch {
@@ -553,6 +636,7 @@ impl Monitor {
         // DropOldest — the end-of-stream flush is lossless by contract.
         let queue = &self.shared.queue;
         queue.release();
+        self.drops.close(queue, false);
         match std::mem::replace(&mut self.dispatch, Dispatch::Done) {
             Dispatch::Inline(mut shard) => {
                 shard.finish();
@@ -588,6 +672,7 @@ impl Monitor {
                 wants_rtp: self.wants_rtp,
                 shared: self.shared.clone(),
                 lanes: lanes.fork(),
+                drops: DropSummary::new(self.drops.window_us),
             }),
             Dispatch::Inline(_) | Dispatch::Done => None,
         }
@@ -606,38 +691,53 @@ impl Monitor {
 /// loop), or a `Block` queue can park the pipeline; this is why ports
 /// are crate-internal and only [`crate::runner::MonitorRunner`] hands
 /// them out.
+///
+/// A port keeps its own parse-drop summary, over its own records: it
+/// closes on the port's record clock and at [`IngestPort::finish`],
+/// never on a flush.
 pub(crate) struct IngestPort {
     wants_rtp: bool,
     shared: MonitorHandle,
     lanes: Lanes,
+    drops: DropSummary,
 }
 
 impl IngestPort {
     /// Ingests whatever a [`PacketSource`](crate::source::PacketSource)
-    /// yielded.
+    /// yielded. Unlike the monitor's own front doors, a closing drop
+    /// summary may park against a full Block queue here: the port holder
+    /// is an ingest thread, and the runner's event loop is the
+    /// concurrent drainer that frees it.
     pub(crate) fn ingest(&mut self, pkt: SourcePacket) {
-        match decode::source(&pkt, self.wants_rtp) {
-            Ok((flow, pkt)) => self.lanes.push(flow, pkt, blocking_send),
-            // Unlike the monitor's own drop path this may park against a
-            // full Block queue: the port holder is an ingest thread, and
-            // the runner's event loop is the concurrent drainer that
-            // frees it.
-            Err((ts, reason)) => parse_drop(&self.shared, ts, reason, true),
+        let decoded = decode::source(&pkt, self.wants_rtp);
+        if let Some((flow, pkt)) = self.drops.admit(decoded, &self.shared, true) {
+            self.lanes.push(flow, pkt, blocking_send);
         }
     }
 
-    /// Sends every partially filled batch to its shard worker. Call
-    /// before dropping the port so no tail packet is left behind.
+    /// Sends every partially filled batch to its shard worker (a live
+    /// source's per-packet hand-off). The drop summary stays pending:
+    /// closing it here would publish one per flush, per record again.
     pub(crate) fn flush(&mut self) {
+        self.lanes.flush(blocking_send);
+    }
+
+    /// End of this port's stream: publishes its pending drop summary and
+    /// sends every partially filled batch. Call it on the ingest thread
+    /// while the runner's event loop still drains, which is what makes
+    /// the summary's waiting push safe.
+    pub(crate) fn finish(mut self) {
+        self.drops.close(&self.shared.queue, true);
         self.lanes.flush(blocking_send);
     }
 }
 
 impl Drop for IngestPort {
-    /// Best-effort tail flush for ports dropped without [`IngestPort::flush`]
-    /// (ingest-thread panic): delivery is only guaranteed after an
-    /// explicit flush, but don't silently strand full batches either.
+    /// Best-effort tail for ports dropped without [`IngestPort::finish`]
+    /// (ingest-thread panic): delivery is only guaranteed by `finish`,
+    /// but don't silently strand a drop summary or full batches either.
     fn drop(&mut self) {
+        self.drops.close(&self.shared.queue, true);
         self.lanes.flush(|tx, msg| {
             let _ = tx.send(msg);
         });

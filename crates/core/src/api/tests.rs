@@ -307,20 +307,77 @@ fn default_has_no_provisional_reports() {
     )));
 }
 
+/// Every parse-drop summary in `events`, as `(first_us, last_us,
+/// by_reason)`.
+fn summaries(events: &[QoeEvent]) -> Vec<(i64, i64, [u64; 5])> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            QoeEvent::ParseDrops {
+                first_ts,
+                last_ts,
+                by_reason,
+            } => Some((first_ts.as_micros(), last_ts.as_micros(), *by_reason)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn negative_timestamps_classified() {
     let mut m = fixed(Method::IpUdpHeuristic).build();
     m.ingest_packet(flow_key(1), pkt(-5, 1100));
-    let events: Vec<QoeEvent> = m.drain_events().collect();
-    assert!(matches!(
-        events[0],
-        QoeEvent::ParseDrop {
-            reason: ParseDropReason::NegativeTimestamp,
-            ..
-        }
-    ));
     assert_eq!(m.stats().parse_drops, 1);
     assert_eq!(m.active_flows(), 0);
+    assert_eq!(m.drain_events().count(), 0, "counted, not yet summarized");
+    assert_eq!(summaries(&m.finish()), [(-5, -5, [0, 0, 0, 0, 1])]);
+}
+
+/// The close rule: a summary covers one `window_secs` interval of record
+/// time, closes on the first record (accepted or not) at or past its
+/// end, and once more at end of stream — and a drain never closes one.
+#[test]
+fn drop_summary_closes_on_record_time_and_at_finish() {
+    let mut arp = [0u8; 42];
+    arp[12..14].copy_from_slice(&[0x08, 0x06]);
+    let mut m = fixed(Method::IpUdpHeuristic).build();
+    m.ingest_frame(Timestamp::from_millis(100), &arp);
+    m.ingest_frame(Timestamp::from_millis(900), &[0u8; 10]);
+    assert_eq!(m.drain_events().count(), 0, "a drain closes nothing");
+    m.ingest_packet(flow_key(1), pkt(1_000_000, 1100));
+    let closed: Vec<QoeEvent> = m.drain_events().collect();
+    assert_eq!(summaries(&closed), [(100_000, 900_000, [1, 0, 0, 1, 0])]);
+    m.ingest_frame(Timestamp::from_millis(2500), &arp);
+    let events = m.finish();
+    assert_eq!(
+        summaries(&events),
+        [(2_500_000, 2_500_000, [0, 0, 0, 1, 0])]
+    );
+}
+
+/// A record from an earlier interval — a clock step back, or a negative
+/// timestamp — folds into the pending summary, widening its bounds; the
+/// interval's end stays where its first record put it.
+#[test]
+fn drop_summary_folds_a_clock_step_back() {
+    let mut m = fixed(Method::IpUdpHeuristic).window_secs(2).build();
+    m.ingest_frame(Timestamp::from_millis(4500), &[0u8; 10]); // interval [4 s, 6 s)
+    m.ingest_frame(Timestamp::from_millis(100), &[0u8; 10]); // step back
+    m.ingest_packet(flow_key(1), pkt(-3, 1100)); // negative
+    m.ingest_packet(flow_key(1), pkt(5_999_999, 1100)); // accepted, no close
+    assert_eq!(
+        m.drain_events().filter(|e| e.tag() == "parse_drop").count(),
+        0
+    );
+    m.ingest_frame(Timestamp::from_secs(6), &[0u8; 10]);
+    let events = m.finish();
+    assert_eq!(
+        summaries(&events),
+        [
+            (-3, 4_500_000, [2, 0, 0, 0, 1]),
+            (6_000_000, 6_000_000, [1, 0, 0, 0, 0])
+        ]
+    );
 }
 
 #[test]
@@ -363,14 +420,8 @@ fn raw_frame_ingestion_parses_and_routes() {
     // Truncating below the Ethernet header classifies as truncated.
     m.ingest_frame(Timestamp::from_millis(2), &frame[..10]);
     assert_eq!(m.stats().parse_drops, 1);
-    let events: Vec<QoeEvent> = m.drain_events().collect();
-    assert!(events.iter().any(|e| matches!(
-        e,
-        QoeEvent::ParseDrop {
-            reason: ParseDropReason::Truncated { .. },
-            ..
-        }
-    )));
+    assert_eq!(m.stats().parse_drops_by_reason, [1, 0, 0, 0, 0]);
+    assert_eq!(summaries(&m.finish()), [(2000, 2000, [1, 0, 0, 0, 0])]);
 }
 
 #[test]
@@ -585,7 +636,14 @@ fn drop_oldest_bounds_queue_and_accounts_drops() {
 #[test]
 fn pending_events_counts_what_dispatch_already_staged() {
     let mut m = fixed(Method::IpUdpHeuristic).build();
-    m.ingest_packet(flow_key(1), pkt(-5, 1100)); // one ParseDrop, queued
+    m.ingest_packet(flow_key(1), pkt(-5, 1100)); // one drop, pending
+    assert_eq!(
+        m.pending_events(),
+        0,
+        "a pending summary is not an event yet"
+    );
+    m.ingest_packet(flow_key(1), pkt(-1, 1100)); // same interval
+    m.ingest_frame(Timestamp::ZERO, &[0u8; 10]); // closes it, opens the next
     assert_eq!(m.pending_events(), 1);
     // What `dispatch_batch` does while it waits on a full shard channel
     // (threads ≥ 2 under Block): the queue is emptied into staging.
@@ -594,7 +652,7 @@ fn pending_events_counts_what_dispatch_already_staged() {
     assert_eq!(queue.len(), 0);
     assert_eq!(m.pending_events(), 1, "taken, not yet returned: pending");
     let events: Vec<QoeEvent> = m.drain_events().collect();
-    assert!(matches!(events[..], [QoeEvent::ParseDrop { .. }]));
+    assert_eq!(summaries(&events), [(-5, -1, [0, 0, 0, 0, 2])]);
     assert_eq!(m.pending_events(), 0);
 }
 
@@ -611,13 +669,18 @@ fn parse_drops_are_counted_by_reason() {
     let stats = m.stats();
     assert_eq!(stats.parse_drops, 5);
     assert_eq!(stats.parse_drops_by_reason, [1, 0, 0, 3, 1]);
-    // The counters agree with the events the same records produced.
+    // The counters agree with the summaries the same records produced:
+    // one for the negative timestamp's interval, one for [0 s, 1 s).
+    let events = m.finish();
+    assert_eq!(
+        summaries(&events),
+        [(-5, -5, [0, 0, 0, 0, 1]), (1000, 4000, [1, 0, 0, 3, 0])]
+    );
     let mut by_event = [0u64; 5];
-    for event in m.drain_events() {
-        let QoeEvent::ParseDrop { reason, .. } = event else {
-            panic!("only drops were fed: {event:?}");
-        };
-        by_event[reason.index()] += 1;
+    for (_, _, by_reason) in summaries(&events) {
+        for (sum, n) in by_event.iter_mut().zip(by_reason) {
+            *sum += n;
+        }
     }
     assert_eq!(by_event, stats.parse_drops_by_reason);
 }

@@ -102,7 +102,7 @@ pub(crate) struct QueueAccounting {
     /// Events discarded over the queue's lifetime.
     pub(crate) dropped_total: u64,
     /// Flow-attributed lifetime drop counts, sorted by flow for
-    /// deterministic output. Events with no flow (parse drops, markers)
+    /// deterministic output. Events with no flow (parse-drop summaries, markers)
     /// are in `dropped_total` but not here.
     pub(crate) dropped_by_flow: Vec<(FlowKey, u64)>,
     /// Queued events not yet drained (excludes any pending drop marker).
@@ -169,7 +169,7 @@ impl EventQueue {
     ///
     /// `may_wait` says whether a full `Block` queue may park the caller.
     /// It must be false for a producer that *is* the queue's consumer
-    /// (the dispatching thread emitting a parse drop), where waiting on
+    /// (the dispatching thread closing a parse-drop summary), where waiting on
     /// the queue is waiting on itself: `Block` grows past the bound
     /// instead. `DropOldest` is unaffected.
     pub(crate) fn push(&self, events: impl IntoIterator<Item = Arc<QoeEvent>>, may_wait: bool) {
@@ -345,17 +345,18 @@ mod tests {
     use vcaml_netpkt::Timestamp;
 
     fn ev(us: i64) -> Arc<QoeEvent> {
-        Arc::new(QoeEvent::ParseDrop {
-            ts: Timestamp::from_micros(us),
-            reason: crate::api::ParseDropReason::NotUdp,
+        Arc::new(QoeEvent::ParseDrops {
+            first_ts: Timestamp::from_micros(us),
+            last_ts: Timestamp::from_micros(us),
+            by_reason: [0, 0, 0, 1, 0],
         })
     }
 
     fn ts_of(event: &QoeEvent) -> i64 {
-        let QoeEvent::ParseDrop { ts, .. } = event else {
-            panic!("not a parse drop: {event:?}");
+        let QoeEvent::ParseDrops { first_ts, .. } = event else {
+            panic!("not a parse-drop summary: {event:?}");
         };
-        ts.as_micros()
+        first_ts.as_micros()
     }
 
     /// Everything one `drain_into` moves, as a fresh batch.
@@ -454,7 +455,7 @@ mod tests {
     #[test]
     fn accounting_reads_total_breakdown_and_backlog_at_one_instant() {
         let q = EventQueue::new(2, OverflowPolicy::DropOldest, false);
-        // Sheds: flow 2, one flowless parse drop, flow 1 — then two stay.
+        // Sheds: flow 2, one flowless drop summary, flow 1 — then two stay.
         q.push(
             [opened(2, 0), ev(1), opened(1, 2), opened(1, 3), ev(4)],
             true,

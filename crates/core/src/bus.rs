@@ -53,7 +53,8 @@ pub enum EventKind {
     WindowReport,
     /// [`QoeEvent::FlowEvicted`].
     FlowEvicted,
-    /// [`QoeEvent::ParseDrop`].
+    /// [`QoeEvent::ParseDrops`] (the name keeps the control socket's
+    /// `kinds=parse_drop` grammar and the JSON `type`).
     ParseDrop,
     /// [`QoeEvent::Dropped`].
     Dropped,
@@ -105,7 +106,7 @@ impl QoeEvent {
             QoeEvent::FlowOpened { .. } => EventKind::FlowOpened,
             QoeEvent::WindowReport { .. } => EventKind::WindowReport,
             QoeEvent::FlowEvicted { .. } => EventKind::FlowEvicted,
-            QoeEvent::ParseDrop { .. } => EventKind::ParseDrop,
+            QoeEvent::ParseDrops { .. } => EventKind::ParseDrop,
             QoeEvent::Dropped { .. } => EventKind::Dropped,
         }
     }
@@ -117,9 +118,9 @@ impl QoeEvent {
 pub enum Severity {
     /// Normal operation: flow lifecycle, healthy window reports.
     Info,
-    /// Something an operator may want to look at: a classified parse
-    /// drop, or a finalized window whose frame rate is below the live
-    /// alert threshold (see [`AlertThresholds`]).
+    /// Something an operator may want to look at: an interval's
+    /// parse-drop summary, or a finalized window whose frame rate is
+    /// below the live alert threshold (see [`AlertThresholds`]).
     Warning,
     /// The monitor itself lost visibility: events were shed by the
     /// bounded queue ([`QoeEvent::Dropped`]).
@@ -137,7 +138,7 @@ impl Severity {
     pub fn of(event: &QoeEvent, bar: &AlertBar) -> Severity {
         match event {
             QoeEvent::Dropped { .. } => Severity::Critical,
-            QoeEvent::ParseDrop { .. } => Severity::Warning,
+            QoeEvent::ParseDrops { .. } => Severity::Warning,
             QoeEvent::WindowReport { .. } | QoeEvent::FlowEvicted { .. }
                 if event.final_reports().iter().any(|r| bar.degrades(r)) =>
             {
@@ -388,8 +389,9 @@ impl EventFilter {
     /// previous flow restriction). A [`QoeEvent::Dropped`] marker still
     /// matches when its per-flow breakdown attributes sheds to any of
     /// these flows — the queue's exact-loss accounting must reach the
-    /// subscribers watching those flows. [`QoeEvent::ParseDrop`]
-    /// happens before flow attribution and never matches.
+    /// subscribers watching those flows. A [`QoeEvent::ParseDrops`]
+    /// summary counts records that never reached flow attribution and
+    /// never matches.
     pub fn flows(mut self, flows: impl IntoIterator<Item = FlowKey>) -> Self {
         self.flows = Some(flows.into_iter().collect());
         self
@@ -430,7 +432,7 @@ impl EventFilter {
                 QoeEvent::FlowOpened { .. }
                 | QoeEvent::WindowReport { .. }
                 | QoeEvent::FlowEvicted { .. }
-                | QoeEvent::ParseDrop { .. } => match event.flow() {
+                | QoeEvent::ParseDrops { .. } => match event.flow() {
                     Some(flow) if flows.contains(&flow) => {}
                     _ => return false,
                 },

@@ -166,7 +166,7 @@ impl EngineConfig {
         }
     }
 
-    fn window_us(&self) -> i64 {
+    pub(crate) fn window_us(&self) -> i64 {
         i64::from(self.window_secs) * 1_000_000
     }
 }

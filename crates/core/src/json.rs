@@ -298,6 +298,22 @@ mod tests {
         }
     }
 
+    /// Quote, backslash, the three named controls, any other control as
+    /// `\u00XX`, everything else (multi-byte too) raw. No event field
+    /// needs escaping, so no event line reaches this path.
+    #[test]
+    fn strings_are_escaped() {
+        let mut text = String::new();
+        str(&mut text, "a\"b\\c l1\nl2\r\tend\u{1}\u{1f}é\u{7f}");
+        assert_eq!(
+            text,
+            [r#""a\"b\\c l1\nl2\r\tend\u0001\u001f"#, "é\u{7f}\""].concat()
+        );
+        text.clear();
+        str(&mut text, "plain");
+        assert_eq!(text, r#""plain""#);
+    }
+
     #[test]
     fn keys_and_values_compose_into_an_object() {
         let mut text = String::new();

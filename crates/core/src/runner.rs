@@ -391,8 +391,9 @@ impl Drop for IngestDone<'_> {
 /// and each ingest thread wakes it on the way out. It never spins: on a
 /// shared box a spinning drain takes the core a shard worker or a paced
 /// source needs. That loop is what keeps a `Block` queue live — workers
-/// it parks are woken by our drains. Each ingest thread flushes its port
-/// on the way out, so a stop loses nothing already pulled.
+/// it parks are woken by our drains. Each ingest thread finishes its
+/// port on the way out (its tail batches and its pending parse-drop
+/// summary), so a stop loses nothing already pulled.
 #[expect(
     clippy::expect_used,
     reason = "join re-raises an ingest panic instead of hiding it"
@@ -418,7 +419,8 @@ fn run_threaded(
                         queue: &handle.queue,
                     };
                     // Declared after `_done`, so dropped before it: a
-                    // panicking thread's tail flush precedes the wake.
+                    // panicking thread's tail flush precedes the wake,
+                    // and so does `finish`'s drop summary.
                     let mut port = port;
                     // Live sources (taps, paced replays) hand every
                     // packet straight to its shard worker: at wall-clock
@@ -432,7 +434,7 @@ fn run_threaded(
                             port.flush();
                         }
                     });
-                    port.flush();
+                    port.finish();
                     report
                 })
             })

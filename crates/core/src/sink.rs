@@ -432,7 +432,9 @@ impl Summary {
     /// Folds one event into the rollups.
     pub fn observe(&mut self, event: &QoeEvent) {
         match event {
-            QoeEvent::ParseDrop { .. } => self.parse_drops += 1,
+            QoeEvent::ParseDrops { by_reason, .. } => {
+                self.parse_drops += by_reason.iter().sum::<u64>();
+            }
             QoeEvent::Dropped { count, per_flow } => {
                 self.events_shed += count;
                 for (flow, n) in per_flow {
@@ -665,12 +667,13 @@ mod tests {
             count: 5,
             per_flow: vec![(flow(), 4)],
         });
-        summary.observe(&QoeEvent::ParseDrop {
-            ts: Timestamp::from_micros(2),
-            reason: crate::api::ParseDropReason::NotUdp,
+        summary.observe(&QoeEvent::ParseDrops {
+            first_ts: Timestamp::from_micros(2),
+            last_ts: Timestamp::from_micros(9),
+            by_reason: [1, 0, 0, 2, 0],
         });
         assert_eq!(summary.events_shed, 5);
-        assert_eq!(summary.parse_drops, 1);
+        assert_eq!(summary.parse_drops, 3, "a summary counts its records");
         let (_, s) = summary.flows().next().expect("flow tracked");
         assert_eq!(s.shed, 4);
         let mut table = Vec::new();

@@ -16,7 +16,8 @@
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::{
-    ChannelSink, EstimationMethod, Method, MonitorBuilder, MonitorRunner, PcapFileSource, QoeEvent,
+    ChannelSink, EstimationMethod, Method, MonitorBuilder, MonitorRunner, ParseDropReason,
+    PcapFileSource, QoeEvent,
 };
 use vcaml_suite::vcasim::{render_pcap, Session, SessionConfig, VcaProfile};
 
@@ -73,11 +74,23 @@ fn main() {
     // 4. Per-window QoE straight off the re-parsed capture.
     println!("\n  t   FPS  kbps");
     for event in rx.try_iter() {
-        if let QoeEvent::ParseDrop { ts, reason } = &*event {
+        if let QoeEvent::ParseDrops {
+            first_ts,
+            last_ts,
+            by_reason,
+        } = &*event
+        {
+            let reasons: Vec<String> = ParseDropReason::TAGS
+                .iter()
+                .zip(by_reason)
+                .filter(|(_, &n)| n > 0)
+                .map(|(tag, n)| format!("{n} {tag}"))
+                .collect();
             println!(
-                "  (dropped record at t={}s: {:?})",
-                ts.as_secs_f64(),
-                reason
+                "  (dropped records at t={}..{}s: {})",
+                first_ts.as_secs_f64(),
+                last_ts.as_secs_f64(),
+                reasons.join(", ")
             );
             continue;
         }

@@ -22,7 +22,7 @@ use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::build_engine;
 use vcaml_suite::vcaml::{
     CallbackSink, EngineConfig, EstimationMethod, Method, Monitor, MonitorBuilder, MonitorRunner,
-    PcapFileSource, QoeEvent, Trace, WindowReport,
+    ParseDropReason, PcapFileSource, QoeEvent, Trace, WindowReport,
 };
 use vcaml_suite::vcasim::{render_pcap, Session, SessionConfig, VcaProfile};
 
@@ -183,13 +183,17 @@ fn auto_selection_preserves_window_exactness() {
 }
 
 /// What one front door made of one packet: the flow it opened, or the
-/// tag of the drop it reported.
-type Outcome = Result<FlowKey, &'static str>;
+/// per-reason counts of the drop summary it went into.
+type Outcome = Result<FlowKey, [u64; 5]>;
 
 fn outcome(event: &QoeEvent) -> Option<(Timestamp, Outcome)> {
     match event {
         QoeEvent::FlowOpened { flow, ts } => Some((*ts, Ok(*flow))),
-        QoeEvent::ParseDrop { ts, reason } => Some((*ts, Err(reason.tag()))),
+        QoeEvent::ParseDrops {
+            first_ts,
+            by_reason,
+            ..
+        } => Some((*first_ts, Err(*by_reason))),
         QoeEvent::WindowReport { .. } | QoeEvent::FlowEvicted { .. } | QoeEvent::Dropped { .. } => {
             None
         }
@@ -197,10 +201,11 @@ fn outcome(event: &QoeEvent) -> Option<(Timestamp, Outcome)> {
 }
 
 /// One front door, one classification: the same payload must open the
-/// same flow — or be dropped under the same reason tag — whether it
-/// arrives as raw IP bytes, a raw-IP pcap record, an Ethernet frame, an
-/// Ethernet pcap record, or through a runner's ingest port on a
-/// threaded monitor.
+/// same flow — or be dropped under the same reason — whether it arrives
+/// as raw IP bytes, a raw-IP pcap record, an Ethernet frame, an Ethernet
+/// pcap record, or through a runner's ingest port on a threaded monitor.
+/// Each packet has its own second of capture time, so each drop closes
+/// into a summary of its own.
 #[test]
 fn every_front_door_classifies_alike() {
     const V4: ([u8; 4], [u8; 4]) = ([10, 0, 0, 1], [10, 0, 0, 2]);
@@ -278,17 +283,19 @@ fn every_front_door_classifies_alike() {
         let mut monitor = MonitorBuilder::new(VcaKind::Teams).build();
         door(&mut monitor);
         let first = monitor
-            .drain_events()
+            .finish()
+            .into_iter()
             .next()
             .expect("one packet, one event");
         outcome(&first).expect("open or drop").1
     };
+    let at = |i: usize| Timestamp::from_millis(i as i64 * 1000 + 1);
     // Every packet of the table, as records of one capture, through a
     // runner's ingest port; outcomes come back keyed by timestamp.
     let ported = |link: LinkType| -> BTreeMap<Timestamp, Outcome> {
         let mut writer = PcapWriter::new(Vec::new(), link).expect("pcap header");
         for (i, (_, ip, ethertype, _)) in table.iter().enumerate() {
-            let ts = Timestamp::from_millis(i as i64 + 1);
+            let ts = at(i);
             let bytes = match link {
                 LinkType::Ethernet => framed(ip, *ethertype),
                 LinkType::RawIp | LinkType::Other(_) => ip.clone(),
@@ -314,7 +321,7 @@ fn every_front_door_classifies_alike() {
     let ported_eth = ported(LinkType::Ethernet);
 
     for (i, (name, ip, ethertype, expected)) in table.iter().enumerate() {
-        let ts = Timestamp::from_millis(i as i64 + 1);
+        let ts = at(i);
         let frame = framed(ip, *ethertype);
         let doors: [(&str, Outcome); 6] = [
             ("ingest_ip", inline(&|m| m.ingest_ip(ts, ip))),
@@ -331,7 +338,15 @@ fn every_front_door_classifies_alike() {
             ("ingest port, ethernet capture", ported_eth[&ts]),
         ];
         let (_, reference) = doors[0];
-        assert_eq!(reference.err(), *expected, "{name}: classification");
+        let expected = expected.map(|tag| {
+            let mut by_reason = [0; 5];
+            by_reason[ParseDropReason::TAGS
+                .iter()
+                .position(|&t| t == tag)
+                .unwrap()] = 1;
+            by_reason
+        });
+        assert_eq!(reference.err(), expected, "{name}: classification");
         for (door, got) in doors {
             assert_eq!(got, reference, "{name} through {door}");
         }

@@ -31,14 +31,21 @@ fn parse_drop_on_full_queue_threaded_block() {
             m.ingest_packet(flow, p);
         }
         std::thread::sleep(std::time::Duration::from_millis(200));
-        // Queue is now full; a parse drop must not hang the caller.
-        let p = TracePacket {
-            ts: Timestamp::from_micros(-1),
-            size: 100,
-            rtp: None,
-            truth_media: None,
-        };
-        m.ingest_packet(flow, p);
+        // Queue is now full. A drop is only counted; the next record,
+        // past its interval, closes the summary and pushes it into the
+        // full queue from the dispatching thread — which must not hang
+        // the caller.
+        for ts in [-1, 2000 * 40_000] {
+            let p = TracePacket {
+                ts: Timestamp::from_micros(ts),
+                size: 100,
+                rtp: None,
+                truth_media: None,
+            };
+            m.ingest_packet(flow, p);
+        }
+        assert_eq!(m.stats().parse_drops, 1);
+        assert!(m.drain_events().any(|e| e.tag() == "parse_drop"));
         drop(m);
         done_tx.send(()).unwrap();
     });

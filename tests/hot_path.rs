@@ -31,9 +31,10 @@
 //! packet is dropped before the next is pulled.
 //!
 //! And the facade between them: a record the [`Monitor`] rejects costs
-//! exactly one allocation from `ingest_frame` to `drain_shared` — the
-//! delivery `Arc` of its `ParseDrop` event — and a record it accepts onto
-//! an established flow costs none unless it seals a window. A new flow
+//! no allocation from `ingest_frame` to `drain_shared` — it is counted
+//! into the pending `ParseDrops` summary, whose one delivery `Arc` is
+//! paid per interval of capture time, not per record — and a record it
+//! accepts onto an established flow costs none unless it seals a window. A new flow
 //! under an auto method costs its probation buffer and its `FlowOpened`
 //! event's `Arc`, and the rest of its probation costs nothing.
 
@@ -52,7 +53,7 @@ use vcaml_suite::netpkt::{
     Timestamp, UdpRepr, IP_PROTO_UDP,
 };
 use vcaml_suite::rtp::{PayloadMap, RtpHeader, VcaKind};
-use vcaml_suite::vcaml::api::{EstimationMethod, EvictReason, Monitor, ParseDropReason, QoeEvent};
+use vcaml_suite::vcaml::api::{EstimationMethod, EvictReason, Monitor, QoeEvent};
 use vcaml_suite::vcaml::engine::{
     FlowTable, IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
@@ -453,12 +454,10 @@ fn one_event_per_variant() -> Vec<Arc<QoeEvent>> {
             reason: EvictReason::Idle,
             final_reports: vec![heuristic, ml],
         },
-        QoeEvent::ParseDrop {
-            ts: Timestamp::from_micros(7),
-            reason: ParseDropReason::Malformed {
-                layer: "udp",
-                what: "length mismatch",
-            },
+        QoeEvent::ParseDrops {
+            first_ts: Timestamp::from_micros(-7),
+            last_ts: Timestamp::from_micros(999_999),
+            by_reason: [3, 1, 0, 10_000, (1 << 53) + 1],
         },
         QoeEvent::Dropped {
             count: 12,
@@ -550,28 +549,70 @@ fn heuristic_monitor() -> Monitor {
         .build()
 }
 
-/// The reject path, which on a tap is the common path: the only heap
-/// traffic between a dropped record and its drained event is the event's
-/// delivery `Arc` — no wrapper `Vec` around it on the way in, none on the
-/// way out (three allocations per record before the hand-off was
-/// reworked).
+/// The reject path, which on a tap is the common path: a rejected record
+/// is a counter bump and a fold into the pending drop summary — no event,
+/// no allocation. The summary's one delivery `Arc` is paid when a record
+/// past its interval closes it.
 #[test]
-fn rejected_frame_costs_one_allocation_from_ingest_to_drain() {
+fn rejected_frame_costs_no_allocation_from_ingest_to_drain() {
     let mut arp = [0u8; 14 + 28];
     ethernet(EtherType::Arp).emit(&mut arp);
     let mut monitor = heuristic_monitor();
-    let mut replay = |frames: i64| {
-        let mut events = 0;
+    let second = 1_000_000;
+    let replay = |monitor: &mut Monitor, from: i64, frames: i64| {
+        let mut events = Vec::new();
         for i in 0..frames {
-            monitor.ingest_frame(Timestamp::from_micros(i), &arp);
-            events += monitor.drain_shared().count();
+            monitor.ingest_frame(Timestamp::from_micros(from + i), &arp);
+            events.extend(monitor.drain_shared());
         }
         events
     };
-    assert_eq!(replay(64), 64, "warm-up: queue and staging deque grown");
-    let (allocs, events) = metered(|| replay(10_000));
-    assert_eq!(events, 10_000, "one ParseDrop event per rejected frame");
-    assert_eq!(allocs, 10_000, "one allocation per rejected frame");
+    assert!(
+        replay(&mut monitor, 0, 64).is_empty(),
+        "warm-up: drops counted, not narrated"
+    );
+    // Warm-up, continued: an accepted packet at 1 s closes the warm-up
+    // summary (queue and staging deque grown) and opens a flow.
+    let flow = FlowKey::canonical(
+        IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
+        5000,
+        IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
+        3478,
+        17,
+    )
+    .0;
+    let packet = TracePacket {
+        ts: Timestamp::from_micros(second),
+        size: 1100,
+        rtp: None,
+        truth_media: None,
+    };
+    monitor.ingest_packet(flow, packet);
+    let tags: Vec<&str> = monitor.drain_shared().map(|e| e.tag()).collect();
+    assert_eq!(tags, ["parse_drop", "flow_opened"]);
+
+    let (allocs, events) = metered(|| replay(&mut monitor, second, 10_000));
+    assert!(events.is_empty(), "no event inside one interval");
+    assert_eq!(allocs, 0, "a rejected frame allocated");
+
+    let closed = replay(&mut monitor, 2 * second, 1);
+    let [summary] = &closed[..] else {
+        panic!("one summary per interval: {closed:?}");
+    };
+    let QoeEvent::ParseDrops {
+        first_ts,
+        last_ts,
+        by_reason,
+    } = &**summary
+    else {
+        panic!("not a parse-drop summary: {summary:?}");
+    };
+    assert_eq!(by_reason.iter().sum::<u64>(), 10_000);
+    assert_eq!(by_reason[3], 10_000, "every frame was not UDP");
+    assert_eq!(
+        (first_ts.as_micros(), last_ts.as_micros()),
+        (second, second + 9_999)
+    );
 }
 
 /// One UDP flow at 30 frames/s, four 1 100-byte packets a frame, as the

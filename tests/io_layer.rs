@@ -2,8 +2,9 @@
 //! byte-identical event sequences to every sink, a multi-source `MonitorRunner` is
 //! window-exact against sequential single-source ingest for all four
 //! methods, the pcap source round-trips written captures (property
-//! test), the per-flow shed accounting survives the whole pipeline, and
-//! a paced (live) threaded run yields the closed-loop run's events.
+//! test), the per-flow shed accounting survives the whole pipeline, a
+//! paced (live) threaded run yields the closed-loop run's events, and the
+//! parse-drop summaries are a function of the record stream alone.
 
 #![allow(
     clippy::expect_used,
@@ -16,12 +17,14 @@ use std::io::{Cursor, Write};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, Mutex};
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
-use vcaml_suite::netpkt::{FlowKey, LinkType, PcapWriter, Timestamp};
+use vcaml_suite::netpkt::pcap::PcapRecord;
+use vcaml_suite::netpkt::{Error as NetError, FlowKey, LinkType, PcapWriter, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::source::{PacketSource, PcapFileSource, SourcePacket};
 use vcaml_suite::vcaml::{
-    AlertSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder, MonitorRunner,
-    OverflowPolicy, Paced, QoeEvent, ReplaySource, SummarySink, Trace, TracePacket, WindowReport,
+    AlertSink, CallbackSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder,
+    MonitorRunner, OverflowPolicy, Paced, QoeEvent, ReplaySource, Summary, SummarySink, Trace,
+    TracePacket, WindowReport,
 };
 use vcaml_suite::vcasim::synthetic_capture;
 
@@ -188,6 +191,159 @@ fn paced_threaded_run_matches_the_closed_loop_run() {
         assert!(!closed.is_empty(), "{method:?}: the capture sealed windows");
         assert_eq!(live_events, closed_events, "{method:?}: event count");
         assert_same_windows(&format!("{method:?} paced"), &closed, &live);
+    }
+}
+
+/// Two simulated calls over 5 s with rejected records spliced in: drops
+/// in seconds 0, 1, 3 and 4 (none in 2), a pre-parsed packet with a
+/// negative timestamp, and a record stamped 1.2 s arriving at 3.6 s (a
+/// clock step back). Five summaries close over it, whoever ingests it:
+/// [0.2, 0.4] s, [1.5] s, [−5 µs], [1.2, 3.5] s and, at end of stream,
+/// [4.5] s — seven drops.
+fn feed_with_rejects() -> Vec<SourcePacket> {
+    let mut arp = [0u8; 42];
+    arp[12..14].copy_from_slice(&[0x08, 0x06]);
+    let mut bad_version = [0u8; 14 + 40];
+    bad_version[12..14].copy_from_slice(&[0x08, 0x00]);
+    bad_version[14] = 0x75;
+    let record = |ms: i64, data: &[u8]| SourcePacket::Record {
+        link: LinkType::Ethernet,
+        record: PcapRecord {
+            ts: Timestamp::from_millis(ms),
+            orig_len: data.len() as u32,
+            data: data.to_vec().into(),
+        },
+    };
+    // (where in the stream, in µs of capture time; what arrives there)
+    let mut feed: Vec<(i64, SourcePacket)> = vec![
+        (200_000, record(200, &arp)),
+        (400_000, record(400, &[0u8; 10])),
+        (1_500_000, record(1500, &bad_version)),
+        (
+            2_700_000,
+            SourcePacket::Parsed {
+                flow: flow_key(1),
+                packet: TracePacket {
+                    ts: Timestamp::from_micros(-5),
+                    size: 1100,
+                    rtp: None,
+                    truth_media: None,
+                },
+            },
+        ),
+        (3_500_000, record(3500, &arp)),
+        (3_600_000, record(1200, &arp)),
+        (4_500_000, record(4500, &[0u8; 10])),
+    ];
+    let mut calls = synthetic(5, 2, 21);
+    while let Some(pkt) = calls.next_packet().expect("a rendered capture reads") {
+        feed.push((pkt.ts().as_micros(), pkt));
+    }
+    feed.sort_by_key(|(at, _)| *at);
+    feed.into_iter().map(|(_, pkt)| pkt).collect()
+}
+
+/// A fixed packet list as a source; `live` sources get the runner's
+/// per-packet port flush.
+struct Feed {
+    packets: std::vec::IntoIter<SourcePacket>,
+    live: bool,
+}
+
+impl PacketSource for Feed {
+    fn next_packet(&mut self) -> Result<Option<SourcePacket>, NetError> {
+        Ok(self.packets.next())
+    }
+
+    fn is_live(&self) -> bool {
+        self.live
+    }
+}
+
+/// Runs `feed` through a `threads`-worker runner; returns the sorted
+/// `parse_drop` lines, the settled stats and a `Summary` of the stream.
+fn run_feed(feed: Vec<SourcePacket>, threads: usize, live: bool) -> (Vec<String>, u64, Summary) {
+    let seen = Arc::new(Mutex::new((Vec::new(), Summary::default())));
+    let sink = Arc::clone(&seen);
+    let report = MonitorRunner::new(MonitorBuilder::new(VcaKind::Teams).threads(threads))
+        .source(Feed {
+            packets: feed.into_iter(),
+            live,
+        })
+        .sink(CallbackSink::new(move |event| {
+            let (lines, summary) = &mut *sink.lock().expect("sink state");
+            summary.observe(event);
+            if event.tag() == "parse_drop" {
+                lines.push(event.to_json_line());
+            }
+        }))
+        .run();
+    let (mut lines, summary) = std::mem::take(&mut *seen.lock().expect("sink state"));
+    lines.sort();
+    (lines, report.stats.parse_drops, summary)
+}
+
+/// The drop summaries depend on the records alone: an inline monitor, a
+/// two-worker runner over a batch source and one over a live source
+/// (whose port is flushed after every packet) publish the same
+/// `parse_drop` lines, whose counts add up to the drop counter. A
+/// summary closed on a flush, a drain or wall time would differ.
+#[test]
+fn drop_summaries_are_a_function_of_the_record_stream() {
+    let feed = feed_with_rejects();
+    let mut monitor = MonitorBuilder::new(VcaKind::Teams).build();
+    let mut inline = Vec::new();
+    let mut collect = |events: &mut dyn Iterator<Item = QoeEvent>| {
+        inline.extend(
+            events
+                .filter(|e| e.tag() == "parse_drop")
+                .map(|e| e.to_json_line()),
+        );
+    };
+    for pkt in &feed {
+        match pkt {
+            SourcePacket::Record { link, record } => monitor.ingest_pcap_record(*link, record),
+            SourcePacket::Parsed { flow, packet } => monitor.ingest_packet(*flow, *packet),
+        }
+        collect(&mut monitor.drain_events());
+    }
+    let drops = monitor.stats().parse_drops;
+    collect(&mut monitor.finish().into_iter());
+    inline.sort();
+    assert_eq!(drops, 7);
+    assert_eq!(
+        inline.len(),
+        5,
+        "one summary per dropping interval: {inline:#?}"
+    );
+    let counted: u64 = inline
+        .iter()
+        .map(|line| {
+            let count = line.split(r#""count":"#).nth(1).expect("a count");
+            let digits: String = count.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse::<u64>().expect("an integer count")
+        })
+        .sum();
+    assert_eq!(counted, drops, "the summaries count every drop once");
+    assert!(inline.contains(
+        &r#"{"type":"parse_drop","first_ts_us":1200000,"last_ts_us":3500000,"count":2,"by_reason":{"truncated":0,"malformed":0,"checksum":0,"not_udp":2,"negative_timestamp":0}}"#
+            .to_string()
+    ));
+    for live in [false, true] {
+        let (lines, drops, _) = run_feed(feed.clone(), 2, live);
+        assert_eq!(drops, 7, "live: {live}");
+        assert_eq!(lines, inline, "threaded, live: {live}");
+    }
+}
+
+/// The `SummarySink` rollup counts dropped records, not summaries.
+#[test]
+fn summary_rollup_counts_every_dropped_record() {
+    let feed = feed_with_rejects();
+    for threads in [1, 2] {
+        let (lines, drops, summary) = run_feed(feed.clone(), threads, false);
+        assert!(lines.len() < drops as usize);
+        assert_eq!(summary.parse_drops, drops, "threads: {threads}");
     }
 }
 

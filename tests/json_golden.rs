@@ -1,5 +1,5 @@
 //! The product's JSON documents, pinned byte for byte: the event line
-//! ([`QoeEvent::to_json_line`]) for every variant and reason shape, the
+//! ([`QoeEvent::to_json_line`]) for every variant, the
 //! `"type":"stats"` line ([`MonitorSnapshot::to_json_line`]) and the
 //! three alert lines of [`AlertSink`].
 //!
@@ -8,6 +8,8 @@
 //! [`shed_flow_is_spelled_like_the_dropped_event`] and
 //! [`integers_print_exactly`]: there a shed flow in the stats line was
 //! a struct dump and integers above 2^53 were rounded through `f64`.
+//! The `parse_drop` line changed shape when rejected records became
+//! per-interval summaries ([`parse_drop_line_for_every_reason_shape`]).
 //! The finite alert lines hold on the commit before [`AlertSink`] moved
 //! onto the same writer; [`alert_bar_that_is_not_a_number_is_null`]
 //! does not (`"threshold":inf` there).
@@ -126,57 +128,47 @@ fn flow_opened_line() {
     );
 }
 
+/// The parse-drop summary: bounds, total, and all five reasons in
+/// [`ParseDropReason::TAGS`] order, zeros included, as the stats line
+/// spells them. (Before drops were summarized, this line was one record's
+/// `ts_us`, `reason` and, per shape, `layer` and `what`.)
+/// The parse-drop summary: bounds, total, and all five reasons in
+/// [`ParseDropReason::TAGS`] order, zeros included, as the stats line
+/// spells them. No event field needs string escaping; `json.rs` pins it
+/// beside the writer.
 #[test]
 fn parse_drop_line_for_every_reason_shape() {
-    let line = |ts, reason| {
-        QoeEvent::ParseDrop {
-            ts: Timestamp::from_micros(ts),
-            reason,
+    let line = |first, last, by_reason| {
+        QoeEvent::ParseDrops {
+            first_ts: Timestamp::from_micros(first),
+            last_ts: Timestamp::from_micros(last),
+            by_reason,
         }
         .to_json_line()
     };
     assert_eq!(
-        line(7, ParseDropReason::Truncated { layer: "ipv4" }),
-        r#"{"type":"parse_drop","ts_us":7,"reason":"truncated","layer":"ipv4"}"#
+        line(7, 999_999, [1, 2, 3, 4, 0]),
+        concat!(
+            r#"{"type":"parse_drop","first_ts_us":7,"last_ts_us":999999,"count":10,"#,
+            r#""by_reason":{"truncated":1,"malformed":2,"checksum":3,"not_udp":4,"negative_timestamp":0}}"#
+        )
     );
     assert_eq!(
-        line(
-            8,
-            ParseDropReason::Malformed {
-                layer: "udp",
-                what: "length mismatch"
-            }
-        ),
-        r#"{"type":"parse_drop","ts_us":8,"reason":"malformed","layer":"udp","what":"length mismatch"}"#
+        line(-5, -5, [0, 0, 0, 0, 1]),
+        concat!(
+            r#"{"type":"parse_drop","first_ts_us":-5,"last_ts_us":-5,"count":1,"#,
+            r#""by_reason":{"truncated":0,"malformed":0,"checksum":0,"not_udp":0,"negative_timestamp":1}}"#
+        )
     );
     assert_eq!(
-        line(9, ParseDropReason::Checksum { layer: "ipv4" }),
-        r#"{"type":"parse_drop","ts_us":9,"reason":"checksum","layer":"ipv4"}"#
-    );
-    assert_eq!(
-        line(10, ParseDropReason::NotUdp),
-        r#"{"type":"parse_drop","ts_us":10,"reason":"not_udp"}"#
-    );
-    assert_eq!(
-        line(-5, ParseDropReason::NegativeTimestamp),
-        r#"{"type":"parse_drop","ts_us":-5,"reason":"negative_timestamp"}"#
-    );
-    // Strings are escaped: quote, backslash, the three named controls,
-    // any other control as \u00XX, everything else (multi-byte too) raw.
-    assert_eq!(
-        line(
-            11,
-            ParseDropReason::Malformed {
-                layer: "a\"b\\c",
-                what: "l1\nl2\r\tend\u{1}\u{1f}é\u{7f}"
-            }
-        ),
+        ParseDropReason::TAGS,
         [
-            r#"{"type":"parse_drop","ts_us":11,"reason":"malformed","layer":"a\"b\\c","#,
-            r#""what":"l1\nl2\r\tend\u0001\u001f"#,
-            "é\u{7f}\"}"
+            "truncated",
+            "malformed",
+            "checksum",
+            "not_udp",
+            "negative_timestamp"
         ]
-        .concat()
     );
 }
 

@@ -48,22 +48,6 @@ impl std::io::Read for Trickle<'_> {
 mod reference {
     use super::*;
 
-    fn string(s: &str) -> String {
-        let mut out = String::from("\"");
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out + "\""
-    }
-
     fn number(x: f64) -> String {
         if !x.is_finite() {
             "null".to_string()
@@ -143,27 +127,29 @@ mod reference {
                     tail.join(",")
                 )
             }
-            QoeEvent::ParseDrop { ts, reason } => {
-                let detail = match reason {
-                    ParseDropReason::Truncated { layer } => {
-                        format!(r#""truncated","layer":{}"#, string(layer))
-                    }
-                    ParseDropReason::Malformed { layer, what } => {
-                        format!(
-                            r#""malformed","layer":{},"what":{}"#,
-                            string(layer),
-                            string(what)
-                        )
-                    }
-                    ParseDropReason::Checksum { layer } => {
-                        format!(r#""checksum","layer":{}"#, string(layer))
-                    }
-                    ParseDropReason::NotUdp => r#""not_udp""#.to_string(),
-                    ParseDropReason::NegativeTimestamp => r#""negative_timestamp""#.to_string(),
-                };
+            QoeEvent::ParseDrops {
+                first_ts,
+                last_ts,
+                by_reason,
+            } => {
+                let tags = [
+                    "truncated",
+                    "malformed",
+                    "checksum",
+                    "not_udp",
+                    "negative_timestamp",
+                ];
+                let reasons: Vec<String> = tags
+                    .iter()
+                    .zip(by_reason)
+                    .map(|(tag, n)| format!(r#""{tag}":{n}"#))
+                    .collect();
                 format!(
-                    r#""parse_drop","ts_us":{},"reason":{detail}"#,
-                    ts.as_micros()
+                    r#""parse_drop","first_ts_us":{},"last_ts_us":{},"count":{},"by_reason":{{{}}}"#,
+                    first_ts.as_micros(),
+                    last_ts.as_micros(),
+                    by_reason.iter().sum::<u64>(),
+                    reasons.join(",")
                 )
             }
             QoeEvent::Dropped { count, per_flow } => {
@@ -288,14 +274,6 @@ impl EventGen {
     }
 
     fn event(&mut self) -> QoeEvent {
-        const TEXT: [&str; 6] = [
-            "udp",
-            "",
-            "length mismatch",
-            "a\"b\\c",
-            "l1\nl2\r\tend\u{1}\u{1f}é\u{7f}",
-            "𝄞 \u{0}",
-        ];
         let any = self.next() as i64;
         let ts = Timestamp::from_micros(self.pick(&[i64::MIN, -1, 0, 1_500_000, i64::MAX, any]));
         match self.next() % 5 {
@@ -317,17 +295,12 @@ impl EventGen {
                 ]),
                 final_reports: (0..self.next() % 4).map(|_| self.report()).collect(),
             },
-            3 => {
-                let (layer, what) = (self.pick(&TEXT), self.pick(&TEXT));
-                let reason = self.pick(&[
-                    ParseDropReason::Truncated { layer },
-                    ParseDropReason::Malformed { layer, what },
-                    ParseDropReason::Checksum { layer },
-                    ParseDropReason::NotUdp,
-                    ParseDropReason::NegativeTimestamp,
-                ]);
-                QoeEvent::ParseDrop { ts, reason }
-            }
+            // Five counts that cannot overflow their sum.
+            3 => QoeEvent::ParseDrops {
+                first_ts: ts,
+                last_ts: Timestamp::from_micros(self.pick(&[i64::MIN, 0, i64::MAX, any])),
+                by_reason: std::array::from_fn(|_| self.uint() >> 3),
+            },
             _ => QoeEvent::Dropped {
                 count: self.uint(),
                 per_flow: (0..self.next() % 4)
@@ -638,12 +611,18 @@ proptest! {
         }
         let stats = monitor.stats();
         prop_assert_eq!(stats.packets + stats.parse_drops, frames.len() as u64);
-        let classified = monitor
+        let summarized: u64 = monitor
             .finish()
             .iter()
-            .filter(|e| matches!(e, QoeEvent::ParseDrop { .. }))
-            .count();
-        prop_assert_eq!(classified as u64, stats.parse_drops);
+            .map(|e| match e {
+                QoeEvent::ParseDrops { by_reason, .. } => by_reason.iter().sum(),
+                QoeEvent::FlowOpened { .. }
+                | QoeEvent::WindowReport { .. }
+                | QoeEvent::FlowEvicted { .. }
+                | QoeEvent::Dropped { .. } => 0,
+            })
+            .sum();
+        prop_assert_eq!(summarized, stats.parse_drops);
     }
 
     #[test]
@@ -703,8 +682,9 @@ proptest! {
 
 /// Checks one (possibly broken) datagram against the layered reference
 /// decoder: the fused netpkt parse must return the same outcome at every
-/// entry point, and the monitor must report the same flow, size and RTP
-/// header — or the same drop (tag, layer and constraint).
+/// entry point (error layer and constraint included), and the monitor
+/// must report the same flow, size and RTP header — or count the same
+/// drop reason into its summary.
 fn mutated_frame_agrees(link: LinkType, bytes: &[u8], ip: usize) -> TestCaseResult {
     if link == LinkType::Ethernet {
         prop_assert_eq!(
@@ -753,17 +733,23 @@ fn mutated_frame_agrees(link: LinkType, bytes: &[u8], ip: usize) -> TestCaseResu
             );
             twin.finish()
         }
-        Ok(None) => vec![QoeEvent::ParseDrop {
-            ts,
-            reason: ParseDropReason::NotUdp,
-        }],
-        Err(e) => vec![QoeEvent::ParseDrop {
-            ts,
-            reason: ParseDropReason::from(&e),
-        }],
+        Ok(None) => vec![drop_summary(ts, ParseDropReason::NotUdp)],
+        Err(e) => vec![drop_summary(ts, ParseDropReason::from(&e))],
     };
     prop_assert_eq!(events, format!("{expected:?}"));
     Ok(())
+}
+
+/// The one summary a monitor fed a single rejected record at `ts`
+/// publishes at `finish`.
+fn drop_summary(ts: Timestamp, reason: ParseDropReason) -> QoeEvent {
+    let mut by_reason = [0; 5];
+    by_reason[reason.index()] = 1;
+    QoeEvent::ParseDrops {
+        first_ts: ts,
+        last_ts: ts,
+        by_reason,
+    }
 }
 
 /// The decoder the monitor ran before its fused header parse
