@@ -123,7 +123,11 @@ impl MonitorBuilder {
     /// flow to one of `n` dedicated shard workers over a bounded channel;
     /// each worker runs its flows' engines, windowing, probation, and
     /// idle eviction independently, and the merged event stream preserves
-    /// per-flow ordering (a flow lives on exactly one worker).
+    /// per-flow ordering (a flow lives on exactly one worker). Workers
+    /// park on a full [`OverflowPolicy::Block`] queue only while a
+    /// [`MonitorRunner`](crate::runner::MonitorRunner) drains it; a
+    /// threaded monitor driven through its own front doors grows its
+    /// queue past the bound instead, as an inline one does.
     ///
     /// `n == 0` means *auto*: size the workers from
     /// [`std::thread::available_parallelism`] at [`MonitorBuilder::build`]
@@ -137,7 +141,10 @@ impl MonitorBuilder {
     /// [`DEFAULT_QUEUE_CAPACITY`]). Also sizes the per-worker ingest
     /// channels of a threaded monitor, so one knob controls end-to-end
     /// buffering. What happens at the bound is the
-    /// [`MonitorBuilder::overflow`] policy.
+    /// [`MonitorBuilder::overflow`] policy; under
+    /// [`OverflowPolicy::Block`] it holds only while a
+    /// [`MonitorRunner`](crate::runner::MonitorRunner) drains, and a
+    /// monitor driven through its own front doors grows past it.
     pub fn queue_capacity(mut self, n: usize) -> Self {
         assert!(n >= 1, "zero queue capacity");
         self.queue_capacity = n;
@@ -145,9 +152,12 @@ impl MonitorBuilder {
     }
 
     /// Overflow policy of the bounded event queue (default
-    /// [`OverflowPolicy::Block`]): block producers until the consumer
-    /// drains, or drop the oldest events and account for them with a
-    /// [`QoeEvent::Dropped`] marker.
+    /// [`OverflowPolicy::Block`]): park shard workers until a
+    /// [`MonitorRunner`](crate::runner::MonitorRunner)'s concurrent drain
+    /// makes room (a monitor driven through its own front doors, which
+    /// is its own drainer, grows past the bound instead), or drop the
+    /// oldest events and account for them with a [`QoeEvent::Dropped`]
+    /// marker.
     pub fn overflow(mut self, policy: OverflowPolicy) -> Self {
         self.overflow = policy;
         self

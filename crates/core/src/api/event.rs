@@ -11,29 +11,18 @@ use vcaml_netpkt::{Error as NetError, FlowKey, Timestamp};
 /// Why a raw packet was not ingested. Every packet offered to a
 /// [`Monitor`] is either routed to a flow or counted under one of these
 /// ([`MonitorStats::parse_drops_by_reason`], and the `by_reason` of the
-/// [`QoeEvent::ParseDrops`] summary its interval closes into). Only the
-/// variant is counted: the layer and constraint it carries are for
-/// callers that classify a record themselves.
+/// [`QoeEvent::ParseDrops`] summary its interval closes into). A caller
+/// that needs the failing layer or constraint classifies the record
+/// itself with `vcaml_netpkt`, whose [`NetError`] carries both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParseDropReason {
     /// The buffer ended before a protocol header did.
-    Truncated {
-        /// Protocol layer that ran out of bytes.
-        layer: &'static str,
-    },
+    Truncated,
     /// A header field violated the codec's constraints (bad IHL, bad
     /// version, length mismatch, unsupported fragmentation, ...).
-    Malformed {
-        /// Protocol layer that failed to decode.
-        layer: &'static str,
-        /// The violated constraint.
-        what: &'static str,
-    },
+    Malformed,
     /// A header checksum did not verify.
-    Checksum {
-        /// Protocol layer whose checksum failed.
-        layer: &'static str,
-    },
+    Checksum,
     /// Well-formed, but not a UDP packet (ARP, TCP, ICMP, non-IP
     /// ethertype) — VCA media is UDP, so the monitor skips it.
     NotUdp,
@@ -54,13 +43,12 @@ impl ParseDropReason {
     ];
 
     /// The variant's position in [`ParseDropReason::TAGS`] — a dense slot
-    /// for per-reason counter arrays (the layer and constraint a variant
-    /// carries do not enter into it).
+    /// for per-reason counter arrays.
     pub fn index(&self) -> usize {
         match self {
-            ParseDropReason::Truncated { .. } => 0,
-            ParseDropReason::Malformed { .. } => 1,
-            ParseDropReason::Checksum { .. } => 2,
+            ParseDropReason::Truncated => 0,
+            ParseDropReason::Malformed => 1,
+            ParseDropReason::Checksum => 2,
             ParseDropReason::NotUdp => 3,
             ParseDropReason::NegativeTimestamp => 4,
         }
@@ -74,19 +62,14 @@ impl ParseDropReason {
 
 impl From<&NetError> for ParseDropReason {
     fn from(e: &NetError) -> Self {
-        match *e {
-            NetError::Truncated { layer, .. } => ParseDropReason::Truncated { layer },
-            NetError::Malformed { layer, what } => ParseDropReason::Malformed { layer, what },
-            NetError::Checksum { layer } => ParseDropReason::Checksum { layer },
-            // Unreachable from in-memory parsing; classified for totality.
-            NetError::BadMagic(_) => ParseDropReason::Malformed {
-                layer: "pcap",
-                what: "bad magic",
-            },
-            NetError::Io(_) => ParseDropReason::Malformed {
-                layer: "io",
-                what: "read error",
-            },
+        match e {
+            NetError::Truncated { .. } => ParseDropReason::Truncated,
+            // BadMagic and Io are unreachable from in-memory parsing;
+            // classified for totality.
+            NetError::Malformed { .. } | NetError::BadMagic(_) | NetError::Io(_) => {
+                ParseDropReason::Malformed
+            }
+            NetError::Checksum { .. } => ParseDropReason::Checksum,
         }
     }
 }

@@ -1,13 +1,13 @@
-//! The [`Monitor`] itself: dispatch (inline, or lanes onto shard worker
-//! threads), the drain side, and the crate-internal [`IngestPort`].
+//! The [`Monitor`] itself: dispatch (inline, or an [`IngestPort`] onto
+//! shard worker threads), the drain side, and the ports the runner forks
+//! from it.
 
 use super::decode::{self, Decoded};
 use super::event::StatsCells;
 use super::shard::{RoutedPacket, ShardState};
-use super::{
-    EstimationMethod, MonitorBuilder, MonitorStats, OverflowPolicy, QoeEvent, INGEST_BATCH,
-    TABLE_SHARDS,
-};
+#[cfg(doc)]
+use super::OverflowPolicy;
+use super::{EstimationMethod, MonitorBuilder, MonitorStats, QoeEvent, INGEST_BATCH, TABLE_SHARDS};
 use crate::backpressure::EventQueue;
 use crate::control::{ControlShared, MonitorHandle};
 use crate::engine::Method;
@@ -16,7 +16,7 @@ use crate::source::SourcePacket;
 use crate::trace::TracePacket;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use vcaml_netpkt::pcap::PcapRecord;
@@ -64,19 +64,18 @@ impl DropSummary {
     /// Where every front door's outcome passes before it is handled:
     /// closes the pending summary if the record's timestamp has reached
     /// its end, then hands an accepted packet back, or counts and folds
-    /// in a rejected one. `may_wait` as for [`EventQueue::push`].
+    /// in a rejected one.
     fn admit(
         &mut self,
         decoded: Decoded,
         shared: &MonitorHandle,
-        may_wait: bool,
     ) -> Option<(FlowKey, TracePacket)> {
         let ts = match &decoded {
             Ok((_, pkt)) => pkt.ts,
             Err((ts, _)) => *ts,
         };
         if ts.as_micros() >= self.close_at_us {
-            self.close(&shared.queue, may_wait);
+            self.close(&shared.queue);
         }
         match decoded {
             Ok(routed) => Some(routed),
@@ -109,7 +108,7 @@ impl DropSummary {
 
     /// Publishes the pending summary, if any: one delivery `Arc` and one
     /// queue lock per summary.
-    fn close(&mut self, queue: &EventQueue, may_wait: bool) {
+    fn close(&mut self, queue: &EventQueue) {
         self.close_at_us = i64::MAX;
         if self.by_reason == [0; 5] {
             return;
@@ -119,7 +118,7 @@ impl DropSummary {
             last_ts: Timestamp::from_micros(self.last_us),
             by_reason: std::mem::take(&mut self.by_reason),
         });
-        queue.push(std::iter::once(event), may_wait);
+        queue.push(std::iter::once(event));
     }
 }
 
@@ -132,13 +131,13 @@ enum ShardMsg {
 }
 
 /// One producer's lanes onto a threaded monitor's shard workers: a
-/// bounded channel and a batch buffer per worker. A packet is routed by
-/// its flow's [`FlowKey::hash64`] onto one lane, and a lane's batch is
+/// bounded channel and a batch buffer per worker. A packet is routed to
+/// its flow's owner ([`ControlShared::owner`]) and a lane's batch is
 /// sent when it reaches [`INGEST_BATCH`] packets or on an explicit flush
 /// — batching amortizes the channel hand-off, the dominant dispatch
-/// cost. The [`Monitor`] and every [`IngestPort`] own a set each; what
-/// differs between them is only *how* a batch is sent, so every method
-/// takes that send policy as a closure.
+/// cost. Every [`IngestPort`], the monitor's own included, owns a set.
+/// Sends block while a channel is full, which is safe because a worker
+/// waits on the event queue only while a runner drains it.
 struct Lanes {
     senders: Vec<SyncSender<ShardMsg>>,
     batches: Vec<Vec<RoutedPacket>>,
@@ -161,135 +160,83 @@ impl Lanes {
 
     /// Routes one packet onto its worker's lane; a lane that fills is
     /// sent at once.
-    fn push(
-        &mut self,
-        flow: FlowKey,
-        pkt: TracePacket,
-        send: impl FnMut(&SyncSender<ShardMsg>, ShardMsg),
-    ) {
-        // Stable flow → worker routing: the low bits of the one
-        // `FlowKey::hash64` computed per packet on the dispatching
-        // thread. The hash rides the channel with the packet; inside a
-        // worker the table's shard selection takes the top 16 bits and
-        // slot probing starts from bits 16.., so the three routing
-        // layers stay uncorrelated while the key is hashed exactly once
-        // (see `FlowTable`).
+    fn push(&mut self, flow: FlowKey, pkt: TracePacket) {
+        // The one `FlowKey::hash64` computed per packet on the
+        // dispatching thread rides the channel with the packet, so the
+        // worker's table probe reuses it.
         let hash = flow.hash64();
-        let worker = (hash % self.senders.len() as u64) as usize;
+        let worker = self.control.owner(hash);
         self.batches[worker].push((hash, flow, pkt));
         if self.batches[worker].len() >= INGEST_BATCH {
-            self.send_lane(worker, send);
+            delivered(self.send_lane(worker));
             // A lane that filled once fills again: size its next batch
             // up front instead of growing into it.
             self.batches[worker].reserve(INGEST_BATCH);
         }
     }
 
-    /// Sends every partially filled batch to its shard worker.
-    fn flush(&mut self, mut send: impl FnMut(&SyncSender<ShardMsg>, ShardMsg)) {
+    /// Sends every partially filled batch to its shard worker — every
+    /// lane, even past one whose worker is gone; errs if any was.
+    fn flush(&mut self) -> Result<(), SendError<ShardMsg>> {
+        let mut sent = Ok(());
         for worker in 0..self.senders.len() {
-            self.send_lane(worker, &mut send);
+            sent = sent.and(self.send_lane(worker));
         }
+        sent
     }
 
-    fn send_lane(&mut self, worker: usize, mut send: impl FnMut(&SyncSender<ShardMsg>, ShardMsg)) {
+    fn send_lane(&mut self, worker: usize) -> Result<(), SendError<ShardMsg>> {
         if self.batches[worker].is_empty() {
-            return;
+            return Ok(());
         }
         let batch = std::mem::take(&mut self.batches[worker]);
         self.control.depth_add(worker, batch.len() as u64);
-        send(&self.senders[worker], ShardMsg::Batch(batch));
+        debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
+        self.senders[worker].send(ShardMsg::Batch(batch))
     }
 
-    /// End of stream: flushes every lane, tells each worker to seal its
-    /// flows and exit, and disconnects. Blocking sends are safe here:
-    /// the caller has released the queue, which never parks a worker
-    /// again, so every channel drains.
-    fn finish(mut self) {
-        let mut send = |tx: &SyncSender<ShardMsg>, msg| {
-            debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
-            #[expect(
-                clippy::expect_used,
-                reason = "shard worker channel lives until the caller's join"
-            )]
-            tx.send(msg).expect("shard worker alive");
-        };
-        self.flush(&mut send);
+    /// End of stream: flushes every lane and tells each worker to seal
+    /// its flows and exit. Blocking sends are safe here: the caller has
+    /// released the queue, which never parks a worker again, so every
+    /// channel drains.
+    fn finish(&mut self) {
+        delivered(self.flush());
         for tx in &self.senders {
-            send(tx, ShardMsg::Finish);
+            delivered(tx.send(ShardMsg::Finish));
         }
     }
 }
 
-/// The send policy of producers that have a concurrent drainer (ingest
-/// ports): block until the worker's channel has room.
-fn blocking_send(sender: &SyncSender<ShardMsg>, msg: ShardMsg) {
-    debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
+/// A send that must land. A shard worker that is gone has panicked, and
+/// the ingest thread sending to it panics at once rather than feed a dead
+/// pipeline (the runner re-raises it on join).
+fn delivered(sent: Result<(), SendError<ShardMsg>>) {
     #[expect(
         clippy::expect_used,
-        reason = "ingest ports are dropped before shard workers shut down"
+        reason = "shard workers outlive every port; a dead one already panicked"
     )]
-    sender
-        .send(msg)
-        .expect("shard workers outlive ingest ports");
+    sent.expect("shard workers outlive ingest ports");
 }
 
 /// How packets reach the per-flow engines: on the caller's thread, or
 /// hashed across dedicated shard workers.
 enum Dispatch {
     /// `threads == 1`: one shard state driven inline — no threads, no
-    /// channels, identical to the pre-parallel monitor.
-    Inline(Box<ShardState>),
-    /// `threads ≥ 2`: the monitor's own lanes onto the workers.
+    /// channels, identical to the pre-parallel monitor — and the parse
+    /// drops of the monitor's front doors.
+    Inline {
+        shard: Box<ShardState>,
+        drops: DropSummary,
+    },
+    /// `threads ≥ 2`: the monitor's own port onto the workers, which its
+    /// front doors feed and [`Monitor::ingest_port`] forks.
     Threaded {
-        lanes: Lanes,
+        port: IngestPort,
         handles: Vec<JoinHandle<()>>,
     },
     /// Placeholder after [`Monitor::finish`] has taken the dispatch
     /// state (so the monitor's `Drop` has nothing left to reap).
     Done,
-}
-
-/// Hands one batch to a shard worker without ever deadlocking on our own
-/// pipeline. Under [`OverflowPolicy::Block`] a worker can be parked on
-/// the full event queue while the dispatcher waits on that worker's full
-/// channel — each waiting on the other — so there (`stage_on_full`) a
-/// full channel is answered by draining the queue, which wakes the
-/// worker, and staging the events for the caller's next `drain_events`.
-/// Under `DropOldest` workers never park, so a plain blocking send is
-/// both safe and required: draining would quietly turn the bounded queue
-/// into unbounded staging.
-fn dispatch_batch(
-    sender: &SyncSender<ShardMsg>,
-    queue: &EventQueue,
-    drained: &mut VecDeque<Arc<QoeEvent>>,
-    stage_on_full: bool,
-    mut msg: ShardMsg,
-) {
-    if !stage_on_full {
-        debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
-        #[expect(
-            clippy::expect_used,
-            reason = "shard workers are owned by this struct and outlive dispatch by construction"
-        )]
-        sender.send(msg).expect("shard workers outlive dispatch");
-        return;
-    }
-    loop {
-        match sender.try_send(msg) {
-            Ok(()) => return,
-            Err(std::sync::mpsc::TrySendError::Full(back)) => {
-                msg = back;
-                if queue.drain_into(drained) == 0 {
-                    // Channel full, queue empty: the worker is mid-batch.
-                    std::thread::yield_now();
-                }
-            }
-            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {
-                unreachable!("shard workers outlive dispatch")
-            }
-        }
-    }
 }
 
 /// How often a freshly idle shard worker wakes to poll the control
@@ -369,16 +316,10 @@ pub struct Monitor {
     /// pushes into, and the control plane.
     shared: MonitorHandle,
     dispatch: Dispatch,
-    /// Whether a full ingest channel must be answered by draining the
-    /// event queue into staging (true only when workers can park on it:
-    /// threaded + `Block`) — see [`dispatch_batch`].
-    stage_on_full: bool,
-    /// Staging buffer backing the `drain_events` iterator. Visible to
-    /// the facade's white-box tests, which stage into it directly.
-    pub(super) drained: VecDeque<Arc<QoeEvent>>,
-    /// The parse drops of records ingested through the monitor's own
-    /// front doors (ingest ports keep their own).
-    drops: DropSummary,
+    /// Staging buffer backing the drain iterators: what a drain moved out
+    /// of the queue and has not yielded yet. It holds events between
+    /// drains only when one was dropped part-way.
+    drained: VecDeque<Arc<QoeEvent>>,
 }
 
 impl Monitor {
@@ -404,14 +345,19 @@ impl Monitor {
             model_bytes,
             builder.vca,
         ));
-        // A single-threaded monitor must never park on its own queue
-        // (the producer is the consumer), so Block only waits when shard
-        // workers exist.
-        let queue = Arc::new(EventQueue::new(
-            builder.queue_capacity,
-            builder.overflow,
-            !inline,
-        ));
+        // Unarmed: Block parks nobody until a runner opens its ports.
+        let queue = Arc::new(EventQueue::new(builder.queue_capacity, builder.overflow));
+        let shared = MonitorHandle {
+            control: Arc::clone(&control),
+            stats: Arc::clone(&stats),
+            queue,
+        };
+        let wants_rtp = builder.method.is_auto()
+            || matches!(
+                builder.method,
+                EstimationMethod::Fixed(Method::RtpHeuristic | Method::RtpMl)
+            );
+        let window_us = builder.config.window_us();
         let table_shards = (TABLE_SHARDS / threads).max(1);
         let shard_state = |worker: usize| {
             ShardState::new(
@@ -423,7 +369,10 @@ impl Monitor {
             )
         };
         let dispatch = if inline {
-            Dispatch::Inline(Box::new(shard_state(0)))
+            Dispatch::Inline {
+                shard: Box::new(shard_state(0)),
+                drops: DropSummary::new(window_us),
+            }
         } else {
             // The ingest channels share the event queue's capacity knob
             // (counted in batches) so one bound governs the pipeline.
@@ -433,7 +382,7 @@ impl Monitor {
             for worker in 0..threads {
                 let (tx, rx) = sync_channel::<ShardMsg>(channel_batches);
                 let state = shard_state(worker);
-                let queue = Arc::clone(&queue);
+                let queue = Arc::clone(&shared.queue);
                 #[expect(
                     clippy::expect_used,
                     reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
@@ -446,27 +395,22 @@ impl Monitor {
                 handles.push(handle);
             }
             Dispatch::Threaded {
-                lanes: Lanes::new(senders, Arc::clone(&control)),
+                port: IngestPort {
+                    wants_rtp,
+                    shared: shared.clone(),
+                    lanes: Lanes::new(senders, control),
+                    drops: DropSummary::new(window_us),
+                },
                 handles,
             }
         };
         Monitor {
-            wants_rtp: builder.method.is_auto()
-                || matches!(
-                    builder.method,
-                    EstimationMethod::Fixed(Method::RtpHeuristic | Method::RtpMl)
-                ),
+            wants_rtp,
             method: builder.method,
             vca: builder.vca,
-            stage_on_full: !inline && builder.overflow == OverflowPolicy::Block,
-            shared: MonitorHandle {
-                control,
-                stats,
-                queue,
-            },
+            shared,
             dispatch,
             drained: VecDeque::new(),
-            drops: DropSummary::new(builder.config.window_us()),
         }
     }
 
@@ -502,9 +446,13 @@ impl Monitor {
 
     /// Events the next [`Monitor::drain_events`] would return without
     /// waiting for anything: what is queued (on a threaded monitor, what
-    /// the shard workers have delivered so far) plus what an
-    /// [`Monitor::ingest_packet`] has already moved out of the queue into
-    /// staging while it waited on a full shard channel.
+    /// the shard workers have delivered so far) plus what an earlier
+    /// drain, dropped part-way, left staged. A monitor driven
+    /// through its own front doors is its own drainer, so under
+    /// [`OverflowPolicy::Block`] this can
+    /// exceed [`MonitorBuilder::queue_capacity`]: only a
+    /// [`MonitorRunner`](crate::runner::MonitorRunner)'s concurrent drain
+    /// parks workers against the bound.
     pub fn pending_events(&self) -> usize {
         self.shared.queue.len() + self.drained.len()
     }
@@ -515,10 +463,11 @@ impl Monitor {
     /// worker has not yet processed arrive on a later drain (per-flow
     /// order is always preserved). When events were discarded under
     /// [`OverflowPolicy::DropOldest`], the batch leads with a
-    /// [`QoeEvent::Dropped`] marker counting them.
+    /// [`QoeEvent::Dropped`] marker counting them. Events an iterator
+    /// dropped part-way did not yield stay staged, and lead the next
+    /// drain.
     pub fn drain_events(&mut self) -> impl Iterator<Item = QoeEvent> + '_ {
-        self.drain_pending();
-        self.drained.drain(..).map(unshare)
+        self.drain_shared().map(unshare)
     }
 
     /// [`Monitor::drain_events`] without unsharing: the events come out
@@ -527,7 +476,7 @@ impl Monitor {
     /// number of subscribers.
     pub fn drain_shared(&mut self) -> impl Iterator<Item = Arc<QoeEvent>> + '_ {
         self.drain_pending();
-        self.drained.drain(..)
+        std::iter::from_fn(|| self.drained.pop_front())
     }
 
     /// Blocks until the event queue has something to drain or is
@@ -544,13 +493,11 @@ impl Monitor {
     fn drain_pending(&mut self) {
         let queue = &self.shared.queue;
         match &mut self.dispatch {
-            Dispatch::Inline(shard) => {
+            Dispatch::Inline { shard, .. } => {
                 shard.apply_control();
                 shard.deliver(queue);
             }
-            Dispatch::Threaded { lanes, .. } => lanes.flush(|tx, msg| {
-                dispatch_batch(tx, queue, &mut self.drained, self.stage_on_full, msg)
-            }),
+            Dispatch::Threaded { port, .. } => port.flush(),
             Dispatch::Done => {}
         }
         queue.drain_into(&mut self.drained);
@@ -580,10 +527,11 @@ impl Monitor {
     /// enqueues the packet on that worker's bounded channel (batched);
     /// when the channel is full the call waits for the worker to catch
     /// up — ingest-side backpressure regardless of the event queue's
-    /// overflow policy. While waiting it drains any ready events into
-    /// the staging buffer (returned by the next
-    /// [`Monitor::drain_events`]), so a worker parked on a full `Block`
-    /// queue is always woken and the pipeline cannot deadlock on itself.
+    /// overflow policy. That wait always ends: a worker parks on a full
+    /// [`OverflowPolicy::Block`] queue only
+    /// while a [`MonitorRunner`](crate::runner::MonitorRunner) drains it,
+    /// so a monitor fed through this door, which is its own drainer,
+    /// grows past the bound instead, as an inline monitor does.
     pub fn ingest_packet(&mut self, flow: FlowKey, pkt: TracePacket) {
         self.route(decode::parsed(flow, pkt));
     }
@@ -595,25 +543,18 @@ impl Monitor {
     }
 
     /// Where every front door ends: the packet goes to its flow's shard,
-    /// or its drop is counted into the monitor's summary.
+    /// or its drop is counted into the producer's summary.
     fn route(&mut self, decoded: Decoded) {
-        // The caller *is* the queue's consumer: parking here against a
-        // full Block queue would be waiting on itself (workers only widen
-        // the queue, they never drain it), so a closing summary goes in
-        // without waiting.
-        let Some((flow, pkt)) = self.drops.admit(decoded, &self.shared, false) else {
-            return;
-        };
-        let queue = &self.shared.queue;
         match &mut self.dispatch {
-            Dispatch::Inline(shard) => {
+            Dispatch::Inline { shard, drops } => {
+                let Some((flow, pkt)) = drops.admit(decoded, &self.shared) else {
+                    return;
+                };
                 shard.ingest(flow, pkt);
                 shard.apply_control();
-                shard.deliver(queue);
+                shard.deliver(&self.shared.queue);
             }
-            Dispatch::Threaded { lanes, .. } => lanes.push(flow, pkt, |tx, msg| {
-                dispatch_batch(tx, queue, &mut self.drained, self.stage_on_full, msg)
-            }),
+            Dispatch::Threaded { port, .. } => port.route(decoded),
             Dispatch::Done => unreachable!("monitor already finished"),
         }
     }
@@ -636,14 +577,18 @@ impl Monitor {
         // DropOldest — the end-of-stream flush is lossless by contract.
         let queue = &self.shared.queue;
         queue.release();
-        self.drops.close(queue, false);
         match std::mem::replace(&mut self.dispatch, Dispatch::Done) {
-            Dispatch::Inline(mut shard) => {
+            Dispatch::Inline {
+                mut shard,
+                mut drops,
+            } => {
+                drops.close(queue);
                 shard.finish();
                 shard.deliver(queue);
             }
-            Dispatch::Threaded { lanes, handles } => {
-                lanes.finish();
+            Dispatch::Threaded { mut port, handles } => {
+                port.drops.close(queue);
+                port.lanes.finish();
                 for handle in handles {
                     #[expect(
                         clippy::expect_used,
@@ -654,46 +599,50 @@ impl Monitor {
             }
             Dispatch::Done => unreachable!("finish runs once"),
         }
-        // Behind whatever earlier dispatches staged, as every drain.
+        // Behind whatever a drain dropped part-way left staged.
         queue.drain_into(&mut self.drained);
         std::mem::take(&mut self.drained).into()
     }
 
-    /// Opens an independent ingest port on a threaded monitor (`None`
-    /// when the monitor is inline). Ports are how
+    /// Forks an independent ingest port off a threaded monitor's own
+    /// (`None` when the monitor is inline) and arms the event queue:
+    /// from here on a full `Block` queue parks shard workers until the
+    /// port holder's concurrent drain makes room. Ports are how
     /// [`crate::runner::MonitorRunner`] runs one ingest thread per
     /// source: each port parses and flow-hashes its own packets and
     /// feeds the shard channels directly, so the serial dispatch section
     /// scales with the number of sources. See [`IngestPort`] for the
     /// concurrent-drainer requirement its holder takes on.
-    pub(crate) fn ingest_port(&self) -> Option<IngestPort> {
-        match &self.dispatch {
-            Dispatch::Threaded { lanes, .. } => Some(IngestPort {
-                wants_rtp: self.wants_rtp,
-                shared: self.shared.clone(),
-                lanes: lanes.fork(),
-                drops: DropSummary::new(self.drops.window_us),
-            }),
-            Dispatch::Inline(_) | Dispatch::Done => None,
-        }
+    pub(crate) fn ingest_port(&mut self) -> Option<IngestPort> {
+        let Dispatch::Threaded { port, .. } = &mut self.dispatch else {
+            return None;
+        };
+        // Flush before arming. A batch still buffered here would be sent
+        // by the holder's drain (`drain_pending`) — into a channel whose
+        // worker may by then be parked on the armed, full queue that only
+        // that same drain empties.
+        port.flush();
+        self.shared.queue.arm();
+        Some(port.fork())
     }
 }
 
-/// One source's private lanes into a threaded monitor's shard workers:
+/// One producer's private lanes into a threaded monitor's shard workers:
 /// parse, flow-hash, batch, and send happen on the port holder's thread,
 /// so N ports ingest in parallel without sharing the [`Monitor`]'s
-/// `&mut self`. Per-flow packet order within one port is preserved
+/// `&mut self`. The monitor's own front doors feed one more port, held
+/// in its dispatch. Per-flow packet order within one port is preserved
 /// end-to-end (same hash, same channel, same worker); packets for one
 /// flow split across ports interleave in channel-arrival order.
 ///
 /// Sends block when a shard channel is full — ingest-side backpressure.
-/// The holder must guarantee a concurrent drainer (the runner's event
-/// loop), or a `Block` queue can park the pipeline; this is why ports
-/// are crate-internal and only [`crate::runner::MonitorRunner`] hands
-/// them out.
+/// A forked port's holder must guarantee a concurrent drainer (the
+/// runner's event loop): forking arms the queue, so a `Block` queue can
+/// otherwise park the pipeline. This is why ports are crate-internal
+/// and only [`crate::runner::MonitorRunner`] forks them.
 ///
 /// A port keeps its own parse-drop summary, over its own records: it
-/// closes on the port's record clock and at [`IngestPort::finish`],
+/// closes on the port's record clock and at the port's end of stream,
 /// never on a flush.
 pub(crate) struct IngestPort {
     wants_rtp: bool,
@@ -703,15 +652,30 @@ pub(crate) struct IngestPort {
 }
 
 impl IngestPort {
+    /// Another port onto the same workers, with a drop summary of its own.
+    fn fork(&self) -> IngestPort {
+        IngestPort {
+            wants_rtp: self.wants_rtp,
+            shared: self.shared.clone(),
+            lanes: self.lanes.fork(),
+            drops: DropSummary::new(self.drops.window_us),
+        }
+    }
+
     /// Ingests whatever a [`PacketSource`](crate::source::PacketSource)
-    /// yielded. Unlike the monitor's own front doors, a closing drop
-    /// summary may park against a full Block queue here: the port holder
-    /// is an ingest thread, and the runner's event loop is the
-    /// concurrent drainer that frees it.
+    /// yielded.
     pub(crate) fn ingest(&mut self, pkt: SourcePacket) {
-        let decoded = decode::source(&pkt, self.wants_rtp);
-        if let Some((flow, pkt)) = self.drops.admit(decoded, &self.shared, true) {
-            self.lanes.push(flow, pkt, blocking_send);
+        self.route(decode::source(&pkt, self.wants_rtp));
+    }
+
+    /// The packet goes onto its worker's lane, or its drop is counted into
+    /// the port's summary. A closing summary parks against a full, armed
+    /// `Block` queue like any producer: a forked port's holder has a
+    /// concurrent drainer, and the monitor's own port is never armed
+    /// against while its front doors are in use.
+    fn route(&mut self, decoded: Decoded) {
+        if let Some((flow, pkt)) = self.drops.admit(decoded, &self.shared) {
+            self.lanes.push(flow, pkt);
         }
     }
 
@@ -719,16 +683,16 @@ impl IngestPort {
     /// source's per-packet hand-off). The drop summary stays pending:
     /// closing it here would publish one per flush, per record again.
     pub(crate) fn flush(&mut self) {
-        self.lanes.flush(blocking_send);
+        delivered(self.lanes.flush());
     }
 
     /// End of this port's stream: publishes its pending drop summary and
     /// sends every partially filled batch. Call it on the ingest thread
-    /// while the runner's event loop still drains, which is what makes
-    /// the summary's waiting push safe.
+    /// while the runner's event loop still drains, which is what frees a
+    /// summary push parked on a full queue.
     pub(crate) fn finish(mut self) {
-        self.drops.close(&self.shared.queue, true);
-        self.lanes.flush(blocking_send);
+        self.drops.close(&self.shared.queue);
+        self.flush();
     }
 }
 
@@ -737,10 +701,8 @@ impl Drop for IngestPort {
     /// (ingest-thread panic): delivery is only guaranteed by `finish`,
     /// but don't silently strand a drop summary or full batches either.
     fn drop(&mut self) {
-        self.drops.close(&self.shared.queue, true);
-        self.lanes.flush(|tx, msg| {
-            let _ = tx.send(msg);
-        });
+        self.drops.close(&self.shared.queue);
+        let _ = self.lanes.flush();
     }
 }
 
@@ -752,11 +714,11 @@ impl Drop for Monitor {
     /// and reap the threads. The tail events land in the released queue
     /// and are dropped with it — only `finish` promises delivery.
     fn drop(&mut self) {
-        if let Dispatch::Threaded { lanes, handles } =
+        if let Dispatch::Threaded { port, handles } =
             std::mem::replace(&mut self.dispatch, Dispatch::Done)
         {
             self.shared.queue.release();
-            drop(lanes);
+            drop(port);
             for handle in handles {
                 // Don't double-panic out of a Drop during unwinding.
                 let _ = handle.join();
@@ -768,8 +730,8 @@ impl Drop for Monitor {
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let threads = match &self.dispatch {
-            Dispatch::Inline(_) => 1,
-            Dispatch::Threaded { lanes, .. } => lanes.senders.len(),
+            Dispatch::Inline { .. } => 1,
+            Dispatch::Threaded { port, .. } => port.lanes.senders.len(),
             Dispatch::Done => 0,
         };
         f.debug_struct("Monitor")

@@ -321,8 +321,6 @@ pub(super) struct ShardState {
     /// Last flush epoch applied (see
     /// [`MonitorHandle::force_flush`](crate::control::MonitorHandle::force_flush)).
     seen_flush_epoch: u64,
-    /// Cursor into the shared eviction-request list.
-    evict_cursor: usize,
     outbox: Outbox,
     /// Scratch for finalized windows, drained after every engine push
     /// and kept warm — the per-packet path allocates no report buffer.
@@ -362,7 +360,6 @@ impl ShardState {
             last_footprint_us: i64::MIN,
             control,
             seen_flush_epoch: 0,
-            evict_cursor: 0,
             outbox: Outbox {
                 events: Vec::new(),
                 stats,
@@ -477,21 +474,24 @@ impl ShardState {
     /// Moves the events produced since the last call onto `queue`, in
     /// emission order. The outbox is drained in place, so it keeps the
     /// capacity it has grown instead of regrowing after every packet that
-    /// produced an event. May park the caller against a full `Block`
-    /// queue (never on an inline monitor, whose queue does not block).
+    /// produced an event. Parks the caller against a full `Block` queue
+    /// only while a runner drains it (an armed queue); a monitor driven
+    /// through its own front doors, inline or threaded, grows past the
+    /// bound instead.
     pub(super) fn deliver(&mut self, queue: &EventQueue) {
         // Runs after every packet, and nearly every packet emits nothing.
         if !self.outbox.events.is_empty() {
-            queue.push(self.outbox.events.drain(..), true);
+            queue.push(self.outbox.events.drain(..));
         }
     }
 
     /// Applies pending control-plane requests
     /// ([`MonitorHandle`](crate::control::MonitorHandle)): a forced
-    /// provisional flush of every flow, and requested evictions of flows
-    /// this shard owns. Cheap when nothing is pending — two relaxed
-    /// atomic loads. Returns whether anything was applied (the idle
-    /// workers' poll-backoff reset signal).
+    /// provisional flush of every flow, and the evictions in this
+    /// shard's mailbox (requests are routed to the flow's owner, so an
+    /// unknown flow is the only one it skips). Cheap when nothing is
+    /// pending — two relaxed atomic loads. Returns whether anything was
+    /// applied (the idle workers' poll-backoff reset signal).
     pub(super) fn apply_control(&mut self) -> bool {
         let mut applied = false;
         let epoch = self.control.flush_epoch();
@@ -500,21 +500,13 @@ impl ShardState {
             self.flush_all_provisional();
             applied = true;
         }
-        // Fast path first: the Arc clone below is only worth paying
-        // when a request actually exists (it satisfies the borrow
-        // checker across the &mut self eviction calls).
-        if self.control.has_evictions_since(self.evict_cursor) {
-            let control = Arc::clone(&self.control);
-            for flow in control.evictions_since(&mut self.evict_cursor) {
-                // Flows this shard does not own are ignored (their owner
-                // processes the same request).
-                if let Some(tracked) = self.table.remove_hashed(flow.hash64(), &flow) {
-                    self.seal(flow, tracked, EvictReason::Requested);
-                }
+        let requests = self.control.take_evictions(self.worker);
+        for &flow in &requests {
+            if let Some(tracked) = self.table.remove_hashed(flow.hash64(), &flow) {
+                self.seal(flow, tracked, EvictReason::Requested);
             }
-            applied = true;
         }
-        applied
+        applied || !requests.is_empty()
     }
 
     /// Emits provisional snapshots of every decided flow's pending

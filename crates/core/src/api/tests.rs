@@ -634,7 +634,7 @@ fn drop_oldest_bounds_queue_and_accounts_drops() {
 }
 
 #[test]
-fn pending_events_counts_what_dispatch_already_staged() {
+fn pending_events_counts_queued_and_staged_events() {
     let mut m = fixed(Method::IpUdpHeuristic).build();
     m.ingest_packet(flow_key(1), pkt(-5, 1100)); // one drop, pending
     assert_eq!(
@@ -645,15 +645,96 @@ fn pending_events_counts_what_dispatch_already_staged() {
     m.ingest_packet(flow_key(1), pkt(-1, 1100)); // same interval
     m.ingest_frame(Timestamp::ZERO, &[0u8; 10]); // closes it, opens the next
     assert_eq!(m.pending_events(), 1);
-    // What `dispatch_batch` does while it waits on a full shard channel
-    // (threads ≥ 2 under Block): the queue is emptied into staging.
-    let queue = m.handle().queue;
-    assert_eq!(queue.drain_into(&mut m.drained), 1);
-    assert_eq!(queue.len(), 0);
-    assert_eq!(m.pending_events(), 1, "taken, not yet returned: pending");
     let events: Vec<QoeEvent> = m.drain_events().collect();
     assert_eq!(summaries(&events), [(-5, -1, [0, 0, 0, 0, 2])]);
     assert_eq!(m.pending_events(), 0);
+
+    // A drain dropped part-way leaves what it did not yield staged:
+    // pending_events counts it, and the next drain returns it.
+    for p in video_stream(5) {
+        m.ingest_packet(flow_key(1), p);
+    }
+    let queued = m.pending_events();
+    assert!(queued > 2, "the feed queues a flow opening and its windows");
+    let first = m.drain_events().next();
+    assert!(matches!(first, Some(QoeEvent::FlowOpened { .. })));
+    assert_eq!(m.pending_events(), queued - 1, "the rest stay staged");
+    assert_eq!(m.drain_events().count(), queued - 1);
+    assert_eq!(m.pending_events(), 0);
+
+    // A threaded monitor driven through its own front doors is its own
+    // drainer: its capacity-1 Block queue grows past the bound, and
+    // pending_events reports all of it.
+    let mut t = fixed(Method::IpUdpHeuristic)
+        .threads(2)
+        .queue_capacity(1)
+        .build();
+    let feed = video_stream(20);
+    for &p in &feed {
+        t.ingest_packet(flow_key(1), p);
+        t.ingest_packet(flow_key(2), p);
+    }
+    // Full batches reached the workers; the tail waits in the lanes.
+    let sent = (feed.len() * 2 / INGEST_BATCH * INGEST_BATCH) as u64;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while t.stats().packets < sent {
+        assert!(std::time::Instant::now() < deadline, "workers stalled");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert!(
+        t.pending_events() > 1,
+        "a self-drained queue grows past its bound"
+    );
+    assert_eq!(t.drain_events().count() + t.finish().len(), {
+        let mut inline = fixed(Method::IpUdpHeuristic).build();
+        for &p in &feed {
+            inline.ingest_packet(flow_key(1), p);
+            inline.ingest_packet(flow_key(2), p);
+        }
+        inline.finish().len()
+    });
+}
+
+/// Eviction requests go to their flow's owner's mailbox, and applying
+/// them empties it: a long-lived monitor holds no request it has
+/// already applied, however many it has received.
+#[test]
+fn applied_eviction_requests_are_not_held() {
+    let mut m = fixed(Method::IpUdpHeuristic).build();
+    let handle = m.handle();
+    m.ingest_packet(flow_key(1), pkt(0, 1100));
+    for _ in 0..10_000 {
+        handle.evict_flow(flow_key(1));
+    }
+    let requested = m
+        .drain_events()
+        .filter(|e| {
+            matches!(
+                e,
+                QoeEvent::FlowEvicted {
+                    reason: EvictReason::Requested,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(requested, 1, "the flow sealed once, the rest were unknown");
+    assert_eq!(handle.control.held_evictions(), 0, "inline");
+
+    // Threaded: each worker empties its own mailbox on its idle tick.
+    let t = fixed(Method::IpUdpHeuristic).threads(2).build();
+    let handle = t.handle();
+    for n in 0..10_000u32 {
+        handle.evict_flow(flow_key((n % 200) as u8));
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while handle.control.held_evictions() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "applied eviction requests are still held"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
 }
 
 #[test]

@@ -7,16 +7,15 @@
 //! growth. The crate-internal `EventQueue` bounds it and makes the
 //! slow-consumer behaviour an explicit, configurable choice:
 //!
-//! * [`OverflowPolicy::Block`] — producers wait for the consumer. On a
-//!   threaded monitor the shard workers park until the caller drains,
-//!   which in turn fills the bounded per-shard ingest channels and makes
-//!   [`crate::api::Monitor::ingest_packet`] wait for channel space
-//!   (staging any ready events while it waits, so the two bounds can
-//!   never deadlock against each other): end-to-end backpressure, no
-//!   event ever lost. On a single-threaded monitor the producer *is* the
-//!   consumer, so blocking would deadlock; the queue instead grows past
-//!   the bound (the pre-backpressure behaviour, now documented rather
-//!   than implicit).
+//! * [`OverflowPolicy::Block`] — producers wait for the consumer, but
+//!   only once the queue is *armed*, which happens when a
+//!   [`crate::runner::MonitorRunner`] opens its ingest ports: its event
+//!   loop is then a concurrent drainer, so shard workers park until it
+//!   drains, their bounded ingest channels fill, and the ports' sends
+//!   wait — end-to-end backpressure, no event ever lost. A queue that is
+//!   not armed — any monitor driven through its own front doors, inline
+//!   or threaded — has no drainer but its own caller, so parking would
+//!   wait on itself: it grows past the bound instead.
 //! * [`OverflowPolicy::DropOldest`] — the queue stays bounded by
 //!   discarding the oldest undrained events, and the next drain reports
 //!   exactly how many were lost via a leading [`QoeEvent::Dropped`]
@@ -31,7 +30,7 @@
 //! sleeps: a drain notifies parked producers only when `waiters` says
 //! there are any, and a push notifies the consumer only when it is
 //! parked in `EventQueue::wait_for_events` (the runner's drain loop).
-//! An inline monitor's consumer never parks, so its pushes make no
+//! A self-drained monitor's consumer never parks, so its pushes make no
 //! syscall.
 
 use crate::api::QoeEvent;
@@ -53,9 +52,11 @@ const MAX_ATTRIBUTED_FLOWS: usize = 4096;
 /// What the monitor's bounded event queue does when a push finds it full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
-    /// Wait for the consumer (threaded monitors; end-to-end backpressure).
-    /// Single-threaded monitors cannot block themselves and fall back to
-    /// growing past the bound.
+    /// Wait for the consumer: shard workers park on a full queue while a
+    /// [`MonitorRunner`](crate::runner::MonitorRunner) drains it
+    /// (end-to-end backpressure). A monitor driven through its own front
+    /// doors, inline or threaded, is its own drainer and cannot wait on
+    /// itself: its queue grows past the bound instead.
     #[default]
     Block,
     /// Discard the oldest undrained events and account for them with a
@@ -75,9 +76,10 @@ struct QueueInner {
     dropped_total: u64,
     /// Flow-attributed slice of `dropped_total`, keyed by flow.
     dropped_flows_total: HashMap<FlowKey, u64>,
-    /// Whether `Block` may actually park the producer. False for
-    /// single-threaded monitors (self-deadlock) and after `release()`.
-    may_block: bool,
+    /// Whether `Block` may park a producer: set by [`EventQueue::arm`]
+    /// once a concurrent drainer exists, cleared for good by
+    /// `release()`.
+    armed: bool,
     /// Set by `release()`: the capacity (and with it both policies) is
     /// lifted for good, so the end-of-stream flush can neither park nor
     /// shed tail events.
@@ -137,7 +139,9 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub(crate) fn new(capacity: usize, policy: OverflowPolicy, may_block: bool) -> Self {
+    /// An unarmed queue: under `Block` it grows past `capacity` until
+    /// [`Self::arm`] is called.
+    pub(crate) fn new(capacity: usize, policy: OverflowPolicy) -> Self {
         assert!(capacity >= 1, "zero event-queue capacity");
         EventQueue {
             approx_len: AtomicUsize::new(0),
@@ -149,7 +153,7 @@ impl EventQueue {
                 dropped_flows_since_drain: HashMap::new(),
                 dropped_total: 0,
                 dropped_flows_total: HashMap::new(),
-                may_block,
+                armed: false,
                 unbounded: false,
                 waiters: 0,
                 consumer_parked: false,
@@ -167,12 +171,10 @@ impl EventQueue {
     /// to push skips the call — and the lock — altogether
     /// (`ShardState::deliver`).
     ///
-    /// `may_wait` says whether a full `Block` queue may park the caller.
-    /// It must be false for a producer that *is* the queue's consumer
-    /// (the dispatching thread closing a parse-drop summary), where waiting on
-    /// the queue is waiting on itself: `Block` grows past the bound
-    /// instead. `DropOldest` is unaffected.
-    pub(crate) fn push(&self, events: impl IntoIterator<Item = Arc<QoeEvent>>, may_wait: bool) {
+    /// A full `Block` queue parks the caller only while the queue is
+    /// armed; otherwise it grows past the bound. `DropOldest` sheds
+    /// either way.
+    pub(crate) fn push(&self, events: impl IntoIterator<Item = Arc<QoeEvent>>) {
         let mut inner = self.inner.lock();
         for event in events {
             while !inner.unbounded && inner.buf.len() >= inner.capacity {
@@ -186,7 +188,7 @@ impl EventQueue {
                             bump_bounded(&mut inner.dropped_flows_total, flow);
                         }
                     }
-                    OverflowPolicy::Block if inner.may_block && may_wait => {
+                    OverflowPolicy::Block if inner.armed => {
                         // Publish what is already queued before parking:
                         // the consumer's lock-free emptiness check must
                         // see the backlog, or it will never take the
@@ -206,8 +208,9 @@ impl EventQueue {
                         inner = inner.wait(&self.not_full);
                         inner.waiters -= 1;
                     }
-                    // Single-threaded (or released, or consumer-side)
-                    // Block: grow past the bound rather than deadlocking.
+                    // Unarmed (or released) Block: nobody drains
+                    // concurrently, so grow past the bound rather than
+                    // wait on ourselves.
                     OverflowPolicy::Block => break,
                 }
             }
@@ -324,6 +327,15 @@ impl EventQueue {
         accounting
     }
 
+    /// Lets a full `Block` queue park its producers from now on. Only
+    /// `Monitor::ingest_port` calls it: a runner opening ports is about
+    /// to drain concurrently until the monitor finishes. A no-op after
+    /// [`Self::release`].
+    pub(crate) fn arm(&self) {
+        let mut inner = self.inner.lock();
+        inner.armed = !inner.unbounded;
+    }
+
     /// Lifts the bound for good: producers stop parking, and *neither*
     /// policy discards or delays anything further — `Block` overflows
     /// grow, `DropOldest` stops shedding. Called by `Monitor::finish`
@@ -332,7 +344,7 @@ impl EventQueue {
     /// windows, must neither drop nor deadlock against a full queue.
     pub(crate) fn release(&self) {
         let mut inner = self.inner.lock();
-        inner.may_block = false;
+        inner.armed = false;
         inner.unbounded = true;
         drop(inner);
         self.not_full.notify_all();
@@ -357,6 +369,13 @@ mod tests {
             panic!("not a parse-drop summary: {event:?}");
         };
         first_ts.as_micros()
+    }
+
+    /// A `Block` queue a concurrent drainer has armed.
+    fn armed(capacity: usize) -> EventQueue {
+        let q = EventQueue::new(capacity, OverflowPolicy::Block);
+        q.arm();
+        q
     }
 
     /// Everything one `drain_into` moves, as a fresh batch.
@@ -388,8 +407,8 @@ mod tests {
 
     #[test]
     fn drop_oldest_bounds_and_accounts() {
-        let q = EventQueue::new(4, OverflowPolicy::DropOldest, false);
-        q.push((0..10).map(ev), true);
+        let q = EventQueue::new(4, OverflowPolicy::DropOldest);
+        q.push((0..10).map(ev));
         assert_eq!(q.len(), 4);
         let drained = drain(&q);
         assert!(matches!(*drained[0], QoeEvent::Dropped { count: 6, .. }));
@@ -404,19 +423,16 @@ mod tests {
 
     #[test]
     fn drop_oldest_attributes_sheds_per_flow() {
-        let q = EventQueue::new(2, OverflowPolicy::DropOldest, false);
+        let q = EventQueue::new(2, OverflowPolicy::DropOldest);
         // Six events: four shed (two per flow), the newest two survive.
-        q.push(
-            [
-                opened(1, 0),
-                opened(2, 1),
-                opened(1, 2),
-                opened(2, 3),
-                opened(1, 4),
-                opened(2, 5),
-            ],
-            true,
-        );
+        q.push([
+            opened(1, 0),
+            opened(2, 1),
+            opened(1, 2),
+            opened(2, 3),
+            opened(1, 4),
+            opened(2, 5),
+        ]);
         let drained = drain(&q);
         let QoeEvent::Dropped { count, per_flow } = &*drained[0] else {
             panic!("drain must lead with the drop marker");
@@ -427,7 +443,7 @@ mod tests {
         assert_eq!(per_flow, &q.accounting().dropped_by_flow);
         // A second overflow accumulates the lifetime map but the next
         // marker counts only the fresh sheds.
-        q.push([opened(1, 6), opened(1, 7), opened(1, 8)], true);
+        q.push([opened(1, 6), opened(1, 7), opened(1, 8)]);
         let drained = drain(&q);
         let QoeEvent::Dropped { count, per_flow } = &*drained[0] else {
             panic!("second drain leads with a fresh marker");
@@ -440,9 +456,9 @@ mod tests {
 
     #[test]
     fn drain_into_appends_behind_what_is_already_staged() {
-        let q = EventQueue::new(2, OverflowPolicy::DropOldest, false);
+        let q = EventQueue::new(2, OverflowPolicy::DropOldest);
         let mut staged = VecDeque::from([ev(100)]);
-        q.push((0..3).map(ev), true);
+        q.push((0..3).map(ev));
         assert_eq!(q.drain_into(&mut staged), 3, "marker + two survivors");
         assert_eq!(ts_of(&staged[0]), 100, "staged events keep the front");
         assert!(matches!(*staged[1], QoeEvent::Dropped { count: 1, .. }));
@@ -454,12 +470,9 @@ mod tests {
 
     #[test]
     fn accounting_reads_total_breakdown_and_backlog_at_one_instant() {
-        let q = EventQueue::new(2, OverflowPolicy::DropOldest, false);
+        let q = EventQueue::new(2, OverflowPolicy::DropOldest);
         // Sheds: flow 2, one flowless drop summary, flow 1 — then two stay.
-        q.push(
-            [opened(2, 0), ev(1), opened(1, 2), opened(1, 3), ev(4)],
-            true,
-        );
+        q.push([opened(2, 0), ev(1), opened(1, 2), opened(1, 3), ev(4)]);
         let a = q.accounting();
         assert_eq!(a.dropped_total, 3);
         assert_eq!(a.dropped_by_flow, vec![(flow(1), 1), (flow(2), 1)]);
@@ -472,30 +485,20 @@ mod tests {
     }
 
     #[test]
-    fn push_nowait_never_parks_under_block() {
-        let q = EventQueue::new(1, OverflowPolicy::Block, true);
-        // may_block is true (threaded monitor), but the consumer-side
-        // push must still complete without a drain happening.
-        q.push((0..4).map(ev), false);
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.accounting().dropped_total, 0);
-    }
-
-    #[test]
     fn non_blocking_block_grows_past_bound() {
-        let q = EventQueue::new(2, OverflowPolicy::Block, false);
-        q.push((0..5).map(ev), true);
-        assert_eq!(q.len(), 5, "single-threaded Block must not lose events");
+        let q = EventQueue::new(2, OverflowPolicy::Block);
+        q.push((0..5).map(ev));
+        assert_eq!(q.len(), 5, "an unarmed Block queue must not lose events");
         assert_eq!(q.accounting().dropped_total, 0);
         assert_eq!(drain(&q).len(), 5);
     }
 
     #[test]
     fn blocking_producer_waits_for_drain() {
-        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let q = Arc::new(armed(2));
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
-            q2.push((0..6).map(ev), true);
+            q2.push((0..6).map(ev));
         });
         // Drain until the producer has delivered everything.
         let mut got = 0;
@@ -516,7 +519,7 @@ mod tests {
     fn conditional_wake_never_strands_a_parked_producer() {
         const PRODUCERS: i64 = 4;
         const PER_PRODUCER: i64 = 5_000;
-        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let q = Arc::new(armed(2));
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let consumer = {
             let q = Arc::clone(&q);
@@ -548,7 +551,7 @@ mod tests {
                     let mut i = 0;
                     while i < PER_PRODUCER {
                         let n = (1 + i % 3).min(PER_PRODUCER - i);
-                        q.push((i..i + n).map(|k| ev(p * PER_PRODUCER + k)), true);
+                        q.push((i..i + n).map(|k| ev(p * PER_PRODUCER + k)));
                         i += n;
                     }
                 })
@@ -577,7 +580,7 @@ mod tests {
     fn conditional_wake_never_strands_a_parked_consumer() {
         const PRODUCERS: i64 = 4;
         const PER_PRODUCER: i64 = 5_000;
-        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let q = Arc::new(armed(2));
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let consumer = {
             let q = Arc::clone(&q);
@@ -611,7 +614,7 @@ mod tests {
                     let mut i = 0;
                     while i < PER_PRODUCER {
                         let n = (1 + i % 3).min(PER_PRODUCER - i);
-                        q.push((i..i + n).map(|k| ev(p * PER_PRODUCER + k)), true);
+                        q.push((i..i + n).map(|k| ev(p * PER_PRODUCER + k)));
                         i += n;
                     }
                 })
@@ -644,20 +647,20 @@ mod tests {
 
     #[test]
     fn push_wakes_a_parked_consumer() {
-        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let q = Arc::new(armed(2));
         let woke = parked_consumer(&q);
-        q.push([ev(0)], true);
+        q.push([ev(0)]);
         woke.recv_timeout(Duration::from_secs(10))
             .expect("a push left the consumer parked");
     }
 
     #[test]
     fn producer_parking_mid_batch_wakes_the_consumer() {
-        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let q = Arc::new(armed(2));
         let woke = parked_consumer(&q);
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push((0..3).map(ev), true))
+            std::thread::spawn(move || q.push((0..3).map(ev)))
         };
         woke.recv_timeout(Duration::from_secs(10))
             .expect("producer and consumer both parked");
@@ -672,7 +675,7 @@ mod tests {
 
     #[test]
     fn kick_wakes_a_parked_consumer() {
-        let q = Arc::new(EventQueue::new(2, OverflowPolicy::Block, true));
+        let q = Arc::new(armed(2));
         let woke = parked_consumer(&q);
         q.kick();
         woke.recv_timeout(Duration::from_secs(10))
@@ -682,7 +685,7 @@ mod tests {
 
     #[test]
     fn kick_before_the_wait_returns_at_once() {
-        let q = EventQueue::new(2, OverflowPolicy::Block, true);
+        let q = armed(2);
         q.kick();
         let start = std::time::Instant::now();
         q.wait_for_events(Duration::from_secs(60));
@@ -697,11 +700,11 @@ mod tests {
     fn release_stops_drop_oldest_shedding() {
         // After release, the end-of-stream flush must not lose events
         // even under DropOldest: the queue grows past its bound instead.
-        let q = EventQueue::new(2, OverflowPolicy::DropOldest, false);
-        q.push((0..5).map(ev), true);
+        let q = EventQueue::new(2, OverflowPolicy::DropOldest);
+        q.push((0..5).map(ev));
         assert_eq!(q.accounting().dropped_total, 3, "bounded phase sheds");
         q.release();
-        q.push((5..20).map(ev), true);
+        q.push((5..20).map(ev));
         assert_eq!(
             q.accounting().dropped_total,
             3,
@@ -714,13 +717,22 @@ mod tests {
 
     #[test]
     fn release_unblocks_producers() {
-        let q = Arc::new(EventQueue::new(1, OverflowPolicy::Block, true));
+        let q = Arc::new(armed(1));
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
-            q2.push((0..4).map(ev), true);
+            q2.push((0..4).map(ev));
         });
         q.release();
         producer.join().expect("producer");
         assert_eq!(drain(&q).len(), 4);
+    }
+
+    #[test]
+    fn release_disarms_for_good() {
+        let q = armed(1);
+        q.release();
+        q.arm();
+        q.push((0..4).map(ev));
+        assert_eq!(drain(&q).len(), 4, "a released queue never parks again");
     }
 }

@@ -53,12 +53,10 @@ pub(crate) struct ControlShared {
     /// Bumped by `force_flush`; shards emit provisional snapshots when
     /// they observe a new epoch.
     flush_epoch: AtomicU64,
-    /// Append-only eviction requests; each shard keeps a cursor and
-    /// seals the requested flows it owns.
-    evictions: LeafMutex<Vec<FlowKey>>,
-    /// `evictions.len()`, readable without the lock (shards skip the
-    /// lock entirely while no new request exists).
-    evict_len: AtomicUsize,
+    /// Eviction requests, one mailbox per worker (one on an inline
+    /// monitor): a request goes to the flow's owner, which empties its
+    /// mailbox when it applies them.
+    mailboxes: Vec<Mailbox>,
     /// Live alert thresholds (severity classification + shared sinks).
     pub(crate) thresholds: AlertThresholds,
     /// The monitor's VCA, whose lab ladder the resolution floor maps
@@ -87,13 +85,26 @@ pub(crate) struct ControlShared {
     windows_by_method: [AtomicU64; 4],
 }
 
+/// One worker's pending eviction requests.
+#[derive(Debug)]
+struct Mailbox {
+    requests: LeafMutex<Vec<FlowKey>>,
+    /// `requests.len()`, readable without the lock: the owner skips the
+    /// lock entirely while its mailbox is empty.
+    len: AtomicUsize,
+}
+
 impl ControlShared {
     pub(crate) fn new(workers: usize, model_bytes: u64, vca: VcaKind) -> Self {
         ControlShared {
             stop: AtomicBool::new(false),
             flush_epoch: AtomicU64::new(0),
-            evictions: LeafMutex::new(Vec::new()),
-            evict_len: AtomicUsize::new(0),
+            mailboxes: (0..workers.max(1))
+                .map(|_| Mailbox {
+                    requests: LeafMutex::new(Vec::new()),
+                    len: AtomicUsize::new(0),
+                })
+                .collect(),
             thresholds: AlertThresholds::new(),
             vca,
             depths: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -134,21 +145,35 @@ impl ControlShared {
         self.flush_epoch.load(Relaxed)
     }
 
-    /// Whether requests exist past `cursor` — the lock-free (and
-    /// refcount-free) per-packet fast path.
-    pub(crate) fn has_evictions_since(&self, cursor: usize) -> bool {
-        self.evict_len.load(Relaxed) != cursor
+    /// The worker that owns the flow whose [`FlowKey::hash64`] is
+    /// `hash`: its low bits, modulo the worker count (0 on an inline
+    /// monitor). Packets and eviction requests are routed by it alike.
+    /// Inside a worker the table's shard selection takes the top 16 bits
+    /// and slot probing starts from bits 16.., so the three routing
+    /// layers stay uncorrelated while the key is hashed exactly once
+    /// (see `FlowTable`).
+    pub(crate) fn owner(&self, hash: u64) -> usize {
+        (hash % self.mailboxes.len() as u64) as usize
     }
 
-    /// Eviction requests past `cursor`, advancing it.
-    pub(crate) fn evictions_since(&self, cursor: &mut usize) -> Vec<FlowKey> {
-        if self.evict_len.load(Relaxed) == *cursor {
+    /// Empties `worker`'s eviction mailbox. Lock-free (one relaxed load,
+    /// no allocation) while it is empty — the per-packet case.
+    pub(crate) fn take_evictions(&self, worker: usize) -> Vec<FlowKey> {
+        let Some(mailbox) = self.mailboxes.get(worker) else {
+            return Vec::new();
+        };
+        if mailbox.len.load(Relaxed) == 0 {
             return Vec::new();
         }
-        let requests = self.evictions.lock();
-        let fresh = requests[(*cursor).min(requests.len())..].to_vec();
-        *cursor = requests.len();
-        fresh
+        let mut requests = mailbox.requests.lock();
+        mailbox.len.store(0, Relaxed);
+        std::mem::take(&mut *requests)
+    }
+
+    /// Eviction requests posted and not yet taken, over every mailbox.
+    #[cfg(test)]
+    pub(crate) fn held_evictions(&self) -> usize {
+        self.mailboxes.iter().map(|m| m.requests.lock().len()).sum()
     }
 
     /// Records `n` packets handed to `worker`'s channel.
@@ -342,9 +367,10 @@ impl MonitorHandle {
     /// Unknown flows are ignored. Same application timing as
     /// [`MonitorHandle::force_flush`].
     pub fn evict_flow(&self, flow: FlowKey) {
-        let mut requests = self.control.evictions.lock();
+        let mailbox = &self.control.mailboxes[self.control.owner(flow.hash64())];
+        let mut requests = mailbox.requests.lock();
         requests.push(flow);
-        self.control.evict_len.store(requests.len(), Relaxed);
+        mailbox.len.store(requests.len(), Relaxed);
     }
 
     /// The live [`AlertThresholds`] (a shared handle: retuning through

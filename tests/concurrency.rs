@@ -302,10 +302,11 @@ fn finish_under_drop_oldest_keeps_every_tail() {
 }
 
 /// Deadlock regression: tiny queue + tiny ingest channels under `Block`,
-/// with a consumer that never drains mid-stream. The dispatcher must
-/// stage ready events while waiting for channel space instead of
-/// wedging against a worker parked on the full event queue — and the
-/// conservation law still holds at the end.
+/// with a consumer that never drains mid-stream. A monitor driven
+/// through its own front doors is its own drainer, so its workers never
+/// park on the full queue — it grows past the bound, as an inline one
+/// does — and the blocking channel sends always complete. Nothing is
+/// lost at the end.
 #[test]
 fn block_policy_with_tiny_bounds_never_deadlocks() {
     let vca = VcaKind::Teams;
@@ -336,9 +337,10 @@ fn block_policy_with_tiny_bounds_never_deadlocks() {
     assert_eq!(got, total, "Block loses nothing");
 }
 
-/// Backpressure end to end: a threaded monitor under `Block` must not
-/// lose a single event when the consumer drains slowly, and ingestion
-/// must complete (no deadlock) as long as the consumer keeps draining.
+/// A threaded monitor under `Block`, driven through its own front doors
+/// and drained between ingests, loses no event and never wedges. (Only a
+/// runner's concurrent drain parks workers against the bound; that path
+/// is `tests/io_layer.rs`'s `runner_block_queue_never_exceeds_its_bound`.)
 #[test]
 fn block_policy_delivers_everything_under_slow_draining() {
     let vca = VcaKind::Teams;
@@ -371,6 +373,45 @@ fn block_policy_delivers_everything_under_slow_draining() {
     assert_eq!(monitor.stats().events_dropped, 0, "Block never drops");
     got += monitor.finish().len();
     assert_eq!(got, total, "every event delivered exactly once");
+}
+
+/// A directly driven two-worker monitor with a capacity-1 `Block` queue
+/// takes 2 000 packets without a single drain and then finishes: with
+/// no concurrent drainer its workers never park, so the queue grows past
+/// the bound instead, and every event the inline monitor emits arrives.
+#[test]
+fn self_drained_block_monitor_grows_past_the_bound() {
+    let build = |threads| {
+        MonitorBuilder::new(VcaKind::Teams)
+            .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+            .threads(threads)
+            .queue_capacity(1)
+            .overflow(OverflowPolicy::Block)
+            .build()
+    };
+    let mut feed = steady_feed(flow_key(1), 0, 20);
+    feed.extend(steady_feed(flow_key(2), 0, 14));
+    feed.sort_by_key(|(_, p)| p.ts);
+    assert!(feed.len() >= 2_000);
+    feed.truncate(2_000);
+    let mut inline = build(1);
+    for (flow, pkt) in &feed {
+        inline.ingest_packet(*flow, *pkt);
+    }
+    let want = inline.finish().len();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mut monitor = build(2);
+        for (flow, pkt) in &feed {
+            monitor.ingest_packet(*flow, *pkt);
+        }
+        let _ = done_tx.send(monitor.finish().len());
+    });
+    let got = done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("a self-drained Block monitor wedged");
+    worker.join().expect("the feeding thread");
+    assert_eq!(got, want, "Block loses nothing");
 }
 
 /// A steady synthetic video flow (two ~1 kB packets per 30 fps frame)

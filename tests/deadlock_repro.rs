@@ -20,7 +20,8 @@ fn parse_drop_on_full_queue_threaded_block() {
             17,
         );
         // >512 packets so a batch flushes to the worker, which emits
-        // events and parks on the size-1 queue.
+        // events past the size-1 queue's bound: nothing drains it
+        // concurrently, so the worker grows it instead of parking.
         for i in 0..2000i64 {
             let p = TracePacket {
                 ts: Timestamp::from_micros(i * 40_000),
@@ -33,8 +34,7 @@ fn parse_drop_on_full_queue_threaded_block() {
         std::thread::sleep(std::time::Duration::from_millis(200));
         // Queue is now full. A drop is only counted; the next record,
         // past its interval, closes the summary and pushes it into the
-        // full queue from the dispatching thread — which must not hang
-        // the caller.
+        // full queue from the caller's thread — which must not hang it.
         for ts in [-1, 2000 * 40_000] {
             let p = TracePacket {
                 ts: Timestamp::from_micros(ts),

@@ -22,9 +22,9 @@ use vcaml_suite::netpkt::{Error as NetError, FlowKey, LinkType, PcapWriter, Time
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::source::{PacketSource, PcapFileSource, SourcePacket};
 use vcaml_suite::vcaml::{
-    AlertSink, CallbackSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder,
-    MonitorRunner, OverflowPolicy, Paced, QoeEvent, ReplaySource, Summary, SummarySink, Trace,
-    TracePacket, WindowReport,
+    AlertSink, CallbackSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, Monitor,
+    MonitorBuilder, MonitorRunner, OverflowPolicy, Paced, QoeEvent, ReplaySource, Summary,
+    SummarySink, Trace, TracePacket, WindowReport,
 };
 use vcaml_suite::vcasim::synthetic_capture;
 
@@ -260,6 +260,36 @@ impl PacketSource for Feed {
     }
 }
 
+/// Every record of a one-call, 3 s capture.
+fn records(seed: u64) -> Vec<SourcePacket> {
+    let mut capture = synthetic(3, 1, seed);
+    let mut out = Vec::new();
+    while let Some(pkt) = capture.next_packet().expect("a rendered capture reads") {
+        out.push(pkt);
+    }
+    out
+}
+
+/// Four live one-call sources. Live sources hand every packet to its
+/// worker at once, so a worker parks on a full queue within a few
+/// packets.
+fn live_sources(runner: MonitorRunner) -> MonitorRunner {
+    (0..4u64).fold(runner, |runner, seed| {
+        runner.source(Feed {
+            packets: records(40 + seed).into_iter(),
+            live: true,
+        })
+    })
+}
+
+/// Feeds one source packet through the monitor's own front doors.
+fn ingest(monitor: &mut Monitor, pkt: &SourcePacket) {
+    match pkt {
+        SourcePacket::Record { link, record } => monitor.ingest_pcap_record(*link, record),
+        SourcePacket::Parsed { flow, packet } => monitor.ingest_packet(*flow, *packet),
+    }
+}
+
 /// Runs `feed` through a `threads`-worker runner; returns the sorted
 /// `parse_drop` lines, the settled stats and a `Summary` of the stream.
 fn run_feed(feed: Vec<SourcePacket>, threads: usize, live: bool) -> (Vec<String>, u64, Summary) {
@@ -301,10 +331,7 @@ fn drop_summaries_are_a_function_of_the_record_stream() {
         );
     };
     for pkt in &feed {
-        match pkt {
-            SourcePacket::Record { link, record } => monitor.ingest_pcap_record(*link, record),
-            SourcePacket::Parsed { flow, packet } => monitor.ingest_packet(*flow, *packet),
-        }
+        ingest(&mut monitor, pkt);
         collect(&mut monitor.drain_events());
     }
     let drops = monitor.stats().parse_drops;
@@ -420,6 +447,110 @@ fn per_flow_shed_accounting_reaches_summary_and_stats() {
         rendered.contains(&format!("{marker_total} events shed")),
         "summary surfaces the shed total: {rendered}"
     );
+}
+
+/// Only a runner's drain parks workers, and then the bound holds: a
+/// two-worker run over a 4-event `Block` queue with a slow sink never
+/// lets the queue hold more than 4 events, drops nothing, and delivers
+/// what the inline run does.
+#[test]
+fn runner_block_queue_never_exceeds_its_bound() {
+    let builder = || {
+        MonitorBuilder::new(VcaKind::Teams).method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+    };
+    let inline = MonitorRunner::new(builder())
+        .source(synthetic(6, 3, 9))
+        .run();
+    let runner = MonitorRunner::new(
+        builder()
+            .threads(2)
+            .queue_capacity(4)
+            .overflow(OverflowPolicy::Block),
+    );
+    let handle = runner.handle();
+    let peak = Arc::new(Mutex::new((0usize, 0u64)));
+    let seen = Arc::clone(&peak);
+    let report = runner
+        .source(synthetic(6, 3, 9))
+        .sink(CallbackSink::new(move |event| {
+            let pending = handle.stats_snapshot().pending_events;
+            let (most, dropped) = &mut *seen.lock().expect("sink state");
+            *most = (*most).max(pending);
+            *dropped += u64::from(matches!(event, QoeEvent::Dropped { .. }));
+            // Slow enough that the workers outrun the drain and park.
+            std::thread::sleep(std::time::Duration::from_micros(300));
+        }))
+        .run();
+    let (most, dropped) = *peak.lock().expect("sink state");
+    assert!(
+        most <= 4,
+        "the queue held {most} events, past its bound of 4"
+    );
+    assert_eq!(
+        (dropped, report.stats.events_dropped),
+        (0, 0),
+        "Block drops nothing"
+    );
+    assert_eq!(report.events, inline.events, "every event delivered");
+    assert_eq!(report.stats.window_reports, inline.stats.window_reports);
+}
+
+/// A threaded monitor fed directly, with a partial batch still in its
+/// own lanes, then handed to a runner at capacity 1 with a slow sink:
+/// the run completes and loses nothing. Forking the runner's ports flushes
+/// that batch before it arms the queue; a batch left behind would be sent
+/// by the runner's drain, into a channel whose worker may already be
+/// parked on the armed, full queue only that drain empties.
+#[test]
+fn handed_over_monitor_with_a_buffered_batch_completes() {
+    let builder = || {
+        MonitorBuilder::new(VcaKind::Teams).method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+    };
+    let direct = records(30);
+    let mut inline = builder().build();
+    for pkt in &direct {
+        ingest(&mut inline, pkt);
+    }
+    let inline = live_sources(MonitorRunner::with_monitor(inline)).run();
+    for round in 0..8 {
+        let direct = direct.clone();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut monitor = builder()
+                .threads(2)
+                .queue_capacity(1)
+                .overflow(OverflowPolicy::Block)
+                .build();
+            // Full batches reach the workers, whose events fill the
+            // queue; the tail stays buffered in the monitor's lanes.
+            for pkt in &direct {
+                ingest(&mut monitor, pkt);
+            }
+            let delivered = Arc::new(Mutex::new(0u64));
+            let count = Arc::clone(&delivered);
+            let report = live_sources(MonitorRunner::with_monitor(monitor))
+                .sink(CallbackSink::new(move |_| {
+                    *count.lock().expect("sink state") += 1;
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }))
+                .run();
+            let delivered = *delivered.lock().expect("sink state");
+            let _ = done_tx.send((report, delivered));
+        });
+        let (report, delivered) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("round {round}: the hand-over did not complete: {e}"));
+        worker.join().expect("the run's thread");
+        assert_eq!(delivered, report.events);
+        assert_eq!(report.stats.events_dropped, 0);
+        assert_eq!(report.stats.packets, inline.stats.packets);
+        assert_eq!(report.stats.flows_opened, inline.stats.flows_opened);
+        assert_eq!(report.stats.window_reports, inline.stats.window_reports);
+        assert_eq!(
+            report.events, inline.events,
+            "round {round}: every event delivered"
+        );
+    }
 }
 
 /// Alerts compose as sinks: a threshold above every achievable frame
