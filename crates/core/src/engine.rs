@@ -559,8 +559,13 @@ mod sources {
         /// if the method counts it.
         fn accept(&mut self, pkt: &TracePacket);
 
-        /// The current window's feature vector.
-        fn features(&self, window_secs: f64) -> Vec<f64>;
+        /// The width of the feature vector, at most
+        /// [`super::MAX_FEATURES`].
+        const WIDTH: usize;
+
+        /// Writes the current window's feature vector into `out`, which
+        /// holds exactly [`FeatureSource::WIDTH`] values.
+        fn features_into(&self, window_secs: f64, out: &mut [f64]);
 
         /// Video packets accumulated into the current window.
         fn video_packets(&self) -> usize;
@@ -834,6 +839,10 @@ impl FrameSource for RtpFrames {
 // ML engines: one driver over two feature sources
 // ---------------------------------------------------------------------------
 
+/// The widest feature vector an ML engine builds: the RTP ML method's
+/// 12 flow plus 12 RTP features.
+const MAX_FEATURES: usize = FlowFeatureAcc::WIDTH + RtpWindowAcc::WIDTH;
+
 /// A streaming ML engine: window clock and per-window feature reports
 /// (+ optional model inference) over a feature source.
 pub struct MlDriver<F> {
@@ -869,16 +878,21 @@ impl<F: FeatureSource> MlDriver<F> {
         }
     }
 
-    /// The report `window` would seal with now.
+    /// The report `window` would seal with now. The features are built
+    /// on the stack and predicted from there; the report's copy is the
+    /// one allocation a seal makes.
     fn snapshot(&self, window: u64) -> WindowReport {
-        let features = self.source.features(self.clock.window_secs());
+        let mut buf = [0.0; MAX_FEATURES];
+        let features = &mut buf[..F::WIDTH];
+        self.source
+            .features_into(self.clock.window_secs(), features);
         WindowReport {
             window,
             method: F::METHOD,
             estimate: None,
-            model_fps: self.model.as_ref().map(|m| m.predict(&features)),
+            model_fps: self.model.as_ref().map(|m| m.predict(features)),
             video_packets: self.source.video_packets(),
-            features: Some(features),
+            features: Some(features.to_vec()),
         }
     }
 
@@ -897,6 +911,9 @@ impl<F: FeatureSource> QoeEstimator for MlDriver<F> {
         match self.clock.tick(pkt.ts) {
             None => return,
             Some(Tick::Start(_)) => {}
+            // A packet behind the open window has no window left to count
+            // in: the heuristics' rule too.
+            Some(Tick::Step { w, from }) if w < from => return,
             Some(Tick::Step { w, from }) => {
                 for window in from..w {
                     self.seal(window, out);
@@ -916,11 +933,15 @@ impl<F: FeatureSource> QoeEstimator for MlDriver<F> {
     }
 
     fn empty_report(&self, window: u64) -> WindowReport {
+        let mut features = vec![0.0; F::WIDTH];
+        self.source
+            .pristine()
+            .features_into(self.clock.window_secs(), &mut features);
         WindowReport {
             window,
             method: F::METHOD,
             estimate: None,
-            features: Some(self.source.pristine().features(self.clock.window_secs())),
+            features: Some(features),
             model_fps: None,
             video_packets: 0,
         }
@@ -965,8 +986,10 @@ impl FeatureSource for IpUdpFeatures {
         }
     }
 
-    fn features(&self, window_secs: f64) -> Vec<f64> {
-        self.acc.features(window_secs)
+    const WIDTH: usize = IpUdpFeatureAcc::WIDTH;
+
+    fn features_into(&self, window_secs: f64, out: &mut [f64]) {
+        self.acc.features_into(window_secs, out);
     }
 
     fn video_packets(&self) -> usize {
@@ -1047,10 +1070,12 @@ impl FeatureSource for RtpFeatures {
         }
     }
 
-    fn features(&self, window_secs: f64) -> Vec<f64> {
-        let mut features = self.flow.features(window_secs);
-        features.extend(self.rtp.features(self.lag_ref));
-        features
+    const WIDTH: usize = MAX_FEATURES;
+
+    fn features_into(&self, window_secs: f64, out: &mut [f64]) {
+        let (flow, rtp) = out.split_at_mut(FlowFeatureAcc::WIDTH);
+        self.flow.features_into(window_secs, flow);
+        self.rtp.features_into(self.lag_ref, rtp);
     }
 
     fn video_packets(&self) -> usize {
@@ -1977,6 +2002,18 @@ mod tests {
         assert_eq!(dump(&emitted), dump(&clean[..emitted.len()]), "{method:?}");
         let windows: Vec<u64> = emitted.iter().chain(&rest).map(|r| r.window).collect();
         assert_eq!(windows, (0..4).collect::<Vec<_>>(), "{method:?}");
+        // The late packets touch no window, the open one included: window
+        // 2 reads as in the clean run, 59 video packets (29 frames of two,
+        // and the second packet of a frame begun in window 1).
+        let two = |r: &&WindowReport| r.window == 2;
+        let stepped = emitted.iter().chain(&rest).find(two);
+        let clean_two = clean.iter().find(two);
+        assert_eq!(
+            format!("{stepped:?}"),
+            format!("{clean_two:?}"),
+            "{method:?}"
+        );
+        assert_eq!(stepped.map(|r| r.video_packets), Some(59), "{method:?}");
     }
 
     #[test]

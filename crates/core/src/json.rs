@@ -2,8 +2,9 @@
 //! line ([`QoeEvent`](crate::api::QoeEvent)), the `"type":"stats"` line
 //! ([`MonitorSnapshot`](crate::control::MonitorSnapshot)) and the alert
 //! lines of [`AlertSink`](crate::sink::AlertSink) — written straight
-//! into a caller-owned `String`. The string-escaping rule and the number
-//! rule live here and nowhere else in the crate.
+//! into a caller-owned `String`. The string rule (program words only,
+//! which need no escaping) and the number rule live here and nowhere
+//! else in the crate.
 //!
 //! Every writer is typed and appends one complete JSON value. None
 //! takes a `Display`: on a tap the event stream is mostly lifecycle and
@@ -17,49 +18,23 @@
 use std::fmt::Write;
 use vcaml_netpkt::FlowKey;
 
-/// Whether `b` cannot stand as itself inside a JSON string.
-fn needs_escape(b: u8) -> bool {
-    b == b'"' || b == b'\\' || b < 0x20
+/// Whether `s` can stand inside a JSON string as it is: nothing to
+/// escape in it (no quote, backslash or control character).
+fn plain(s: &str) -> bool {
+    !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20)
 }
 
-/// A quoted, escaped string: `"` `\` `\n` `\r` `\t` by name, any other
-/// control below 0x20 as `\u00XX`, everything else as is. One scan, and
-/// one copy when nothing needs escaping. Inlined, as [`Object::key`] is:
-/// most callers pass a literal, whose length the copy then knows.
+/// A quoted program word — a type tag, a reason tag, a method name — as
+/// it is: no string the product writes needs escaping, so none is
+/// scanned for it. Inlined, as [`Object::key`] is: every caller passes a
+/// literal or a `&'static str` from a table, whose length the copy then
+/// knows.
 #[inline]
-pub(crate) fn str(out: &mut String, s: &str) {
+pub(crate) fn str(out: &mut String, s: &'static str) {
+    debug_assert!(plain(s), "{s:?} needs escaping");
     out.push('"');
-    if s.bytes().any(needs_escape) {
-        escaped(out, s);
-    } else {
-        out.push_str(s);
-    }
+    out.push_str(s);
     out.push('"');
-}
-
-/// The inside of a string that has something to escape in it.
-fn escaped(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut rest = s;
-    // Every byte that needs escaping is ASCII, so the cuts below fall on
-    // `char` boundaries.
-    while let Some(i) = rest.bytes().position(needs_escape) {
-        out.push_str(&rest[..i]);
-        match rest.as_bytes()[i] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            b => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
-            }
-        }
-        rest = &rest[i + 1..];
-    }
-    out.push_str(rest);
 }
 
 /// `00` to `99`: [`uint`] emits two digits per division.
@@ -203,7 +178,7 @@ impl<'a> Object<'a> {
     /// method slugs — and are pushed as they are, with no escape scan.
     #[inline]
     pub(crate) fn key(&mut self, key: &'static str) -> &mut String {
-        debug_assert!(!key.bytes().any(needs_escape));
+        debug_assert!(plain(key), "{key:?} needs escaping");
         self.separate();
         self.out.push('"');
         self.out.push_str(key);
@@ -227,49 +202,6 @@ impl<'a> Object<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Inverse of [`str`] for what it can emit.
-    fn unescape(quoted: &str) -> String {
-        let mut out = String::new();
-        let mut chars = quoted[1..quoted.len() - 1].chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            out.push(match chars.next().expect("escape") {
-                'n' => '\n',
-                'r' => '\r',
-                't' => '\t',
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    char::from_u32(u32::from_str_radix(&hex, 16).expect("hex")).expect("char")
-                }
-                literal => literal,
-            });
-        }
-        out
-    }
-
-    #[test]
-    fn every_ascii_char_survives_escaping() {
-        let all: String = ('\0'..='\u{7f}')
-            .chain("é→𝄞\u{80}\u{2028}".chars())
-            .collect();
-        let singles = all.chars().map(String::from);
-        for text in singles.chain([all.clone(), String::new()]) {
-            let mut quoted = String::new();
-            str(&mut quoted, &text);
-            assert_eq!(unescape(&quoted), text, "{quoted}");
-            let mut inner = quoted[1..quoted.len() - 1].chars();
-            while let Some(c) = inner.next() {
-                assert!(c != '"' && c >= ' ', "raw {c:?} in {quoted}");
-                if c == '\\' {
-                    inner.next();
-                }
-            }
-        }
-    }
 
     #[test]
     fn integers_match_the_formatter_at_every_digit_count() {
@@ -296,22 +228,6 @@ mod tests {
         for m in crate::engine::Method::ALL {
             assert_eq!(m.variant_name(), format!("{m:?}"));
         }
-    }
-
-    /// Quote, backslash, the three named controls, any other control as
-    /// `\u00XX`, everything else (multi-byte too) raw. No event field
-    /// needs escaping, so no event line reaches this path.
-    #[test]
-    fn strings_are_escaped() {
-        let mut text = String::new();
-        str(&mut text, "a\"b\\c l1\nl2\r\tend\u{1}\u{1f}é\u{7f}");
-        assert_eq!(
-            text,
-            [r#""a\"b\\c l1\nl2\r\tend\u0001\u001f"#, "é\u{7f}\""].concat()
-        );
-        text.clear();
-        str(&mut text, "plain");
-        assert_eq!(text, r#""plain""#);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! log of its raw values (bounded by the window's packet count, capacity
 //! retained across windows) and the seal reproduces the batch order
 //! statistics exactly — including exact medians, which Table 1's methods
-//! are defined over.
+//! are defined over — by selection over a per-thread scratch buffer
+//! ([`crate::stats`]), never by sorting a log or cloning it.
 //!
 //! ```
 //! use vcaml_features::incremental::IpUdpFeatureAcc;
@@ -54,23 +55,24 @@ pub enum StatsMode {
 }
 
 /// One five-statistic stream (`[mean, stdev, median, min, max]`) over
-/// integer-keyed values decoded by a fixed scale.
+/// integer values decoded by a fixed scale.
 ///
-/// Raw values are appended to an *unsorted log* and all ordering work is
-/// deferred to the once-per-window [`StatAcc::five`] call — the same
-/// cost structure as the batch path, which sorts each window slice once
-/// in `five_stats`. A per-push sorted insert was measured at ~10–20× the
-/// append cost on IAT streams (hundreds of distinct values per window ⇒
-/// an `O(n)` memmove per packet). Critically for the zero-allocation
-/// steady state, [`StatAcc::reset`] retains the log's capacity, so after
-/// warmup no push allocates.
+/// Raw values are appended to an *unsorted, arrival-order log*, and the
+/// statistics are taken once per window by [`StatAcc::five`], which hands
+/// the log to [`crate::stats::five_of`]: no sort, and no clone of the
+/// log (its keys go into the per-thread selection scratch). A per-push
+/// sorted insert was measured at ~10–20× the append cost on IAT streams
+/// (hundreds of distinct values per window ⇒ an `O(n)` memmove per
+/// packet). Critically for the zero-allocation steady state,
+/// [`StatAcc::reset`] retains the log's capacity, so after warmup no push
+/// allocates.
 #[derive(Debug, Clone)]
-struct StatAcc {
+struct StatAcc<T> {
     divisor: f64,
-    vals: Vec<i64>,
+    vals: Vec<T>,
 }
 
-impl StatAcc {
+impl<T: Copy + Into<i64>> StatAcc<T> {
     fn new(divisor: f64) -> Self {
         StatAcc {
             divisor,
@@ -92,7 +94,7 @@ impl StatAcc {
 
     /// Every statistic is deferred to the once-per-seal `five` pass; the
     /// per-packet cost is one append.
-    fn push(&mut self, raw: i64) {
+    fn push(&mut self, raw: T) {
         self.vals.push(raw);
     }
 
@@ -104,7 +106,7 @@ impl StatAcc {
 
     /// Heap bytes currently held (capacity, not length).
     fn heap_bytes(&self) -> usize {
-        self.vals.capacity() * std::mem::size_of::<i64>()
+        self.vals.capacity() * std::mem::size_of::<T>()
     }
 
     /// Values pushed this window.
@@ -112,53 +114,17 @@ impl StatAcc {
         self.vals.len() as u64
     }
 
-    /// Arrival-order sum of decoded values — bit-identical to a running
-    /// `+=` per push, since both reduce the same sequence left-to-right.
-    fn total(&self) -> f64 {
-        self.vals.iter().map(|&raw| self.decode(raw)).sum()
-    }
-
     /// `[mean, stdev, median, min, max]`, zeros when empty — the same
-    /// contract as [`crate::stats::five_stats`], replayed over the
-    /// arrival-ordered value log: the same summation order (mean and
-    /// variance are bit-identical to the batch slice) and the same
-    /// sorted-slice median/min/max. `decode` is monotonic, so sorting raw
-    /// integers picks the same elements as sorting the decoded values.
-    /// The scratch copy and the two passes are a once-per-seal cost,
-    /// matching the batch path's.
-    ///
-    /// Also hands back the sorted copy (empty when the log is), for a
-    /// caller that reads more from the order than the five statistics.
-    fn five(&self) -> ([f64; 5], Vec<i64>) {
-        if self.vals.is_empty() {
-            return ([0.0; 5], Vec::new());
-        }
-        let n = self.vals.len() as f64;
-        let mean = self.vals.iter().map(|&raw| self.decode(raw)).sum::<f64>() / n;
-        let var = self
-            .vals
-            .iter()
-            .map(|&raw| (self.decode(raw) - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        let mut sorted = self.vals.clone();
-        sorted.sort_unstable();
-        let median = if sorted.len() % 2 == 1 {
-            self.decode(sorted[sorted.len() / 2])
-        } else {
-            (self.decode(sorted[sorted.len() / 2 - 1]) + self.decode(sorted[sorted.len() / 2]))
-                / 2.0
-        };
-        (
-            [
-                mean,
-                var.sqrt(),
-                median,
-                self.decode(sorted[0]),
-                self.decode(sorted[sorted.len() - 1]),
-            ],
-            sorted,
-        )
+    /// contract as [`crate::stats::five_stats`], over the arrival-ordered
+    /// log: the same summation order (mean and variance are bit-identical
+    /// to the batch slice) and the same order statistics. `decode` is
+    /// monotonic, so ordering raw integers picks the same elements as
+    /// ordering the decoded values. Also hands back the arrival-order sum
+    /// of the decoded values the mean was taken from.
+    fn five(&self) -> ([f64; 5], f64) {
+        crate::stats::five_of(self.vals.iter().map(|&raw| raw.into()), |raw| {
+            self.decode(raw)
+        })
     }
 }
 
@@ -166,8 +132,10 @@ impl StatAcc {
 /// ([`crate::flow_features`]) for one window.
 #[derive(Debug, Clone)]
 pub struct FlowFeatureAcc {
-    sizes: StatAcc,
-    iats: StatAcc,
+    /// Sizes as captured (`u16`, 2 bytes per packet).
+    sizes: StatAcc<u16>,
+    /// Gaps in whole microseconds (8 bytes per packet).
+    iats: StatAcc<i64>,
     prev_ts: Option<Timestamp>,
 }
 
@@ -178,6 +146,9 @@ impl Default for FlowFeatureAcc {
 }
 
 impl FlowFeatureAcc {
+    /// The width of the flow feature vector.
+    pub const WIDTH: usize = 12;
+
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         FlowFeatureAcc {
@@ -193,7 +164,7 @@ impl FlowFeatureAcc {
     /// derived from the size stream at seal time, keeping this hot call
     /// to two appends and a timestamp save.
     pub fn push(&mut self, ts: Timestamp, size: u16) {
-        self.sizes.push(i64::from(size));
+        self.sizes.push(size);
         if let Some(prev) = self.prev_ts {
             self.iats.push((ts - prev).as_micros());
         }
@@ -207,28 +178,21 @@ impl FlowFeatureAcc {
 
     /// Emits the 12 features for the current window.
     pub fn features(&self, window_secs: f64) -> Vec<f64> {
-        let mut v = Vec::with_capacity(12);
-        self.extend_features(&mut v, window_secs);
+        let mut v = vec![0.0; Self::WIDTH];
+        self.features_into(window_secs, &mut v);
         v
     }
 
-    /// Appends the 12 features to `v` and returns the window's number of
-    /// distinct packet sizes: one linear pass over the sorted copy the
-    /// size statistics already took, where each distinct size starts one
-    /// run. Sizes are `u16` widened losslessly, so the count is exact.
-    fn extend_features(&self, v: &mut Vec<f64>, window_secs: f64) -> u64 {
+    /// Writes the 12 features for the current window into `out`, which
+    /// holds exactly [`FlowFeatureAcc::WIDTH`] values. Allocates nothing.
+    pub fn features_into(&self, window_secs: f64, out: &mut [f64]) {
         assert!(window_secs > 0.0, "non-positive window");
-        // Scoped so the sorted sizes are freed before the IATs are sorted.
-        let (sizes, unique_sizes) = {
-            let (five, sorted) = self.sizes.five();
-            let run_starts = sorted.windows(2).filter(|w| w[0] != w[1]).count();
-            (five, (run_starts + usize::from(!sorted.is_empty())) as u64)
-        };
-        v.push(self.sizes.total() / window_secs);
-        v.push(self.sizes.count() as f64 / window_secs);
-        v.extend_from_slice(&sizes);
-        v.extend_from_slice(&self.iats.five().0);
-        unique_sizes
+        let (sizes, bytes) = self.sizes.five();
+        let (rates, stats) = out.split_at_mut(2);
+        rates.copy_from_slice(&[bytes / window_secs, self.sizes.count() as f64 / window_secs]);
+        let (size_stats, iat_stats) = stats.split_at_mut(5);
+        size_stats.copy_from_slice(&sizes);
+        iat_stats.copy_from_slice(&self.iats.five().0);
     }
 
     /// Clears per-window state (IAT chains do not span windows, matching
@@ -252,8 +216,8 @@ impl FlowFeatureAcc {
 /// features (`# unique sizes`, `# microbursts`).
 ///
 /// The window's state is its two value logs plus a burst counter: the
-/// unique-size count is taken from the size log's sorted copy at seal,
-/// so no per-flow set over the size domain is kept.
+/// unique-size count is taken from the size log at seal, through a
+/// per-thread bitmap, so no per-flow set over the size domain is kept.
 #[derive(Debug, Clone)]
 pub struct IpUdpFeatureAcc {
     flow: FlowFeatureAcc,
@@ -263,6 +227,9 @@ pub struct IpUdpFeatureAcc {
 }
 
 impl IpUdpFeatureAcc {
+    /// The width of the IP/UDP feature vector.
+    pub const WIDTH: usize = FlowFeatureAcc::WIDTH + 2;
+
     /// Creates an empty accumulator with the microburst threshold.
     /// `_mode` is ignored: `benchmark/src/layers.rs` is the only caller that
     /// needs it, and the next `[benchmark]`-typed PR drops it (see
@@ -295,11 +262,18 @@ impl IpUdpFeatureAcc {
 
     /// Emits the 14 features for the current window.
     pub fn features(&self, window_secs: f64) -> Vec<f64> {
-        let mut v = Vec::with_capacity(14);
-        let unique_sizes = self.flow.extend_features(&mut v, window_secs);
-        v.push(unique_sizes as f64);
-        v.push(self.bursts as f64);
+        let mut v = vec![0.0; Self::WIDTH];
+        self.features_into(window_secs, &mut v);
         v
+    }
+
+    /// Writes the 14 features for the current window into `out`, which
+    /// holds exactly [`IpUdpFeatureAcc::WIDTH`] values. Allocates nothing.
+    pub fn features_into(&self, window_secs: f64, out: &mut [f64]) {
+        let (flow, semantics) = out.split_at_mut(FlowFeatureAcc::WIDTH);
+        self.flow.features_into(window_secs, flow);
+        let unique_sizes = crate::stats::distinct_sizes(&self.flow.sizes.vals);
+        semantics.copy_from_slice(&[unique_sizes as f64, self.bursts as f64]);
     }
 
     /// Clears per-window state.
@@ -310,8 +284,10 @@ impl IpUdpFeatureAcc {
     }
 
     /// Estimated bytes of state held by this accumulator: the inline
-    /// struct plus the value logs' retained heap capacity, the only part
-    /// that grows (unique sizes are counted from the size log at seal).
+    /// struct plus the value logs' retained heap capacity (10 bytes per
+    /// packet of the fullest window: a `u16` size and an `i64` gap), the
+    /// only part that grows (unique sizes are counted from the size log
+    /// at seal).
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.flow.state_bytes() - std::mem::size_of::<FlowFeatureAcc>())
@@ -419,7 +395,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        // The unique-size count comes from the size log's sorted copy at
+        // The unique-size count comes from the size log's bitmap pass at
         // seal: it must stay exact over windows of any content, across
         // resets, and under provisional snapshots that read a window
         // without consuming it.
@@ -453,6 +429,94 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(acc.features(1.0)[12], unique_sizes(&seen));
                 acc.reset();
+            }
+        }
+    }
+
+    /// The sort-based statistics every window was sealed with before
+    /// selection replaced the sort: a sorted copy, then the middle.
+    fn sorted_five(values: &[f64]) -> [f64; 5] {
+        if values.is_empty() {
+            return [0.0; 5];
+        }
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let half = sorted.len() / 2;
+        let median = if sorted.len() % 2 == 1 {
+            sorted[half]
+        } else {
+            (sorted[half - 1] + sorted[half]) / 2.0
+        };
+        [
+            mean,
+            var.sqrt(),
+            median,
+            sorted[0],
+            sorted[sorted.len() - 1],
+        ]
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        // Selection must reproduce the sort bit for bit: over every
+        // prefix of a window (lengths 0, 1, 2, odd and even), with
+        // duplicate and `u16::MAX` sizes, gaps that run backwards inside
+        // the window, and signed zeros among the `f64` inputs.
+        #[test]
+        fn selection_equals_the_sorted_statistics(
+            window in proptest::collection::vec(
+                (
+                    (1_000u16..1_004, proptest::any::<u16>(), 0u8..3),
+                    (-2i64..3, -40_000i64..40_000, proptest::any::<bool>()),
+                ),
+                0..64,
+            )
+        ) {
+            use crate::semantics::unique_sizes;
+            use crate::stats::five_stats;
+            let mut us = 10_000_000i64;
+            let mut pkts = Vec::new();
+            for &((narrow, wide, pick), (small, large, is_small)) in &window {
+                us += if is_small { small } else { large };
+                let size = match pick {
+                    0 => narrow,
+                    1 => wide,
+                    _ => u16::MAX,
+                };
+                pkts.push(PktObs { ts: Timestamp::from_micros(us), size });
+            }
+            for len in 0..=pkts.len() {
+                let seen = &pkts[..len];
+                let mut acc = IpUdpFeatureAcc::new(StatsMode::Exact, 3_000);
+                for p in seen {
+                    acc.push(p.ts, p.size);
+                }
+                let got = acc.features(1.0);
+                let sizes: Vec<f64> = seen.iter().map(|p| f64::from(p.size)).collect();
+                let gaps: Vec<f64> = seen
+                    .windows(2)
+                    .map(|w| (w[1].ts - w[0].ts).as_micros() as f64 / 1e3)
+                    .collect();
+                // The byte rate is the sizes' arrival-order `.sum()`, an
+                // empty window's -0.0 included.
+                let bytes = sizes.iter().sum::<f64>() / 1.0;
+                proptest::prop_assert_eq!(got[0].to_bits(), bytes.to_bits());
+                proptest::prop_assert_eq!(bits(&got[2..7]), bits(&sorted_five(&sizes)));
+                proptest::prop_assert_eq!(bits(&got[7..12]), bits(&sorted_five(&gaps)));
+                proptest::prop_assert_eq!(got[12].to_bits(), unique_sizes(seen).to_bits());
+                // The `f64` entry point (RTP lags), signed zeros included.
+                let mut lags = gaps.clone();
+                lags.extend(gaps.iter().take(2).map(|&g| if g < 0.0 { -0.0 } else { 0.0 }));
+                proptest::prop_assert_eq!(
+                    bits(&five_stats(lags.iter().copied())),
+                    bits(&sorted_five(&lags))
+                );
             }
         }
     }

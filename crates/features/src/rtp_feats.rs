@@ -83,6 +83,9 @@ pub struct RtpWindowAcc {
 }
 
 impl RtpWindowAcc {
+    /// The width of the RTP feature vector.
+    pub const WIDTH: usize = 12;
+
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         RtpWindowAcc::default()
@@ -132,16 +135,25 @@ impl RtpWindowAcc {
 
     /// Emits the 12 features for the current window.
     pub fn features(&self, lag_ref: Option<LagReference>) -> Vec<f64> {
-        let mut v = Vec::with_capacity(12);
-        v.push(self.vid_ts.len() as f64);
-        v.push(self.rtx_ts.len() as f64);
-        v.push(self.vid_ts.intersection(&self.rtx_ts).count() as f64);
-        v.push(self.vid_ts.union(&self.rtx_ts).count() as f64);
-        v.push(self.marker_vid as f64);
-        v.push(self.marker_rtx as f64);
-        v.push(self.ooo as f64);
-        v.extend_from_slice(&self.lag_five(lag_ref));
+        let mut v = vec![0.0; Self::WIDTH];
+        self.features_into(lag_ref, &mut v);
         v
+    }
+
+    /// Writes the 12 features for the current window into `out`, which
+    /// holds exactly [`RtpWindowAcc::WIDTH`] values. Allocates nothing.
+    pub fn features_into(&self, lag_ref: Option<LagReference>, out: &mut [f64]) {
+        let (counts, lags) = out.split_at_mut(7);
+        counts.copy_from_slice(&[
+            self.vid_ts.len() as f64,
+            self.rtx_ts.len() as f64,
+            self.vid_ts.intersection(&self.rtx_ts).count() as f64,
+            self.vid_ts.union(&self.rtx_ts).count() as f64,
+            self.marker_vid as f64,
+            self.marker_rtx as f64,
+            self.ooo as f64,
+        ]);
+        lags.copy_from_slice(&self.lag_five(lag_ref));
     }
 
     /// Clears per-window state in place; set and frame capacity is
@@ -165,7 +177,8 @@ impl RtpWindowAcc {
             + self.frames.capacity() * std::mem::size_of::<(u32, Timestamp)>()
     }
 
-    /// Five lag statistics `[mean, stdev, median, min, max]`.
+    /// Five lag statistics `[mean, stdev, median, min, max]`. The lags go
+    /// straight into the selection scratch, not into a collected `Vec`.
     fn lag_five(&self, lag_ref: Option<LagReference>) -> [f64; 5] {
         if self.frames.is_empty() {
             return [0.0; 5];
@@ -178,12 +191,11 @@ impl RtpWindowAcc {
             .or(self.anchor)
             .expect("anchor recorded with first frame");
         let clock = RtpClock::video();
-        let lags: Vec<f64> = self
-            .frames
-            .iter()
-            .map(|(ts, t)| clock.lag_secs(anchor.t0, anchor.ts0, *t, *ts) * 1000.0)
-            .collect();
-        five_stats(&lags)
+        five_stats(
+            self.frames
+                .iter()
+                .map(|(ts, t)| clock.lag_secs(anchor.t0, anchor.ts0, *t, *ts) * 1000.0),
+        )
     }
 }
 

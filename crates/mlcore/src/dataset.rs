@@ -58,7 +58,7 @@ impl Dataset {
     }
 
     /// Feature names, in column order.
-    pub fn feature_names(&self) -> &[String] {
+    pub(crate) fn feature_names(&self) -> &[String] {
         &self.feature_names
     }
 

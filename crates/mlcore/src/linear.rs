@@ -93,17 +93,6 @@ impl RidgeRegression {
         }
         y
     }
-
-    /// Predicts every sample of a dataset.
-    pub fn predict_all(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.len()).map(|i| self.predict(data.row(i))).collect()
-    }
-
-    /// Standardized coefficients (effect per standard deviation of each
-    /// feature) — a linear analogue of feature importance.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 /// Solves `A x = b` for symmetric positive-definite `A` (row-major p×p).
@@ -185,7 +174,7 @@ mod tests {
         }
         let loose = RidgeRegression::fit(&d, 1e-6);
         let tight = RidgeRegression::fit(&d, 100.0);
-        assert!(tight.coefficients()[0].abs() < loose.coefficients()[0].abs());
+        assert!(tight.weights[0].abs() < loose.weights[0].abs());
     }
 
     #[test]
@@ -198,7 +187,7 @@ mod tests {
             d.push(&[x], if x < 0.5 { 0.0 } else { 10.0 });
         }
         let m = RidgeRegression::fit(&d, 1e-3);
-        let preds = m.predict_all(&d);
+        let preds: Vec<f64> = (0..d.len()).map(|i| m.predict(d.row(i))).collect();
         let mae = crate::metrics::mae(&preds, d.targets());
         assert!(
             mae > 1.0,

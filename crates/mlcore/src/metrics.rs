@@ -126,17 +126,6 @@ impl ConfusionMatrix {
         self.counts[actual][predicted] as f64 / total as f64 * 100.0
     }
 
-    /// Overall accuracy across all cells.
-    pub fn overall_accuracy(&self) -> f64 {
-        let correct: u64 = (0..self.labels.len()).map(|i| self.counts[i][i]).sum();
-        let total: u64 = (0..self.labels.len()).map(|i| self.row_total(i)).sum();
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
-    }
-
     /// Renders the paper-style table (rows = actual, columns = predicted).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -212,7 +201,6 @@ mod tests {
         assert!((m.percent(0, 1) - 1.7).abs() < 1e-9);
         assert_eq!(m.percent(1, 0), 0.0);
         assert_eq!(m.row_total(0), 1000);
-        assert!((m.overall_accuracy() - (983.0 + 500.0) / 1500.0).abs() < 1e-12);
     }
 
     #[test]

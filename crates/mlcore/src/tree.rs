@@ -30,20 +30,35 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-    Leaf {
-        value: f64,
-    },
+/// One node of a tree's flat, preorder node array: 16 bytes. A split's
+/// left child is the next node, so only the right child is stored.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// A split's threshold (`row[feature] <= value` goes left), or a
+    /// leaf's value.
+    value: f64,
+    /// A split's right child; unused in a leaf.
+    right: u32,
+    /// A split's feature, or [`LEAF`].
+    feature: u16,
 }
 
-/// A fitted CART tree.
+/// The [`Node::feature`] of a leaf.
+const LEAF: u16 = u16::MAX;
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    fn leaf(value: f64) -> Self {
+        Node {
+            value,
+            right: 0,
+            feature: LEAF,
+        }
+    }
+}
+
+/// A fitted CART tree: one preorder array of 16-byte nodes, root first.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
@@ -65,6 +80,11 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
+        // A feature index must fit a node's `u16` below the leaf mark, and
+        // a node index its `u32`: a tree has fewer than two nodes per
+        // sample.
+        assert!(data.n_features() < usize::from(LEAF), "too many features");
+        assert!(indices.len() < 1 << 31, "too many samples");
         let mut tree = DecisionTree {
             nodes: Vec::new(),
             task,
@@ -78,33 +98,43 @@ impl DecisionTree {
     /// Predicts one sample: mean target (regression) or class id
     /// (classification).
     pub fn predict(&self, row: &[f64]) -> f64 {
-        let mut node = 0usize;
+        let [value] = Self::predict_lockstep(std::array::from_ref(self), row);
+        value
+    }
+
+    /// [`DecisionTree::predict`] of `N` trees, walked in lockstep. A
+    /// walk is a chain of dependent node loads; `N` independent chains
+    /// overlap their latencies where one tree after another would wait
+    /// out each in turn. A tree that reached its leaf stays there.
+    pub(crate) fn predict_lockstep<const N: usize>(trees: &[Self; N], row: &[f64]) -> [f64; N] {
+        let mut at = [0usize; N];
         loop {
-            match &self.nodes[node] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if row[*feature] <= *threshold {
-                        *left
+            let mut walking = false;
+            for (tree, at) in trees.iter().zip(&mut at) {
+                let node = tree.nodes[*at];
+                if node.feature != LEAF {
+                    walking = true;
+                    *at = if row[usize::from(node.feature)] <= node.value {
+                        *at + 1
                     } else {
-                        *right
+                        node.right as usize
                     };
                 }
+            }
+            if !walking {
+                return std::array::from_fn(|i| trees[i].nodes[at[i]].value);
             }
         }
     }
 
     /// Raw (unnormalized) impurity-decrease importances.
-    pub fn importances_raw(&self) -> &[f64] {
+    pub(crate) fn importances_raw(&self) -> &[f64] {
         &self.importances_raw
     }
 
     /// Number of nodes in the tree.
-    pub fn n_nodes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
 
@@ -114,7 +144,9 @@ impl DecisionTree {
             + self.importances_raw.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Grows a subtree over `idx` (reordered in place); returns its node id.
+    /// Grows a subtree over `idx` (reordered in place) in preorder: its
+    /// root is the next node pushed, and a split's left subtree follows
+    /// it directly.
     fn grow(
         &mut self,
         data: &Dataset,
@@ -122,7 +154,7 @@ impl DecisionTree {
         params: &TreeParams,
         rng: &mut StdRng,
         depth: usize,
-    ) -> usize {
+    ) {
         let leaf_value = match self.task {
             Task::Regression => mean(data, idx),
             Task::Classification { n_classes } => majority(data, idx, n_classes),
@@ -176,24 +208,22 @@ impl DecisionTree {
             return self.push_leaf(leaf_value);
         }
 
-        // Reserve this node id, then grow children.
-        let node_id = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: leaf_value }); // placeholder
+        // This split, then its left subtree; the right child's index is
+        // known once the left subtree is grown.
+        let at = self.nodes.len();
+        self.nodes.push(Node {
+            value: threshold,
+            right: 0,
+            feature: feature as u16,
+        });
         let (left_idx, right_idx) = idx.split_at_mut(split_point);
-        let left = self.grow(data, left_idx, params, rng, depth + 1);
-        let right = self.grow(data, right_idx, params, rng, depth + 1);
-        self.nodes[node_id] = Node::Split {
-            feature,
-            threshold,
-            left,
-            right,
-        };
-        node_id
+        self.grow(data, left_idx, params, rng, depth + 1);
+        self.nodes[at].right = self.nodes.len() as u32;
+        self.grow(data, right_idx, params, rng, depth + 1);
     }
 
-    fn push_leaf(&mut self, value: f64) -> usize {
-        self.nodes.push(Node::Leaf { value });
-        self.nodes.len() - 1
+    fn push_leaf(&mut self, value: f64) {
+        self.nodes.push(Node::leaf(value));
     }
 
     /// Impurity of a node: SSE for regression, n·Gini for classification

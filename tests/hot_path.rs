@@ -6,15 +6,17 @@
 //! capacity, pushing a packet that does **not** seal a window must make
 //! zero heap allocations — for all four estimation methods, pushed one
 //! engine at a time and through a [`FlowTable`] holding several flows.
-//! Packets that do seal a window are exempt: a sealed [`WindowReport`]
-//! legitimately owns a fresh feature vector.
+//! Packets that do seal a window make one allocation per window they
+//! seal, for an ML engine with a model attached too: the sealed
+//! [`WindowReport`]'s own feature vector. The features are built on the
+//! stack, ordered by selection in per-thread scratch, and predicted by a
+//! forest walk that allocates nothing.
 //!
 //! This file is where the contract is held; no static rule shadows it.
 //! Seeding an allocation into each per-packet function makes a test here
-//! fail, except in three that no non-sealing packet reaches and so need
+//! fail, except in two that no non-sealing packet reaches and so need
 //! no case: `ArrivalCounts::take` / `peek` run only when a report is
-//! built, and `json::escaped` only for a string that needs escaping,
-//! which no event field is.
+//! built.
 //!
 //! Every engine runs under [`EngineConfig::paper`], the configuration
 //! `MonitorBuilder::new` ships. The ML engines keep per-window value logs
@@ -48,6 +50,7 @@ use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
+use vcaml_suite::mlcore::{Dataset, RandomForest, RandomForestParams, Task};
 use vcaml_suite::netpkt::{
     EtherType, EthernetRepr, FlowKey, Ipv4Repr, LinkType, MacAddr, PcapReader, PcapWriter,
     Timestamp, UdpRepr, IP_PROTO_UDP,
@@ -209,6 +212,70 @@ fn rtp_ml_steady_state_is_alloc_free() {
     assert_engine_alloc_free(engine, &t, "RtpMl");
 }
 
+/// A 40-tree regression forest over `width` features, fitted on rows
+/// that only need to give it splits to walk.
+fn forest(width: usize) -> RandomForest {
+    let mut data = Dataset::new((0..width).map(|i| format!("f{i}")).collect());
+    for i in 0..200u32 {
+        let row: Vec<f64> = (0..width)
+            .map(|j| f64::from((i * 7919 + j as u32 * 104_729) % 1_000))
+            .collect();
+        data.push(&row, f64::from(i % 31));
+    }
+    RandomForest::fit(&data, Task::Regression, &RandomForestParams::default())
+}
+
+/// Warm on the first half of the trace, then meter every push in the
+/// second half that seals: each sealed window costs exactly one
+/// allocation, its report's feature vector.
+fn assert_one_allocation_per_seal<E: QoeEstimator>(mut engine: E, trace: &Trace, label: &str) {
+    let mid = trace.packets.len() / 2;
+    let mut out: Vec<WindowReport> = Vec::with_capacity(64);
+    for p in &trace.packets[..mid] {
+        engine.push_into(p, &mut out);
+        out.clear();
+    }
+    let mut seals = 0;
+    for (i, p) in trace.packets[mid..].iter().enumerate() {
+        let (allocs, ()) = metered(|| engine.push_into(p, &mut out));
+        if !out.is_empty() {
+            assert!(
+                out.iter().all(|r| r.model_fps.is_some()),
+                "{label}: no model"
+            );
+            assert_eq!(
+                allocs,
+                out.len() as u64,
+                "{label}: packet {} sealed {} windows",
+                mid + i,
+                out.len()
+            );
+            seals += out.len();
+        }
+        out.clear();
+    }
+    assert!(seals >= 5, "{label}: only {seals} windows sealed");
+}
+
+#[test]
+fn ml_seal_allocates_its_feature_vector_only() {
+    let t = trace(VcaKind::Teams);
+    let config = EngineConfig::paper(VcaKind::Teams);
+    let ipudp = IpUdpMlEngine::new(config).with_model(forest(14));
+    assert_one_allocation_per_seal(ipudp, &t, "IpUdpMl");
+    let rtp = RtpMlEngine::new(config, t.payload_map).with_model(forest(24));
+    assert_one_allocation_per_seal(rtp, &t, "RtpMl");
+}
+
+#[test]
+fn forest_predict_is_alloc_free() {
+    let forest = forest(14);
+    let row: Vec<f64> = (0..14).map(|j| f64::from(j * 71 % 1_000)).collect();
+    let (allocs, fps) = metered(|| forest.predict(&row));
+    assert!(fps.is_finite());
+    assert_eq!(allocs, 0, "RandomForest::predict allocated");
+}
+
 /// [`trace`]'s call on three flows, merged into one arrival-ordered feed
 /// as a tap delivers them. The same call on each keeps every flow's
 /// windows as full as in the single-engine tests, so the table layer is
@@ -311,8 +378,9 @@ fn windowed_flow() -> Vec<TracePacket> {
 /// README § One engine: "Per-flow state is O(one window's content)".
 /// `state_bytes()` is sampled as each window seals. It stops growing once
 /// the first windows have sized the buffers; a window 4× as full raises
-/// it once, to no more than a fresh engine plus the two 8-byte value logs
-/// at the next power of two above that window's packet count plus
+/// it once, to no more than a fresh engine plus the two value logs (a
+/// 2-byte size and an 8-byte gap per packet) at the next power of two
+/// above that window's packet count plus
 /// `sets_bound`; and the ordinary windows after it leave it exactly there
 /// — capacity is retained, never compounded.
 fn assert_state_is_one_windows_content<E: QoeEstimator>(
@@ -344,7 +412,7 @@ fn assert_state_is_one_windows_content<E: QoeEstimator>(
     );
 
     let burst = sealed[WINDOWS_BEFORE].1;
-    let logs = 16 * (BURST_FRAMES * PKTS_PER_FRAME).next_power_of_two();
+    let logs = (2 + 8) * (BURST_FRAMES * PKTS_PER_FRAME).next_power_of_two();
     assert!(
         burst > warm,
         "{label}: the burst window did not fit the old buffers"
