@@ -15,8 +15,8 @@
 //! subscriber sinks), and serializable as JSON lines for dashboards and
 //! log shippers.
 //!
-//! The monitor scales across cores: [`MonitorBuilder::threads`] pins
-//! flow-table shards to dedicated worker threads — each packet is hashed
+//! The monitor scales across cores: [`MonitorBuilder::threads`] gives
+//! each dedicated worker thread a flow table of its own — each packet is hashed
 //! by flow to one worker over a bounded channel, each worker runs its
 //! flows' engines, windowing, and eviction independently, and the merged
 //! event stream preserves per-flow ordering with window-exact parity
@@ -121,11 +121,6 @@ const EVICT_CHECK_US: i64 = 1_000_000;
 /// Default bound on the outgoing event queue (see
 /// [`MonitorBuilder::queue_capacity`]).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
-
-/// Flow-table shards per monitor: all in the one table of an inline
-/// monitor, split evenly across the workers of a threaded one (at least
-/// one each).
-const TABLE_SHARDS: usize = 8;
 
 /// Packets accumulated per shard before a batch is sent to its worker
 /// (threaded monitors only). Batching amortizes the channel hand-off —

@@ -7,7 +7,7 @@ use super::event::StatsCells;
 use super::shard::{RoutedPacket, ShardState};
 #[cfg(doc)]
 use super::OverflowPolicy;
-use super::{EstimationMethod, MonitorBuilder, MonitorStats, QoeEvent, INGEST_BATCH, TABLE_SHARDS};
+use super::{EstimationMethod, MonitorBuilder, MonitorStats, QoeEvent, INGEST_BATCH};
 use crate::backpressure::EventQueue;
 use crate::control::{ControlShared, MonitorHandle};
 use crate::engine::Method;
@@ -296,7 +296,7 @@ fn worker_loop(
 
 /// A passive QoE monitor: feed it raw packets, read typed [`QoeEvent`]s.
 ///
-/// Owns the sharded flow table and one estimation engine per active flow;
+/// Owns the flow table and one estimation engine per active flow;
 /// flows idle past the configured timeout are evicted with their final
 /// windows attached to the eviction event, so no tail report is ever
 /// silently lost. With [`MonitorBuilder::threads`] ≥ 2 the flow table is
@@ -358,15 +358,8 @@ impl Monitor {
                 EstimationMethod::Fixed(Method::RtpHeuristic | Method::RtpMl)
             );
         let window_us = builder.config.window_us();
-        let table_shards = (TABLE_SHARDS / threads).max(1);
         let shard_state = |worker: usize| {
-            ShardState::new(
-                &builder,
-                table_shards,
-                worker,
-                Arc::clone(&stats),
-                Arc::clone(&control),
-            )
+            ShardState::new(&builder, worker, Arc::clone(&stats), Arc::clone(&control))
         };
         let dispatch = if inline {
             Dispatch::Inline {

@@ -330,10 +330,9 @@ pub(super) struct ShardState {
 }
 
 impl ShardState {
-    /// The shard for `worker`, with `n_shards` inner table shards.
+    /// The shard for `worker`.
     pub(super) fn new(
         builder: &MonitorBuilder,
-        n_shards: usize,
         worker: usize,
         stats: Arc<StatsCells>,
         control: Arc<ControlShared>,
@@ -352,7 +351,7 @@ impl ShardState {
             // The facade always inserts entries explicitly (what a flow
             // starts with depends on the method selection, not just the
             // key), so the table's first-sight factory must never fire.
-            table: FlowTable::new(n_shards, builder.idle_timeout, |_: &FlowKey| {
+            table: FlowTable::new(1, builder.idle_timeout, |_: &FlowKey| {
                 unreachable!("the facade inserts engines explicitly")
             }),
             now: None,

@@ -148,10 +148,9 @@ impl ControlShared {
     /// The worker that owns the flow whose [`FlowKey::hash64`] is
     /// `hash`: its low bits, modulo the worker count (0 on an inline
     /// monitor). Packets and eviction requests are routed by it alike.
-    /// Inside a worker the table's shard selection takes the top 16 bits
-    /// and slot probing starts from bits 16.., so the three routing
-    /// layers stay uncorrelated while the key is hashed exactly once
-    /// (see `FlowTable`).
+    /// Inside a worker the flow table's slot probing starts from bits
+    /// 16.., so the two routing layers stay uncorrelated while the key is
+    /// hashed exactly once (see `FlowTable`).
     pub(crate) fn owner(&self, hash: u64) -> usize {
         (hash % self.mailboxes.len() as u64) as usize
     }

@@ -20,9 +20,9 @@ use super::metrics::render_openmetrics;
 use crate::bus::BusHandle;
 use crate::control::MonitorHandle;
 use crate::sink::ChannelSink;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::mpsc::RecvTimeoutError;
@@ -32,6 +32,15 @@ use std::time::Duration;
 /// How often accept loops and subscriber streams re-check the shutdown
 /// flag while idle.
 const POLL: Duration = Duration::from_millis(25);
+
+/// Event bound per `SUBSCRIBE` stream: a subscriber falling further
+/// behind sheds events instead of blocking the drain, with the shed
+/// count accounted on its sink.
+const SUBSCRIBER_QUEUE: usize = 4096;
+
+/// Per-connection read timeout: a client that connects and goes silent
+/// is disconnected after this long.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Where the control socket listens.
 #[derive(Debug, Clone)]
@@ -50,19 +59,12 @@ pub enum ControlEndpoint {
 pub struct DaemonConfig {
     metrics_addr: Option<String>,
     control: Option<ControlEndpoint>,
-    subscriber_queue: usize,
-    read_timeout: Duration,
 }
 
 impl DaemonConfig {
     /// Config with no servers enabled.
     pub fn new() -> Self {
-        DaemonConfig {
-            metrics_addr: None,
-            control: None,
-            subscriber_queue: 4096,
-            read_timeout: Duration::from_secs(5),
-        }
+        DaemonConfig::default()
     }
 
     /// Enables the OpenMetrics exporter on `addr` (e.g.
@@ -76,21 +78,6 @@ impl DaemonConfig {
     /// Enables the control socket on `endpoint`.
     pub fn control(mut self, endpoint: ControlEndpoint) -> Self {
         self.control = Some(endpoint);
-        self
-    }
-
-    /// Event bound per `SUBSCRIBE` stream (default 4096): a subscriber
-    /// falling further behind sheds events instead of blocking the
-    /// drain, with the shed count accounted on its sink.
-    pub fn subscriber_queue(mut self, capacity: usize) -> Self {
-        self.subscriber_queue = capacity.max(1);
-        self
-    }
-
-    /// Per-connection read timeout (default 5 s): a control client that
-    /// connects and goes silent is disconnected after this long.
-    pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
         self
     }
 }
@@ -119,7 +106,6 @@ pub struct Daemon {
 struct ControlCtx {
     handle: MonitorHandle,
     bus: BusHandle,
-    subscriber_queue: usize,
     stop: Arc<AtomicBool>,
 }
 
@@ -139,21 +125,6 @@ impl Daemon {
         config: DaemonConfig,
     ) -> std::io::Result<Daemon> {
         let stop = Arc::new(AtomicBool::new(false));
-        let ctx = ControlCtx {
-            handle: handle.clone(),
-            bus,
-            subscriber_queue: if config.subscriber_queue == 0 {
-                4096
-            } else {
-                config.subscriber_queue
-            },
-            stop: Arc::clone(&stop),
-        };
-        let read_timeout = if config.read_timeout.is_zero() {
-            Duration::from_secs(5)
-        } else {
-            config.read_timeout
-        };
         let mut threads = Vec::new();
 
         let metrics_addr = match &config.metrics_addr {
@@ -162,39 +133,25 @@ impl Daemon {
                 listener.set_nonblocking(true)?;
                 let bound = listener.local_addr()?;
                 let handle = handle.clone();
-                let stop = Arc::clone(&stop);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
-                )]
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("vcaml-metrics".into())
-                        .spawn(move || metrics_loop(listener, handle, stop, read_timeout))
-                        .expect("spawn metrics server"),
-                );
+                let serve = move |stream| serve_scrape(stream, &handle);
+                threads.push(spawn_server("vcaml-metrics", listener, &stop, serve));
                 Some(bound)
             }
             None => None,
         };
 
+        let ctx = ControlCtx {
+            handle,
+            bus,
+            stop: Arc::clone(&stop),
+        };
         let control_addr = match &config.control {
             Some(ControlEndpoint::Tcp(addr)) => {
                 let listener = TcpListener::bind(addr)?;
                 listener.set_nonblocking(true)?;
                 let bound = listener.local_addr()?;
-                let ctx = ctx.clone();
-                let stop = Arc::clone(&stop);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
-                )]
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("vcaml-control".into())
-                        .spawn(move || control_tcp_loop(listener, ctx, stop, read_timeout))
-                        .expect("spawn control server"),
-                );
+                let serve = move |stream| serve_control(stream, &ctx);
+                threads.push(spawn_server("vcaml-control", listener, &stop, serve));
                 Some(BoundControl::Tcp(bound))
             }
             Some(ControlEndpoint::Unix(path)) => {
@@ -204,18 +161,8 @@ impl Daemon {
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
                 listener.set_nonblocking(true)?;
-                let ctx = ctx.clone();
-                let stop = Arc::clone(&stop);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
-                )]
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("vcaml-control".into())
-                        .spawn(move || control_unix_loop(listener, ctx, stop, read_timeout))
-                        .expect("spawn control server"),
-                );
+                let serve = move |stream| serve_control(stream, &ctx);
+                threads.push(spawn_server("vcaml-control", listener, &stop, serve));
                 Some(BoundControl::Unix(path.clone()))
             }
             None => None,
@@ -264,33 +211,72 @@ impl std::fmt::Debug for Daemon {
     }
 }
 
-/// Accept loop of the metrics exporter: HTTP/1.0, one response per
-/// connection, close after write.
-fn metrics_loop(
-    listener: TcpListener,
-    handle: MonitorHandle,
-    stop: Arc<AtomicBool>,
-    read_timeout: Duration,
-) {
-    while !stop.load(Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let handle = handle.clone();
-                let _ = std::thread::Builder::new()
-                    .name("vcaml-metrics-conn".into())
-                    .spawn(move || serve_scrape(stream, &handle, read_timeout));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
+/// A nonblocking listener of the daemon's: TCP or Unix.
+trait Listener: Send + 'static {
+    type Stream: Send + 'static;
+
+    /// The next pending connection, with [`READ_TIMEOUT`] set on it.
+    fn next_stream(&self) -> std::io::Result<Self::Stream>;
+}
+
+impl Listener for TcpListener {
+    type Stream = TcpStream;
+
+    fn next_stream(&self) -> std::io::Result<TcpStream> {
+        let (stream, _peer) = self.accept()?;
+        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        Ok(stream)
     }
+}
+
+impl Listener for UnixListener {
+    type Stream = UnixStream;
+
+    fn next_stream(&self) -> std::io::Result<UnixStream> {
+        let (stream, _peer) = self.accept()?;
+        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        Ok(stream)
+    }
+}
+
+/// Runs `listener`'s accept loop on a thread named `name` until `stop`
+/// is set; each accepted connection is served by `serve` on a
+/// short-lived thread of its own (`{name}-conn`).
+fn spawn_server<L: Listener>(
+    name: &'static str,
+    listener: L,
+    stop: &Arc<AtomicBool>,
+    serve: impl Fn(L::Stream) + Clone + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let stop = Arc::clone(stop);
+    let accept_loop = move || {
+        while !stop.load(Relaxed) {
+            match listener.next_stream() {
+                Ok(stream) => {
+                    let serve = serve.clone();
+                    let _ = std::thread::Builder::new()
+                        .name(format!("{name}-conn"))
+                        .spawn(move || serve(stream));
+                }
+                // Nothing pending (or a failed accept): wait a tick.
+                Err(_) => std::thread::sleep(POLL),
+            }
+        }
+    };
+    #[expect(
+        clippy::expect_used,
+        reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
+    )]
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(accept_loop)
+        .expect("spawn daemon server")
 }
 
 /// One scrape: read the request head (bounded, with timeout), answer
 /// with the rendered snapshot. Any read problem just drops the
 /// connection — HTTP clients retry, the daemon does not care.
-fn serve_scrape(mut stream: TcpStream, handle: &MonitorHandle, read_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
+fn serve_scrape(mut stream: TcpStream, handle: &MonitorHandle) {
     // Read until the end of the request head (or the cap); the request
     // content is irrelevant — every path serves the one document.
     let mut head = [0u8; 1024];
@@ -323,48 +309,6 @@ fn serve_scrape(mut stream: TcpStream, handle: &MonitorHandle, read_timeout: Dur
     );
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
-}
-
-fn control_tcp_loop(
-    listener: TcpListener,
-    ctx: ControlCtx,
-    stop: Arc<AtomicBool>,
-    read_timeout: Duration,
-) {
-    while !stop.load(Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_read_timeout(Some(read_timeout));
-                let ctx = ctx.clone();
-                let _ = std::thread::Builder::new()
-                    .name("vcaml-control-conn".into())
-                    .spawn(move || serve_control(stream, &ctx));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-fn control_unix_loop(
-    listener: UnixListener,
-    ctx: ControlCtx,
-    stop: Arc<AtomicBool>,
-    read_timeout: Duration,
-) {
-    while !stop.load(Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_read_timeout(Some(read_timeout));
-                let ctx = ctx.clone();
-                let _ = std::thread::Builder::new()
-                    .name("vcaml-control-conn".into())
-                    .spawn(move || serve_control(stream, &ctx));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
 }
 
 /// Incremental, bounded line reader over a raw stream (the same stream
@@ -471,7 +415,7 @@ fn serve_control<S: Read + Write>(mut stream: S, ctx: &ControlCtx) {
                 writeln!(stream, "OK stopping")
             }
             Request::Subscribe(filter) => {
-                let (sink, rx) = ChannelSink::bounded(ctx.subscriber_queue);
+                let (sink, rx) = ChannelSink::bounded(SUBSCRIBER_QUEUE);
                 ctx.bus.subscribe(filter, sink);
                 if writeln!(stream, "OK subscribed").is_err() {
                     return;

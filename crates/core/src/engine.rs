@@ -34,9 +34,9 @@
 //!
 //! For network-wide deployment, [`FlowTable`] demuxes a mixed packet feed
 //! onto per-flow engines keyed by the canonical UDP 5-tuple
-//! (`vcaml_netpkt::FlowKey`), sharded for cache locality, with idle-flow
-//! eviction so memory tracks the set of *active* calls. A threaded
-//! monitor gives each of its workers a table of its own.
+//! (`vcaml_netpkt::FlowKey`), with idle-flow eviction so memory tracks
+//! the set of *active* calls. A threaded monitor gives each of its
+//! workers a table of its own.
 //!
 //! ## Emission latency
 //!
@@ -573,8 +573,8 @@ mod sources {
         /// Clears the current window, retaining buffer capacity.
         fn reset(&mut self);
 
-        /// A source as freshly built from the same configuration: what an
-        /// empty window's features are computed from.
+        /// A source as freshly built from the same configuration, holding
+        /// no heap: what an empty window's features are computed from.
         fn pristine(&self) -> Self;
 
         /// Heap bytes the accumulators hold.
@@ -1001,11 +1001,9 @@ impl FeatureSource for IpUdpFeatures {
     }
 
     fn pristine(&self) -> Self {
-        let mut acc = self.acc.clone();
-        acc.reset();
         IpUdpFeatures {
             classifier: self.classifier,
-            acc,
+            acc: self.acc.fresh(),
         }
     }
 
@@ -1167,12 +1165,12 @@ pub fn place_windows<E: QoeEstimator + ?Sized>(
 // FlowTable
 // ---------------------------------------------------------------------------
 
-/// A sharded, flow-keyed table of per-flow estimators: one process
-/// monitoring many concurrent VCA calls.
+/// A flow-keyed table of per-flow estimators: one process monitoring
+/// many concurrent VCA calls.
 ///
 /// Packets are routed by canonical UDP 5-tuple to a per-flow engine
-/// created on first sight by the factory. Each shard is an
-/// **open-addressed** linear-probe index over a dense entry slab: a
+/// created on first sight by the factory. The table is one
+/// **open-addressed** linear-probe index over one dense entry slab: a
 /// lookup is one cheap multiplicative hash ([`FlowKey::hash64`]), a few
 /// contiguous slot probes, and one slab access — no SipHash, no
 /// per-entry allocation, and eviction recycles slots in place. The
@@ -1190,11 +1188,15 @@ pub fn place_windows<E: QoeEstimator + ?Sized>(
 /// flow by the first call whose `now` passes `last_seen + idle_timeout`.
 ///
 /// Hash-bit usage across the routing layers (one hash per packet):
-/// workers take `hash64 % n_threads` (low bits), shards take the top 16
-/// bits, slot probing starts from bits 16.. — so the three layers stay
-/// uncorrelated.
+/// workers take `hash64 % n_threads` (low bits), slot probing starts
+/// from bits 16.. — so the two layers stay uncorrelated.
 pub struct FlowTable<E> {
-    shards: Vec<FlowShard<E>>,
+    /// Power-of-two probe table of indices into `entries`
+    /// ([`EMPTY_SLOT`] when unoccupied).
+    slots: Vec<u32>,
+    /// Dense entry slab (`swap_remove` keeps it dense; each entry
+    /// remembers its slot so moves can be patched).
+    entries: Vec<FlowEntry<E>>,
     factory: Box<dyn FnMut(&FlowKey) -> E + Send>,
     idle_timeout_us: i64,
     /// Min-heap of `(due_us, hash)`. Each tracked flow has one item,
@@ -1212,7 +1214,7 @@ pub struct FlowTable<E> {
 struct FlowEntry<E> {
     key: FlowKey,
     hash: u64,
-    /// Index of this entry's slot in the shard's probe table.
+    /// Index of this entry's slot in the probe table.
     slot: u32,
     engine: E,
     last_seen: Timestamp,
@@ -1260,27 +1262,36 @@ impl<E> FlowEntry<E> {
 /// Sentinel for an unoccupied probe slot.
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// One open-addressed shard: a power-of-two probe table of entry indices
-/// plus a dense entry slab (`swap_remove` keeps it dense; each entry
-/// remembers its slot so moves can be patched).
-struct FlowShard<E> {
-    slots: Vec<u32>,
-    entries: Vec<FlowEntry<E>>,
+/// The probe start of `hash` in a table of `mask + 1` slots: bits 16..,
+/// because the low bits route workers.
+#[inline]
+fn home(hash: u64, mask: usize) -> usize {
+    (hash >> 16) as usize & mask
 }
 
-impl<E> FlowShard<E> {
-    fn new() -> Self {
-        FlowShard {
+impl<E> FlowTable<E> {
+    /// Creates a table with a per-flow engine factory and an idle timeout
+    /// after which flows are evictable.
+    ///
+    /// `shards` is a benchmark-pinned vestige: `benchmark/src/layers.rs`
+    /// passes a shard count from when a table split its flows across
+    /// inner shards. It must be ≥ 1 and is otherwise ignored; the next
+    /// `[benchmark]`-typed change drops it.
+    pub fn new(
+        shards: usize,
+        idle_timeout: Timestamp,
+        factory: impl FnMut(&FlowKey) -> E + Send + 'static,
+    ) -> Self {
+        assert!(shards >= 1, "zero shards");
+        assert!(idle_timeout.as_micros() > 0, "non-positive idle timeout");
+        FlowTable {
             slots: Vec::new(),
             entries: Vec::new(),
+            factory: Box::new(factory),
+            idle_timeout_us: idle_timeout.as_micros(),
+            schedule: BinaryHeap::new(),
+            max_seen_us: i64::MIN,
         }
-    }
-
-    #[inline]
-    fn home(&self, hash: u64) -> usize {
-        // Bits 16.. seed the probe: low bits route workers, top bits
-        // route shards.
-        (hash >> 16) as usize & (self.slots.len() - 1)
     }
 
     /// The slot of the first entry in `hash`'s probe run that carries
@@ -1292,7 +1303,7 @@ impl<E> FlowShard<E> {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
+        let mut i = home(hash, mask);
         loop {
             let s = self.slots[i];
             if s == EMPTY_SLOT {
@@ -1326,7 +1337,7 @@ impl<E> FlowShard<E> {
         self.slots.resize(new_cap, EMPTY_SLOT);
         let mask = new_cap - 1;
         for (idx, e) in self.entries.iter_mut().enumerate() {
-            let mut i = (e.hash >> 16) as usize & mask;
+            let mut i = home(e.hash, mask);
             while self.slots[i] != EMPTY_SLOT {
                 i = (i + 1) & mask;
             }
@@ -1350,7 +1361,7 @@ impl<E> FlowShard<E> {
             self.grow();
         }
         let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
+        let mut i = home(hash, mask);
         while self.slots[i] != EMPTY_SLOT {
             i = (i + 1) & mask;
         }
@@ -1383,8 +1394,7 @@ impl<E> FlowShard<E> {
             if s == EMPTY_SLOT {
                 break;
             }
-            let home = (self.entries[s as usize].hash >> 16) as usize & mask;
-            let dist_home = j.wrapping_sub(home) & mask;
+            let dist_home = j.wrapping_sub(home(self.entries[s as usize].hash, mask)) & mask;
             let dist_hole = j.wrapping_sub(hole) & mask;
             if dist_home >= dist_hole {
                 self.slots[hole] = s;
@@ -1401,31 +1411,6 @@ impl<E> FlowShard<E> {
         }
         entry
     }
-}
-
-impl<E> FlowTable<E> {
-    /// Creates a table with `n_shards` shards (≥ 1), a per-flow engine
-    /// factory, and an idle timeout after which flows are evictable.
-    pub fn new(
-        n_shards: usize,
-        idle_timeout: Timestamp,
-        factory: impl FnMut(&FlowKey) -> E + Send + 'static,
-    ) -> Self {
-        assert!(n_shards >= 1, "zero shards");
-        assert!(idle_timeout.as_micros() > 0, "non-positive idle timeout");
-        FlowTable {
-            shards: (0..n_shards).map(|_| FlowShard::new()).collect(),
-            factory: Box::new(factory),
-            idle_timeout_us: idle_timeout.as_micros(),
-            schedule: BinaryHeap::new(),
-            max_seen_us: i64::MIN,
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, hash: u64) -> usize {
-        ((hash >> 48) as usize) % self.shards.len()
-    }
 
     /// Pushes the schedule item of a flow last seen at `last_seen_us`,
     /// returning the [`due_tag`] for its entry to record.
@@ -1437,49 +1422,46 @@ impl<E> FlowTable<E> {
     }
 
     /// Inserts a pre-built engine for `key` (whose [`FlowKey::hash64`] the
-    /// caller already computed), replacing any existing one. The facade
-    /// inserts every flow this way, because what it stores depends on more
-    /// than the key (the method, or RTP-confidence probation);
-    /// [`Self::push_hashed_into`] creation goes through the factory.
+    /// caller already computed), replacing any existing one, and returns
+    /// the stored engine. The facade inserts every flow this way, because
+    /// what it stores depends on more than the key (the method, or
+    /// RTP-confidence probation); [`Self::push_hashed_into`] inserts what
+    /// the factory builds.
     pub(crate) fn insert_hashed(
         &mut self,
         hash: u64,
         key: FlowKey,
         engine: E,
         last_seen: Timestamp,
-    ) {
-        let shard_idx = self.shard_of(hash);
+    ) -> &mut E {
         let due_tag = self.enqueue(hash, last_seen.as_micros());
-        let shard = &mut self.shards[shard_idx];
-        match shard.find(hash, &key) {
+        let idx = match self.find(hash, &key) {
             Some(idx) => {
                 // The replaced engine's item no longer matches and dies
                 // when popped.
-                let e = &mut shard.entries[idx];
+                let e = &mut self.entries[idx];
                 e.engine = engine;
                 e.last_seen = last_seen;
                 e.due_tag = due_tag;
+                idx
             }
-            None => {
-                shard.insert_new(key, hash, engine, last_seen, due_tag);
-            }
-        }
+            None => self.insert_new(key, hash, engine, last_seen, due_tag),
+        };
+        &mut self.entries[idx].engine
     }
 
     /// Mutable access to a flow's engine, if tracked, advancing the flow's
-    /// `last_seen` toward `ts` (bounded by one idle timeout per call, like
-    /// [`Self::push_hashed_into`]) — the facade's per-packet lookup,
-    /// which needs the entry's bookkeeping hot before pushing.
+    /// `last_seen` toward `ts` (bounded by one idle timeout per call) —
+    /// the per-packet lookup, which needs the entry's bookkeeping hot
+    /// before pushing.
     pub(crate) fn get_mut_seen_hashed(
         &mut self,
         hash: u64,
         key: &FlowKey,
         ts: Timestamp,
     ) -> Option<&mut E> {
-        let shard_idx = self.shard_of(hash);
-        let shard = &mut self.shards[shard_idx];
-        let idx = shard.find(hash, key)?;
-        let entry = &mut shard.entries[idx];
+        let idx = self.find(hash, key)?;
+        let entry = &mut self.entries[idx];
         self.max_seen_us = self.max_seen_us.max(entry.see(ts, self.idle_timeout_us));
         Some(&mut entry.engine)
     }
@@ -1487,11 +1469,8 @@ impl<E> FlowTable<E> {
     /// Removes a flow's engine without finishing it; the caller owns any
     /// remaining flush. The flow's schedule item dies when popped.
     pub(crate) fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<E> {
-        let shard_idx = self.shard_of(hash);
-        let shard = &mut self.shards[shard_idx];
-        shard
-            .find_slot(hash, key)
-            .map(|slot| shard.remove_slot(slot).engine)
+        self.find_slot(hash, key)
+            .map(|slot| self.remove_slot(slot).engine)
     }
 
     /// [`Self::evict_idle`] one flow at a time, without finishing: takes
@@ -1511,15 +1490,13 @@ impl<E> FlowTable<E> {
                 break;
             }
             self.schedule.pop();
-            let shard_idx = self.shard_of(hash);
-            let shard = &mut self.shards[shard_idx];
-            let Some(slot) = shard.probe(hash, |e| e.due_tag == due_tag(due_us)) else {
+            let Some(slot) = self.probe(hash, |e| e.due_tag == due_tag(due_us)) else {
                 continue;
             };
-            let entry = &mut shard.entries[shard.slots[slot] as usize];
+            let entry = &mut self.entries[self.slots[slot] as usize];
             let last_us = entry.last_seen.as_micros();
             if last_us.saturating_add(idle) < now_us || last_us > future_bound {
-                return Some(shard.remove_slot(slot).into_parts());
+                return Some(self.remove_slot(slot).into_parts());
             }
             // Seen since it was scheduled: due again, at or after `now`,
             // so this loop stops at it.
@@ -1530,7 +1507,7 @@ impl<E> FlowTable<E> {
         None
     }
 
-    /// Rebuilds the schedule from the entry slabs in one pass, with every
+    /// Rebuilds the schedule from the entry slab in one pass, with every
     /// flow last seen beyond `future_bound` due at once. Needed only when
     /// `now` falls behind the schedule (the stream clock re-anchored
     /// backward, or a flow was opened by a far-future timestamp); it also
@@ -1540,18 +1517,16 @@ impl<E> FlowTable<E> {
         let mut items = std::mem::take(&mut self.schedule).into_vec();
         items.clear();
         self.max_seen_us = i64::MIN;
-        for shard in &mut self.shards {
-            for e in &mut shard.entries {
-                let last_us = e.last_seen.as_micros();
-                let due_us = if last_us > future_bound {
-                    i64::MIN
-                } else {
-                    self.max_seen_us = self.max_seen_us.max(last_us);
-                    last_us.saturating_add(idle)
-                };
-                e.due_tag = due_tag(due_us);
-                items.push(Reverse((due_us, e.hash)));
-            }
+        for e in &mut self.entries {
+            let last_us = e.last_seen.as_micros();
+            let due_us = if last_us > future_bound {
+                i64::MIN
+            } else {
+                self.max_seen_us = self.max_seen_us.max(last_us);
+                last_us.saturating_add(idle)
+            };
+            e.due_tag = due_tag(due_us);
+            items.push(Reverse((due_us, e.hash)));
         }
         self.schedule = BinaryHeap::from(items);
     }
@@ -1559,49 +1534,39 @@ impl<E> FlowTable<E> {
     /// Visits every tracked flow's engine mutably, in unspecified order
     /// (the facade's forced provisional flush walks all flows at once).
     pub(crate) fn for_each_mut(&mut self, mut f: impl FnMut(&FlowKey, &mut E)) {
-        for shard in &mut self.shards {
-            for entry in shard.entries.iter_mut() {
-                f(&entry.key, &mut entry.engine);
-            }
+        for entry in &mut self.entries {
+            f(&entry.key, &mut entry.engine);
         }
     }
 
     /// Every tracked flow's key, in unspecified order.
     pub(crate) fn keys(&self) -> impl Iterator<Item = FlowKey> + '_ {
-        self.shards
-            .iter()
-            .flat_map(|s| s.entries.iter().map(|e| e.key))
+        self.entries.iter().map(|e| e.key)
     }
 
     /// Number of currently tracked flows.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.len()).sum()
+        self.entries.len()
     }
 
     /// True when no flow is tracked.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Flows per shard (for load-balance inspection).
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.entries.len()).collect()
+        self.entries.is_empty()
     }
 
     /// Total resident bytes of tracked-flow state: the expiry schedule,
-    /// the probe tables, the entry slabs, and what `engine_bytes` says
+    /// the probe table, the entry slab, and what `engine_bytes` says
     /// each entry's engine holds beyond its slab slot — the numerator of
     /// the monitor's bytes-per-flow gauge.
     pub(crate) fn state_bytes(&self, engine_bytes: impl Fn(&E) -> usize) -> usize {
-        let mut total = self.schedule.capacity() * std::mem::size_of::<Reverse<(i64, u64)>>();
-        for shard in &self.shards {
-            total += shard.slots.capacity() * std::mem::size_of::<u32>();
-            total += shard.entries.capacity() * std::mem::size_of::<FlowEntry<E>>();
-            for entry in &shard.entries {
-                total += engine_bytes(&entry.engine);
-            }
-        }
-        total
+        self.schedule.capacity() * std::mem::size_of::<Reverse<(i64, u64)>>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+            + self.entries.capacity() * std::mem::size_of::<FlowEntry<E>>()
+            + self
+                .entries
+                .iter()
+                .map(|e| engine_bytes(&e.engine))
+                .sum::<usize>()
     }
 }
 
@@ -1620,20 +1585,13 @@ impl<E: QoeEstimator> FlowTable<E> {
         pkt: &TracePacket,
         out: &mut Vec<WindowReport>,
     ) {
-        let shard_idx = self.shard_of(hash);
-        let idx = match self.shards[shard_idx].find(hash, &key) {
-            Some(idx) => idx,
-            None => {
-                let engine = (self.factory)(&key);
-                let due_tag = self.enqueue(hash, pkt.ts.as_micros());
-                self.shards[shard_idx].insert_new(key, hash, engine, pkt.ts, due_tag)
-            }
-        };
-        let entry = &mut self.shards[shard_idx].entries[idx];
-        self.max_seen_us = self
-            .max_seen_us
-            .max(entry.see(pkt.ts, self.idle_timeout_us));
-        entry.engine.push_into(pkt, out);
+        if let Some(engine) = self.get_mut_seen_hashed(hash, &key, pkt.ts) {
+            engine.push_into(pkt, out);
+            return;
+        }
+        let engine = (self.factory)(&key);
+        self.insert_hashed(hash, key, engine, pkt.ts)
+            .push_into(pkt, out);
     }
 
     /// Evicts every flow idle longer than the timeout at `now` — last
@@ -1655,13 +1613,12 @@ impl<E: QoeEstimator> FlowTable<E> {
     pub fn drain_finish_all(&mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
         self.schedule.clear();
         self.max_seen_us = i64::MIN;
-        let mut out = Vec::new();
-        for shard in &mut self.shards {
-            shard.slots.clear();
-            for entry in shard.entries.drain(..) {
-                out.push(sealed(entry.into_parts()));
-            }
-        }
+        self.slots.clear();
+        let mut out: Vec<_> = self
+            .entries
+            .drain(..)
+            .map(|entry| sealed(entry.into_parts()))
+            .collect();
         out.sort_by_key(|(k, _)| (k.addr_a, k.port_a, k.addr_b, k.port_b));
         out
     }
@@ -2093,7 +2050,7 @@ mod tests {
             .collect();
         feed.sort_by_key(|(_, p)| p.ts);
 
-        let mut table = FlowTable::new(4, Timestamp::from_secs(60), |_: &FlowKey| {
+        let mut table = FlowTable::new(1, Timestamp::from_secs(60), |_: &FlowKey| {
             IpUdpHeuristicEngine::new(config())
         });
         let mut per_flow: std::collections::HashMap<FlowKey, Vec<WindowReport>> =
@@ -2124,7 +2081,7 @@ mod tests {
 
     #[test]
     fn flow_table_evicts_idle_flows() {
-        let mut table = FlowTable::new(2, Timestamp::from_secs(5), |_: &FlowKey| {
+        let mut table = FlowTable::new(1, Timestamp::from_secs(5), |_: &FlowKey| {
             IpUdpHeuristicEngine::new(config())
         });
         table_push(&mut table, flow_key(1), &pkt(0, 1100));
@@ -2139,7 +2096,7 @@ mod tests {
 
     #[test]
     fn flow_table_expires_a_flow_one_microsecond_past_its_timeout() {
-        let mut table = FlowTable::new(2, Timestamp::from_secs(5), |_: &FlowKey| {
+        let mut table = FlowTable::new(1, Timestamp::from_secs(5), |_: &FlowKey| {
             IpUdpHeuristicEngine::new(config())
         });
         table_push(&mut table, flow_key(1), &pkt(1_000_000, 1100));
@@ -2159,23 +2116,19 @@ mod tests {
 
     #[test]
     fn flow_table_state_bytes_counts_the_schedule() {
-        let mut table = FlowTable::new(2, Timestamp::from_secs(5), |_: &FlowKey| {
+        let mut table = FlowTable::new(1, Timestamp::from_secs(5), |_: &FlowKey| {
             IpUdpHeuristicEngine::new(config())
         });
         for n in 0..100 {
             table_push(&mut table, flow_key(n), &pkt(0, 1100));
         }
-        let mut rest = 0;
-        for shard in &table.shards {
-            rest += shard.slots.capacity() * std::mem::size_of::<u32>();
-            rest +=
-                shard.entries.capacity() * std::mem::size_of::<FlowEntry<IpUdpHeuristicEngine>>();
-            rest += shard
+        let rest = table.slots.capacity() * std::mem::size_of::<u32>()
+            + table.entries.capacity() * std::mem::size_of::<FlowEntry<IpUdpHeuristicEngine>>()
+            + table
                 .entries
                 .iter()
                 .map(|e| e.engine.state_bytes())
                 .sum::<usize>();
-        }
         assert!(table.schedule.capacity() >= 100);
         assert_eq!(
             table.state_bytes(QoeEstimator::state_bytes),
@@ -2193,16 +2146,14 @@ mod tests {
         let deadline = now.as_micros() - table.idle_timeout_us;
         let future_bound = now.as_micros().saturating_add(table.idle_timeout_us);
         let mut out = Vec::new();
-        for shard in &mut table.shards {
-            let mut idx = 0;
-            while idx < shard.entries.len() {
-                let e = &shard.entries[idx];
-                if e.last_seen.as_micros() < deadline || e.last_seen.as_micros() > future_bound {
-                    let slot = e.slot as usize;
-                    out.push(sealed(shard.remove_slot(slot).into_parts()));
-                } else {
-                    idx += 1;
-                }
+        let mut idx = 0;
+        while idx < table.entries.len() {
+            let e = &table.entries[idx];
+            if e.last_seen.as_micros() < deadline || e.last_seen.as_micros() > future_bound {
+                let slot = e.slot as usize;
+                out.push(sealed(table.remove_slot(slot).into_parts()));
+            } else {
+                idx += 1;
             }
         }
         out
@@ -2223,10 +2174,9 @@ mod tests {
         hash: u64,
         key: &FlowKey,
     ) -> Option<i64> {
-        let shard = &table.shards[table.shard_of(hash)];
-        shard
+        table
             .find(hash, key)
-            .map(|idx| shard.entries[idx].last_seen.as_micros())
+            .map(|idx| table.entries[idx].last_seen.as_micros())
     }
 
     // Two tables take the same inserts, pushes, removals and re-inserts;
@@ -2242,7 +2192,7 @@ mod tests {
             let keys: Vec<FlowKey> = (1..=6).map(flow_key).collect();
             let hash_of = |k: usize| keys[k.min(4)].hash64();
             let new_table = || {
-                FlowTable::new(2, Timestamp::from_micros(IDLE_US), |_: &FlowKey| {
+                FlowTable::new(1, Timestamp::from_micros(IDLE_US), |_: &FlowKey| {
                     IpUdpHeuristicEngine::new(config())
                 })
             };
@@ -2298,20 +2248,75 @@ mod tests {
         }
     }
 
+    /// One table grown through several probe-table doublings while
+    /// random keys are removed and re-inserted: every live key finds its
+    /// own engine, the count matches a set model, and the state is one
+    /// slot array plus one slab.
     #[test]
-    fn flow_table_shards_spread_load() {
-        let mut table = FlowTable::new(8, Timestamp::from_secs(60), |_: &FlowKey| {
-            IpUdpMlEngine::new(config())
-        });
-        for n in 0..64 {
-            table_push(&mut table, flow_key(n), &pkt(0, 1100));
+    fn flow_table_grows_through_doublings_under_churn() {
+        use std::collections::HashSet;
+        const FLOWS: u32 = 1 << 15;
+        // Each flow's engine records its own key (by creation), so a
+        // lookup that lands on another flow's entry shows.
+        let mut table = FlowTable::new(1, Timestamp::from_secs(60), |k: &FlowKey| *k);
+        let key = |n: u32| {
+            let a = IpAddr::V4(Ipv4Addr::from(0x0a00_0000 | n));
+            FlowKey::canonical(
+                a,
+                40_000 + (n % 7) as u16,
+                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
+                3478,
+                17,
+            )
+            .0
+        };
+        let mut live = HashSet::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut doublings = 0;
+        for n in 0..FLOWS {
+            let k = key(n);
+            let before = table.slots.len();
+            table.insert_hashed(k.hash64(), k, k, Timestamp::from_micros(i64::from(n)));
+            doublings += usize::from(before != 0 && table.slots.len() != before);
+            live.insert(k);
+            // Every fourth insert, remove a random earlier key; every
+            // eighth, re-insert one (removed or live).
+            if n % 4 == 3 {
+                let k = key((next() % u64::from(n + 1)) as u32);
+                assert_eq!(table.remove_hashed(k.hash64(), &k), live.take(&k));
+            }
+            if n % 8 == 7 {
+                let k = key((next() % u64::from(n + 1)) as u32);
+                table.insert_hashed(k.hash64(), k, k, Timestamp::from_micros(i64::from(n)));
+                live.insert(k);
+            }
         }
-        assert_eq!(table.len(), 64);
-        let loads = table.shard_loads();
-        assert_eq!(loads.len(), 8);
-        assert!(
-            loads.iter().filter(|&&l| l > 0).count() >= 4,
-            "loads {loads:?}"
+        assert!(doublings >= 8, "{doublings} doublings");
+        assert_eq!(table.len(), live.len());
+        for k in &live {
+            let got = table.get_mut_seen_hashed(k.hash64(), k, Timestamp::ZERO);
+            assert_eq!(got.copied(), Some(*k), "live key found with its own engine");
+        }
+        for n in 0..FLOWS {
+            let k = key(n);
+            let found = table
+                .get_mut_seen_hashed(k.hash64(), &k, Timestamp::ZERO)
+                .is_some();
+            assert_eq!(found, live.contains(&k));
+        }
+        let slots = table.slots.iter().filter(|&&s| s != EMPTY_SLOT).count();
+        assert_eq!(slots, live.len(), "one slot per live flow");
+        assert_eq!(
+            table.state_bytes(|_| 0),
+            table.schedule.capacity() * std::mem::size_of::<Reverse<(i64, u64)>>()
+                + table.slots.capacity() * std::mem::size_of::<u32>()
+                + table.entries.capacity() * std::mem::size_of::<FlowEntry<FlowKey>>()
         );
     }
 

@@ -132,6 +132,8 @@ impl<R: Read> PcapFileSource<R> {
 }
 
 impl<R: Read> PacketSource for PcapFileSource<R> {
+    // A forwarder, inlined so a wrapping source pays no extra call.
+    #[inline]
     fn next_packet(&mut self) -> Result<Option<SourcePacket>, NetError> {
         Ok(self
             .reader

@@ -215,15 +215,14 @@ impl FlowFeatureAcc {
 /// ([`crate::ipudp_features`]): flow features plus the two VCA-semantics
 /// features (`# unique sizes`, `# microbursts`).
 ///
-/// The window's state is its two value logs plus a burst counter: the
-/// unique-size count is taken from the size log at seal, through a
-/// per-thread bitmap, so no per-flow set over the size domain is kept.
+/// The window's state is its two value logs: the unique-size count is
+/// taken from the size log at seal, through a per-thread bitmap, so no
+/// per-flow set over the size domain is kept, and the microburst count
+/// from the gap log, which already holds every gap it compares.
 #[derive(Debug, Clone)]
 pub struct IpUdpFeatureAcc {
     flow: FlowFeatureAcc,
     theta_iat_us: i64,
-    bursts: u64,
-    prev_ts: Option<Timestamp>,
 }
 
 impl IpUdpFeatureAcc {
@@ -239,20 +238,21 @@ impl IpUdpFeatureAcc {
         IpUdpFeatureAcc {
             flow: FlowFeatureAcc::new(),
             theta_iat_us,
-            bursts: 0,
-            prev_ts: None,
+        }
+    }
+
+    /// An empty accumulator with this one's threshold, holding no heap:
+    /// what an empty window's features are computed from.
+    pub fn fresh(&self) -> Self {
+        IpUdpFeatureAcc {
+            flow: FlowFeatureAcc::new(),
+            theta_iat_us: self.theta_iat_us,
         }
     }
 
     /// Offers one video-classified packet (arrival order).
     pub fn push(&mut self, ts: Timestamp, size: u16) {
         self.flow.push(ts, size);
-        match self.prev_ts {
-            None => self.bursts = 1,
-            Some(prev) if (ts - prev).as_micros() >= self.theta_iat_us => self.bursts += 1,
-            Some(_) => {}
-        }
-        self.prev_ts = Some(ts);
     }
 
     /// Packets offered so far this window.
@@ -273,14 +273,29 @@ impl IpUdpFeatureAcc {
         let (flow, semantics) = out.split_at_mut(FlowFeatureAcc::WIDTH);
         self.flow.features_into(window_secs, flow);
         let unique_sizes = crate::stats::distinct_sizes(&self.flow.sizes.vals);
-        semantics.copy_from_slice(&[unique_sizes as f64, self.bursts as f64]);
+        semantics.copy_from_slice(&[unique_sizes as f64, self.microbursts() as f64]);
+    }
+
+    /// `# microbursts` as [`crate::semantics::microbursts`] defines it:
+    /// 0 for an empty window, else 1 + the gaps of at least θ (a
+    /// backward gap is negative, so it never breaks a burst).
+    fn microbursts(&self) -> usize {
+        if self.flow.packets() == 0 {
+            return 0;
+        }
+        let theta = self.theta_iat_us;
+        1 + self
+            .flow
+            .iats
+            .vals
+            .iter()
+            .filter(|&&gap| gap >= theta)
+            .count()
     }
 
     /// Clears per-window state.
     pub fn reset(&mut self) {
         self.flow.reset();
-        self.bursts = 0;
-        self.prev_ts = None;
     }
 
     /// Estimated bytes of state held by this accumulator: the inline
@@ -467,23 +482,30 @@ mod tests {
         // Selection must reproduce the sort bit for bit: over every
         // prefix of a window (lengths 0, 1, 2, odd and even), with
         // duplicate and `u16::MAX` sizes, gaps that run backwards inside
-        // the window, and signed zeros among the `f64` inputs.
+        // the window, and signed zeros among the `f64` inputs. The two
+        // semantics features, counted at seal from the logs, must match
+        // the batch definitions on the same prefixes.
         #[test]
         fn selection_equals_the_sorted_statistics(
             window in proptest::collection::vec(
                 (
                     (1_000u16..1_004, proptest::any::<u16>(), 0u8..3),
-                    (-2i64..3, -40_000i64..40_000, proptest::any::<bool>()),
+                    (-2i64..3, -40_000i64..40_000, 0u8..3),
                 ),
                 0..64,
             )
         ) {
-            use crate::semantics::unique_sizes;
+            use crate::semantics::{microbursts, unique_sizes};
             use crate::stats::five_stats;
             let mut us = 10_000_000i64;
             let mut pkts = Vec::new();
-            for &((narrow, wide, pick), (small, large, is_small)) in &window {
-                us += if is_small { small } else { large };
+            for &((narrow, wide, pick), (small, large, step)) in &window {
+                // A gap of exactly θ (3 ms) starts a microburst.
+                us += match step {
+                    0 => small,
+                    1 => large,
+                    _ => 3_000,
+                };
                 let size = match pick {
                     0 => narrow,
                     1 => wide,
@@ -510,6 +532,7 @@ mod tests {
                 proptest::prop_assert_eq!(bits(&got[2..7]), bits(&sorted_five(&sizes)));
                 proptest::prop_assert_eq!(bits(&got[7..12]), bits(&sorted_five(&gaps)));
                 proptest::prop_assert_eq!(got[12].to_bits(), unique_sizes(seen).to_bits());
+                proptest::prop_assert_eq!(got[13].to_bits(), microbursts(seen, 3_000).to_bits());
                 // The `f64` entry point (RTP lags), signed zeros included.
                 let mut lags = gaps.clone();
                 lags.extend(gaps.iter().take(2).map(|&g| if g < 0.0 { -0.0 } else { 0.0 }));

@@ -34,11 +34,11 @@ pub struct FlowKey {
 
 impl FlowKey {
     /// Cheap multiplicative 64-bit hash of the 5-tuple, shared by every
-    /// layer that routes on flows (worker routing, table shards, and the
-    /// open-addressed slot probe) so a key is hashed exactly once per
-    /// packet. Distinct layers consume distinct bit ranges of the output:
-    /// workers take `hash64() % n`, shards the top 16 bits, slot probes
-    /// the middle bits — the final avalanche makes them independent.
+    /// layer that routes on flows (worker routing and the open-addressed
+    /// slot probe) so a key is hashed exactly once per packet. The two
+    /// layers consume distinct bit ranges of the output: workers take
+    /// `hash64() % n` (low bits), slot probes bits 16.. — the final
+    /// avalanche makes them independent.
     #[inline]
     pub fn hash64(&self) -> u64 {
         fn addr_bits(addr: IpAddr) -> u64 {

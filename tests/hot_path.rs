@@ -10,7 +10,8 @@
 //! seal, for an ML engine with a model attached too: the sealed
 //! [`WindowReport`]'s own feature vector. The features are built on the
 //! stack, ordered by selection in per-thread scratch, and predicted by a
-//! forest walk that allocates nothing.
+//! forest walk that allocates nothing. An empty window's report (what
+//! `replay` pads with) costs its feature vector and nothing else.
 //!
 //! This file is where the contract is held; no static rule shadows it.
 //! Seeding an allocation into each per-packet function makes a test here
@@ -267,6 +268,39 @@ fn ml_seal_allocates_its_feature_vector_only() {
     assert_one_allocation_per_seal(rtp, &t, "RtpMl");
 }
 
+/// Fill a window from the first half of the trace, then build an empty
+/// window's report: its feature vector is the one allocation, and it is
+/// a fresh engine's bit for bit, the `-0.0` byte rate included.
+fn assert_empty_report_allocates_its_vector_only<E: QoeEstimator>(
+    mut engine: E,
+    fresh: &E,
+    trace: &Trace,
+    label: &str,
+) {
+    let mut out = Vec::new();
+    for p in &trace.packets[..trace.packets.len() / 2] {
+        engine.push_into(p, &mut out);
+    }
+    let (allocs, report) = metered(|| engine.empty_report(1_000));
+    assert_eq!(allocs, 1, "{label}: empty_report allocated {allocs} times");
+    let bits = |r: &WindowReport| {
+        let f = r.features.as_deref().expect("ML reports carry features");
+        f.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&report), bits(&fresh.empty_report(1_000)), "{label}");
+    assert_eq!(bits(&report)[0], (-0.0f64).to_bits(), "{label}: byte rate");
+}
+
+#[test]
+fn ml_empty_report_allocates_its_feature_vector_only() {
+    let t = trace(VcaKind::Teams);
+    let config = EngineConfig::paper(VcaKind::Teams);
+    let ipudp = || IpUdpMlEngine::new(config);
+    assert_empty_report_allocates_its_vector_only(ipudp(), &ipudp(), &t, "IpUdpMl");
+    let rtp = || RtpMlEngine::new(config, t.payload_map);
+    assert_empty_report_allocates_its_vector_only(rtp(), &rtp(), &t, "RtpMl");
+}
+
 #[test]
 fn forest_predict_is_alloc_free() {
     let forest = forest(14);
@@ -302,7 +336,7 @@ fn assert_table_alloc_free<E: QoeEstimator>(
     feed: &[(FlowKey, TracePacket)],
     label: &str,
 ) {
-    let mut table = FlowTable::new(4, Timestamp::from_secs(120), factory);
+    let mut table = FlowTable::new(1, Timestamp::from_secs(120), factory);
     let push = |(key, p): &(FlowKey, TracePacket), out: &mut Vec<WindowReport>| {
         table.push_hashed_into(key.hash64(), *key, p, out)
     };
