@@ -11,7 +11,7 @@
 //!   RTP timestamp (case 1).
 
 use std::collections::{HashMap, HashSet};
-use vcaml::heuristic::{Assignment, HeuristicParams};
+use vcaml::heuristic::HeuristicParams;
 
 /// Error counts over one analysis window, in frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -46,14 +46,14 @@ impl ErrorCounts {
 ///
 /// * `packets` — `(size, rtp_timestamp)` per packet in arrival order (the
 ///   ground-truth timestamp comes from the RTP header);
-/// * `assignments` — the heuristic's frame assignment for the same
-///   packets.
+/// * `frame_ids` — the heuristic frame each of the same packets joined
+///   (as [`vcaml_datasets::oracle::ipudp_frames`] reports them).
 pub fn analyze_window(
     packets: &[(u16, u32)],
-    assignments: &[Assignment],
+    frame_ids: &[u64],
     params: &HeuristicParams,
 ) -> ErrorCounts {
-    assert_eq!(packets.len(), assignments.len(), "length mismatch");
+    assert_eq!(packets.len(), frame_ids.len(), "length mismatch");
     let mut counts = ErrorCounts {
         windows: 1,
         ..Default::default()
@@ -90,9 +90,9 @@ pub fn analyze_window(
     counts.interleaves = interleaved.len() as f64;
 
     // Coalesces: heuristic frames assigned more than one RTP timestamp.
-    let mut ts_per_frame: HashMap<usize, HashSet<u32>> = HashMap::new();
-    for (a, &(_, ts)) in assignments.iter().zip(packets) {
-        ts_per_frame.entry(a.frame_id).or_default().insert(ts);
+    let mut ts_per_frame: HashMap<u64, HashSet<u32>> = HashMap::new();
+    for (&id, &(_, ts)) in frame_ids.iter().zip(packets) {
+        ts_per_frame.entry(id).or_default().insert(ts);
     }
     counts.coalesces = ts_per_frame.values().filter(|s| s.len() > 1).count() as f64;
 
@@ -102,17 +102,23 @@ pub fn analyze_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcaml::heuristic::IpUdpHeuristic;
+    use vcaml::TracePacket;
+    use vcaml_datasets::oracle::ipudp_frames;
     use vcaml_netpkt::Timestamp;
 
     fn run(pkts: &[(u16, u32)], params: HeuristicParams) -> ErrorCounts {
-        let input: Vec<(Timestamp, u16)> = pkts
+        let input: Vec<TracePacket> = pkts
             .iter()
             .enumerate()
-            .map(|(i, &(s, _))| (Timestamp::from_millis(i as i64), s))
+            .map(|(i, &(size, _))| TracePacket {
+                ts: Timestamp::from_millis(i as i64),
+                size,
+                rtp: None,
+                truth_media: None,
+            })
             .collect();
-        let (_, asg) = IpUdpHeuristic::new(params).assemble(&input);
-        analyze_window(pkts, &asg, &params)
+        let (_, ids) = ipudp_frames(params, &input);
+        analyze_window(pkts, &ids, &params)
     }
 
     #[test]

@@ -11,12 +11,11 @@ use crate::pipeline::{
 use crate::report::{cdf_points, fraction_le, section, table, Sink};
 use serde_json::json;
 use std::collections::HashMap;
-use vcaml::{
-    heuristic::IpUdpHeuristic, media::MediaClassifier, qoe::estimate_windows, Method, Trace,
-};
-use vcaml_mlcore::{mae, percentile, Dataset, RandomForest, Task};
+use vcaml::engine::{replay, replay_packets, IpUdpHeuristicEngine};
+use vcaml::{media::MediaClassifier, EngineConfig, HeuristicParams, Method, Trace, TracePacket};
+use vcaml_datasets::oracle::ipudp_frames;
+use vcaml_mlcore::{mae, percentile, ConfusionMatrix, Dataset, RandomForest, Task};
 use vcaml_netem::{ImpairmentDim, ImpairmentProfile};
-use vcaml_netpkt::Timestamp;
 use vcaml_rtp::{MediaKind, VcaKind};
 
 type ExpFn = fn(&mut Ctx, &Sink);
@@ -242,6 +241,33 @@ fn f2(ctx: &mut Ctx, sink: &Sink) {
     .unwrap();
 }
 
+/// Scores `classifier` against simulator truth over a corpus: the
+/// paper's Table 2 / A.1 / A.2 confusion matrix. Ground-truth "video"
+/// means primary video packets plus data-carrying retransmissions;
+/// keepalives (`keepalive_size` bytes on the rtx stream) count as
+/// non-video, as the paper filters them. Packets without truth are
+/// skipped.
+pub fn media_confusion_matrix(
+    classifier: &MediaClassifier,
+    traces: &[Trace],
+    keepalive_size: u16,
+) -> ConfusionMatrix {
+    let mut m = ConfusionMatrix::new(vec!["Non-video".into(), "Video".into()]);
+    for p in traces.iter().flat_map(|t| &t.packets) {
+        let Some(truth) = p.truth_media else { continue };
+        let actual_video = match truth {
+            MediaKind::Video => true,
+            MediaKind::VideoRtx => p.size != keepalive_size,
+            MediaKind::Audio | MediaKind::Control => false,
+        };
+        m.record(
+            usize::from(actual_video),
+            usize::from(classifier.is_video(p)),
+        );
+    }
+    m
+}
+
 fn media_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, vca: VcaKind) {
     section(
         &id.to_uppercase(),
@@ -250,17 +276,7 @@ fn media_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, vca: VcaKind) {
     let traces = ctx.traces(Corpus::InLab, vca).to_vec();
     let opts = ctx.opts(vca);
     let classifier = MediaClassifier::new(opts.engine.vmin);
-    let mut m = vcaml_mlcore::ConfusionMatrix::new(vec!["Non-video".into(), "Video".into()]);
-    for t in &traces {
-        let part = classifier.evaluate(t, 304);
-        for a in 0..2 {
-            for p in 0..2 {
-                for _ in 0..part.count(a, p) {
-                    m.record(a, p);
-                }
-            }
-        }
-    }
+    let m = media_confusion_matrix(&classifier, &traces, 304);
     println!("{}", m.render());
     sink.write(
         id,
@@ -356,18 +372,17 @@ fn fa3(ctx: &mut Ctx, sink: &Sink) {
     let opts = ctx.opts(VcaKind::Teams);
     let trace = &traces[0];
     // Take the PT-video packets of second 5.
-    let pkts: Vec<(Timestamp, u16, u32)> = trace
+    let pkts: Vec<&TracePacket> = trace
         .rtp_video_packets()
         .filter(|p| p.ts.second_index() == 5)
-        .map(|p| (p.ts, p.size, p.rtp.unwrap().timestamp))
         .collect();
-    let input: Vec<(Timestamp, u16)> = pkts.iter().map(|&(t, s, _)| (t, s)).collect();
-    let (_, asg) = IpUdpHeuristic::new(opts.engine.heuristic).assemble(&input);
+    let (_, ids) = ipudp_frames(opts.engine.heuristic, pkts.iter().copied());
     // Renumber RTP timestamps and frame ids for readability.
     let mut ts_ids: Vec<u32> = Vec::new();
     let mut rows = Vec::new();
     let mut artifact = Vec::new();
-    for (i, &(_, size, ts)) in pkts.iter().enumerate().take(24) {
+    for (i, p) in pkts.iter().enumerate().take(24) {
+        let (size, ts) = (p.size, p.rtp.unwrap().timestamp);
         let ts_id = match ts_ids.iter().position(|&t| t == ts) {
             Some(p) => p + 1,
             None => {
@@ -379,11 +394,9 @@ fn fa3(ctx: &mut Ctx, sink: &Sink) {
             format!("{i}"),
             format!("{size}"),
             format!("{ts_id}"),
-            format!("{}", asg[i].frame_id + 1),
+            format!("{}", ids[i] + 1),
         ]);
-        artifact.push(
-            json!({"pkt": i, "size": size, "rtp_frame": ts_id, "assigned": asg[i].frame_id + 1}),
-        );
+        artifact.push(json!({"pkt": i, "size": size, "rtp_frame": ts_id, "assigned": ids[i] + 1}));
     }
     println!(
         "{}",
@@ -557,22 +570,20 @@ fn f4(ctx: &mut Ctx, sink: &Sink) {
         let mut total = ErrorCounts::default();
         for t in &traces {
             // Per-second windows of PT-video packets.
-            let mut by_sec: HashMap<i64, Vec<(Timestamp, u16, u32)>> = HashMap::new();
+            let mut by_sec: HashMap<i64, Vec<&TracePacket>> = HashMap::new();
             for p in t.rtp_video_packets() {
-                by_sec.entry(p.ts.second_index()).or_default().push((
-                    p.ts,
-                    p.size,
-                    p.rtp.unwrap().timestamp,
-                ));
+                by_sec.entry(p.ts.second_index()).or_default().push(p);
             }
             for pkts in by_sec.values() {
                 if pkts.len() < 2 {
                     continue;
                 }
-                let input: Vec<(Timestamp, u16)> = pkts.iter().map(|&(t, s, _)| (t, s)).collect();
-                let (_, asg) = IpUdpHeuristic::new(opts.engine.heuristic).assemble(&input);
-                let st: Vec<(u16, u32)> = pkts.iter().map(|&(_, s, ts)| (s, ts)).collect();
-                total.add(&analyze_window(&st, &asg, &opts.engine.heuristic));
+                let (_, ids) = ipudp_frames(opts.engine.heuristic, pkts.iter().copied());
+                let st: Vec<(u16, u32)> = pkts
+                    .iter()
+                    .map(|p| (p.size, p.rtp.unwrap().timestamp))
+                    .collect();
+                total.add(&analyze_window(&st, &ids, &opts.engine.heuristic));
             }
         }
         let (s, i, c) = total.averages();
@@ -994,6 +1005,24 @@ fn f12(ctx: &mut Ctx, sink: &Sink) {
         .unwrap();
 }
 
+/// Frame-rate estimates of the IP/UDP Heuristic engine under `config`,
+/// paired with the truth of the same second, over every trace: the
+/// `(predictions, truths)` an MAE is taken over.
+fn heuristic_fps_vs_truth(config: EngineConfig, traces: &[Trace]) -> (Vec<f64>, Vec<f64>) {
+    let mut preds = Vec::new();
+    let mut truths = Vec::new();
+    for t in traces {
+        let reports = replay(&mut IpUdpHeuristicEngine::new(config), t, 1);
+        for r in &t.truth {
+            if let Some(report) = reports.get(r.second as usize) {
+                preds.push(report.estimate.unwrap().fps);
+                truths.push(r.fps);
+            }
+        }
+    }
+    (preds, truths)
+}
+
 fn fa10(ctx: &mut Ctx, sink: &Sink) {
     section(
         "FA10",
@@ -1004,31 +1033,17 @@ fn fa10(ctx: &mut Ctx, sink: &Sink) {
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
-        let classifier = MediaClassifier::new(opts.engine.vmin);
         let mut per_lb = Vec::new();
         for lookback in 1..=10usize {
-            let params = vcaml::HeuristicParams {
+            let heuristic = HeuristicParams {
                 delta_max_size: 2,
                 lookback,
             };
-            let mut preds = Vec::new();
-            let mut truths = Vec::new();
-            for t in &traces {
-                let video: Vec<(Timestamp, u16)> = t
-                    .packets
-                    .iter()
-                    .filter(|p| classifier.is_video(p))
-                    .map(|p| (p.ts, p.size))
-                    .collect();
-                let (frames, _) = IpUdpHeuristic::new(params).assemble(&video);
-                let est = estimate_windows(&frames, t.duration_secs as usize, 1);
-                for r in &t.truth {
-                    if let Some(e) = est.get(r.second as usize) {
-                        preds.push(e.fps);
-                        truths.push(r.fps);
-                    }
-                }
-            }
+            let engine = EngineConfig {
+                heuristic,
+                ..opts.engine
+            };
+            let (preds, truths) = heuristic_fps_vs_truth(engine, &traces);
             per_lb.push(mae(&preds, &truths));
         }
         rows.push({
@@ -1081,14 +1096,9 @@ pub fn ab1(ctx: &mut Ctx, sink: &Sink) {
         let mut row = vec![vca.name().to_string()];
         let mut per_v = Vec::new();
         for &vmin in &vmins {
-            let classifier = MediaClassifier::new(vmin);
-            let (mut correct, mut total) = (0u64, 0u64);
-            for t in &traces {
-                let m = classifier.evaluate(t, 304);
-                correct += m.count(0, 0) + m.count(1, 1);
-                total += m.row_total(0) + m.row_total(1);
-            }
-            let acc = correct as f64 / total as f64;
+            let m = media_confusion_matrix(&MediaClassifier::new(vmin), &traces, 304);
+            let correct = m.count(0, 0) + m.count(1, 1);
+            let acc = correct as f64 / (m.row_total(0) + m.row_total(1)) as f64;
             row.push(format!("{:.2}%", acc * 100.0));
             per_v.push(json!({"vmin": vmin, "accuracy": acc}));
         }
@@ -1216,32 +1226,18 @@ pub fn ab5(ctx: &mut Ctx, sink: &Sink) {
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
-        let classifier = MediaClassifier::new(opts.engine.vmin);
         let mut row = vec![vca.name().to_string()];
         let mut per_d = Vec::new();
         for &delta in &deltas {
-            let params = vcaml::HeuristicParams {
+            let heuristic = HeuristicParams {
                 delta_max_size: delta,
                 lookback: opts.engine.heuristic.lookback,
             };
-            let mut preds = Vec::new();
-            let mut truths = Vec::new();
-            for t in &traces {
-                let video: Vec<(Timestamp, u16)> = t
-                    .packets
-                    .iter()
-                    .filter(|p| classifier.is_video(p))
-                    .map(|p| (p.ts, p.size))
-                    .collect();
-                let (frames, _) = IpUdpHeuristic::new(params).assemble(&video);
-                let est = estimate_windows(&frames, t.duration_secs as usize, 1);
-                for r in &t.truth {
-                    if let Some(e) = est.get(r.second as usize) {
-                        preds.push(e.fps);
-                        truths.push(r.fps);
-                    }
-                }
-            }
+            let engine = EngineConfig {
+                heuristic,
+                ..opts.engine
+            };
+            let (preds, truths) = heuristic_fps_vs_truth(engine, &traces);
             let m = mae(&preds, &truths);
             row.push(format!("{m:.2}"));
             per_d.push(json!({"delta": delta, "mae": m}));
@@ -1373,16 +1369,12 @@ pub fn am1(ctx: &mut Ctx, sink: &Sink) {
         let merged = merge_multiparty(&sessions);
         let trace = vcaml_datasets::to_core_trace(&merged, profile.payload_map);
         // IP/UDP estimate: aggregate heuristic fps / nominal 30.
-        let video: Vec<(Timestamp, u16)> = trace
-            .packets
+        let mut engine = IpUdpHeuristicEngine::new(EngineConfig::paper(VcaKind::Teams));
+        let reports = replay_packets(&mut engine, &trace.packets, 20, 1);
+        let stable: Vec<f64> = reports[5..]
             .iter()
-            .filter(|p| classifier.is_video(p))
-            .map(|p| (p.ts, p.size))
+            .map(|r| r.estimate.unwrap().fps)
             .collect();
-        let (frames, _) =
-            IpUdpHeuristic::new(vcaml::HeuristicParams::paper(VcaKind::Teams)).assemble(&video);
-        let est = estimate_windows(&frames, 20, 1);
-        let stable: Vec<f64> = est[5..].iter().map(|e| e.fps).collect();
         let agg_fps = stable.iter().sum::<f64>() / stable.len() as f64;
         let ipudp_n = estimate_participants_ipudp(agg_fps, 30.0);
         let rtp_n = estimate_participants_rtp(&trace.packets, profile.payload_map.video);
@@ -1446,6 +1438,53 @@ mod tests {
     fn media_confusion_small() {
         let mut ctx = Ctx::new(Scale::Small);
         media_confusion(&mut ctx, &tmp_sink(), "t2_test", VcaKind::Meet);
+    }
+
+    fn trace(packets: Vec<TracePacket>) -> Trace {
+        Trace {
+            vca: VcaKind::Teams,
+            payload_map: vcaml_rtp::PayloadMap::lab(VcaKind::Teams),
+            packets,
+            truth: vec![],
+            duration_secs: 0,
+        }
+    }
+
+    fn pkt(size: u16, truth: MediaKind) -> TracePacket {
+        TracePacket {
+            ts: vcaml_netpkt::Timestamp::ZERO,
+            size,
+            rtp: None,
+            truth_media: Some(truth),
+        }
+    }
+
+    #[test]
+    fn confusion_matrix_matches_paper_structure() {
+        let t = trace(vec![
+            pkt(1200, MediaKind::Video),   // video → video ✓
+            pkt(600, MediaKind::Video),    // video → video ✓
+            pkt(120, MediaKind::Audio),    // non-video → non-video ✓
+            pkt(1100, MediaKind::Control), // DTLS server hello → misclassified
+            pkt(304, MediaKind::VideoRtx), // keepalive: actual non-video ✓
+            pkt(800, MediaKind::VideoRtx), // data rtx: actual video → video ✓
+        ]);
+        let m = media_confusion_matrix(&MediaClassifier::default(), &[t], 304);
+        // Actual video: 3 (2 video + 1 data rtx), all predicted video.
+        assert_eq!(m.row_total(1), 3);
+        assert_eq!(m.count(1, 1), 3);
+        // Actual non-video: 3, one misclassified (DTLS).
+        assert_eq!(m.row_total(0), 3);
+        assert_eq!(m.count(0, 1), 1);
+        assert!((m.percent(0, 1) - 33.333).abs() < 0.01);
+    }
+
+    #[test]
+    fn packets_without_truth_are_skipped_in_eval() {
+        let mut p = pkt(1200, MediaKind::Video);
+        p.truth_media = None;
+        let m = media_confusion_matrix(&MediaClassifier::default(), &[trace(vec![p])], 304);
+        assert_eq!(m.row_total(0) + m.row_total(1), 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The evaluation pipeline end to end: simulator → datasets → window
-//! samples → heuristics and cross-validated ML → the paper's headline
-//! comparisons, on small corpora.
+//! The evaluation pipeline end to end: simulator → datasets → media
+//! classification and window samples → heuristics and cross-validated
+//! ML → the paper's headline comparisons, on small corpora.
 
-use vcaml::{build_samples, Method, Trace};
+use vcaml::{build_samples, MediaClassifier, Method, Trace};
+use vcaml_bench::experiments::media_confusion_matrix;
 use vcaml_bench::pipeline::{
     eval_heuristic, eval_ml_regression, eval_ml_resolution, transfer_regression, EvalOpts, Target,
 };
@@ -31,6 +32,16 @@ fn small_corpus(vca: VcaKind, seed: u64) -> Vec<Trace> {
             seed,
         },
     )
+}
+
+#[test]
+fn media_classification_high_accuracy_all_vcas() {
+    for vca in VcaKind::ALL {
+        let m = media_confusion_matrix(&MediaClassifier::default(), &small_corpus(vca, 3), 304);
+        let correct = m.count(0, 0) + m.count(1, 1);
+        let acc = correct as f64 / (m.row_total(0) + m.row_total(1)) as f64;
+        assert!(acc > 0.97, "{vca}: media accuracy {acc}");
+    }
 }
 
 #[test]

@@ -21,8 +21,6 @@ pub enum ParseDropReason {
     /// A header field violated the codec's constraints (bad IHL, bad
     /// version, length mismatch, unsupported fragmentation, ...).
     Malformed,
-    /// A header checksum did not verify.
-    Checksum,
     /// Well-formed, but not a UDP packet (ARP, TCP, ICMP, non-IP
     /// ethertype) — VCA media is UDP, so the monitor skips it.
     NotUdp,
@@ -34,13 +32,7 @@ impl ParseDropReason {
     /// The [`ParseDropReason::tag`] of every variant, in
     /// [`ParseDropReason::index`] order — the labels of
     /// [`MonitorStats::parse_drops_by_reason`].
-    pub const TAGS: [&'static str; 5] = [
-        "truncated",
-        "malformed",
-        "checksum",
-        "not_udp",
-        "negative_timestamp",
-    ];
+    pub const TAGS: [&'static str; 4] = ["truncated", "malformed", "not_udp", "negative_timestamp"];
 
     /// The variant's position in [`ParseDropReason::TAGS`] — a dense slot
     /// for per-reason counter arrays.
@@ -48,9 +40,8 @@ impl ParseDropReason {
         match self {
             ParseDropReason::Truncated => 0,
             ParseDropReason::Malformed => 1,
-            ParseDropReason::Checksum => 2,
-            ParseDropReason::NotUdp => 3,
-            ParseDropReason::NegativeTimestamp => 4,
+            ParseDropReason::NotUdp => 2,
+            ParseDropReason::NegativeTimestamp => 3,
         }
     }
 
@@ -69,7 +60,6 @@ impl From<&NetError> for ParseDropReason {
             NetError::Malformed { .. } | NetError::BadMagic(_) | NetError::Io(_) => {
                 ParseDropReason::Malformed
             }
-            NetError::Checksum { .. } => ParseDropReason::Checksum,
         }
     }
 }
@@ -161,7 +151,7 @@ pub enum QoeEvent {
         last_ts: Timestamp,
         /// Records dropped, by [`ParseDropReason::index`] (labels:
         /// [`ParseDropReason::TAGS`]).
-        by_reason: [u64; 5],
+        by_reason: [u64; 4],
     },
     /// Events were discarded because the bounded event queue overflowed
     /// under [`OverflowPolicy::DropOldest`]. The marker leads the next
@@ -345,7 +335,7 @@ pub struct MonitorStats {
     pub parse_drops: u64,
     /// `parse_drops` split by why, in [`ParseDropReason::index`] order
     /// (labels: [`ParseDropReason::TAGS`]) — what a tap is rejecting.
-    pub parse_drops_by_reason: [u64; 5],
+    pub parse_drops_by_reason: [u64; 4],
     /// Flows opened.
     pub flows_opened: u64,
     /// Flows evicted (idle or end of stream).
@@ -396,7 +386,7 @@ impl MonitorStats {
 
 /// Appends per-reason drop counts as an object keyed by
 /// [`ParseDropReason::TAGS`], in index order.
-fn write_by_reason(out: &mut String, by_reason: &[u64; 5]) {
+fn write_by_reason(out: &mut String, by_reason: &[u64; 4]) {
     let mut o = json::Object::begin(out);
     for (&tag, &n) in ParseDropReason::TAGS.iter().zip(by_reason) {
         json::uint(o.key(tag), n);
@@ -413,7 +403,7 @@ fn write_by_reason(out: &mut String, by_reason: &[u64; 5]) {
 pub(crate) struct StatsCells {
     pub(super) packets: AtomicU64,
     /// By [`ParseDropReason::index`]: one `fetch_add` per drop.
-    pub(super) parse_drops: [AtomicU64; 5],
+    pub(super) parse_drops: [AtomicU64; 4],
     pub(super) flows_opened: AtomicU64,
     pub(super) flows_evicted: AtomicU64,
     pub(super) window_reports: AtomicU64,

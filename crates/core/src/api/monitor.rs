@@ -47,7 +47,7 @@ struct DropSummary {
     close_at_us: i64,
     first_us: i64,
     last_us: i64,
-    by_reason: [u64; 5],
+    by_reason: [u64; 4],
 }
 
 impl DropSummary {
@@ -57,7 +57,7 @@ impl DropSummary {
             close_at_us: i64::MAX,
             first_us: 0,
             last_us: 0,
-            by_reason: [0; 5],
+            by_reason: [0; 4],
         }
     }
 
@@ -88,7 +88,7 @@ impl DropSummary {
     }
 
     fn fold(&mut self, us: i64, reason: usize) {
-        if self.by_reason == [0; 5] {
+        if self.by_reason == [0; 4] {
             // The interval's end; past the last representable one the
             // summary waits for end of stream (or a record at i64::MAX).
             self.close_at_us = us
@@ -110,7 +110,7 @@ impl DropSummary {
     /// queue lock per summary.
     fn close(&mut self, queue: &EventQueue) {
         self.close_at_us = i64::MAX;
-        if self.by_reason == [0; 5] {
+        if self.by_reason == [0; 4] {
             return;
         }
         let event = Arc::new(QoeEvent::ParseDrops {

@@ -309,7 +309,7 @@ fn default_has_no_provisional_reports() {
 
 /// Every parse-drop summary in `events`, as `(first_us, last_us,
 /// by_reason)`.
-fn summaries(events: &[QoeEvent]) -> Vec<(i64, i64, [u64; 5])> {
+fn summaries(events: &[QoeEvent]) -> Vec<(i64, i64, [u64; 4])> {
     events
         .iter()
         .filter_map(|e| match e {
@@ -330,7 +330,7 @@ fn negative_timestamps_classified() {
     assert_eq!(m.stats().parse_drops, 1);
     assert_eq!(m.active_flows(), 0);
     assert_eq!(m.drain_events().count(), 0, "counted, not yet summarized");
-    assert_eq!(summaries(&m.finish()), [(-5, -5, [0, 0, 0, 0, 1])]);
+    assert_eq!(summaries(&m.finish()), [(-5, -5, [0, 0, 0, 1])]);
 }
 
 /// The close rule: a summary covers one `window_secs` interval of record
@@ -346,13 +346,10 @@ fn drop_summary_closes_on_record_time_and_at_finish() {
     assert_eq!(m.drain_events().count(), 0, "a drain closes nothing");
     m.ingest_packet(flow_key(1), pkt(1_000_000, 1100));
     let closed: Vec<QoeEvent> = m.drain_events().collect();
-    assert_eq!(summaries(&closed), [(100_000, 900_000, [1, 0, 0, 1, 0])]);
+    assert_eq!(summaries(&closed), [(100_000, 900_000, [1, 0, 1, 0])]);
     m.ingest_frame(Timestamp::from_millis(2500), &arp);
     let events = m.finish();
-    assert_eq!(
-        summaries(&events),
-        [(2_500_000, 2_500_000, [0, 0, 0, 1, 0])]
-    );
+    assert_eq!(summaries(&events), [(2_500_000, 2_500_000, [0, 0, 1, 0])]);
 }
 
 /// A record from an earlier interval — a clock step back, or a negative
@@ -374,8 +371,8 @@ fn drop_summary_folds_a_clock_step_back() {
     assert_eq!(
         summaries(&events),
         [
-            (-3, 4_500_000, [2, 0, 0, 0, 1]),
-            (6_000_000, 6_000_000, [1, 0, 0, 0, 0])
+            (-3, 4_500_000, [2, 0, 0, 1]),
+            (6_000_000, 6_000_000, [1, 0, 0, 0])
         ]
     );
 }
@@ -420,8 +417,8 @@ fn raw_frame_ingestion_parses_and_routes() {
     // Truncating below the Ethernet header classifies as truncated.
     m.ingest_frame(Timestamp::from_millis(2), &frame[..10]);
     assert_eq!(m.stats().parse_drops, 1);
-    assert_eq!(m.stats().parse_drops_by_reason, [1, 0, 0, 0, 0]);
-    assert_eq!(summaries(&m.finish()), [(2000, 2000, [1, 0, 0, 0, 0])]);
+    assert_eq!(m.stats().parse_drops_by_reason, [1, 0, 0, 0]);
+    assert_eq!(summaries(&m.finish()), [(2000, 2000, [1, 0, 0, 0])]);
 }
 
 #[test]
@@ -646,7 +643,7 @@ fn pending_events_counts_queued_and_staged_events() {
     m.ingest_frame(Timestamp::ZERO, &[0u8; 10]); // closes it, opens the next
     assert_eq!(m.pending_events(), 1);
     let events: Vec<QoeEvent> = m.drain_events().collect();
-    assert_eq!(summaries(&events), [(-5, -1, [0, 0, 0, 0, 2])]);
+    assert_eq!(summaries(&events), [(-5, -1, [0, 0, 0, 2])]);
     assert_eq!(m.pending_events(), 0);
 
     // A drain dropped part-way leaves what it did not yield staged:
@@ -749,15 +746,15 @@ fn parse_drops_are_counted_by_reason() {
     }
     let stats = m.stats();
     assert_eq!(stats.parse_drops, 5);
-    assert_eq!(stats.parse_drops_by_reason, [1, 0, 0, 3, 1]);
+    assert_eq!(stats.parse_drops_by_reason, [1, 0, 3, 1]);
     // The counters agree with the summaries the same records produced:
     // one for the negative timestamp's interval, one for [0 s, 1 s).
     let events = m.finish();
     assert_eq!(
         summaries(&events),
-        [(-5, -5, [0, 0, 0, 0, 1]), (1000, 4000, [1, 0, 0, 3, 0])]
+        [(-5, -5, [0, 0, 0, 1]), (1000, 4000, [1, 0, 3, 0])]
     );
-    let mut by_event = [0u64; 5];
+    let mut by_event = [0u64; 4];
     for (_, _, by_reason) in summaries(&events) {
         for (sum, n) in by_event.iter_mut().zip(by_reason) {
             *sum += n;

@@ -360,7 +360,7 @@ mod tests {
         Arc::new(QoeEvent::ParseDrops {
             first_ts: Timestamp::from_micros(us),
             last_ts: Timestamp::from_micros(us),
-            by_reason: [0, 0, 0, 1, 0],
+            by_reason: [0, 0, 1, 0],
         })
     }
 

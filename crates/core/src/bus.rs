@@ -204,18 +204,46 @@ pub struct AlertBar {
 impl AlertBar {
     /// Whether a finalized window report falls below any floor.
     pub fn degrades(&self, report: &crate::engine::WindowReport) -> bool {
-        if report_fps(report).is_some_and(|fps| fps < self.fps) {
-            return true;
+        self.breaches(report).any()
+    }
+
+    /// Which floors a finalized window report falls below, with the
+    /// readings that fell: the one rule behind both [`Severity::of`] and
+    /// the lines an [`AlertSink`](crate::sink::AlertSink) writes.
+    pub(crate) fn breaches(&self, report: &crate::engine::WindowReport) -> Breaches {
+        let fps = report_fps(report).filter(|&fps| fps < self.fps);
+        let kbps = report.estimate.map(|e| e.bitrate_kbps);
+        let bitrate = kbps.filter(|&kbps| kbps < self.min_kbps);
+        let resolution = match (bitrate, kbps, self.res_height) {
+            (None, Some(kbps), Some(height)) if kbps < self.res_min_kbps => Some((kbps, height)),
+            _ => None,
+        };
+        Breaches {
+            fps,
+            bitrate,
+            resolution,
         }
-        if let Some(est) = &report.estimate {
-            if est.bitrate_kbps < self.min_kbps {
-                return true;
-            }
-            if self.res_height.is_some() && est.bitrate_kbps < self.res_min_kbps {
-                return true;
-            }
-        }
-        false
+    }
+}
+
+/// The floors one finalized report breaches ([`AlertBar::breaches`]).
+/// A bitrate below the bitrate floor is one breach, not two: the
+/// resolution floor is only reported for a bitrate above it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Breaches {
+    /// The frame rate, when below the frame-rate floor.
+    pub fps: Option<f64>,
+    /// The estimated bitrate, when below the bitrate floor.
+    pub bitrate: Option<f64>,
+    /// The estimated bitrate and the floor's height, when the bitrate is
+    /// below the resolution floor's bound (and not the bitrate floor).
+    pub resolution: Option<(f64, u32)>,
+}
+
+impl Breaches {
+    /// Whether any floor is breached.
+    pub fn any(&self) -> bool {
+        self.fps.is_some() || self.bitrate.is_some() || self.resolution.is_some()
     }
 }
 

@@ -248,7 +248,7 @@ mod tests {
             stats: MonitorStats {
                 packets: 100,
                 parse_drops: 2,
-                parse_drops_by_reason: [0, 1, 0, 1, 0],
+                parse_drops_by_reason: [0, 1, 1, 0],
                 flows_opened: 5,
                 flows_evicted: 1,
                 window_reports: 40,
@@ -299,7 +299,7 @@ mod tests {
         assert!(body.contains("vcaml_ingest_depth{shard=\"0\"} 3"));
         assert!(body.contains("vcaml_ingest_depth{shard=\"1\"} 0"));
         assert!(body.contains("vcaml_parse_drops_by_reason_total{reason=\"malformed\"} 1"));
-        assert!(body.contains("vcaml_parse_drops_by_reason_total{reason=\"checksum\"} 0"));
+        assert!(body.contains("vcaml_parse_drops_by_reason_total{reason=\"negative_timestamp\"} 0"));
         assert!(body.contains("vcaml_events_published_total{severity=\"warning\"} 2"));
         assert!(body.contains("vcaml_windows_by_method_total{method=\"ip_udp_heuristic\"} 40"));
         assert!(body.contains("vcaml_model_bytes 150000"));

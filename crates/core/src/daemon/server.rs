@@ -117,42 +117,24 @@ impl Daemon {
     /// before spawning the run).
     ///
     /// Fails only on bind errors (port taken, bad address, socket path
-    /// not writable); once `Ok`, the servers outlive every client
-    /// error.
+    /// not writable), and then leaves no server running and no port
+    /// bound; once `Ok`, the servers outlive every client error.
     pub fn start(
         handle: MonitorHandle,
         bus: BusHandle,
         config: DaemonConfig,
     ) -> std::io::Result<Daemon> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-
-        let metrics_addr = match &config.metrics_addr {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                let bound = listener.local_addr()?;
-                let handle = handle.clone();
-                let serve = move |stream| serve_scrape(stream, &handle);
-                threads.push(spawn_server("vcaml-metrics", listener, &stop, serve));
-                Some(bound)
-            }
+        // Bind every listener before any server runs: a failed bind then
+        // returns with nothing spawned, and the listeners already bound
+        // close as they drop.
+        let metrics = match &config.metrics_addr {
+            Some(addr) => Some(bind_tcp(addr)?),
             None => None,
         };
-
-        let ctx = ControlCtx {
-            handle,
-            bus,
-            stop: Arc::clone(&stop),
-        };
-        let control_addr = match &config.control {
+        let control = match &config.control {
             Some(ControlEndpoint::Tcp(addr)) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                let bound = listener.local_addr()?;
-                let serve = move |stream| serve_control(stream, &ctx);
-                threads.push(spawn_server("vcaml-control", listener, &stop, serve));
-                Some(BoundControl::Tcp(bound))
+                let (listener, bound) = bind_tcp(addr)?;
+                Some((ControlListener::Tcp(listener), BoundControl::Tcp(bound)))
             }
             Some(ControlEndpoint::Unix(path)) => {
                 // A stale socket file from a crashed run would fail the
@@ -161,12 +143,38 @@ impl Daemon {
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
                 listener.set_nonblocking(true)?;
-                let serve = move |stream| serve_control(stream, &ctx);
-                threads.push(spawn_server("vcaml-control", listener, &stop, serve));
-                Some(BoundControl::Unix(path.clone()))
+                let bound = BoundControl::Unix(path.clone());
+                Some((ControlListener::Unix(listener), bound))
             }
             None => None,
         };
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut threads = Vec::new();
+        let metrics_addr = metrics.map(|(listener, bound)| {
+            let handle = handle.clone();
+            let serve = move |stream| serve_scrape(stream, &handle);
+            threads.push(spawn_server("vcaml-metrics", listener, &stop, serve));
+            bound
+        });
+        let ctx = ControlCtx {
+            handle,
+            bus,
+            stop: Arc::clone(&stop),
+        };
+        let control_addr = control.map(|(listener, bound)| {
+            threads.push(match listener {
+                ControlListener::Tcp(listener) => {
+                    let serve = move |stream| serve_control(stream, &ctx);
+                    spawn_server("vcaml-control", listener, &stop, serve)
+                }
+                ControlListener::Unix(listener) => {
+                    let serve = move |stream| serve_control(stream, &ctx);
+                    spawn_server("vcaml-control", listener, &stop, serve)
+                }
+            });
+            bound
+        });
 
         Ok(Daemon {
             stop,
@@ -209,6 +217,21 @@ impl std::fmt::Debug for Daemon {
             .field("control_addr", &self.control_addr)
             .finish_non_exhaustive()
     }
+}
+
+/// A control listener [`Daemon::start`] has bound but not yet served.
+enum ControlListener {
+    Tcp(TcpListener),
+    Unix(UnixListener),
+}
+
+/// Binds a nonblocking TCP listener on `addr`, with the address it got
+/// (ephemeral ports resolved).
+fn bind_tcp(addr: &str) -> std::io::Result<(TcpListener, SocketAddr)> {
+    let listener = TcpListener::bind(addr)?;
+    listener.set_nonblocking(true)?;
+    let bound = listener.local_addr()?;
+    Ok((listener, bound))
 }
 
 /// A nonblocking listener of the daemon's: TCP or Unix.

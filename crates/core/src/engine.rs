@@ -1134,10 +1134,9 @@ pub fn replay_packets<E: QoeEstimator + ?Sized>(
 /// lands at its absolute index, leading/trailing gaps are padded with
 /// [`QoeEstimator::empty_report`], and windows past the nominal duration
 /// are dropped (they carry no ground truth). The placement half of
-/// [`replay_packets`], shared with source-driven replays
-/// ([`crate::pipeline::build_samples`] streams a [`crate::source::ReplaySource`]
-/// through several engines at once and places each engine's reports
-/// through here).
+/// [`replay_packets`], shared with [`crate::pipeline::build_samples`],
+/// which feeds each trace through several engines in one pass and places
+/// each engine's reports through here.
 pub fn place_windows<E: QoeEstimator + ?Sized>(
     engine: &E,
     reports: Vec<WindowReport>,
@@ -1627,8 +1626,6 @@ impl<E: QoeEstimator> FlowTable<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristic::IpUdpHeuristic;
-    use crate::qoe::estimate_windows;
     use std::net::{IpAddr, Ipv4Addr};
     use vcaml_features::{ipudp_features, windows_by_second, PktObs};
 
@@ -1710,17 +1707,25 @@ mod tests {
         let stream = synthetic_stream(4);
         let reports = run(&mut IpUdpHeuristicEngine::new(config()), &stream);
         // Independent batch path: classify, assemble the whole trace,
-        // bucket frames by end time.
-        let video: Vec<(Timestamp, u16)> = stream
+        // then bucket every frame by end time.
+        let mut asm = IpUdpAssembler::new(config().heuristic);
+        let mut frames = Vec::new();
+        for p in stream
             .iter()
             .filter(|p| p.size >= crate::media::DEFAULT_VMIN)
-            .map(|p| (p.ts, p.size))
-            .collect();
-        let (frames, _) = IpUdpHeuristic::new(config().heuristic).assemble(&video);
-        let batch = estimate_windows(&frames, 4, 1);
+        {
+            asm.push_into(p.ts, p.size, &mut frames);
+        }
+        asm.finish_into(&mut frames);
+        let mut windower = QoeWindower::new(1);
+        for (id, f) in &frames {
+            windower.offer(*id, f);
+        }
+        let mut batch = Vec::new();
+        windower.drain_until_into(4, &mut batch);
         assert_eq!(reports.len(), batch.len());
-        for (r, b) in reports.iter().zip(&batch) {
-            assert_eq!(r.estimate.unwrap(), *b, "window {}", r.window);
+        for (r, (w, b)) in reports.iter().zip(&batch) {
+            assert_eq!((r.window, r.estimate.unwrap()), (*w, *b));
         }
         for r in &reports {
             let fps = r.estimate.unwrap().fps;

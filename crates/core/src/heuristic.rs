@@ -46,21 +46,11 @@ impl Default for HeuristicParams {
     }
 }
 
-/// Per-packet frame assignment produced by the heuristic (used by the
-/// error-taxonomy analysis of Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Assignment {
-    /// Index of the packet in the input sequence.
-    pub packet_idx: usize,
-    /// Heuristic frame id the packet was assigned to.
-    pub frame_id: usize,
-}
-
 /// Incremental Algorithm 1: consumes video packets one at a time and
 /// emits frames as soon as they are *sealed* — provably immutable because
 /// their id has left the `Nmax` lookback set and can never be matched
-/// again. This is the single implementation of frame assembly; the batch
-/// [`IpUdpHeuristic::assemble`] replays a slice through it.
+/// again. This is the single implementation of frame assembly: the
+/// IP/UDP Heuristic engine feeds it packet by packet.
 ///
 /// State is O(`lookback`): the lookback set plus at most `lookback + 1`
 /// open frames, independent of stream length.
@@ -192,44 +182,6 @@ impl IpUdpAssembler {
     }
 }
 
-/// The IP/UDP Heuristic frame-boundary estimator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IpUdpHeuristic {
-    /// Algorithm parameters.
-    pub params: HeuristicParams,
-}
-
-impl IpUdpHeuristic {
-    /// Creates the estimator with explicit parameters.
-    pub fn new(params: HeuristicParams) -> Self {
-        assert!(params.lookback >= 1, "lookback must be at least 1");
-        IpUdpHeuristic { params }
-    }
-
-    /// Runs Algorithm 1 over video packets `(arrival, ip_total_len)` in
-    /// arrival order by replaying them through the incremental
-    /// [`IpUdpAssembler`]. Returns the reconstructed frames (ordered by
-    /// end time) and the per-packet assignments (frame ids in creation
-    /// order).
-    pub fn assemble(&self, packets: &[(Timestamp, u16)]) -> (Vec<Frame>, Vec<Assignment>) {
-        let mut asm = IpUdpAssembler::new(self.params);
-        let mut assignments = Vec::with_capacity(packets.len());
-        let mut frames: Vec<(u64, Frame)> = Vec::new();
-        for (i, &(ts, size)) in packets.iter().enumerate() {
-            let fid = asm.push_into(ts, size, &mut frames);
-            assignments.push(Assignment {
-                packet_idx: i,
-                frame_id: fid as usize,
-            });
-        }
-        asm.finish_into(&mut frames);
-        // End-time order with creation order breaking ties, matching the
-        // stable sort the batch algorithm historically applied.
-        frames.sort_by_key(|&(id, f)| (f.end_ts, id));
-        (frames.into_iter().map(|(_, f)| f).collect(), assignments)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,9 +190,18 @@ mod tests {
         Timestamp::from_millis(ms)
     }
 
-    fn run(pkts: &[(i64, u16)], params: HeuristicParams) -> (Vec<Frame>, Vec<Assignment>) {
-        let input: Vec<(Timestamp, u16)> = pkts.iter().map(|&(ms, s)| (t(ms), s)).collect();
-        IpUdpHeuristic::new(params).assemble(&input)
+    /// Feeds `(ms, size)` packets through one assembler: the frames by
+    /// end time (creation order breaking ties) and each packet's frame id.
+    fn run(pkts: &[(i64, u16)], params: HeuristicParams) -> (Vec<Frame>, Vec<u64>) {
+        let mut asm = IpUdpAssembler::new(params);
+        let mut frames = Vec::new();
+        let ids = pkts
+            .iter()
+            .map(|&(ms, size)| asm.push_into(t(ms), size, &mut frames))
+            .collect();
+        asm.finish_into(&mut frames);
+        frames.sort_by_key(|&(id, f)| (f.end_ts, id));
+        (frames.into_iter().map(|(_, f)| f).collect(), ids)
     }
 
     #[test]
@@ -341,7 +302,7 @@ mod tests {
         let total: u32 = frames.iter().map(|f| f.n_packets).sum();
         assert_eq!(total, 4);
         // Packet 3 (1100) matches packet 0 via 3-deep lookback.
-        assert_eq!(asg[3].frame_id, asg[0].frame_id);
+        assert_eq!(asg[3], asg[0]);
     }
 
     #[test]
@@ -363,7 +324,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookback")]
     fn zero_lookback_rejected() {
-        let _ = IpUdpHeuristic::new(HeuristicParams {
+        let _ = IpUdpAssembler::new(HeuristicParams {
             delta_max_size: 2,
             lookback: 0,
         });

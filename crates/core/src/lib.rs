@@ -60,11 +60,12 @@
 //!   low/medium/high bins for Teams, §5.1.5);
 //! * [`trace`] — the monitor-side trace model consumed by all methods.
 //!
-//! Batch and streaming share one implementation: the batch entry points
-//! ([`pipeline::build_samples`], [`IpUdpHeuristic::assemble`],
-//! [`qoe::estimate_windows`], `rtp_heuristic::assemble`) replay their
-//! inputs through the same incremental state machines the engines drive
-//! packet-by-packet, so the two paths produce identical windows.
+//! One implementation estimates: the engines drive the incremental
+//! assemblers and windower packet by packet, and the training rows of
+//! [`pipeline::build_samples`] come from one pass of each trace through
+//! the same engines. The whole-trace batch forms the parity tests and the
+//! Fig 4 error taxonomy compare against live with the corpora, in
+//! `vcaml_datasets::oracle`, not here.
 
 pub mod api;
 pub mod backpressure;
@@ -103,9 +104,9 @@ pub use source::{Paced, PacketSource, PcapFileSource, ReplaySource, SourcePacket
 // `engine::` paths only: they are unstable internals behind the facade.
 pub use engine::{EngineConfig, Method, QoeEstimator, WindowReport};
 pub use frames::Frame;
-pub use heuristic::{HeuristicParams, IpUdpAssembler, IpUdpHeuristic};
+pub use heuristic::{HeuristicParams, IpUdpAssembler};
 pub use media::MediaClassifier;
 pub use pipeline::{build_samples, PipelineOpts, SampleSet, WindowSample};
-pub use qoe::{estimate_windows, QoeEstimate, QoeWindower};
+pub use qoe::{QoeEstimate, QoeWindower};
 pub use resolution::ResolutionScheme;
 pub use trace::{Trace, TracePacket, TruthRow};

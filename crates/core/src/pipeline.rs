@@ -12,7 +12,6 @@ use crate::api::build_engine;
 use crate::engine::{place_windows, EngineConfig, Method, WindowReport};
 use crate::leaf::LeafMutex;
 use crate::qoe::QoeEstimate;
-use crate::source::{PacketSource, ReplaySource, SourcePacket};
 use crate::trace::{Trace, TruthRow};
 use vcaml_features::flow_stats::flow_feature_names;
 use vcaml_features::{ipudp_feature_names, rtp_feature_names};
@@ -80,11 +79,8 @@ fn aggregate_truth(rows: &[TruthRow]) -> TruthRow {
 }
 
 /// Builds one trace's window samples (the per-shard unit of
-/// [`build_samples`]): one [`ReplaySource`] pass through all four
-/// engines at once, then truth alignment. The source is the same
-/// abstraction a live [`crate::runner::MonitorRunner`] drives, so the
-/// batch evaluation's feed path and the monitor's feed path are one
-/// mechanism — and a single pass over the packets beats four.
+/// [`build_samples`]): one pass over the packets through all four
+/// engines at once, then truth alignment.
 fn trace_samples(
     trace_id: usize,
     trace: &Trace,
@@ -92,8 +88,7 @@ fn trace_samples(
     w: u32,
 ) -> Vec<WindowSample> {
     // Engines in replay order, each built by the facade's single
-    // construction point. The flow key is nominal: engines are per-flow
-    // state machines and the replay is one flow by construction.
+    // construction point.
     let methods = [
         Method::IpUdpHeuristic,
         Method::IpUdpMl,
@@ -104,28 +99,9 @@ fn trace_samples(
         let engine = build_engine(m, config, trace.payload_map, None);
         (engine, Vec::<WindowReport>::new())
     });
-    let flow = vcaml_netpkt::FlowKey::canonical(
-        std::net::IpAddr::V4(std::net::Ipv4Addr::new(127, 0, 0, 1)),
-        1,
-        std::net::IpAddr::V4(std::net::Ipv4Addr::new(127, 0, 0, 2)),
-        2,
-        17,
-    )
-    .0;
-    let mut source = ReplaySource::from_trace(trace, flow);
-    #[expect(
-        clippy::expect_used,
-        reason = "replay over an in-memory trace never returns an IO error"
-    )]
-    while let Some(pkt) = source
-        .next_packet()
-        .expect("in-memory replay is infallible")
-    {
-        let SourcePacket::Parsed { packet, .. } = pkt else {
-            unreachable!("trace replays yield pre-parsed packets");
-        };
+    for packet in &trace.packets {
         for (engine, out) in &mut lanes {
-            engine.push_into(&packet, out);
+            engine.push_into(packet, out);
         }
     }
     let [heur_r, ip_ml_r, rtp_heur_r, rtp_ml_r] = lanes.map(|(mut engine, mut out)| {
@@ -176,8 +152,8 @@ fn trace_samples(
 }
 
 /// Builds the window samples for a corpus of traces by replaying each
-/// trace through the four streaming engines — one packet pass per method,
-/// no per-trace buffering of windowed packet lists.
+/// trace through the four streaming engines — one pass over the packets
+/// feeds all four, with no per-trace buffering of windowed packet lists.
 ///
 /// Traces are independent, so the replays fan out across scoped worker
 /// threads (the batch-side analogue of the monitor's shard workers: the

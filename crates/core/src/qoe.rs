@@ -45,8 +45,7 @@ const SPARE_POOL: usize = 8;
 /// declares a window final.
 ///
 /// This is the single implementation of §3.2.1's window estimation: the
-/// batch [`estimate_windows`] replays a frame list through it, and the
-/// streaming engine offers frames as its assemblers seal them. Frames may
+/// heuristic engines offer frames as their assemblers seal them. Frames may
 /// be offered out of end-time order (sealing order is not arrival order);
 /// each window sorts its few frames at emission.
 ///
@@ -238,29 +237,24 @@ impl QoeWindower {
     }
 }
 
-/// Buckets frames by end time into `n_windows` windows of `window_secs`
-/// seconds and estimates the three metrics in each, by replaying the list
-/// through [`QoeWindower`]. Frames ending beyond the last window (or at
-/// negative times) are ignored.
-pub fn estimate_windows(frames: &[Frame], n_windows: usize, window_secs: u32) -> Vec<QoeEstimate> {
-    let mut windower = QoeWindower::new(window_secs);
-    for (id, f) in frames.iter().enumerate() {
-        if windower
-            .window_of(f.end_ts)
-            .is_some_and(|w| w < n_windows as u64)
-        {
-            windower.offer(id as u64, f);
-        }
-    }
-    let mut out = Vec::with_capacity(n_windows);
-    windower.drain_until_into(n_windows as u64, &mut out);
-    out.into_iter().map(|(_, e)| e).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vcaml_netpkt::Timestamp;
+
+    /// Offers every frame ending inside the first `n` windows, then
+    /// drains all `n`: one estimate per window.
+    fn estimate_windows(frames: &[Frame], n: u64, window_secs: u32) -> Vec<QoeEstimate> {
+        let mut windower = QoeWindower::new(window_secs);
+        for (id, f) in frames.iter().enumerate() {
+            if windower.window_of(f.end_ts).is_some_and(|w| w < n) {
+                windower.offer(id as u64, f);
+            }
+        }
+        let mut out = Vec::new();
+        windower.drain_until_into(n, &mut out);
+        out.into_iter().map(|(_, e)| e).collect()
+    }
 
     fn frame(end_ms: i64, size: usize) -> Frame {
         Frame {

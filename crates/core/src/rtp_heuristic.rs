@@ -4,7 +4,6 @@
 //! al. used for Zoom.
 
 use crate::frames::Frame;
-use crate::trace::Trace;
 use std::collections::VecDeque;
 use vcaml_netpkt::Timestamp;
 
@@ -39,8 +38,8 @@ impl Acc {
 /// Incremental RTP frame assembly: groups video packets by RTP timestamp,
 /// matching each packet against the [`SCAN_DEPTH`] most recently opened
 /// frames, and seals a frame as soon as it falls out of that scan window.
-/// The batch [`assemble`] replays a trace through this; the streaming
-/// engine feeds it packet by packet. State is O([`SCAN_DEPTH`]).
+/// The RTP Heuristic engine feeds it packet by packet. State is
+/// O([`SCAN_DEPTH`]).
 #[derive(Default)]
 pub struct RtpAssembler {
     open: VecDeque<Acc>,
@@ -132,33 +131,10 @@ impl RtpAssembler {
     }
 }
 
-/// Reconstructs frames from the trace's RTP video stream by replaying it
-/// through the incremental [`RtpAssembler`].
-///
-/// Packets are grouped by RTP timestamp; the frame end time is the
-/// arrival of its marker packet when one was received, else the last
-/// arrival. Output frames are ordered by end time (creation order breaks
-/// ties).
-pub fn assemble(trace: &Trace) -> Vec<Frame> {
-    let mut asm = RtpAssembler::new();
-    let mut frames: Vec<(u64, Frame)> = Vec::new();
-    for p in trace.rtp_video_packets() {
-        #[expect(
-            clippy::expect_used,
-            reason = "rtp_video_packets filters on rtp.is_some()"
-        )]
-        let h = p.rtp.expect("rtp_video_packets yields RTP packets");
-        asm.push_into(p.ts, h.timestamp, h.marker, p.size, &mut frames);
-    }
-    asm.finish_into(&mut frames);
-    frames.sort_by_key(|&(id, f)| (f.end_ts, id));
-    frames.into_iter().map(|(_, f)| f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TracePacket;
+    use crate::trace::{Trace, TracePacket};
     use vcaml_rtp::{PayloadMap, RtpHeader, VcaKind};
 
     fn t(ms: i64) -> Timestamp {
@@ -172,6 +148,20 @@ mod tests {
             rtp: Some(RtpHeader::basic(pt, seq, ts, 1, marker)),
             truth_media: None,
         }
+    }
+
+    /// Feeds the trace's payload-type video packets through one
+    /// assembler: the frames by end time, creation order breaking ties.
+    fn assemble(trace: &Trace) -> Vec<Frame> {
+        let mut asm = RtpAssembler::new();
+        let mut frames = Vec::new();
+        for p in trace.rtp_video_packets() {
+            let h = p.rtp.unwrap();
+            asm.push_into(p.ts, h.timestamp, h.marker, p.size, &mut frames);
+        }
+        asm.finish_into(&mut frames);
+        frames.sort_by_key(|&(id, f)| (f.end_ts, id));
+        frames.into_iter().map(|(_, f)| f).collect()
     }
 
     fn trace(packets: Vec<TracePacket>) -> Trace {

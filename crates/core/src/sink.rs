@@ -49,7 +49,6 @@ use crate::engine::{Method, WindowReport};
 use crate::json;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
@@ -210,7 +209,7 @@ impl EventSink for CountingSink {
 pub struct ChannelSink {
     tx: SyncSender<Arc<QoeEvent>>,
     detached: bool,
-    overflowed: Arc<AtomicU64>,
+    overflowed: u64,
 }
 
 impl ChannelSink {
@@ -222,7 +221,7 @@ impl ChannelSink {
             ChannelSink {
                 tx,
                 detached: false,
-                overflowed: Arc::new(AtomicU64::new(0)),
+                overflowed: 0,
             },
             rx,
         )
@@ -235,14 +234,7 @@ impl ChannelSink {
 
     /// Events shed because the channel was full when they arrived.
     pub fn overflowed(&self) -> u64 {
-        self.overflowed.load(Relaxed)
-    }
-
-    /// A shared view of the overflow counter, readable from the
-    /// receiving side after the sink itself moved onto the drain thread
-    /// (the daemon reports per-subscriber shed counts through this).
-    pub fn overflow_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.overflowed)
+        self.overflowed
     }
 }
 
@@ -254,7 +246,7 @@ impl EventSink for ChannelSink {
         match self.tx.try_send(Arc::clone(event)) {
             Ok(()) => {}
             Err(std::sync::mpsc::TrySendError::Full(_)) => {
-                self.overflowed.fetch_add(1, Relaxed);
+                self.overflowed += 1;
             }
             Err(std::sync::mpsc::TrySendError::Disconnected(_)) => self.detached = true,
         }
@@ -350,27 +342,22 @@ impl<W: Write> EventSink for AlertSink<W> {
         let bar = self.thresholds.bar();
         for report in event.final_reports() {
             let window = report.window;
-            if let Some(fps) = report_fps(report) {
-                if fps < bar.fps {
-                    self.alert("fps", &flow, window, bar.fps, |o| {
-                        json::fixed(o.key("fps"), fps, 1);
-                    });
-                }
+            let breaches = bar.breaches(report);
+            if let Some(fps) = breaches.fps {
+                self.alert("fps", &flow, window, bar.fps, |o| {
+                    json::fixed(o.key("fps"), fps, 1);
+                });
             }
-            if let Some(est) = &report.estimate {
-                let kbps = est.bitrate_kbps;
-                if kbps < bar.min_kbps {
-                    self.alert("bitrate", &flow, window, bar.min_kbps, |o| {
-                        json::fixed(o.key("kbps"), kbps, 0);
-                    });
-                } else if let Some(height) = bar.res_height {
-                    if kbps < bar.res_min_kbps {
-                        self.alert("resolution", &flow, window, bar.res_min_kbps, |o| {
-                            json::fixed(o.key("kbps"), kbps, 0);
-                            json::uint(o.key("floor_height"), u64::from(height));
-                        });
-                    }
-                }
+            if let Some(kbps) = breaches.bitrate {
+                self.alert("bitrate", &flow, window, bar.min_kbps, |o| {
+                    json::fixed(o.key("kbps"), kbps, 0);
+                });
+            }
+            if let Some((kbps, height)) = breaches.resolution {
+                self.alert("resolution", &flow, window, bar.res_min_kbps, |o| {
+                    json::fixed(o.key("kbps"), kbps, 0);
+                    json::uint(o.key("floor_height"), u64::from(height));
+                });
             }
         }
     }
@@ -670,7 +657,7 @@ mod tests {
         summary.observe(&QoeEvent::ParseDrops {
             first_ts: Timestamp::from_micros(2),
             last_ts: Timestamp::from_micros(9),
-            by_reason: [1, 0, 0, 2, 0],
+            by_reason: [1, 0, 2, 0],
         });
         assert_eq!(summary.events_shed, 5);
         assert_eq!(summary.parse_drops, 3, "a summary counts its records");

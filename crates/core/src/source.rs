@@ -146,7 +146,7 @@ impl<R: Read> PacketSource for PcapFileSource<R> {
 }
 
 /// An in-memory list of flow-keyed packets as a source — the replay
-/// shape used by tests, benches, and the batch pipeline.
+/// shape used by tests, benches and the scenario grid.
 ///
 /// The feed is kept in its compact `(FlowKey, TracePacket)` form and
 /// wrapped into [`SourcePacket`]s one at a time on pull, so constructing

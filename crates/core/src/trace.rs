@@ -92,15 +92,6 @@ impl Trace {
         })
     }
 
-    /// Packets on the retransmission stream, by payload type.
-    pub fn rtp_rtx_packets(&self) -> impl Iterator<Item = &TracePacket> {
-        self.packets.iter().filter(move |p| {
-            p.rtp.is_some_and(|h| {
-                self.payload_map.classify(h.payload_type) == Some(MediaKind::VideoRtx)
-            })
-        })
-    }
-
     /// Sanity check used by dataset builders: the paper filters out
     /// sessions whose WebRTC logs cover fewer seconds than the call
     /// (§4.1).
@@ -141,7 +132,12 @@ mod tests {
             pkt(3, 80, None),
         ]);
         assert_eq!(t.rtp_video_packets().count(), 1);
-        assert_eq!(t.rtp_rtx_packets().count(), 1);
+        let rtx = t.packets.iter().filter(|p| {
+            p.rtp.is_some_and(|h| {
+                t.payload_map.classify(h.payload_type) == Some(MediaKind::VideoRtx)
+            })
+        });
+        assert_eq!(rtx.count(), 1);
     }
 
     #[test]

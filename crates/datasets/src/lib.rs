@@ -11,12 +11,16 @@
 //! * [`sweeps`] — the Table A.6 single-impairment grid, four calls per
 //!   cell (§5.4);
 //! * [`convert`] — [`vcaml_vcasim::SessionTrace`] → [`vcaml::Trace`]
-//!   adaptation.
+//!   adaptation;
+//! * [`oracle`] — whole-trace batch forms of the heuristics and of
+//!   end-time windowing: the references parity tests hold the streaming
+//!   engines to, and the frame ids the Fig 4 error taxonomy reads.
 //!
 //! All corpora are deterministic given their seed.
 
 pub mod convert;
 pub mod inlab;
+pub mod oracle;
 pub mod realworld;
 pub mod sweeps;
 

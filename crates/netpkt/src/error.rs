@@ -21,11 +21,6 @@ pub enum Error {
         /// Human-readable description of the violated constraint.
         what: &'static str,
     },
-    /// An internet checksum did not verify.
-    Checksum {
-        /// Protocol layer whose checksum failed.
-        layer: &'static str,
-    },
     /// The pcap file magic number is unknown.
     BadMagic(u32),
     /// Wrapper around I/O errors from pcap reading/writing.
@@ -42,7 +37,6 @@ impl fmt::Display for Error {
                 write!(f, "{layer}: truncated (need {needed} bytes, got {got})")
             }
             Error::Malformed { layer, what } => write!(f, "{layer}: malformed ({what})"),
-            Error::Checksum { layer } => write!(f, "{layer}: checksum mismatch"),
             Error::BadMagic(m) => write!(f, "pcap: unknown magic {m:#010x}"),
             Error::Io(e) => write!(f, "io: {e}"),
         }
@@ -53,10 +47,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Io(e) => Some(e),
-            Error::Truncated { .. }
-            | Error::Malformed { .. }
-            | Error::Checksum { .. }
-            | Error::BadMagic(_) => None,
+            Error::Truncated { .. } | Error::Malformed { .. } | Error::BadMagic(_) => None,
         }
     }
 }
@@ -91,11 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn display_checksum_and_magic() {
-        assert_eq!(
-            Error::Checksum { layer: "udp" }.to_string(),
-            "udp: checksum mismatch"
-        );
+    fn display_bad_magic() {
         assert_eq!(
             Error::BadMagic(0xdead_beef).to_string(),
             "pcap: unknown magic 0xdeadbeef"

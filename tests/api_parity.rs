@@ -184,7 +184,7 @@ fn auto_selection_preserves_window_exactness() {
 
 /// What one front door made of one packet: the flow it opened, or the
 /// per-reason counts of the drop summary it went into.
-type Outcome = Result<FlowKey, [u64; 5]>;
+type Outcome = Result<FlowKey, [u64; 4]>;
 
 fn outcome(event: &QoeEvent) -> Option<(Timestamp, Outcome)> {
     match event {
@@ -339,7 +339,7 @@ fn every_front_door_classifies_alike() {
         ];
         let (_, reference) = doors[0];
         let expected = expected.map(|tag| {
-            let mut by_reason = [0; 5];
+            let mut by_reason = [0; 4];
             by_reason[ParseDropReason::TAGS
                 .iter()
                 .position(|&t| t == tag)

@@ -416,14 +416,14 @@ fn metrics_scrapes_are_wellformed_and_monotone_mid_ingest() {
             .unwrap_or_else(|| panic!("counter {name} vanished from the second scrape"));
         assert!(v2 >= v1, "counter {name} went backwards: {v1} -> {v2}");
     }
-    // The per-reason family always lists all five reasons, and within
+    // The per-reason family always lists all four reasons, and within
     // one scrape they add up to the unlabelled total.
     for counters in [&c1, &c2] {
         let by_reason: Vec<f64> = ParseDropReason::TAGS
             .iter()
             .map(|tag| counters[&format!("vcaml_parse_drops_by_reason_total{{reason=\"{tag}\"}}")])
             .collect();
-        assert_eq!(by_reason, [0.0, 0.0, 0.0, 0.0, 3.0]);
+        assert_eq!(by_reason, [0.0, 0.0, 0.0, 3.0]);
         assert_eq!(counters["vcaml_parse_drops_total"], 3.0);
     }
 }
@@ -550,4 +550,27 @@ fn unix_socket_control_round_trips_and_cleans_up() {
 
     daemon.shutdown();
     assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+/// A start that fails on its last bind leaves nothing behind: the
+/// exporter bound before it is not serving, and its port is free again.
+#[test]
+fn failed_start_releases_the_ports_it_bound() {
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve a free port")
+        .port();
+    let missing = std::env::temp_dir()
+        .join(format!("vcaml-daemon-missing-{}", std::process::id()))
+        .join("control.sock");
+    let mut runner = MonitorRunner::new(builder());
+    let started = Daemon::start(
+        runner.handle(),
+        runner.bus_handle(),
+        DaemonConfig::new()
+            .metrics_addr(format!("127.0.0.1:{port}"))
+            .control(ControlEndpoint::Unix(missing)),
+    );
+    assert!(started.is_err(), "a socket in a missing directory binds");
+    std::net::TcpListener::bind(("127.0.0.1", port)).expect("the exporter's port is free again");
 }

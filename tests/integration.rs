@@ -1,12 +1,11 @@
-//! Cross-crate integration tests: simulator → datasets → media
-//! classification, plus wire-format round trips. (The evaluation
-//! pipeline's end-to-end tests live with it, in `crates/bench/tests`.)
+//! Cross-crate integration tests: simulator → datasets, plus wire-format
+//! round trips. (The evaluation's end-to-end tests, media-classification
+//! accuracy included, live with it, in `crates/bench/tests`.)
 
 use vcaml_suite::datasets::{inlab_corpus, to_core_trace, CorpusConfig};
 use vcaml_suite::netem::{synth_ndt_schedule, LinkConfig};
 use vcaml_suite::netpkt::{LinkType, PcapReader, PcapWriter, UdpHeaders};
 use vcaml_suite::rtp::{MediaKind, RtpHeader, VcaKind};
-use vcaml_suite::vcaml::MediaClassifier;
 use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
 
 fn small_corpus(vca: VcaKind, seed: u64) -> Vec<vcaml_suite::vcaml::Trace> {
@@ -19,23 +18,6 @@ fn small_corpus(vca: VcaKind, seed: u64) -> Vec<vcaml_suite::vcaml::Trace> {
             seed,
         },
     )
-}
-
-#[test]
-fn media_classification_high_accuracy_all_vcas() {
-    for vca in VcaKind::ALL {
-        let traces = small_corpus(vca, 3);
-        let classifier = MediaClassifier::default();
-        let mut correct = 0u64;
-        let mut total = 0u64;
-        for t in &traces {
-            let m = classifier.evaluate(t, 304);
-            correct += m.count(0, 0) + m.count(1, 1);
-            total += m.row_total(0) + m.row_total(1);
-        }
-        let acc = correct as f64 / total as f64;
-        assert!(acc > 0.97, "{vca}: media accuracy {acc}");
-    }
 }
 
 #[test]

@@ -80,8 +80,9 @@ fn ml_report() -> WindowReport {
 fn stats() -> MonitorStats {
     MonitorStats {
         packets: 112_340,
+        // Not the reasons' sum: the writer prints each field as given.
         parse_drops: 17,
-        parse_drops_by_reason: [2, 3, 1, 11, 0],
+        parse_drops_by_reason: [2, 3, 11, 0],
         flows_opened: 16,
         flows_evicted: 4,
         window_reports: 480,
@@ -128,14 +129,11 @@ fn flow_opened_line() {
     );
 }
 
-/// The parse-drop summary: bounds, total, and all five reasons in
+/// The parse-drop summary: bounds, total, and all four reasons in
 /// [`ParseDropReason::TAGS`] order, zeros included, as the stats line
 /// spells them. (Before drops were summarized, this line was one record's
-/// `ts_us`, `reason` and, per shape, `layer` and `what`.)
-/// The parse-drop summary: bounds, total, and all five reasons in
-/// [`ParseDropReason::TAGS`] order, zeros included, as the stats line
-/// spells them. No event field needs string escaping; `json.rs` pins it
-/// beside the writer.
+/// `ts_us`, `reason` and, per shape, `layer` and `what`.) No event field
+/// needs string escaping; `json.rs` pins it beside the writer.
 #[test]
 fn parse_drop_line_for_every_reason_shape() {
     let line = |first, last, by_reason| {
@@ -147,28 +145,22 @@ fn parse_drop_line_for_every_reason_shape() {
         .to_json_line()
     };
     assert_eq!(
-        line(7, 999_999, [1, 2, 3, 4, 0]),
+        line(7, 999_999, [1, 2, 4, 0]),
         concat!(
-            r#"{"type":"parse_drop","first_ts_us":7,"last_ts_us":999999,"count":10,"#,
-            r#""by_reason":{"truncated":1,"malformed":2,"checksum":3,"not_udp":4,"negative_timestamp":0}}"#
+            r#"{"type":"parse_drop","first_ts_us":7,"last_ts_us":999999,"count":7,"#,
+            r#""by_reason":{"truncated":1,"malformed":2,"not_udp":4,"negative_timestamp":0}}"#
         )
     );
     assert_eq!(
-        line(-5, -5, [0, 0, 0, 0, 1]),
+        line(-5, -5, [0, 0, 0, 1]),
         concat!(
             r#"{"type":"parse_drop","first_ts_us":-5,"last_ts_us":-5,"count":1,"#,
-            r#""by_reason":{"truncated":0,"malformed":0,"checksum":0,"not_udp":0,"negative_timestamp":1}}"#
+            r#""by_reason":{"truncated":0,"malformed":0,"not_udp":0,"negative_timestamp":1}}"#
         )
     );
     assert_eq!(
         ParseDropReason::TAGS,
-        [
-            "truncated",
-            "malformed",
-            "checksum",
-            "not_udp",
-            "negative_timestamp"
-        ]
+        ["truncated", "malformed", "not_udp", "negative_timestamp"]
     );
 }
 
@@ -307,7 +299,7 @@ fn number_edge_cases() {
 fn stats_line() {
     assert_eq!(
         snapshot(stats()).to_json_line(),
-        r#"{"type":"stats","stats":{"packets":112340,"parse_drops":17,"parse_drops_by_reason":{"truncated":2,"malformed":3,"checksum":1,"not_udp":11,"negative_timestamp":0},"flows_opened":16,"flows_evicted":4,"window_reports":480,"provisional_reports":3,"events_dropped":0,"dropped_by_flow":[]},"flows_live":12,"pending_events":5,"shard_depths":[0,64],"bytes_per_flow":2968,"model_bytes":151232,"events_by_severity":{"info":500,"warning":20,"critical":1},"windows_by_method":{"rtp_ml":1,"ip_udp_ml":2,"rtp_heuristic":3,"ip_udp_heuristic":474},"stop_requested":false}"#
+        r#"{"type":"stats","stats":{"packets":112340,"parse_drops":17,"parse_drops_by_reason":{"truncated":2,"malformed":3,"not_udp":11,"negative_timestamp":0},"flows_opened":16,"flows_evicted":4,"window_reports":480,"provisional_reports":3,"events_dropped":0,"dropped_by_flow":[]},"flows_live":12,"pending_events":5,"shard_depths":[0,64],"bytes_per_flow":2968,"model_bytes":151232,"events_by_severity":{"info":500,"warning":20,"critical":1},"windows_by_method":{"rtp_ml":1,"ip_udp_ml":2,"rtp_heuristic":3,"ip_udp_heuristic":474},"stop_requested":false}"#
     );
     let floors = MonitorSnapshot {
         shard_depths: Vec::new(),
@@ -319,7 +311,7 @@ fn stats_line() {
     };
     assert_eq!(
         floors.to_json_line(),
-        r#"{"type":"stats","stats":{"packets":112340,"parse_drops":17,"parse_drops_by_reason":{"truncated":2,"malformed":3,"checksum":1,"not_udp":11,"negative_timestamp":0},"flows_opened":16,"flows_evicted":4,"window_reports":480,"provisional_reports":3,"events_dropped":0,"dropped_by_flow":[]},"flows_live":12,"pending_events":5,"shard_depths":[],"bytes_per_flow":2968,"model_bytes":151232,"alert_fps":15,"alert_min_kbps":250.5,"alert_resolution_floor":360,"events_by_severity":{"info":500,"warning":20,"critical":1},"windows_by_method":{"rtp_ml":1,"ip_udp_ml":2,"rtp_heuristic":3,"ip_udp_heuristic":474},"stop_requested":true}"#
+        r#"{"type":"stats","stats":{"packets":112340,"parse_drops":17,"parse_drops_by_reason":{"truncated":2,"malformed":3,"not_udp":11,"negative_timestamp":0},"flows_opened":16,"flows_evicted":4,"window_reports":480,"provisional_reports":3,"events_dropped":0,"dropped_by_flow":[]},"flows_live":12,"pending_events":5,"shard_depths":[],"bytes_per_flow":2968,"model_bytes":151232,"alert_fps":15,"alert_min_kbps":250.5,"alert_resolution_floor":360,"events_by_severity":{"info":500,"warning":20,"critical":1},"windows_by_method":{"rtp_ml":1,"ip_udp_ml":2,"rtp_heuristic":3,"ip_udp_heuristic":474},"stop_requested":true}"#
     );
 }
 

@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
+use vcaml_suite::datasets::oracle::{estimate_windows, ipudp_frames, rtp_frames};
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::{ipudp_features, windows_by_second, PktObs};
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
@@ -14,8 +15,8 @@ use vcaml_suite::vcaml::engine::{
     replay, FlowTable, IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
 use vcaml_suite::vcaml::{
-    build_samples, estimate_windows, qoe::QoeWindower, rtp_heuristic, EngineConfig, IpUdpHeuristic,
-    MediaClassifier, Method, QoeEstimator, Trace, TracePacket, WindowReport,
+    build_samples, qoe::QoeWindower, EngineConfig, MediaClassifier, Method, QoeEstimator, Trace,
+    TracePacket, WindowReport,
 };
 
 fn corpus(vca: VcaKind, seed: u64, n: usize) -> Vec<Trace> {
@@ -47,13 +48,9 @@ fn ipudp_heuristic_streaming_equals_batch() {
         let config = EngineConfig::paper(vca);
         for trace in &corpus(vca, 11, 3) {
             let n_windows = trace.duration_secs as usize;
-            let video: Vec<(Timestamp, u16)> = trace
-                .packets
-                .iter()
-                .filter(|p| MediaClassifier::new(config.vmin).is_video(p))
-                .map(|p| (p.ts, p.size))
-                .collect();
-            let (frames, _) = IpUdpHeuristic::new(config.heuristic).assemble(&video);
+            let classifier = MediaClassifier::new(config.vmin);
+            let video = trace.packets.iter().filter(|p| classifier.is_video(p));
+            let (frames, _) = ipudp_frames(config.heuristic, video);
             let batch = estimate_windows(&frames, n_windows, 1);
 
             let reports = replay(&mut IpUdpHeuristicEngine::new(config), trace, 1);
@@ -73,7 +70,7 @@ fn rtp_heuristic_streaming_equals_batch() {
         let config = EngineConfig::paper(vca);
         for trace in &corpus(vca, 12, 3) {
             let n_windows = trace.duration_secs as usize;
-            let frames = rtp_heuristic::assemble(trace);
+            let frames = rtp_frames(trace);
             let batch = estimate_windows(&frames, n_windows, 1);
             let reports = replay(
                 &mut RtpHeuristicEngine::new(config, trace.payload_map),
@@ -291,7 +288,7 @@ fn flow_table_separates_interleaved_calls() {
 fn qoe_windower_agrees_with_estimate_windows() {
     let vca = VcaKind::Webex;
     let trace = &corpus(vca, 17, 1)[0];
-    let frames = rtp_heuristic::assemble(trace);
+    let frames = rtp_frames(trace);
     let n = trace.duration_secs as usize;
     let batch = estimate_windows(&frames, n, 1);
     let mut windower = QoeWindower::new(1);

@@ -3,6 +3,8 @@
 
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr};
+use std::sync::Arc;
+use vcaml_suite::datasets::oracle::ipudp_frames;
 use vcaml_suite::features::{microbursts, unique_sizes, windows_by_second, PktObs};
 use vcaml_suite::mlcore::{percentile, ConfusionMatrix};
 use vcaml_suite::netpkt::checksum::{checksum, verify, Checksum};
@@ -13,8 +15,9 @@ use vcaml_suite::netpkt::{
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::rtp::{seq_distance, RtpHeader};
 use vcaml_suite::vcaml::api::{EvictReason, ParseDropReason};
+use vcaml_suite::vcaml::{AlertSink, AlertThresholds, EventSink, Severity};
 use vcaml_suite::vcaml::{EstimationMethod, Method, MonitorBuilder, QoeEvent};
-use vcaml_suite::vcaml::{HeuristicParams, IpUdpHeuristic, QoeEstimate, TracePacket, WindowReport};
+use vcaml_suite::vcaml::{HeuristicParams, QoeEstimate, TracePacket, WindowReport};
 use vcaml_suite::vcasim::{packetize, FragmentPolicy};
 
 /// A `Read` that hands over between 1 and `k` bytes per call, as a pipe
@@ -132,13 +135,7 @@ mod reference {
                 last_ts,
                 by_reason,
             } => {
-                let tags = [
-                    "truncated",
-                    "malformed",
-                    "checksum",
-                    "not_udp",
-                    "negative_timestamp",
-                ];
+                let tags = ["truncated", "malformed", "not_udp", "negative_timestamp"];
                 let reasons: Vec<String> = tags
                     .iter()
                     .zip(by_reason)
@@ -295,7 +292,7 @@ impl EventGen {
                 ]),
                 final_reports: (0..self.next() % 4).map(|_| self.report()).collect(),
             },
-            // Five counts that cannot overflow their sum.
+            // Four counts that cannot overflow their sum.
             3 => QoeEvent::ParseDrops {
                 first_ts: ts,
                 last_ts: Timestamp::from_micros(self.pick(&[i64::MIN, 0, i64::MAX, any])),
@@ -311,6 +308,20 @@ impl EventGen {
     }
 }
 
+/// One packet per size, a millisecond apart.
+fn sized_packets(sizes: &[u16]) -> Vec<TracePacket> {
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &size)| TracePacket {
+            ts: Timestamp::from_millis(i as i64),
+            size,
+            rtp: None,
+            truth_media: None,
+        })
+        .collect()
+}
+
 proptest! {
     // ---------------- event JSON ----------------
 
@@ -320,6 +331,39 @@ proptest! {
         for _ in 0..32 {
             let event = gen.event();
             prop_assert_eq!(event.to_json_line(), reference::line(&event));
+        }
+    }
+
+    // ---------------- alerting ----------------
+
+    #[test]
+    fn alert_sink_writes_exactly_for_warning_events(seed in any::<u64>()) {
+        let mut gen = EventGen(seed | 1);
+        for _ in 0..32 {
+            let thresholds = AlertThresholds::new();
+            if gen.pick(&[true, false]) {
+                thresholds.set_fps(gen.float());
+            }
+            if gen.pick(&[true, false]) {
+                thresholds.set_min_kbps(gen.float());
+            }
+            if gen.pick(&[true, false]) {
+                let height = gen.pick(&[180, 360, 720, 1080, 4320]);
+                thresholds.set_resolution_floor(height, VcaKind::Teams.lab_ladder());
+            }
+            let event = Arc::new(gen.event());
+            if event.flow().is_none() {
+                continue; // aggregates: no flow to alert on
+            }
+            let mut sink = AlertSink::with_thresholds(Vec::new(), thresholds.clone());
+            sink.on_event(&event);
+            let warning = Severity::of(&event, &thresholds.bar()) == Severity::Warning;
+            prop_assert!(
+                warning == (sink.alerts() > 0),
+                "warning {warning}, {} alert lines for {}",
+                sink.alerts(),
+                event.to_json_line()
+            );
         }
     }
 
@@ -524,14 +568,10 @@ proptest! {
     fn heuristic_conserves_packets(
         sizes in proptest::collection::vec(450u16..1500, 0..200),
         lookback in 1usize..6) {
-        let pkts: Vec<(Timestamp, u16)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (Timestamp::from_millis(i as i64), s))
-            .collect();
+        let pkts = sized_packets(&sizes);
         let params = HeuristicParams { delta_max_size: 2, lookback };
-        let (frames, asg) = IpUdpHeuristic::new(params).assemble(&pkts);
-        prop_assert_eq!(asg.len(), pkts.len());
+        let (frames, ids) = ipudp_frames(params, &pkts);
+        prop_assert_eq!(ids.len(), pkts.len());
         let total: u32 = frames.iter().map(|f| f.n_packets).sum();
         prop_assert_eq!(total as usize, pkts.len());
         // Frames ordered by end time; every frame non-empty.
@@ -544,14 +584,10 @@ proptest! {
     #[test]
     fn deeper_lookback_never_increases_frame_count(
         sizes in proptest::collection::vec(450u16..1500, 1..150)) {
-        let pkts: Vec<(Timestamp, u16)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (Timestamp::from_millis(i as i64), s))
-            .collect();
+        let pkts = sized_packets(&sizes);
         let count = |lb: usize| {
             let params = HeuristicParams { delta_max_size: 2, lookback: lb };
-            IpUdpHeuristic::new(params).assemble(&pkts).0.len()
+            ipudp_frames(params, &pkts).0.len()
         };
         prop_assert!(count(4) <= count(1));
     }
@@ -726,7 +762,7 @@ fn mutated_frame_agrees(link: LinkType, bytes: &[u8], ip: usize) -> TestCaseResu
 /// The one summary a monitor fed a single rejected record at `ts`
 /// publishes at `finish`.
 fn drop_summary(ts: Timestamp, reason: ParseDropReason) -> QoeEvent {
-    let mut by_reason = [0; 5];
+    let mut by_reason = [0; 4];
     by_reason[reason.index()] = 1;
     QoeEvent::ParseDrops {
         first_ts: ts,
