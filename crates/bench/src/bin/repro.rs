@@ -5,18 +5,15 @@
 //! repro --list
 //! ```
 //!
-//! With no ids, the whole suite runs. Artifacts land in `--out`
-//! (default `bench_results/`), one JSON per experiment, alongside the
-//! printed paper-style tables.
+//! With no ids, the whole suite runs. Each experiment returns its
+//! artifacts and this binary alone writes them: `<id>.json` in `--out`
+//! (default `bench_results/`), alongside the printed paper-style tables.
+//! An output directory that cannot be created or an artifact that cannot
+//! be written exits 1, naming the path.
 
-#![allow(
-    clippy::expect_used,
-    reason = "the CLI fails fast: an IO error here has no caller to report to"
-)]
-
+use std::path::Path;
 use vcaml_bench::ctx::{Ctx, Scale};
 use vcaml_bench::experiments::registry;
-use vcaml_bench::report::Sink;
 
 const USAGE: &str = "usage: repro [--scale small|full] [--out DIR] [ids...] | --list";
 
@@ -78,15 +75,29 @@ fn main() {
             .collect()
     };
 
-    let sink = Sink::new(&out_dir).expect("create output dir");
+    let out = Path::new(&out_dir);
+    if let Err(e) = std::fs::create_dir_all(out) {
+        fail(out, &e);
+    }
     let mut ctx = Ctx::new(scale);
     let started = std::time::Instant::now();
     for (id, desc, run) in &to_run {
         eprintln!("[{:>7.1?}] running {id}: {desc}", started.elapsed());
-        run(&mut ctx, &sink);
+        for (artifact, json) in run(&mut ctx) {
+            let path = out.join(format!("{artifact}.json"));
+            if let Err(e) = std::fs::write(&path, json.to_string()) {
+                fail(&path, &e);
+            }
+        }
     }
     eprintln!(
         "[{:>7.1?}] done — artifacts in {out_dir}/",
         started.elapsed()
     );
+}
+
+/// Exits 1 on an artifact path that could not be created or written.
+fn fail(path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("repro: {}: {e}", path.display());
+    std::process::exit(1);
 }

@@ -1,5 +1,6 @@
 //! One function per paper table/figure. Each prints a paper-style text
-//! rendering and writes a JSON artifact via [`crate::report::Sink`].
+//! rendering and returns its machine-readable artifacts as [`Json`] trees,
+//! which the `repro` binary writes out.
 
 use crate::ctx::{Corpus, Ctx};
 use crate::errors::{analyze_window, ErrorCounts};
@@ -8,8 +9,7 @@ use crate::pipeline::{
     eval_heuristic, eval_ml_regression, eval_ml_resolution, feature_importances,
     transfer_regression, Target,
 };
-use crate::report::{cdf_points, fraction_le, section, table, Sink};
-use serde_json::json;
+use crate::report::{cdf_points, fraction_le, section, table, Json};
 use std::collections::HashMap;
 use vcaml::engine::{replay, replay_packets, IpUdpHeuristicEngine};
 use vcaml::{media::MediaClassifier, EngineConfig, HeuristicParams, Method, Trace, TracePacket};
@@ -18,7 +18,10 @@ use vcaml_mlcore::{mae, percentile, ConfusionMatrix, Dataset, RandomForest, Task
 use vcaml_netem::{ImpairmentDim, ImpairmentProfile};
 use vcaml_rtp::{MediaKind, VcaKind};
 
-type ExpFn = fn(&mut Ctx, &Sink);
+/// An experiment's artifacts: `(id, tree)` pairs, one `<id>.json` each.
+pub type Artifacts = Vec<(&'static str, Json)>;
+
+type ExpFn = fn(&mut Ctx) -> Artifacts;
 
 /// The experiment registry: (id, description, runner).
 pub fn registry() -> Vec<(&'static str, &'static str, ExpFn)> {
@@ -138,13 +141,13 @@ fn media_sizes(traces: &[Trace]) -> HashMap<&'static str, Vec<f64>> {
     by_kind
 }
 
-fn f1(ctx: &mut Ctx, sink: &Sink) {
+fn f1(ctx: &mut Ctx) -> Artifacts {
     section("F1", "Packet sizes vs payload type, Teams in-lab");
     let traces = ctx.traces(Corpus::InLab, VcaKind::Teams).to_vec();
     let by_kind = media_sizes(&traces);
     let total: usize = by_kind.values().map(Vec::len).sum();
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for kind in ["Audio", "Video-RTx", "Video"] {
         let sizes = &by_kind[kind];
         let share = sizes.len() as f64 / total as f64 * 100.0;
@@ -161,10 +164,13 @@ fn f1(ctx: &mut Ctx, sink: &Sink) {
             format!("{p1:.0}"),
             format!("{p99:.0}"),
         ]);
-        artifact.insert(
-            kind.into(),
-            json!({ "share_pct": share, "cdf": cdf_points(sizes, 21) }),
-        );
+        artifact.push((
+            kind,
+            Json::object([
+                ("share_pct", share.into()),
+                ("cdf", cdf_points(sizes, 21).into()),
+            ]),
+        ));
     }
     println!(
         "{}",
@@ -175,8 +181,7 @@ fn f1(ctx: &mut Ctx, sink: &Sink) {
         "video packets > 564 B: {:.1}% (paper: 99%)",
         (1.0 - fraction_le(video, 564.0)) * 100.0
     );
-    sink.write("f1", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("f1", Json::object(artifact))]
 }
 
 /// Per-frame packet sizes from PT-classified video packets, in arrival
@@ -193,7 +198,7 @@ fn truth_frames_sizes(trace: &Trace) -> Vec<Vec<u16>> {
     frames.into_iter().map(|(_, v)| v).collect()
 }
 
-fn f2(ctx: &mut Ctx, sink: &Sink) {
+fn f2(ctx: &mut Ctx) -> Artifacts {
     section(
         "F2",
         "Intra- vs inter-frame packet size difference, Teams in-lab",
@@ -229,16 +234,15 @@ fn f2(ctx: &mut Ctx, sink: &Sink) {
         "inter-frame diff >= 2 B: {:.2}% (paper: 99.4%)",
         (1.0 - fraction_le(&inter, 1.99)) * 100.0
     );
-    sink.write(
+    vec![(
         "f2",
-        &json!({
-            "intra_cdf": cdf_points(&intra, 21),
-            "inter_cdf": cdf_points(&inter, 21),
-            "intra_le_2": fraction_le(&intra, 1.99),
-            "inter_ge_2": 1.0 - fraction_le(&inter, 1.99),
-        }),
-    )
-    .unwrap();
+        Json::object([
+            ("intra_cdf", cdf_points(&intra, 21).into()),
+            ("inter_cdf", cdf_points(&inter, 21).into()),
+            ("intra_le_2", fraction_le(&intra, 1.99).into()),
+            ("inter_ge_2", (1.0 - fraction_le(&inter, 1.99)).into()),
+        ]),
+    )]
 }
 
 /// Scores `classifier` against simulator truth over a corpus: the
@@ -268,7 +272,7 @@ pub fn media_confusion_matrix(
     m
 }
 
-fn media_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, vca: VcaKind) {
+fn media_confusion(ctx: &mut Ctx, id: &'static str, vca: VcaKind) -> Artifacts {
     section(
         &id.to_uppercase(),
         &format!("Media classification confusion, {vca} in-lab"),
@@ -278,28 +282,34 @@ fn media_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, vca: VcaKind) {
     let classifier = MediaClassifier::new(opts.engine.vmin);
     let m = media_confusion_matrix(&classifier, &traces, 304);
     println!("{}", m.render());
-    sink.write(
+    let row = |a: usize, other: &str| {
+        Json::object([
+            ("correct_pct", m.percent(a, a).into()),
+            (other, m.percent(a, 1 - a).into()),
+            ("total", m.row_total(a).into()),
+        ])
+    };
+    vec![(
         id,
-        &json!({
-            "vca": vca.name(),
-            "non_video": { "correct_pct": m.percent(0,0), "misclassified_pct": m.percent(0,1), "total": m.row_total(0) },
-            "video": { "correct_pct": m.percent(1,1), "missed_pct": m.percent(1,0), "total": m.row_total(1) },
-        }),
-    )
-    .unwrap();
+        Json::object([
+            ("vca", vca.name().into()),
+            ("non_video", row(0, "misclassified_pct")),
+            ("video", row(1, "missed_pct")),
+        ]),
+    )]
 }
 
-fn t2(ctx: &mut Ctx, sink: &Sink) {
-    media_confusion(ctx, sink, "t2", VcaKind::Meet);
+fn t2(ctx: &mut Ctx) -> Artifacts {
+    media_confusion(ctx, "t2", VcaKind::Meet)
 }
-fn ta1(ctx: &mut Ctx, sink: &Sink) {
-    media_confusion(ctx, sink, "ta1", VcaKind::Webex);
+fn ta1(ctx: &mut Ctx) -> Artifacts {
+    media_confusion(ctx, "ta1", VcaKind::Webex)
 }
-fn ta2(ctx: &mut Ctx, sink: &Sink) {
-    media_confusion(ctx, sink, "ta2", VcaKind::Teams);
+fn ta2(ctx: &mut Ctx) -> Artifacts {
+    media_confusion(ctx, "ta2", VcaKind::Teams)
 }
 
-fn truth_cdfs(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
+fn truth_cdfs(ctx: &mut Ctx, id: &'static str, corpus: Corpus) -> Artifacts {
     let label = if corpus == Corpus::InLab {
         "in-lab"
     } else {
@@ -309,7 +319,7 @@ fn truth_cdfs(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
         &id.to_uppercase(),
         &format!("Ground-truth QoE CDFs, {label}"),
     );
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     let mut rows = Vec::new();
     for vca in VcaKind::ALL {
         let traces = ctx.traces(corpus, vca).to_vec();
@@ -330,14 +340,14 @@ fn truth_cdfs(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
             format!("{:.1}", percentile(&jit, 50.0)),
             format!("{}", fps.len()),
         ]);
-        artifact.insert(
-            vca.name().into(),
-            json!({
-                "fps_cdf": cdf_points(&fps, 21),
-                "bitrate_cdf": cdf_points(&br, 21),
-                "jitter_cdf": cdf_points(&jit, 21),
-            }),
-        );
+        artifact.push((
+            vca.name(),
+            Json::object([
+                ("fps_cdf", cdf_points(&fps, 21).into()),
+                ("bitrate_cdf", cdf_points(&br, 21).into()),
+                ("jitter_cdf", cdf_points(&jit, 21).into()),
+            ]),
+        ));
     }
     println!(
         "{}",
@@ -352,18 +362,17 @@ fn truth_cdfs(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
             &rows
         )
     );
-    sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![(id, Json::object(artifact))]
 }
 
-fn fa1(ctx: &mut Ctx, sink: &Sink) {
-    truth_cdfs(ctx, sink, "fa1", Corpus::InLab);
+fn fa1(ctx: &mut Ctx) -> Artifacts {
+    truth_cdfs(ctx, "fa1", Corpus::InLab)
 }
-fn fa2(ctx: &mut Ctx, sink: &Sink) {
-    truth_cdfs(ctx, sink, "fa2", Corpus::RealWorld);
+fn fa2(ctx: &mut Ctx) -> Artifacts {
+    truth_cdfs(ctx, "fa2", Corpus::RealWorld)
 }
 
-fn fa3(ctx: &mut Ctx, sink: &Sink) {
+fn fa3(ctx: &mut Ctx) -> Artifacts {
     section(
         "FA3",
         "IP/UDP Heuristic frame assignment over one 1-s window (Teams)",
@@ -396,13 +405,18 @@ fn fa3(ctx: &mut Ctx, sink: &Sink) {
             format!("{ts_id}"),
             format!("{}", ids[i] + 1),
         ]);
-        artifact.push(json!({"pkt": i, "size": size, "rtp_frame": ts_id, "assigned": ids[i] + 1}));
+        artifact.push(Json::object([
+            ("pkt", i.into()),
+            ("size", size.into()),
+            ("rtp_frame", ts_id.into()),
+            ("assigned", (ids[i] + 1).into()),
+        ]));
     }
     println!(
         "{}",
         table(&["Pkt", "Size [B]", "True frame", "Assigned frame"], &rows)
     );
-    sink.write("fa3", &artifact).unwrap();
+    vec![("fa3", artifact.into())]
 }
 
 // ---------------------------------------------------------------------
@@ -428,17 +442,16 @@ fn run_method(
 
 fn error_figure(
     ctx: &mut Ctx,
-    sink: &Sink,
-    id: &str,
+    id: &'static str,
     title: &str,
     corpus: Corpus,
     target: Target,
     relative: bool,
-) {
+) -> Artifacts {
     section(&id.to_uppercase(), title);
     let metric_label = if relative { "MRAE" } else { "MAE" };
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         for method in Method::ALL {
             let (preds, truths) = run_method(ctx, corpus, vca, method, target);
@@ -469,16 +482,16 @@ fn error_figure(
                 format!("{:.2}", percentile(&errs, 50.0)),
                 format!("{:.2}", percentile(&errs, 90.0)),
             ]);
-            artifact.insert(
+            artifact.push((
                 format!("{}/{}", vca.name(), method.name()),
-                json!({
-                    "headline": headline,
-                    "p10": percentile(&errs, 10.0),
-                    "median": percentile(&errs, 50.0),
-                    "p90": percentile(&errs, 90.0),
-                    "n": errs.len(),
-                }),
-            );
+                Json::object([
+                    ("headline", headline.into()),
+                    ("p10", percentile(&errs, 10.0).into()),
+                    ("median", percentile(&errs, 50.0).into()),
+                    ("p90", percentile(&errs, 90.0).into()),
+                    ("n", errs.len().into()),
+                ]),
+            ));
         }
     }
     println!(
@@ -488,82 +501,76 @@ fn error_figure(
             &rows
         )
     );
-    sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![(id, Json::object(artifact))]
 }
 
-fn f3(ctx: &mut Ctx, sink: &Sink) {
+fn f3(ctx: &mut Ctx) -> Artifacts {
     error_figure(
         ctx,
-        sink,
         "f3",
         "In-lab frame rate errors [FPS]",
         Corpus::InLab,
         Target::FrameRate,
         false,
-    );
+    )
 }
 
-fn f6a(ctx: &mut Ctx, sink: &Sink) {
+fn f6a(ctx: &mut Ctx) -> Artifacts {
     error_figure(
         ctx,
-        sink,
         "f6a",
         "In-lab bitrate relative errors",
         Corpus::InLab,
         Target::Bitrate,
         true,
-    );
+    )
 }
 
-fn f6b(ctx: &mut Ctx, sink: &Sink) {
+fn f6b(ctx: &mut Ctx) -> Artifacts {
     error_figure(
         ctx,
-        sink,
         "f6b",
         "In-lab frame jitter errors [ms]",
         Corpus::InLab,
         Target::FrameJitter,
         false,
-    );
+    )
 }
 
-fn f10(ctx: &mut Ctx, sink: &Sink) {
-    error_figure(
+fn f10(ctx: &mut Ctx) -> Artifacts {
+    let mut artifacts = error_figure(
         ctx,
-        sink,
         "f10a",
         "Real-world frame rate errors [FPS]",
         Corpus::RealWorld,
         Target::FrameRate,
         false,
     );
-    error_figure(
+    artifacts.extend(error_figure(
         ctx,
-        sink,
         "f10b",
         "Real-world bitrate relative errors",
         Corpus::RealWorld,
         Target::Bitrate,
         true,
-    );
-    error_figure(
+    ));
+    artifacts.extend(error_figure(
         ctx,
-        sink,
         "f10c",
         "Real-world frame jitter errors [ms]",
         Corpus::RealWorld,
         Target::FrameJitter,
         false,
-    );
-    sink.write("f10", &json!({"see": ["f10a", "f10b", "f10c"]}))
-        .unwrap();
+    ));
+    let see = vec!["f10a", "f10b", "f10c"];
+    artifacts.push(("f10", Json::object([("see", see.into())])));
+    artifacts
 }
 
-fn f4(ctx: &mut Ctx, sink: &Sink) {
+fn f4(ctx: &mut Ctx) -> Artifacts {
     section("F4", "Heuristic error taxonomy (avg frames per 1-s window)");
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
@@ -593,20 +600,24 @@ fn f4(ctx: &mut Ctx, sink: &Sink) {
             format!("{i:.2}"),
             format!("{c:.2}"),
         ]);
-        artifact.insert(
-            vca.name().into(),
-            json!({"splits": s, "interleaves": i, "coalesces": c, "windows": total.windows}),
-        );
+        artifact.push((
+            vca.name(),
+            Json::object([
+                ("splits", s.into()),
+                ("interleaves", i.into()),
+                ("coalesces", c.into()),
+                ("windows", total.windows.into()),
+            ]),
+        ));
     }
     println!(
         "{}",
         table(&["VCA", "Splits", "Interleaves", "Coalesces"], &rows)
     );
-    sink.write("f4", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("f4", Json::object(artifact))]
 }
 
-fn f8(ctx: &mut Ctx, sink: &Sink) {
+fn f8(ctx: &mut Ctx) -> Artifacts {
     section("F8", "Frame jitter time series for one Meet in-lab trace");
     let opts = ctx.opts(VcaKind::Meet);
     let set = ctx.samples(Corpus::InLab, VcaKind::Meet, 1).clone();
@@ -642,13 +653,17 @@ fn f8(ctx: &mut Ctx, sink: &Sink) {
             format!("{pred:.1}"),
             format!("{truth:.1}"),
         ]);
-        artifact.push(json!({"t": sec, "pred_ms": pred, "truth_ms": truth}));
+        artifact.push(Json::object([
+            ("t", (*sec).into()),
+            ("pred_ms", pred.into()),
+            ("truth_ms", (*truth).into()),
+        ]));
     }
     println!(
         "{}",
         table(&["t [s]", "IP/UDP ML [ms]", "Ground truth [ms]"], &rows)
     );
-    sink.write("f8", &artifact).unwrap();
+    vec![("f8", artifact.into())]
 }
 
 // ---------------------------------------------------------------------
@@ -657,15 +672,14 @@ fn f8(ctx: &mut Ctx, sink: &Sink) {
 
 fn importance_figure(
     ctx: &mut Ctx,
-    sink: &Sink,
-    id: &str,
+    id: &'static str,
     title: &str,
     method: Method,
     target: Target,
     vcas: &[VcaKind],
-) {
+) -> Artifacts {
     section(&id.to_uppercase(), title);
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for &vca in vcas {
         let opts = ctx.opts(vca);
         let set = ctx.samples(Corpus::InLab, vca, 1).clone();
@@ -676,126 +690,113 @@ fn importance_figure(
             .collect();
         println!("-- {vca}");
         println!("{}", table(&["Feature", "Importance"], &rows));
-        artifact.insert(
-            vca.name().into(),
-            json!(top
-                .iter()
-                .map(|(n, v)| json!({"feature": n, "importance": v}))
-                .collect::<Vec<_>>()),
-        );
+        let ranked = top.into_iter().map(|(name, importance)| {
+            Json::object([("feature", name.into()), ("importance", importance.into())])
+        });
+        artifact.push((vca.name(), Json::Arr(ranked.collect())));
     }
-    sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![(id, Json::object(artifact))]
 }
 
-fn f5(ctx: &mut Ctx, sink: &Sink) {
+fn f5(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "f5",
         "IP/UDP ML frame-rate importances (Teams)",
         Method::IpUdpMl,
         Target::FrameRate,
         &[VcaKind::Teams],
-    );
+    )
 }
-fn fa4(ctx: &mut Ctx, sink: &Sink) {
+fn fa4(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "fa4",
         "IP/UDP ML frame-rate importances (Meet, Webex)",
         Method::IpUdpMl,
         Target::FrameRate,
         &[VcaKind::Meet, VcaKind::Webex],
-    );
+    )
 }
-fn fa5(ctx: &mut Ctx, sink: &Sink) {
+fn fa5(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "fa5",
         "RTP ML frame-rate importances",
         Method::RtpMl,
         Target::FrameRate,
         &VcaKind::ALL,
-    );
+    )
 }
-fn f7(ctx: &mut Ctx, sink: &Sink) {
+fn f7(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "f7",
         "IP/UDP ML bitrate importances (Webex)",
         Method::IpUdpMl,
         Target::Bitrate,
         &[VcaKind::Webex],
-    );
+    )
 }
-fn fa6(ctx: &mut Ctx, sink: &Sink) {
+fn fa6(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "fa6",
         "IP/UDP ML bitrate importances (Meet, Teams)",
         Method::IpUdpMl,
         Target::Bitrate,
         &[VcaKind::Meet, VcaKind::Teams],
-    );
+    )
 }
-fn fa7(ctx: &mut Ctx, sink: &Sink) {
+fn fa7(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "fa7",
         "RTP ML bitrate importances",
         Method::RtpMl,
         Target::Bitrate,
         &VcaKind::ALL,
-    );
+    )
 }
-fn f9(ctx: &mut Ctx, sink: &Sink) {
+fn f9(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "f9",
         "IP/UDP ML resolution importances (Webex)",
         Method::IpUdpMl,
         Target::Resolution,
         &[VcaKind::Webex],
-    );
+    )
 }
-fn fa8(ctx: &mut Ctx, sink: &Sink) {
+fn fa8(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "fa8",
         "IP/UDP ML resolution importances (Meet, Teams)",
         Method::IpUdpMl,
         Target::Resolution,
         &[VcaKind::Meet, VcaKind::Teams],
-    );
+    )
 }
-fn fa9(ctx: &mut Ctx, sink: &Sink) {
+fn fa9(ctx: &mut Ctx) -> Artifacts {
     importance_figure(
         ctx,
-        sink,
         "fa9",
         "RTP ML resolution importances",
         Method::RtpMl,
         Target::Resolution,
         &VcaKind::ALL,
-    );
+    )
 }
 
 // ---------------------------------------------------------------------
 // Resolution classification (Tables 3, 4, A.3)
 // ---------------------------------------------------------------------
 
-fn t3(ctx: &mut Ctx, sink: &Sink) {
+fn t3(ctx: &mut Ctx) -> Artifacts {
     section("T3", "Resolution estimation accuracy (in-lab)");
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for method in [Method::IpUdpMl, Method::RtpMl] {
         let mut row = vec![method.name().to_string()];
         for vca in VcaKind::ALL {
@@ -803,17 +804,19 @@ fn t3(ctx: &mut Ctx, sink: &Sink) {
             let set = ctx.samples(Corpus::InLab, vca, 1).clone();
             let acc = eval_ml_resolution(&set, method, &opts)
                 .map_or("n/a".to_string(), |(_, a)| format!("{:.2}%", a * 100.0));
-            artifact.insert(format!("{}/{}", method.name(), vca.name()), json!(acc));
+            artifact.push((
+                format!("{}/{}", method.name(), vca.name()),
+                acc.clone().into(),
+            ));
             row.push(acc);
         }
         rows.push(row);
     }
     println!("{}", table(&["Method", "Meet", "Teams", "Webex"], &rows));
-    sink.write("t3", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("t3", Json::object(artifact))]
 }
 
-fn resolution_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
+fn resolution_confusion(ctx: &mut Ctx, id: &'static str, corpus: Corpus) -> Artifacts {
     let label = if corpus == Corpus::InLab {
         "in-lab"
     } else {
@@ -830,40 +833,46 @@ fn resolution_confusion(ctx: &mut Ctx, sink: &Sink, id: &str, corpus: Corpus) {
             println!("{}", m.render());
             println!("overall accuracy: {:.2}%", acc * 100.0);
             let labels = m.labels().to_vec();
-            let cells: Vec<serde_json::Value> = (0..labels.len())
+            let cells: Vec<Json> = (0..labels.len())
                 .map(|a| {
-                    json!({
-                        "actual": labels[a],
-                        "total": m.row_total(a),
-                        "pct": (0..labels.len()).map(|p| m.percent(a, p)).collect::<Vec<_>>(),
-                    })
+                    let pct: Vec<f64> = (0..labels.len()).map(|p| m.percent(a, p)).collect();
+                    Json::object([
+                        ("actual", labels[a].as_str().into()),
+                        ("total", m.row_total(a).into()),
+                        ("pct", pct.into()),
+                    ])
                 })
                 .collect();
-            sink.write(id, &json!({"accuracy": acc, "cells": cells}))
-                .unwrap();
+            vec![(
+                id,
+                Json::object([("accuracy", acc.into()), ("cells", cells.into())]),
+            )]
         }
-        None => println!("not classifiable (single resolution class)"),
+        None => {
+            println!("not classifiable (single resolution class)");
+            Vec::new()
+        }
     }
 }
 
-fn t4(ctx: &mut Ctx, sink: &Sink) {
-    resolution_confusion(ctx, sink, "t4", Corpus::InLab);
+fn t4(ctx: &mut Ctx) -> Artifacts {
+    resolution_confusion(ctx, "t4", Corpus::InLab)
 }
-fn ta3(ctx: &mut Ctx, sink: &Sink) {
-    resolution_confusion(ctx, sink, "ta3", Corpus::RealWorld);
+fn ta3(ctx: &mut Ctx) -> Artifacts {
+    resolution_confusion(ctx, "ta3", Corpus::RealWorld)
 }
 
 // ---------------------------------------------------------------------
 // Transferability (Tables 5, A.4, A.5)
 // ---------------------------------------------------------------------
 
-fn transfer_table(ctx: &mut Ctx, sink: &Sink, id: &str, target: Target, unit: &str) {
+fn transfer_table(ctx: &mut Ctx, id: &'static str, target: Target, unit: &str) -> Artifacts {
     section(
         &id.to_uppercase(),
         &format!("Lab-trained models on real-world data ({unit} MAE)"),
     );
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for method in [Method::IpUdpMl, Method::RtpMl] {
         let mut row = vec![method.name().to_string()];
         for vca in VcaKind::ALL {
@@ -872,38 +881,37 @@ fn transfer_table(ctx: &mut Ctx, sink: &Sink, id: &str, target: Target, unit: &s
             let test = ctx.samples(Corpus::RealWorld, vca, 1).clone();
             let (p, t) = transfer_regression(&train, &test, method, target, &opts);
             let m = mae(&p, &t);
-            artifact.insert(format!("{}/{}", method.name(), vca.name()), json!(m));
+            artifact.push((format!("{}/{}", method.name(), vca.name()), m.into()));
             row.push(format!("{m:.2}"));
         }
         rows.push(row);
     }
     println!("{}", table(&["Method", "Meet", "Teams", "Webex"], &rows));
-    sink.write(id, &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![(id, Json::object(artifact))]
 }
 
-fn t5(ctx: &mut Ctx, sink: &Sink) {
-    transfer_table(ctx, sink, "t5", Target::FrameRate, "FPS");
+fn t5(ctx: &mut Ctx) -> Artifacts {
+    transfer_table(ctx, "t5", Target::FrameRate, "FPS")
 }
-fn ta4(ctx: &mut Ctx, sink: &Sink) {
-    transfer_table(ctx, sink, "ta4", Target::Bitrate, "kbps");
+fn ta4(ctx: &mut Ctx) -> Artifacts {
+    transfer_table(ctx, "ta4", Target::Bitrate, "kbps")
 }
-fn ta5(ctx: &mut Ctx, sink: &Sink) {
-    transfer_table(ctx, sink, "ta5", Target::FrameJitter, "ms");
+fn ta5(ctx: &mut Ctx) -> Artifacts {
+    transfer_table(ctx, "ta5", Target::FrameJitter, "ms")
 }
 
 // ---------------------------------------------------------------------
 // Sensitivity studies (Figs 11, 12, A.10; Table A.6)
 // ---------------------------------------------------------------------
 
-fn f11(ctx: &mut Ctx, sink: &Sink) {
+fn f11(ctx: &mut Ctx) -> Artifacts {
     section("F11", "IP/UDP ML frame-rate MAE vs packet loss");
     let (calls, secs) = match ctx.scale {
         crate::ctx::Scale::Full => (4, 30),
         crate::ctx::Scale::Small => (2, 15),
     };
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let mut opts = ctx.opts(vca);
         opts.cv_folds = 2;
@@ -947,13 +955,10 @@ fn f11(ctx: &mut Ctx, sink: &Sink) {
             r.extend(per_value.iter().map(|(_, m)| format!("{m:.2}")));
             r
         });
-        artifact.insert(
-            vca.name().into(),
-            json!(per_value
-                .iter()
-                .map(|(l, m)| json!({"loss_pct": l, "mae": m}))
-                .collect::<Vec<_>>()),
-        );
+        let points = per_value
+            .iter()
+            .map(|&(l, m)| Json::object([("loss_pct", l.into()), ("mae", m.into())]));
+        artifact.push((vca.name(), Json::Arr(points.collect())));
     }
     let mut headers = vec!["VCA"];
     let labels: Vec<String> = ImpairmentDim::PacketLoss
@@ -963,18 +968,17 @@ fn f11(ctx: &mut Ctx, sink: &Sink) {
         .collect();
     headers.extend(labels.iter().map(String::as_str));
     println!("{}", table(&headers, &rows));
-    sink.write("f11", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("f11", Json::object(artifact))]
 }
 
-fn f12(ctx: &mut Ctx, sink: &Sink) {
+fn f12(ctx: &mut Ctx) -> Artifacts {
     section(
         "F12",
         "IP/UDP ML frame-rate MAE vs prediction window (in-lab)",
     );
     let windows = [1u32, 2, 4, 6, 8, 10];
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let mut per_w = Vec::new();
         let opts = ctx.opts(vca);
@@ -988,21 +992,17 @@ fn f12(ctx: &mut Ctx, sink: &Sink) {
             r.extend(per_w.iter().map(|(_, m)| format!("{m:.2}")));
             r
         });
-        artifact.insert(
-            vca.name().into(),
-            json!(per_w
-                .iter()
-                .map(|(w, m)| json!({"window_s": w, "mae": m}))
-                .collect::<Vec<_>>()),
-        );
+        let points = per_w
+            .iter()
+            .map(|&(w, m)| Json::object([("window_s", w.into()), ("mae", m.into())]));
+        artifact.push((vca.name(), Json::Arr(points.collect())));
     }
     let headers: Vec<String> = std::iter::once("VCA".to_string())
         .chain(windows.iter().map(|w| format!("{w}s")))
         .collect();
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
-    sink.write("f12", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("f12", Json::object(artifact))]
 }
 
 /// Frame-rate estimates of the IP/UDP Heuristic engine under `config`,
@@ -1023,13 +1023,13 @@ fn heuristic_fps_vs_truth(config: EngineConfig, traces: &[Trace]) -> (Vec<f64>, 
     (preds, truths)
 }
 
-fn fa10(ctx: &mut Ctx, sink: &Sink) {
+fn fa10(ctx: &mut Ctx) -> Artifacts {
     section(
         "FA10",
         "IP/UDP Heuristic frame-rate MAE vs packet lookback (in-lab)",
     );
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
@@ -1051,18 +1051,17 @@ fn fa10(ctx: &mut Ctx, sink: &Sink) {
             r.extend(per_lb.iter().map(|m| format!("{m:.2}")));
             r
         });
-        artifact.insert(vca.name().into(), json!(per_lb));
+        artifact.push((vca.name(), per_lb.into()));
     }
     let headers: Vec<String> = std::iter::once("VCA".to_string())
         .chain((1..=10).map(|l| format!("lb{l}")))
         .collect();
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
-    sink.write("fa10", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("fa10", Json::object(artifact))]
 }
 
-fn ta6(_ctx: &mut Ctx, sink: &Sink) {
+fn ta6(_ctx: &mut Ctx) -> Artifacts {
     section("TA6", "Impairment profiles (emulation grid)");
     let mut rows = Vec::new();
     for dim in ImpairmentDim::ALL {
@@ -1070,14 +1069,13 @@ fn ta6(_ctx: &mut Ctx, sink: &Sink) {
         rows.push(vec![dim.label().to_string(), vals.join(", ")]);
     }
     println!("{}", table(&["Impairment", "Values"], &rows));
-    sink.write(
-        "ta6",
-        &json!(ImpairmentDim::ALL
-            .iter()
-            .map(|d| json!({"dim": d.label(), "values": d.values()}))
-            .collect::<Vec<_>>()),
-    )
-    .unwrap();
+    let dims = ImpairmentDim::ALL.iter().map(|d| {
+        Json::object([
+            ("dim", d.label().into()),
+            ("values", d.values().to_vec().into()),
+        ])
+    });
+    vec![("ta6", Json::Arr(dims.collect()))]
 }
 
 // ---------------------------------------------------------------------
@@ -1086,11 +1084,11 @@ fn ta6(_ctx: &mut Ctx, sink: &Sink) {
 
 /// AB1: `Vmin` media-classification threshold sweep. Too low pulls audio
 /// into the video stream; too high drops real video packets.
-pub fn ab1(ctx: &mut Ctx, sink: &Sink) {
+pub fn ab1(ctx: &mut Ctx) -> Artifacts {
     section("AB1", "Media classification accuracy vs Vmin threshold");
     let vmins = [300u16, 400, 450, 500, 564, 700, 900];
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
         let mut row = vec![vca.name().to_string()];
@@ -1100,29 +1098,31 @@ pub fn ab1(ctx: &mut Ctx, sink: &Sink) {
             let correct = m.count(0, 0) + m.count(1, 1);
             let acc = correct as f64 / (m.row_total(0) + m.row_total(1)) as f64;
             row.push(format!("{:.2}%", acc * 100.0));
-            per_v.push(json!({"vmin": vmin, "accuracy": acc}));
+            per_v.push(Json::object([
+                ("vmin", vmin.into()),
+                ("accuracy", acc.into()),
+            ]));
         }
         rows.push(row);
-        artifact.insert(vca.name().into(), json!(per_v));
+        artifact.push((vca.name(), per_v.into()));
     }
     let headers: Vec<String> = std::iter::once("VCA".to_string())
         .chain(vmins.iter().map(|v| format!("{v}B")))
         .collect();
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
-    sink.write("ab1", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("ab1", Json::object(artifact))]
 }
 
 /// AB2: value of the semantics features — IP/UDP ML with flow statistics
 /// only vs the full 14-feature set (frame rate, in-lab).
-pub fn ab2(ctx: &mut Ctx, sink: &Sink) {
+pub fn ab2(ctx: &mut Ctx) -> Artifacts {
     section(
         "AB2",
         "IP/UDP ML frame-rate MAE: flow-stats-only vs +semantics features",
     );
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let set = ctx.samples(Corpus::InLab, vca, 1).clone();
@@ -1149,22 +1149,24 @@ pub fn ab2(ctx: &mut Ctx, sink: &Sink) {
             format!("{mae_full:.2}"),
             format!("{:+.1}%", (mae_full / mae_flow - 1.0) * 100.0),
         ]);
-        artifact.insert(
-            vca.name().into(),
-            json!({"flow_only_mae": mae_flow, "full_mae": mae_full}),
-        );
+        artifact.push((
+            vca.name(),
+            Json::object([
+                ("flow_only_mae", mae_flow.into()),
+                ("full_mae", mae_full.into()),
+            ]),
+        ));
     }
     println!(
         "{}",
         table(&["VCA", "Flow-only MAE", "Full MAE", "Δ"], &rows)
     );
-    sink.write("ab2", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("ab2", Json::object(artifact))]
 }
 
 /// AB3: forest size vs accuracy — the accuracy/cost trade-off an operator
 /// would tune (§7 system considerations).
-pub fn ab3(ctx: &mut Ctx, sink: &Sink) {
+pub fn ab3(ctx: &mut Ctx) -> Artifacts {
     section(
         "AB3",
         "IP/UDP ML frame-rate MAE vs forest size (Teams, in-lab)",
@@ -1180,15 +1182,15 @@ pub fn ab3(ctx: &mut Ctx, sink: &Sink) {
         let (p, t) = eval_ml_regression(&set, Method::IpUdpMl, Target::FrameRate, &opts);
         let m = mae(&p, &t);
         rows.push(vec![format!("{n}"), format!("{m:.2}")]);
-        artifact.push(json!({"n_trees": n, "mae": m}));
+        artifact.push(Json::object([("n_trees", n.into()), ("mae", m.into())]));
     }
     println!("{}", table(&["Trees", "MAE"], &rows));
-    sink.write("ab3", &artifact).unwrap();
+    vec![("ab3", artifact.into())]
 }
 
 /// AB4: microburst θ_IAT sensitivity — how the only timing-based semantics
 /// feature reacts to its threshold.
-pub fn ab4(ctx: &mut Ctx, sink: &Sink) {
+pub fn ab4(ctx: &mut Ctx) -> Artifacts {
     section(
         "AB4",
         "IP/UDP ML frame-rate MAE vs microburst threshold (Webex, in-lab)",
@@ -1208,21 +1210,24 @@ pub fn ab4(ctx: &mut Ctx, sink: &Sink) {
             format!("{:.1} ms", theta as f64 / 1000.0),
             format!("{m:.2}"),
         ]);
-        artifact.push(json!({"theta_us": theta, "mae": m}));
+        artifact.push(Json::object([
+            ("theta_us", theta.into()),
+            ("mae", m.into()),
+        ]));
     }
     println!("{}", table(&["θ_IAT", "MAE"], &rows));
-    sink.write("ab4", &artifact).unwrap();
+    vec![("ab4", artifact.into())]
 }
 
 /// AB5: Δmax_size sensitivity for the IP/UDP Heuristic.
-pub fn ab5(ctx: &mut Ctx, sink: &Sink) {
+pub fn ab5(ctx: &mut Ctx) -> Artifacts {
     section(
         "AB5",
         "IP/UDP Heuristic frame-rate MAE vs Δmax_size (in-lab)",
     );
     let deltas = [0u16, 1, 2, 4, 8, 16, 32];
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let traces = ctx.traces(Corpus::InLab, vca).to_vec();
@@ -1240,31 +1245,30 @@ pub fn ab5(ctx: &mut Ctx, sink: &Sink) {
             let (preds, truths) = heuristic_fps_vs_truth(engine, &traces);
             let m = mae(&preds, &truths);
             row.push(format!("{m:.2}"));
-            per_d.push(json!({"delta": delta, "mae": m}));
+            per_d.push(Json::object([("delta", delta.into()), ("mae", m.into())]));
         }
         rows.push(row);
-        artifact.insert(vca.name().into(), json!(per_d));
+        artifact.push((vca.name(), per_d.into()));
     }
     let headers: Vec<String> = std::iter::once("VCA".to_string())
         .chain(deltas.iter().map(|d| format!("Δ{d}")))
         .collect();
     let href: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", table(&href, &rows));
-    sink.write("ab5", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("ab5", Json::object(artifact))]
 }
 
 /// AB6: model-family comparison (§4.3: "we experiment with several
 /// classical supervised ML models ... random forests consistently yield
 /// the highest accuracy"). Compares ridge regression, a single CART tree,
 /// and the forest on frame rate.
-pub fn ab6(ctx: &mut Ctx, sink: &Sink) {
+pub fn ab6(ctx: &mut Ctx) -> Artifacts {
     section(
         "AB6",
         "Model family comparison, IP/UDP features, frame rate (in-lab)",
     );
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
         let set = ctx.samples(Corpus::InLab, vca, 1).clone();
@@ -1311,22 +1315,25 @@ pub fn ab6(ctx: &mut Ctx, sink: &Sink) {
             format!("{m_tree:.2}"),
             format!("{m_forest:.2}"),
         ]);
-        artifact.insert(
-            vca.name().into(),
-            json!({"ridge": m_lin, "tree": m_tree, "forest": m_forest}),
-        );
+        artifact.push((
+            vca.name(),
+            Json::object([
+                ("ridge", m_lin.into()),
+                ("tree", m_tree.into()),
+                ("forest", m_forest.into()),
+            ]),
+        ));
     }
     println!(
         "{}",
         table(&["VCA", "Ridge MAE", "Tree MAE", "Forest MAE"], &rows)
     );
-    sink.write("ab6", &serde_json::Value::Object(artifact))
-        .unwrap();
+    vec![("ab6", Json::object(artifact))]
 }
 
 /// AM1: application modes (§7) — video-off detection accuracy and
 /// multi-party participant-count estimation.
-pub fn am1(ctx: &mut Ctx, sink: &Sink) {
+pub fn am1(ctx: &mut Ctx) -> Artifacts {
     use vcaml_vcasim::{merge_multiparty, video_off, Session, SessionConfig, VcaProfile};
     section(
         "AM1",
@@ -1363,7 +1370,7 @@ pub fn am1(ctx: &mut Ctx, sink: &Sink) {
 
     // Participant counting on merged multi-party flows.
     let mut rows = Vec::new();
-    let mut artifact = serde_json::Map::new();
+    let mut artifact = Vec::new();
     for n in [2usize, 3, 4] {
         let sessions: Vec<_> = (0..n).map(|i| run_one(100 + i as u64)).collect();
         let merged = merge_multiparty(&sessions);
@@ -1384,10 +1391,14 @@ pub fn am1(ctx: &mut Ctx, sink: &Sink) {
             format!("{ipudp_n}"),
             format!("{rtp_n}"),
         ]);
-        artifact.insert(
+        artifact.push((
             format!("{n}"),
-            json!({"aggregate_fps": agg_fps, "ipudp_estimate": ipudp_n, "rtp_estimate": rtp_n}),
-        );
+            Json::object([
+                ("aggregate_fps", agg_fps.into()),
+                ("ipudp_estimate", ipudp_n.into()),
+                ("rtp_estimate", rtp_n.into()),
+            ]),
+        ));
     }
     println!(
         "{}",
@@ -1401,12 +1412,11 @@ pub fn am1(ctx: &mut Ctx, sink: &Sink) {
             &rows
         )
     );
-    artifact.insert(
+    artifact.push((
         "video_off_accuracy".into(),
-        json!(correct as f64 / total as f64),
-    );
-    sink.write("am1", &serde_json::Value::Object(artifact))
-        .unwrap();
+        (correct as f64 / total as f64).into(),
+    ));
+    vec![("am1", Json::object(artifact))]
 }
 
 #[cfg(test)]
@@ -1414,8 +1424,27 @@ mod tests {
     use super::*;
     use crate::ctx::Scale;
 
-    fn tmp_sink() -> Sink {
-        Sink::new(std::env::temp_dir().join("vcaml_exp_tests")).unwrap()
+    /// The value under `key` in an artifact object.
+    fn field<'a>(json: &'a Json, key: &str) -> &'a Json {
+        let Json::Obj(entries) = json else {
+            panic!("not an object: {json}")
+        };
+        let found = entries.iter().find(|(k, _)| k == key);
+        &found.unwrap_or_else(|| panic!("no {key:?} in {json}")).1
+    }
+
+    fn num(json: &Json) -> f64 {
+        let Json::Num(n) = json else {
+            panic!("not a number: {json}")
+        };
+        *n
+    }
+
+    /// The single artifact `id` an experiment returned.
+    fn only(artifacts: Artifacts, id: &str) -> Json {
+        let ids: Vec<&str> = artifacts.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [id]);
+        artifacts.into_iter().next().unwrap().1
     }
 
     #[test]
@@ -1431,13 +1460,31 @@ mod tests {
     #[test]
     fn ta6_runs_without_corpora() {
         let mut ctx = Ctx::new(Scale::Small);
-        ta6(&mut ctx, &tmp_sink());
+        let Json::Arr(dims) = only(ta6(&mut ctx), "ta6") else {
+            panic!("ta6 is not an array")
+        };
+        assert_eq!(dims.len(), ImpairmentDim::ALL.len());
+        for (json, dim) in dims.iter().zip(ImpairmentDim::ALL) {
+            assert_eq!(field(json, "dim"), &Json::from(dim.label()));
+            assert!(matches!(field(json, "values"), Json::Arr(v) if !v.is_empty()));
+        }
     }
 
     #[test]
     fn media_confusion_small() {
         let mut ctx = Ctx::new(Scale::Small);
-        media_confusion(&mut ctx, &tmp_sink(), "t2_test", VcaKind::Meet);
+        let m = only(
+            media_confusion(&mut ctx, "t2_test", VcaKind::Meet),
+            "t2_test",
+        );
+        assert_eq!(field(&m, "vca"), &Json::from("Meet"));
+        for (row, wrong) in [("non_video", "misclassified_pct"), ("video", "missed_pct")] {
+            let r = field(&m, row);
+            assert!(num(field(r, "total")) > 0.0, "{m}");
+            let correct = num(field(r, "correct_pct"));
+            assert!(correct > 99.0, "{m}");
+            assert!((correct + num(field(r, wrong)) - 100.0).abs() < 1e-9, "{m}");
+        }
     }
 
     fn trace(packets: Vec<TracePacket>) -> Trace {
@@ -1490,6 +1537,11 @@ mod tests {
     #[test]
     fn f2_small_matches_fragmentation_model() {
         let mut ctx = Ctx::new(Scale::Small);
-        f2(&mut ctx, &tmp_sink());
+        let f2 = only(f2(&mut ctx), "f2");
+        // Paper: ~100 % of intra-frame differences under 2 B, 99.4 % of
+        // inter-frame ones at least 2 B.
+        assert_eq!(num(field(&f2, "intra_le_2")), 1.0);
+        assert!(num(field(&f2, "inter_ge_2")) > 0.95, "{f2}");
+        assert!(matches!(field(&f2, "intra_cdf"), Json::Arr(cdf) if cdf.len() == 21));
     }
 }

@@ -4,7 +4,9 @@
 //! The `repro` binary dispatches to [`experiments`]; [`ctx`] caches the
 //! generated corpora and fitted sample sets so one invocation can run the
 //! whole suite without recomputation; [`report`] renders paper-style
-//! tables and CDFs.
+//! tables and CDFs and holds the [`report::Json`] tree each experiment
+//! returns as its artifact. Experiments do no file IO: `repro` alone
+//! writes the artifacts.
 //!
 //! The evaluation itself lives here too, not in the `vcaml` product:
 //! [`pipeline`] cross-validates and scores models on `vcaml`'s window
@@ -14,7 +16,7 @@
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
-    reason = "the experiment harness fails fast: artifact IO and corpus invariants are fatal here"
+    reason = "the experiment harness fails fast: a broken corpus invariant is fatal here"
 )]
 
 pub mod ctx;

@@ -1,9 +1,7 @@
-//! Rendering helpers: paper-style tables, CDF summaries, and JSON result
-//! artifacts.
+//! Rendering helpers: paper-style tables, CDF summaries, and the [`Json`]
+//! tree an experiment returns as its machine-readable artifact.
 
-use serde::Serialize;
-use std::io::Write;
-use std::path::PathBuf;
+use std::fmt;
 
 /// Prints a section header for one experiment.
 pub fn section(id: &str, title: &str) {
@@ -65,29 +63,122 @@ pub fn fraction_le(values: &[f64], threshold: f64) -> f64 {
     values.iter().filter(|&&v| v <= threshold).count() as f64 / values.len() as f64
 }
 
-/// Writes one experiment's machine-readable result next to the text
-/// output.
-pub struct Sink {
-    dir: PathBuf,
+/// One experiment artifact: a JSON number, string, array, or object with
+/// insertion-ordered keys. [`fmt::Display`] pretty-prints it as the file
+/// `repro` writes.
+#[derive(Debug, PartialEq)]
+pub enum Json {
+    /// A number; non-finite values print as `null`.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, keys in insertion order.
+    Obj(Vec<(String, Json)>),
 }
 
-impl Sink {
-    /// Creates (and mkdirs) a sink rooted at `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(Sink { dir })
+impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn object<K: Into<String>>(entries: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// Serializes `value` to `<dir>/<id>.json`.
-    pub fn write<T: Serialize>(&self, id: &str, value: &T) -> std::io::Result<()> {
-        let path = self.dir.join(format!("{id}.json"));
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(
-            serde_json::to_string_pretty(value)
-                .expect("serialize")
-                .as_bytes(),
-        )
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        let pad = "  ".repeat(indent);
+        match self {
+            Json::Num(n) if !n.is_finite() => f.write_str("null"),
+            Json::Num(n) if *n == n.trunc() && n.abs() < 9.0e15 => write!(f, "{}", *n as i64),
+            Json::Num(n) => write!(f, "{n}"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) if items.is_empty() => f.write_str("[]"),
+            Json::Arr(items) => {
+                f.write_str("[\n")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{pad}  ")?;
+                    item.write(f, indent + 1)?;
+                    f.write_str(if i + 1 < items.len() { ",\n" } else { "\n" })?;
+                }
+                write!(f, "{pad}]")
+            }
+            Json::Obj(entries) if entries.is_empty() => f.write_str("{}"),
+            Json::Obj(entries) => {
+                f.write_str("{\n")?;
+                for (i, (key, value)) in entries.iter().enumerate() {
+                    write!(f, "{pad}  ")?;
+                    write_escaped(f, key)?;
+                    f.write_str(": ")?;
+                    value.write(f, indent + 1)?;
+                    f.write_str(if i + 1 < entries.len() { ",\n" } else { "\n" })?;
+                }
+                write!(f, "{pad}}}")
+            }
+        }
+    }
+}
+
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+/// Two-space indented, `"key": value`, no trailing newline.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {
+        $(impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        })*
+    };
+}
+json_from_int!(u16, u32, u64, usize, i64);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// A CDF point or any other pair: a two-element array.
+impl From<(f64, f64)> for Json {
+    fn from((a, b): (f64, f64)) -> Json {
+        Json::Arr(vec![a.into(), b.into()])
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -125,11 +216,41 @@ mod tests {
     }
 
     #[test]
-    fn sink_writes_json() {
-        let dir = std::env::temp_dir().join("vcaml_sink_test");
-        let sink = Sink::new(&dir).unwrap();
-        sink.write("t", &vec![1, 2, 3]).unwrap();
-        let content = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        assert!(content.contains('2'));
+    fn json_prints_the_artifact_layout() {
+        let doc = Json::object([
+            ("fps", Json::from(30.0)),
+            ("share", 0.1.into()),
+            ("n", 7usize.into()),
+            ("bad", vec![f64::NAN, f64::INFINITY].into()),
+            ("cdf", vec![(1.5, 0.0)].into()),
+            ("none", Json::Arr(vec![])),
+            ("empty", Json::Obj(vec![])),
+            (
+                "nested",
+                Json::object([("q\"uo\\te\n\u{1}", Json::from("Meet"))]),
+            ),
+        ]);
+        let expected = r#"{
+  "fps": 30,
+  "share": 0.1,
+  "n": 7,
+  "bad": [
+    null,
+    null
+  ],
+  "cdf": [
+    [
+      1.5,
+      0
+    ]
+  ],
+  "none": [],
+  "empty": {},
+  "nested": {
+    "q\"uo\\te\n\u0001": "Meet"
+  }
+}"#;
+        assert_eq!(doc.to_string(), expected);
+        assert_eq!(Json::from(-2.5e20).to_string(), "-250000000000000000000");
     }
 }

@@ -4,7 +4,8 @@
 //!   unknown experiment id — exits 2 and names the problem on stderr;
 //! * `--list` prints the whole registry, one id per line;
 //! * a run of one experiment exits 0 and writes its JSON artifact into
-//!   the `--out` directory.
+//!   the `--out` directory;
+//! * an `--out` that cannot be a directory exits 1 and names the path.
 
 #![allow(
     clippy::expect_used,
@@ -63,4 +64,16 @@ fn one_experiment_writes_its_artifact_into_out() {
     let artifact = std::fs::read_to_string(dir.join("ta6.json")).expect("ta6.json written");
     std::fs::remove_dir_all(&dir).expect("remove the output directory");
     assert!(artifact.contains("\"dim\""), "{artifact}");
+}
+
+#[test]
+fn out_on_a_regular_file_exits_1_with_the_path() {
+    let file = std::env::temp_dir().join(format!("vcaml_repro_cli_file_{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("create the blocking file");
+    let path = file.to_str().expect("UTF-8 path");
+    let out = repro(&["--scale", "small", "--out", path, "ta6"]);
+    std::fs::remove_file(&file).expect("remove the blocking file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(path), "{stderr}");
 }

@@ -29,10 +29,15 @@ pub enum ParseDropReason {
 }
 
 impl ParseDropReason {
+    /// How many variants there are: the length of per-reason counter
+    /// arrays.
+    pub const COUNT: usize = 4;
+
     /// The [`ParseDropReason::tag`] of every variant, in
     /// [`ParseDropReason::index`] order — the labels of
     /// [`MonitorStats::parse_drops_by_reason`].
-    pub const TAGS: [&'static str; 4] = ["truncated", "malformed", "not_udp", "negative_timestamp"];
+    pub const TAGS: [&'static str; Self::COUNT] =
+        ["truncated", "malformed", "not_udp", "negative_timestamp"];
 
     /// The variant's position in [`ParseDropReason::TAGS`] — a dense slot
     /// for per-reason counter arrays.
@@ -151,7 +156,7 @@ pub enum QoeEvent {
         last_ts: Timestamp,
         /// Records dropped, by [`ParseDropReason::index`] (labels:
         /// [`ParseDropReason::TAGS`]).
-        by_reason: [u64; 4],
+        by_reason: [u64; ParseDropReason::COUNT],
     },
     /// Events were discarded because the bounded event queue overflowed
     /// under [`OverflowPolicy::DropOldest`]. The marker leads the next
@@ -335,7 +340,7 @@ pub struct MonitorStats {
     pub parse_drops: u64,
     /// `parse_drops` split by why, in [`ParseDropReason::index`] order
     /// (labels: [`ParseDropReason::TAGS`]) — what a tap is rejecting.
-    pub parse_drops_by_reason: [u64; 4],
+    pub parse_drops_by_reason: [u64; ParseDropReason::COUNT],
     /// Flows opened.
     pub flows_opened: u64,
     /// Flows evicted (idle or end of stream).
@@ -386,7 +391,7 @@ impl MonitorStats {
 
 /// Appends per-reason drop counts as an object keyed by
 /// [`ParseDropReason::TAGS`], in index order.
-fn write_by_reason(out: &mut String, by_reason: &[u64; 4]) {
+fn write_by_reason(out: &mut String, by_reason: &[u64; ParseDropReason::COUNT]) {
     let mut o = json::Object::begin(out);
     for (&tag, &n) in ParseDropReason::TAGS.iter().zip(by_reason) {
         json::uint(o.key(tag), n);
@@ -403,7 +408,7 @@ fn write_by_reason(out: &mut String, by_reason: &[u64; 4]) {
 pub(crate) struct StatsCells {
     pub(super) packets: AtomicU64,
     /// By [`ParseDropReason::index`]: one `fetch_add` per drop.
-    pub(super) parse_drops: [AtomicU64; 4],
+    pub(super) parse_drops: [AtomicU64; ParseDropReason::COUNT],
     pub(super) flows_opened: AtomicU64,
     pub(super) flows_evicted: AtomicU64,
     pub(super) window_reports: AtomicU64,

@@ -7,7 +7,9 @@ use super::event::StatsCells;
 use super::shard::{RoutedPacket, ShardState};
 #[cfg(doc)]
 use super::OverflowPolicy;
-use super::{EstimationMethod, MonitorBuilder, MonitorStats, QoeEvent, INGEST_BATCH};
+use super::{
+    EstimationMethod, MonitorBuilder, MonitorStats, ParseDropReason, QoeEvent, INGEST_BATCH,
+};
 use crate::backpressure::EventQueue;
 use crate::control::{ControlShared, MonitorHandle};
 use crate::engine::Method;
@@ -47,7 +49,7 @@ struct DropSummary {
     close_at_us: i64,
     first_us: i64,
     last_us: i64,
-    by_reason: [u64; 4],
+    by_reason: [u64; ParseDropReason::COUNT],
 }
 
 impl DropSummary {
@@ -57,7 +59,7 @@ impl DropSummary {
             close_at_us: i64::MAX,
             first_us: 0,
             last_us: 0,
-            by_reason: [0; 4],
+            by_reason: [0; ParseDropReason::COUNT],
         }
     }
 
@@ -88,7 +90,7 @@ impl DropSummary {
     }
 
     fn fold(&mut self, us: i64, reason: usize) {
-        if self.by_reason == [0; 4] {
+        if self.by_reason == [0; ParseDropReason::COUNT] {
             // The interval's end; past the last representable one the
             // summary waits for end of stream (or a record at i64::MAX).
             self.close_at_us = us
@@ -110,7 +112,7 @@ impl DropSummary {
     /// queue lock per summary.
     fn close(&mut self, queue: &EventQueue) {
         self.close_at_us = i64::MAX;
-        if self.by_reason == [0; 4] {
+        if self.by_reason == [0; ParseDropReason::COUNT] {
             return;
         }
         let event = Arc::new(QoeEvent::ParseDrops {

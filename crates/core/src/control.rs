@@ -82,7 +82,7 @@ pub(crate) struct ControlShared {
     severity_counts: [AtomicU64; 3],
     /// Finalized window reports by [`Method`] slot ([`Method::index`]),
     /// same writer discipline as `severity_counts`.
-    windows_by_method: [AtomicU64; 4],
+    windows_by_method: [AtomicU64; Method::ALL.len()],
 }
 
 /// One worker's pending eviction requests.
@@ -132,7 +132,7 @@ impl ControlShared {
     }
 
     /// Finalized-window counts by [`Method`] slot.
-    pub(crate) fn windows_by_method(&self) -> [u64; 4] {
+    pub(crate) fn windows_by_method(&self) -> [u64; Method::ALL.len()] {
         self.windows_by_method.each_ref().map(|c| c.load(Relaxed))
     }
 
@@ -247,7 +247,7 @@ pub struct MonitorSnapshot {
     pub events_by_severity: [u64; 3],
     /// Finalized window reports published on the bus, by method
     /// ([`Method::ALL`] order). Same caveat as `events_by_severity`.
-    pub windows_by_method: [u64; 4],
+    pub windows_by_method: [u64; Method::ALL.len()],
     /// Whether a graceful stop has been requested.
     pub stop_requested: bool,
 }

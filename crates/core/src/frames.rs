@@ -20,7 +20,7 @@
 //!     n_packets: 2,
 //!     rtp_ts: None, // unknown to the IP/UDP reconstruction
 //! };
-//! assert_eq!(frame.assembly_time(), Timestamp::from_millis(3));
+//! assert_eq!(frame.end_ts - frame.start_ts, Timestamp::from_millis(3));
 //! ```
 
 use vcaml_netpkt::Timestamp;
@@ -42,32 +42,4 @@ pub struct Frame {
     /// RTP timestamp, when reconstructed from RTP headers (ground truth /
     /// RTP Heuristic).
     pub rtp_ts: Option<u32>,
-}
-
-impl Frame {
-    /// Frame duration from first to last packet.
-    pub fn assembly_time(&self) -> Timestamp {
-        self.end_ts - self.start_ts
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(ms: i64) -> Timestamp {
-        Timestamp::from_millis(ms)
-    }
-
-    #[test]
-    fn assembly_time_spans_packets() {
-        let f = Frame {
-            start_ts: t(10),
-            end_ts: t(25),
-            size_bytes: 2,
-            n_packets: 2,
-            rtp_ts: Some(5),
-        };
-        assert_eq!(f.assembly_time(), Timestamp::from_millis(15));
-    }
 }

@@ -227,11 +227,6 @@ impl ChannelSink {
         )
     }
 
-    /// Whether the receiver has gone away (events are discarded).
-    pub fn is_detached(&self) -> bool {
-        self.detached
-    }
-
     /// Events shed because the channel was full when they arrived.
     pub fn overflowed(&self) -> u64 {
         self.overflowed
@@ -632,7 +627,7 @@ mod tests {
         assert_eq!(rx.recv().expect("delivered").tag(), "flow_opened");
         drop(rx);
         sink.on_event(&opened(2));
-        assert!(sink.is_detached(), "dropped receiver detaches the sink");
+        assert!(sink.is_closed(), "dropped receiver detaches the sink");
         sink.on_event(&opened(3)); // no panic once detached
     }
 

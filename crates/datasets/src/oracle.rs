@@ -2,10 +2,12 @@
 //! heuristics and of end-time windowing, kept beside the corpora as test
 //! oracles and for the Fig 4 error taxonomy.
 //!
-//! The product estimates packet by packet through `vcaml::engine`; these
-//! functions replay a finished packet list through the same assemblers
-//! and windower and collect everything at the end, so a streaming run
-//! can be checked against an independent driver window for window.
+//! The product estimates packet by packet through `vcaml::engine`. The
+//! frame oracles replay a finished packet list through the same
+//! assemblers and collect everything at the end; [`estimate_windows`]
+//! shares no code with `vcaml::qoe::QoeWindower` — it buckets and scores
+//! frames with its own arithmetic — so a streaming run can be checked
+//! against an independent driver window for window.
 //!
 //! * [`ipudp_frames`] — Algorithm 1 over video packets, with the frame
 //!   id each packet was assigned to;
@@ -15,7 +17,7 @@
 //!   window, frames bucketed by end time.
 
 use vcaml::heuristic::{HeuristicParams, IpUdpAssembler};
-use vcaml::qoe::{QoeEstimate, QoeWindower};
+use vcaml::qoe::QoeEstimate;
 use vcaml::rtp_heuristic::RtpAssembler;
 use vcaml::{Frame, Trace, TracePacket};
 
@@ -54,22 +56,50 @@ pub fn rtp_frames(trace: &Trace) -> Vec<Frame> {
 }
 
 /// Buckets frames by end time into `n_windows` windows of `window_secs`
-/// seconds and estimates the three metrics in each. Frames ending beyond
-/// the last window (or at negative times) are ignored; a window without
-/// frames estimates zero.
+/// seconds (window `w` holds ends in `[w·W, (w+1)·W)`) and estimates the
+/// three metrics in each: frames per second, kbps of frame bytes, and the
+/// population standard deviation of consecutive end gaps in ms (zero
+/// under three frames). Frames ending beyond the last window or at
+/// negative times are ignored; a window without frames estimates zero.
 pub fn estimate_windows(frames: &[Frame], n_windows: usize, window_secs: u32) -> Vec<QoeEstimate> {
-    let mut windower = QoeWindower::new(window_secs);
+    let window_us = i64::from(window_secs) * 1_000_000;
+    let secs = f64::from(window_secs);
+    // (end, frame id, bytes): sorting orders a bucket by end time, ids
+    // (unique) breaking ties.
+    let mut buckets = vec![Vec::new(); n_windows];
     for (id, f) in frames.iter().enumerate() {
-        if windower
-            .window_of(f.end_ts)
-            .is_some_and(|w| w < n_windows as u64)
-        {
-            windower.offer(id as u64, f);
+        let w = f.end_ts.as_micros().div_euclid(window_us);
+        if let Some(bucket) = usize::try_from(w).ok().and_then(|w| buckets.get_mut(w)) {
+            bucket.push((f.end_ts, id, f.size_bytes));
         }
     }
-    let mut out = Vec::with_capacity(n_windows);
-    windower.drain_until_into(n_windows as u64, &mut out);
-    out.into_iter().map(|(_, e)| e).collect()
+    buckets
+        .into_iter()
+        .map(|mut bucket| {
+            bucket.sort_unstable();
+            let fps = bucket.len() as f64 / secs;
+            let bits = bucket
+                .iter()
+                .fold(0.0, |sum, &(_, _, bytes)| sum + bytes as f64 * 8.0);
+            let jitter = if bucket.len() >= 3 {
+                let gaps: Vec<f64> = bucket
+                    .windows(2)
+                    .map(|p| (p[1].0 - p[0].0).as_millis_f64())
+                    .collect();
+                let n = gaps.len() as f64;
+                let mean = gaps.iter().fold(0.0, |sum, g| sum + g) / n;
+                let var = gaps.iter().fold(0.0, |sum, g| sum + (g - mean).powi(2));
+                (var / n).sqrt()
+            } else {
+                0.0
+            };
+            QoeEstimate {
+                bitrate_kbps: bits / secs / 1000.0,
+                fps,
+                frame_jitter_ms: jitter,
+            }
+        })
+        .collect()
 }
 
 fn by_end_time(mut frames: Vec<(u64, Frame)>) -> Vec<Frame> {

@@ -40,11 +40,6 @@ impl RtpClock {
         ((elapsed.as_micros() as i128 * i128::from(self.hz) + 500_000) / 1_000_000) as u32
     }
 
-    /// Converts a tick delta to seconds.
-    pub fn secs_for_ticks(&self, ticks: u32) -> f64 {
-        f64::from(ticks) / f64::from(self.hz)
-    }
-
     /// The paper's *RTP lag*: for frame `i` received at `t_i` with RTP
     /// timestamp `ts_i`, the lag relative to frame 0 is
     /// `(t_i - t_0) - (ts_i - ts_0)/SF` — transmission delay under the
@@ -73,13 +68,6 @@ mod tests {
         let c = RtpClock::audio();
         // One 20 ms Opus frame = 960 ticks.
         assert_eq!(c.ticks_for(Timestamp::from_millis(20)), 960);
-    }
-
-    #[test]
-    fn secs_roundtrip() {
-        let c = RtpClock::video();
-        let ticks = c.ticks_for(Timestamp::from_millis(100));
-        assert!((c.secs_for_ticks(ticks) - 0.1).abs() < 1e-6);
     }
 
     #[test]

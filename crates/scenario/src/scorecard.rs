@@ -1,9 +1,9 @@
 //! Deterministic scorecard JSON: writer, line-oriented reader, and the
 //! `--compare` delta mode.
 //!
-//! The in-repo `serde_json` shim has no parser, so the reader is a
-//! hand-rolled field extractor over the one-cell-per-line layout the
-//! writer guarantees.
+//! The workspace has no JSON parser, so the reader is a hand-rolled
+//! field extractor over the one-cell-per-line layout the writer
+//! guarantees.
 
 use crate::score::{CellScore, Tolerances, Verdict};
 

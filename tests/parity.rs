@@ -15,8 +15,9 @@ use vcaml_suite::vcaml::engine::{
     replay, FlowTable, IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
 use vcaml_suite::vcaml::{
-    build_samples, qoe::QoeWindower, EngineConfig, MediaClassifier, Method, QoeEstimator, Trace,
-    TracePacket, WindowReport,
+    build_samples,
+    qoe::{QoeEstimate, QoeWindower},
+    EngineConfig, Frame, MediaClassifier, Method, QoeEstimator, Trace, TracePacket, WindowReport,
 };
 
 fn corpus(vca: VcaKind, seed: u64, n: usize) -> Vec<Trace> {
@@ -283,28 +284,45 @@ fn flow_table_separates_interleaved_calls() {
     }
 }
 
-/// The QoE windower and `estimate_windows` agree on frame bucketing.
+/// The QoE windower and `estimate_windows`, which buckets and scores
+/// frames with arithmetic of its own, agree bit for bit: on a simulated
+/// trace, and on frames ending exactly on a window boundary, a tick
+/// either side of one, or together.
 #[test]
 fn qoe_windower_agrees_with_estimate_windows() {
-    let vca = VcaKind::Webex;
-    let trace = &corpus(vca, 17, 1)[0];
-    let frames = rtp_frames(trace);
-    let n = trace.duration_secs as usize;
-    let batch = estimate_windows(&frames, n, 1);
-    let mut windower = QoeWindower::new(1);
-    for (id, f) in frames.iter().enumerate() {
-        if windower
-            .window_of(f.end_ts)
-            .is_some_and(|w| (w as usize) < n)
-        {
-            windower.offer(id as u64, f);
+    let trace = &corpus(VcaKind::Webex, 17, 1)[0];
+    let edges: Vec<Frame> = (0..=4i64)
+        .flat_map(|s| [-1, 0, 0, 1].map(|d| s * 1_000_000 + d))
+        .enumerate()
+        .map(|(i, us)| Frame {
+            start_ts: Timestamp::from_micros(us - 500),
+            end_ts: Timestamp::from_micros(us),
+            size_bytes: 1_000 + 7 * i,
+            n_packets: 1,
+            rtp_ts: None,
+        })
+        .collect();
+    let bits = |e: &QoeEstimate| [e.fps, e.bitrate_kbps, e.frame_jitter_ms].map(f64::to_bits);
+    for (frames, n) in [
+        (rtp_frames(trace), trace.duration_secs as usize),
+        (edges, 4),
+    ] {
+        let batch = estimate_windows(&frames, n, 1);
+        let mut windower = QoeWindower::new(1);
+        for (id, f) in frames.iter().enumerate() {
+            if windower
+                .window_of(f.end_ts)
+                .is_some_and(|w| (w as usize) < n)
+            {
+                windower.offer(id as u64, f);
+            }
         }
-    }
-    let mut streamed = Vec::new();
-    windower.drain_until_into(n as u64, &mut streamed);
-    assert_eq!(streamed.len(), batch.len());
-    for ((_, s), b) in streamed.iter().zip(&batch) {
-        assert_eq!(s, b);
+        let mut streamed = Vec::new();
+        windower.drain_until_into(n as u64, &mut streamed);
+        assert_eq!(streamed.len(), batch.len());
+        for ((w, s), b) in streamed.iter().zip(&batch) {
+            assert_eq!(bits(s), bits(b), "window {w}: {s:?} vs {b:?}");
+        }
     }
 }
 
