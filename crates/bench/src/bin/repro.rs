@@ -14,6 +14,7 @@
 use std::path::Path;
 use vcaml_bench::ctx::{Ctx, Scale};
 use vcaml_bench::experiments::registry;
+use vcaml_bench::report::write_artifact;
 
 const USAGE: &str = "usage: repro [--scale small|full] [--out DIR] [ids...] | --list";
 
@@ -84,8 +85,7 @@ fn main() {
     for (id, desc, run) in &to_run {
         eprintln!("[{:>7.1?}] running {id}: {desc}", started.elapsed());
         for (artifact, json) in run(&mut ctx) {
-            let path = out.join(format!("{artifact}.json"));
-            if let Err(e) = std::fs::write(&path, json.to_string()) {
+            if let Err((path, e)) = write_artifact(out, artifact, &json) {
                 fail(&path, &e);
             }
         }

@@ -2,6 +2,8 @@
 //! tree an experiment returns as its machine-readable artifact.
 
 use std::fmt;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Prints a section header for one experiment.
 pub fn section(id: &str, title: &str) {
@@ -79,9 +81,18 @@ pub enum Json {
 }
 
 impl Json {
-    /// An object from `(key, value)` pairs, in order.
+    /// An object from `(key, value)` pairs, in order. A repeated key
+    /// replaces the earlier value in its first position.
     pub fn object<K: Into<String>>(entries: impl IntoIterator<Item = (K, Json)>) -> Json {
-        Json::Obj(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        let mut out: Vec<(String, Json)> = Vec::new();
+        for (key, value) in entries {
+            let key = key.into();
+            match out.iter_mut().find(|(k, _)| *k == key) {
+                Some(slot) => slot.1 = value,
+                None => out.push((key, value)),
+            }
+        }
+        Json::Obj(out)
     }
 
     fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
@@ -182,6 +193,13 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
+/// Writes `json` to `<dir>/<id>.json`. On failure, returns the path
+/// with the error.
+pub fn write_artifact(dir: &Path, id: &str, json: &Json) -> Result<(), (PathBuf, io::Error)> {
+    let path = dir.join(format!("{id}.json"));
+    std::fs::write(&path, json.to_string()).map_err(|e| (path, e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +231,19 @@ mod tests {
     fn fraction_le_counts() {
         assert_eq!(fraction_le(&[1.0, 2.0, 3.0, 4.0], 2.0), 0.5);
         assert_eq!(fraction_le(&[], 1.0), 0.0);
+    }
+
+    #[test]
+    fn sink_writes_json() {
+        let dir = std::env::temp_dir().join(format!("vcaml_sink_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let json = Json::from(vec![1u64, 2, 3]);
+        write_artifact(&dir, "t", &json).unwrap();
+        let content = std::fs::read_to_string(dir.join("t.json")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(content, "[\n  1,\n  2,\n  3\n]");
+        let (path, _) = write_artifact(&dir, "t", &json).unwrap_err();
+        assert_eq!(path, dir.join("t.json"));
     }
 
     #[test]
