@@ -2,6 +2,7 @@
 
 use crate::pipeline::EvalOpts;
 use std::collections::HashMap;
+use std::rc::Rc;
 use vcaml::{build_samples, SampleSet, Trace};
 use vcaml_datasets::{inlab_corpus, realworld_corpus, CorpusConfig};
 use vcaml_mlcore::RandomForestParams;
@@ -29,8 +30,8 @@ pub enum Corpus {
 pub struct Ctx {
     /// Corpus scale.
     pub scale: Scale,
-    traces: HashMap<(Corpus, VcaKind), Vec<Trace>>,
-    samples: HashMap<(Corpus, VcaKind, u32), SampleSet>,
+    traces: HashMap<(Corpus, VcaKind), Rc<[Trace]>>,
+    samples: HashMap<(Corpus, VcaKind, u32), Rc<SampleSet>>,
 }
 
 impl Ctx {
@@ -94,30 +95,32 @@ impl Ctx {
         o
     }
 
-    /// The traces of a corpus (generated on first use).
-    pub fn traces(&mut self, corpus: Corpus, vca: VcaKind) -> &[Trace] {
+    /// The traces of a corpus (generated on first use), shared like
+    /// [`Ctx::samples`].
+    pub fn traces(&mut self, corpus: Corpus, vca: VcaKind) -> Rc<[Trace]> {
         if !self.traces.contains_key(&(corpus, vca)) {
             let cfg = self.corpus_config(corpus, vca);
             let traces = match corpus {
                 Corpus::InLab => inlab_corpus(vca, &cfg),
                 Corpus::RealWorld => realworld_corpus(vca, &cfg),
             };
-            self.traces.insert((corpus, vca), traces);
+            self.traces.insert((corpus, vca), traces.into());
         }
-        &self.traces[&(corpus, vca)]
+        Rc::clone(&self.traces[&(corpus, vca)])
     }
 
     /// Window samples for a corpus at a window size (built on first use).
-    pub fn samples(&mut self, corpus: Corpus, vca: VcaKind, window_secs: u32) -> &SampleSet {
+    /// The set is shared, not copied: the handle leaves the context free
+    /// for the caller's next borrow.
+    pub fn samples(&mut self, corpus: Corpus, vca: VcaKind, window_secs: u32) -> Rc<SampleSet> {
         if !self.samples.contains_key(&(corpus, vca, window_secs)) {
             let mut config = self.opts(vca).engine;
             config.window_secs = window_secs;
-            // Ensure the traces exist before borrowing immutably.
-            self.traces(corpus, vca);
-            let set = build_samples(&self.traces[&(corpus, vca)], &config);
-            self.samples.insert((corpus, vca, window_secs), set);
+            let set = build_samples(&self.traces(corpus, vca), &config);
+            self.samples
+                .insert((corpus, vca, window_secs), Rc::new(set));
         }
-        &self.samples[&(corpus, vca, window_secs)]
+        Rc::clone(&self.samples[&(corpus, vca, window_secs)])
     }
 }
 
@@ -135,6 +138,11 @@ mod tests {
         assert_eq!(n1, 8);
         let s1 = ctx.samples(Corpus::InLab, VcaKind::Webex, 1).samples.len();
         assert!(s1 > 100);
+        let shared = ctx.samples(Corpus::InLab, VcaKind::Webex, 1);
+        assert!(
+            Rc::ptr_eq(&shared, &ctx.samples(Corpus::InLab, VcaKind::Webex, 1)),
+            "a sample set is built once and shared"
+        );
     }
 
     #[test]

@@ -143,7 +143,7 @@ fn media_sizes(traces: &[Trace]) -> HashMap<&'static str, Vec<f64>> {
 
 fn f1(ctx: &mut Ctx) -> Artifacts {
     section("F1", "Packet sizes vs payload type, Teams in-lab");
-    let traces = ctx.traces(Corpus::InLab, VcaKind::Teams).to_vec();
+    let traces = ctx.traces(Corpus::InLab, VcaKind::Teams);
     let by_kind = media_sizes(&traces);
     let total: usize = by_kind.values().map(Vec::len).sum();
     let mut rows = Vec::new();
@@ -203,10 +203,10 @@ fn f2(ctx: &mut Ctx) -> Artifacts {
         "F2",
         "Intra- vs inter-frame packet size difference, Teams in-lab",
     );
-    let traces = ctx.traces(Corpus::InLab, VcaKind::Teams).to_vec();
+    let traces = ctx.traces(Corpus::InLab, VcaKind::Teams);
     let mut intra = Vec::new();
     let mut inter = Vec::new();
-    for t in &traces {
+    for t in traces.iter() {
         let frames = truth_frames_sizes(t);
         for f in &frames {
             if f.len() >= 2 {
@@ -277,7 +277,7 @@ fn media_confusion(ctx: &mut Ctx, id: &'static str, vca: VcaKind) -> Artifacts {
         &id.to_uppercase(),
         &format!("Media classification confusion, {vca} in-lab"),
     );
-    let traces = ctx.traces(Corpus::InLab, vca).to_vec();
+    let traces = ctx.traces(Corpus::InLab, vca);
     let opts = ctx.opts(vca);
     let classifier = MediaClassifier::new(opts.engine.vmin);
     let m = media_confusion_matrix(&classifier, &traces, 304);
@@ -322,11 +322,11 @@ fn truth_cdfs(ctx: &mut Ctx, id: &'static str, corpus: Corpus) -> Artifacts {
     let mut artifact = Vec::new();
     let mut rows = Vec::new();
     for vca in VcaKind::ALL {
-        let traces = ctx.traces(corpus, vca).to_vec();
+        let traces = ctx.traces(corpus, vca);
         let mut fps = Vec::new();
         let mut br = Vec::new();
         let mut jit = Vec::new();
-        for t in &traces {
+        for t in traces.iter() {
             for r in &t.truth {
                 fps.push(r.fps);
                 br.push(r.bitrate_kbps);
@@ -377,7 +377,7 @@ fn fa3(ctx: &mut Ctx) -> Artifacts {
         "FA3",
         "IP/UDP Heuristic frame assignment over one 1-s window (Teams)",
     );
-    let traces = ctx.traces(Corpus::InLab, VcaKind::Teams).to_vec();
+    let traces = ctx.traces(Corpus::InLab, VcaKind::Teams);
     let opts = ctx.opts(VcaKind::Teams);
     let trace = &traces[0];
     // Take the PT-video packets of second 5.
@@ -434,9 +434,9 @@ fn run_method(
     let opts = ctx.opts(vca);
     let set = ctx.samples(corpus, vca, 1);
     if method.is_ml() {
-        eval_ml_regression(set, method, target, &opts)
+        eval_ml_regression(&set, method, target, &opts)
     } else {
-        eval_heuristic(set, method, target)
+        eval_heuristic(&set, method, target)
     }
 }
 
@@ -573,9 +573,9 @@ fn f4(ctx: &mut Ctx) -> Artifacts {
     let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
-        let traces = ctx.traces(Corpus::InLab, vca).to_vec();
+        let traces = ctx.traces(Corpus::InLab, vca);
         let mut total = ErrorCounts::default();
-        for t in &traces {
+        for t in traces.iter() {
             // Per-second windows of PT-video packets.
             let mut by_sec: HashMap<i64, Vec<&TracePacket>> = HashMap::new();
             for p in t.rtp_video_packets() {
@@ -620,7 +620,7 @@ fn f4(ctx: &mut Ctx) -> Artifacts {
 fn f8(ctx: &mut Ctx) -> Artifacts {
     section("F8", "Frame jitter time series for one Meet in-lab trace");
     let opts = ctx.opts(VcaKind::Meet);
-    let set = ctx.samples(Corpus::InLab, VcaKind::Meet, 1).clone();
+    let set = ctx.samples(Corpus::InLab, VcaKind::Meet, 1);
     // Pick the trace with the biggest jitter spike.
     let spike_trace = set
         .samples
@@ -682,7 +682,7 @@ fn importance_figure(
     let mut artifact = Vec::new();
     for &vca in vcas {
         let opts = ctx.opts(vca);
-        let set = ctx.samples(Corpus::InLab, vca, 1).clone();
+        let set = ctx.samples(Corpus::InLab, vca, 1);
         let top = feature_importances(&set, method, target, &opts, 5);
         let rows: Vec<Vec<String>> = top
             .iter()
@@ -801,7 +801,7 @@ fn t3(ctx: &mut Ctx) -> Artifacts {
         let mut row = vec![method.name().to_string()];
         for vca in VcaKind::ALL {
             let opts = ctx.opts(vca);
-            let set = ctx.samples(Corpus::InLab, vca, 1).clone();
+            let set = ctx.samples(Corpus::InLab, vca, 1);
             let acc = eval_ml_resolution(&set, method, &opts)
                 .map_or("n/a".to_string(), |(_, a)| format!("{:.2}%", a * 100.0));
             artifact.push((
@@ -827,7 +827,7 @@ fn resolution_confusion(ctx: &mut Ctx, id: &'static str, corpus: Corpus) -> Arti
         &format!("Teams resolution confusion, IP/UDP ML, {label}"),
     );
     let opts = ctx.opts(VcaKind::Teams);
-    let set = ctx.samples(corpus, VcaKind::Teams, 1).clone();
+    let set = ctx.samples(corpus, VcaKind::Teams, 1);
     match eval_ml_resolution(&set, Method::IpUdpMl, &opts) {
         Some((m, acc)) => {
             println!("{}", m.render());
@@ -877,8 +877,8 @@ fn transfer_table(ctx: &mut Ctx, id: &'static str, target: Target, unit: &str) -
         let mut row = vec![method.name().to_string()];
         for vca in VcaKind::ALL {
             let opts = ctx.opts(vca);
-            let train = ctx.samples(Corpus::InLab, vca, 1).clone();
-            let test = ctx.samples(Corpus::RealWorld, vca, 1).clone();
+            let train = ctx.samples(Corpus::InLab, vca, 1);
+            let test = ctx.samples(Corpus::RealWorld, vca, 1);
             let (p, t) = transfer_regression(&train, &test, method, target, &opts);
             let m = mae(&p, &t);
             artifact.push((format!("{}/{}", method.name(), vca.name()), m.into()));
@@ -983,7 +983,7 @@ fn f12(ctx: &mut Ctx) -> Artifacts {
         let mut per_w = Vec::new();
         let opts = ctx.opts(vca);
         for &w in &windows {
-            let set = ctx.samples(Corpus::InLab, vca, w).clone();
+            let set = ctx.samples(Corpus::InLab, vca, w);
             let (p, t) = eval_ml_regression(&set, Method::IpUdpMl, Target::FrameRate, &opts);
             per_w.push((w, mae(&p, &t)));
         }
@@ -1032,7 +1032,7 @@ fn fa10(ctx: &mut Ctx) -> Artifacts {
     let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
-        let traces = ctx.traces(Corpus::InLab, vca).to_vec();
+        let traces = ctx.traces(Corpus::InLab, vca);
         let mut per_lb = Vec::new();
         for lookback in 1..=10usize {
             let heuristic = HeuristicParams {
@@ -1090,7 +1090,7 @@ pub fn ab1(ctx: &mut Ctx) -> Artifacts {
     let mut rows = Vec::new();
     let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
-        let traces = ctx.traces(Corpus::InLab, vca).to_vec();
+        let traces = ctx.traces(Corpus::InLab, vca);
         let mut row = vec![vca.name().to_string()];
         let mut per_v = Vec::new();
         for &vmin in &vmins {
@@ -1125,7 +1125,7 @@ pub fn ab2(ctx: &mut Ctx) -> Artifacts {
     let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
-        let set = ctx.samples(Corpus::InLab, vca, 1).clone();
+        let set = ctx.samples(Corpus::InLab, vca, 1);
         // Full 14-feature model.
         let (p_full, t_full) = eval_ml_regression(&set, Method::IpUdpMl, Target::FrameRate, &opts);
         let mae_full = mae(&p_full, &t_full);
@@ -1172,7 +1172,7 @@ pub fn ab3(ctx: &mut Ctx) -> Artifacts {
         "IP/UDP ML frame-rate MAE vs forest size (Teams, in-lab)",
     );
     let vca = VcaKind::Teams;
-    let set = ctx.samples(Corpus::InLab, vca, 1).clone();
+    let set = ctx.samples(Corpus::InLab, vca, 1);
     let sizes = [1usize, 5, 10, 20, 40, 80];
     let mut rows = Vec::new();
     let mut artifact = Vec::new();
@@ -1197,7 +1197,7 @@ pub fn ab4(ctx: &mut Ctx) -> Artifacts {
     );
     let vca = VcaKind::Webex;
     let thetas = [500i64, 1_000, 3_000, 5_000, 10_000, 20_000];
-    let traces = ctx.traces(Corpus::InLab, vca).to_vec();
+    let traces = ctx.traces(Corpus::InLab, vca);
     let mut rows = Vec::new();
     let mut artifact = Vec::new();
     for &theta in &thetas {
@@ -1230,7 +1230,7 @@ pub fn ab5(ctx: &mut Ctx) -> Artifacts {
     let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
-        let traces = ctx.traces(Corpus::InLab, vca).to_vec();
+        let traces = ctx.traces(Corpus::InLab, vca);
         let mut row = vec![vca.name().to_string()];
         let mut per_d = Vec::new();
         for &delta in &deltas {
@@ -1271,7 +1271,7 @@ pub fn ab6(ctx: &mut Ctx) -> Artifacts {
     let mut artifact = Vec::new();
     for vca in VcaKind::ALL {
         let opts = ctx.opts(vca);
-        let set = ctx.samples(Corpus::InLab, vca, 1).clone();
+        let set = ctx.samples(Corpus::InLab, vca, 1);
         let mut d = Dataset::new(set.ipudp_names.clone());
         for s in &set.samples {
             d.push(&s.ipudp_features, s.truth.fps);

@@ -323,7 +323,8 @@ pub(super) struct ShardState {
     seen_flush_epoch: u64,
     outbox: Outbox,
     /// Scratch for finalized windows, drained after every engine push
-    /// and kept warm — the per-packet path allocates no report buffer.
+    /// and every seal and kept warm — the per-packet path allocates no
+    /// report buffer.
     reports: Vec<WindowReport>,
     /// Scratch for provisional (max-lag flush) snapshots, same lifecycle.
     snapshots: Vec<WindowReport>,
@@ -547,8 +548,10 @@ impl ShardState {
                 decided
             }
         };
-        let mut final_reports = Vec::new();
-        decided.engine.finish_into(&mut final_reports);
+        // Finish into the warm scratch and move the tail out: it is then
+        // exactly as long as it holds, and an empty tail allocates nothing.
+        decided.engine.finish_into(&mut self.reports);
+        let final_reports = self.reports.drain(..).collect();
         self.outbox.sealed(flow, reason, final_reports);
     }
 

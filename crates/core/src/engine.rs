@@ -317,7 +317,9 @@ pub trait QoeEstimator {
     /// Approximate resident size of this flow's state — the engine value
     /// itself plus owned heap — feeding the monitor's bytes-per-flow
     /// gauge. An attached model's trees are shared by every flow and are
-    /// not counted. Engines that do not account return 0.
+    /// not counted. Engines hold heap only for what their flow carries:
+    /// an IP/UDP Heuristic engine that has seen no video packet reads
+    /// exactly its own size. Engines that do not account return 0.
     fn state_bytes(&self) -> usize {
         0
     }
@@ -589,16 +591,15 @@ use sources::{FeatureSource, FrameSource};
 // ---------------------------------------------------------------------------
 
 /// A streaming heuristic engine: window clock, frame offering, and
-/// safe/final draining over a frame source. Owns two scratch buffers
-/// (sealed frames, drained windows) so the per-packet cycle recycles
-/// capacity instead of allocating.
+/// safe/final draining over a frame source. Owns one scratch buffer
+/// (sealed frames) so the per-packet cycle recycles capacity instead of
+/// allocating; drained windows go straight into the caller's reports.
 pub struct HeuristicDriver<S> {
     source: S,
     clock: WindowClock,
     windower: QoeWindower,
     counts: ArrivalCounts,
     sealed: Vec<(u64, Frame)>,
-    drained: Vec<(u64, QoeEstimate)>,
 }
 
 /// Streaming IP/UDP Heuristic: size-threshold media classification,
@@ -617,7 +618,6 @@ impl<S: FrameSource> HeuristicDriver<S> {
             windower: QoeWindower::new(config.window_secs),
             counts: ArrivalCounts::default(),
             sealed: Vec::new(),
-            drained: Vec::new(),
         }
     }
 
@@ -639,13 +639,13 @@ impl<S: FrameSource> HeuristicDriver<S> {
         self.sealed.clear();
     }
 
-    /// Converts windows drained into `self.drained` to reports, clearing
-    /// the scratch buffer.
-    fn report_drained(&mut self, out: &mut Vec<WindowReport>) {
-        for &(window, estimate) in &self.drained {
-            out.push(Self::report(window, estimate, self.counts.take(window)));
-        }
-        self.drained.clear();
+    /// Emits every window strictly before `safe` as a report into `out`,
+    /// consuming each window's arrival count.
+    fn drain_until(&mut self, safe: u64, out: &mut Vec<WindowReport>) {
+        let counts = &mut self.counts;
+        self.windower.drain_until(safe, |window, estimate| {
+            out.push(Self::report(window, estimate, counts.take(window)));
+        });
     }
 
     fn report(window: u64, estimate: QoeEstimate, video_packets: usize) -> WindowReport {
@@ -665,9 +665,7 @@ impl<S: FrameSource> HeuristicDriver<S> {
         self.source.seal_all_into(&mut self.sealed);
         self.offer_sealed();
         let last_open = self.windower.last_open_window().map_or(0, |w| w + 1);
-        self.windower
-            .drain_until_into((through + 1).max(last_open), &mut self.drained);
-        self.report_drained(out);
+        self.drain_until((through + 1).max(last_open), out);
     }
 }
 
@@ -707,9 +705,7 @@ impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
             .source
             .min_open_end()
             .and_then(|ts| self.clock.window_of(ts));
-        self.windower
-            .drain_until_into(now.min(open_bound.unwrap_or(now)), &mut self.drained);
-        self.report_drained(out);
+        self.drain_until(now.min(open_bound.unwrap_or(now)), out);
     }
 
     fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
@@ -741,7 +737,6 @@ impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
             + self.windower.heap_bytes()
             + self.counts.heap_bytes()
             + self.sealed.capacity() * std::mem::size_of::<(u64, Frame)>()
-            + self.drained.capacity() * std::mem::size_of::<(u64, QoeEstimate)>()
     }
 }
 
@@ -1702,6 +1697,24 @@ mod tests {
         }
     }
 
+    /// A flow that carries no video holds no heap: no frame-assembly
+    /// buffers, no drain scratch, however many windows it reports.
+    #[test]
+    fn ipudp_heuristic_without_video_holds_no_heap() {
+        let mut engine = IpUdpHeuristicEngine::new(config());
+        let bare = std::mem::size_of::<IpUdpHeuristicEngine>();
+        assert_eq!(engine.state_bytes(), bare);
+        let mut reports = Vec::new();
+        for i in 0..400 {
+            let below_vmin = crate::media::DEFAULT_VMIN - 1 - (i % 200) as u16;
+            engine.push_into(&pkt(i * 10_000, below_vmin), &mut reports);
+            assert_eq!(engine.state_bytes(), bare, "after packet {i}");
+        }
+        engine.finish_into(&mut reports);
+        assert_eq!(engine.state_bytes(), bare);
+        assert_eq!(reports.len(), 4, "the flow still reports its windows");
+    }
+
     #[test]
     fn heuristic_engine_matches_batch_exactly() {
         let stream = synthetic_stream(4);
@@ -1722,7 +1735,7 @@ mod tests {
             windower.offer(*id, f);
         }
         let mut batch = Vec::new();
-        windower.drain_until_into(4, &mut batch);
+        windower.drain_until(4, |w, e| batch.push((w, e)));
         assert_eq!(reports.len(), batch.len());
         for (r, (w, b)) in reports.iter().zip(&batch) {
             assert_eq!((r.window, r.estimate.unwrap()), (*w, *b));

@@ -53,7 +53,9 @@ impl Default for HeuristicParams {
 /// IP/UDP Heuristic engine feeds it packet by packet.
 ///
 /// State is O(`lookback`): the lookback set plus at most `lookback + 1`
-/// open frames, independent of stream length.
+/// open frames, independent of stream length. Both buffers are reserved
+/// by the first video packet, so an assembler that never sees one (most
+/// UDP flows on a tap carry no video) holds no heap.
 #[derive(Debug, Clone)]
 pub struct IpUdpAssembler {
     params: HeuristicParams,
@@ -72,8 +74,8 @@ impl IpUdpAssembler {
         assert!(params.lookback >= 1, "lookback must be at least 1");
         IpUdpAssembler {
             params,
-            recent: std::collections::VecDeque::with_capacity(params.lookback + 1),
-            open: Vec::with_capacity(params.lookback + 1),
+            recent: std::collections::VecDeque::new(),
+            open: Vec::new(),
             next_id: 0,
         }
     }
@@ -88,6 +90,12 @@ impl IpUdpAssembler {
     /// overheads per packet, as the paper's bitrate accounting does
     /// (§5.1.3).
     pub fn push_into(&mut self, ts: Timestamp, size: u16, sealed: &mut Vec<(u64, Frame)>) -> u64 {
+        if self.open.capacity() == 0 {
+            // The first video packet: reserve both buffers at their bound,
+            // once, so neither regrows.
+            self.recent.reserve_exact(self.params.lookback + 1);
+            self.open.reserve_exact(self.params.lookback + 1);
+        }
         let payload = usize::from(size).saturating_sub(52).max(1);
         // Compare with up to Nmax previous packets, most recent first.
         let matched = self
@@ -163,7 +171,9 @@ impl IpUdpAssembler {
         out.append(&mut self.open);
     }
 
-    /// Heap bytes currently held, for per-flow memory accounting.
+    /// Heap bytes currently held, for per-flow memory accounting: zero
+    /// until the first video packet, then `lookback + 1` slots in each
+    /// buffer for the rest of the assembler's life.
     pub fn heap_bytes(&self) -> usize {
         self.recent.capacity() * std::mem::size_of::<(u16, u64)>()
             + self.open.capacity() * std::mem::size_of::<(u64, Frame)>()
@@ -318,6 +328,37 @@ mod tests {
         assert_eq!(HeuristicParams::paper(VcaKind::Webex).lookback, 1);
         for v in VcaKind::ALL {
             assert_eq!(HeuristicParams::paper(v).delta_max_size, 2);
+        }
+    }
+
+    #[test]
+    fn buffers_appear_with_the_first_packet_at_their_bound() {
+        for lookback in 1..=4 {
+            let mut asm = IpUdpAssembler::new(HeuristicParams {
+                delta_max_size: 2,
+                lookback,
+            });
+            assert_eq!(
+                asm.heap_bytes(),
+                0,
+                "lookback {lookback}: heap before video"
+            );
+            let mut sealed = Vec::new();
+            asm.push_into(t(0), 1100, &mut sealed);
+            assert_eq!(
+                (asm.recent.capacity(), asm.open.capacity()),
+                (lookback + 1, lookback + 1),
+                "lookback {lookback}"
+            );
+            // Alternating sizes open a frame per packet; nothing regrows.
+            for ms in 1..50 {
+                asm.push_into(t(ms), 700 + (ms % 2) as u16 * 400, &mut sealed);
+            }
+            assert_eq!(
+                (asm.recent.capacity(), asm.open.capacity()),
+                (lookback + 1, lookback + 1),
+                "lookback {lookback}"
+            );
         }
     }
 

@@ -117,8 +117,10 @@ impl QoeWindower {
 
     /// Emits every window strictly before `safe` (consecutive from the
     /// last emission; windows without frames yield zero estimates),
-    /// appending into the caller-owned `out`.
-    pub fn drain_until_into(&mut self, safe: u64, out: &mut Vec<(u64, QoeEstimate)>) {
+    /// handing each `(window, estimate)` to `emit` in window order — the
+    /// caller writes it straight to where it belongs, with no buffer in
+    /// between.
+    pub fn drain_until(&mut self, safe: u64, mut emit: impl FnMut(u64, QoeEstimate)) {
         while self.next_emit < safe {
             let w = self.next_emit;
             let estimate = match self.open.front_mut() {
@@ -137,7 +139,7 @@ impl QoeWindower {
                 }
                 _ => self.empty_estimate(),
             };
-            out.push((w, estimate));
+            emit(w, estimate);
             self.next_emit += 1;
         }
     }
@@ -252,8 +254,8 @@ mod tests {
             }
         }
         let mut out = Vec::new();
-        windower.drain_until_into(n, &mut out);
-        out.into_iter().map(|(_, e)| e).collect()
+        windower.drain_until(n, |_, e| out.push(e));
+        out
     }
 
     fn frame(end_ms: i64, size: usize) -> Frame {

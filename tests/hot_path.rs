@@ -39,7 +39,10 @@
 //! paid per interval of capture time, not per record — and a record it
 //! accepts onto an established flow costs none unless it seals a window. A new flow
 //! under an auto method costs its probation buffer and its `FlowOpened`
-//! event's `Arc`, and the rest of its probation costs nothing.
+//! event's `Arc`, and the rest of its probation costs nothing. A flow
+//! that carries no video costs its boxed engine and one `Arc` per event
+//! from open to seal, plus its tail, which is exact-size for every
+//! sealed flow.
 
 #![allow(
     clippy::expect_used,
@@ -947,4 +950,169 @@ fn probation_allocates_its_buffer_once() {
         "(flow, packet, allocations, events) off contract: {:?}",
         &dirty[..dirty.len().min(8)]
     );
+}
+
+/// What a flow that carries no video costs through the monitor, from its
+/// first packet to its seal: its boxed engine and its `FlowOpened`
+/// event's `Arc` at open, one `Arc` per window report, and its exact-size
+/// tail `Vec` and its `FlowEvicted` event's `Arc` at seal — no
+/// frame-assembly buffers, no drain scratch. Most UDP flows on a tap are
+/// such flows.
+#[test]
+fn non_video_flow_allocates_its_engine_events_and_tail_only() {
+    let mut monitor = Monitor::builder(VcaKind::Teams)
+        .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+        .idle_timeout(Timestamp::from_secs(1))
+        .build();
+    let relay = IpAddr::V4(Ipv4Addr::new(198, 51, 100, 4));
+    let key = |i: u16| {
+        let client = IpAddr::V4(Ipv4Addr::new(10, 9, (i >> 8) as u8, i as u8));
+        FlowKey::canonical(client, 40_000, relay, 3478, 17).0
+    };
+    // Below the paper's Vmin: never video.
+    let packet = |us: i64| TracePacket {
+        ts: Timestamp::from_micros(us),
+        size: 300,
+        rtp: None,
+        truth_media: None,
+    };
+    // Each flow sends every 100 ms for 2.5 s, a new one every 20 ms, so
+    // ≈ 125 are live at once; each reports two windows, then expires on
+    // a later flow's packet with its last window as its tail.
+    let mut feed: Vec<(FlowKey, TracePacket)> = (0..600u16)
+        .flat_map(|i| {
+            let start = i64::from(i) * 20_000;
+            (0..25).map(move |k| (key(i), packet(start + k * 100_000)))
+        })
+        .collect();
+    feed.sort_by_key(|(_, p)| p.ts);
+    // Warm-up: the first 300 flows grow the table, its schedule, the
+    // outbox and the event queue to the steady state's size.
+    let (warmup, steady) =
+        feed.split_at(feed.partition_point(|(_, p)| p.ts.as_micros() < 6_000_000));
+    for (flow, p) in warmup {
+        monitor.ingest_packet(*flow, *p);
+        monitor.drain_shared().for_each(drop);
+    }
+
+    let (mut opened, mut reports, mut sealed, mut dirty) = (0, 0, 0, Vec::new());
+    for (flow, p) in steady {
+        let (allocs, events) = metered(|| {
+            monitor.ingest_packet(*flow, *p);
+            monitor.drain_shared().collect::<Vec<_>>()
+        });
+        // The collected `Vec` is the test's own allocation.
+        let mut want = u64::from(!events.is_empty());
+        for event in &events {
+            match &**event {
+                QoeEvent::FlowOpened { .. } => {
+                    opened += 1;
+                    want += 2;
+                }
+                QoeEvent::WindowReport { report, .. } => {
+                    assert!(report.features.is_none());
+                    reports += 1;
+                    want += 1;
+                }
+                QoeEvent::FlowEvicted { final_reports, .. } => {
+                    assert_eq!(final_reports.len(), 1, "one window left at {:?}", p.ts);
+                    sealed += 1;
+                    want += 2;
+                }
+                other @ (QoeEvent::ParseDrops { .. } | QoeEvent::Dropped { .. }) => {
+                    panic!("unexpected event {other:?}")
+                }
+            }
+        }
+        if allocs != want {
+            dirty.push((p.ts, allocs, want));
+        }
+    }
+    assert!(opened >= 250, "{opened} flows opened in the metered span");
+    assert!(sealed >= 250, "{sealed} flows sealed in the metered span");
+    assert!(
+        reports >= 500,
+        "{reports} windows reported in the metered span"
+    );
+    assert!(
+        dirty.is_empty(),
+        "(time, allocations, expected) off contract: {:?}",
+        &dirty[..dirty.len().min(8)]
+    );
+}
+
+/// A sealed flow's tail is exactly as long as it holds, whether the flow
+/// expired, was decided at its seal, or ended with the stream, for video
+/// and non-video flows alike: `FlowEvicted` events outlive the shard, so
+/// spare capacity in them is heap the consumer pays for.
+#[test]
+fn every_sealed_tail_is_exact_size() {
+    let records = video_flow_records(3);
+    let relay = IpAddr::V4(Ipv4Addr::new(198, 51, 100, 4));
+    let key = |i: u8| {
+        let client = IpAddr::V4(Ipv4Addr::new(10, 9, 0, i));
+        FlowKey::canonical(client, 40_000, relay, 3478, 17).0
+    };
+    for method in [
+        EstimationMethod::Fixed(Method::IpUdpHeuristic),
+        EstimationMethod::AutoHeuristic,
+        EstimationMethod::Fixed(Method::IpUdpMl),
+    ] {
+        let mut monitor = Monitor::builder(VcaKind::Teams)
+            .method(method)
+            .idle_timeout(Timestamp::from_secs(1))
+            .build();
+        let mut events = Vec::new();
+        for record in &records {
+            monitor.ingest_pcap_record(LinkType::Ethernet, record);
+            events.extend(monitor.drain_shared());
+        }
+        // Short flows of a few packets each — video and not — expire on
+        // later flows' packets or wait for the end of stream. A video
+        // flow whose every packet opens a frame and that stops just past a
+        // window boundary leaves the frames open across it, so a
+        // heuristic engine's tail holds both windows.
+        let mut feed = Vec::new();
+        for i in 0..60u8 {
+            let end = 3_560_000 + i64::from(i) * 50_000;
+            for k in 0..i64::from(i % 20) + 1 {
+                let packet = TracePacket {
+                    ts: Timestamp::from_micros(end - k * 40_000),
+                    size: if i % 2 == 0 {
+                        300
+                    } else {
+                        1000 + (k % 3) as u16 * 200
+                    },
+                    rtp: None,
+                    truth_media: None,
+                };
+                feed.push((key(i), packet));
+            }
+        }
+        feed.sort_by_key(|(_, p)| p.ts);
+        for (flow, packet) in feed {
+            monitor.ingest_packet(flow, packet);
+            events.extend(monitor.drain_shared());
+        }
+        events.extend(monitor.finish_shared());
+        let tails: Vec<(usize, usize)> = events
+            .iter()
+            .filter_map(|event| {
+                if let QoeEvent::FlowEvicted { final_reports, .. } = &**event {
+                    Some((final_reports.len(), final_reports.capacity()))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        assert_eq!(tails.len(), 61, "{method:?}: every flow sealed");
+        if !matches!(method, EstimationMethod::Fixed(m) if m.is_ml()) {
+            assert!(
+                tails.iter().any(|&(len, _)| len > 1),
+                "{method:?}: a tail of several windows"
+            );
+        }
+        let loose: Vec<_> = tails.iter().filter(|(len, cap)| len != cap).collect();
+        assert!(loose.is_empty(), "{method:?}: (len, capacity) {loose:?}");
+    }
 }

@@ -318,7 +318,7 @@ fn qoe_windower_agrees_with_estimate_windows() {
             }
         }
         let mut streamed = Vec::new();
-        windower.drain_until_into(n as u64, &mut streamed);
+        windower.drain_until(n as u64, |w, e| streamed.push((w, e)));
         assert_eq!(streamed.len(), batch.len());
         for ((w, s), b) in streamed.iter().zip(&batch) {
             assert_eq!(bits(s), bits(b), "window {w}: {s:?} vs {b:?}");
