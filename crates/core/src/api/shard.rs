@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use vcaml_mlcore::RandomForest;
 use vcaml_netpkt::{FlowKey, Timestamp};
-use vcaml_rtp::PayloadMap;
+use vcaml_rtp::{PayloadMap, RtpHeader, HEADER_LEN};
 
 /// Builds one per-flow engine for a resolved method — the single
 /// construction point for the raw engines (the batch pipeline and the
@@ -138,33 +138,59 @@ struct Reprobe {
     rtp_ok: u32,
 }
 
-/// An auto-method flow's packets, buffered until its method decision.
-/// They live inline, so probation costs a flow one allocation.
+/// An auto-method flow's packets, buffered until its method decision:
+/// what the decision and the engines read, one array per field, so no
+/// slot pads a field out. They live inline, so probation costs a flow
+/// one allocation. `truth_media` is not kept: it is ground truth for
+/// evaluation, and no engine reads it.
 struct Probation {
-    packets: [TracePacket; RTP_PROBATION_PACKETS],
-    len: usize,
-    rtp_ok: usize,
+    ts: [Timestamp; RTP_PROBATION_PACKETS],
+    size: [u16; RTP_PROBATION_PACKETS],
+    /// Each packet's RTP fixed header in wire form; a zero version field
+    /// marks a packet that is not RTP.
+    rtp: [[u8; HEADER_LEN]; RTP_PROBATION_PACKETS],
+    len: u8,
+    rtp_ok: u8,
 }
+
+const _: () = assert!(RTP_PROBATION_PACKETS <= u8::MAX as usize);
 
 impl Probation {
     fn new(first: TracePacket) -> Box<Self> {
-        Box::new(Probation {
-            packets: [first; RTP_PROBATION_PACKETS],
-            len: 1,
-            rtp_ok: usize::from(first.rtp.is_some()),
-        })
+        let mut probation = Box::new(Probation {
+            ts: [Timestamp::ZERO; RTP_PROBATION_PACKETS],
+            size: [0; RTP_PROBATION_PACKETS],
+            rtp: [[0; HEADER_LEN]; RTP_PROBATION_PACKETS],
+            len: 0,
+            rtp_ok: 0,
+        });
+        probation.buffer(first);
+        probation
     }
 
     /// Buffers one more packet; true once the decision is due.
     fn buffer(&mut self, pkt: TracePacket) -> bool {
-        self.packets[self.len] = pkt;
+        let i = usize::from(self.len);
+        self.ts[i] = pkt.ts;
+        self.size[i] = pkt.size;
+        self.rtp[i] = pkt.rtp.map_or([0; HEADER_LEN], |h| h.to_fixed_bytes());
         self.len += 1;
-        self.rtp_ok += usize::from(pkt.rtp.is_some());
-        self.len == RTP_PROBATION_PACKETS
+        self.rtp_ok += u8::from(pkt.rtp.is_some());
+        usize::from(self.len) == RTP_PROBATION_PACKETS
     }
 
     fn confident_rtp(&self) -> bool {
-        self.rtp_ok as f64 / self.len as f64 >= RTP_CONFIDENCE
+        f64::from(self.rtp_ok) / f64::from(self.len) >= RTP_CONFIDENCE
+    }
+
+    /// The buffered packets in arrival order, `truth_media` cleared.
+    fn packets(&self) -> impl Iterator<Item = TracePacket> + '_ {
+        (0..usize::from(self.len)).map(|i| TracePacket {
+            ts: self.ts[i],
+            size: self.size[i],
+            rtp: RtpHeader::from_fixed_bytes(&self.rtp[i]),
+            truth_media: None,
+        })
     }
 }
 
@@ -210,11 +236,11 @@ impl Engines {
         let reprobe = (!confident && self.method.preferred() != method).then(Reprobe::default);
         let mut decided = self.build(method, reprobe);
         // The max-lag accounting sees the replay as one push of N packets.
-        for pkt in &probation.packets[..probation.len] {
-            decided.engine.push_into(pkt, reports);
+        for pkt in probation.packets() {
+            decided.engine.push_into(&pkt, reports);
         }
         decided.note_pushed(
-            probation.len as u32,
+            u32::from(probation.len),
             !reports.is_empty(),
             self.flush_after,
             snapshots,
@@ -643,7 +669,69 @@ impl ShardState {
 
 #[cfg(test)]
 mod tests {
-    use super::TrackedEngine;
+    use super::{Probation, TrackedEngine, RTP_PROBATION_PACKETS};
+    use crate::trace::TracePacket;
+    use vcaml_netpkt::Timestamp;
+    use vcaml_rtp::{MediaKind, RtpHeader};
+
+    /// The compact buffer gives back each packet's timestamp, size and
+    /// RTP header exactly, in order, and only `truth_media` is lost.
+    #[test]
+    fn probation_replays_packets_exactly() {
+        let header = |i: u32| match i % 4 {
+            0 => None,
+            1 => Some(RtpHeader::basic(
+                96,
+                i as u16,
+                90_000 * i,
+                0xdead_beef,
+                false,
+            )),
+            2 => Some(RtpHeader {
+                marker: true,
+                payload_type: 127,
+                sequence: u16::MAX,
+                timestamp: u32::MAX,
+                ssrc: u32::MAX,
+                csrc_count: 15,
+                has_extension: true,
+                has_padding: true,
+            }),
+            _ => Some(RtpHeader {
+                csrc_count: 1,
+                has_extension: true,
+                ..RtpHeader::basic(0, 0, 0, 0, true)
+            }),
+        };
+        let sent: Vec<TracePacket> = (0..RTP_PROBATION_PACKETS as u32)
+            .map(|i| TracePacket {
+                ts: Timestamp::from_micros(i64::from(i) * 1_000 - 5_000),
+                size: [0, 1, 1_200, u16::MAX][i as usize % 4],
+                rtp: header(i),
+                truth_media: Some(MediaKind::Video),
+            })
+            .collect();
+        let mut probation = Probation::new(sent[0]);
+        let due: Vec<bool> = sent[1..].iter().map(|&p| probation.buffer(p)).collect();
+        assert_eq!(due.iter().filter(|&&d| d).count(), 1);
+        assert_eq!(due.last(), Some(&true), "the 16th packet decides");
+        let cleared: Vec<TracePacket> = sent
+            .iter()
+            .map(|&p| TracePacket {
+                truth_media: None,
+                ..p
+            })
+            .collect();
+        assert_eq!(probation.packets().collect::<Vec<_>>(), cleared);
+        assert_eq!(probation.rtp_ok, 12);
+    }
+
+    /// Timestamp, size and the 12-byte RTP header per packet (22 B) and
+    /// two counters; whole 32 B `TracePacket`s would take 528 B per flow.
+    #[test]
+    fn probation_stays_compact() {
+        assert!(std::mem::size_of::<Probation>() <= 360);
+    }
 
     /// A probation buffer held beside the engine instead of boxed would
     /// widen every flow's slab entry (48 B), probation or not.

@@ -36,28 +36,18 @@ impl RtpHeader {
     /// Parses the fixed header from the start of an RTP packet, validating
     /// the version and that CSRCs + extension fit in the buffer.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        if buf.len() < HEADER_LEN {
+        let Some(fixed) = buf.first_chunk::<HEADER_LEN>() else {
             return Err(Error::Truncated {
                 layer: "rtp",
                 needed: HEADER_LEN,
                 got: buf.len(),
             });
-        }
-        if buf[0] >> 6 != 2 {
+        };
+        let Some(hdr) = Self::from_fixed_bytes(fixed) else {
             return Err(Error::Malformed {
                 layer: "rtp",
                 what: "version is not 2",
             });
-        }
-        let hdr = RtpHeader {
-            has_padding: buf[0] & 0x20 != 0,
-            has_extension: buf[0] & 0x10 != 0,
-            csrc_count: buf[0] & 0x0f,
-            marker: buf[1] & 0x80 != 0,
-            payload_type: buf[1] & 0x7f,
-            sequence: u16::from_be_bytes([buf[2], buf[3]]),
-            timestamp: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-            ssrc: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
         };
         // Validate that the declared CSRC list and extension header fit.
         let needed = hdr.payload_offset_unchecked(buf)?;
@@ -69,6 +59,46 @@ impl RtpHeader {
             });
         }
         Ok(hdr)
+    }
+
+    /// Decodes the 12-byte fixed header in wire form; `None` unless the
+    /// version field is 2. The CSRC list and extension that may follow
+    /// are not looked at: [`RtpHeader::parse`] validates those.
+    #[inline]
+    pub fn from_fixed_bytes(fixed: &[u8; HEADER_LEN]) -> Option<Self> {
+        if fixed[0] >> 6 != 2 {
+            return None;
+        }
+        let [b0, b1, s0, s1, t0, t1, t2, t3, c0, c1, c2, c3] = *fixed;
+        Some(RtpHeader {
+            has_padding: b0 & 0x20 != 0,
+            has_extension: b0 & 0x10 != 0,
+            csrc_count: b0 & 0x0f,
+            marker: b1 & 0x80 != 0,
+            payload_type: b1 & 0x7f,
+            sequence: u16::from_be_bytes([s0, s1]),
+            timestamp: u32::from_be_bytes([t0, t1, t2, t3]),
+            ssrc: u32::from_be_bytes([c0, c1, c2, c3]),
+        })
+    }
+
+    /// The fixed header in wire form, version 2, X bit included (unlike
+    /// [`RtpHeader::emit`], which never emits an extension), so
+    /// [`RtpHeader::from_fixed_bytes`] gives back every field. A field
+    /// wider than its wire slot — `payload_type` above 127, `csrc_count`
+    /// above 15 — keeps only the bits the slot holds.
+    #[inline]
+    pub fn to_fixed_bytes(&self) -> [u8; HEADER_LEN] {
+        let mut fixed = [0; HEADER_LEN];
+        fixed[0] = 0x80
+            | (u8::from(self.has_padding) << 5)
+            | (u8::from(self.has_extension) << 4)
+            | (self.csrc_count & 0x0f);
+        fixed[1] = (u8::from(self.marker) << 7) | (self.payload_type & 0x7f);
+        fixed[2..4].copy_from_slice(&self.sequence.to_be_bytes());
+        fixed[4..8].copy_from_slice(&self.timestamp.to_be_bytes());
+        fixed[8..12].copy_from_slice(&self.ssrc.to_be_bytes());
+        fixed
     }
 
     fn payload_offset_unchecked(&self, buf: &[u8]) -> Result<usize> {
@@ -130,11 +160,10 @@ impl RtpHeader {
     pub fn emit(&self, buf: &mut [u8]) {
         assert!(self.payload_type <= 0x7f, "payload type exceeds 7 bits");
         assert!(self.csrc_count <= 15, "too many CSRCs");
-        buf[0] = 0x80 | (u8::from(self.has_padding) << 5) | (self.csrc_count & 0x0f);
-        buf[1] = (u8::from(self.marker) << 7) | self.payload_type;
-        buf[2..4].copy_from_slice(&self.sequence.to_be_bytes());
-        buf[4..8].copy_from_slice(&self.timestamp.to_be_bytes());
-        buf[8..12].copy_from_slice(&self.ssrc.to_be_bytes());
+        let mut fixed = self.to_fixed_bytes();
+        // No extension follows what this writes.
+        fixed[0] &= !0x10;
+        buf[..HEADER_LEN].copy_from_slice(&fixed);
         for i in 0..usize::from(self.csrc_count) {
             buf[HEADER_LEN + i * 4..HEADER_LEN + (i + 1) * 4].fill(0);
         }
@@ -268,6 +297,49 @@ mod tests {
         buf[HEADER_LEN + 1] = 9; // pad length beyond payload
         let parsed = RtpHeader::parse(&buf).unwrap();
         assert!(parsed.payload(&buf).is_err());
+    }
+
+    proptest::proptest! {
+        // The fixed-bytes form is lossless for every header the wire can
+        // carry, the X bit included.
+        #[test]
+        fn fixed_bytes_roundtrip(
+            bits in (
+                proptest::any::<bool>(),
+                proptest::any::<bool>(),
+                proptest::any::<bool>(),
+                0u8..=15,
+            ),
+            payload_type in 0u8..=127,
+            fields in (
+                proptest::any::<u16>(),
+                proptest::any::<u32>(),
+                proptest::any::<u32>(),
+            )
+        ) {
+            let (marker, has_extension, has_padding, csrc_count) = bits;
+            let (sequence, timestamp, ssrc) = fields;
+            let h = RtpHeader {
+                marker,
+                payload_type,
+                sequence,
+                timestamp,
+                ssrc,
+                csrc_count,
+                has_extension,
+                has_padding,
+            };
+            proptest::prop_assert_eq!(RtpHeader::from_fixed_bytes(&h.to_fixed_bytes()), Some(h));
+        }
+
+        // Only version 2 decodes.
+        #[test]
+        fn fixed_bytes_need_version_2(fixed in proptest::any::<[u8; HEADER_LEN]>()) {
+            proptest::prop_assert_eq!(
+                RtpHeader::from_fixed_bytes(&fixed).is_some(),
+                fixed[0] >> 6 == 2
+            );
+        }
     }
 
     #[test]

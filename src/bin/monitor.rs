@@ -146,53 +146,58 @@ struct Args {
 }
 
 fn usage() -> ! {
+    // One literal per line: a `\` continuation would strip the next
+    // line's indentation.
     eprintln!(
-        "usage: monitor (--pcap <file> | --synthetic <secs>) [options]\n\
-         \n\
-         options:\n\
-           --calls <n>          synthetic concurrent calls, at most\n\
-                                {MAX_SYNTHETIC_CALLS} (default 2)\n\
-           --vca <teams|meet|webex>      (default teams)\n\
-           --method <auto|auto-ml|ipudp-heuristic|ipudp-ml|rtp-heuristic|rtp-ml>\n\
-                                (default auto)\n\
-           --window <secs>      prediction window length (default 1)\n\
-           --idle-timeout <secs> evict flows idle this long (default 60)\n\
-           --flush-after <pkts> emit provisional windows after this many\n\
-                                packets without a final one (default off)\n\
-           --alert-fps <fps>    emit an alert line when a window's frame\n\
-                                rate falls below this\n\
-           --threads <n|auto>   shard worker threads (default 1 = inline;\n\
-                                auto = one per available core)\n\
-           --queue-cap <n>      bound on the event queue and per-shard\n\
-                                ingest channels, in events (default 65536)\n\
-           --overflow <block|drop-oldest>\n\
-                                full-queue policy: block producers, or\n\
-                                drop the oldest events and report them\n\
-                                with a dropped marker (default block)\n\
-           --quiet              suppress per-event JSON lines (alerts and\n\
-                                the summary still print)\n\
-           --summary            print an end-of-run per-flow rollup table\n\
-           --stats-every <secs> print a live stats snapshot (JSON, type\n\
-                                \"stats\") to stderr every <secs> seconds\n\
-                                while the run is supervised\n\
-           --pace <speed>       replay the feed in real time at this\n\
-                                speed multiple (1 = wall clock)\n\
-         \n\
-         daemon mode (long-running service):\n\
-           --daemon             bind the operational surface: an\n\
-                                OpenMetrics exporter and a line-protocol\n\
-                                control socket (STATS/FLUSH/EVICT/SET/\n\
-                                SUBSCRIBE/STOP); exits nonzero if a\n\
-                                worker dies\n\
-           --metrics-addr <a>   exporter bind address\n\
-                                (default 127.0.0.1:9464)\n\
-           --control-socket <p> control socket as a Unix path (preferred)\n\
-           --control-addr <a>   control socket as a TCP address\n\
-                                (default 127.0.0.1:9465 when no Unix\n\
-                                path is given)\n\
-         \n\
-         accuracy regressions are gated by the impairment-grid harness:\n\
-         see `vcaml-scenario --help`"
+        concat!(
+            "usage: monitor (--pcap <file> | --synthetic <secs>) [options]\n",
+            "\n",
+            "options:\n",
+            "  --calls <n>          synthetic concurrent calls, at most\n",
+            "                       {max_calls} (default 2)\n",
+            "  --vca <teams|meet|webex>      (default teams)\n",
+            "  --method <auto|auto-ml|ipudp-heuristic|ipudp-ml|rtp-heuristic|rtp-ml>\n",
+            "                       (default auto)\n",
+            "  --window <secs>      prediction window length (default 1)\n",
+            "  --idle-timeout <secs> evict flows idle this long (default 60)\n",
+            "  --flush-after <pkts> emit provisional windows after this many\n",
+            "                       packets without a final one (default off)\n",
+            "  --alert-fps <fps>    emit an alert line when a window's frame\n",
+            "                       rate falls below this\n",
+            "  --threads <n|auto>   shard worker threads (default 1 = inline;\n",
+            "                       auto = one per available core)\n",
+            "  --queue-cap <n>      bound on the event queue and per-shard\n",
+            "                       ingest channels, in events (default 65536)\n",
+            "  --overflow <block|drop-oldest>\n",
+            "                       full-queue policy: block producers, or\n",
+            "                       drop the oldest events and report them\n",
+            "                       with a dropped marker (default block)\n",
+            "  --quiet              suppress per-event JSON lines (alerts and\n",
+            "                       the summary still print)\n",
+            "  --summary            print an end-of-run per-flow rollup table\n",
+            "  --stats-every <secs> print a live stats snapshot (JSON, type\n",
+            "                       \"stats\") to stderr every <secs> seconds\n",
+            "                       while the run is supervised\n",
+            "  --pace <speed>       replay the feed in real time at this\n",
+            "                       speed multiple (1 = wall clock)\n",
+            "\n",
+            "daemon mode (long-running service):\n",
+            "  --daemon             bind the operational surface: an\n",
+            "                       OpenMetrics exporter and a line-protocol\n",
+            "                       control socket (STATS/FLUSH/EVICT/SET/\n",
+            "                       SUBSCRIBE/STOP); exits nonzero if a\n",
+            "                       worker dies\n",
+            "  --metrics-addr <a>   exporter bind address\n",
+            "                       (default 127.0.0.1:9464)\n",
+            "  --control-socket <p> control socket as a Unix path (preferred)\n",
+            "  --control-addr <a>   control socket as a TCP address\n",
+            "                       (default 127.0.0.1:9465 when no Unix\n",
+            "                       path is given)\n",
+            "\n",
+            "accuracy regressions are gated by the impairment-grid harness:\n",
+            "see `vcaml-scenario --help`",
+        ),
+        max_calls = MAX_SYNTHETIC_CALLS,
     );
     std::process::exit(2)
 }

@@ -893,11 +893,13 @@ fn expiring_an_idle_flow_allocates_its_tail_and_event_only() {
 }
 
 /// RTP-confidence probation on the accept path. An auto-method flow's
-/// first packet allocates its boxed packet buffer and its `FlowOpened`
-/// event's `Arc`, and nothing else: the flow table's entry slab, probe
-/// table and deadline schedule have room from earlier flows. Packets 2
-/// to 15 only fill the buffer; the 16th decides the method and builds the
-/// engine, which is not metered here.
+/// first packet allocates its boxed packet buffer (a timestamp, a size
+/// and a 12-byte RTP header per packet, in one array per field, sized
+/// for all 16 up front) and its `FlowOpened` event's `Arc`, and nothing
+/// else: the flow table's entry slab, probe table and deadline schedule
+/// have room from earlier flows. Packets 2 to 15 only fill the buffer;
+/// the 16th decides the method and builds the engine, which is not
+/// metered here.
 #[test]
 fn probation_allocates_its_buffer_once() {
     let mut monitor = Monitor::builder(VcaKind::Teams)

@@ -7,6 +7,7 @@
 //!   that is not a number, a zero window, no calls or more calls than
 //!   client ports — exits 2 with usage on stderr and never reaches an
 //!   assert further in;
+//! * `--help` keeps the usage's indentation;
 //! * a fixed synthetic run prints the same bytes under every `--method`
 //!   as the digests recorded here, and on two shard workers as inline.
 
@@ -59,6 +60,44 @@ fn bad_input_exits_2_with_usage_not_a_panic() {
         assert!(stderr.contains("usage:"), "{command_line}: {stderr}");
         assert!(!stderr.contains("panicked"), "{command_line}: {stderr}");
     }
+}
+
+/// `--help` prints the usage with its layout: every line of the two
+/// option lists is an indented flag or a continuation indented further, and
+/// `--calls`' limit sits on such a continuation line.
+#[test]
+fn help_keeps_its_indentation() {
+    let out = monitor("--help");
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    let mut in_section = false;
+    let mut continuations = 0;
+    for line in usage.lines() {
+        if line.is_empty() {
+            in_section = false;
+        } else if in_section {
+            let continued = line.starts_with(&" ".repeat(4));
+            assert!(
+                line.starts_with("  --") || continued,
+                "flush-left line in an option list: {line:?}\n{usage}"
+            );
+            continuations += usize::from(continued);
+        } else {
+            in_section = line == "options:" || line.starts_with("daemon mode");
+        }
+    }
+    assert!(
+        continuations >= 20,
+        "{continuations} continuation lines\n{usage}"
+    );
+    let limit = usage
+        .lines()
+        .find(|l| l.contains("13716"))
+        .expect("--calls names its limit");
+    assert!(
+        limit.starts_with(&" ".repeat(4)) && limit.trim_start().starts_with("13716"),
+        "--calls' limit line: {limit:?}"
+    );
 }
 
 /// 64-bit FNV-1a: a digest of the whole stdout, so a refactor that moves
