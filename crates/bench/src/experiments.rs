@@ -189,7 +189,8 @@ fn f1(ctx: &mut Ctx) -> Artifacts {
 fn truth_frames_sizes(trace: &Trace) -> Vec<Vec<u16>> {
     let mut frames: Vec<(u32, Vec<u16>)> = Vec::new();
     for p in trace.rtp_video_packets() {
-        let ts = p.rtp.unwrap().timestamp;
+        let Some(h) = p.rtp else { continue };
+        let ts = h.timestamp;
         match frames.iter_mut().rev().take(8).find(|(t, _)| *t == ts) {
             Some((_, v)) => v.push(p.size),
             None => frames.push((ts, vec![p.size])),
@@ -208,16 +209,16 @@ fn f2(ctx: &mut Ctx) -> Artifacts {
     let mut inter = Vec::new();
     for t in traces.iter() {
         let frames = truth_frames_sizes(t);
-        for f in &frames {
-            if f.len() >= 2 {
-                let lo = *f.iter().min().unwrap();
-                let hi = *f.iter().max().unwrap();
-                intra.push(f64::from(hi - lo));
-            }
+        for f in frames.iter().filter(|f| f.len() >= 2) {
+            let (Some(&lo), Some(&hi)) = (f.iter().min(), f.iter().max()) else {
+                continue;
+            };
+            intra.push(f64::from(hi - lo));
         }
         for w in frames.windows(2) {
-            let last = *w[0].last().unwrap();
-            let first = w[1][0];
+            let (Some(&last), Some(&first)) = (w[0].last(), w[1].first()) else {
+                continue;
+            };
             inter.push(f64::from(last.abs_diff(first)));
         }
     }
@@ -391,7 +392,8 @@ fn fa3(ctx: &mut Ctx) -> Artifacts {
     let mut rows = Vec::new();
     let mut artifact = Vec::new();
     for (i, p) in pkts.iter().enumerate().take(24) {
-        let (size, ts) = (p.size, p.rtp.unwrap().timestamp);
+        let Some(h) = p.rtp else { continue };
+        let (size, ts) = (p.size, h.timestamp);
         let ts_id = match ts_ids.iter().position(|&t| t == ts) {
             Some(p) => p + 1,
             None => {
@@ -586,6 +588,10 @@ fn f4(ctx: &mut Ctx) -> Artifacts {
                     continue;
                 }
                 let (_, ids) = ipudp_frames(opts.engine.heuristic, pkts.iter().copied());
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "rtp_video_packets yields RTP packets only, and `st` must stay aligned with `ids`"
+                )]
                 let st: Vec<(u16, u32)> = pkts
                     .iter()
                     .map(|p| (p.size, p.rtp.unwrap().timestamp))
@@ -622,6 +628,10 @@ fn f8(ctx: &mut Ctx) -> Artifacts {
     let opts = ctx.opts(VcaKind::Meet);
     let set = ctx.samples(Corpus::InLab, VcaKind::Meet, 1);
     // Pick the trace with the biggest jitter spike.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the in-lab corpus always holds samples; an empty one is a broken corpus"
+    )]
     let spike_trace = set
         .samples
         .iter()
@@ -1014,8 +1024,8 @@ fn heuristic_fps_vs_truth(config: EngineConfig, traces: &[Trace]) -> (Vec<f64>, 
     for t in traces {
         let reports = replay(&mut IpUdpHeuristicEngine::new(config), t, 1);
         for r in &t.truth {
-            if let Some(report) = reports.get(r.second as usize) {
-                preds.push(report.estimate.unwrap().fps);
+            if let Some(e) = reports.get(r.second as usize).and_then(|r| r.estimate) {
+                preds.push(e.fps);
                 truths.push(r.fps);
             }
         }
@@ -1380,7 +1390,8 @@ pub fn am1(ctx: &mut Ctx) -> Artifacts {
         let reports = replay_packets(&mut engine, &trace.packets, 20, 1);
         let stable: Vec<f64> = reports[5..]
             .iter()
-            .map(|r| r.estimate.unwrap().fps)
+            .filter_map(|r| r.estimate)
+            .map(|e| e.fps)
             .collect();
         let agg_fps = stable.iter().sum::<f64>() / stable.len() as f64;
         let ipudp_n = estimate_participants_ipudp(agg_fps, 30.0);

@@ -13,12 +13,6 @@
 //! samples, [`errors`] is the heuristic error taxonomy of Fig. 4, and
 //! [`modes`] the application-mode analysis of §7.
 
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    reason = "the experiment harness fails fast: a broken corpus invariant is fatal here"
-)]
-
 pub mod ctx;
 pub mod errors;
 pub mod experiments;

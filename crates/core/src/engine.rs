@@ -191,53 +191,6 @@ pub const MAX_WINDOW_GAP: u64 = 4_096;
 /// before an engine re-anchors to it (see [`MAX_WINDOW_GAP`]).
 pub const DISCONTINUITY_CORROBORATION: u32 = 3;
 
-/// Verdict for one packet's window index against the flow's clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GapVerdict {
-    /// Within the bounded gap: process normally.
-    Normal,
-    /// Quarantined outlier: drop the packet.
-    Drop,
-    /// Corroborated discontinuity: flush, skip, and re-anchor at this
-    /// packet's window.
-    Reanchor,
-}
-
-/// Shared quarantine logic for far-future timestamp jumps.
-#[derive(Debug, Clone, Copy, Default)]
-struct GapGuard {
-    /// `(first suspect window, corroborating packets seen)`.
-    suspect: Option<(u64, u32)>,
-}
-
-impl GapGuard {
-    /// Checks window `w` against a started flow's clock.
-    fn check(&mut self, clock: u64, w: u64) -> GapVerdict {
-        if w.abs_diff(clock) <= MAX_WINDOW_GAP {
-            // Near the established epoch: any earlier outlier was corrupt.
-            self.suspect = None;
-            return GapVerdict::Normal;
-        }
-        match self.suspect {
-            Some((epoch, seen)) if w.abs_diff(epoch) <= MAX_WINDOW_GAP => {
-                if seen + 1 >= DISCONTINUITY_CORROBORATION {
-                    self.suspect = None;
-                    GapVerdict::Reanchor
-                } else {
-                    self.suspect = Some((epoch, seen + 1));
-                    GapVerdict::Drop
-                }
-            }
-            // First suspect, or a jump that does not cluster with the
-            // previous suspect (random corruption): restart quarantine.
-            _ => {
-                self.suspect = Some((w, 1));
-                GapVerdict::Drop
-            }
-        }
-    }
-}
-
 /// One finalized prediction window from an engine.
 ///
 /// Stability: stable — re-exported from the crate root as part of the
@@ -351,48 +304,6 @@ impl<T: QoeEstimator + ?Sized> QoeEstimator for Box<T> {
     }
 }
 
-/// Tracks per-window video-packet counts for reporting. A flow holds
-/// counts for at most a handful of pending windows, so a small sorted
-/// vector beats a tree map: no per-entry allocation, and the common bump
-/// (newest window) is a one-element scan from the back.
-#[derive(Debug, Clone, Default)]
-struct ArrivalCounts {
-    /// `(window, count)` in ascending window order.
-    counts: Vec<(u64, usize)>,
-}
-
-impl ArrivalCounts {
-    fn bump(&mut self, window: u64) {
-        match self.counts.binary_search_by_key(&window, |&(w, _)| w) {
-            Ok(i) => self.counts[i].1 += 1,
-            Err(i) => self.counts.insert(i, (window, 1)),
-        }
-    }
-
-    fn take(&mut self, window: u64) -> usize {
-        match self.counts.binary_search_by_key(&window, |&(w, _)| w) {
-            Ok(i) => self.counts.remove(i).1,
-            Err(_) => 0,
-        }
-    }
-
-    fn peek(&self, window: u64) -> usize {
-        match self.counts.binary_search_by_key(&window, |&(w, _)| w) {
-            Ok(i) => self.counts[i].1,
-            Err(_) => 0,
-        }
-    }
-
-    /// Drops all counts in place, retaining capacity.
-    fn clear(&mut self) {
-        self.counts.clear();
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.counts.capacity() * std::mem::size_of::<(u64, usize)>()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The window clock
 // ---------------------------------------------------------------------------
@@ -419,14 +330,16 @@ enum Tick {
 /// capture starts reporting at that hour's window instead of emitting
 /// thousands of empty windows from t = 0. Replay fills any leading gap
 /// explicitly, so batch outputs are unaffected. The clock reads the
-/// highest window a packet has landed in; far jumps go through the
-/// [`GapGuard`] quarantine.
+/// highest window a packet has landed in; far jumps are quarantined (see
+/// [`MAX_WINDOW_GAP`]).
 struct WindowClock {
     window_us: i64,
     /// The highest window seen (the new epoch's after a re-anchor).
     now: u64,
     started: bool,
-    gap: GapGuard,
+    /// A far jump under quarantine: `(first suspect window, corroborating
+    /// packets seen)`.
+    suspect: Option<(u64, u32)>,
     /// Bounds of window `now` (`lo > hi` until the first packet).
     /// Consecutive packets overwhelmingly land in it, so the common
     /// lookup is two compares instead of an `i64` division.
@@ -440,7 +353,7 @@ impl WindowClock {
             window_us: config.window_us(),
             now: 0,
             started: false,
-            gap: GapGuard::default(),
+            suspect: None,
             lo: 1,
             hi: 0,
         }
@@ -482,9 +395,9 @@ impl WindowClock {
         let us = ts.as_micros();
         if us >= self.lo && us < self.hi {
             // Inside window `now` (started is implied: the bounds are
-            // empty until the first packet). An in-window packet is a
-            // Normal verdict, which clears any quarantine streak.
-            self.gap.suspect = None;
+            // empty until the first packet): near the epoch, so any earlier
+            // outlier was corrupt.
+            self.suspect = None;
             return Some(Tick::Step {
                 w: self.now,
                 from: self.now,
@@ -500,19 +413,28 @@ impl WindowClock {
             return Some(Tick::Start(w));
         }
         let from = self.now;
-        match self.gap.check(from, w) {
-            GapVerdict::Drop => None,
-            GapVerdict::Reanchor => {
+        if w.abs_diff(from) <= MAX_WINDOW_GAP {
+            // Near the established epoch: any earlier outlier was corrupt.
+            self.suspect = None;
+            if w > from {
                 self.move_to(w);
-                Some(Tick::Reanchor { w, from })
             }
-            GapVerdict::Normal => {
-                if w > from {
-                    self.move_to(w);
-                }
-                Some(Tick::Step { w, from })
-            }
+            return Some(Tick::Step { w, from });
         }
+        // A far jump is dropped until enough packets cluster near one new
+        // epoch; one that does not cluster with the previous suspect
+        // (random corruption) restarts the quarantine.
+        let (epoch, seen) = match self.suspect {
+            Some((epoch, seen)) if w.abs_diff(epoch) <= MAX_WINDOW_GAP => (epoch, seen + 1),
+            _ => (w, 1),
+        };
+        if seen < DISCONTINUITY_CORROBORATION {
+            self.suspect = Some((epoch, seen));
+            return None;
+        }
+        self.suspect = None;
+        self.move_to(w);
+        Some(Tick::Reanchor { w, from })
     }
 }
 
@@ -598,7 +520,6 @@ pub struct HeuristicDriver<S> {
     source: S,
     clock: WindowClock,
     windower: QoeWindower,
-    counts: ArrivalCounts,
     sealed: Vec<(u64, Frame)>,
 }
 
@@ -616,36 +537,25 @@ impl<S: FrameSource> HeuristicDriver<S> {
             source,
             clock: WindowClock::new(config),
             windower: QoeWindower::new(config.window_secs),
-            counts: ArrivalCounts::default(),
             sealed: Vec::new(),
         }
     }
 
     /// Offers freshly sealed frames from `self.sealed` to the windower,
-    /// clearing the scratch buffer. A frame ending in a window already
-    /// emitted (the capture clock stepped back) has nowhere to go and is
-    /// dropped.
+    /// clearing the scratch buffer.
     fn offer_sealed(&mut self) {
-        let next = self.windower.next_window();
         for &(id, ref frame) in &self.sealed {
-            if self
-                .clock
-                .window_of(frame.end_ts)
-                .is_some_and(|w| w >= next)
-            {
-                self.windower.offer(id, frame);
+            if let Some(w) = self.clock.window_of(frame.end_ts) {
+                self.windower.offer(w, id, frame);
             }
         }
         self.sealed.clear();
     }
 
-    /// Emits every window strictly before `safe` as a report into `out`,
-    /// consuming each window's arrival count.
+    /// Emits every window strictly before `safe` as a report into `out`.
     fn drain_until(&mut self, safe: u64, out: &mut Vec<WindowReport>) {
-        let counts = &mut self.counts;
-        self.windower.drain_until(safe, |window, estimate| {
-            out.push(Self::report(window, estimate, counts.take(window)));
-        });
+        self.windower
+            .drain_until(safe, |w, e, packets| out.push(Self::report(w, e, packets)));
     }
 
     fn report(window: u64, estimate: QoeEstimate, video_packets: usize) -> WindowReport {
@@ -678,24 +588,20 @@ impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
         let w = match self.clock.tick(pkt.ts) {
             None => return,
             Some(Tick::Start(w)) => {
-                self.windower.start_at(w);
+                self.windower.anchor(w);
                 w
             }
             Some(Tick::Step { w, .. }) => w,
             Some(Tick::Reanchor { w, from }) => {
                 // Flush everything pending at the old epoch before
-                // jumping, so window counts are consumed at their own
-                // indices.
+                // jumping, so windows are emitted at their own indices.
                 self.flush_through(from, out);
-                self.counts.clear();
-                self.windower.skip_to(w);
+                self.windower.anchor(w);
                 w
             }
         };
-        // A packet behind the emitted windows has no window left to count
-        // in.
-        if self.source.accept_into(pkt, &mut self.sealed) && w >= self.windower.next_window() {
-            self.counts.bump(w);
+        if self.source.accept_into(pkt, &mut self.sealed) {
+            self.windower.count(w);
         }
         self.offer_sealed();
         // Emit every window arrivals have moved past that no still-open
@@ -725,17 +631,16 @@ impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
         let Some(now) = self.clock.now() else {
             return;
         };
-        out.extend(
-            (self.windower.next_window()..=now)
-                .map(|w| Self::report(w, self.windower.peek(w), self.counts.peek(w))),
-        );
+        out.extend((self.windower.next_window()..=now).map(|w| {
+            let (estimate, packets) = self.windower.peek(w);
+            Self::report(w, estimate, packets)
+        }));
     }
 
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.source.heap_bytes()
             + self.windower.heap_bytes()
-            + self.counts.heap_bytes()
             + self.sealed.capacity() * std::mem::size_of::<(u64, Frame)>()
     }
 }
@@ -1715,6 +1620,17 @@ mod tests {
         assert_eq!(reports.len(), 4, "the flow still reports its windows");
     }
 
+    /// The heuristic engines' own sizes, which every such flow's table
+    /// slot holds before it carries anything.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn heuristic_engines_stay_small() {
+        let ipudp = std::mem::size_of::<IpUdpHeuristicEngine>();
+        assert!(ipudp <= 248, "IpUdpHeuristicEngine is {ipudp} B");
+        let rtp = std::mem::size_of::<RtpHeuristicEngine>();
+        assert!(rtp <= 208, "RtpHeuristicEngine is {rtp} B");
+    }
+
     #[test]
     fn heuristic_engine_matches_batch_exactly() {
         let stream = synthetic_stream(4);
@@ -1732,10 +1648,10 @@ mod tests {
         asm.finish_into(&mut frames);
         let mut windower = QoeWindower::new(1);
         for (id, f) in &frames {
-            windower.offer(*id, f);
+            windower.offer(f.end_ts.second_index() as u64, *id, f);
         }
         let mut batch = Vec::new();
-        windower.drain_until(4, |w, e| batch.push((w, e)));
+        windower.drain_until(4, |w, e, _| batch.push((w, e)));
         assert_eq!(reports.len(), batch.len());
         for (r, (w, b)) in reports.iter().zip(&batch) {
             assert_eq!((r.window, r.estimate.unwrap()), (*w, *b));
@@ -1998,20 +1914,6 @@ mod tests {
         assert_step_back_keeps_emitted_windows(|| RtpHeuristicEngine::new(config(), map));
         assert_step_back_keeps_emitted_windows(|| IpUdpMlEngine::new(config()));
         assert_step_back_keeps_emitted_windows(|| RtpMlEngine::new(config(), map));
-        // A heuristic engine keeps no arrival count for a window it
-        // already emitted.
-        let mut engine = IpUdpHeuristicEngine::new(config());
-        let mut out = Vec::new();
-        for p in &[video_frames(0, 90, 0), video_frames(90, 15, 1_000_000)].concat() {
-            engine.push_into(p, &mut out);
-        }
-        let next = engine.windower.next_window();
-        assert!(next >= 2, "windows 0 and 1 were emitted");
-        assert!(
-            engine.counts.counts.iter().all(|&(w, _)| w >= next),
-            "{:?} behind window {next}",
-            engine.counts.counts
-        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! This file is where the contract is held; no static rule shadows it.
 //! Seeding an allocation into each per-packet function makes a test here
 //! fail, except in two that no non-sealing packet reaches and so need
-//! no case: `ArrivalCounts::take` / `peek` run only when a report is
-//! built.
+//! no case: `QoeWindower::drain_until`'s emission and `peek` run only
+//! when a report is built.
 //!
 //! Every engine runs under [`EngineConfig::paper`], the configuration
 //! `MonitorBuilder::new` ships. The ML engines keep per-window value logs

@@ -310,15 +310,13 @@ fn qoe_windower_agrees_with_estimate_windows() {
         let batch = estimate_windows(&frames, n, 1);
         let mut windower = QoeWindower::new(1);
         for (id, f) in frames.iter().enumerate() {
-            if windower
-                .window_of(f.end_ts)
-                .is_some_and(|w| (w as usize) < n)
-            {
-                windower.offer(id as u64, f);
+            let w = f.end_ts.second_index();
+            if (0..n as i64).contains(&w) {
+                windower.offer(w as u64, id as u64, f);
             }
         }
         let mut streamed = Vec::new();
-        windower.drain_until(n as u64, |w, e| streamed.push((w, e)));
+        windower.drain_until(n as u64, |w, e, _| streamed.push((w, e)));
         assert_eq!(streamed.len(), batch.len());
         for ((w, s), b) in streamed.iter().zip(&batch) {
             assert_eq!(bits(s), bits(b), "window {w}: {s:?} vs {b:?}");
