@@ -222,15 +222,10 @@ impl Clone for QoeEvent {
 }
 
 impl QoeEvent {
-    /// Machine-readable event tag (the `type` field of the JSON form).
+    /// Machine-readable event tag (the `type` field of the JSON form):
+    /// its kind's [`EventKind::name`](crate::bus::EventKind::name).
     pub fn tag(&self) -> &'static str {
-        match self {
-            QoeEvent::FlowOpened { .. } => "flow_opened",
-            QoeEvent::WindowReport { .. } => "window_report",
-            QoeEvent::FlowEvicted { .. } => "flow_evicted",
-            QoeEvent::ParseDrops { .. } => "parse_drop",
-            QoeEvent::Dropped { .. } => "dropped",
-        }
+        self.kind().name()
     }
 
     /// One compact JSON object per event — the JSON-lines form consumed

@@ -80,9 +80,9 @@ impl EventKind {
         }
     }
 
-    /// Stable machine-readable name — the same tag
-    /// [`QoeEvent::tag`](crate::api::QoeEvent::tag) puts in JSON lines,
-    /// reused by the control-socket filter grammar.
+    /// Stable machine-readable name — the tag
+    /// [`QoeEvent::tag`](crate::api::QoeEvent::tag) returns for JSON
+    /// lines, reused by the control-socket filter grammar.
     pub fn name(self) -> &'static str {
         match self {
             EventKind::FlowOpened => "flow_opened",

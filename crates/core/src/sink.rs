@@ -80,21 +80,7 @@ pub trait EventSink {
     }
 }
 
-impl EventSink for Box<dyn EventSink> {
-    fn on_event(&mut self, event: &Arc<QoeEvent>) {
-        (**self).on_event(event);
-    }
-
-    fn flush(&mut self) {
-        (**self).flush();
-    }
-
-    fn is_closed(&self) -> bool {
-        (**self).is_closed()
-    }
-}
-
-impl EventSink for Box<dyn EventSink + Send> {
+impl<S: EventSink + ?Sized> EventSink for Box<S> {
     fn on_event(&mut self, event: &Arc<QoeEvent>) {
         (**self).on_event(event);
     }
@@ -618,6 +604,23 @@ mod tests {
         for line in &chunks.0 {
             assert!(line.starts_with(b"{\"type\":\"alert\",") && line.ends_with(b"}\n"));
         }
+    }
+
+    #[test]
+    fn boxed_sinks_forward_to_their_contents() {
+        fn deliver(mut sink: impl EventSink) -> bool {
+            sink.on_event(&opened(1));
+            sink.flush();
+            sink.is_closed()
+        }
+        let (sink, rx) = ChannelSink::bounded(4);
+        let boxed: Box<dyn EventSink> = Box::new(sink);
+        assert!(!deliver(boxed));
+        assert_eq!(rx.recv().expect("delivered").tag(), "flow_opened");
+        let (sink, rx) = ChannelSink::bounded(4);
+        drop(rx);
+        let boxed: Box<dyn EventSink + Send> = Box::new(sink);
+        assert!(deliver(boxed), "a closed sink reads closed through its box");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   cell (§5.4);
 //! * [`convert`] — [`vcaml_vcasim::SessionTrace`] → [`vcaml::Trace`]
 //!   adaptation;
-//! * [`oracle`] — whole-trace batch forms of the heuristics and of
-//!   end-time windowing: the references parity tests hold the streaming
-//!   engines to, and the frame ids the Fig 4 error taxonomy reads.
+//! * [`oracle`] — whole-trace batch forms of the heuristics, of
+//!   end-time windowing and of the ML features: the references parity
+//!   tests hold the streaming engines to, and the frame ids the Fig 4
+//!   error taxonomy reads.
 //!
 //! All corpora are deterministic given their seed.
 
@@ -22,7 +23,9 @@ pub mod convert;
 pub mod inlab;
 pub mod oracle;
 pub mod realworld;
+mod semantics;
 pub mod sweeps;
+mod window;
 
 pub use convert::to_core_trace;
 pub use inlab::inlab_corpus;

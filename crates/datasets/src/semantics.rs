@@ -7,14 +7,12 @@
 //! * `# microbursts` — a frame is transmitted as a back-to-back burst; a
 //!   new burst starts whenever the inter-arrival gap reaches the threshold
 //!   `θ_IAT`.
+//!
+//! Slice forms over one window, part of the [`crate::oracle`] references,
+//! which re-export them.
 
 use crate::window::PktObs;
 use std::collections::HashSet;
-
-/// Default microburst inter-arrival threshold: 3 ms. Intra-frame gaps are
-/// sub-millisecond at the sender and stay small after the bottleneck;
-/// inter-frame gaps at ≤30 fps are ≥33 ms.
-pub const DEFAULT_THETA_IAT_US: i64 = 3_000;
 
 /// Number of distinct packet sizes in the window.
 pub fn unique_sizes(pkts: &[PktObs]) -> f64 {
@@ -41,6 +39,9 @@ pub fn microbursts(pkts: &[PktObs], theta_iat_us: i64) -> f64 {
 mod tests {
     use super::*;
     use vcaml_netpkt::Timestamp;
+
+    /// The engines' default θ: 3 ms.
+    const DEFAULT_THETA_IAT_US: i64 = 3_000;
 
     fn p(us: i64, size: u16) -> PktObs {
         PktObs {

@@ -1,6 +1,8 @@
-//! Windowing: slicing a packet stream into the prediction windows `W`
+//! Windowing: slicing a packet list into the prediction windows `W`
 //! over which QoE is estimated (§2.2; default 1 second, swept in Fig. 12).
+//! Part of the [`crate::oracle`] references, which re-export it.
 
+use vcaml::engine::MAX_WINDOW_GAP;
 use vcaml_netpkt::Timestamp;
 
 /// The minimal per-packet observation every IP/UDP method consumes.
@@ -12,26 +14,17 @@ pub struct PktObs {
     pub size: u16,
 }
 
-/// How far past the nominal duration [`windows_by_second`] will extend
-/// for late packets before treating a timestamp as corrupt. Bounds the
-/// allocation a single bad timestamp can trigger, and matches the
-/// streaming engine's `MAX_WINDOW_GAP` so batch and streaming accept the
-/// same late packets (the engine anchors its bound at the last packet's
-/// window rather than the nominal duration, so inputs more than this far
-/// beyond *both* anchors are treated as corrupt by both paths).
-pub const MAX_EXTRA_WINDOWS: usize = 4_096;
-
 /// Groups packets into consecutive fixed-length windows starting at t = 0.
 ///
 /// Returns at least `ceil(duration_secs / window_secs)` entries; window
 /// index `i` always corresponds to time `[i·w, (i+1)·w)` and windows with
 /// no packets are empty vectors. Packets whose timestamps fall **at or
 /// beyond** `duration_secs` extend the output with additional windows
-/// (up to [`MAX_EXTRA_WINDOWS`] past the nominal count) rather than being
-/// silently dropped, so batch window counts agree with a streaming replay
-/// of the same input (callers that want exactly the nominal duration can
-/// truncate). Timestamps beyond the extension bound are treated as
-/// corrupt and dropped.
+/// rather than being silently dropped, so batch window counts agree with
+/// a streaming replay of the same input (callers that want exactly the
+/// nominal duration can truncate). Timestamps more than the engines' [`MAX_WINDOW_GAP`]
+/// windows past the nominal count are treated as corrupt and dropped,
+/// which bounds the allocation one bad timestamp can trigger.
 ///
 /// Packets with negative timestamps are outside every window and are
 /// dropped — the same normalization the streaming engine applies (capture
@@ -46,7 +39,7 @@ pub fn windows_by_second(
 ) -> Vec<Vec<PktObs>> {
     assert!(window_secs > 0, "zero window");
     let n_windows = duration_secs.div_ceil(window_secs) as usize;
-    let max_windows = n_windows.saturating_add(MAX_EXTRA_WINDOWS);
+    let max_windows = n_windows.saturating_add(MAX_WINDOW_GAP as usize);
     let mut out: Vec<Vec<PktObs>> = vec![Vec::new(); n_windows];
     let w_us = i64::from(window_secs) * 1_000_000;
     for p in pkts {
@@ -119,7 +112,7 @@ mod tests {
         // gigabyte-scale resize; it is dropped as corrupt.
         let pkts = vec![p(0, 1), p(4_000_000_000_000, 2)];
         let w = windows_by_second(&pkts, 3, 1);
-        assert!(w.len() <= 3 + MAX_EXTRA_WINDOWS);
+        assert!(w.len() <= 3 + MAX_WINDOW_GAP as usize);
         assert_eq!(w[0], vec![p(0, 1)]);
         assert_eq!(w.iter().map(Vec::len).sum::<usize>(), 1);
     }

@@ -1,13 +1,10 @@
 //! Flow-level statistics (Table 1, first row): bytes/s, packets/s, and
 //! five statistics each over packet sizes and inter-arrival times.
 //!
-//! The computation itself lives in [`crate::incremental::FlowFeatureAcc`];
-//! the batch function here replays a window slice through that accumulator
-//! so the batch and streaming paths share one implementation.
+//! [`crate::incremental::FlowFeatureAcc`] computes them; this module
+//! names them, and its tests pin the accumulator to hand-worked values.
 
-use crate::incremental::FlowFeatureAcc;
 use crate::stats::STAT_SUFFIXES;
-use crate::window::PktObs;
 
 /// Names of the 12 flow-level features, in vector order.
 pub fn flow_feature_names() -> Vec<String> {
@@ -21,42 +18,34 @@ pub fn flow_feature_names() -> Vec<String> {
     names
 }
 
-/// Computes the 12 flow-level features over one window.
-///
-/// Sizes are in bytes; inter-arrival times in milliseconds; rates are
-/// per-second (normalized by `window_secs`). Implemented as a replay over
-/// the incremental accumulator.
-pub fn flow_features(pkts: &[PktObs], window_secs: f64) -> Vec<f64> {
-    let mut acc = FlowFeatureAcc::new();
-    for p in pkts {
-        acc.push(p.ts, p.size);
-    }
-    acc.features(window_secs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::FlowFeatureAcc;
     use vcaml_netpkt::Timestamp;
 
-    fn p(ms: i64, size: u16) -> PktObs {
-        PktObs {
-            ts: Timestamp::from_millis(ms),
-            size,
+    /// The accumulator's features for one window of `(ms, size)` packets.
+    fn features(pkts: &[(i64, u16)], window_secs: f64) -> [f64; FlowFeatureAcc::WIDTH] {
+        let mut acc = FlowFeatureAcc::new();
+        for &(ms, size) in pkts {
+            acc.push(Timestamp::from_millis(ms), size);
         }
+        let mut out = [0.0; FlowFeatureAcc::WIDTH];
+        acc.features_into(window_secs, &mut out);
+        out
     }
 
     #[test]
     fn names_and_width_agree() {
         assert_eq!(flow_feature_names().len(), 12);
-        assert_eq!(flow_features(&[], 1.0).len(), 12);
+        assert_eq!(FlowFeatureAcc::WIDTH, 12);
     }
 
     #[test]
     fn rates_normalized_by_window() {
-        let pkts = vec![p(0, 100), p(500, 300)];
-        let f1 = flow_features(&pkts, 1.0);
-        let f2 = flow_features(&pkts, 2.0);
+        let pkts = [(0, 100), (500, 300)];
+        let f1 = features(&pkts, 1.0);
+        let f2 = features(&pkts, 2.0);
         assert_eq!(f1[0], 400.0);
         assert_eq!(f2[0], 200.0);
         assert_eq!(f1[1], 2.0);
@@ -65,8 +54,7 @@ mod tests {
 
     #[test]
     fn size_stats_positions() {
-        let pkts = vec![p(0, 100), p(10, 200), p(20, 300)];
-        let f = flow_features(&pkts, 1.0);
+        let f = features(&[(0, 100), (10, 200), (20, 300)], 1.0);
         // mean, stdev, median, min, max at indices 2..7
         assert_eq!(f[2], 200.0);
         assert_eq!(f[4], 200.0);
@@ -76,8 +64,7 @@ mod tests {
 
     #[test]
     fn iat_in_milliseconds() {
-        let pkts = vec![p(0, 1), p(33, 1), p(66, 1)];
-        let f = flow_features(&pkts, 1.0);
+        let f = features(&[(0, 1), (33, 1), (66, 1)], 1.0);
         assert_eq!(f[7], 33.0); // IAT mean
         assert_eq!(f[10], 33.0); // IAT min
         assert_eq!(f[11], 33.0); // IAT max
@@ -85,7 +72,7 @@ mod tests {
 
     #[test]
     fn single_packet_iats_zero() {
-        let f = flow_features(&[p(5, 700)], 1.0);
+        let f = features(&[(5, 700)], 1.0);
         assert_eq!(&f[7..12], &[0.0; 5]);
         assert_eq!(f[0], 700.0);
     }

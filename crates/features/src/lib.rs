@@ -15,26 +15,20 @@
 //! `IP/UDP ML` uses the first two families (14 features); `RTP ML` uses
 //! flow statistics + RTP features.
 //!
-//! Every formula is implemented **once**, as a single-pass accumulator in
-//! [`incremental`] ([`FlowFeatureAcc`], [`IpUdpFeatureAcc`],
-//! [`rtp_feats::RtpWindowAcc`]); the batch functions here replay slices
-//! through those accumulators, and the streaming engine in `vcaml::engine`
-//! feeds them packet by packet, so the two paths cannot diverge. (The
-//! standalone [`semantics`] helpers keep simple slice forms of the two
-//! VCA-semantics counts for direct use and as an independent oracle; an
-//! equivalence test in [`incremental`] couples them to the accumulator.)
+//! Every formula is implemented **once**, as a single-pass accumulator
+//! ([`FlowFeatureAcc`], [`IpUdpFeatureAcc`], [`RtpWindowAcc`]) that the
+//! engines in `vcaml::engine` feed packet by packet. Nothing here takes a
+//! packet slice: the whole-window reference the parity tests compare the
+//! engines against is `vcaml_datasets::oracle`, written without this
+//! crate.
 pub mod flow_stats;
 pub mod incremental;
 pub mod rtp_feats;
-pub mod semantics;
 pub mod stats;
-pub mod window;
 
-pub use flow_stats::{flow_feature_names, flow_features};
-pub use incremental::{FlowFeatureAcc, IpUdpFeatureAcc, StatsMode};
-pub use rtp_feats::{rtp_feature_names, RtpWindow, RtpWindowAcc};
-pub use semantics::{microbursts, unique_sizes, DEFAULT_THETA_IAT_US};
-pub use window::{windows_by_second, PktObs};
+pub use flow_stats::flow_feature_names;
+pub use incremental::{FlowFeatureAcc, IpUdpFeatureAcc, StatsMode, DEFAULT_THETA_IAT_US};
+pub use rtp_feats::{rtp_feature_names, LagReference, RtpWindowAcc};
 
 /// Feature names for the IP/UDP ML model (flow stats + semantics).
 pub fn ipudp_feature_names() -> Vec<String> {
@@ -42,17 +36,4 @@ pub fn ipudp_feature_names() -> Vec<String> {
     names.push("# unique sizes".to_string());
     names.push("# microbursts".to_string());
     names
-}
-
-/// The IP/UDP ML feature vector for one window of video-classified
-/// packets (`window_secs` is the window length; `theta_iat_us` the
-/// microburst inter-arrival threshold). Implemented as a replay over
-/// [`IpUdpFeatureAcc`].
-pub fn ipudp_features(pkts: &[PktObs], window_secs: f64, theta_iat_us: i64) -> Vec<f64> {
-    assert!(window_secs > 0.0, "non-positive window");
-    let mut acc = IpUdpFeatureAcc::new(StatsMode::Exact, theta_iat_us);
-    for p in pkts {
-        acc.push(p.ts, p.size);
-    }
-    acc.features(window_secs)
 }

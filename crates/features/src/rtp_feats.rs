@@ -34,38 +34,12 @@ pub struct LagReference {
     pub ts0: u32,
 }
 
-/// The RTP packets of one prediction window, split by stream.
-#[derive(Debug, Clone, Default)]
-pub struct RtpWindow {
-    /// Video-stream packets: (arrival, header).
-    pub video: Vec<(Timestamp, RtpHeader)>,
-    /// Retransmission-stream packets.
-    pub rtx: Vec<(Timestamp, RtpHeader)>,
-}
-
-impl RtpWindow {
-    /// Computes the 12 RTP features by replaying the window through the
-    /// incremental [`RtpWindowAcc`] (the single implementation shared with
-    /// the streaming engine). `lag_ref` anchors the RTP-lag clock; if
-    /// `None`, the window's first video packet is used.
-    pub fn features(&self, lag_ref: Option<LagReference>) -> Vec<f64> {
-        let mut acc = RtpWindowAcc::new();
-        for (t, h) in &self.video {
-            acc.push_video(*t, h);
-        }
-        for (t, h) in &self.rtx {
-            acc.push_rtx(*t, h);
-        }
-        acc.features(lag_ref)
-    }
-}
-
 /// Incremental accumulator for the 12 RTP features of one window.
 ///
 /// State is bounded by the window's content — the unique timestamp sets
-/// and one entry per frame — and the batch formulas are reproduced
-/// exactly. Resets retain capacity, so a push allocates only when a
-/// window holds more distinct timestamps than any window before it.
+/// and one entry per frame. Resets retain capacity, so a push allocates
+/// only when a window holds more distinct timestamps than any window
+/// before it.
 #[derive(Debug, Clone, Default)]
 pub struct RtpWindowAcc {
     vid_ts: HashSet<u32>,
@@ -78,7 +52,7 @@ pub struct RtpWindowAcc {
     /// completion time).
     frames: Vec<(u32, Timestamp)>,
     /// Window-local lag anchor (the window's first frame), used when
-    /// [`RtpWindowAcc::features`] is given no session reference.
+    /// [`RtpWindowAcc::features_into`] is given no session reference.
     anchor: Option<LagReference>,
 }
 
@@ -121,23 +95,11 @@ impl RtpWindowAcc {
     }
 
     /// Offers one retransmission-stream packet (arrival order).
-    pub fn push_rtx(&mut self, _t: Timestamp, h: &RtpHeader) {
+    pub fn push_rtx(&mut self, h: &RtpHeader) {
         self.rtx_ts.insert(h.timestamp);
         if h.marker {
             self.marker_rtx += 1;
         }
-    }
-
-    /// True when no packet has been offered this window.
-    pub fn is_empty(&self) -> bool {
-        self.vid_ts.is_empty() && self.rtx_ts.is_empty()
-    }
-
-    /// Emits the 12 features for the current window.
-    pub fn features(&self, lag_ref: Option<LagReference>) -> Vec<f64> {
-        let mut v = vec![0.0; Self::WIDTH];
-        self.features_into(lag_ref, &mut v);
-        v
     }
 
     /// Writes the 12 features for the current window into `out`, which
@@ -211,23 +173,38 @@ mod tests {
         Timestamp::from_millis(ms)
     }
 
+    /// The features of one window: video packets, then rtx packets.
+    fn features(
+        video: &[(Timestamp, RtpHeader)],
+        rtx: &[RtpHeader],
+        lag_ref: Option<LagReference>,
+    ) -> [f64; RtpWindowAcc::WIDTH] {
+        let mut acc = RtpWindowAcc::new();
+        for (t, h) in video {
+            acc.push_video(*t, h);
+        }
+        for h in rtx {
+            acc.push_rtx(h);
+        }
+        let mut out = [0.0; RtpWindowAcc::WIDTH];
+        acc.features_into(lag_ref, &mut out);
+        out
+    }
+
     #[test]
     fn names_and_width_agree() {
         assert_eq!(rtp_feature_names().len(), 12);
-        assert_eq!(RtpWindow::default().features(None).len(), 12);
+        assert_eq!(RtpWindowAcc::WIDTH, 12);
     }
 
     #[test]
     fn unique_ts_counts() {
-        let w = RtpWindow {
-            video: vec![
-                (at(0), hdr(0, 100, false)),
-                (at(1), hdr(1, 100, true)),
-                (at(33), hdr(2, 200, true)),
-            ],
-            rtx: vec![(at(50), hdr(0, 100, false)), (at(51), hdr(1, 300, false))],
-        };
-        let f = w.features(None);
+        let video = [
+            (at(0), hdr(0, 100, false)),
+            (at(1), hdr(1, 100, true)),
+            (at(33), hdr(2, 200, true)),
+        ];
+        let f = features(&video, &[hdr(0, 100, false), hdr(1, 300, false)], None);
         assert_eq!(f[0], 2.0); // vid unique: {100, 200}
         assert_eq!(f[1], 2.0); // rtx unique: {100, 300}
         assert_eq!(f[2], 1.0); // intersect {100}
@@ -236,50 +213,41 @@ mod tests {
 
     #[test]
     fn marker_sums_per_stream() {
-        let w = RtpWindow {
-            video: vec![
-                (at(0), hdr(0, 1, true)),
-                (at(1), hdr(1, 2, true)),
-                (at(2), hdr(2, 3, false)),
-            ],
-            rtx: vec![(at(3), hdr(0, 1, true))],
-        };
-        let f = w.features(None);
+        let video = [
+            (at(0), hdr(0, 1, true)),
+            (at(1), hdr(1, 2, true)),
+            (at(2), hdr(2, 3, false)),
+        ];
+        let f = features(&video, &[hdr(0, 1, true)], None);
         assert_eq!(f[4], 2.0);
         assert_eq!(f[5], 1.0);
     }
 
     #[test]
     fn out_of_order_counts_discontinuities() {
-        let w = RtpWindow {
-            video: vec![
-                (at(0), hdr(10, 1, false)),
-                (at(1), hdr(11, 1, false)), // in order
-                (at(2), hdr(13, 2, false)), // gap
-                (at(3), hdr(12, 2, false)), // backwards
-                (at(4), hdr(15, 2, false)), // gap again
-            ],
-            rtx: vec![],
-        };
-        let f = w.features(None);
+        let video = [
+            (at(0), hdr(10, 1, false)),
+            (at(1), hdr(11, 1, false)), // in order
+            (at(2), hdr(13, 2, false)), // gap
+            (at(3), hdr(12, 2, false)), // backwards
+            (at(4), hdr(15, 2, false)), // gap again
+        ];
+        let f = features(&video, &[], None);
         assert_eq!(f[6], 3.0);
     }
 
     #[test]
     fn lag_zero_for_perfectly_paced_stream() {
         // Frames every 33.333 ms with 3000-tick increments (90 kHz).
-        let w = RtpWindow {
-            video: (0..10)
-                .map(|i| {
-                    (
-                        Timestamp::from_micros(i * 33_333),
-                        hdr(i as u16, (i * 3000) as u32, true),
-                    )
-                })
-                .collect(),
-            rtx: vec![],
-        };
-        let f = w.features(None);
+        let video: Vec<_> = (0..10)
+            .map(|i| {
+                (
+                    Timestamp::from_micros(i * 33_333),
+                    hdr(i as u16, (i * 3000) as u32, true),
+                )
+            })
+            .collect();
+        let f = features(&video, &[], None);
         // lag mean ≈ 0, lag max small.
         assert!(f[7].abs() < 1.0, "lag mean {}", f[7]);
         assert!(f[11].abs() < 1.0, "lag max {}", f[11]);
@@ -300,22 +268,18 @@ mod tests {
             Timestamp::from_micros(5 * 33_333 + 100_000),
             hdr(5, 15_000, true),
         ));
-        let w = RtpWindow { video, rtx: vec![] };
-        let f = w.features(None);
+        let f = features(&video, &[], None);
         assert!((f[11] - 100.0).abs() < 2.0, "lag max {}", f[11]);
     }
 
     #[test]
     fn session_lag_reference_applies() {
-        let w = RtpWindow {
-            video: vec![(at(1000), hdr(30, 90_000, true))],
-            rtx: vec![],
-        };
+        let video = [(at(1000), hdr(30, 90_000, true))];
         // Anchor: frame 0 at t=0 with ts=0 → this frame is exactly on time.
-        let f = w.features(Some(LagReference { t0: at(0), ts0: 0 }));
+        let f = features(&video, &[], Some(LagReference { t0: at(0), ts0: 0 }));
         assert!(f[7].abs() < 1e-6, "lag {}", f[7]);
         // Without an anchor the single frame defines zero lag trivially.
-        let f2 = w.features(None);
+        let f2 = features(&video, &[], None);
         assert_eq!(f2[7], 0.0);
     }
 
@@ -327,19 +291,17 @@ mod tests {
         }
         let warm = acc.state_bytes();
         acc.reset();
-        assert!(acc.is_empty());
         assert_eq!(acc.state_bytes(), warm, "reset must not release capacity");
-        assert_eq!(acc.features(None), RtpWindowAcc::new().features(None));
+        let mut out = [1.0; RtpWindowAcc::WIDTH];
+        acc.features_into(None, &mut out);
+        assert_eq!(out, features(&[], &[], None));
     }
 
     #[test]
     fn frame_completion_uses_last_packet() {
         // One frame in two packets; the second arrives late.
-        let w = RtpWindow {
-            video: vec![(at(0), hdr(0, 0, false)), (at(40), hdr(1, 0, true))],
-            rtx: vec![],
-        };
-        let f = w.features(Some(LagReference { t0: at(0), ts0: 0 }));
+        let video = [(at(0), hdr(0, 0, false)), (at(40), hdr(1, 0, true))];
+        let f = features(&video, &[], Some(LagReference { t0: at(0), ts0: 0 }));
         assert!((f[11] - 40.0).abs() < 1e-6, "lag max {}", f[11]);
     }
 }

@@ -6,9 +6,11 @@
 
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
-use vcaml_suite::datasets::oracle::{estimate_windows, ipudp_frames, rtp_frames};
+use vcaml_suite::datasets::oracle::{
+    estimate_windows, ipudp_features, ipudp_frames, rtp_features, rtp_frames, windows_by_second,
+    PktObs,
+};
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
-use vcaml_suite::features::{ipudp_features, windows_by_second, PktObs};
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::engine::{
@@ -86,8 +88,10 @@ fn rtp_heuristic_streaming_equals_batch() {
     }
 }
 
-/// The IP/UDP ML engine's per-window features must equal the batch slice
-/// formula on every window.
+/// The IP/UDP ML engine's per-window features must equal the oracle's
+/// slice formula (sorts and sets over `windows_by_second` slices, no
+/// accumulator) on every window, and `replay` must place exactly one
+/// report per second of the trace.
 #[test]
 fn ipudp_ml_features_streaming_equals_batch() {
     let config = EngineConfig::paper(VcaKind::Teams);
@@ -103,62 +107,41 @@ fn ipudp_ml_features_streaming_equals_batch() {
             .collect();
         let windows = windows_by_second(&video, trace.duration_secs, 1);
         let reports = replay(&mut IpUdpMlEngine::new(config), trace, 1);
-        for r in &reports {
+        assert_eq!(reports.len(), trace.duration_secs as usize);
+        for (wi, r) in reports.iter().enumerate() {
+            assert_eq!(r.window, wi as u64);
             let empty = Vec::new();
-            let slice = windows.get(r.window as usize).unwrap_or(&empty);
+            let slice = windows.get(wi).unwrap_or(&empty);
             let batch = ipudp_features(slice, 1.0, config.theta_iat_us);
-            assert_eq!(
-                r.features.as_deref().unwrap(),
-                &batch[..],
-                "window {}",
-                r.window
-            );
+            assert_eq!(r.features.as_deref().unwrap(), &batch[..], "window {wi}");
         }
     }
 }
 
 /// The RTP ML engine's per-window features must equal an independent
-/// batch reconstruction: flow features over `windows_by_second` slices of
-/// PT-video packets plus `RtpWindow::features` with the session lag
-/// anchor — not a comparison of the engine against itself.
+/// batch reconstruction: the oracle's flow features over
+/// `windows_by_second` slices of PT-video packets plus its RTP features
+/// with the session lag anchor — not a comparison of the engine against
+/// itself.
 #[test]
 fn rtp_ml_features_streaming_equals_batch() {
-    use vcaml_suite::features::rtp_feats::LagReference;
-    use vcaml_suite::features::{flow_features, RtpWindow};
-
     let vca = VcaKind::Teams;
     let config = EngineConfig::paper(vca);
     for trace in &corpus(vca, 18, 2) {
-        let video: Vec<_> = trace
-            .packets
-            .iter()
-            .filter(|p| {
-                p.rtp.is_some_and(|h| {
-                    trace.payload_map.classify(h.payload_type)
-                        == Some(vcaml_suite::rtp::MediaKind::Video)
-                })
-            })
-            .collect();
-        let rtx: Vec<_> = trace
-            .packets
-            .iter()
-            .filter(|p| {
-                p.rtp.is_some_and(|h| {
-                    trace.payload_map.classify(h.payload_type)
-                        == Some(vcaml_suite::rtp::MediaKind::VideoRtx)
-                })
-            })
-            .collect();
-        let lag_ref = video.first().map(|p| LagReference {
-            t0: p.ts,
-            ts0: p.rtp.unwrap().timestamp,
-        });
+        let stream = |kind| -> Vec<_> {
+            trace
+                .packets
+                .iter()
+                .filter_map(|p| Some((p.ts, p.rtp?, p.size)))
+                .filter(|(_, h, _)| trace.payload_map.classify(h.payload_type) == Some(kind))
+                .collect()
+        };
+        let video = stream(vcaml_suite::rtp::MediaKind::Video);
+        let rtx = stream(vcaml_suite::rtp::MediaKind::VideoRtx);
+        let lag_ref = video.first().map(|&(t, h, _)| (t, h.timestamp));
         let flow_pkts: Vec<PktObs> = video
             .iter()
-            .map(|p| PktObs {
-                ts: p.ts,
-                size: p.size,
-            })
+            .map(|&(ts, _, size)| PktObs { ts, size })
             .collect();
         let flow_windows = windows_by_second(&flow_pkts, trace.duration_secs, 1);
 
@@ -167,22 +150,20 @@ fn rtp_ml_features_streaming_equals_batch() {
             let wi = r.window as usize;
             let lo = wi as i64 * 1_000_000;
             let hi = lo + 1_000_000;
-            let in_win = |t: Timestamp| t.as_micros() >= lo && t.as_micros() < hi;
-            let rtp_win = RtpWindow {
-                video: video
-                    .iter()
-                    .filter(|p| in_win(p.ts))
-                    .map(|p| (p.ts, p.rtp.unwrap()))
-                    .collect(),
-                rtx: rtx
-                    .iter()
-                    .filter(|p| in_win(p.ts))
-                    .map(|p| (p.ts, p.rtp.unwrap()))
-                    .collect(),
+            let in_win = |pkts: &[(Timestamp, _, u16)]| -> Vec<_> {
+                pkts.iter()
+                    .filter(|(t, _, _)| t.as_micros() >= lo && t.as_micros() < hi)
+                    .map(|&(t, h, _)| (t, h))
+                    .collect()
             };
             let empty = Vec::new();
-            let mut batch = flow_features(flow_windows.get(wi).unwrap_or(&empty), 1.0);
-            batch.extend(rtp_win.features(lag_ref));
+            let flow = ipudp_features(
+                flow_windows.get(wi).unwrap_or(&empty),
+                1.0,
+                config.theta_iat_us,
+            );
+            let mut batch = flow[..12].to_vec();
+            batch.extend(rtp_features(&in_win(&video), &in_win(&rtx), lag_ref));
             assert_eq!(r.features.as_deref().unwrap(), &batch[..], "window {wi}");
         }
     }

@@ -5,7 +5,11 @@ use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 use vcaml_suite::datasets::oracle::ipudp_frames;
-use vcaml_suite::features::{microbursts, unique_sizes, windows_by_second, PktObs};
+use vcaml_suite::datasets::oracle::{
+    microbursts, sorted_five, unique_sizes, windows_by_second, PktObs,
+};
+use vcaml_suite::features::stats::five_stats;
+use vcaml_suite::features::{IpUdpFeatureAcc, StatsMode};
 use vcaml_suite::mlcore::{percentile, ConfusionMatrix};
 use vcaml_suite::netpkt::checksum::{checksum, verify, Checksum};
 use vcaml_suite::netpkt::{
@@ -562,6 +566,105 @@ proptest! {
         }
     }
 
+    // The unique-size count comes from the size log's bitmap pass at
+    // seal: it must stay exact over windows of any content, across
+    // resets, and under provisional snapshots that read a window
+    // without consuming it.
+    #[test]
+    fn unique_sizes_stay_exact_across_windows(
+        windows in proptest::collection::vec(
+            proptest::collection::vec(
+                (0i64..40_000, any::<u16>(), 1_000u16..1_016, any::<bool>()),
+                0..150,
+            ),
+            1..6,
+        )
+    ) {
+        let mut acc = IpUdpFeatureAcc::new(StatsMode::Exact, 3_000);
+        let mut us = 0i64;
+        for window in &windows {
+            let mut seen = Vec::new();
+            for (i, &(gap, wide, narrow, is_wide)) in window.iter().enumerate() {
+                us += gap;
+                let size = if is_wide { wide } else { narrow };
+                acc.push(Timestamp::from_micros(us), size);
+                seen.push(PktObs {
+                    ts: Timestamp::from_micros(us),
+                    size,
+                });
+                if i == window.len() / 3 || i == 2 * window.len() / 3 {
+                    let provisional = acc.features(1.0);
+                    prop_assert_eq!(provisional[12], unique_sizes(&seen));
+                }
+            }
+            prop_assert_eq!(acc.features(1.0)[12], unique_sizes(&seen));
+            acc.reset();
+        }
+    }
+
+    // Selection must reproduce the sort bit for bit: over every
+    // prefix of a window (lengths 0, 1, 2, odd and even), with
+    // duplicate and `u16::MAX` sizes, gaps that run backwards inside
+    // the window, and signed zeros among the `f64` inputs. The two
+    // semantics features, counted at seal from the logs, must match
+    // the batch definitions on the same prefixes.
+    #[test]
+    fn selection_equals_the_sorted_statistics(
+        window in proptest::collection::vec(
+            (
+                (1_000u16..1_004, any::<u16>(), 0u8..3),
+                (-2i64..3, -40_000i64..40_000, 0u8..3),
+            ),
+            0..64,
+        )
+    ) {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut us = 10_000_000i64;
+        let mut pkts = Vec::new();
+        for &((narrow, wide, pick), (small, large, step)) in &window {
+            // A gap of exactly θ (3 ms) starts a microburst.
+            us += match step {
+                0 => small,
+                1 => large,
+                _ => 3_000,
+            };
+            let size = match pick {
+                0 => narrow,
+                1 => wide,
+                _ => u16::MAX,
+            };
+            pkts.push(PktObs { ts: Timestamp::from_micros(us), size });
+        }
+        for len in 0..=pkts.len() {
+            let seen = &pkts[..len];
+            let mut acc = IpUdpFeatureAcc::new(StatsMode::Exact, 3_000);
+            for p in seen {
+                acc.push(p.ts, p.size);
+            }
+            let got = acc.features(1.0);
+            let sizes: Vec<f64> = seen.iter().map(|p| f64::from(p.size)).collect();
+            let gaps: Vec<f64> = seen
+                .windows(2)
+                .map(|w| (w[1].ts - w[0].ts).as_micros() as f64 / 1e3)
+                .collect();
+            // The byte rate is the sizes' arrival-order `.sum()`, an
+            // empty window's -0.0 included.
+            let bytes = sizes.iter().sum::<f64>() / 1.0;
+            prop_assert_eq!(got[0].to_bits(), bytes.to_bits());
+            prop_assert_eq!(bits(&got[2..7]), bits(&sorted_five(&sizes)));
+            prop_assert_eq!(bits(&got[7..12]), bits(&sorted_five(&gaps)));
+            prop_assert_eq!(got[12].to_bits(), unique_sizes(seen).to_bits());
+            prop_assert_eq!(got[13].to_bits(), microbursts(seen, 3_000).to_bits());
+            // The `f64` entry point (RTP lags), signed zeros included.
+            let mut lags = gaps.clone();
+            lags.extend(gaps.iter().take(2).map(|&g| if g < 0.0 { -0.0 } else { 0.0 }));
+            prop_assert_eq!(
+                bits(&five_stats(lags.iter().copied())),
+                bits(&sorted_five(&lags))
+            );
+        }
+    }
+
     // ---------------- core heuristic ----------------
 
     #[test]
@@ -697,6 +800,33 @@ proptest! {
             }
         }
     }
+}
+
+/// The accumulator's unique-size and microburst counts, taken at seal
+/// from its logs, must equal the oracle's slice formulas on an
+/// arbitrary window: separate implementations, coupled here.
+#[test]
+fn semantics_counters_match_batch_functions() {
+    let mut ps = Vec::new();
+    let mut t = 0i64;
+    for i in 0..300i64 {
+        t += if i % 7 == 0 {
+            30_000
+        } else {
+            (i * 131) % 2_900
+        };
+        ps.push(PktObs {
+            ts: Timestamp::from_micros(t),
+            size: 500 + ((i * 53) % 800) as u16,
+        });
+    }
+    let mut acc = IpUdpFeatureAcc::new(StatsMode::Exact, 3_000);
+    for p in &ps {
+        acc.push(p.ts, p.size);
+    }
+    let f = acc.features(1.0);
+    assert_eq!(f[12], unique_sizes(&ps));
+    assert_eq!(f[13], microbursts(&ps, 3_000));
 }
 
 /// Checks one (possibly broken) datagram against the layered reference
