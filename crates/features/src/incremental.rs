@@ -9,11 +9,13 @@
 //! `vcaml_datasets::oracle`, which shares no code with this crate.
 //!
 //! There is one accumulation mode: each window keeps an arrival-order
-//! log of its raw values (bounded by the window's packet count, capacity
-//! retained across windows) and the seal takes the order statistics
-//! exactly — including exact medians, which Table 1's methods are
-//! defined over — by selection over a per-thread scratch buffer
-//! ([`crate::stats`]), never by sorting a log or cloning it.
+//! log of its sizes and one of its gaps (bounded by the window's packet
+//! count, capacity retained across windows), and a push is two appends.
+//! The seal reads both logs at once in [`crate::stats`]'s
+//! `window_features_into`: one pass for the extremes, the sums and the two
+//! VCA-semantics counts, one loop for both variances, and a selection per
+//! median. Every statistic is exact — including the medians, which
+//! Table 1's methods are defined over — and no log is sorted or cloned.
 //!
 //! ```
 //! use vcaml_features::{IpUdpFeatureAcc, StatsMode, DEFAULT_THETA_IAT_US};
@@ -52,87 +54,22 @@ pub enum StatsMode {
     Exact,
 }
 
-/// One five-statistic stream (`[mean, stdev, median, min, max]`) over
-/// integer values decoded by a fixed scale.
-///
-/// Raw values are appended to an *unsorted, arrival-order log*, and the
-/// statistics are taken once per window by [`StatAcc::five`], which hands
-/// the log to [`crate::stats::five_of`]: no sort, and no clone of the
-/// log (its keys go into the per-thread selection scratch). A per-push
-/// sorted insert was measured at ~10–20× the append cost on IAT streams
-/// (hundreds of distinct values per window ⇒ an `O(n)` memmove per
-/// packet). Critically for the zero-allocation steady state,
-/// [`StatAcc::reset`] retains the log's capacity, so after warmup no push
-/// allocates.
-#[derive(Debug, Clone)]
-struct StatAcc<T> {
-    divisor: f64,
-    vals: Vec<T>,
-}
-
-impl<T: Copy + Into<i64>> StatAcc<T> {
-    fn new(divisor: f64) -> Self {
-        StatAcc {
-            divisor,
-            vals: Vec::new(),
-        }
-    }
-
-    fn decode(&self, raw: i64) -> f64 {
-        // Division, not multiplication by the inexact reciprocal: this is
-        // bit-identical to `Timestamp::as_millis_f64` (`µs / 1e3`). The
-        // unit-divisor case (sizes) skips the divide — `x / 1.0 == x`
-        // exactly, and the batch path never divides sizes either.
-        if self.divisor == 1.0 {
-            raw as f64
-        } else {
-            raw as f64 / self.divisor
-        }
-    }
-
-    /// Every statistic is deferred to the once-per-seal `five` pass; the
-    /// per-packet cost is one append.
-    fn push(&mut self, raw: T) {
-        self.vals.push(raw);
-    }
-
-    /// Clears the window without releasing value-log capacity (the
-    /// steady-state per-packet path must not allocate).
-    fn reset(&mut self) {
-        self.vals.clear();
-    }
-
-    /// Heap bytes currently held (capacity, not length).
-    fn heap_bytes(&self) -> usize {
-        self.vals.capacity() * std::mem::size_of::<T>()
-    }
-
-    /// Values pushed this window.
-    fn count(&self) -> u64 {
-        self.vals.len() as u64
-    }
-
-    /// `[mean, stdev, median, min, max]`, zeros when empty — the same
-    /// contract as [`crate::stats::five_stats`], over the arrival-ordered
-    /// log: mean and variance are summed in arrival order, and the order
-    /// statistics are exact. `decode` is monotonic, so ordering raw
-    /// integers picks the same elements as ordering the decoded values. Also hands back the arrival-order sum
-    /// of the decoded values the mean was taken from.
-    fn five(&self) -> ([f64; 5], f64) {
-        crate::stats::five_of(self.vals.iter().map(|&raw| raw.into()), |raw| {
-            self.decode(raw)
-        })
-    }
-}
-
 /// Incremental computation of the 12 flow-level features
 /// ([`crate::flow_feature_names`]) for one window.
+///
+/// The window's state is two arrival-order logs, retained at capacity
+/// across windows so that after warmup no push allocates; every statistic
+/// is deferred to the seal, which reads both logs in one
+/// `stats::window_features_into`. A per-push sorted insert was measured
+/// at ~10–20× the append cost on gap streams (hundreds of distinct values
+/// per window ⇒ an `O(n)` memmove per packet).
 #[derive(Debug, Clone)]
 pub struct FlowFeatureAcc {
     /// Sizes as captured (`u16`, 2 bytes per packet).
-    sizes: StatAcc<u16>,
-    /// Gaps in whole microseconds (8 bytes per packet).
-    iats: StatAcc<i64>,
+    sizes: Vec<u16>,
+    /// Gaps in whole microseconds (8 bytes per packet): one fewer than
+    /// the sizes, since the first packet of a window has none.
+    gaps: Vec<i64>,
     prev_ts: Option<Timestamp>,
 }
 
@@ -149,10 +86,8 @@ impl FlowFeatureAcc {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         FlowFeatureAcc {
-            sizes: StatAcc::new(1.0),
-            // IATs are stored as whole microseconds and decoded to
-            // milliseconds, matching `Timestamp::as_millis_f64`.
-            iats: StatAcc::new(1e3),
+            sizes: Vec::new(),
+            gaps: Vec::new(),
             prev_ts: None,
         }
     }
@@ -163,41 +98,37 @@ impl FlowFeatureAcc {
     pub fn push(&mut self, ts: Timestamp, size: u16) {
         self.sizes.push(size);
         if let Some(prev) = self.prev_ts {
-            self.iats.push((ts - prev).as_micros());
+            self.gaps.push((ts - prev).as_micros());
         }
         self.prev_ts = Some(ts);
     }
 
     /// Packets offered so far this window.
     pub fn packets(&self) -> u64 {
-        self.sizes.count()
+        self.sizes.len() as u64
     }
 
     /// Writes the 12 features for the current window into `out`, which
     /// holds exactly [`FlowFeatureAcc::WIDTH`] values. Allocates nothing.
     pub fn features_into(&self, window_secs: f64, out: &mut [f64]) {
-        assert!(window_secs > 0.0, "non-positive window");
-        let (sizes, bytes) = self.sizes.five();
-        let (rates, stats) = out.split_at_mut(2);
-        rates.copy_from_slice(&[bytes / window_secs, self.sizes.count() as f64 / window_secs]);
-        let (size_stats, iat_stats) = stats.split_at_mut(5);
-        size_stats.copy_from_slice(&sizes);
-        iat_stats.copy_from_slice(&self.iats.five().0);
+        crate::stats::window_features_into(&self.sizes, &self.gaps, window_secs, None, out);
     }
 
-    /// Clears per-window state (IAT chains do not span windows).
+    /// Clears per-window state (gap chains do not span windows).
     /// Value-log capacity is retained so the steady state stays
     /// allocation-free.
     pub fn reset(&mut self) {
-        self.sizes.reset();
-        self.iats.reset();
+        self.sizes.clear();
+        self.gaps.clear();
         self.prev_ts = None;
     }
 
     /// Estimated bytes of state held by this accumulator (inline struct
     /// plus heap capacity), for per-flow memory accounting.
     pub fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.sizes.heap_bytes() + self.iats.heap_bytes()
+        std::mem::size_of::<Self>()
+            + self.sizes.capacity() * std::mem::size_of::<u16>()
+            + self.gaps.capacity() * std::mem::size_of::<i64>()
     }
 }
 
@@ -264,26 +195,9 @@ impl IpUdpFeatureAcc {
     /// Writes the 14 features for the current window into `out`, which
     /// holds exactly [`IpUdpFeatureAcc::WIDTH`] values. Allocates nothing.
     pub fn features_into(&self, window_secs: f64, out: &mut [f64]) {
-        let (flow, semantics) = out.split_at_mut(FlowFeatureAcc::WIDTH);
-        self.flow.features_into(window_secs, flow);
-        let unique_sizes = crate::stats::distinct_sizes(&self.flow.sizes.vals);
-        semantics.copy_from_slice(&[unique_sizes as f64, self.bursts() as f64]);
-    }
-
-    /// `# microbursts`: 0 for an empty window, else 1 + the gaps of at
-    /// least θ (a backward gap is negative, so it never breaks a burst).
-    fn bursts(&self) -> usize {
-        if self.flow.packets() == 0 {
-            return 0;
-        }
-        let theta = self.theta_iat_us;
-        1 + self
-            .flow
-            .iats
-            .vals
-            .iter()
-            .filter(|&&gap| gap >= theta)
-            .count()
+        let FlowFeatureAcc { sizes, gaps, .. } = &self.flow;
+        let theta = Some(self.theta_iat_us);
+        crate::stats::window_features_into(sizes, gaps, window_secs, theta, out);
     }
 
     /// Clears per-window state.

@@ -3,7 +3,7 @@
 //! importance.
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{Arena, DecisionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -49,28 +49,41 @@ impl Default for RandomForestParams {
     }
 }
 
-/// A fitted random forest.
+/// The most classes a classification forest predicts: its vote tally is
+/// a stack array of this many counts.
+const MAX_CLASSES: usize = 64;
+
+/// A fitted random forest: one pointer.
 ///
-/// Cloning shares the fitted trees: `fit` freezes them, the feature
-/// names and the importances behind [`Arc`]s, and nothing mutates a
-/// fitted forest, so a clone is three refcount bumps, not a copy.
+/// Cloning shares the fitted trees: `fit` freezes them into one node
+/// arena and puts it, the task, the feature names and the importances
+/// behind a single [`Arc`], and nothing mutates a fitted forest, so a
+/// clone is one refcount bump, not a copy.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    trees: Arc<[DecisionTree]>,
+    fitted: Arc<Fitted>,
+}
+
+/// What a [`RandomForest`] shares between its clones.
+#[derive(Debug)]
+struct Fitted {
+    arena: Arena,
     task: Task,
-    feature_names: Arc<[String]>,
-    importances: Arc<[f64]>,
+    feature_names: Box<[String]>,
+    importances: Box<[f64]>,
 }
 
 impl RandomForest {
     /// Fits a forest. Trees are trained in parallel across available cores.
     ///
     /// # Panics
-    /// Panics if `data` is empty or (for classification) has no classes.
+    /// Panics if `data` is empty or (for classification) has fewer than
+    /// two classes or more than 64.
     pub fn fit(data: &Dataset, task: Task, params: &RandomForestParams) -> Self {
         assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
         if let Task::Classification { n_classes } = task {
             assert!(n_classes >= 2, "classification needs at least two classes");
+            assert!(n_classes <= MAX_CLASSES, "more than {MAX_CLASSES} classes");
             assert!(
                 data.targets()
                     .iter()
@@ -144,32 +157,34 @@ impl RandomForest {
         }
 
         RandomForest {
-            trees: trees.into(),
-            task,
-            feature_names: data.feature_names().into(),
-            importances: importances.into(),
+            fitted: Arc::new(Fitted {
+                arena: Arena::freeze(&trees),
+                task,
+                feature_names: data.feature_names().into(),
+                importances: importances.into(),
+            }),
         }
     }
 
-    /// Predicts one sample. A regression forest sums its trees'
-    /// predictions in tree order and allocates nothing.
+    /// Predicts one sample: the mean of the trees' predictions, summed in
+    /// tree order (regression), or the class most trees vote for, the
+    /// highest on a tie (classification). Allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if a split reads a feature past the end of `row`.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        match self.task {
+        let Fitted { arena, task, .. } = &*self.fitted;
+        match *task {
             Task::Regression => {
-                // Four trees at a time, summed in tree order as one by one.
-                let (quads, rest) = self.trees.as_chunks::<4>();
-                let leaves = quads
-                    .iter()
-                    .flat_map(|quad| DecisionTree::predict_lockstep(quad, row))
-                    .chain(rest.iter().map(|t| t.predict(row)));
-                leaves.sum::<f64>() / self.trees.len() as f64
+                // `-0.0`, where `Iterator::sum` starts.
+                let mut sum = -0.0;
+                arena.walk(row, |leaf| sum += leaf);
+                sum / arena.n_trees() as f64
             }
             Task::Classification { n_classes } => {
-                let mut votes = vec![0usize; n_classes];
-                for t in self.trees.iter() {
-                    votes[t.predict(row) as usize] += 1;
-                }
-                votes
+                let mut votes = [0u32; MAX_CLASSES];
+                arena.walk(row, |class| votes[class as usize] += 1);
+                votes[..n_classes]
                     .iter()
                     .enumerate()
                     .max_by_key(|&(_, v)| *v)
@@ -181,17 +196,18 @@ impl RandomForest {
 
     /// Normalized impurity-based feature importances (sum to 1).
     pub fn feature_importances(&self) -> &[f64] {
-        &self.importances
+        &self.fitted.importances
     }
 
     /// `(name, importance)` pairs sorted descending — the paper's top-5
     /// feature plots.
     pub fn top_features(&self, k: usize) -> Vec<(String, f64)> {
         let mut pairs: Vec<(String, f64)> = self
+            .fitted
             .feature_names
             .iter()
             .cloned()
-            .zip(self.importances.iter().copied())
+            .zip(self.fitted.importances.iter().copied())
             .collect();
         pairs.sort_by(|a, b| b.1.total_cmp(&a.1));
         pairs.truncate(k);
@@ -200,31 +216,30 @@ impl RandomForest {
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.fitted.arena.n_trees()
     }
 
     /// The task this forest was fitted for.
     pub fn task(&self) -> Task {
-        self.task
+        self.fitted.task
     }
 
-    /// Heap bytes of the shared storage (capacity, not length): every
-    /// tree's nodes and raw importances, the tree slice itself, the
-    /// feature names and the normalized importances. Clones share this
-    /// storage, so they report the same figure.
+    /// Heap bytes of the shared storage (capacity, not length): the
+    /// shared block itself, the node arena and its roots, the feature
+    /// names and the normalized importances. Clones share this storage,
+    /// so they report the same figure.
     pub fn heap_bytes(&self) -> usize {
-        self.trees
-            .iter()
-            .map(DecisionTree::heap_bytes)
-            .sum::<usize>()
-            + std::mem::size_of_val(&*self.trees)
-            + self
-                .feature_names
-                .iter()
-                .map(String::capacity)
-                .sum::<usize>()
-            + std::mem::size_of_val(&*self.feature_names)
-            + std::mem::size_of_val(&*self.importances)
+        let Fitted {
+            arena,
+            feature_names,
+            importances,
+            ..
+        } = &*self.fitted;
+        std::mem::size_of::<Fitted>()
+            + arena.heap_bytes()
+            + feature_names.iter().map(String::capacity).sum::<usize>()
+            + std::mem::size_of_val(&**feature_names)
+            + std::mem::size_of_val(&**importances)
     }
 }
 
@@ -330,8 +345,9 @@ mod tests {
     fn heap_bytes_covers_every_trees_nodes() {
         let d = make_regression(300);
         let f = RandomForest::fit(&d, Task::Regression, &RandomForestParams::default());
-        let nodes: usize = f.trees.iter().map(DecisionTree::n_nodes).sum();
-        // A node is 16 bytes: an `f64`, a `u32` child and a `u16` feature.
+        let nodes = f.fitted.arena.n_nodes();
+        // A node is 16 bytes: an `f64`, a `u32` child, a `u16` feature and
+        // a `u16` step to the left child.
         assert!(f.heap_bytes() >= nodes * 16, "{} B", f.heap_bytes());
     }
 
@@ -345,11 +361,11 @@ mod tests {
         let f = RandomForest::fit(&d, Task::Regression, &p);
         let copy = f.clone();
         assert!(
-            Arc::ptr_eq(&f.trees, &copy.trees),
+            Arc::ptr_eq(&f.fitted, &copy.fitted),
             "a clone copied the trees"
         );
-        assert!(Arc::ptr_eq(&f.feature_names, &copy.feature_names));
-        assert!(Arc::ptr_eq(&f.importances, &copy.importances));
+        assert_eq!(std::mem::size_of::<RandomForest>(), 8);
+        assert_eq!(std::mem::size_of::<Option<RandomForest>>(), 8);
         assert_eq!(copy.heap_bytes(), f.heap_bytes());
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {

@@ -1,5 +1,14 @@
 //! CART decision trees: regression by variance (SSE) reduction,
 //! classification by Gini impurity.
+//!
+//! A tree is fitted as one preorder array of 16-byte nodes, and a forest
+//! freezes its trees into one node arena: all their nodes concatenated,
+//! children as indices into the whole. Both predict with the same walk,
+//! which advances several trees in lockstep for a fixed number of steps,
+//! each a data-dependent select rather than a branch: on trees this
+//! shallow the cost of the usual walk is its mispredicted branches, not
+//! its arithmetic (QuickScorer, Lucchese et al., SIGIR 2015, makes the
+//! same observation).
 
 use crate::dataset::Dataset;
 use crate::forest::Task;
@@ -30,38 +39,128 @@ impl Default for TreeParams {
     }
 }
 
-/// One node of a tree's flat, preorder node array: 16 bytes. A split's
-/// left child is the next node, so only the right child is stored.
+/// One node of a tree's flat, preorder node array, and of a forest's
+/// [`Arena`]: 16 bytes.
+///
+/// Every node is one step of the same walk: from node `at`, the row goes
+/// to `at + left` if `row[feature] <= value` and to `right` otherwise. A
+/// split's left child is the next node (`left` is 1); a leaf has `left`
+/// 0 and `right` its own index, so both ways lead back to it and a walk
+/// that reached it stays there whatever it compares.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// A split's threshold (`row[feature] <= value` goes left), or a
-    /// leaf's value.
+    /// A split's threshold, or a leaf's value.
     value: f64,
-    /// A split's right child; unused in a leaf.
+    /// A split's right child, or a leaf's own index.
     right: u32,
-    /// A split's feature, or [`LEAF`].
+    /// A split's feature; 0 in a leaf.
     feature: u16,
+    /// The distance to a split's left child (1), or 0 in a leaf.
+    left: u16,
 }
-
-/// The [`Node::feature`] of a leaf.
-const LEAF: u16 = u16::MAX;
 
 const _: () = assert!(std::mem::size_of::<Node>() == 16);
 
-impl Node {
-    fn leaf(value: f64) -> Self {
-        Node {
-            value,
-            right: 0,
-            feature: LEAF,
+/// Trees a walk advances in lockstep. A walk is a chain of dependent node
+/// loads; this many independent chains overlap their latencies where one
+/// tree after another would wait out each in turn.
+const LANES: usize = 8;
+
+/// Walks the trees rooted at `roots` in `nodes` for `depth` steps, `LANES`
+/// trees at a time, and hands each tree's leaf value to `leaf` in root
+/// order. `depth` is at least every tree's depth, so each walk ends on its
+/// leaf; a leaf is a fixed point of the step, and each step is a select,
+/// not a branch, so no tree's shape reaches the branch predictor. Lanes
+/// past the last tree walk the first tree of their chunk again, unread.
+///
+/// # Panics
+/// Panics if a split reads a feature past the end of `row`.
+fn walk(nodes: &[Node], roots: &[u32], depth: u32, row: &[f64], mut leaf: impl FnMut(f64)) {
+    for chunk in roots.chunks(LANES) {
+        let mut at = [chunk[0]; LANES];
+        at[..chunk.len()].copy_from_slice(chunk);
+        for _ in 0..depth {
+            for at in &mut at {
+                let node = nodes[*at as usize];
+                let left = *at + u32::from(node.left);
+                *at = std::hint::select_unpredictable(
+                    row[usize::from(node.feature)] <= node.value,
+                    left,
+                    node.right,
+                );
+            }
+        }
+        for &at in &at[..chunk.len()] {
+            leaf(nodes[at as usize].value);
         }
     }
 }
 
+/// Fitted trees frozen into one node array: every tree's preorder nodes
+/// in turn, children as indices into the whole array, each tree's root,
+/// and the deepest tree's depth — the steps [`walk`] takes.
+#[derive(Debug)]
+pub(crate) struct Arena {
+    nodes: Box<[Node]>,
+    roots: Box<[u32]>,
+    depth: u32,
+}
+
+impl Arena {
+    /// Concatenates `trees`' nodes, moving each tree's child indices by
+    /// the nodes before it.
+    ///
+    /// # Panics
+    /// Panics if `trees` hold `u32::MAX` nodes or more.
+    pub(crate) fn freeze(trees: &[DecisionTree]) -> Self {
+        let total: usize = trees.iter().map(|t| t.nodes.len()).sum();
+        assert!(total < u32::MAX as usize, "too many nodes");
+        let mut nodes = Vec::with_capacity(total);
+        let mut roots = Vec::with_capacity(trees.len());
+        for tree in trees {
+            let base = nodes.len() as u32;
+            roots.push(base);
+            nodes.extend(tree.nodes.iter().map(|&node| Node {
+                right: node.right + base,
+                ..node
+            }));
+        }
+        Arena {
+            nodes: nodes.into(),
+            roots: roots.into(),
+            depth: trees.iter().map(|t| t.depth).max().unwrap_or(0),
+        }
+    }
+
+    /// Hands each tree's leaf for `row` to `leaf`, in tree order.
+    pub(crate) fn walk(&self, row: &[f64], leaf: impl FnMut(f64)) {
+        walk(&self.nodes, &self.roots, self.depth, row, leaf);
+    }
+
+    /// Number of trees.
+    pub(crate) fn n_trees(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Number of nodes, over all trees.
+    #[cfg(test)]
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Heap bytes of the node and root arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.nodes) + std::mem::size_of_val(&*self.roots)
+    }
+}
+
 /// A fitted CART tree: one preorder array of 16-byte nodes, root first.
+/// A forest fits these and freezes them into one node arena.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
+    /// The deepest leaf's depth (root = depth 0).
+    depth: u32,
     task: Task,
     /// Un-normalized impurity decrease per feature.
     importances_raw: Vec<f64>,
@@ -80,13 +179,16 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        // A feature index must fit a node's `u16` below the leaf mark, and
-        // a node index its `u32`: a tree has fewer than two nodes per
-        // sample.
-        assert!(data.n_features() < usize::from(LEAF), "too many features");
+        // A feature index must fit a node's `u16`, and a node index its
+        // `u32`: a tree has fewer than two nodes per sample.
+        assert!(
+            data.n_features() <= usize::from(u16::MAX),
+            "too many features"
+        );
         assert!(indices.len() < 1 << 31, "too many samples");
         let mut tree = DecisionTree {
             nodes: Vec::new(),
+            depth: 0,
             task,
             importances_raw: vec![0.0; data.n_features()],
         };
@@ -96,35 +198,11 @@ impl DecisionTree {
     }
 
     /// Predicts one sample: mean target (regression) or class id
-    /// (classification).
+    /// (classification). The same walk as a forest's, over one tree.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        let [value] = Self::predict_lockstep(std::array::from_ref(self), row);
+        let mut value = 0.0;
+        walk(&self.nodes, &[0], self.depth, row, |leaf| value = leaf);
         value
-    }
-
-    /// [`DecisionTree::predict`] of `N` trees, walked in lockstep. A
-    /// walk is a chain of dependent node loads; `N` independent chains
-    /// overlap their latencies where one tree after another would wait
-    /// out each in turn. A tree that reached its leaf stays there.
-    pub(crate) fn predict_lockstep<const N: usize>(trees: &[Self; N], row: &[f64]) -> [f64; N] {
-        let mut at = [0usize; N];
-        loop {
-            let mut walking = false;
-            for (tree, at) in trees.iter().zip(&mut at) {
-                let node = tree.nodes[*at];
-                if node.feature != LEAF {
-                    walking = true;
-                    *at = if row[usize::from(node.feature)] <= node.value {
-                        *at + 1
-                    } else {
-                        node.right as usize
-                    };
-                }
-            }
-            if !walking {
-                return std::array::from_fn(|i| trees[i].nodes[at[i]].value);
-            }
-        }
     }
 
     /// Raw (unnormalized) impurity-decrease importances.
@@ -136,12 +214,6 @@ impl DecisionTree {
     #[cfg(test)]
     pub(crate) fn n_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Heap bytes held by the node and importance vectors (capacity).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self.importances_raw.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Grows a subtree over `idx` (reordered in place) in preorder: its
@@ -163,12 +235,12 @@ impl DecisionTree {
             || idx.len() < params.min_samples_split
             || idx.len() < 2 * params.min_samples_leaf
         {
-            return self.push_leaf(leaf_value);
+            return self.push_leaf(leaf_value, depth);
         }
 
         let parent_impurity = self.node_impurity(data, idx);
         if parent_impurity <= 1e-12 {
-            return self.push_leaf(leaf_value);
+            return self.push_leaf(leaf_value, depth);
         }
 
         // Candidate features: all, or a random subset for forests.
@@ -188,7 +260,7 @@ impl DecisionTree {
             }
         }
         let Some((decrease, feature, threshold)) = best else {
-            return self.push_leaf(leaf_value);
+            return self.push_leaf(leaf_value, depth);
         };
 
         self.importances_raw[feature] += decrease;
@@ -205,7 +277,7 @@ impl DecisionTree {
         // onto one side and produce an empty partition; fall back to a
         // leaf rather than recurse forever.
         if split_point == 0 || split_point == idx.len() {
-            return self.push_leaf(leaf_value);
+            return self.push_leaf(leaf_value, depth);
         }
 
         // This split, then its left subtree; the right child's index is
@@ -215,6 +287,7 @@ impl DecisionTree {
             value: threshold,
             right: 0,
             feature: feature as u16,
+            left: 1,
         });
         let (left_idx, right_idx) = idx.split_at_mut(split_point);
         self.grow(data, left_idx, params, rng, depth + 1);
@@ -222,8 +295,14 @@ impl DecisionTree {
         self.grow(data, right_idx, params, rng, depth + 1);
     }
 
-    fn push_leaf(&mut self, value: f64) {
-        self.nodes.push(Node::leaf(value));
+    fn push_leaf(&mut self, value: f64, depth: usize) {
+        self.depth = self.depth.max(depth as u32);
+        self.nodes.push(Node {
+            value,
+            right: self.nodes.len() as u32,
+            feature: 0,
+            left: 0,
+        });
     }
 
     /// Impurity of a node: SSE for regression, n·Gini for classification

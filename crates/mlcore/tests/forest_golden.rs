@@ -6,7 +6,11 @@
 //! below while a tree was still a `Vec` of one enum per node, before the
 //! flat 16-byte node array, so any change to fitting, to the tree's
 //! storage or to the walk that moves one prediction by one bit fails
-//! here.
+//! here. The edge rows' literals (NaN, infinities, values equal to
+//! thresholds, and a tree count that leaves a remainder after the
+//! walk's lockstep chunk) were recorded from the walk that stopped each
+//! tree at its leaf, before the forest became one node arena walked to
+//! a fixed depth.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,4 +157,160 @@ fn classification_predictions_are_frozen() {
         .map(|r| char::from(b'0' + forest.predict(r) as u8))
         .collect();
     assert_eq!(got, CLASSES);
+}
+
+/// Rows the walk's edges decide: a NaN, +inf or -inf in one feature of
+/// three probe rows at a time and in all of them, then rows with one
+/// feature set to a midpoint between adjacent distinct training values —
+/// the points `fit` cuts its thresholds at, so a comparison there is
+/// `value <= threshold` with the two equal.
+fn edge_rows() -> Vec<[f64; FEATURES]> {
+    let base = probe_rows();
+    let mut rows = Vec::new();
+    for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for b in &base[..3] {
+            for j in 0..FEATURES {
+                let mut r = *b;
+                r[j] = special;
+                rows.push(r);
+            }
+        }
+        rows.push([special; FEATURES]);
+    }
+    let data = training(Task::Regression);
+    for j in 0..FEATURES {
+        let mut values: Vec<f64> = (0..data.len()).map(|i| data.row(i)[j]).collect();
+        values.sort_by(f64::total_cmp);
+        values.dedup();
+        let cuts: Vec<f64> = values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
+        let stride = cuts.len().div_ceil(6);
+        for (k, &cut) in cuts.iter().step_by(stride).enumerate() {
+            let mut r = base[k];
+            r[j] = cut;
+            rows.push(r);
+        }
+    }
+    rows
+}
+
+/// Thirteen trees: a count no lockstep chunk of two, four or eight
+/// divides, so the walk's remainder is exercised.
+fn remainder_params() -> RandomForestParams {
+    RandomForestParams {
+        n_trees: 13,
+        ..params()
+    }
+}
+
+/// The number of [`edge_rows`].
+const EDGE_ROWS: usize = 87;
+
+/// Bit patterns of the twelve-tree regression forest's predictions on
+/// [`edge_rows`].
+#[rustfmt::skip]
+const EDGE_REGRESSION_BITS: [u64; EDGE_ROWS] = [
+    0x404db01fb9c87e83, 0x4045966cf4073ed0, 0x404eca1736372cf3, 0x4049a74840d6bd98,
+    0x4045966cf4073ed0, 0x40457612d567d399, 0x40500606b332cea5, 0x403d158127553483,
+    0x40433ee98b9d782c, 0x4044735f8950200b, 0x4040c29f090a1721, 0x4040e88d48271c13,
+    0x404c23e563228d13, 0x404c80095475fbf0, 0x4050d67dee464205, 0x404de9dbec221a33,
+    0x404c23e563228d13, 0x404abf9c0762e324, 0x4053a83705a28921, 0x404db01fb9c87e83,
+    0x4045966cf4073ed0, 0x404eca1736372cf3, 0x4049a74840d6bd98, 0x4045966cf4073ed0,
+    0x40457612d567d399, 0x40500606b332cea5, 0x403d158127553483, 0x40433ee98b9d782c,
+    0x4044735f8950200b, 0x4040c29f090a1721, 0x4040e88d48271c13, 0x404c23e563228d13,
+    0x404c80095475fbf0, 0x4050d67dee464205, 0x404de9dbec221a33, 0x404c23e563228d13,
+    0x404abf9c0762e324, 0x4053a83705a28921, 0x402d5672e5c420b0, 0x403de4ddc0bd164f,
+    0x403f096509809890, 0x4045bf09373eab15, 0x40461e3504e1517b, 0x40428aa9f8c3ba6d,
+    0x40317e2b0e51bea8, 0x40339ff0e62407f1, 0x40369a7124077cad, 0x403dd26d7d98e534,
+    0x403da788b0e4cf0d, 0x403cbe75c66ce8bf, 0x402aa00a4d832b63, 0x40498a325fbaa553,
+    0x404193a469288365, 0x404c23e563228d13, 0x404e37bcec1ccfd1, 0x40495c8e56dd5861,
+    0x401c9f55a9725b13, 0x402d5672e5c420b0, 0x4034942f92f97f5c, 0x403a13b4ade29115,
+    0x4040bb376aaf87e7, 0x404c1b200df72368, 0x404dfbe773c12f45, 0x403de4ddc0bd164f,
+    0x40352a07cdd9b205, 0x4048ef12104dc72f, 0x40301b256033ebe9, 0x404b0d2350ec7101,
+    0x404d7353fef1fcb8, 0x403f096509809890, 0x40356eb04faa9870, 0x404d4b2e228cd10c,
+    0x4035e12be1d026f5, 0x4045bf09373eab15, 0x403d5923a4464e6f, 0x404c1ea28aaa47e8,
+    0x402cbb53079fed23, 0x404a739e0d739844, 0x404d27b3bbdca871, 0x40461e3504e1517b,
+    0x40411c44826bf35c, 0x40428aa9f8c3ba6d, 0x403c3e2d5a9116ac, 0x404c9116ea708af8,
+    0x4031861f264acf34, 0x404b0c2d015fbfe1, 0x404edf7726087108,
+];
+
+/// The twelve-tree classification forest's class per row of
+/// [`edge_rows`].
+const EDGE_CLASSES: &str = concat!(
+    "23323222222322222322332322222232222232303202203122",
+    "0322220320213032333322222201302220213",
+);
+
+/// Bit patterns of the thirteen-tree regression forest's predictions
+/// on [`edge_rows`].
+#[rustfmt::skip]
+const REMAINDER_REGRESSION_BITS: [u64; EDGE_ROWS] = [
+    0x404d8a78b168cecf, 0x4045769e190a3fdb, 0x404e6693b9145bc1, 0x404937688753a131,
+    0x4045769e190a3fdb, 0x404558c1107717f7, 0x40501714aaba2aa1, 0x403cb0779ccbe214,
+    0x4044eccce54c09c2, 0x404374135b852a32, 0x403fe567f201314f, 0x404085dc91fb52c4,
+    0x404c10cb2767a0c0, 0x404c65d8a3b4a4a0, 0x4050966ff31fcc35, 0x404d69aedc27c5de,
+    0x404c10cb2767a0c0, 0x404ac7e9e667f032, 0x405413bcb5c4845f, 0x404d8a78b168cecf,
+    0x4045769e190a3fdb, 0x404e6693b9145bc1, 0x404937688753a131, 0x4045769e190a3fdb,
+    0x404558c1107717f7, 0x40501714aaba2aa1, 0x403cb0779ccbe214, 0x4044eccce54c09c2,
+    0x404374135b852a32, 0x403fe567f201314f, 0x404085dc91fb52c4, 0x404c10cb2767a0c0,
+    0x404c65d8a3b4a4a0, 0x4050966ff31fcc35, 0x404d69aedc27c5de, 0x404c10cb2767a0c0,
+    0x404ac7e9e667f032, 0x405413bcb5c4845f, 0x402d37357df3c6a5, 0x403d1f62e38c3566,
+    0x403e774389b7b460, 0x404629d888bca8c2, 0x404614c2bcbcc751, 0x4042e69a3431954e,
+    0x4031fa3e84977076, 0x403469200d9e58a0, 0x4035a6b9bd8d2546, 0x403f2b01af8df85c,
+    0x403d341ecbe41d22, 0x403c5cf9a4b0839f, 0x402a6c308f9190fa, 0x4049aa4d4ba540fb,
+    0x4040edf13688591e, 0x404c10cb2767a0c0, 0x404db69a3caeb4b0, 0x4049802c0862d292,
+    0x4020078d554a6e42, 0x402d37357df3c6a5, 0x4034d37dc3f73609, 0x403c4046d5d6c2fc,
+    0x404100491acf62f4, 0x404a7fc0dc7153da, 0x404e200e24170d4a, 0x403d1f62e38c3566,
+    0x40354b68e9f8f43e, 0x40491b1bc740c2b2, 0x403091cdf849a0ba, 0x404a648fac5c7636,
+    0x404da1fc2e6b7c2a, 0x403e774389b7b460, 0x40354212041409ef, 0x404d215d132c2e44,
+    0x4036f846c09fb07b, 0x404629d888bca8c2, 0x403cebc1852a6b55, 0x404bc1c8a991c8ac,
+    0x402c1581d6b7ed45, 0x4048f8d2b49570f4, 0x404d791b034d7330, 0x404614c2bcbcc751,
+    0x4040b599654e8fa5, 0x4042e69a3431954e, 0x403be68f6883242b, 0x404c75966939776c,
+    0x4030f66e0e68d3ea, 0x404985a56e5bbce7, 0x404efb03446629db,
+];
+
+/// The thirteen-tree classification forest's class per row of
+/// [`edge_rows`].
+const REMAINDER_CLASSES: &str = concat!(
+    "23323322222322222322332332222232222232303233203122",
+    "0322220320210032333322222233332322213",
+);
+
+/// Asserts a regression forest's predictions on `rows` are `want`, bit
+/// for bit.
+fn assert_regression_bits(params: &RandomForestParams, rows: &[[f64; FEATURES]], want: &[u64]) {
+    let forest = RandomForest::fit(&training(Task::Regression), Task::Regression, params);
+    assert_eq!(rows.len(), want.len());
+    for (i, (r, &want)) in rows.iter().zip(want).enumerate() {
+        let got = forest.predict(r).to_bits();
+        assert_eq!(
+            got,
+            want,
+            "row {i} {r:?}: {} against {}",
+            f64::from_bits(got),
+            f64::from_bits(want)
+        );
+    }
+}
+
+/// A four-class forest's predictions on `rows`, one digit each.
+fn classes(params: &RandomForestParams, rows: &[[f64; FEATURES]]) -> String {
+    let task = Task::Classification { n_classes: 4 };
+    let forest = RandomForest::fit(&training(task), task, params);
+    rows.iter()
+        .map(|r| char::from(b'0' + forest.predict(r) as u8))
+        .collect()
+}
+
+#[test]
+fn edge_predictions_are_frozen() {
+    let rows = edge_rows();
+    assert_regression_bits(&params(), &rows, &EDGE_REGRESSION_BITS);
+    assert_eq!(classes(&params(), &rows), EDGE_CLASSES);
+}
+
+#[test]
+fn a_remainder_after_the_lockstep_chunk_is_frozen() {
+    let rows = edge_rows();
+    assert_regression_bits(&remainder_params(), &rows, &REMAINDER_REGRESSION_BITS);
+    assert_eq!(classes(&remainder_params(), &rows), REMAINDER_CLASSES);
 }

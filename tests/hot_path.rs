@@ -219,6 +219,12 @@ fn rtp_ml_steady_state_is_alloc_free() {
 /// A 40-tree regression forest over `width` features, fitted on rows
 /// that only need to give it splits to walk.
 fn forest(width: usize) -> RandomForest {
+    fitted(width, Task::Regression)
+}
+
+/// A 40-tree forest for `task` over `width` features; its targets are
+/// 0 to 30, so a classifier has 31 classes.
+fn fitted(width: usize, task: Task) -> RandomForest {
     let mut data = Dataset::new((0..width).map(|i| format!("f{i}")).collect());
     for i in 0..200u32 {
         let row: Vec<f64> = (0..width)
@@ -226,7 +232,7 @@ fn forest(width: usize) -> RandomForest {
             .collect();
         data.push(&row, f64::from(i % 31));
     }
-    RandomForest::fit(&data, Task::Regression, &RandomForestParams::default())
+    RandomForest::fit(&data, task, &RandomForestParams::default())
 }
 
 /// Warm on the first half of the trace, then meter every push in the
@@ -311,6 +317,18 @@ fn forest_predict_is_alloc_free() {
     let (allocs, fps) = metered(|| forest.predict(&row));
     assert!(fps.is_finite());
     assert_eq!(allocs, 0, "RandomForest::predict allocated");
+}
+
+#[test]
+fn classifier_predict_is_alloc_free() {
+    let forest = fitted(14, Task::Classification { n_classes: 31 });
+    let row: Vec<f64> = (0..14).map(|j| f64::from(j * 71 % 1_000)).collect();
+    let (allocs, class) = metered(|| forest.predict(&row));
+    assert!(
+        (0.0..31.0).contains(&class) && class.fract() == 0.0,
+        "{class}"
+    );
+    assert_eq!(allocs, 0, "a classifier's RandomForest::predict allocated");
 }
 
 /// [`trace`]'s call on three flows, merged into one arrival-ordered feed

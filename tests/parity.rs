@@ -11,6 +11,7 @@ use vcaml_suite::datasets::oracle::{
     PktObs,
 };
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
+use vcaml_suite::features::{FlowFeatureAcc, IpUdpFeatureAcc, StatsMode, DEFAULT_THETA_IAT_US};
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::engine::{
@@ -165,6 +166,126 @@ fn rtp_ml_features_streaming_equals_batch() {
             let mut batch = flow[..12].to_vec();
             batch.extend(rtp_features(&in_win(&video), &in_win(&rtx), lag_ref));
             assert_eq!(r.features.as_deref().unwrap(), &batch[..], "window {wi}");
+        }
+    }
+}
+
+/// One hand-built window through both feature accumulators and through
+/// the oracle, compared bit for bit (`-0.0` is not `0.0` here): the
+/// IP/UDP accumulator's 14 features, and the flow accumulator's 12 that
+/// RTP ML shares.
+fn assert_window_matches_oracle(label: &str, pkts: &[(i64, u16)], window_secs: f64) {
+    let theta = DEFAULT_THETA_IAT_US;
+    let slice: Vec<PktObs> = pkts
+        .iter()
+        .map(|&(us, size)| PktObs {
+            ts: Timestamp::from_micros(us),
+            size,
+        })
+        .collect();
+    let want = ipudp_features(&slice, window_secs, theta).map(f64::to_bits);
+    let mut ipudp = IpUdpFeatureAcc::new(StatsMode::Exact, theta);
+    let mut flow = FlowFeatureAcc::new();
+    for p in &slice {
+        ipudp.push(p.ts, p.size);
+        flow.push(p.ts, p.size);
+    }
+    let mut got = [0.0; IpUdpFeatureAcc::WIDTH];
+    ipudp.features_into(window_secs, &mut got);
+    assert_eq!(got.map(f64::to_bits), want, "{label}: IpUdpFeatureAcc");
+    let mut got = [0.0; FlowFeatureAcc::WIDTH];
+    flow.features_into(window_secs, &mut got);
+    assert_eq!(
+        got.map(f64::to_bits),
+        want[..FlowFeatureAcc::WIDTH],
+        "{label}: FlowFeatureAcc"
+    );
+}
+
+/// The accumulators' edges against the oracle, bit for bit: an empty
+/// window (its byte rate is the empty sum, `-0.0`), one packet, equal
+/// sizes, the largest size, zero and backward gaps, a gap of exactly
+/// θ, and even and odd counts.
+#[test]
+fn ml_features_edge_windows_equal_the_oracle() {
+    let theta = DEFAULT_THETA_IAT_US;
+    let cases: Vec<(&str, Vec<(i64, u16)>)> = vec![
+        ("empty", vec![]),
+        ("one packet", vec![(250_000, 1_200)]),
+        (
+            "equal sizes, odd count",
+            (0..9).map(|i| (i * 400, 1_100)).collect(),
+        ),
+        (
+            "equal sizes, even count",
+            (0..10).map(|i| (i * 33_333, 1_100)).collect(),
+        ),
+        (
+            "size 65535",
+            vec![
+                (0, 65_535),
+                (10, 65_535),
+                (20, 1),
+                (30_000, 65_535),
+                (30_001, 0),
+            ],
+        ),
+        (
+            "zero gaps",
+            vec![(5_000, 900), (5_000, 901), (5_000, 900), (40_000, 1_000)],
+        ),
+        (
+            "backward gaps",
+            vec![
+                (10_000, 1_000),
+                (9_000, 1_001),
+                (12_500, 1_002),
+                (2_000, 1_000),
+                (50_000, 800),
+                (49_999, 800),
+            ],
+        ),
+        (
+            "gaps of exactly theta",
+            vec![
+                (0, 700),
+                (theta, 701),
+                (2 * theta, 702),
+                (2 * theta + theta - 1, 703),
+                (5 * theta - 1, 704),
+            ],
+        ),
+        (
+            "even count, mixed",
+            vec![(0, 1_250), (300, 1_102), (33_000, 890), (33_400, 893)],
+        ),
+        (
+            "odd count, mixed",
+            vec![
+                (0, 1_250),
+                (300, 1_102),
+                (33_000, 890),
+                (33_400, 893),
+                (66_100, 1_250),
+            ],
+        ),
+        (
+            "a frame-shaped window",
+            (0..195)
+                .map(|i| {
+                    let frame = i / 6;
+                    let us = frame * 33_367 + (i % 6) * 180 + (i * 37) % 11;
+                    (
+                        us,
+                        1_000 + (frame % 13) as u16 * 17 - (i % 6 == 5) as u16 * 400,
+                    )
+                })
+                .collect(),
+        ),
+    ];
+    for (label, pkts) in &cases {
+        for window_secs in [1.0, 2.0] {
+            assert_window_matches_oracle(label, pkts, window_secs);
         }
     }
 }
