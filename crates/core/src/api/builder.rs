@@ -5,7 +5,7 @@ use super::QoeEvent;
 use super::{Monitor, OverflowPolicy, DEFAULT_QUEUE_CAPACITY};
 #[cfg(doc)]
 use crate::control::MonitorSnapshot;
-use crate::engine::{EngineConfig, Method};
+use crate::engine::{EngineConfig, Method, MAX_WINDOW_SECS};
 use vcaml_mlcore::RandomForest;
 use vcaml_netpkt::Timestamp;
 use vcaml_rtp::{PayloadMap, VcaKind};
@@ -94,9 +94,14 @@ impl MonitorBuilder {
         self
     }
 
-    /// Prediction window length in seconds (default 1).
+    /// Prediction window length in seconds (default 1), at most
+    /// [`MAX_WINDOW_SECS`].
     pub fn window_secs(mut self, secs: u32) -> Self {
         assert!(secs > 0, "zero window");
+        assert!(
+            secs <= MAX_WINDOW_SECS,
+            "window of {secs} s over MAX_WINDOW_SECS"
+        );
         self.config.window_secs = secs;
         self
     }

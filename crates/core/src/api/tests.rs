@@ -5,7 +5,7 @@
 )]
 
 use super::*;
-use crate::engine::{Method, WindowReport};
+use crate::engine::{Method, WindowReport, MAX_WINDOW_SECS};
 use crate::trace::TracePacket;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -63,6 +63,47 @@ fn builder_defaults_are_paper_shaped() {
     assert_eq!(m.active_flows(), 0);
     assert_eq!(m.stats().packets, 0);
     assert_eq!(m.pending_events(), 0);
+}
+
+#[test]
+#[should_panic(expected = "zero window")]
+fn a_zero_window_is_refused() {
+    let _ = MonitorBuilder::new(VcaKind::Teams).window_secs(0);
+}
+
+/// A window past [`MAX_WINDOW_SECS`] could hold a gap that an ML flow's
+/// `i32` microsecond log cannot.
+#[test]
+#[should_panic(expected = "over MAX_WINDOW_SECS")]
+fn a_window_past_the_bound_is_refused() {
+    let _ = MonitorBuilder::new(VcaKind::Teams).window_secs(MAX_WINDOW_SECS + 1);
+}
+
+/// The longest window holds the longest gap it can: an ML flow's one
+/// window reports it as its largest inter-arrival time, exactly.
+#[test]
+fn the_longest_window_reports_its_longest_gap() {
+    let window_us = i64::from(MAX_WINDOW_SECS) * 1_000_000;
+    let mut m = fixed(Method::IpUdpMl)
+        .window_secs(MAX_WINDOW_SECS)
+        .idle_timeout(Timestamp::from_secs(i64::from(MAX_WINDOW_SECS) + 1))
+        .build();
+    let flow = flow_key(1);
+    for us in [0, 300, window_us - 1] {
+        m.ingest_packet(flow, pkt(us, 1_000));
+    }
+    let events = m.finish();
+    let report = events
+        .iter()
+        .find_map(|e| match e {
+            QoeEvent::FlowEvicted { final_reports, .. } => final_reports.first(),
+            _ => None,
+        })
+        .expect("finish seals the flow");
+    assert_eq!(report.window, 0);
+    let features = report.features.as_deref().expect("an ML report");
+    // `IAT [min]` and `IAT [max]`, in milliseconds.
+    assert_eq!(features[10..12], [0.3, (window_us - 301) as f64 / 1e3]);
 }
 
 #[test]

@@ -171,6 +171,21 @@ impl EngineConfig {
     }
 }
 
+/// The longest prediction window, in whole seconds: the largest whose
+/// span in microseconds fits `i32`. An ML engine logs each gap between
+/// consecutive packets of a window as `i32` microseconds
+/// (`vcaml_features::FlowFeatureAcc`), and a gap it logs lies strictly
+/// inside one window (a late packet is dropped, and a seal restarts the
+/// gap chain), so under this bound every gap fits. It is a bound, not an
+/// option: [`crate::MonitorBuilder::window_secs`] and every engine refuse
+/// a longer window.
+///
+/// Stability: stable — re-exported from the crate root as the bound the
+/// builder checks.
+pub const MAX_WINDOW_SECS: u32 = 2_147;
+
+const _: () = assert!(MAX_WINDOW_SECS == i32::MAX as u32 / 1_000_000);
+
 /// Largest run of consecutive empty windows an engine will emit for one
 /// arrival gap. A packet whose window index jumps further than this — in
 /// either direction, covering a corrupt timestamp on the *first* packet
@@ -349,6 +364,11 @@ struct WindowClock {
 
 impl WindowClock {
     fn new(config: EngineConfig) -> Self {
+        assert!(
+            (1..=MAX_WINDOW_SECS).contains(&config.window_secs),
+            "window of {} s outside 1..={MAX_WINDOW_SECS}",
+            config.window_secs
+        );
         WindowClock {
             window_us: config.window_us(),
             now: 0,
@@ -1577,6 +1597,18 @@ mod tests {
         let mut reports = Vec::new();
         engine.finish_into(&mut reports);
         reports
+    }
+
+    /// Every engine refuses a window whose gaps an ML flow's `i32` log
+    /// could not hold, as the builder does.
+    #[test]
+    #[should_panic(expected = "outside 1..=2147")]
+    fn an_engine_refuses_a_window_past_the_bound() {
+        let config = EngineConfig {
+            window_secs: MAX_WINDOW_SECS + 1,
+            ..EngineConfig::paper(VcaKind::Teams)
+        };
+        let _ = IpUdpMlEngine::new(config);
     }
 
     /// Routes one packet through a table, returning its flow's windows.

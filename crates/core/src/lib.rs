@@ -102,7 +102,7 @@ pub use sink::{
 pub use source::{Paced, PacketSource, PcapFileSource, ReplaySource, SourcePacket};
 // The concrete engines, `FlowTable`, and `replay` stay at their
 // `engine::` paths only: they are unstable internals behind the facade.
-pub use engine::{EngineConfig, Method, QoeEstimator, WindowReport};
+pub use engine::{EngineConfig, Method, QoeEstimator, WindowReport, MAX_WINDOW_SECS};
 pub use frames::Frame;
 pub use heuristic::{HeuristicParams, IpUdpAssembler};
 pub use media::MediaClassifier;

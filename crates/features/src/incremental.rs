@@ -10,7 +10,8 @@
 //!
 //! There is one accumulation mode: each window keeps an arrival-order
 //! log of its sizes and one of its gaps (bounded by the window's packet
-//! count, capacity retained across windows), and a push is two appends.
+//! count, capacity retained across windows, 6 bytes per packet), and a
+//! push is two appends.
 //! The seal reads both logs at once in [`crate::stats`]'s
 //! `window_features_into`: one pass for the extremes, the sums and the two
 //! VCA-semantics counts, one loop for both variances, and a selection per
@@ -57,19 +58,20 @@ pub enum StatsMode {
 /// Incremental computation of the 12 flow-level features
 /// ([`crate::flow_feature_names`]) for one window.
 ///
-/// The window's state is two arrival-order logs, retained at capacity
-/// across windows so that after warmup no push allocates; every statistic
-/// is deferred to the seal, which reads both logs in one
-/// `stats::window_features_into`. A per-push sorted insert was measured
-/// at ~10–20× the append cost on gap streams (hundreds of distinct values
-/// per window ⇒ an `O(n)` memmove per packet).
+/// The window's state is two arrival-order logs, a `u16` size and an
+/// `i32` gap per packet, retained at capacity across windows so that
+/// after warmup no push allocates; every statistic is deferred to the
+/// seal, which reads both logs in one `stats::window_features_into`. A
+/// per-push sorted insert was measured at ~10–20× the append cost on gap
+/// streams (hundreds of distinct values per window ⇒ an `O(n)` memmove
+/// per packet).
 #[derive(Debug, Clone)]
 pub struct FlowFeatureAcc {
     /// Sizes as captured (`u16`, 2 bytes per packet).
     sizes: Vec<u16>,
-    /// Gaps in whole microseconds (8 bytes per packet): one fewer than
+    /// Gaps in whole microseconds (4 bytes per packet): one fewer than
     /// the sizes, since the first packet of a window has none.
-    gaps: Vec<i64>,
+    gaps: Vec<i32>,
     prev_ts: Option<Timestamp>,
 }
 
@@ -95,10 +97,19 @@ impl FlowFeatureAcc {
     /// Offers one packet (arrival order). Byte and packet totals are
     /// derived from the size stream at seal time, keeping this hot call
     /// to two appends and a timestamp save.
+    ///
+    /// The gap since the previous packet is logged as `i32` microseconds,
+    /// so it must lie within ±[`i32::MAX`] µs (about 35 minutes). The
+    /// engines keep every gap inside one window, and a window is at most
+    /// `vcaml::MAX_WINDOW_SECS` (2 147 s) long, so theirs always
+    /// fit. Debug builds assert it; a gap outside it saturates.
     pub fn push(&mut self, ts: Timestamp, size: u16) {
         self.sizes.push(size);
         if let Some(prev) = self.prev_ts {
-            self.gaps.push((ts - prev).as_micros());
+            let gap = (ts - prev).as_micros();
+            debug_assert!(i32::try_from(gap).is_ok(), "{gap} µs gap overflows i32");
+            self.gaps
+                .push(gap.clamp(i32::MIN.into(), i32::MAX.into()) as i32);
         }
         self.prev_ts = Some(ts);
     }
@@ -128,7 +139,7 @@ impl FlowFeatureAcc {
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.sizes.capacity() * std::mem::size_of::<u16>()
-            + self.gaps.capacity() * std::mem::size_of::<i64>()
+            + self.gaps.capacity() * std::mem::size_of::<i32>()
     }
 }
 
@@ -206,8 +217,8 @@ impl IpUdpFeatureAcc {
     }
 
     /// Estimated bytes of state held by this accumulator: the inline
-    /// struct plus the value logs' retained heap capacity (10 bytes per
-    /// packet of the fullest window: a `u16` size and an `i64` gap), the
+    /// struct plus the value logs' retained heap capacity (6 bytes per
+    /// packet of the fullest window: a `u16` size and an `i32` gap), the
     /// only part that grows (unique sizes are counted from the size log
     /// at seal).
     pub fn state_bytes(&self) -> usize {

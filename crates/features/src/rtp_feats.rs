@@ -36,20 +36,22 @@ pub struct LagReference {
 
 /// Incremental accumulator for the 12 RTP features of one window.
 ///
-/// State is bounded by the window's content — the unique timestamp sets
-/// and one entry per frame. Resets retain capacity, so a push allocates
+/// State is bounded by the window's content: one record per video frame
+/// (its RTP timestamp and completion time), which is also the window's
+/// set of distinct video timestamps, and the set of distinct
+/// retransmission timestamps. Resets retain capacity, so a push allocates
 /// only when a window holds more distinct timestamps than any window
 /// before it.
 #[derive(Debug, Clone, Default)]
 pub struct RtpWindowAcc {
-    vid_ts: HashSet<u32>,
     rtx_ts: HashSet<u32>,
     marker_vid: u64,
     marker_rtx: u64,
     last_vid_seq: Option<u16>,
     ooo: u64,
     /// Every frame of the window in first-arrival order: (RTP timestamp,
-    /// completion time).
+    /// completion time). The timestamps are distinct, so they are the
+    /// window's video timestamp set.
     frames: Vec<(u32, Timestamp)>,
     /// Window-local lag anchor (the window's first frame), used when
     /// [`RtpWindowAcc::features_into`] is given no session reference.
@@ -67,7 +69,6 @@ impl RtpWindowAcc {
 
     /// Offers one video-stream packet (arrival order).
     pub fn push_video(&mut self, t: Timestamp, h: &RtpHeader) {
-        self.vid_ts.insert(h.timestamp);
         if h.marker {
             self.marker_vid += 1;
         }
@@ -106,11 +107,17 @@ impl RtpWindowAcc {
     /// holds exactly [`RtpWindowAcc::WIDTH`] values. Allocates nothing.
     pub fn features_into(&self, lag_ref: Option<LagReference>, out: &mut [f64]) {
         let (counts, lags) = out.split_at_mut(7);
+        let (vid, rtx) = (self.frames.len(), self.rtx_ts.len());
+        let both = self
+            .frames
+            .iter()
+            .filter(|(ts, _)| self.rtx_ts.contains(ts))
+            .count();
         counts.copy_from_slice(&[
-            self.vid_ts.len() as f64,
-            self.rtx_ts.len() as f64,
-            self.vid_ts.intersection(&self.rtx_ts).count() as f64,
-            self.vid_ts.union(&self.rtx_ts).count() as f64,
+            vid as f64,
+            rtx as f64,
+            both as f64,
+            (vid + rtx - both) as f64,
             self.marker_vid as f64,
             self.marker_rtx as f64,
             self.ooo as f64,
@@ -121,7 +128,6 @@ impl RtpWindowAcc {
     /// Clears per-window state in place; set and frame capacity is
     /// retained so steady-state pushes stay allocation-free.
     pub fn reset(&mut self) {
-        self.vid_ts.clear();
         self.rtx_ts.clear();
         self.marker_vid = 0;
         self.marker_rtx = 0;
@@ -135,7 +141,7 @@ impl RtpWindowAcc {
     /// for per-flow memory accounting.
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + (self.vid_ts.capacity() + self.rtx_ts.capacity()) * std::mem::size_of::<u32>()
+            + self.rtx_ts.capacity() * std::mem::size_of::<u32>()
             + self.frames.capacity() * std::mem::size_of::<(u32, Timestamp)>()
     }
 

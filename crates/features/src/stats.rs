@@ -7,9 +7,10 @@
 //! definitions, and nothing sorts or allocates once a per-thread buffer
 //! has grown:
 //!
-//! * `window_features_into` takes a window's size and gap logs in three
-//!   steps. One pass over both logs takes min and max of each, the sizes'
-//!   sum as an exact integer, the gaps' sum in arrival order, and, for
+//! * `window_features_into` takes a window's size and gap logs (`u16`
+//!   bytes and `i32` microseconds, widened to `i64` as they are read) in
+//!   three steps. One pass over both logs takes min and max of each, the
+//!   sizes' sum as an exact integer, the gaps' sum in arrival order, and, for
 //!   IP/UDP ML, the distinct sizes and the gaps of at least θ. One loop
 //!   then runs the size and gap variance chains side by side, two
 //!   independent add chains that overlap. Last, each median is a
@@ -106,8 +107,9 @@ fn gap_ms(us: i64) -> f64 {
 
 /// Writes a window's flow features into `out` from its arrival-order
 /// logs: `sizes`, and `gaps` in whole microseconds between consecutive
-/// packets (one fewer than the sizes, or none). That is bytes and
-/// packets per second over `window_secs`, then
+/// packets (one fewer than the sizes, or none), each widened to `i64`
+/// where it is read, so the `i32` log computes what an `i64` one would.
+/// That is bytes and packets per second over `window_secs`, then
 /// `[mean, stdev, median, min, max]` of the sizes and of the gaps in
 /// milliseconds (all zeros for none). With `theta_us`, `out` holds two
 /// more: the distinct sizes and the microbursts, 1 + the gaps of at
@@ -123,7 +125,7 @@ fn gap_ms(us: i64) -> f64 {
 /// long, or 14 with `theta_us`.
 pub(crate) fn window_features_into(
     sizes: &[u16],
-    gaps: &[i64],
+    gaps: &[i32],
     window_secs: f64,
     theta_us: Option<i64>,
     out: &mut [f64],
@@ -155,6 +157,7 @@ pub(crate) fn window_features_into(
             mark(first);
         }
         for (&size, &gap) in rest.iter().zip(gaps) {
+            let gap = i64::from(gap);
             size_min = size_min.min(size);
             size_max = size_max.max(size);
             size_sum += u64::from(size);
@@ -178,7 +181,7 @@ pub(crate) fn window_features_into(
         size_var += (f64::from(first) - size_mean).powi(2);
         for (&size, &gap) in rest.iter().zip(gaps) {
             size_var += (f64::from(size) - size_mean).powi(2);
-            gap_var += (gap_ms(gap) - gap_mean).powi(2);
+            gap_var += (gap_ms(i64::from(gap)) - gap_mean).powi(2);
         }
 
         // The medians.
@@ -199,7 +202,7 @@ pub(crate) fn window_features_into(
                 return;
             }
             scratch.clear();
-            scratch.extend_from_slice(gaps);
+            scratch.extend(gaps.iter().map(|&g| i64::from(g)));
             flow[7..].copy_from_slice(&[
                 gap_mean,
                 (gap_var / n_gaps).sqrt(),

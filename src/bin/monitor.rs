@@ -38,7 +38,7 @@ use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::daemon::{BoundControl, ControlEndpoint, Daemon, DaemonConfig};
 use vcaml_suite::vcaml::{
     AlertSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder, MonitorRunner,
-    OverflowPolicy, Paced, PcapFileSource, SummarySink,
+    OverflowPolicy, Paced, PcapFileSource, SummarySink, MAX_WINDOW_SECS,
 };
 use vcaml_suite::vcasim::{synthetic_capture, MAX_SYNTHETIC_CALLS};
 
@@ -158,7 +158,8 @@ fn usage() -> ! {
             "  --vca <teams|meet|webex>      (default teams)\n",
             "  --method <auto|auto-ml|ipudp-heuristic|ipudp-ml|rtp-heuristic|rtp-ml>\n",
             "                       (default auto)\n",
-            "  --window <secs>      prediction window length (default 1)\n",
+            "  --window <secs>      prediction window length, at most\n",
+            "                       {max_window} (default 1)\n",
             "  --idle-timeout <secs> evict flows idle this long (default 60)\n",
             "  --flush-after <pkts> emit provisional windows after this many\n",
             "                       packets without a final one (default off)\n",
@@ -198,6 +199,7 @@ fn usage() -> ! {
             "see `vcaml-scenario --help`",
         ),
         max_calls = MAX_SYNTHETIC_CALLS,
+        max_window = MAX_WINDOW_SECS,
     );
     std::process::exit(2)
 }
@@ -294,6 +296,7 @@ fn parse_args() -> Args {
     // number is refused as `SET alert_fps` refuses it: fail with usage,
     // not a panic.
     if args.window_secs == 0
+        || args.window_secs > MAX_WINDOW_SECS
         || args.synthetic_secs == Some(0)
         || args.calls == 0
         || args.calls > MAX_SYNTHETIC_CALLS

@@ -533,8 +533,9 @@ fn bytes_per_flow_is_pinned_per_method() {
     }
     // IpUdpMl keeps no set over the size domain and no copy of a model.
     // Past 1 KiB for the fresh engine and its table slot, its state is the
-    // two 8-byte value logs (sizes and gaps), retained at the next power
-    // of two above the busiest video window's packet count.
+    // two value logs (a 2-byte size and a 4-byte gap per packet), retained
+    // at the next power of two above the busiest video window's packet
+    // count.
     let busiest = replay(
         &mut IpUdpMlEngine::new(EngineConfig::paper(VcaKind::Teams)),
         &trace,
@@ -544,7 +545,7 @@ fn bytes_per_flow_is_pinned_per_method() {
     .map(|r| r.video_packets)
     .max()
     .expect("the trace has windows");
-    let ml_bound = 1_024 + 16 * busiest.next_power_of_two() as u64;
+    let ml_bound = 1_024 + 6 * busiest.next_power_of_two() as u64;
     assert!(
         ipudp_ml <= ml_bound,
         "IpUdpMl: {ipudp_ml} B/flow above {ml_bound} B \

@@ -434,7 +434,7 @@ fn windowed_flow() -> Vec<TracePacket> {
 /// `state_bytes()` is sampled as each window seals. It stops growing once
 /// the first windows have sized the buffers; a window 4× as full raises
 /// it once, to no more than a fresh engine plus the two value logs (a
-/// 2-byte size and an 8-byte gap per packet) at the next power of two
+/// 2-byte size and a 4-byte gap per packet) at the next power of two
 /// above that window's packet count plus
 /// `sets_bound`; and the ordinary windows after it leave it exactly there
 /// — capacity is retained, never compounded.
@@ -467,7 +467,7 @@ fn assert_state_is_one_windows_content<E: QoeEstimator>(
     );
 
     let burst = sealed[WINDOWS_BEFORE].1;
-    let logs = (2 + 8) * (BURST_FRAMES * PKTS_PER_FRAME).next_power_of_two();
+    let logs = (2 + 4) * (BURST_FRAMES * PKTS_PER_FRAME).next_power_of_two();
     assert!(
         burst > warm,
         "{label}: the burst window did not fit the old buffers"
@@ -512,8 +512,9 @@ fn rtp_ml_state_is_one_windows_content() {
         "RtpMl: a fresh engine holds heap"
     );
     // Per distinct RTP timestamp: a 16-byte frame entry at the next power
-    // of two, and a 4-byte set slot at no more than twice that.
-    let sets_bound = BURST_FRAMES.next_power_of_two() * (16 + 2 * 4);
+    // of two, which is also the window's video timestamp set (this flow
+    // carries no retransmissions).
+    let sets_bound = BURST_FRAMES.next_power_of_two() * 16;
     assert_state_is_one_windows_content(engine, sets_bound, "RtpMl");
 }
 

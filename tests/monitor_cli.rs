@@ -4,8 +4,8 @@
 //!   typed event, window reports among them;
 //! * input the flags cannot accept — a retired mode, an idle timeout
 //!   that does not fit in microseconds, a zero-length feed, an alert bar
-//!   that is not a number, a zero window, no calls or more calls than
-//!   client ports — exits 2 with usage on stderr and never reaches an
+//!   that is not a number, a zero window or one past `MAX_WINDOW_SECS`,
+//!   no calls or more calls than client ports — exits 2 with usage on stderr and never reaches an
 //!   assert further in;
 //! * `--help` keeps the usage's indentation;
 //! * a fixed synthetic run prints the same bytes under every `--method`
@@ -51,6 +51,7 @@ fn bad_input_exits_2_with_usage_not_a_panic() {
         "--synthetic 0 --calls 1",
         "--synthetic 2 --calls 1 --alert-fps inf",
         "--synthetic 2 --calls 1 --window 0",
+        "--synthetic 2 --calls 1 --window 2148",
         "--synthetic 2 --calls 0",
         "--synthetic 2 --calls 13717",
     ] {

@@ -13,7 +13,7 @@ use vcaml_suite::datasets::oracle::{
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::{FlowFeatureAcc, IpUdpFeatureAcc, StatsMode, DEFAULT_THETA_IAT_US};
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
-use vcaml_suite::rtp::VcaKind;
+use vcaml_suite::rtp::{PayloadMap, RtpHeader, VcaKind};
 use vcaml_suite::vcaml::engine::{
     replay, FlowTable, IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
@@ -21,6 +21,7 @@ use vcaml_suite::vcaml::{
     build_samples,
     qoe::{QoeEstimate, QoeWindower},
     EngineConfig, Frame, MediaClassifier, Method, QoeEstimator, Trace, TracePacket, WindowReport,
+    MAX_WINDOW_SECS,
 };
 
 fn corpus(vca: VcaKind, seed: u64, n: usize) -> Vec<Trace> {
@@ -123,51 +124,125 @@ fn ipudp_ml_features_streaming_equals_batch() {
 /// batch reconstruction: the oracle's flow features over
 /// `windows_by_second` slices of PT-video packets plus its RTP features
 /// with the session lag anchor — not a comparison of the engine against
-/// itself.
+/// itself. Corpus calls, and a hand-built call whose retransmissions
+/// carry some frames' timestamps and timestamps of no frame, so the
+/// intersection and union counts are exercised.
 #[test]
 fn rtp_ml_features_streaming_equals_batch() {
-    let vca = VcaKind::Teams;
-    let config = EngineConfig::paper(vca);
-    for trace in &corpus(vca, 18, 2) {
-        let stream = |kind| -> Vec<_> {
-            trace
-                .packets
-                .iter()
-                .filter_map(|p| Some((p.ts, p.rtp?, p.size)))
-                .filter(|(_, h, _)| trace.payload_map.classify(h.payload_type) == Some(kind))
-                .collect()
-        };
-        let video = stream(vcaml_suite::rtp::MediaKind::Video);
-        let rtx = stream(vcaml_suite::rtp::MediaKind::VideoRtx);
-        let lag_ref = video.first().map(|&(t, h, _)| (t, h.timestamp));
-        let flow_pkts: Vec<PktObs> = video
-            .iter()
-            .map(|&(ts, _, size)| PktObs { ts, size })
-            .collect();
-        let flow_windows = windows_by_second(&flow_pkts, trace.duration_secs, 1);
+    for trace in &corpus(VcaKind::Teams, 18, 2) {
+        assert_rtp_ml_equals_oracle(trace);
+    }
+    // Features 12–15: distinct video and RTX timestamps, their
+    // intersection and their union.
+    for r in assert_rtp_ml_equals_oracle(&rtx_overlap_call()) {
+        let f = r.features.as_deref().unwrap();
+        let (vid, rtx, both, union) = (f[12], f[13], f[14], f[15]);
+        assert!(0.0 < both && both < vid.min(rtx), "window {}", r.window);
+        assert!(union > vid.max(rtx), "window {}", r.window);
+    }
+}
 
-        let reports = replay(&mut RtpMlEngine::new(config, trace.payload_map), trace, 1);
-        for r in &reports {
-            let wi = r.window as usize;
-            let lo = wi as i64 * 1_000_000;
-            let hi = lo + 1_000_000;
-            let in_win = |pkts: &[(Timestamp, _, u16)]| -> Vec<_> {
-                pkts.iter()
-                    .filter(|(t, _, _)| t.as_micros() >= lo && t.as_micros() < hi)
-                    .map(|&(t, h, _)| (t, h))
-                    .collect()
-            };
-            let empty = Vec::new();
-            let flow = ipudp_features(
-                flow_windows.get(wi).unwrap_or(&empty),
-                1.0,
-                config.theta_iat_us,
+/// Three seconds of Teams-lab video at 30 frames per second, three
+/// packets a frame. Every fourth frame is retransmitted (every eighth
+/// twice), near a window's end in the next window, and every fifth is
+/// followed by a retransmission whose timestamp is no frame's.
+fn rtx_overlap_call() -> Trace {
+    let rtx_pt = 103;
+    let map = PayloadMap {
+        video_rtx: Some(rtx_pt),
+        ..PayloadMap::lab(VcaKind::Teams)
+    };
+    let (mut packets, mut seq, mut rtx_seq) = (Vec::new(), 0u16, 0u16);
+    let mut push = |us: i64, h: RtpHeader| {
+        packets.push(TracePacket {
+            ts: Timestamp::from_micros(us),
+            size: 1_000,
+            rtp: Some(h),
+            truth_media: None,
+        })
+    };
+    for frame in 0..90i64 {
+        let (us, ts) = (frame * 33_333, 3_000 * frame as u32);
+        for k in 0..3 {
+            push(
+                us + k * 150,
+                RtpHeader::basic(map.video, seq, ts, 1, k == 2),
             );
-            let mut batch = flow[..12].to_vec();
-            batch.extend(rtp_features(&in_win(&video), &in_win(&rtx), lag_ref));
-            assert_eq!(r.features.as_deref().unwrap(), &batch[..], "window {wi}");
+            seq = seq.wrapping_add(1);
+        }
+        let mut rtx = |us: i64, ts: u32| {
+            push(us, RtpHeader::basic(rtx_pt, rtx_seq, ts, 2, false));
+            rtx_seq = rtx_seq.wrapping_add(1);
+        };
+        if frame % 4 == 0 {
+            rtx(us + 20_000, ts);
+        }
+        if frame % 8 == 0 {
+            // A second copy, up to a window later.
+            rtx(us + 30_000, ts);
+        }
+        if frame % 5 == 0 {
+            rtx(us + 25_000, ts + 1_500);
         }
     }
+    packets.sort_by_key(|p| p.ts);
+    Trace {
+        vca: VcaKind::Teams,
+        payload_map: map,
+        packets,
+        truth: Vec::new(),
+        duration_secs: 3,
+    }
+}
+
+/// Replays `trace` through the RTP ML engine, asserts every window's
+/// features equal the oracle's bit for bit, and returns the reports.
+fn assert_rtp_ml_equals_oracle(trace: &Trace) -> Vec<WindowReport> {
+    let config = EngineConfig::paper(trace.vca);
+    let stream = |kind| -> Vec<_> {
+        trace
+            .packets
+            .iter()
+            .filter_map(|p| Some((p.ts, p.rtp?, p.size)))
+            .filter(|(_, h, _)| trace.payload_map.classify(h.payload_type) == Some(kind))
+            .collect()
+    };
+    let video = stream(vcaml_suite::rtp::MediaKind::Video);
+    let rtx = stream(vcaml_suite::rtp::MediaKind::VideoRtx);
+    let lag_ref = video.first().map(|&(t, h, _)| (t, h.timestamp));
+    let flow_pkts: Vec<PktObs> = video
+        .iter()
+        .map(|&(ts, _, size)| PktObs { ts, size })
+        .collect();
+    let flow_windows = windows_by_second(&flow_pkts, trace.duration_secs, 1);
+
+    let reports = replay(&mut RtpMlEngine::new(config, trace.payload_map), trace, 1);
+    for r in &reports {
+        let wi = r.window as usize;
+        let lo = wi as i64 * 1_000_000;
+        let hi = lo + 1_000_000;
+        let in_win = |pkts: &[(Timestamp, _, u16)]| -> Vec<_> {
+            pkts.iter()
+                .filter(|(t, _, _)| t.as_micros() >= lo && t.as_micros() < hi)
+                .map(|&(t, h, _)| (t, h))
+                .collect()
+        };
+        let empty = Vec::new();
+        let flow = ipudp_features(
+            flow_windows.get(wi).unwrap_or(&empty),
+            1.0,
+            config.theta_iat_us,
+        );
+        let mut batch = flow[..12].to_vec();
+        batch.extend(rtp_features(&in_win(&video), &in_win(&rtx), lag_ref));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(r.features.as_deref().unwrap_or_default()),
+            bits(&batch),
+            "window {wi}"
+        );
+    }
+    reports
 }
 
 /// One hand-built window through both feature accumulators and through
@@ -205,7 +280,8 @@ fn assert_window_matches_oracle(label: &str, pkts: &[(i64, u16)], window_secs: f
 /// The accumulators' edges against the oracle, bit for bit: an empty
 /// window (its byte rate is the empty sum, `-0.0`), one packet, equal
 /// sizes, the largest size, zero and backward gaps, a gap of exactly
-/// θ, and even and odd counts.
+/// θ, even and odd counts, and the longest window's longest gaps, which
+/// the `i32` gap log must hold as the oracle's `i64` does.
 #[test]
 fn ml_features_edge_windows_equal_the_oracle() {
     let theta = DEFAULT_THETA_IAT_US;
@@ -287,6 +363,29 @@ fn ml_features_edge_windows_equal_the_oracle() {
         for window_secs in [1.0, 2.0] {
             assert_window_matches_oracle(label, pkts, window_secs);
         }
+    }
+
+    // The longest window, whose in-window gaps reach the `i32` log's
+    // range: one of `window_us - 1`, and a backward (reordered) one
+    // almost as long.
+    let window_us = i64::from(MAX_WINDOW_SECS) * 1_000_000;
+    let longest: Vec<(&str, Vec<(i64, u16)>)> = vec![
+        (
+            "a gap of window_us - 1",
+            vec![(0, 1_000), (window_us - 1, 1_200)],
+        ),
+        (
+            "a backward gap in the longest window",
+            vec![
+                (3_000_000, 900),
+                (window_us - 1, 1_000),
+                (1, 1_100),
+                (1 + theta, 1_100),
+            ],
+        ),
+    ];
+    for (label, pkts) in &longest {
+        assert_window_matches_oracle(label, pkts, f64::from(MAX_WINDOW_SECS));
     }
 }
 
