@@ -105,6 +105,7 @@ mod tests {
     use vcaml::TracePacket;
     use vcaml_datasets::oracle::ipudp_frames;
     use vcaml_netpkt::Timestamp;
+    use vcaml_rtp::VcaKind;
 
     fn run(pkts: &[(u16, u32)], params: HeuristicParams) -> ErrorCounts {
         let input: Vec<TracePacket> = pkts
@@ -125,7 +126,7 @@ mod tests {
     fn clean_stream_no_errors() {
         // Two distinct equal-size frames.
         let pkts = [(1100, 1), (1100, 1), (900, 2), (900, 2)];
-        let c = run(&pkts, HeuristicParams::default());
+        let c = run(&pkts, HeuristicParams::paper(VcaKind::Teams));
         assert_eq!(c.splits, 0.0);
         assert_eq!(c.interleaves, 0.0);
         assert_eq!(c.coalesces, 0.0);
@@ -135,7 +136,7 @@ mod tests {
     fn split_detected_on_unequal_frame() {
         // One ground-truth frame with 400-byte internal spread.
         let pkts = [(1100, 1), (700, 1)];
-        let c = run(&pkts, HeuristicParams::default());
+        let c = run(&pkts, HeuristicParams::paper(VcaKind::Teams));
         assert_eq!(c.splits, 1.0);
     }
 
@@ -157,7 +158,7 @@ mod tests {
     fn coalesce_detected_on_similar_frames() {
         // Two frames with identical packet sizes merge.
         let pkts = [(1000, 1), (1000, 1), (1000, 2), (1000, 2)];
-        let c = run(&pkts, HeuristicParams::default());
+        let c = run(&pkts, HeuristicParams::paper(VcaKind::Teams));
         assert_eq!(c.coalesces, 1.0);
     }
 
@@ -185,6 +186,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_inputs_rejected() {
-        let _ = analyze_window(&[(1, 1)], &[], &HeuristicParams::default());
+        let _ = analyze_window(&[(1, 1)], &[], &HeuristicParams::paper(VcaKind::Teams));
     }
 }

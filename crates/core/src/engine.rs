@@ -23,8 +23,9 @@
 //!
 //! * [`HeuristicDriver`] over a frame source — a classifier and an
 //!   assembler from [`crate::heuristic`] / [`crate::rtp_heuristic`] —
-//!   buckets sealed frames through [`crate::qoe::QoeWindower`]:
-//!   [`IpUdpHeuristicEngine`] and [`RtpHeuristicEngine`];
+//!   whose assembler seals frames straight into the frame log of a
+//!   [`crate::qoe::QoeWindower`]: [`IpUdpHeuristicEngine`] and
+//!   [`RtpHeuristicEngine`];
 //! * [`MlDriver`] over a feature source — a classifier and the
 //!   accumulators of `vcaml_features::incremental` — reports a feature
 //!   vector per window: [`IpUdpMlEngine`] and [`RtpMlEngine`].
@@ -532,15 +533,14 @@ use sources::{FeatureSource, FrameSource};
 // Heuristic engines: one driver over two frame sources
 // ---------------------------------------------------------------------------
 
-/// A streaming heuristic engine: window clock, frame offering, and
-/// safe/final draining over a frame source. Owns one scratch buffer
-/// (sealed frames) so the per-packet cycle recycles capacity instead of
-/// allocating; drained windows go straight into the caller's reports.
+/// A streaming heuristic engine: window clock, packet counting, and
+/// safe/final draining over a frame source. The source seals frames
+/// straight into the windower's frame log, the one place a sealed frame
+/// lives, and drained windows go straight into the caller's reports.
 pub struct HeuristicDriver<S> {
     source: S,
     clock: WindowClock,
     windower: QoeWindower,
-    sealed: Vec<(u64, Frame)>,
 }
 
 /// Streaming IP/UDP Heuristic: size-threshold media classification,
@@ -557,19 +557,7 @@ impl<S: FrameSource> HeuristicDriver<S> {
             source,
             clock: WindowClock::new(config),
             windower: QoeWindower::new(config.window_secs),
-            sealed: Vec::new(),
         }
-    }
-
-    /// Offers freshly sealed frames from `self.sealed` to the windower,
-    /// clearing the scratch buffer.
-    fn offer_sealed(&mut self) {
-        for &(id, ref frame) in &self.sealed {
-            if let Some(w) = self.clock.window_of(frame.end_ts) {
-                self.windower.offer(w, id, frame);
-            }
-        }
-        self.sealed.clear();
     }
 
     /// Emits every window strictly before `safe` as a report into `out`.
@@ -592,8 +580,7 @@ impl<S: FrameSource> HeuristicDriver<S> {
     /// Seals every open frame and emits everything through window
     /// `through` and the last window holding a frame.
     fn flush_through(&mut self, through: u64, out: &mut Vec<WindowReport>) {
-        self.source.seal_all_into(&mut self.sealed);
-        self.offer_sealed();
+        self.source.seal_all_into(self.windower.sealed());
         let last_open = self.windower.last_open_window().map_or(0, |w| w + 1);
         self.drain_until((through + 1).max(last_open), out);
     }
@@ -620,10 +607,9 @@ impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
                 w
             }
         };
-        if self.source.accept_into(pkt, &mut self.sealed) {
+        if self.source.accept_into(pkt, self.windower.sealed()) {
             self.windower.count(w);
         }
-        self.offer_sealed();
         // Emit every window arrivals have moved past that no still-open
         // frame could seal into.
         let now = self.clock.now;
@@ -658,10 +644,7 @@ impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
     }
 
     fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.source.heap_bytes()
-            + self.windower.heap_bytes()
-            + self.sealed.capacity() * std::mem::size_of::<(u64, Frame)>()
+        std::mem::size_of::<Self>() + self.source.heap_bytes() + self.windower.heap_bytes()
     }
 }
 
@@ -1657,9 +1640,9 @@ mod tests {
     #[test]
     fn heuristic_engines_stay_small() {
         let ipudp = std::mem::size_of::<IpUdpHeuristicEngine>();
-        assert!(ipudp <= 248, "IpUdpHeuristicEngine is {ipudp} B");
+        assert!(ipudp <= 224, "IpUdpHeuristicEngine is {ipudp} B");
         let rtp = std::mem::size_of::<RtpHeuristicEngine>();
-        assert!(rtp <= 208, "RtpHeuristicEngine is {rtp} B");
+        assert!(rtp <= 184, "RtpHeuristicEngine is {rtp} B");
     }
 
     #[test]
@@ -1678,9 +1661,7 @@ mod tests {
         }
         asm.finish_into(&mut frames);
         let mut windower = QoeWindower::new(1);
-        for (id, f) in &frames {
-            windower.offer(f.end_ts.second_index() as u64, *id, f);
-        }
+        windower.sealed().append(&mut frames);
         let mut batch = Vec::new();
         windower.drain_until(4, |w, e, _| batch.push((w, e)));
         assert_eq!(reports.len(), batch.len());

@@ -37,15 +37,6 @@ impl HeuristicParams {
     }
 }
 
-impl Default for HeuristicParams {
-    fn default() -> Self {
-        HeuristicParams {
-            delta_max_size: 2,
-            lookback: 2,
-        }
-    }
-}
-
 /// Incremental Algorithm 1: consumes video packets one at a time and
 /// emits frames as soon as they are *sealed* — provably immutable because
 /// their id has left the `Nmax` lookback set and can never be matched
@@ -80,15 +71,17 @@ impl IpUdpAssembler {
         }
     }
 
-    /// Offers one video packet (`ts` non-decreasing). Returns the frame id
-    /// the packet was assigned to (ids count frames in creation order) and
-    /// appends any frames sealed by this packet, each tagged with its id,
-    /// into the caller-owned `sealed` (sealing happens every couple of
-    /// packets, so a fresh `Vec` per call would dominate the hot path).
+    /// Offers one video packet. Returns the frame id the packet was
+    /// assigned to (ids count frames in creation order) and appends any
+    /// frames sealed by this packet, each tagged with its id, into the
+    /// caller-owned `sealed` (sealing happens every couple of packets, so a
+    /// fresh `Vec` per call would dominate the hot path).
     ///
-    /// Frame sizes subtract the 40-byte IP/UDP and 12-byte fixed RTP
-    /// overheads per packet, as the paper's bitrate accounting does
-    /// (§5.1.3).
+    /// The packet joins its frame through [`Frame::add`]: sizes subtract
+    /// the 40-byte IP/UDP and 12-byte fixed RTP overheads per packet, as
+    /// the paper's bitrate accounting does (§5.1.3), and a frame ends at
+    /// its latest timestamp, so a `ts` that steps back never moves an end
+    /// back.
     pub fn push_into(&mut self, ts: Timestamp, size: u16, sealed: &mut Vec<(u64, Frame)>) -> u64 {
         if self.open.capacity() == 0 {
             // The first video packet: reserve both buffers at their bound,
@@ -96,7 +89,6 @@ impl IpUdpAssembler {
             self.recent.reserve_exact(self.params.lookback + 1);
             self.open.reserve_exact(self.params.lookback + 1);
         }
-        let payload = usize::from(size).saturating_sub(52).max(1);
         // Compare with up to Nmax previous packets, most recent first.
         let matched = self
             .recent
@@ -118,25 +110,13 @@ impl IpUdpAssembler {
                     .rev()
                     .find(|(id, _)| *id == fid)
                     .expect("matched frame is open");
-                f.size_bytes += payload;
-                f.n_packets += 1;
-                f.end_ts = f.end_ts.max(ts);
-                f.start_ts = f.start_ts.min(ts);
+                f.add(ts, size);
                 fid
             }
             None => {
                 let fid = self.next_id;
                 self.next_id += 1;
-                self.open.push((
-                    fid,
-                    Frame {
-                        start_ts: ts,
-                        end_ts: ts,
-                        size_bytes: payload,
-                        n_packets: 1,
-                        rtp_ts: None,
-                    },
-                ));
+                self.open.push((fid, Frame::first(ts, size)));
                 fid
             }
         };
@@ -179,9 +159,10 @@ impl IpUdpAssembler {
             + self.open.capacity() * std::mem::size_of::<(u64, Frame)>()
     }
 
-    /// Earliest end time any still-open frame currently has. Open frames
-    /// can only move *forward* in time, so every window strictly before
-    /// this bound is final.
+    /// Earliest end time any still-open frame currently has. An open
+    /// frame's end only moves *forward* ([`Frame::add`] keeps the latest
+    /// timestamp), so no open frame can end in a window strictly before
+    /// this bound.
     pub fn min_open_end(&self) -> Option<Timestamp> {
         self.open.iter().map(|(_, f)| f.end_ts).min()
     }
@@ -200,6 +181,11 @@ mod tests {
         Timestamp::from_millis(ms)
     }
 
+    /// The paper's Teams parameters: Δ = 2 bytes, lookback 2.
+    fn teams() -> HeuristicParams {
+        HeuristicParams::paper(VcaKind::Teams)
+    }
+
     /// Feeds `(ms, size)` packets through one assembler: the frames by
     /// end time (creation order breaking ties) and each packet's frame id.
     fn run(pkts: &[(i64, u16)], params: HeuristicParams) -> (Vec<Frame>, Vec<u64>) {
@@ -216,32 +202,28 @@ mod tests {
 
     #[test]
     fn equal_sizes_group_into_one_frame() {
-        let (frames, _) = run(
-            &[(0, 1100), (1, 1100), (2, 1101)],
-            HeuristicParams::default(),
-        );
+        let (frames, ids) = run(&[(0, 1100), (1, 1100), (2, 1101)], teams());
+        assert_eq!(ids, [0, 0, 0]);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].n_packets, 3);
+        assert_eq!(frames[0].size_bytes, 1048 + 1048 + 1049);
     }
 
     #[test]
     fn size_jump_starts_new_frame() {
-        let (frames, _) = run(
-            &[(0, 1100), (1, 1100), (33, 900), (34, 900)],
-            HeuristicParams::default(),
-        );
+        let (frames, ids) = run(&[(0, 1100), (1, 1100), (33, 900), (34, 900)], teams());
+        assert_eq!(ids, [0, 0, 1, 1]);
         assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].n_packets, 2);
-        assert_eq!(frames[1].n_packets, 2);
+        assert_eq!(frames[0].size_bytes, 2 * 1048);
+        assert_eq!(frames[1].size_bytes, 2 * 848);
         assert_eq!(frames[1].end_ts, t(34));
     }
 
     #[test]
     fn threshold_is_inclusive() {
         // Δ = 2: sizes 1000 and 1002 are the same frame; 1003 is not.
-        let (frames, _) = run(&[(0, 1000), (1, 1002)], HeuristicParams::default());
+        let (frames, _) = run(&[(0, 1000), (1, 1002)], teams());
         assert_eq!(frames.len(), 1);
-        let (frames, _) = run(&[(0, 1000), (1, 1003)], HeuristicParams::default());
+        let (frames, _) = run(&[(0, 1000), (1, 1003)], teams());
         assert_eq!(frames.len(), 2);
     }
 
@@ -257,7 +239,7 @@ mod tests {
                 lookback: 1,
             },
         );
-        let (frames_lb2, _) = run(
+        let (frames_lb2, ids_lb2) = run(
             &pkts,
             HeuristicParams {
                 delta_max_size: 2,
@@ -269,32 +251,29 @@ mod tests {
         assert_eq!(frames_lb1.len(), 4);
         // Lookback 2 assigns it back to frame A.
         assert_eq!(frames_lb2.len(), 2);
-        assert_eq!(frames_lb2.iter().map(|f| f.n_packets).sum::<u32>(), 5);
+        assert_eq!(ids_lb2, [0, 0, 1, 0, 1]);
     }
 
     #[test]
     fn similar_consecutive_frames_coalesce() {
         // The documented failure mode: two frames of identical packet
         // sizes merge (paper case 1).
-        let (frames, _) = run(
-            &[(0, 1000), (1, 1000), (33, 1001), (34, 1001)],
-            HeuristicParams::default(),
-        );
+        let (frames, ids) = run(&[(0, 1000), (1, 1000), (33, 1001), (34, 1001)], teams());
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].n_packets, 4);
+        assert_eq!(ids, [0, 0, 0, 0]);
     }
 
     #[test]
     fn unequal_fragmentation_splits() {
         // The Meet failure mode: intra-frame spread > Δ splits one frame
         // (paper case 2).
-        let (frames, _) = run(&[(0, 1100), (1, 700)], HeuristicParams::default());
+        let (frames, _) = run(&[(0, 1100), (1, 700)], teams());
         assert_eq!(frames.len(), 2);
     }
 
     #[test]
     fn payload_accounting_subtracts_headers() {
-        let (frames, _) = run(&[(0, 1052)], HeuristicParams::default());
+        let (frames, _) = run(&[(0, 1052)], teams());
         assert_eq!(frames[0].size_bytes, 1000);
     }
 
@@ -308,23 +287,24 @@ mod tests {
                 lookback: 3,
             },
         );
-        assert_eq!(asg.len(), 4);
-        let total: u32 = frames.iter().map(|f| f.n_packets).sum();
-        assert_eq!(total, 4);
+        assert_eq!(asg, [0, 1, 1, 0]);
+        assert_eq!(frames.len(), 2);
+        let total: usize = frames.iter().map(|f| f.size_bytes).sum();
+        assert_eq!(total, 1048 + 848 + 850 + 1048);
         // Packet 3 (1100) matches packet 0 via 3-deep lookback.
         assert_eq!(asg[3], asg[0]);
     }
 
     #[test]
     fn empty_input() {
-        let (frames, asg) = run(&[], HeuristicParams::default());
+        let (frames, asg) = run(&[], teams());
         assert!(frames.is_empty() && asg.is_empty());
     }
 
     #[test]
     fn paper_params_per_vca() {
         assert_eq!(HeuristicParams::paper(VcaKind::Meet).lookback, 3);
-        assert_eq!(HeuristicParams::paper(VcaKind::Teams).lookback, 2);
+        assert_eq!(teams().lookback, 2);
         assert_eq!(HeuristicParams::paper(VcaKind::Webex).lookback, 1);
         for v in VcaKind::ALL {
             assert_eq!(HeuristicParams::paper(v).delta_max_size, 2);

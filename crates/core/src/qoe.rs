@@ -33,46 +33,34 @@ impl QoeEstimate {
     }
 }
 
-/// One pending window's frames: `(frame id, end, bytes)` per frame.
-type WindowFrames = Vec<(u64, Timestamp, usize)>;
-
-/// Spare frame vectors kept for recycling; a handful covers the 1–2
-/// windows typically open at once.
-const SPARE_POOL: usize = 8;
-
-/// A window not yet emitted: the frames sealed into it and the video
-/// packets that arrived in it.
-#[derive(Debug, Clone)]
-struct Pending {
-    window: u64,
-    frames: WindowFrames,
-    packets: usize,
-}
-
-/// The ledger of a heuristic flow's pending windows: buckets sealed frames
-/// and video-packet arrivals by window, and emits one [`QoeEstimate`] and
-/// packet count per window, in window order, as soon as the caller
-/// declares a window final.
+/// The ledger of a heuristic flow's pending windows: holds the flow's
+/// sealed, not-yet-emitted frames and its video-packet counts per window,
+/// and emits one [`QoeEstimate`] and packet count per window, in window
+/// order, as soon as the caller declares a window final.
 ///
-/// This is the single implementation of §3.2.1's window estimation: the
-/// heuristic engines offer frames as their assemblers seal them, under the
-/// window index their clock computed. Frames may be offered out of end-time
-/// order (sealing order is not arrival order); each window sorts its few
-/// frames at emission. A frame or packet for a window already emitted has
-/// nowhere to go and is dropped.
+/// This is the single implementation of §3.2.1's window estimation, and
+/// its frame log is the only place a sealed frame lives: the heuristic
+/// engines' assemblers append to [`QoeWindower::sealed`] directly. A
+/// frame's window follows from its end time (window `w` holds ends in
+/// `[w·W, (w+1)·W)`), worked out only when a window completes; frames may
+/// be sealed in any order (sealing order is not end order), and the log is
+/// sorted by end time, creation order breaking ties, before windows are
+/// emitted from its front. A frame or packet for a window already emitted
+/// has nowhere to go and is dropped.
 ///
-/// Internally the pending windows live in a short ordered deque (one or two
-/// entries in practice) instead of a tree, and drained windows' frame
-/// vectors are recycled through a spare pool — after warmup the offer →
-/// drain cycle performs no heap allocation.
+/// The counts live in a short ordered deque (one or two entries in
+/// practice), and both buffers retain their capacity across windows, so
+/// after warmup the seal → drain cycle performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct QoeWindower {
-    window_secs: f64,
+    window_secs: u32,
     next_emit: u64,
-    /// Pending windows in ascending window order.
-    open: std::collections::VecDeque<Pending>,
-    /// Recycled frame vectors (cleared, capacity retained).
-    spare: Vec<WindowFrames>,
+    /// Sealed frames not yet emitted, `(creation-order id, frame)`, in any
+    /// order.
+    frames: Vec<(u64, Frame)>,
+    /// `(window, video packets)` of pending windows, in ascending window
+    /// order.
+    counts: std::collections::VecDeque<(u64, usize)>,
 }
 
 impl QoeWindower {
@@ -80,57 +68,36 @@ impl QoeWindower {
     pub fn new(window_secs: u32) -> Self {
         assert!(window_secs > 0, "zero window");
         QoeWindower {
-            window_secs: f64::from(window_secs),
+            window_secs,
             next_emit: 0,
-            open: std::collections::VecDeque::new(),
-            spare: Vec::new(),
+            frames: Vec::new(),
+            counts: std::collections::VecDeque::new(),
         }
     }
 
-    /// Position of `window`'s pending entry, inserted in window order if
-    /// new; `None` for a window already emitted.
-    fn pending(&mut self, window: u64) -> Option<usize> {
-        if window < self.next_emit {
-            return None;
-        }
-        // Scan from the back: frames and packets overwhelmingly land in the
-        // newest pending window.
-        match self.open.iter().rposition(|p| p.window <= window) {
-            Some(i) if self.open[i].window == window => Some(i),
-            before => {
-                let i = before.map_or(0, |i| i + 1);
-                let entry = Pending {
-                    window,
-                    frames: Vec::new(),
-                    packets: 0,
-                };
-                self.open.insert(i, entry);
-                Some(i)
-            }
-        }
+    /// The frame log: append each sealed frame with its creation-order id
+    /// (used to break end-time ties deterministically), in any order.
+    pub fn sealed(&mut self) -> &mut Vec<(u64, Frame)> {
+        &mut self.frames
     }
 
-    /// Offers one sealed frame ending in `window` (`id` in creation order,
-    /// used to break end-time ties deterministically).
-    pub fn offer(&mut self, window: u64, id: u64, frame: &Frame) {
-        let Some(i) = self.pending(window) else {
-            return;
-        };
-        // A window's frame vector comes with its first frame, not with its
-        // first packet: a window that only counts packets (a flow whose
-        // video never seals a frame in it) takes nothing from the pool.
-        let frames = &mut self.open[i].frames;
-        if frames.capacity() == 0 {
-            *frames = self.spare.pop().unwrap_or_default();
-        }
-        frames.push((id, frame.end_ts, frame.size_bytes));
+    /// The window a frame ending at `end` lands in, `None` before time 0.
+    fn window_of(window_secs: u32, end: Timestamp) -> Option<u64> {
+        let window_us = i64::from(window_secs) * 1_000_000;
+        u64::try_from(end.as_micros().div_euclid(window_us)).ok()
     }
 
     /// Counts one video packet arriving in `window`; the count comes out
     /// with the window's estimate.
     pub fn count(&mut self, window: u64) {
-        if let Some(i) = self.pending(window) {
-            self.open[i].packets += 1;
+        if window < self.next_emit {
+            return;
+        }
+        // Scan from the back: packets overwhelmingly land in the newest
+        // pending window.
+        match self.counts.iter().rposition(|&(w, _)| w <= window) {
+            Some(i) if self.counts[i].0 == window => self.counts[i].1 += 1,
+            before => self.counts.insert(before.map_or(0, |i| i + 1), (window, 1)),
         }
     }
 
@@ -140,26 +107,32 @@ impl QoeWindower {
     /// order — the caller writes it straight to where it belongs, with no
     /// buffer in between.
     pub fn drain_until(&mut self, safe: u64, mut emit: impl FnMut(u64, QoeEstimate, usize)) {
+        if self.next_emit >= safe {
+            return;
+        }
+        // End-time order, creation order breaking ties (ids are unique, so
+        // the unstable sort is deterministic): windows are then runs of
+        // the log, in window order.
+        self.frames.sort_unstable_by_key(|&(id, f)| (f.end_ts, id));
+        let secs = self.window_secs;
+        let next = self.next_emit;
+        // Frames for windows already emitted are late: skip them.
+        let mut start = self
+            .frames
+            .partition_point(|(_, f)| Self::window_of(secs, f.end_ts).is_none_or(|w| w < next));
         while self.next_emit < safe {
             let w = self.next_emit;
-            match self.open.pop_front_if(|p| p.window == w) {
-                Some(Pending {
-                    mut frames,
-                    packets,
-                    ..
-                }) => {
-                    emit(w, self.estimate_slice(&mut frames), packets);
-                    // A window that never took a frame vector has none to
-                    // give back.
-                    if frames.capacity() > 0 && self.spare.len() < SPARE_POOL {
-                        frames.clear();
-                        self.spare.push(frames);
-                    }
-                }
-                None => emit(w, self.empty_estimate(), 0),
-            }
+            let run = self.frames[start..]
+                .partition_point(|(_, f)| Self::window_of(secs, f.end_ts) == Some(w));
+            let packets = self
+                .counts
+                .pop_front_if(|&mut (cw, _)| cw == w)
+                .map_or(0, |(_, n)| n);
+            emit(w, self.estimate(&self.frames[start..start + run]), packets);
+            start += run;
             self.next_emit += 1;
         }
+        self.frames.drain(..start);
     }
 
     /// Next window index that would be emitted.
@@ -169,15 +142,23 @@ impl QoeWindower {
 
     /// Highest pending window, if any.
     pub fn last_open_window(&self) -> Option<u64> {
-        self.open.back().map(|p| p.window)
+        let frames = self
+            .frames
+            .iter()
+            .filter_map(|(_, f)| Self::window_of(self.window_secs, f.end_ts))
+            .filter(|&w| w >= self.next_emit);
+        frames.max().max(self.counts.back().map(|&(w, _)| w))
     }
 
     /// Anchors emission at `window`: a flow's first window, or its new
     /// epoch across a discontinuity — forward (a long gap was skipped) or
     /// backward (the previous epoch came from a corrupt first timestamp).
-    /// Only valid with no window pending.
+    /// Only valid with no frame or count pending.
     pub fn anchor(&mut self, window: u64) {
-        assert!(self.open.is_empty(), "anchor with pending windows");
+        assert!(
+            self.frames.is_empty() && self.counts.is_empty(),
+            "anchor with pending windows"
+        );
         self.next_emit = window;
     }
 
@@ -196,53 +177,53 @@ impl QoeWindower {
     /// frame count and bitrate — the "provisional window" the max-lag flush
     /// publishes for dashboards that prefer freshness over exactness.
     pub fn peek(&self, window: u64) -> (QoeEstimate, usize) {
-        match self.open.iter().find(|p| p.window == window) {
-            Some(p) => (self.estimate_slice(&mut p.frames.clone()), p.packets),
-            None => (self.empty_estimate(), 0),
-        }
+        let mut frames: Vec<(u64, Frame)> = self
+            .frames
+            .iter()
+            .filter(|(_, f)| Self::window_of(self.window_secs, f.end_ts) == Some(window))
+            .copied()
+            .collect();
+        frames.sort_unstable_by_key(|&(id, f)| (f.end_ts, id));
+        let packets = self.counts.iter().find(|&&(w, _)| w == window);
+        (self.estimate(&frames), packets.map_or(0, |&(_, n)| n))
     }
 
-    /// Heap bytes currently held (pending-window and spare capacity), for
+    /// Heap bytes currently held (frame log and count capacity), for
     /// per-flow memory accounting.
     pub fn heap_bytes(&self) -> usize {
-        let per = std::mem::size_of::<(u64, Timestamp, usize)>();
-        self.open
-            .iter()
-            .map(|p| p.frames.capacity() * per)
-            .sum::<usize>()
-            + self.spare.iter().map(|f| f.capacity() * per).sum::<usize>()
-            + self.open.capacity() * std::mem::size_of::<Pending>()
+        self.frames.capacity() * std::mem::size_of::<(u64, Frame)>()
+            + self.counts.capacity() * std::mem::size_of::<(u64, usize)>()
     }
 
-    fn estimate_slice(&self, frames: &mut [(u64, Timestamp, usize)]) -> QoeEstimate {
+    /// Estimates one window from its frames, in end-time order.
+    fn estimate(&self, frames: &[(u64, Frame)]) -> QoeEstimate {
         // An empty `f64` sum is -0.0: a window without frames must read as
         // the empty estimate bit for bit.
         if frames.is_empty() {
             return self.empty_estimate();
         }
-        // End-time order, creation order breaking ties — the same order
-        // the batch stable sort produced.
-        frames.sort_by_key(|&(id, end, _)| (end, id));
-        let bits: f64 = frames.iter().map(|&(_, _, bytes)| bytes as f64 * 8.0).sum();
-        let fps = frames.len() as f64 / self.window_secs;
+        let secs = f64::from(self.window_secs);
+        let bits: f64 = frames.iter().map(|(_, f)| f.size_bytes as f64 * 8.0).sum();
+        let fps = frames.len() as f64 / secs;
         let jitter = if frames.len() >= 3 {
             // Two Welford-free passes over the gaps: no gap buffer.
             let n = (frames.len() - 1) as f64;
+            let gap = |p: &[(u64, Frame)]| (p[1].1.end_ts - p[0].1.end_ts).as_millis_f64();
             let mut sum = 0.0;
             for p in frames.windows(2) {
-                sum += (p[1].1 - p[0].1).as_millis_f64();
+                sum += gap(p);
             }
             let mean = sum / n;
             let mut var = 0.0;
             for p in frames.windows(2) {
-                var += ((p[1].1 - p[0].1).as_millis_f64() - mean).powi(2);
+                var += (gap(p) - mean).powi(2);
             }
             (var / n).sqrt()
         } else {
             0.0
         };
         QoeEstimate {
-            bitrate_kbps: bits / self.window_secs / 1000.0,
+            bitrate_kbps: bits / secs / 1000.0,
             fps,
             frame_jitter_ms: jitter,
         }
@@ -254,33 +235,22 @@ mod tests {
     use super::*;
     use vcaml_netpkt::Timestamp;
 
-    /// Offers every frame ending inside the first `n` windows, then
-    /// drains all `n`: one estimate per window.
+    /// Seals every frame ending inside the first `n` windows into the log,
+    /// then drains all `n`: one estimate per window.
     fn estimate_windows(frames: &[Frame], n: u64, window_secs: u32) -> Vec<QoeEstimate> {
         let mut windower = QoeWindower::new(window_secs);
-        for (id, f) in frames.iter().enumerate() {
-            let w = window_of(f.end_ts, window_secs);
-            if (0..n as i64).contains(&w) {
-                windower.offer(w as u64, id as u64, f);
-            }
-        }
+        windower
+            .sealed()
+            .extend(frames.iter().enumerate().map(|(id, f)| (id as u64, *f)));
         let mut out = Vec::new();
         windower.drain_until(n, |_, e, _| out.push(e));
         out
     }
 
-    fn window_of(ts: Timestamp, window_secs: u32) -> i64 {
-        ts.as_micros()
-            .div_euclid(i64::from(window_secs) * 1_000_000)
-    }
-
     fn frame(end_ms: i64, size: usize) -> Frame {
         Frame {
-            start_ts: Timestamp::from_millis(end_ms - 1),
             end_ts: Timestamp::from_millis(end_ms),
             size_bytes: size,
-            n_packets: 1,
-            rtp_ts: None,
         }
     }
 
@@ -355,7 +325,7 @@ mod tests {
         let mut windower = QoeWindower::new(1);
         for (id, ms) in [100, 200, 1_100].into_iter().enumerate() {
             windower.count(ms as u64 / 1000);
-            windower.offer(ms as u64 / 1000, id as u64, &frame(ms, 125));
+            windower.sealed().push((id as u64, frame(ms, 125)));
         }
         windower.count(1);
         windower.count(2);
@@ -377,34 +347,36 @@ mod tests {
     #[test]
     fn nothing_pends_for_an_emitted_window() {
         let mut windower = QoeWindower::new(1);
-        windower.offer(1, 0, &frame(1_500, 100));
+        windower.sealed().push((0, frame(1_500, 100)));
         windower.drain_until(2, |_, _, _| {});
-        windower.offer(1, 1, &frame(1_600, 100));
+        windower.sealed().push((1, frame(1_600, 100)));
         windower.count(0);
         windower.count(1);
         assert_eq!(windower.last_open_window(), None);
         let mut out = Vec::new();
         windower.drain_until(3, |w, e, n| out.push((w, e.fps, n)));
         assert_eq!(out, [(2, 0.0, 0)]);
+        assert!(windower.frames.is_empty(), "the late frame was dropped");
     }
 
     #[test]
-    fn a_windows_frame_vector_comes_with_its_first_frame() {
+    fn the_log_keeps_what_no_window_has_emitted() {
         let mut windower = QoeWindower::new(1);
-        windower.offer(0, 0, &frame(100, 100));
-        windower.drain_until(1, |_, _, _| {});
-        assert_eq!(windower.spare.len(), 1, "the drained vector is kept");
-        // Packets alone take no frame vector, so a window that never seals
-        // a frame leaves the spare where it was.
-        windower.count(1);
-        assert_eq!(windower.spare.len(), 1);
-        assert_eq!(windower.open[0].frames.capacity(), 0);
-        windower.offer(1, 1, &frame(1_100, 100));
-        assert!(windower.spare.is_empty());
-        assert!(windower.open[0].frames.capacity() > 0);
-        windower.count(2);
-        windower.drain_until(3, |_, _, _| {});
-        assert_eq!(windower.spare.len(), 1, "an unused vector is not pooled");
+        // Sealed out of end order, and one frame past the drained window.
+        for (id, ms) in [(2, 1_200), (0, 300), (1, 100)] {
+            windower.sealed().push((id, frame(ms, 100)));
+        }
+        let mut out = Vec::new();
+        windower.drain_until(1, |w, e, _| out.push((w, e.fps)));
+        assert_eq!(out, [(0, 2.0)]);
+        assert_eq!(windower.frames, [(2, frame(1_200, 100))]);
+        assert_eq!(windower.last_open_window(), Some(1));
+        // The drain retained the log's capacity for the next window.
+        let capacity = windower.frames.capacity();
+        windower.sealed().push((3, frame(1_300, 100)));
+        windower.drain_until(2, |_, _, _| {});
+        assert!(windower.frames.is_empty());
+        assert_eq!(windower.frames.capacity(), capacity);
     }
 
     #[test]

@@ -13,7 +13,10 @@ pub const SCAN_DEPTH: usize = 16;
 
 struct Acc {
     id: u64,
+    /// The RTP timestamp the frame's packets share.
+    rtp_ts: u32,
     frame: Frame,
+    /// The latest marker packet's arrival, once one was seen.
     marker_at: Option<Timestamp>,
 }
 
@@ -28,7 +31,7 @@ impl Acc {
     }
 
     /// The earliest end time this frame can finalize with: the marker
-    /// arrival once seen (later markers only move it forward), else the
+    /// arrival once seen (a later marker only moves it forward), else the
     /// latest arrival so far.
     fn min_final_end(&self) -> Timestamp {
         self.marker_at.unwrap_or(self.frame.end_ts)
@@ -52,14 +55,15 @@ impl RtpAssembler {
         RtpAssembler::default()
     }
 
-    /// Offers one video-stream packet (`ts` non-decreasing): its arrival,
-    /// RTP timestamp, marker bit, and IP total length. Appends any frames
-    /// sealed by this packet, tagged with creation-order ids, into the
-    /// caller-owned `sealed`.
+    /// Offers one video-stream packet: its arrival, RTP timestamp, marker
+    /// bit, and IP total length. Appends any frames sealed by this packet,
+    /// tagged with creation-order ids, into the caller-owned `sealed`.
     ///
-    /// Frame sizes count RTP payload bytes (IP total length minus the 52
-    /// bytes of IP/UDP/RTP headers), matching the heuristic bitrate
-    /// accounting.
+    /// The packet joins its frame through [`Frame::add`], the IP/UDP
+    /// assembler's rule: sizes count RTP payload bytes (IP total length
+    /// minus the 52 bytes of IP/UDP/RTP headers), and the end is the
+    /// latest timestamp, or the latest marker packet's once one arrived.
+    /// Neither moves back when a `ts` steps back.
     pub fn push_into(
         &mut self,
         ts: Timestamp,
@@ -68,32 +72,18 @@ impl RtpAssembler {
         size: u16,
         sealed: &mut Vec<(u64, Frame)>,
     ) {
-        let payload = usize::from(size).saturating_sub(52).max(1);
-        match self
-            .open
-            .iter_mut()
-            .rev()
-            .find(|a| a.frame.rtp_ts == Some(rtp_ts))
-        {
+        match self.open.iter_mut().rev().find(|a| a.rtp_ts == rtp_ts) {
             Some(a) => {
-                a.frame.size_bytes += payload;
-                a.frame.n_packets += 1;
-                a.frame.start_ts = a.frame.start_ts.min(ts);
-                a.frame.end_ts = a.frame.end_ts.max(ts);
+                a.frame.add(ts, size);
                 if marker {
-                    a.marker_at = Some(ts);
+                    a.marker_at = a.marker_at.max(Some(ts));
                 }
             }
             None => {
                 self.open.push_back(Acc {
                     id: self.next_id,
-                    frame: Frame {
-                        start_ts: ts,
-                        end_ts: ts,
-                        size_bytes: payload,
-                        n_packets: 1,
-                        rtp_ts: Some(rtp_ts),
-                    },
+                    rtp_ts,
+                    frame: Frame::first(ts, size),
                     marker_at: marker.then_some(ts),
                 });
                 self.next_id += 1;
@@ -151,8 +141,9 @@ mod tests {
     }
 
     /// Feeds the trace's payload-type video packets through one
-    /// assembler: the frames by end time, creation order breaking ties.
-    fn assemble(trace: &Trace) -> Vec<Frame> {
+    /// assembler: each frame with its creation-order id, by end time, the
+    /// id breaking ties.
+    fn assemble(trace: &Trace) -> Vec<(u64, Frame)> {
         let mut asm = RtpAssembler::new();
         let mut frames = Vec::new();
         for p in trace.rtp_video_packets() {
@@ -161,7 +152,14 @@ mod tests {
         }
         asm.finish_into(&mut frames);
         frames.sort_by_key(|&(id, f)| (f.end_ts, id));
-        frames.into_iter().map(|(_, f)| f).collect()
+        frames
+    }
+
+    fn frame(end_ms: i64, size_bytes: usize) -> Frame {
+        Frame {
+            end_ts: t(end_ms),
+            size_bytes,
+        }
     }
 
     fn trace(packets: Vec<TracePacket>) -> Trace {
@@ -182,12 +180,9 @@ mod tests {
             pkt(5, 1052, 102, 2, 100, false), // straggler after marker
             pkt(33, 900, 102, 3, 200, true),
         ]);
-        let frames = assemble(&tr);
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].n_packets, 3);
-        assert_eq!(frames[0].end_ts, t(1)); // marker arrival, not straggler
-        assert_eq!(frames[0].size_bytes, 3000);
-        assert_eq!(frames[1].rtp_ts, Some(200));
+        // The marker arrival ends frame 0, not the straggler; all three
+        // packets' bytes count.
+        assert_eq!(assemble(&tr), [(0, frame(1, 3000)), (1, frame(33, 848))]);
     }
 
     #[test]
@@ -197,9 +192,7 @@ mod tests {
             pkt(1, 304, 103, 0, 2, false), // rtx keepalive
             pkt(2, 1052, 102, 1, 100, true),
         ]);
-        let frames = assemble(&tr);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].n_packets, 1);
+        assert_eq!(assemble(&tr), [(0, frame(2, 1000))]);
     }
 
     #[test]
@@ -208,8 +201,18 @@ mod tests {
             pkt(0, 1052, 102, 0, 100, false),
             pkt(4, 1052, 102, 1, 100, false),
         ]);
-        let frames = assemble(&tr);
-        assert_eq!(frames[0].end_ts, t(4));
+        assert_eq!(assemble(&tr), [(0, frame(4, 2000))]);
+    }
+
+    #[test]
+    fn a_stepped_back_packet_moves_no_end_back() {
+        let tr = trace(vec![
+            pkt(10, 1052, 102, 0, 100, true),
+            pkt(6, 1052, 102, 1, 100, true), // a second marker, stepped back
+            pkt(20, 1052, 102, 2, 200, false),
+            pkt(15, 1052, 102, 3, 200, false),
+        ]);
+        assert_eq!(assemble(&tr), [(0, frame(10, 2000)), (1, frame(20, 2000))]);
     }
 
     #[test]
@@ -219,9 +222,7 @@ mod tests {
             pkt(2, 900, 102, 1, 200, true), // frame 200 completes first
             pkt(50, 1052, 102, 2, 100, true),
         ]);
-        let frames = assemble(&tr);
-        assert_eq!(frames[0].rtp_ts, Some(200));
-        assert_eq!(frames[1].rtp_ts, Some(100));
+        assert_eq!(assemble(&tr), [(1, frame(2, 848)), (0, frame(50, 2000))]);
     }
 
     #[test]

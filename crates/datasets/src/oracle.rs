@@ -179,7 +179,8 @@ pub fn ipudp_features(pkts: &[PktObs], window_secs: f64, theta_iat_us: i64) -> [
 /// timestamps per stream, their intersection and union, marker bits per
 /// stream, video sequence-number discontinuities, and [`sorted_five`] of
 /// each frame's RTP lag in ms. A frame is a video RTP timestamp, listed
-/// in order of its first packet and completed by its last. `lag_ref` is
+/// in order of its first packet and completed at the latest arrival among
+/// its packets (on a time-ordered capture, its last). `lag_ref` is
 /// the lag clock's zero, an arrival time and RTP timestamp; without one,
 /// the window's first video packet is.
 pub fn rtp_features(
@@ -206,7 +207,7 @@ pub fn rtp_features(
             frames.push((h.timestamp, t));
             frames.len() - 1
         });
-        frames[i].1 = t;
+        frames[i].1 = frames[i].1.max(t);
     }
     let lags: Vec<f64> = match lag_ref.or(video.first().map(|&(t, h)| (t, h.timestamp))) {
         Some((t0, ts0)) => frames

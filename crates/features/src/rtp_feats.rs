@@ -50,8 +50,9 @@ pub struct RtpWindowAcc {
     last_vid_seq: Option<u16>,
     ooo: u64,
     /// Every frame of the window in first-arrival order: (RTP timestamp,
-    /// completion time). The timestamps are distinct, so they are the
-    /// window's video timestamp set.
+    /// completion time, the latest arrival among its packets). The
+    /// timestamps are distinct, so they are the window's video timestamp
+    /// set.
     frames: Vec<(u32, Timestamp)>,
     /// Window-local lag anchor (the window's first frame), used when
     /// [`RtpWindowAcc::features_into`] is given no session reference.
@@ -81,7 +82,8 @@ impl RtpWindowAcc {
             }
         }
         self.last_vid_seq = Some(h.sequence);
-        // Frame completion time = last arrival per unique RTP timestamp.
+        // Frame completion time = latest arrival per unique RTP timestamp
+        // (the last arrival on a time-ordered capture).
         match self.frames.iter_mut().find(|(ts, _)| *ts == h.timestamp) {
             Some((_, done)) => *done = (*done).max(t),
             None => {

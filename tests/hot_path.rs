@@ -25,7 +25,8 @@
 //! push allocates only when a window holds more packets (or distinct RTP
 //! timestamps) than any window before it, which warmup has seen. The
 //! same retention bounds a flow's memory by its fullest window — pinned
-//! by the two `*_state_is_one_windows_content` tests.
+//! by the `*_state_is_one_windows_content` tests, which hold the heuristic
+//! engines' frame logs to the same rule.
 //!
 //! The output end is held to the same rule: once its line buffer has
 //! grown, [`JsonLinesSink`] serializes any event without touching the
@@ -64,9 +65,10 @@ use vcaml_suite::vcaml::api::{EstimationMethod, EvictReason, Monitor, QoeEvent};
 use vcaml_suite::vcaml::engine::{
     FlowTable, IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
+use vcaml_suite::vcaml::rtp_heuristic::SCAN_DEPTH;
 use vcaml_suite::vcaml::{
-    EngineConfig, EventSink, JsonLinesSink, Method, PacketSource, PcapFileSource, QoeEstimate,
-    QoeEstimator, Trace, TracePacket, WindowReport,
+    EngineConfig, EventSink, Frame, JsonLinesSink, Method, PacketSource, PcapFileSource,
+    QoeEstimate, QoeEstimator, Trace, TracePacket, WindowReport,
 };
 
 /// Wraps the system allocator with a per-thread allocation counter. The
@@ -390,17 +392,21 @@ const PKTS_PER_FRAME: usize = 4;
 const WINDOWS_BEFORE: usize = 60;
 const WINDOWS_AFTER: usize = 20;
 
-/// One flow of 1 100-byte RTP video packets (Teams' lab payload type):
-/// exactly [`FRAMES`] evenly spaced frames in each 1 s window, but
-/// [`BURST_FRAMES`] in window [`WINDOWS_BEFORE`], and a lone closing
-/// frame that seals the last of the [`WINDOWS_AFTER`] that follow.
+/// One flow of RTP video packets (Teams' lab payload type): exactly
+/// [`FRAMES`] evenly spaced frames in each 1 s window, but
+/// [`BURST_FRAMES`] in window [`WINDOWS_BEFORE`], and a closing window
+/// of [`SCAN_DEPTH`] frames, which seals the last of the
+/// [`WINDOWS_AFTER`] that follow under every method (the RTP Heuristic
+/// holds that many frames open).
+/// Frames alternate between 1 100- and 1 000-byte packets, so the IP/UDP
+/// Heuristic sees each frame as the RTP methods do.
 fn windowed_flow() -> Vec<TracePacket> {
     let video_pt = PayloadMap::lab(VcaKind::Teams).video;
     let plan = [
         vec![FRAMES; WINDOWS_BEFORE],
         vec![BURST_FRAMES],
         vec![FRAMES; WINDOWS_AFTER],
-        vec![1],
+        vec![SCAN_DEPTH],
     ]
     .concat();
     let mut packets = Vec::new();
@@ -412,7 +418,7 @@ fn windowed_flow() -> Vec<TracePacket> {
                 let us = window * 1_000_000 + frame * frame_us + k * 200;
                 packets.push(TracePacket {
                     ts: Timestamp::from_micros(us as i64),
-                    size: 1100,
+                    size: 1100 - 100 * (frame % 2) as u16,
                     rtp: Some(RtpHeader::basic(
                         video_pt,
                         seq,
@@ -431,18 +437,13 @@ fn windowed_flow() -> Vec<TracePacket> {
 }
 
 /// README § One engine: "Per-flow state is O(one window's content)".
-/// `state_bytes()` is sampled as each window seals. It stops growing once
-/// the first windows have sized the buffers; a window 4× as full raises
-/// it once, to no more than a fresh engine plus the two value logs (a
-/// 2-byte size and a 4-byte gap per packet) at the next power of two
-/// above that window's packet count plus
-/// `sets_bound`; and the ordinary windows after it leave it exactly there
-/// — capacity is retained, never compounded.
-fn assert_state_is_one_windows_content<E: QoeEstimator>(
-    mut engine: E,
-    sets_bound: usize,
-    label: &str,
-) {
+/// `state_bytes()` is sampled as each window of [`windowed_flow`] seals.
+/// It stops growing once the first windows have sized the buffers; a
+/// window 4× as full raises it once; and the ordinary windows after it
+/// leave it exactly there — capacity is retained, never compounded.
+/// Returns the state of a fresh engine, after the first windows, and
+/// after the burst window, for the caller to bound.
+fn window_state_samples<E: QoeEstimator>(mut engine: E, label: &str) -> (usize, usize, usize) {
     let fresh = engine.state_bytes();
     let mut out: Vec<WindowReport> = Vec::new();
     let mut sealed: Vec<(u64, usize)> = Vec::new();
@@ -467,14 +468,9 @@ fn assert_state_is_one_windows_content<E: QoeEstimator>(
     );
 
     let burst = sealed[WINDOWS_BEFORE].1;
-    let logs = (2 + 4) * (BURST_FRAMES * PKTS_PER_FRAME).next_power_of_two();
     assert!(
         burst > warm,
         "{label}: the burst window did not fit the old buffers"
-    );
-    assert!(
-        burst <= fresh + logs + sets_bound,
-        "{label}: {burst} B after the burst window, bound {fresh} + {logs} + {sets_bound}"
     );
     for &(window, bytes) in &sealed[WINDOWS_BEFORE + 1..] {
         assert_eq!(
@@ -482,6 +478,54 @@ fn assert_state_is_one_windows_content<E: QoeEstimator>(
             "{label}: window {window} moved the high-water mark"
         );
     }
+    (fresh, warm, burst)
+}
+
+/// An ML engine's state after the burst window is no more than a fresh
+/// engine plus the two value logs (a 2-byte size and a 4-byte gap per
+/// packet) at the next power of two above that window's packet count
+/// plus `sets_bound`.
+fn assert_state_is_one_windows_content<E: QoeEstimator>(engine: E, sets_bound: usize, label: &str) {
+    let (fresh, _, burst) = window_state_samples(engine, label);
+    let logs = (2 + 4) * (BURST_FRAMES * PKTS_PER_FRAME).next_power_of_two();
+    assert!(
+        burst <= fresh + logs + sets_bound,
+        "{label}: {burst} B after the burst window, bound {fresh} + {logs} + {sets_bound}"
+    );
+}
+
+/// A heuristic engine holds no heap before its first video packet, and
+/// the burst window raises its state by no more than its frame log: one
+/// `(id, Frame)` entry per frame of the window and per frame its
+/// assembler can hold open across the boundary, at the next power of
+/// two.
+fn assert_heuristic_state_is_one_windows_content<E: QoeEstimator>(engine: E, label: &str) {
+    let (fresh, warm, burst) = window_state_samples(engine, label);
+    assert_eq!(
+        fresh,
+        std::mem::size_of::<E>(),
+        "{label}: a fresh engine holds heap"
+    );
+    let log = std::mem::size_of::<(u64, Frame)>() * (BURST_FRAMES + SCAN_DEPTH).next_power_of_two();
+    assert!(
+        burst <= warm + log,
+        "{label}: {burst} B after the burst window, bound {warm} + {log}"
+    );
+}
+
+#[test]
+fn ipudp_heuristic_state_is_one_windows_content() {
+    let engine = IpUdpHeuristicEngine::new(EngineConfig::paper(VcaKind::Teams));
+    assert_heuristic_state_is_one_windows_content(engine, "IpUdpHeuristic");
+}
+
+#[test]
+fn rtp_heuristic_state_is_one_windows_content() {
+    let engine = RtpHeuristicEngine::new(
+        EngineConfig::paper(VcaKind::Teams),
+        PayloadMap::lab(VcaKind::Teams),
+    );
+    assert_heuristic_state_is_one_windows_content(engine, "RtpHeuristic");
 }
 
 #[test]

@@ -4,6 +4,9 @@
 //! methods**, on realistic simulated traffic — and the `FlowTable`
 //! must keep interleaved concurrent calls perfectly separated.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use vcaml_suite::datasets::oracle::{
@@ -46,25 +49,55 @@ fn stream<E: QoeEstimator>(engine: &mut E, trace: &Trace) -> Vec<WindowReport> {
 }
 
 /// The IP/UDP Heuristic engine must equal the batch path (whole-trace
-/// frame assembly + end-time windowing) window for window, exactly.
+/// frame assembly + end-time windowing) window for window, exactly: on
+/// corpus calls, and on one call whose adjacent packets are swapped
+/// inside windows, so frames seal out of end order.
 #[test]
 fn ipudp_heuristic_streaming_equals_batch() {
     for vca in VcaKind::ALL {
         let config = EngineConfig::paper(vca);
         for trace in &corpus(vca, 11, 3) {
-            let n_windows = trace.duration_secs as usize;
-            let classifier = MediaClassifier::new(config.vmin);
-            let video = trace.packets.iter().filter(|p| classifier.is_video(p));
-            let (frames, _) = ipudp_frames(config.heuristic, video);
-            let batch = estimate_windows(&frames, n_windows, 1);
-
-            let reports = replay(&mut IpUdpHeuristicEngine::new(config), trace, 1);
-            assert_eq!(reports.len(), batch.len());
-            for (r, b) in reports.iter().zip(&batch) {
-                assert_eq!(r.estimate.unwrap(), *b, "{vca}: window {}", r.window);
-            }
+            assert_ipudp_heuristic_equals_batch(trace, config);
         }
     }
+    let config = EngineConfig::paper(VcaKind::Teams);
+    let mut swapped = corpus(VcaKind::Teams, 11, 1).remove(0);
+    let second = |p: &TracePacket| p.ts.second_index();
+    for i in (0..swapped.packets.len() - 1).step_by(2) {
+        if second(&swapped.packets[i]) == second(&swapped.packets[i + 1]) {
+            swapped.packets.swap(i, i + 1);
+        }
+    }
+    let ids = assert_ipudp_heuristic_equals_batch(&swapped, config);
+    // Some frame created later ends earlier than one created before it.
+    let classifier = MediaClassifier::new(config.vmin);
+    let video = swapped.packets.iter().filter(|p| classifier.is_video(p));
+    let n_frames = ids.iter().max().map_or(0, |&id| id as usize + 1);
+    let mut ends = vec![Timestamp::from_micros(i64::MIN); n_frames];
+    for (p, &id) in video.zip(&ids) {
+        ends[id as usize] = ends[id as usize].max(p.ts);
+    }
+    assert!(
+        ends.windows(2).any(|e| e[1] < e[0]),
+        "the swaps left every frame in end order"
+    );
+}
+
+/// Replays `trace` through the IP/UDP Heuristic engine and asserts each
+/// window equals the batch path's; returns each video packet's frame id.
+fn assert_ipudp_heuristic_equals_batch(trace: &Trace, config: EngineConfig) -> Vec<u64> {
+    let n_windows = trace.duration_secs as usize;
+    let classifier = MediaClassifier::new(config.vmin);
+    let video = trace.packets.iter().filter(|p| classifier.is_video(p));
+    let (frames, ids) = ipudp_frames(config.heuristic, video);
+    let batch = estimate_windows(&frames, n_windows, 1);
+
+    let reports = replay(&mut IpUdpHeuristicEngine::new(config), trace, 1);
+    assert_eq!(reports.len(), batch.len());
+    for (r, b) in reports.iter().zip(&batch) {
+        assert_eq!(r.estimate, Some(*b), "{}: window {}", trace.vca, r.window);
+    }
+    ids
 }
 
 /// The RTP Heuristic engine must equal the batch RTP frame assembly +
@@ -132,6 +165,7 @@ fn rtp_ml_features_streaming_equals_batch() {
     for trace in &corpus(VcaKind::Teams, 18, 2) {
         assert_rtp_ml_equals_oracle(trace);
     }
+    assert_rtp_ml_equals_oracle(&step_back_call());
     // Features 12–15: distinct video and RTX timestamps, their
     // intersection and their union.
     for r in assert_rtp_ml_equals_oracle(&rtx_overlap_call()) {
@@ -192,6 +226,40 @@ fn rtx_overlap_call() -> Trace {
         packets,
         truth: Vec::new(),
         duration_secs: 3,
+    }
+}
+
+/// Two seconds of Teams-lab video at 30 frames per second, two packets a
+/// frame, in arrival order. One frame's second packet carries a
+/// timestamp 10 ms before its first: the frame completes at its latest
+/// timestamp, not at its last-arriving packet's.
+fn step_back_call() -> Trace {
+    let map = PayloadMap::lab(VcaKind::Teams);
+    let mut packets = Vec::new();
+    for frame in 0..60u16 {
+        let us = i64::from(frame) * 33_333;
+        let second = if frame == 45 { us - 10_000 } else { us + 150 };
+        for (k, at) in [us, second].into_iter().enumerate() {
+            packets.push(TracePacket {
+                ts: Timestamp::from_micros(at),
+                size: 1_000,
+                rtp: Some(RtpHeader::basic(
+                    map.video,
+                    2 * frame + k as u16,
+                    3_000 * u32::from(frame),
+                    1,
+                    k == 1,
+                )),
+                truth_media: None,
+            });
+        }
+    }
+    Trace {
+        vca: VcaKind::Teams,
+        payload_map: map,
+        packets,
+        truth: Vec::new(),
+        duration_secs: 2,
     }
 }
 
@@ -488,7 +556,8 @@ fn flow_table_separates_interleaved_calls() {
 /// The QoE windower and `estimate_windows`, which buckets and scores
 /// frames with arithmetic of its own, agree bit for bit: on a simulated
 /// trace, and on frames ending exactly on a window boundary, a tick
-/// either side of one, or together.
+/// either side of one, or together, sealed into the log in a seeded
+/// shuffled order.
 #[test]
 fn qoe_windower_agrees_with_estimate_windows() {
     let trace = &corpus(VcaKind::Webex, 17, 1)[0];
@@ -496,26 +565,22 @@ fn qoe_windower_agrees_with_estimate_windows() {
         .flat_map(|s| [-1, 0, 0, 1].map(|d| s * 1_000_000 + d))
         .enumerate()
         .map(|(i, us)| Frame {
-            start_ts: Timestamp::from_micros(us - 500),
             end_ts: Timestamp::from_micros(us),
             size_bytes: 1_000 + 7 * i,
-            n_packets: 1,
-            rtp_ts: None,
         })
         .collect();
+    let mut rng = StdRng::seed_from_u64(17);
     let bits = |e: &QoeEstimate| [e.fps, e.bitrate_kbps, e.frame_jitter_ms].map(f64::to_bits);
     for (frames, n) in [
         (rtp_frames(trace), trace.duration_secs as usize),
         (edges, 4),
     ] {
         let batch = estimate_windows(&frames, n, 1);
+        // Sealed in a shuffled order: the windower orders its log itself.
+        let mut sealed: Vec<(u64, Frame)> = (0..).zip(frames.iter().copied()).collect();
+        sealed.shuffle(&mut rng);
         let mut windower = QoeWindower::new(1);
-        for (id, f) in frames.iter().enumerate() {
-            let w = f.end_ts.second_index();
-            if (0..n as i64).contains(&w) {
-                windower.offer(w as u64, id as u64, f);
-            }
-        }
+        windower.sealed().extend(sealed);
         let mut streamed = Vec::new();
         windower.drain_until(n as u64, |w, e, _| streamed.push((w, e)));
         assert_eq!(streamed.len(), batch.len());

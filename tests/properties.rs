@@ -21,7 +21,7 @@ use vcaml_suite::rtp::{seq_distance, RtpHeader};
 use vcaml_suite::vcaml::api::{EvictReason, ParseDropReason};
 use vcaml_suite::vcaml::{AlertSink, AlertThresholds, EventSink, Severity};
 use vcaml_suite::vcaml::{EstimationMethod, Method, MonitorBuilder, QoeEvent};
-use vcaml_suite::vcaml::{HeuristicParams, QoeEstimate, TracePacket, WindowReport};
+use vcaml_suite::vcaml::{Frame, HeuristicParams, QoeEstimate, TracePacket, WindowReport};
 use vcaml_suite::vcasim::{packetize, FragmentPolicy};
 
 /// A `Read` that hands over between 1 and `k` bytes per call, as a pipe
@@ -675,13 +675,27 @@ proptest! {
         let params = HeuristicParams { delta_max_size: 2, lookback };
         let (frames, ids) = ipudp_frames(params, &pkts);
         prop_assert_eq!(ids.len(), pkts.len());
-        let total: u32 = frames.iter().map(|f| f.n_packets).sum();
-        prop_assert_eq!(total as usize, pkts.len());
-        // Frames ordered by end time; every frame non-empty.
-        for w in frames.windows(2) {
-            prop_assert!(w[0].end_ts <= w[1].end_ts);
+        // Rebuild each frame from the packets its id names: the payload
+        // bytes summed and the last arrival. Every id below the frame
+        // count holds a packet, and the rebuilt frames, ordered by end
+        // time and id, are the assembler's.
+        let mut rebuilt: Vec<Option<(u64, Frame)>> = vec![None; frames.len()];
+        for (p, &id) in pkts.iter().zip(&ids) {
+            prop_assert!((id as usize) < frames.len(), "frame id {} of {}", id, frames.len());
+            let payload = usize::from(p.size) - 52;
+            match &mut rebuilt[id as usize] {
+                Some((_, f)) => {
+                    f.size_bytes += payload;
+                    f.end_ts = f.end_ts.max(p.ts);
+                }
+                slot => *slot = Some((id, Frame { end_ts: p.ts, size_bytes: payload })),
+            }
         }
-        prop_assert!(frames.iter().all(|f| f.n_packets >= 1 && f.size_bytes >= 1));
+        let mut rebuilt: Vec<(u64, Frame)> = rebuilt.into_iter().flatten().collect();
+        prop_assert_eq!(rebuilt.len(), frames.len());
+        rebuilt.sort_by_key(|&(id, f)| (f.end_ts, id));
+        let rebuilt: Vec<Frame> = rebuilt.into_iter().map(|(_, f)| f).collect();
+        prop_assert_eq!(rebuilt, frames);
     }
 
     #[test]
