@@ -69,8 +69,9 @@
 //! `event` (the output vocabulary), `builder` (typed configuration),
 //! `decode` (each of the four front doors → one flow-keyed packet or one
 //! classified drop), `shard` (per-worker flow table, probation,
-//! eviction), and `monitor` (dispatch, lanes onto the shard workers, the
-//! drain side).
+//! eviction), and `monitor` (the one kind of producer, an ingest port
+//! onto the inline shard or lanes onto the shard workers; the drain
+//! side).
 //! Every item keeps its `vcaml::api::…` path.
 //!
 //! [`TracePacket`]: crate::trace::TracePacket

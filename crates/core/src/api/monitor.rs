@@ -1,6 +1,6 @@
-//! The [`Monitor`] itself: dispatch (inline, or an [`IngestPort`] onto
-//! shard worker threads), the drain side, and the ports the runner forks
-//! from it.
+//! The [`Monitor`] itself: its one [`IngestPort`] (onto a shard state on
+//! the caller's thread, or onto shard worker threads), the drain side,
+//! and the ports the runner forks from it.
 
 use super::decode::{self, Decoded};
 use super::event::StatsCells;
@@ -137,7 +137,8 @@ enum ShardMsg {
 /// its flow's owner ([`ControlShared::owner`]) and a lane's batch is
 /// sent when it reaches [`INGEST_BATCH`] packets or on an explicit flush
 /// — batching amortizes the channel hand-off, the dominant dispatch
-/// cost. Every [`IngestPort`], the monitor's own included, owns a set.
+/// cost. Every [`IngestPort`] of a threaded monitor, the monitor's own
+/// included, owns a set.
 /// Sends block while a channel is full, which is safe because a worker
 /// waits on the event queue only while a runner drains it.
 struct Lanes {
@@ -198,14 +199,16 @@ impl Lanes {
     }
 
     /// End of stream: flushes every lane and tells each worker to seal
-    /// its flows and exit. Blocking sends are safe here: the caller has
+    /// its flows and exit — every worker, even past one that is gone;
+    /// errs if any was. Blocking sends are safe here: the caller has
     /// released the queue, which never parks a worker again, so every
     /// channel drains.
-    fn finish(&mut self) {
-        delivered(self.flush());
+    fn finish(&mut self) -> Result<(), SendError<ShardMsg>> {
+        let mut sent = self.flush();
         for tx in &self.senders {
-            delivered(tx.send(ShardMsg::Finish));
+            sent = sent.and(tx.send(ShardMsg::Finish));
         }
+        sent
     }
 }
 
@@ -218,27 +221,6 @@ fn delivered(sent: Result<(), SendError<ShardMsg>>) {
         reason = "shard workers outlive every port; a dead one already panicked"
     )]
     sent.expect("shard workers outlive ingest ports");
-}
-
-/// How packets reach the per-flow engines: on the caller's thread, or
-/// hashed across dedicated shard workers.
-enum Dispatch {
-    /// `threads == 1`: one shard state driven inline — no threads, no
-    /// channels, identical to the pre-parallel monitor — and the parse
-    /// drops of the monitor's front doors.
-    Inline {
-        shard: Box<ShardState>,
-        drops: DropSummary,
-    },
-    /// `threads ≥ 2`: the monitor's own port onto the workers, which its
-    /// front doors feed and [`Monitor::ingest_port`] forks.
-    Threaded {
-        port: IngestPort,
-        handles: Vec<JoinHandle<()>>,
-    },
-    /// Placeholder after [`Monitor::finish`] has taken the dispatch
-    /// state (so the monitor's `Drop` has nothing left to reap).
-    Done,
 }
 
 /// How often a freshly idle shard worker wakes to poll the control
@@ -309,15 +291,15 @@ fn worker_loop(
 /// [module docs](super) for a runnable example.
 pub struct Monitor {
     method: EstimationMethod,
-    /// Whether any configured method can consume an RTP header — gates
-    /// the per-packet RTP parse-attempt on the raw ingestion path.
-    wants_rtp: bool,
     vca: VcaKind,
     /// The cells shared with the shard workers and every
     /// [`MonitorHandle`] clone: counters, the bounded queue every shard
     /// pushes into, and the control plane.
     shared: MonitorHandle,
-    dispatch: Dispatch,
+    /// The producer every front door feeds.
+    port: IngestPort,
+    /// The shard workers (none on an inline monitor, or once finished).
+    workers: Vec<JoinHandle<()>>,
     /// Staging buffer backing the drain iterators: what a drain moved out
     /// of the queue and has not yielded yet. It holds events between
     /// drains only when one was dropped part-way.
@@ -331,7 +313,7 @@ impl Monitor {
     }
 
     /// [`MonitorBuilder::build`]: sizes the workers, spawns them, and
-    /// wires queue, control cells, and dispatch together.
+    /// wires queue, control cells, and the monitor's port together.
     pub(super) fn start(builder: MonitorBuilder) -> Monitor {
         let threads = match builder.threads {
             0 => std::thread::available_parallelism()
@@ -363,17 +345,14 @@ impl Monitor {
         let shard_state = |worker: usize| {
             ShardState::new(&builder, worker, Arc::clone(&stats), Arc::clone(&control))
         };
-        let dispatch = if inline {
-            Dispatch::Inline {
-                shard: Box::new(shard_state(0)),
-                drops: DropSummary::new(window_us),
-            }
+        let mut workers = Vec::new();
+        let lane = if inline {
+            Lane::Inline(Box::new(shard_state(0)))
         } else {
             // The ingest channels share the event queue's capacity knob
             // (counted in batches) so one bound governs the pipeline.
             let channel_batches = (builder.queue_capacity / INGEST_BATCH).max(1);
             let mut senders = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
             for worker in 0..threads {
                 let (tx, rx) = sync_channel::<ShardMsg>(channel_batches);
                 let state = shard_state(worker);
@@ -387,24 +366,21 @@ impl Monitor {
                     .spawn(move || worker_loop(state, rx, queue, worker))
                     .expect("spawn shard worker");
                 senders.push(tx);
-                handles.push(handle);
+                workers.push(handle);
             }
-            Dispatch::Threaded {
-                port: IngestPort {
-                    wants_rtp,
-                    shared: shared.clone(),
-                    lanes: Lanes::new(senders, control),
-                    drops: DropSummary::new(window_us),
-                },
-                handles,
-            }
+            Lane::Workers(Lanes::new(senders, control))
         };
         Monitor {
-            wants_rtp,
             method: builder.method,
             vca: builder.vca,
+            port: IngestPort {
+                wants_rtp,
+                shared: shared.clone(),
+                lane,
+                drops: DropSummary::new(window_us),
+            },
             shared,
-            dispatch,
+            workers,
             drained: VecDeque::new(),
         }
     }
@@ -483,36 +459,31 @@ impl Monitor {
         self.shared.queue.wait_for_events(CONTROL_POLL);
     }
 
-    /// Flushes ingest batches (or, on an inline monitor, applies pending
+    /// Flushes the port (ingest batches, or an inline monitor's pending
     /// control requests) and pulls everything queued into staging.
     fn drain_pending(&mut self) {
-        let queue = &self.shared.queue;
-        match &mut self.dispatch {
-            Dispatch::Inline { shard, .. } => {
-                shard.apply_control();
-                shard.deliver(queue);
-            }
-            Dispatch::Threaded { port, .. } => port.flush(),
-            Dispatch::Done => {}
-        }
-        queue.drain_into(&mut self.drained);
+        self.port.flush();
+        self.shared.queue.drain_into(&mut self.drained);
     }
 
     // -- ingestion ---------------------------------------------------------
 
     /// Ingests one raw link-layer (Ethernet II) frame.
     pub fn ingest_frame(&mut self, ts: Timestamp, frame: &[u8]) {
-        self.route(decode::wire(LinkType::Ethernet, ts, frame, self.wants_rtp));
+        let port = &mut self.port;
+        port.route(decode::wire(LinkType::Ethernet, ts, frame, port.wants_rtp));
     }
 
     /// Ingests one raw IP packet (pcap `LINKTYPE_RAW` and friends).
     pub fn ingest_ip(&mut self, ts: Timestamp, bytes: &[u8]) {
-        self.route(decode::wire(LinkType::RawIp, ts, bytes, self.wants_rtp));
+        let port = &mut self.port;
+        port.route(decode::wire(LinkType::RawIp, ts, bytes, port.wants_rtp));
     }
 
     /// Ingests one pcap record, dispatching on the file's link type.
     pub fn ingest_pcap_record(&mut self, link: LinkType, rec: &PcapRecord) {
-        self.route(decode::record_packet(link, rec, self.wants_rtp));
+        self.port
+            .route(decode::record_packet(link, rec, self.port.wants_rtp));
     }
 
     /// Ingests one pre-parsed packet on an explicit flow — the entry point
@@ -528,30 +499,13 @@ impl Monitor {
     /// so a monitor fed through this door, which is its own drainer,
     /// grows past the bound instead, as an inline monitor does.
     pub fn ingest_packet(&mut self, flow: FlowKey, pkt: TracePacket) {
-        self.route(decode::parsed(flow, pkt));
+        self.port.route(decode::parsed(flow, pkt));
     }
 
     /// Ingests whatever a [`PacketSource`](crate::source::PacketSource)
     /// yielded.
     pub(crate) fn ingest(&mut self, pkt: SourcePacket) {
-        self.route(decode::source(&pkt, self.wants_rtp));
-    }
-
-    /// Where every front door ends: the packet goes to its flow's shard,
-    /// or its drop is counted into the producer's summary.
-    fn route(&mut self, decoded: Decoded) {
-        match &mut self.dispatch {
-            Dispatch::Inline { shard, drops } => {
-                let Some((flow, pkt)) = drops.admit(decoded, &self.shared) else {
-                    return;
-                };
-                shard.ingest(flow, pkt);
-                shard.apply_control();
-                shard.deliver(&self.shared.queue);
-            }
-            Dispatch::Threaded { port, .. } => port.route(decoded),
-            Dispatch::Done => unreachable!("monitor already finished"),
-        }
+        self.port.ingest(pkt);
     }
 
     /// Seals and reports every remaining flow, returning all queued
@@ -572,27 +526,13 @@ impl Monitor {
         // DropOldest — the end-of-stream flush is lossless by contract.
         let queue = &self.shared.queue;
         queue.release();
-        match std::mem::replace(&mut self.dispatch, Dispatch::Done) {
-            Dispatch::Inline {
-                mut shard,
-                mut drops,
-            } => {
-                drops.close(queue);
-                shard.finish();
-                shard.deliver(queue);
-            }
-            Dispatch::Threaded { mut port, handles } => {
-                port.drops.close(queue);
-                port.lanes.finish();
-                for handle in handles {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "join re-raises a worker panic instead of hiding it"
-                    )]
-                    handle.join().expect("shard worker panicked");
-                }
-            }
-            Dispatch::Done => unreachable!("finish runs once"),
+        delivered(self.port.seal_all());
+        for handle in std::mem::take(&mut self.workers) {
+            #[expect(
+                clippy::expect_used,
+                reason = "join re-raises a worker panic instead of hiding it"
+            )]
+            handle.join().expect("shard worker panicked");
         }
         // Behind whatever a drain dropped part-way left staged.
         queue.drain_into(&mut self.drained);
@@ -609,26 +549,22 @@ impl Monitor {
     /// scales with the number of sources. See [`IngestPort`] for the
     /// concurrent-drainer requirement its holder takes on.
     pub(crate) fn ingest_port(&mut self) -> Option<IngestPort> {
-        let Dispatch::Threaded { port, .. } = &mut self.dispatch else {
-            return None;
-        };
-        // Flush before arming. A batch still buffered here would be sent
-        // by the holder's drain (`drain_pending`) — into a channel whose
-        // worker may by then be parked on the armed, full queue that only
-        // that same drain empties.
-        port.flush();
+        let port = self.port.fork()?;
         self.shared.queue.arm();
-        Some(port.fork())
+        Some(port)
     }
 }
 
-/// One producer's private lanes into a threaded monitor's shard workers:
-/// parse, flow-hash, batch, and send happen on the port holder's thread,
-/// so N ports ingest in parallel without sharing the [`Monitor`]'s
-/// `&mut self`. The monitor's own front doors feed one more port, held
-/// in its dispatch. Per-flow packet order within one port is preserved
-/// end-to-end (same hash, same channel, same worker); packets for one
-/// flow split across ports interleave in channel-arrival order.
+/// One producer: parse, admit and hand each packet to its flow's shard.
+/// Every producer is a port. The monitor's own front doors feed the one
+/// it holds; on an inline monitor that port drives the single
+/// [`ShardState`] on the caller's thread, and on a threaded one it, like
+/// every port [`Monitor::ingest_port`] forks, owns lanes onto the shard
+/// workers: parse, flow-hash, batch, and send happen on the port holder's
+/// thread, so N ports ingest in parallel without sharing the
+/// [`Monitor`]'s `&mut self`. Per-flow packet order within one port is
+/// preserved end-to-end (same hash, same channel, same worker); packets
+/// for one flow split across ports interleave in channel-arrival order.
 ///
 /// Sends block when a shard channel is full — ingest-side backpressure.
 /// A forked port's holder must guarantee a concurrent drainer (the
@@ -640,21 +576,41 @@ impl Monitor {
 /// closes on the port's record clock and at the port's end of stream,
 /// never on a flush.
 pub(crate) struct IngestPort {
+    /// Whether any configured method can consume an RTP header — gates
+    /// the per-packet RTP parse-attempt on the raw ingestion path.
     wants_rtp: bool,
     shared: MonitorHandle,
-    lanes: Lanes,
+    lane: Lane,
     drops: DropSummary,
 }
 
+/// Where a port's admitted packets go.
+enum Lane {
+    /// `threads == 1`: the one shard state, driven on the caller's
+    /// thread — no threads, no channels.
+    Inline(Box<ShardState>),
+    /// `threads ≥ 2`: batches onto the shard workers' channels.
+    Workers(Lanes),
+}
+
 impl IngestPort {
-    /// Another port onto the same workers, with a drop summary of its own.
-    fn fork(&self) -> IngestPort {
-        IngestPort {
+    /// Another port onto the same workers, with a drop summary of its
+    /// own; `None` for an inline port, whose shard state has one owner.
+    /// Flushes this port first. A batch still buffered here would be
+    /// sent by the monitor's next drain (`drain_pending`) — into a
+    /// channel whose worker may by then be parked on the armed, full
+    /// queue that only that same drain empties.
+    fn fork(&mut self) -> Option<IngestPort> {
+        let Lane::Workers(lanes) = &mut self.lane else {
+            return None;
+        };
+        delivered(lanes.flush());
+        Some(IngestPort {
             wants_rtp: self.wants_rtp,
             shared: self.shared.clone(),
-            lanes: self.lanes.fork(),
+            lane: Lane::Workers(lanes.fork()),
             drops: DropSummary::new(self.drops.window_us),
-        }
+        })
     }
 
     /// Ingests whatever a [`PacketSource`](crate::source::PacketSource)
@@ -663,22 +619,55 @@ impl IngestPort {
         self.route(decode::source(&pkt, self.wants_rtp));
     }
 
-    /// The packet goes onto its worker's lane, or its drop is counted into
-    /// the port's summary. A closing summary parks against a full, armed
+    /// Where every front door ends: the packet goes to its flow's shard,
+    /// or its drop is counted into the port's summary. Inline, the shard
+    /// then applies pending control requests and delivers what the
+    /// packet produced. A closing summary parks against a full, armed
     /// `Block` queue like any producer: a forked port's holder has a
     /// concurrent drainer, and the monitor's own port is never armed
     /// against while its front doors are in use.
     fn route(&mut self, decoded: Decoded) {
-        if let Some((flow, pkt)) = self.drops.admit(decoded, &self.shared) {
-            self.lanes.push(flow, pkt);
+        let Some((flow, pkt)) = self.drops.admit(decoded, &self.shared) else {
+            return;
+        };
+        match &mut self.lane {
+            Lane::Inline(shard) => {
+                shard.ingest(flow, pkt);
+                shard.apply_control();
+                shard.deliver(&self.shared.queue);
+            }
+            Lane::Workers(lanes) => lanes.push(flow, pkt),
         }
     }
 
     /// Sends every partially filled batch to its shard worker (a live
-    /// source's per-packet hand-off). The drop summary stays pending:
+    /// source's per-packet hand-off, and every drain); inline, applies
+    /// pending control requests instead. The drop summary stays pending:
     /// closing it here would publish one per flush, per record again.
     pub(crate) fn flush(&mut self) {
-        delivered(self.lanes.flush());
+        match &mut self.lane {
+            Lane::Inline(shard) => {
+                shard.apply_control();
+                shard.deliver(&self.shared.queue);
+            }
+            Lane::Workers(lanes) => delivered(lanes.flush()),
+        }
+    }
+
+    /// The monitor's end of stream, which no forked port has: publishes
+    /// the pending drop summary and seals every flow — here, or by
+    /// telling each worker to seal its flows and exit. Errs if a worker
+    /// is gone.
+    fn seal_all(&mut self) -> Result<(), SendError<ShardMsg>> {
+        self.drops.close(&self.shared.queue);
+        match &mut self.lane {
+            Lane::Inline(shard) => {
+                shard.finish();
+                shard.deliver(&self.shared.queue);
+                Ok(())
+            }
+            Lane::Workers(lanes) => lanes.finish(),
+        }
     }
 
     /// End of this port's stream: publishes its pending drop summary and
@@ -697,42 +686,38 @@ impl Drop for IngestPort {
     /// but don't silently strand a drop summary or full batches either.
     fn drop(&mut self) {
         self.drops.close(&self.shared.queue);
-        let _ = self.lanes.flush();
+        if let Lane::Workers(lanes) = &mut self.lane {
+            let _ = lanes.flush();
+        }
     }
 }
 
 impl Drop for Monitor {
     /// A monitor dropped without [`Monitor::finish`] (caller panic,
     /// early return) must not leak shard workers parked on the bounded
-    /// queue: release the queue so nothing waits, disconnect the
-    /// channels so the workers run their end-of-stream seal and exit,
-    /// and reap the threads. The tail events land in the released queue
-    /// and are dropped with it — only `finish` promises delivery.
+    /// queue: release the queue so nothing waits, tell the workers to
+    /// run their end-of-stream seal and exit, and reap the threads. The
+    /// tail events land in the released queue and are dropped with it —
+    /// only `finish` promises delivery.
     fn drop(&mut self) {
-        if let Dispatch::Threaded { port, handles } =
-            std::mem::replace(&mut self.dispatch, Dispatch::Done)
-        {
-            self.shared.queue.release();
-            drop(port);
-            for handle in handles {
-                // Don't double-panic out of a Drop during unwinding.
-                let _ = handle.join();
-            }
+        if self.workers.is_empty() {
+            return;
+        }
+        self.shared.queue.release();
+        let _ = self.port.seal_all();
+        for handle in self.workers.drain(..) {
+            // Don't double-panic out of a Drop during unwinding.
+            let _ = handle.join();
         }
     }
 }
 
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let threads = match &self.dispatch {
-            Dispatch::Inline { .. } => 1,
-            Dispatch::Threaded { port, .. } => port.lanes.senders.len(),
-            Dispatch::Done => 0,
-        };
         f.debug_struct("Monitor")
             .field("vca", &self.vca)
             .field("method", &self.method)
-            .field("threads", &threads)
+            .field("threads", &self.workers.len().max(1))
             .field("active_flows", &self.active_flows())
             .field("stats", &self.stats())
             .finish_non_exhaustive()

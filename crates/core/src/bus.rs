@@ -36,10 +36,10 @@
 
 use crate::api::QoeEvent;
 use crate::control::ControlShared;
-use crate::leaf::LeafMutex;
+use crate::leaf::Inbox;
 use crate::sink::{report_fps, EventSink};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
 use vcaml_rtp::LadderRung;
@@ -475,16 +475,6 @@ struct Subscription {
     sink: Box<dyn EventSink + Send>,
 }
 
-/// The shared mailbox behind [`BusHandle`]: subscriptions registered
-/// while the bus is already running, waiting to be adopted by the drain
-/// thread at its next publish.
-struct PendingSubs {
-    pending: LeafMutex<Vec<Subscription>>,
-    /// Length mirror of `pending`, readable without the lock — the
-    /// per-publish fast path is one relaxed load.
-    n: AtomicUsize,
-}
-
 /// A cloneable registration port onto a live [`EventBus`]: attach new
 /// subscribers **while the bus is running** — the mechanism behind the
 /// control socket's `SUBSCRIBE` verb. The subscription is adopted by
@@ -494,26 +484,26 @@ struct PendingSubs {
 /// parks the sink forever, which is harmless.
 #[derive(Clone)]
 pub struct BusHandle {
-    shared: Arc<PendingSubs>,
+    /// Subscriptions registered while the bus is already running,
+    /// waiting to be adopted by the drain thread at its next publish.
+    shared: Arc<Inbox<Subscription>>,
 }
 
 impl BusHandle {
     /// Registers a subscriber for the slice of the stream `filter`
     /// selects, starting at the drain thread's next publish.
     pub fn subscribe(&self, filter: EventFilter, sink: impl EventSink + Send + 'static) {
-        let mut pending = self.shared.pending.lock();
-        pending.push(Subscription {
+        self.shared.push(Subscription {
             filter,
             sink: Box::new(sink),
         });
-        self.shared.n.store(pending.len(), Relaxed);
     }
 }
 
 impl std::fmt::Debug for BusHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BusHandle")
-            .field("pending", &self.shared.n.load(Relaxed))
+            .field("pending", &self.shared.len())
             .finish()
     }
 }
@@ -539,7 +529,7 @@ pub struct EventBus {
     thresholds: AlertThresholds,
     published: u64,
     /// Live-registration mailbox, created lazily by [`EventBus::handle`].
-    remote: Option<Arc<PendingSubs>>,
+    remote: Option<Arc<Inbox<Subscription>>>,
     /// Telemetry cells of the monitor this bus drains, when attached:
     /// per-severity event counts and per-method finalized-window counts,
     /// accumulated here on the drain thread because severity is
@@ -571,12 +561,7 @@ impl EventBus {
     /// A cloneable [`BusHandle`] for attaching subscribers while the
     /// bus is running (from another thread; the handle is `Send`).
     pub fn handle(&mut self) -> BusHandle {
-        let shared = self.remote.get_or_insert_with(|| {
-            Arc::new(PendingSubs {
-                pending: LeafMutex::new(Vec::new()),
-                n: AtomicUsize::new(0),
-            })
-        });
+        let shared = self.remote.get_or_insert_with(|| Arc::new(Inbox::new()));
         BusHandle {
             shared: Arc::clone(shared),
         }
@@ -612,11 +597,7 @@ impl EventBus {
     /// the last publish, and periodically sweeps out closed sinks.
     fn adopt_and_prune(&mut self) {
         if let Some(remote) = &self.remote {
-            if remote.n.load(Relaxed) > 0 {
-                let mut pending = remote.pending.lock();
-                self.subscriptions.append(&mut pending);
-                remote.n.store(0, Relaxed);
-            }
+            self.subscriptions.extend(remote.take());
         }
         if self.published.is_multiple_of(PRUNE_INTERVAL) {
             self.subscriptions.retain(|s| !s.sink.is_closed());

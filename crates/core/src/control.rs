@@ -38,8 +38,8 @@ use crate::backpressure::{EventQueue, QueueAccounting};
 use crate::bus::{AlertThresholds, Severity};
 use crate::engine::Method;
 use crate::json;
-use crate::leaf::LeafMutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use crate::leaf::Inbox;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
 use vcaml_rtp::VcaKind;
@@ -56,7 +56,7 @@ pub(crate) struct ControlShared {
     /// Eviction requests, one mailbox per worker (one on an inline
     /// monitor): a request goes to the flow's owner, which empties its
     /// mailbox when it applies them.
-    mailboxes: Vec<Mailbox>,
+    mailboxes: Vec<Inbox<FlowKey>>,
     /// Live alert thresholds (severity classification + shared sinks).
     pub(crate) thresholds: AlertThresholds,
     /// The monitor's VCA, whose lab ladder the resolution floor maps
@@ -85,26 +85,12 @@ pub(crate) struct ControlShared {
     windows_by_method: [AtomicU64; Method::ALL.len()],
 }
 
-/// One worker's pending eviction requests.
-#[derive(Debug)]
-struct Mailbox {
-    requests: LeafMutex<Vec<FlowKey>>,
-    /// `requests.len()`, readable without the lock: the owner skips the
-    /// lock entirely while its mailbox is empty.
-    len: AtomicUsize,
-}
-
 impl ControlShared {
     pub(crate) fn new(workers: usize, model_bytes: u64, vca: VcaKind) -> Self {
         ControlShared {
             stop: AtomicBool::new(false),
             flush_epoch: AtomicU64::new(0),
-            mailboxes: (0..workers.max(1))
-                .map(|_| Mailbox {
-                    requests: LeafMutex::new(Vec::new()),
-                    len: AtomicUsize::new(0),
-                })
-                .collect(),
+            mailboxes: (0..workers.max(1)).map(|_| Inbox::new()).collect(),
             thresholds: AlertThresholds::new(),
             vca,
             depths: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -158,21 +144,15 @@ impl ControlShared {
     /// Empties `worker`'s eviction mailbox. Lock-free (one relaxed load,
     /// no allocation) while it is empty — the per-packet case.
     pub(crate) fn take_evictions(&self, worker: usize) -> Vec<FlowKey> {
-        let Some(mailbox) = self.mailboxes.get(worker) else {
-            return Vec::new();
-        };
-        if mailbox.len.load(Relaxed) == 0 {
-            return Vec::new();
-        }
-        let mut requests = mailbox.requests.lock();
-        mailbox.len.store(0, Relaxed);
-        std::mem::take(&mut *requests)
+        self.mailboxes
+            .get(worker)
+            .map_or_else(Vec::new, Inbox::take)
     }
 
     /// Eviction requests posted and not yet taken, over every mailbox.
     #[cfg(test)]
     pub(crate) fn held_evictions(&self) -> usize {
-        self.mailboxes.iter().map(|m| m.requests.lock().len()).sum()
+        self.mailboxes.iter().map(Inbox::len).sum()
     }
 
     /// Records `n` packets handed to `worker`'s channel.
@@ -366,10 +346,7 @@ impl MonitorHandle {
     /// Unknown flows are ignored. Same application timing as
     /// [`MonitorHandle::force_flush`].
     pub fn evict_flow(&self, flow: FlowKey) {
-        let mailbox = &self.control.mailboxes[self.control.owner(flow.hash64())];
-        let mut requests = mailbox.requests.lock();
-        requests.push(flow);
-        mailbox.len.store(requests.len(), Relaxed);
+        self.control.mailboxes[self.control.owner(flow.hash64())].push(flow);
     }
 
     /// The live [`AlertThresholds`] (a shared handle: retuning through

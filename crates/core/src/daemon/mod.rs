@@ -63,4 +63,4 @@ pub mod server;
 
 pub use control::{parse_request, ControlError, Request, Setting, MAX_LINE_BYTES};
 pub use metrics::render_openmetrics;
-pub use server::{BoundControl, ControlEndpoint, Daemon, DaemonConfig};
+pub use server::{BoundControl, ControlEndpoint, Daemon, DaemonConfig, MAX_CONNECTIONS};

@@ -4,7 +4,9 @@
 //! runs each accept loop on its own named thread (`vcaml-metrics`,
 //! `vcaml-control`); every accepted connection gets a short-lived
 //! handler thread with a hard read timeout, so one stuck client can
-//! never wedge the daemon. Nothing here touches the data path: the
+//! never wedge the daemon, and at most [`MAX_CONNECTIONS`] are served
+//! at once per listener, so idle `SUBSCRIBE` streams cannot pile up
+//! threads either. Nothing here touches the data path: the
 //! exporter reads atomic snapshot cells, and control verbs go through
 //! the same [`MonitorHandle`] every in-process consumer uses.
 //!
@@ -24,7 +26,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,6 +34,14 @@ use std::time::Duration;
 /// How often accept loops and subscriber streams re-check the shutdown
 /// flag while idle.
 const POLL: Duration = Duration::from_millis(25);
+
+/// The control socket's answer past [`MAX_CONNECTIONS`], in the
+/// `ERR <code> <detail>` grammar of every refusal.
+const CONTROL_BUSY: &[u8] = b"ERR busy connection limit reached, retry later\n";
+
+/// The exporter's answer past [`MAX_CONNECTIONS`].
+const SCRAPE_BUSY: &[u8] =
+    b"HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
 
 /// Event bound per `SUBSCRIBE` stream: a subscriber falling further
 /// behind sheds events instead of blocking the drain, with the shed
@@ -41,6 +51,10 @@ const SUBSCRIBER_QUEUE: usize = 4096;
 /// Per-connection read timeout: a client that connects and goes silent
 /// is disconnected after this long.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Connections one listener serves at once. A connection past it is
+/// answered `ERR busy <detail>` (a scrape: HTTP 503) and closed.
+pub const MAX_CONNECTIONS: usize = 8;
 
 /// Where the control socket listens.
 #[derive(Debug, Clone)]
@@ -154,7 +168,13 @@ impl Daemon {
         let metrics_addr = metrics.map(|(listener, bound)| {
             let handle = handle.clone();
             let serve = move |stream| serve_scrape(stream, &handle);
-            threads.push(spawn_server("vcaml-metrics", listener, &stop, serve));
+            threads.push(spawn_server(
+                "vcaml-metrics",
+                listener,
+                &stop,
+                SCRAPE_BUSY,
+                serve,
+            ));
             bound
         });
         let ctx = ControlCtx {
@@ -166,11 +186,11 @@ impl Daemon {
             threads.push(match listener {
                 ControlListener::Tcp(listener) => {
                     let serve = move |stream| serve_control(stream, &ctx);
-                    spawn_server("vcaml-control", listener, &stop, serve)
+                    spawn_server("vcaml-control", listener, &stop, CONTROL_BUSY, serve)
                 }
                 ControlListener::Unix(listener) => {
                     let serve = move |stream| serve_control(stream, &ctx);
-                    spawn_server("vcaml-control", listener, &stop, serve)
+                    spawn_server("vcaml-control", listener, &stop, CONTROL_BUSY, serve)
                 }
             });
             bound
@@ -236,7 +256,7 @@ fn bind_tcp(addr: &str) -> std::io::Result<(TcpListener, SocketAddr)> {
 
 /// A nonblocking listener of the daemon's: TCP or Unix.
 trait Listener: Send + 'static {
-    type Stream: Send + 'static;
+    type Stream: Write + Send + 'static;
 
     /// The next pending connection, with [`READ_TIMEOUT`] set on it.
     fn next_stream(&self) -> std::io::Result<Self::Stream>;
@@ -262,24 +282,56 @@ impl Listener for UnixListener {
     }
 }
 
+/// One served connection of a listener's [`MAX_CONNECTIONS`]: the
+/// count falls when it drops — when its handler thread ends, or with
+/// the handler's closure when the thread could not be spawned.
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    /// A slot, unless every one is taken.
+    fn take(live: &Arc<AtomicUsize>) -> Option<Slot> {
+        live.fetch_update(Relaxed, Relaxed, |n| (n < MAX_CONNECTIONS).then_some(n + 1))
+            .ok()
+            .map(|_| Slot(Arc::clone(live)))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Relaxed);
+    }
+}
+
 /// Runs `listener`'s accept loop on a thread named `name` until `stop`
 /// is set; each accepted connection is served by `serve` on a
-/// short-lived thread of its own (`{name}-conn`).
+/// short-lived thread of its own (`{name}-conn`), or, past
+/// [`MAX_CONNECTIONS`] live ones, answered `busy` and closed.
 fn spawn_server<L: Listener>(
     name: &'static str,
     listener: L,
     stop: &Arc<AtomicBool>,
+    busy: &'static [u8],
     serve: impl Fn(L::Stream) + Clone + Send + 'static,
 ) -> std::thread::JoinHandle<()> {
     let stop = Arc::clone(stop);
+    let live = Arc::new(AtomicUsize::new(0));
     let accept_loop = move || {
         while !stop.load(Relaxed) {
             match listener.next_stream() {
-                Ok(stream) => {
+                Ok(mut stream) => {
+                    let Some(slot) = Slot::take(&live) else {
+                        let _ = stream.write_all(busy);
+                        continue;
+                    };
                     let serve = serve.clone();
+                    // A failed spawn drops the closure, and the slot in
+                    // it: the connection closes and the count falls.
                     let _ = std::thread::Builder::new()
                         .name(format!("{name}-conn"))
-                        .spawn(move || serve(stream));
+                        .spawn(move || {
+                            let _slot = slot;
+                            serve(stream);
+                        });
                 }
                 // Nothing pending (or a failed accept): wait a tick.
                 Err(_) => std::thread::sleep(POLL),

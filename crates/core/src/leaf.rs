@@ -14,9 +14,13 @@
 //! A [`Condvar`] wait on the lock's own guard ([`LeafGuard::wait`],
 //! [`LeafGuard::wait_timeout`]) is the one blocking wait allowed under a
 //! guard: it releases the lock while parked.
+//!
+//! [`Inbox`] is the one mailbox built on it: many threads post, one
+//! owner empties it, and the owner's check for mail takes no lock.
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -119,6 +123,48 @@ impl<T> DerefMut for LeafGuard<'_, T> {
     }
 }
 
+/// A mailbox: any thread [`push`](Inbox::push)es, one owner
+/// [`take`](Inbox::take)s everything posted so far. The length is
+/// mirrored in an atomic, so the owner's check of an empty inbox is one
+/// relaxed load — no lock, no allocation — on every packet or publish.
+#[derive(Debug)]
+pub(crate) struct Inbox<T> {
+    items: LeafMutex<Vec<T>>,
+    /// `items.len()`, stored under the lock, readable without it.
+    len: AtomicUsize,
+}
+
+impl<T> Inbox<T> {
+    pub(crate) const fn new() -> Self {
+        Inbox {
+            items: LeafMutex::new(Vec::new()),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    pub(crate) fn push(&self, item: T) {
+        let mut items = self.items.lock();
+        items.push(item);
+        self.len.store(items.len(), Relaxed);
+    }
+
+    /// Everything posted so far, oldest first. Lock-free while empty.
+    pub(crate) fn take(&self) -> Vec<T> {
+        if self.len() == 0 {
+            return Vec::new();
+        }
+        let mut items = self.items.lock();
+        self.len.store(0, Relaxed);
+        std::mem::take(&mut *items)
+    }
+
+    /// Items posted and not yet taken (the mirror: exact once the
+    /// posting thread's `push` has returned).
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Relaxed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +204,19 @@ mod tests {
         notifier.join().unwrap();
         // A second leaf is fine once the first is gone.
         drop(m.lock());
+    }
+
+    #[test]
+    fn an_inbox_hands_over_what_was_posted_once() {
+        let inbox = Inbox::new();
+        assert!(inbox.take().is_empty());
+        inbox.push(1);
+        inbox.push(2);
+        assert_eq!(inbox.len(), 2);
+        assert_eq!(inbox.take(), [1, 2]);
+        assert_eq!(inbox.len(), 0);
+        assert!(inbox.take().is_empty());
+        assert!(!leaf_held());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * the OpenMetrics exporter emits a self-consistent document — every
 //!   sample belongs to a `# TYPE`-annotated family, labels are
 //!   well-formed, the body ends in `# EOF`, and `_total` counters are
-//!   monotone across two scrapes taken mid-ingest.
+//!   monotone across two scrapes taken mid-ingest;
+//! * a listener serves at most `MAX_CONNECTIONS` at once: one more is
+//!   answered `ERR busy` and closed, and a freed slot serves again.
 
 #![allow(
     clippy::expect_used,
@@ -27,7 +29,8 @@ use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::ParseDropReason;
 use vcaml_suite::vcaml::daemon::{
-    parse_request, BoundControl, ControlEndpoint, Daemon, DaemonConfig, Request, MAX_LINE_BYTES,
+    parse_request, BoundControl, ControlEndpoint, Daemon, DaemonConfig, Request, MAX_CONNECTIONS,
+    MAX_LINE_BYTES,
 };
 use vcaml_suite::vcaml::{
     EstimationMethod, Method, MonitorBuilder, MonitorRunner, Paced, QoeEstimate, QoeEvent,
@@ -573,4 +576,62 @@ fn failed_start_releases_the_ports_it_bound() {
     );
     assert!(started.is_err(), "a socket in a missing directory binds");
     std::net::TcpListener::bind(("127.0.0.1", port)).expect("the exporter's port is free again");
+}
+
+/// `MAX_CONNECTIONS` open control connections are all served; one more
+/// is answered `ERR busy ...` and closed; once one of the first hangs
+/// up, its slot serves a new connection.
+#[test]
+fn a_listener_past_its_connection_cap_answers_busy() {
+    let mut runner = MonitorRunner::new(builder());
+    let daemon = Daemon::start(
+        runner.handle(),
+        runner.bus_handle(),
+        DaemonConfig::new().control(ControlEndpoint::Tcp("127.0.0.1:0".into())),
+    )
+    .expect("start daemon");
+    let addr = tcp_control_addr(&daemon);
+    let served = || {
+        let mut control = BufReader::new(connect(addr));
+        let reply = exchange(&mut control, "STATS");
+        (control, reply)
+    };
+    // Each exchange completes, so each connection holds a slot.
+    let mut open: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|n| {
+            let (control, reply) = served();
+            assert!(reply.starts_with("OK {"), "connection {n}: {reply:.40}");
+            control
+        })
+        .collect();
+
+    let mut refused = String::new();
+    connect(addr)
+        .read_to_string(&mut refused)
+        .expect("read the refusal to its end");
+    assert!(
+        refused.starts_with("ERR busy ") && refused.ends_with('\n') && refused.lines().count() == 1,
+        "one ERR busy line, then the connection closes: {refused:?}"
+    );
+
+    drop(open.pop());
+    // A refused connection may be reset under the retry's write, so any
+    // failure counts as "not yet".
+    let served_again = || {
+        let mut control = BufReader::new(connect(addr));
+        let mut reply = String::new();
+        control.get_mut().write_all(b"STATS\n").is_ok()
+            && control.read_line(&mut reply).is_ok()
+            && reply.starts_with("OK {")
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !served_again() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the freed slot never served"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(open);
+    daemon.shutdown();
 }

@@ -2,7 +2,8 @@
 //! unified incremental engine must reproduce the batch pipeline's
 //! per-window features and heuristic QoE estimates for **all four
 //! methods**, on realistic simulated traffic — and the `FlowTable`
-//! must keep interleaved concurrent calls perfectly separated.
+//! must keep interleaved concurrent calls perfectly separated. RTP
+//! sequence and timestamp wraps and SSRC relabels move no window.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -17,6 +18,7 @@ use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::{FlowFeatureAcc, IpUdpFeatureAcc, StatsMode, DEFAULT_THETA_IAT_US};
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::{PayloadMap, RtpHeader, VcaKind};
+use vcaml_suite::vcaml::api::build_engine;
 use vcaml_suite::vcaml::engine::{
     replay, FlowTable, IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
@@ -680,6 +682,83 @@ fn recycled_slots_stay_window_exact() {
                     w.window
                 );
                 assert_eq!(g.video_packets, w.video_packets, "flow {i} {label}");
+            }
+        }
+    }
+}
+
+/// The RTP fields the RTP methods read are identifiers and clocks that
+/// wrap, not magnitudes: two corpus calls give every engine the same
+/// windows when their sequence numbers wrap past 65 535 mid-call, when
+/// their RTP timestamps wrap past 2^32 mid-call, and when every SSRC is
+/// relabelled.
+#[test]
+fn rtp_wraps_and_relabels_leave_every_window_as_it_was() {
+    let map = PayloadMap::lab(VcaKind::Teams);
+    let windows = |trace: &Trace| -> Vec<Vec<String>> {
+        Method::ALL
+            .map(|method| {
+                let mut engine =
+                    build_engine(method, EngineConfig::paper(VcaKind::Teams), map, None);
+                let reports = stream(&mut engine, trace);
+                reports.iter().map(|r| format!("{r:?}")).collect()
+            })
+            .to_vec()
+    };
+    for call in corpus(VcaKind::Teams, 58, 2) {
+        let original = windows(&call);
+        assert!(
+            original.iter().all(|w| w.len() >= 20),
+            "a window per second"
+        );
+        // The header of the packet half-way through the call: after the
+        // offsets, its sequence number and its timestamp read 0, so the
+        // fields wrap right before it.
+        let mid = call
+            .packets
+            .iter()
+            .skip(call.packets.len() / 2)
+            .find_map(|p| p.rtp)
+            .expect("an RTP packet past the middle");
+        let transformed = |edit: &dyn Fn(&mut RtpHeader)| {
+            let mut trace = call.clone();
+            for h in trace.packets.iter_mut().filter_map(|p| p.rtp.as_mut()) {
+                edit(h);
+            }
+            trace
+        };
+        let seq_wrap = transformed(&|h| h.sequence = h.sequence.wrapping_sub(mid.sequence));
+        let ts_wrap = transformed(&|h| h.timestamp = h.timestamp.wrapping_sub(mid.timestamp));
+        let relabel = transformed(&|h| h.ssrc = !h.ssrc);
+        // A wrap: the mid packet's stream steps back by over half the
+        // field's range.
+        let wrapped = |trace: &Trace, field: fn(&RtpHeader) -> u32, half: u32| {
+            let values: Vec<u32> = trace
+                .packets
+                .iter()
+                .filter_map(|p| p.rtp.filter(|h| h.ssrc == mid.ssrc).map(|h| field(&h)))
+                .collect();
+            values.windows(2).any(|v| v[0].saturating_sub(v[1]) > half)
+        };
+        assert!(
+            wrapped(&seq_wrap, |h| u32::from(h.sequence), 1 << 15),
+            "no sequence wrap"
+        );
+        assert!(
+            wrapped(&ts_wrap, |h| h.timestamp, 1 << 31),
+            "no timestamp wrap"
+        );
+        for (name, trace) in [
+            ("sequence wrap", &seq_wrap),
+            ("timestamp wrap", &ts_wrap),
+            ("SSRC relabel", &relabel),
+        ] {
+            for (method, (got, want)) in
+                Method::ALL.iter().zip(windows(trace).iter().zip(&original))
+            {
+                assert_eq!(got.len(), want.len(), "{method:?} under a {name}: windows");
+                let first_change = got.iter().zip(want).find(|(g, w)| g != w);
+                assert_eq!(first_change, None, "{method:?} under a {name}");
             }
         }
     }
