@@ -86,7 +86,6 @@ mod tests;
 
 pub use crate::backpressure::OverflowPolicy;
 pub use builder::{EstimationMethod, MonitorBuilder};
-pub(crate) use event::StatsCells;
 pub use event::{qoe_event_clone_count, EvictReason, MonitorStats, ParseDropReason, QoeEvent};
 pub(crate) use monitor::IngestPort;
 pub use monitor::Monitor;

@@ -393,40 +393,3 @@ fn write_by_reason(out: &mut String, by_reason: &[u64; ParseDropReason::COUNT]) 
     }
     o.end();
 }
-
-/// Shared, thread-safe counter cells behind [`MonitorStats`]: shard
-/// workers bump them from their own threads, the monitor snapshots them
-/// on [`Monitor::stats`]. On a threaded monitor the snapshot is
-/// eventually consistent — packets still queued on a shard channel are
-/// not yet counted.
-#[derive(Debug, Default)]
-pub(crate) struct StatsCells {
-    pub(super) packets: AtomicU64,
-    /// By [`ParseDropReason::index`]: one `fetch_add` per drop.
-    pub(super) parse_drops: [AtomicU64; ParseDropReason::COUNT],
-    pub(super) flows_opened: AtomicU64,
-    pub(super) flows_evicted: AtomicU64,
-    pub(super) window_reports: AtomicU64,
-    pub(super) provisional_reports: AtomicU64,
-}
-
-impl StatsCells {
-    pub(crate) fn snapshot(
-        &self,
-        events_dropped: u64,
-        dropped_by_flow: Vec<(FlowKey, u64)>,
-    ) -> MonitorStats {
-        let parse_drops_by_reason = self.parse_drops.each_ref().map(|c| c.load(Relaxed));
-        MonitorStats {
-            packets: self.packets.load(Relaxed),
-            parse_drops: parse_drops_by_reason.iter().sum(),
-            parse_drops_by_reason,
-            flows_opened: self.flows_opened.load(Relaxed),
-            flows_evicted: self.flows_evicted.load(Relaxed),
-            window_reports: self.window_reports.load(Relaxed),
-            provisional_reports: self.provisional_reports.load(Relaxed),
-            events_dropped,
-            dropped_by_flow,
-        }
-    }
-}

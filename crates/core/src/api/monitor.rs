@@ -3,7 +3,6 @@
 //! and the ports the runner forks from it.
 
 use super::decode::{self, Decoded};
-use super::event::StatsCells;
 use super::shard::{RoutedPacket, ShardState};
 #[cfg(doc)]
 use super::OverflowPolicy;
@@ -11,7 +10,7 @@ use super::{
     EstimationMethod, MonitorBuilder, MonitorStats, ParseDropReason, QoeEvent, INGEST_BATCH,
 };
 use crate::backpressure::EventQueue;
-use crate::control::{ControlShared, MonitorHandle};
+use crate::control::{MonitorHandle, Shared};
 use crate::engine::Method;
 use crate::leaf::leaf_held;
 use crate::source::SourcePacket;
@@ -67,11 +66,7 @@ impl DropSummary {
     /// closes the pending summary if the record's timestamp has reached
     /// its end, then hands an accepted packet back, or counts and folds
     /// in a rejected one.
-    fn admit(
-        &mut self,
-        decoded: Decoded,
-        shared: &MonitorHandle,
-    ) -> Option<(FlowKey, TracePacket)> {
+    fn admit(&mut self, decoded: Decoded, shared: &Shared) -> Option<(FlowKey, TracePacket)> {
         let ts = match &decoded {
             Ok((_, pkt)) => pkt.ts,
             Err((ts, _)) => *ts,
@@ -82,7 +77,7 @@ impl DropSummary {
         match decoded {
             Ok(routed) => Some(routed),
             Err((ts, reason)) => {
-                shared.stats.parse_drops[reason.index()].fetch_add(1, Relaxed);
+                shared.parse_drops[reason.index()].fetch_add(1, Relaxed);
                 self.fold(ts.as_micros(), reason.index());
                 None
             }
@@ -134,7 +129,7 @@ enum ShardMsg {
 
 /// One producer's lanes onto a threaded monitor's shard workers: a
 /// bounded channel and a batch buffer per worker. A packet is routed to
-/// its flow's owner ([`ControlShared::owner`]) and a lane's batch is
+/// its flow's owner ([`Shared::owner`]) and a lane's batch is
 /// sent when it reaches [`INGEST_BATCH`] packets or on an explicit flush
 /// — batching amortizes the channel hand-off, the dominant dispatch
 /// cost. Every [`IngestPort`] of a threaded monitor, the monitor's own
@@ -144,34 +139,32 @@ enum ShardMsg {
 struct Lanes {
     senders: Vec<SyncSender<ShardMsg>>,
     batches: Vec<Vec<RoutedPacket>>,
-    control: Arc<ControlShared>,
 }
 
 impl Lanes {
-    fn new(senders: Vec<SyncSender<ShardMsg>>, control: Arc<ControlShared>) -> Self {
+    fn new(senders: Vec<SyncSender<ShardMsg>>) -> Self {
         Lanes {
             batches: senders.iter().map(|_| Vec::new()).collect(),
             senders,
-            control,
         }
     }
 
     /// Another producer's lanes onto the same workers.
     fn fork(&self) -> Lanes {
-        Lanes::new(self.senders.clone(), Arc::clone(&self.control))
+        Lanes::new(self.senders.clone())
     }
 
     /// Routes one packet onto its worker's lane; a lane that fills is
     /// sent at once.
-    fn push(&mut self, flow: FlowKey, pkt: TracePacket) {
+    fn push(&mut self, shared: &Shared, flow: FlowKey, pkt: TracePacket) {
         // The one `FlowKey::hash64` computed per packet on the
         // dispatching thread rides the channel with the packet, so the
         // worker's table probe reuses it.
         let hash = flow.hash64();
-        let worker = self.control.owner(hash);
+        let worker = shared.owner(hash);
         self.batches[worker].push((hash, flow, pkt));
         if self.batches[worker].len() >= INGEST_BATCH {
-            delivered(self.send_lane(worker));
+            delivered(self.send_lane(shared, worker));
             // A lane that filled once fills again: size its next batch
             // up front instead of growing into it.
             self.batches[worker].reserve(INGEST_BATCH);
@@ -180,20 +173,20 @@ impl Lanes {
 
     /// Sends every partially filled batch to its shard worker — every
     /// lane, even past one whose worker is gone; errs if any was.
-    fn flush(&mut self) -> Result<(), SendError<ShardMsg>> {
+    fn flush(&mut self, shared: &Shared) -> Result<(), SendError<ShardMsg>> {
         let mut sent = Ok(());
         for worker in 0..self.senders.len() {
-            sent = sent.and(self.send_lane(worker));
+            sent = sent.and(self.send_lane(shared, worker));
         }
         sent
     }
 
-    fn send_lane(&mut self, worker: usize) -> Result<(), SendError<ShardMsg>> {
+    fn send_lane(&mut self, shared: &Shared, worker: usize) -> Result<(), SendError<ShardMsg>> {
         if self.batches[worker].is_empty() {
             return Ok(());
         }
         let batch = std::mem::take(&mut self.batches[worker]);
-        self.control.depth_add(worker, batch.len() as u64);
+        shared.worker(worker).depth_add(batch.len() as u64);
         debug_assert!(!leaf_held(), "blocking shard send under a leaf guard");
         self.senders[worker].send(ShardMsg::Batch(batch))
     }
@@ -203,8 +196,8 @@ impl Lanes {
     /// errs if any was. Blocking sends are safe here: the caller has
     /// released the queue, which never parks a worker again, so every
     /// channel drains.
-    fn finish(&mut self) -> Result<(), SendError<ShardMsg>> {
-        let mut sent = self.flush();
+    fn finish(&mut self, shared: &Shared) -> Result<(), SendError<ShardMsg>> {
+        let mut sent = self.flush(shared);
         for tx in &self.senders {
             sent = sent.and(tx.send(ShardMsg::Finish));
         }
@@ -242,23 +235,16 @@ const CONTROL_POLL_MAX: std::time::Duration = std::time::Duration::from_millis(5
 /// control-plane requests between batches (and on an idle tick, with
 /// exponential backoff while the shard stays quiet), then seal every
 /// flow and deliver the tail.
-fn worker_loop(
-    mut state: ShardState,
-    rx: Receiver<ShardMsg>,
-    queue: Arc<EventQueue>,
-    worker: usize,
-) {
+fn worker_loop(mut state: ShardState, rx: Receiver<ShardMsg>) {
     use std::sync::mpsc::RecvTimeoutError;
     let mut poll = CONTROL_POLL;
     loop {
         match rx.recv_timeout(poll) {
             Ok(ShardMsg::Batch(batch)) => {
                 poll = CONTROL_POLL;
-                let n = batch.len() as u64;
                 state.ingest_batch(batch);
-                state.control.depth_sub(worker, n);
                 state.apply_control();
-                state.deliver(&queue);
+                state.deliver();
             }
             Ok(ShardMsg::Finish) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {
@@ -270,12 +256,12 @@ fn worker_loop(
                 } else {
                     poll = (poll * 2).min(CONTROL_POLL_MAX);
                 }
-                state.deliver(&queue);
+                state.deliver();
             }
         }
     }
     state.finish();
-    state.deliver(&queue);
+    state.deliver();
 }
 
 /// A passive QoE monitor: feed it raw packets, read typed [`QoeEvent`]s.
@@ -291,11 +277,10 @@ fn worker_loop(
 /// [module docs](super) for a runnable example.
 pub struct Monitor {
     method: EstimationMethod,
-    vca: VcaKind,
-    /// The cells shared with the shard workers and every
-    /// [`MonitorHandle`] clone: counters, the bounded queue every shard
-    /// pushes into, and the control plane.
-    shared: MonitorHandle,
+    /// What the shard workers, the ports and every [`MonitorHandle`]
+    /// share: counters, the bounded queue every shard pushes into, and
+    /// the control plane.
+    shared: Arc<Shared>,
     /// The producer every front door feeds.
     port: IngestPort,
     /// The shard workers (none on an inline monitor, or once finished).
@@ -313,7 +298,7 @@ impl Monitor {
     }
 
     /// [`MonitorBuilder::build`]: sizes the workers, spawns them, and
-    /// wires queue, control cells, and the monitor's port together.
+    /// wires the shared state and the monitor's port together.
     pub(super) fn start(builder: MonitorBuilder) -> Monitor {
         let threads = match builder.threads {
             0 => std::thread::available_parallelism()
@@ -321,32 +306,19 @@ impl Monitor {
                 .unwrap_or(1),
             n => n,
         };
-        let inline = threads == 1;
-        let stats = Arc::new(StatsCells::default());
         let model_bytes = builder.model.as_ref().map_or(0, |m| m.heap_bytes() as u64);
-        let control = Arc::new(ControlShared::new(
-            if inline { 0 } else { threads },
-            model_bytes,
-            builder.vca,
-        ));
         // Unarmed: Block parks nobody until a runner opens its ports.
-        let queue = Arc::new(EventQueue::new(builder.queue_capacity, builder.overflow));
-        let shared = MonitorHandle {
-            control: Arc::clone(&control),
-            stats: Arc::clone(&stats),
-            queue,
-        };
+        let queue = EventQueue::new(builder.queue_capacity, builder.overflow);
+        let shared = Arc::new(Shared::new(threads, model_bytes, builder.vca, queue));
         let wants_rtp = builder.method.is_auto()
             || matches!(
                 builder.method,
                 EstimationMethod::Fixed(Method::RtpHeuristic | Method::RtpMl)
             );
         let window_us = builder.config.window_us();
-        let shard_state = |worker: usize| {
-            ShardState::new(&builder, worker, Arc::clone(&stats), Arc::clone(&control))
-        };
+        let shard_state = |worker: usize| ShardState::new(&builder, worker, Arc::clone(&shared));
         let mut workers = Vec::new();
-        let lane = if inline {
+        let lane = if threads == 1 {
             Lane::Inline(Box::new(shard_state(0)))
         } else {
             // The ingest channels share the event queue's capacity knob
@@ -356,26 +328,24 @@ impl Monitor {
             for worker in 0..threads {
                 let (tx, rx) = sync_channel::<ShardMsg>(channel_batches);
                 let state = shard_state(worker);
-                let queue = Arc::clone(&shared.queue);
                 #[expect(
                     clippy::expect_used,
                     reason = "spawn fails only on OS thread exhaustion; no recovery at this layer"
                 )]
                 let handle = std::thread::Builder::new()
                     .name(format!("vcaml-shard-{worker}"))
-                    .spawn(move || worker_loop(state, rx, queue, worker))
+                    .spawn(move || worker_loop(state, rx))
                     .expect("spawn shard worker");
                 senders.push(tx);
                 workers.push(handle);
             }
-            Lane::Workers(Lanes::new(senders, control))
+            Lane::Workers(Lanes::new(senders))
         };
         Monitor {
             method: builder.method,
-            vca: builder.vca,
             port: IngestPort {
                 wants_rtp,
-                shared: shared.clone(),
+                shared: Arc::clone(&shared),
                 lane,
                 drops: DropSummary::new(window_us),
             },
@@ -393,26 +363,16 @@ impl Monitor {
     /// inline monitor applies them on its next `ingest`/`drain` call.
     /// The handle stays readable after [`Monitor::finish`].
     pub fn handle(&self) -> MonitorHandle {
-        self.shared.clone()
-    }
-
-    /// The VCA profile the monitor was configured for.
-    pub fn vca(&self) -> VcaKind {
-        self.vca
+        MonitorHandle {
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Running ingest/emit counters. On a threaded monitor the snapshot
     /// is eventually consistent: packets still queued on a shard channel
     /// are not yet counted ([`Monitor::finish`] settles everything).
     pub fn stats(&self) -> MonitorStats {
-        self.shared.stats_snapshot().stats
-    }
-
-    /// Flows currently tracked (probation included): opened minus
-    /// sealed. Exact on an inline monitor, eventually consistent (like
-    /// every counter) on a threaded one.
-    pub fn active_flows(&self) -> usize {
-        self.shared.stats_snapshot().flows_live as usize
+        self.shared.snapshot().stats
     }
 
     /// Events the next [`Monitor::drain_events`] would return without
@@ -579,7 +539,7 @@ pub(crate) struct IngestPort {
     /// Whether any configured method can consume an RTP header — gates
     /// the per-packet RTP parse-attempt on the raw ingestion path.
     wants_rtp: bool,
-    shared: MonitorHandle,
+    shared: Arc<Shared>,
     lane: Lane,
     drops: DropSummary,
 }
@@ -604,10 +564,10 @@ impl IngestPort {
         let Lane::Workers(lanes) = &mut self.lane else {
             return None;
         };
-        delivered(lanes.flush());
+        delivered(lanes.flush(&self.shared));
         Some(IngestPort {
             wants_rtp: self.wants_rtp,
-            shared: self.shared.clone(),
+            shared: Arc::clone(&self.shared),
             lane: Lane::Workers(lanes.fork()),
             drops: DropSummary::new(self.drops.window_us),
         })
@@ -634,9 +594,9 @@ impl IngestPort {
             Lane::Inline(shard) => {
                 shard.ingest(flow, pkt);
                 shard.apply_control();
-                shard.deliver(&self.shared.queue);
+                shard.deliver();
             }
-            Lane::Workers(lanes) => lanes.push(flow, pkt),
+            Lane::Workers(lanes) => lanes.push(&self.shared, flow, pkt),
         }
     }
 
@@ -648,9 +608,9 @@ impl IngestPort {
         match &mut self.lane {
             Lane::Inline(shard) => {
                 shard.apply_control();
-                shard.deliver(&self.shared.queue);
+                shard.deliver();
             }
-            Lane::Workers(lanes) => delivered(lanes.flush()),
+            Lane::Workers(lanes) => delivered(lanes.flush(&self.shared)),
         }
     }
 
@@ -663,10 +623,10 @@ impl IngestPort {
         match &mut self.lane {
             Lane::Inline(shard) => {
                 shard.finish();
-                shard.deliver(&self.shared.queue);
+                shard.deliver();
                 Ok(())
             }
-            Lane::Workers(lanes) => lanes.finish(),
+            Lane::Workers(lanes) => lanes.finish(&self.shared),
         }
     }
 
@@ -687,7 +647,7 @@ impl Drop for IngestPort {
     fn drop(&mut self) {
         self.drops.close(&self.shared.queue);
         if let Lane::Workers(lanes) = &mut self.lane {
-            let _ = lanes.flush();
+            let _ = lanes.flush(&self.shared);
         }
     }
 }
@@ -714,12 +674,13 @@ impl Drop for Monitor {
 
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let snapshot = self.shared.snapshot();
         f.debug_struct("Monitor")
-            .field("vca", &self.vca)
+            .field("vca", &self.shared.vca)
             .field("method", &self.method)
             .field("threads", &self.workers.len().max(1))
-            .field("active_flows", &self.active_flows())
-            .field("stats", &self.stats())
+            .field("flows_live", &snapshot.flows_live)
+            .field("stats", &snapshot.stats)
             .finish_non_exhaustive()
     }
 }

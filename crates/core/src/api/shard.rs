@@ -2,13 +2,11 @@
 //! probation and re-probe, max-lag flush, idle eviction — everything
 //! between a routed packet and the events it causes.
 
-use super::event::StatsCells;
 use super::{
     BoxedEngine, EstimationMethod, EvictReason, MonitorBuilder, QoeEvent, EVICT_CHECK_US,
     RTP_CONFIDENCE, RTP_PROBATION_PACKETS, RTP_REPROBE_PACKETS,
 };
-use crate::backpressure::EventQueue;
-use crate::control::ControlShared;
+use crate::control::Shared;
 use crate::engine::{EngineConfig, FlowTable, Method, QoeEstimator, WindowReport};
 use crate::engine::{IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine};
 use crate::trace::TracePacket;
@@ -99,7 +97,7 @@ impl DecidedEngine {
         if reprobe.seen < RTP_REPROBE_PACKETS {
             return false;
         }
-        if reprobe.rtp_ok as f64 / reprobe.seen as f64 >= RTP_CONFIDENCE {
+        if confident_rtp(reprobe.rtp_ok, reprobe.seen) {
             return true;
         }
         *reprobe = Reprobe::default();
@@ -127,6 +125,13 @@ impl DecidedEngine {
             self.engine.provisional_into(snapshots);
         }
     }
+}
+
+/// The RTP-confidence rule, for a probation and a re-probe interval
+/// alike: at least [`RTP_CONFIDENCE`] of the `seen` packets parsed as
+/// RTP.
+fn confident_rtp(rtp_ok: u32, seen: u32) -> bool {
+    f64::from(rtp_ok) / f64::from(seen) >= RTP_CONFIDENCE
 }
 
 /// Rolling RTP-confidence evidence over the current re-probe interval.
@@ -179,10 +184,6 @@ impl Probation {
         usize::from(self.len) == RTP_PROBATION_PACKETS
     }
 
-    fn confident_rtp(&self) -> bool {
-        f64::from(self.rtp_ok) / f64::from(self.len) >= RTP_CONFIDENCE
-    }
-
     /// The buffered packets in arrival order, `truth_media` cleared.
     fn packets(&self) -> impl Iterator<Item = TracePacket> + '_ {
         (0..usize::from(self.len)).map(|i| TracePacket {
@@ -227,7 +228,7 @@ impl Engines {
         reports: &mut Vec<WindowReport>,
         snapshots: &mut Vec<WindowReport>,
     ) -> DecidedEngine {
-        let confident = probation.confident_rtp();
+        let confident = confident_rtp(probation.rtp_ok.into(), probation.len.into());
         let method = if confident {
             self.method.preferred()
         } else {
@@ -249,14 +250,14 @@ impl Engines {
     }
 }
 
-/// Events produced since the last [`ShardState::deliver`], and the
-/// counters that move with them. A field of its own so emission can run
-/// while the flow table or a scratch buffer is borrowed.
+/// Events produced since the last [`ShardState::deliver`]; each is
+/// counted into the monitor's [`Shared`] counters as it is emitted. A
+/// field of its own so emission can run while the flow table or a
+/// scratch buffer is borrowed.
 struct Outbox {
     /// Per-flow order is append order. Wrapped at emission: the `Arc` is
     /// the unit of delivery everywhere downstream.
     events: Vec<Arc<QoeEvent>>,
-    stats: Arc<StatsCells>,
 }
 
 impl Outbox {
@@ -264,16 +265,16 @@ impl Outbox {
         self.events.push(Arc::new(event));
     }
 
-    fn opened(&mut self, flow: FlowKey, ts: Timestamp) {
-        self.stats.flows_opened.fetch_add(1, Relaxed);
+    fn opened(&mut self, shared: &Shared, flow: FlowKey, ts: Timestamp) {
+        shared.flows_opened.fetch_add(1, Relaxed);
         self.emit(QoeEvent::FlowOpened { flow, ts });
     }
 
-    fn window(&mut self, flow: FlowKey, report: WindowReport, provisional: bool) {
+    fn window(&mut self, shared: &Shared, flow: FlowKey, report: WindowReport, provisional: bool) {
         let counter = if provisional {
-            &self.stats.provisional_reports
+            &shared.provisional_reports
         } else {
-            &self.stats.window_reports
+            &shared.window_reports
         };
         counter.fetch_add(1, Relaxed);
         self.emit(QoeEvent::WindowReport {
@@ -287,21 +288,28 @@ impl Outbox {
     /// provisional snapshots — leaving both empty with their capacity.
     fn windows(
         &mut self,
+        shared: &Shared,
         flow: FlowKey,
         reports: &mut Vec<WindowReport>,
         snapshots: &mut Vec<WindowReport>,
     ) {
         for report in reports.drain(..) {
-            self.window(flow, report, false);
+            self.window(shared, flow, report, false);
         }
         for report in snapshots.drain(..) {
-            self.window(flow, report, true);
+            self.window(shared, flow, report, true);
         }
     }
 
-    fn sealed(&mut self, flow: FlowKey, reason: EvictReason, final_reports: Vec<WindowReport>) {
-        self.stats.flows_evicted.fetch_add(1, Relaxed);
-        self.stats
+    fn sealed(
+        &mut self,
+        shared: &Shared,
+        flow: FlowKey,
+        reason: EvictReason,
+        final_reports: Vec<WindowReport>,
+    ) {
+        shared.flows_evicted.fetch_add(1, Relaxed);
+        shared
             .window_reports
             .fetch_add(final_reports.len() as u64, Relaxed);
         self.emit(QoeEvent::FlowEvicted {
@@ -324,8 +332,8 @@ pub(super) struct ShardState {
     idle_timeout_us: i64,
     /// Window length in µs, for anchoring method upgrades.
     window_us: i64,
-    /// This shard's worker index (0 on an inline monitor) — the slot it
-    /// publishes its flow footprint under.
+    /// This shard's worker index (0 on an inline monitor): its record in
+    /// `shared`.
     worker: usize,
     /// Every flow, in probation or decided, with the facade's bookkeeping
     /// in the table's entry slab: one [`FlowKey::hash64`] and one probe
@@ -342,8 +350,9 @@ pub(super) struct ShardState {
     /// Stream time the footprint gauge was last published
     /// ([`EVICT_CHECK_US`]).
     last_footprint_us: i64,
-    /// Control-plane cells this shard polls between batches.
-    pub(super) control: Arc<ControlShared>,
+    /// The monitor's shared state: the queue this shard delivers into,
+    /// the counters it bumps, and the control cells it polls.
+    shared: Arc<Shared>,
     /// Last flush epoch applied (see
     /// [`MonitorHandle::force_flush`](crate::control::MonitorHandle::force_flush)).
     seen_flush_epoch: u64,
@@ -358,12 +367,7 @@ pub(super) struct ShardState {
 
 impl ShardState {
     /// The shard for `worker`.
-    pub(super) fn new(
-        builder: &MonitorBuilder,
-        worker: usize,
-        stats: Arc<StatsCells>,
-        control: Arc<ControlShared>,
-    ) -> Self {
+    pub(super) fn new(builder: &MonitorBuilder, worker: usize, shared: Arc<Shared>) -> Self {
         ShardState {
             worker,
             engines: Engines {
@@ -384,12 +388,9 @@ impl ShardState {
             now: None,
             behind_streak: 0,
             last_footprint_us: i64::MIN,
-            control,
+            shared,
             seen_flush_epoch: 0,
-            outbox: Outbox {
-                events: Vec::new(),
-                stats,
-            },
+            outbox: Outbox { events: Vec::new() },
             reports: Vec::new(),
             snapshots: Vec::new(),
         }
@@ -399,21 +400,21 @@ impl ShardState {
     /// and idle expiry. The caller has already rejected negative
     /// timestamps.
     pub(super) fn ingest(&mut self, flow: FlowKey, pkt: TracePacket) {
-        self.outbox.stats.packets.fetch_add(1, Relaxed);
+        self.shared.packets.fetch_add(1, Relaxed);
         self.ingest_hashed(flow.hash64(), flow, pkt);
     }
 
     /// Batch form of [`Self::ingest`]: the packet counter is bumped once
-    /// for the whole batch, and each packet reuses the route hash the
-    /// dispatching thread already computed.
+    /// for the whole batch, each packet reuses the route hash the
+    /// dispatching thread already computed, and the batch then leaves
+    /// this worker's ingest depth.
     pub(super) fn ingest_batch(&mut self, batch: Vec<RoutedPacket>) {
-        self.outbox
-            .stats
-            .packets
-            .fetch_add(batch.len() as u64, Relaxed);
+        let n = batch.len() as u64;
+        self.shared.packets.fetch_add(n, Relaxed);
         for (hash, flow, pkt) in batch {
             self.ingest_hashed(hash, flow, pkt);
         }
+        self.shared.worker(self.worker).depth_sub(n);
     }
 
     fn ingest_hashed(&mut self, hash: u64, flow: FlowKey, pkt: TracePacket) {
@@ -458,7 +459,7 @@ impl ShardState {
             }
         }
         self.outbox
-            .windows(flow, &mut self.reports, &mut self.snapshots);
+            .windows(&self.shared, flow, &mut self.reports, &mut self.snapshots);
         true
     }
 
@@ -466,7 +467,7 @@ impl ShardState {
     /// its engine at once; an auto-method flow enters probation,
     /// buffering packets toward the RTP-confidence decision.
     fn open(&mut self, hash: u64, flow: FlowKey, pkt: TracePacket) {
-        self.outbox.opened(flow, pkt.ts);
+        self.outbox.opened(&self.shared, flow, pkt.ts);
         if self.engines.method.is_auto() {
             let probing = TrackedEngine::Probing(Probation::new(pkt));
             self.table.insert_hashed(hash, flow, probing, pkt.ts);
@@ -497,36 +498,36 @@ impl ShardState {
         }
     }
 
-    /// Moves the events produced since the last call onto `queue`, in
-    /// emission order. The outbox is drained in place, so it keeps the
-    /// capacity it has grown instead of regrowing after every packet that
-    /// produced an event. Parks the caller against a full `Block` queue
-    /// only while a runner drains it (an armed queue); a monitor driven
-    /// through its own front doors, inline or threaded, grows past the
-    /// bound instead.
-    pub(super) fn deliver(&mut self, queue: &EventQueue) {
+    /// Moves the events produced since the last call onto the monitor's
+    /// queue, in emission order. The outbox is drained in place, so it
+    /// keeps the capacity it has grown instead of regrowing after every
+    /// packet that produced an event. Parks the caller against a full
+    /// `Block` queue only while a runner drains it (an armed queue); a
+    /// monitor driven through its own front doors, inline or threaded,
+    /// grows past the bound instead.
+    pub(super) fn deliver(&mut self) {
         // Runs after every packet, and nearly every packet emits nothing.
         if !self.outbox.events.is_empty() {
-            queue.push(self.outbox.events.drain(..));
+            self.shared.queue.push(self.outbox.events.drain(..));
         }
     }
 
     /// Applies pending control-plane requests
     /// ([`MonitorHandle`](crate::control::MonitorHandle)): a forced
     /// provisional flush of every flow, and the evictions in this
-    /// shard's mailbox (requests are routed to the flow's owner, so an
+    /// shard's inbox (requests are routed to the flow's owner, so an
     /// unknown flow is the only one it skips). Cheap when nothing is
     /// pending — two relaxed atomic loads. Returns whether anything was
     /// applied (the idle workers' poll-backoff reset signal).
     pub(super) fn apply_control(&mut self) -> bool {
         let mut applied = false;
-        let epoch = self.control.flush_epoch();
+        let epoch = self.shared.flush_epoch();
         if epoch != self.seen_flush_epoch {
             self.seen_flush_epoch = epoch;
             self.flush_all_provisional();
             applied = true;
         }
-        let requests = self.control.take_evictions(self.worker);
+        let requests = self.shared.worker(self.worker).take_evictions();
         for &flow in &requests {
             if let Some(tracked) = self.table.remove_hashed(flow.hash64(), &flow) {
                 self.seal(flow, tracked, EvictReason::Requested);
@@ -543,6 +544,7 @@ impl ShardState {
     fn flush_all_provisional(&mut self) {
         let ShardState {
             table,
+            shared,
             outbox,
             snapshots,
             ..
@@ -551,7 +553,7 @@ impl ShardState {
             if let TrackedEngine::Decided(decided) = tracked {
                 decided.engine.provisional_into(snapshots);
                 for report in snapshots.drain(..) {
-                    outbox.window(*flow, report, true);
+                    outbox.window(shared, *flow, report, true);
                 }
             }
         });
@@ -570,7 +572,7 @@ impl ShardState {
                     self.engines
                         .decide(&probation, &mut self.reports, &mut self.snapshots);
                 self.outbox
-                    .windows(flow, &mut self.reports, &mut self.snapshots);
+                    .windows(&self.shared, flow, &mut self.reports, &mut self.snapshots);
                 decided
             }
         };
@@ -578,7 +580,8 @@ impl ShardState {
         // exactly as long as it holds, and an empty tail allocates nothing.
         decided.engine.finish_into(&mut self.reports);
         let final_reports = self.reports.drain(..).collect();
-        self.outbox.sealed(flow, reason, final_reports);
+        self.outbox
+            .sealed(&self.shared, flow, reason, final_reports);
     }
 
     /// Advances the stream clock by at most one idle timeout per packet,
@@ -632,7 +635,7 @@ impl ShardState {
         old.engine.finish_into(&mut self.reports);
         for report in self.reports.drain(..) {
             let provisional = report.window >= anchor;
-            self.outbox.window(flow, report, provisional);
+            self.outbox.window(&self.shared, flow, report, provisional);
         }
         self.open_engine(hash, flow, self.engines.method.preferred(), pkt.ts);
         self.push_tracked(hash, flow, pkt);
@@ -659,8 +662,7 @@ impl ShardState {
             return;
         }
         self.last_footprint_us = now.as_micros();
-        self.control.set_flow_footprint(
-            self.worker,
+        self.shared.worker(self.worker).set_flow_footprint(
             self.table.state_bytes(TrackedEngine::state_bytes) as u64,
             self.table.len() as u64,
         );

@@ -59,8 +59,8 @@ fn window_reports(events: &[QoeEvent]) -> Vec<&WindowReport> {
 #[test]
 fn builder_defaults_are_paper_shaped() {
     let m = MonitorBuilder::new(VcaKind::Webex).build();
-    assert_eq!(m.vca(), VcaKind::Webex);
-    assert_eq!(m.active_flows(), 0);
+    assert!(format!("{m:?}").contains("vca: Webex"));
+    assert_eq!(m.handle().stats_snapshot().flows_live, 0);
     assert_eq!(m.stats().packets, 0);
     assert_eq!(m.pending_events(), 0);
 }
@@ -234,7 +234,11 @@ fn idle_flow_is_sealed_by_the_first_packet_past_its_timeout() {
             [a],
             "{method:?}: A idle for the timeout + 1 ms"
         );
-        assert_eq!(m.active_flows(), 1, "{method:?}: only B remains");
+        assert_eq!(
+            m.handle().stats_snapshot().flows_live,
+            1,
+            "{method:?}: only B remains"
+        );
     }
 }
 
@@ -369,7 +373,7 @@ fn negative_timestamps_classified() {
     let mut m = fixed(Method::IpUdpHeuristic).build();
     m.ingest_packet(flow_key(1), pkt(-5, 1100));
     assert_eq!(m.stats().parse_drops, 1);
-    assert_eq!(m.active_flows(), 0);
+    assert_eq!(m.handle().stats_snapshot().flows_live, 0);
     assert_eq!(m.drain_events().count(), 0, "counted, not yet summarized");
     assert_eq!(summaries(&m.finish()), [(-5, -5, [0, 0, 0, 1])]);
 }
@@ -453,7 +457,7 @@ fn raw_frame_ingestion_parses_and_routes() {
     let mut m = fixed(Method::IpUdpHeuristic).build();
     m.ingest_frame(Timestamp::from_millis(1), &frame);
     assert_eq!(m.stats().packets, 1);
-    assert_eq!(m.active_flows(), 1);
+    assert_eq!(m.handle().stats_snapshot().flows_live, 1);
 
     // Truncating below the Ethernet header classifies as truncated.
     m.ingest_frame(Timestamp::from_millis(2), &frame[..10]);
@@ -513,7 +517,11 @@ fn corrupt_first_timestamp_does_not_pin_the_clock() {
         idle_evictions >= 1,
         "idle sweeps must survive the corruption"
     );
-    assert_eq!(m.active_flows(), 1, "only the live flow remains");
+    assert_eq!(
+        m.handle().stats_snapshot().flows_live,
+        1,
+        "only the live flow remains"
+    );
 }
 
 /// Flows opened by packets more than one timeout behind a clock that a
@@ -539,7 +547,7 @@ fn flows_opened_behind_a_corrupt_clock_are_not_expired_against_it() {
         })
         .collect();
     assert_eq!(sealed, [flow_key(9)]);
-    assert_eq!(m.active_flows(), 3);
+    assert_eq!(m.handle().stats_snapshot().flows_live, 3);
 }
 
 /// Finalized windows per flow, from a finished monitor's events.
@@ -757,7 +765,7 @@ fn applied_eviction_requests_are_not_held() {
         })
         .count();
     assert_eq!(requested, 1, "the flow sealed once, the rest were unknown");
-    assert_eq!(handle.control.held_evictions(), 0, "inline");
+    assert_eq!(handle.shared.held_evictions(), 0, "inline");
 
     // Threaded: each worker empties its own mailbox on its idle tick.
     let t = fixed(Method::IpUdpHeuristic).threads(2).build();
@@ -766,7 +774,7 @@ fn applied_eviction_requests_are_not_held() {
         handle.evict_flow(flow_key((n % 200) as u8));
     }
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while handle.control.held_evictions() > 0 {
+    while handle.shared.held_evictions() > 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "applied eviction requests are still held"
@@ -908,7 +916,7 @@ fn corrupt_future_timestamp_does_not_mass_evict() {
     let year_us = 365 * 24 * 3_600i64 * 1_000_000;
     m.ingest_packet(flow, pkt(year_us, 1100));
     m.ingest_packet(flow, pkt(1_000_000, 1100));
-    assert_eq!(m.active_flows(), 1);
+    assert_eq!(m.handle().stats_snapshot().flows_live, 1);
     let evicted = m
         .drain_events()
         .filter(|e| matches!(e, QoeEvent::FlowEvicted { .. }))

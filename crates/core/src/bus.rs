@@ -15,7 +15,7 @@
 //! wants alerts pays nothing for the window reports it never sees.
 //! [`Severity`] is computed against the monitor's live
 //! [`AlertThresholds`], which a
-//! [`MonitorHandle`](crate::control::MonitorHandle) can adjust at
+//! [`MonitorHandle`] can adjust at
 //! runtime: retuning the alert bar re-classifies events for every
 //! min-severity subscriber without rebuilding the pipeline.
 //!
@@ -35,7 +35,7 @@
 //! ```
 
 use crate::api::QoeEvent;
-use crate::control::ControlShared;
+use crate::control::{MonitorHandle, Shared};
 use crate::leaf::Inbox;
 use crate::sink::{report_fps, EventSink};
 use std::collections::BTreeSet;
@@ -249,7 +249,7 @@ impl Breaches {
 
 /// Runtime-adjustable alert thresholds, shared between the event bus,
 /// any [`AlertSink`](crate::sink::AlertSink) built from them, and the
-/// [`MonitorHandle`](crate::control::MonitorHandle) that retunes them.
+/// [`MonitorHandle`] that retunes them.
 ///
 /// Three independent floors, each unset by default (no window is ever
 /// degraded until an operator sets a bar):
@@ -354,7 +354,7 @@ impl AlertThresholds {
     }
 
     /// Clears the resolution-class floor.
-    pub fn clear_resolution_floor(&self) {
+    fn clear_resolution_floor(&self) {
         self.res_height.store(0, Relaxed);
         self.res_kbps_bits
             .store(f64::NEG_INFINITY.to_bits(), Relaxed);
@@ -530,11 +530,11 @@ pub struct EventBus {
     published: u64,
     /// Live-registration mailbox, created lazily by [`EventBus::handle`].
     remote: Option<Arc<Inbox<Subscription>>>,
-    /// Telemetry cells of the monitor this bus drains, when attached:
-    /// per-severity event counts and per-method finalized-window counts,
-    /// accumulated here on the drain thread because severity is
-    /// classified exactly once, here.
-    telemetry: Option<Arc<ControlShared>>,
+    /// The shared state of the monitor this bus drains, when attached:
+    /// its per-severity event counts and per-method finalized-window
+    /// counts are accumulated here on the drain thread, because severity
+    /// is classified exactly once, here.
+    telemetry: Option<Arc<Shared>>,
 }
 
 impl EventBus {
@@ -568,12 +568,11 @@ impl EventBus {
     }
 
     /// Routes this bus's drain-side telemetry (per-severity event
-    /// counts, per-method window counts) into a monitor's shared
-    /// control cells, where
-    /// [`stats_snapshot`](crate::control::MonitorHandle::stats_snapshot)
-    /// reads them.
-    pub(crate) fn attach_control(&mut self, control: Arc<ControlShared>) {
-        self.telemetry = Some(control);
+    /// counts, per-method window counts) into the monitor behind
+    /// `monitor`, whose
+    /// [`stats_snapshot`](MonitorHandle::stats_snapshot) reads them.
+    pub(crate) fn attach_telemetry(&mut self, monitor: &MonitorHandle) {
+        self.telemetry = Some(Arc::clone(&monitor.shared));
     }
 
     /// Number of subscribers (excluding pending live registrations not
@@ -610,8 +609,8 @@ impl EventBus {
         self.published += 1;
         self.adopt_and_prune();
         let severity = Severity::of(event, &self.thresholds.bar());
-        if let Some(control) = &self.telemetry {
-            control.record_published(event, severity);
+        if let Some(shared) = &self.telemetry {
+            shared.record_published(event, severity);
         }
         for sub in &mut self.subscriptions {
             if sub.filter.matches(event, severity) {

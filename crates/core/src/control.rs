@@ -27,13 +27,20 @@
 //!   monitor seals every flow — no event produced before the stop is
 //!   lost (a tested invariant).
 //!
+//! Everything a monitor shares across threads lives in one allocation,
+//! the crate-private `Shared`: the event queue every shard delivers
+//! into, the running counters, the bus's drain-side telemetry, the
+//! control cells, and one `WorkerCells` record per shard worker. A
+//! handle, a [`StopToken`], every shard and every ingest port each hold
+//! one `Arc` of it.
+//!
 //! Control requests are applied by whichever thread owns the flow state:
 //! shard workers poll them between batches (and on a short idle tick),
 //! an inline monitor applies them on its next `ingest`/`drain` call.
 //! Handles never touch engines directly, so there is nothing to lock
 //! and a dropped or forgotten handle costs nothing.
 
-use crate::api::{MonitorStats, QoeEvent, StatsCells};
+use crate::api::{MonitorStats, ParseDropReason, QoeEvent};
 use crate::backpressure::{EventQueue, QueueAccounting};
 use crate::bus::{AlertThresholds, Severity};
 use crate::engine::Method;
@@ -44,34 +51,31 @@ use std::sync::Arc;
 use vcaml_netpkt::FlowKey;
 use vcaml_rtp::VcaKind;
 
-/// Shared control cells between a monitor's owner-side state (shard
-/// workers or the inline shard) and every [`MonitorHandle`].
-#[derive(Debug)]
-pub(crate) struct ControlShared {
+/// What a monitor shares across threads: written by its shards, its
+/// ingest ports and its bus, read by every [`MonitorHandle`]. On a
+/// threaded monitor the counters are eventually consistent — packets
+/// still queued on a shard channel are not yet counted.
+pub(crate) struct Shared {
+    /// The bounded queue every shard delivers its events into.
+    pub(crate) queue: EventQueue,
+    /// Packets ingested (the running [`MonitorStats`] counters follow).
+    pub(crate) packets: AtomicU64,
+    /// By [`ParseDropReason::index`]: one `fetch_add` per drop.
+    pub(crate) parse_drops: [AtomicU64; ParseDropReason::COUNT],
+    pub(crate) flows_opened: AtomicU64,
+    pub(crate) flows_evicted: AtomicU64,
+    pub(crate) window_reports: AtomicU64,
+    pub(crate) provisional_reports: AtomicU64,
     /// Graceful-stop flag; ingest ports check it between packets.
     stop: AtomicBool,
     /// Bumped by `force_flush`; shards emit provisional snapshots when
     /// they observe a new epoch.
     flush_epoch: AtomicU64,
-    /// Eviction requests, one mailbox per worker (one on an inline
-    /// monitor): a request goes to the flow's owner, which empties its
-    /// mailbox when it applies them.
-    mailboxes: Vec<Inbox<FlowKey>>,
     /// Live alert thresholds (severity classification + shared sinks).
-    pub(crate) thresholds: AlertThresholds,
+    thresholds: AlertThresholds,
     /// The monitor's VCA, whose lab ladder the resolution floor maps
     /// heights through.
-    vca: VcaKind,
-    /// Per-worker ingest backlog, in packets handed to the worker's
-    /// channel and not yet processed. Empty on an inline monitor.
-    depths: Vec<AtomicU64>,
-    /// Per-worker tracked-flow footprint in bytes (engine state,
-    /// probation buffers and table overhead), refreshed once per
-    /// stream-second of each shard's traffic. One slot
-    /// even on an inline monitor (its shard publishes as worker 0).
-    flow_bytes: Vec<AtomicU64>,
-    /// Flows counted into the matching `flow_bytes` slot.
-    flow_counts: Vec<AtomicU64>,
+    pub(crate) vca: VcaKind,
     /// Heap bytes of the monitor's one attached forest (0 without one),
     /// fixed at build.
     model_bytes: u64,
@@ -83,22 +87,51 @@ pub(crate) struct ControlShared {
     /// Finalized window reports by [`Method`] slot ([`Method::index`]),
     /// same writer discipline as `severity_counts`.
     windows_by_method: [AtomicU64; Method::ALL.len()],
+    /// One record per shard worker; one on an inline monitor, whose
+    /// shard is worker 0.
+    workers: Vec<WorkerCells>,
 }
 
-impl ControlShared {
-    pub(crate) fn new(workers: usize, model_bytes: u64, vca: VcaKind) -> Self {
-        ControlShared {
+/// One shard worker's cells in [`Shared`].
+#[derive(Default)]
+pub(crate) struct WorkerCells {
+    /// Eviction requests for this worker's flows: a request goes to the
+    /// flow's owner ([`Shared::owner`]), which empties its inbox when it
+    /// applies them.
+    evictions: Inbox<FlowKey>,
+    /// Ingest backlog, in packets handed to the worker's channel and not
+    /// yet processed (0 on an inline monitor, which has no channel).
+    depth: AtomicU64,
+    /// Tracked-flow footprint in bytes (engine state, probation buffers
+    /// and table overhead), refreshed once per stream-second of the
+    /// shard's traffic.
+    flow_bytes: AtomicU64,
+    /// Flows counted into `flow_bytes`.
+    flow_count: AtomicU64,
+}
+
+impl Shared {
+    /// The cells of a monitor with `workers` shard workers (1 when
+    /// inline) delivering into `queue`.
+    pub(crate) fn new(workers: usize, model_bytes: u64, vca: VcaKind, queue: EventQueue) -> Self {
+        Shared {
+            queue,
+            packets: AtomicU64::new(0),
+            parse_drops: Default::default(),
+            flows_opened: AtomicU64::new(0),
+            flows_evicted: AtomicU64::new(0),
+            window_reports: AtomicU64::new(0),
+            provisional_reports: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             flush_epoch: AtomicU64::new(0),
-            mailboxes: (0..workers.max(1)).map(|_| Inbox::new()).collect(),
             thresholds: AlertThresholds::new(),
             vca,
-            depths: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            flow_bytes: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            flow_counts: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             model_bytes,
             severity_counts: Default::default(),
             windows_by_method: Default::default(),
+            workers: std::iter::repeat_with(WorkerCells::default)
+                .take(workers.max(1))
+                .collect(),
         }
     }
 
@@ -112,18 +145,18 @@ impl ControlShared {
         }
     }
 
-    /// Published-event counts by [`Severity`] slot.
-    pub(crate) fn severity_counts(&self) -> [u64; 3] {
-        self.severity_counts.each_ref().map(|c| c.load(Relaxed))
-    }
-
-    /// Finalized-window counts by [`Method`] slot.
-    pub(crate) fn windows_by_method(&self) -> [u64; Method::ALL.len()] {
-        self.windows_by_method.each_ref().map(|c| c.load(Relaxed))
-    }
-
-    pub(crate) fn stop_requested(&self) -> bool {
+    fn stop_requested(&self) -> bool {
         self.stop.load(Relaxed)
+    }
+
+    fn alert_fps(&self) -> Option<f64> {
+        let fps = self.thresholds.fps();
+        (fps > f64::NEG_INFINITY).then_some(fps)
+    }
+
+    fn alert_min_kbps(&self) -> Option<f64> {
+        let kbps = self.thresholds.min_kbps();
+        (kbps > f64::NEG_INFINITY).then_some(kbps)
     }
 
     /// Current flush epoch (shards compare against their last seen).
@@ -138,53 +171,87 @@ impl ControlShared {
     /// 16.., so the two routing layers stay uncorrelated while the key is
     /// hashed exactly once (see `FlowTable`).
     pub(crate) fn owner(&self, hash: u64) -> usize {
-        (hash % self.mailboxes.len() as u64) as usize
+        (hash % self.workers.len() as u64) as usize
     }
 
-    /// Empties `worker`'s eviction mailbox. Lock-free (one relaxed load,
-    /// no allocation) while it is empty — the per-packet case.
-    pub(crate) fn take_evictions(&self, worker: usize) -> Vec<FlowKey> {
-        self.mailboxes
-            .get(worker)
-            .map_or_else(Vec::new, Inbox::take)
+    /// `worker`'s record.
+    pub(crate) fn worker(&self, worker: usize) -> &WorkerCells {
+        &self.workers[worker]
     }
 
-    /// Eviction requests posted and not yet taken, over every mailbox.
+    /// Eviction requests posted and not yet taken, over every worker.
     #[cfg(test)]
     pub(crate) fn held_evictions(&self) -> usize {
-        self.mailboxes.iter().map(Inbox::len).sum()
+        self.workers.iter().map(|w| w.evictions.len()).sum()
     }
 
-    /// Records `n` packets handed to `worker`'s channel.
-    pub(crate) fn depth_add(&self, worker: usize, n: u64) {
-        if let Some(cell) = self.depths.get(worker) {
-            cell.fetch_add(n, Relaxed);
+    /// A live [`MonitorSnapshot`]; see [`MonitorHandle::stats_snapshot`].
+    pub(crate) fn snapshot(&self) -> MonitorSnapshot {
+        let QueueAccounting {
+            dropped_total,
+            dropped_by_flow,
+            pending,
+        } = self.queue.accounting();
+        let load = |cell: &AtomicU64| cell.load(Relaxed);
+        let parse_drops_by_reason = self.parse_drops.each_ref().map(load);
+        let stats = MonitorStats {
+            packets: load(&self.packets),
+            parse_drops: parse_drops_by_reason.iter().sum(),
+            parse_drops_by_reason,
+            flows_opened: load(&self.flows_opened),
+            flows_evicted: load(&self.flows_evicted),
+            window_reports: load(&self.window_reports),
+            provisional_reports: load(&self.provisional_reports),
+            events_dropped: dropped_total,
+            dropped_by_flow,
+        };
+        let footprint_bytes: u64 = self.workers.iter().map(|w| load(&w.flow_bytes)).sum();
+        let footprint_flows: u64 = self.workers.iter().map(|w| load(&w.flow_count)).sum();
+        MonitorSnapshot {
+            flows_live: stats.flows_opened.saturating_sub(stats.flows_evicted),
+            bytes_per_flow: footprint_bytes
+                .checked_div(footprint_flows)
+                .unwrap_or_default(),
+            model_bytes: self.model_bytes,
+            pending_events: pending,
+            shard_depths: match &self.workers[..] {
+                // An inline monitor's one shard has no ingest channel.
+                [_] => Vec::new(),
+                workers => workers.iter().map(|w| load(&w.depth)).collect(),
+            },
+            alert_fps: self.alert_fps(),
+            alert_min_kbps: self.alert_min_kbps(),
+            alert_resolution_floor: self.thresholds.resolution_floor(),
+            events_by_severity: self.severity_counts.each_ref().map(load),
+            windows_by_method: self.windows_by_method.each_ref().map(load),
+            stop_requested: self.stop_requested(),
+            stats,
         }
     }
+}
 
-    /// Records `n` packets processed by `worker`.
-    pub(crate) fn depth_sub(&self, worker: usize, n: u64) {
-        if let Some(cell) = self.depths.get(worker) {
-            cell.fetch_sub(n, Relaxed);
-        }
+impl WorkerCells {
+    /// Empties the eviction inbox. Lock-free (one relaxed load, no
+    /// allocation) while it is empty — the per-packet case.
+    pub(crate) fn take_evictions(&self) -> Vec<FlowKey> {
+        self.evictions.take()
     }
 
-    /// Publishes `worker`'s tracked-flow footprint, probation flows
-    /// included (once per stream-second of that shard's traffic).
-    pub(crate) fn set_flow_footprint(&self, worker: usize, bytes: u64, flows: u64) {
-        if let Some(cell) = self.flow_bytes.get(worker) {
-            cell.store(bytes, Relaxed);
-        }
-        if let Some(cell) = self.flow_counts.get(worker) {
-            cell.store(flows, Relaxed);
-        }
+    /// Records `n` packets handed to the worker's channel.
+    pub(crate) fn depth_add(&self, n: u64) {
+        self.depth.fetch_add(n, Relaxed);
     }
 
-    /// Summed footprint across workers: `(bytes, flows)`.
-    pub(crate) fn flow_footprint(&self) -> (u64, u64) {
-        let bytes = self.flow_bytes.iter().map(|c| c.load(Relaxed)).sum();
-        let flows = self.flow_counts.iter().map(|c| c.load(Relaxed)).sum();
-        (bytes, flows)
+    /// Records `n` packets processed by the worker.
+    pub(crate) fn depth_sub(&self, n: u64) {
+        self.depth.fetch_sub(n, Relaxed);
+    }
+
+    /// Publishes the worker's tracked-flow footprint, probation flows
+    /// included (once per stream-second of its shard's traffic).
+    pub(crate) fn set_flow_footprint(&self, bytes: u64, flows: u64) {
+        self.flow_bytes.store(bytes, Relaxed);
+        self.flow_count.store(flows, Relaxed);
     }
 }
 
@@ -288,9 +355,7 @@ impl MonitorSnapshot {
 /// stop. See the [module docs](self) for semantics and timing.
 #[derive(Clone)]
 pub struct MonitorHandle {
-    pub(crate) control: Arc<ControlShared>,
-    pub(crate) stats: Arc<StatsCells>,
-    pub(crate) queue: Arc<EventQueue>,
+    pub(crate) shared: Arc<Shared>,
 }
 
 impl MonitorHandle {
@@ -299,35 +364,7 @@ impl MonitorHandle {
     /// `events_dropped`, its per-flow breakdown and `pending_events` are
     /// all read — the three agree with each other in every snapshot.
     pub fn stats_snapshot(&self) -> MonitorSnapshot {
-        let QueueAccounting {
-            dropped_total,
-            dropped_by_flow,
-            pending,
-        } = self.queue.accounting();
-        let stats = self.stats.snapshot(dropped_total, dropped_by_flow);
-        let flows_live = stats.flows_opened.saturating_sub(stats.flows_evicted);
-        let (footprint_bytes, footprint_flows) = self.control.flow_footprint();
-        MonitorSnapshot {
-            flows_live,
-            bytes_per_flow: footprint_bytes
-                .checked_div(footprint_flows)
-                .unwrap_or_default(),
-            model_bytes: self.control.model_bytes,
-            pending_events: pending,
-            shard_depths: self
-                .control
-                .depths
-                .iter()
-                .map(|d| d.load(Relaxed))
-                .collect(),
-            alert_fps: self.alert_fps(),
-            alert_min_kbps: self.alert_min_kbps(),
-            alert_resolution_floor: self.control.thresholds.resolution_floor(),
-            events_by_severity: self.control.severity_counts(),
-            windows_by_method: self.control.windows_by_method(),
-            stop_requested: self.control.stop_requested(),
-            stats,
-        }
+        self.shared.snapshot()
     }
 
     /// Asks every shard to emit provisional snapshots of its flows'
@@ -337,7 +374,7 @@ impl MonitorHandle {
     /// next poll tick; an inline monitor applies it on its next
     /// `ingest`/`drain` call.
     pub fn force_flush(&self) {
-        self.control.flush_epoch.fetch_add(1, Relaxed);
+        self.shared.flush_epoch.fetch_add(1, Relaxed);
     }
 
     /// Asks the owning shard to seal `flow` now: its engine is finished
@@ -346,37 +383,36 @@ impl MonitorHandle {
     /// Unknown flows are ignored. Same application timing as
     /// [`MonitorHandle::force_flush`].
     pub fn evict_flow(&self, flow: FlowKey) {
-        self.control.mailboxes[self.control.owner(flow.hash64())].push(flow);
+        let owner = self.shared.owner(flow.hash64());
+        self.shared.worker(owner).evictions.push(flow);
     }
 
     /// The live [`AlertThresholds`] (a shared handle: retuning through
     /// it is visible to the bus and every shared alert sink).
     pub fn alert_thresholds(&self) -> AlertThresholds {
-        self.control.thresholds.clone()
+        self.shared.thresholds.clone()
     }
 
     /// Retunes the alert frame-rate bar, effective from the next event.
     pub fn set_alert_fps(&self, fps: f64) {
-        self.control.thresholds.set_fps(fps);
+        self.shared.thresholds.set_fps(fps);
     }
 
     /// The live alert frame-rate bar, if one is set.
     pub fn alert_fps(&self) -> Option<f64> {
-        let fps = self.control.thresholds.fps();
-        (fps > f64::NEG_INFINITY).then_some(fps)
+        self.shared.alert_fps()
     }
 
     /// Retunes the alert bitrate floor (kbps), effective from the next
     /// event: finalized windows estimating below it classify as
     /// [`Severity::Warning`] and trip shared alert sinks.
     pub fn set_alert_min_kbps(&self, kbps: f64) {
-        self.control.thresholds.set_min_kbps(kbps);
+        self.shared.thresholds.set_min_kbps(kbps);
     }
 
     /// The live alert bitrate floor (kbps), if one is set.
     pub fn alert_min_kbps(&self) -> Option<f64> {
-        let kbps = self.control.thresholds.min_kbps();
-        (kbps > f64::NEG_INFINITY).then_some(kbps)
+        self.shared.alert_min_kbps()
     }
 
     /// Sets the resolution-class floor: `height` is mapped through the
@@ -386,13 +422,13 @@ impl MonitorHandle {
     /// floor. See
     /// [`AlertThresholds::set_resolution_floor`](crate::bus::AlertThresholds::set_resolution_floor).
     pub fn set_alert_resolution_floor(&self, height: u32) {
-        let ladder = self.control.vca.lab_ladder();
-        self.control.thresholds.set_resolution_floor(height, ladder);
+        let ladder = self.shared.vca.lab_ladder();
+        self.shared.thresholds.set_resolution_floor(height, ladder);
     }
 
     /// The live resolution-class floor (frame height), if one is set.
     pub fn alert_resolution_floor(&self) -> Option<u32> {
-        self.control.thresholds.resolution_floor()
+        self.shared.thresholds.resolution_floor()
     }
 
     /// Requests a graceful stop: every ingest port stops pulling from
@@ -400,25 +436,19 @@ impl MonitorHandle {
     /// flushed to the shards, and the run seals every flow — events
     /// already produced are all delivered. Idempotent; never blocks.
     pub fn stop(&self) {
-        self.control.stop.store(true, Relaxed);
+        self.shared.stop.store(true, Relaxed);
     }
 
     /// Whether a graceful stop has been requested.
     pub fn stop_requested(&self) -> bool {
-        self.control.stop_requested()
-    }
-
-    /// The shared control cells — in-crate only, for wiring a bus's
-    /// drain-side telemetry back into this monitor's snapshots.
-    pub(crate) fn control_cells(&self) -> Arc<ControlShared> {
-        Arc::clone(&self.control)
+        self.shared.stop_requested()
     }
 
     /// A minimal stop-flag view for sources that sleep (see
     /// [`Paced::with_stop`](crate::source::Paced::with_stop)).
     pub fn stop_token(&self) -> StopToken {
         StopToken {
-            control: Arc::clone(&self.control),
+            shared: Arc::clone(&self.shared),
         }
     }
 }
@@ -436,13 +466,13 @@ impl std::fmt::Debug for MonitorHandle {
 /// [`MonitorHandle::stop`] without polling the full handle.
 #[derive(Clone)]
 pub struct StopToken {
-    control: Arc<ControlShared>,
+    shared: Arc<Shared>,
 }
 
 impl StopToken {
     /// Whether a graceful stop has been requested.
     pub fn is_stopped(&self) -> bool {
-        self.control.stop_requested()
+        self.shared.stop_requested()
     }
 }
 
@@ -451,5 +481,20 @@ impl std::fmt::Debug for StopToken {
         f.debug_struct("StopToken")
             .field("stopped", &self.is_stopped())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::MonitorHandle;
+
+    /// A handle is one pointer to the monitor's one shared allocation,
+    /// however many kinds of cell that allocation holds.
+    #[test]
+    fn a_handle_is_one_pointer() {
+        assert_eq!(
+            std::mem::size_of::<MonitorHandle>(),
+            std::mem::size_of::<usize>()
+        );
     }
 }

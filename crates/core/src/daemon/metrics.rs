@@ -22,7 +22,7 @@ use std::fmt::Write;
 /// Flows listed in the `dropped_by_flow` family — the top-K offenders
 /// by shed count. The snapshot's own attribution is already bounded;
 /// this keeps scrape bodies small even when thousands of flows shed.
-pub const DROPPED_FLOWS_TOP_K: usize = 8;
+const DROPPED_FLOWS_TOP_K: usize = 8;
 
 /// Renders the scrape body for one snapshot. Pure; safe to call from
 /// any thread at any rate.
@@ -225,7 +225,7 @@ fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
 
 /// Escapes a label value per the Prometheus text format: backslash,
 /// double quote, and newline.
-pub fn escape_label(value: &str) -> String {
+fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -48,8 +48,9 @@ const SCRAPE_BUSY: &[u8] =
 /// count accounted on its sink.
 const SUBSCRIBER_QUEUE: usize = 4096;
 
-/// Per-connection read timeout: a client that connects and goes silent
-/// is disconnected after this long.
+/// Per-connection read and write timeout: a client that connects and
+/// goes silent, or stops reading what it is sent (a stalled `SUBSCRIBE`
+/// stream), is disconnected after this long without progress.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Connections one listener serves at once. A connection past it is
@@ -217,8 +218,9 @@ impl Daemon {
 
     /// Stops the accept loops, joins the server threads, and removes a
     /// Unix socket file. In-flight connection handlers wind down on
-    /// their own (bounded by the read timeout); active `SUBSCRIBE`
-    /// streams notice the shutdown within one poll tick.
+    /// their own (bounded by the read timeout); an active `SUBSCRIBE`
+    /// stream notices the shutdown within one poll tick, or, when its
+    /// client has stopped reading, when its blocked write times out.
     pub fn shutdown(self) {
         self.stop.store(true, Relaxed);
         for thread in self.threads {
@@ -258,7 +260,8 @@ fn bind_tcp(addr: &str) -> std::io::Result<(TcpListener, SocketAddr)> {
 trait Listener: Send + 'static {
     type Stream: Write + Send + 'static;
 
-    /// The next pending connection, with [`READ_TIMEOUT`] set on it.
+    /// The next pending connection, with [`READ_TIMEOUT`] set on its
+    /// reads and writes.
     fn next_stream(&self) -> std::io::Result<Self::Stream>;
 }
 
@@ -268,6 +271,7 @@ impl Listener for TcpListener {
     fn next_stream(&self) -> std::io::Result<TcpStream> {
         let (stream, _peer) = self.accept()?;
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
         Ok(stream)
     }
 }
@@ -278,6 +282,7 @@ impl Listener for UnixListener {
     fn next_stream(&self) -> std::io::Result<UnixStream> {
         let (stream, _peer) = self.accept()?;
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
         Ok(stream)
     }
 }

@@ -165,6 +165,12 @@ impl<T> Inbox<T> {
     }
 }
 
+impl<T> Default for Inbox<T> {
+    fn default() -> Self {
+        Inbox::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

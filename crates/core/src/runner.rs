@@ -136,9 +136,9 @@ impl MonitorRunner {
         let handle = monitor.handle();
         let mut bus = EventBus::new(handle.alert_thresholds());
         // Route drain-side telemetry (per-severity events, per-method
-        // windows) into the monitor's control cells so every handle's
+        // windows) into the monitor's shared state so every handle's
         // stats_snapshot() carries it.
-        bus.attach_control(handle.control_cells());
+        bus.attach_telemetry(&handle);
         MonitorRunner {
             monitor,
             sources: Vec::new(),
@@ -416,7 +416,7 @@ fn run_threaded(
                 scope.spawn(move || {
                     let _done = IngestDone {
                         running,
-                        queue: &handle.queue,
+                        queue: &handle.shared.queue,
                     };
                     // Declared after `_done`, so dropped before it: a
                     // panicking thread's tail flush precedes the wake,

@@ -442,7 +442,8 @@ fn alert_threshold_retunes_live() {
 
 /// Force-flush also reaches threaded workers and `stats_snapshot`
 /// reflects per-shard depths live (a smoke for BTreeMap ordering of the
-/// snapshot surface more than timing, which the idle tick guarantees).
+/// snapshot surface more than timing, which the idle tick guarantees);
+/// an inline monitor's snapshot lists no depths.
 #[test]
 fn force_flush_reaches_threaded_workers() {
     let mut monitor = MonitorBuilder::new(VcaKind::Teams)
@@ -480,6 +481,18 @@ fn force_flush_reaches_threaded_workers() {
     let snapshot = handle.stats_snapshot();
     assert_eq!(snapshot.shard_depths.len(), 2, "one depth cell per worker");
     monitor.finish();
+
+    // An inline monitor's one shard has no ingest channel to report.
+    let mut inline = MonitorBuilder::new(VcaKind::Teams)
+        .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+        .threads(1)
+        .build();
+    for (flow, pkt) in video_feed(flow_key(1), 1) {
+        inline.ingest_packet(flow, pkt);
+    }
+    let snapshot = inline.handle().stats_snapshot();
+    assert!(snapshot.stats.packets > 0);
+    assert!(snapshot.shard_depths.is_empty(), "inline: no depth cells");
 }
 
 /// `bytes_per_flow` in a stats snapshot reflects each method's per-flow

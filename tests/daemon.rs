@@ -11,7 +11,9 @@
 //!   well-formed, the body ends in `# EOF`, and `_total` counters are
 //!   monotone across two scrapes taken mid-ingest;
 //! * a listener serves at most `MAX_CONNECTIONS` at once: one more is
-//!   answered `ERR busy` and closed, and a freed slot serves again.
+//!   answered `ERR busy` and closed, and a freed slot serves again;
+//! * a `SUBSCRIBE` client that stops reading stalls only itself, and
+//!   gives its slot back once its blocked write times out.
 
 #![allow(
     clippy::expect_used,
@@ -94,7 +96,7 @@ fn tcp_control_addr(daemon: &Daemon) -> SocketAddr {
 }
 
 /// One request/reply exchange on an already-open control connection.
-fn exchange(control: &mut BufReader<TcpStream>, line: &str) -> String {
+fn exchange<S: Read + Write>(control: &mut BufReader<S>, line: &str) -> String {
     control
         .get_mut()
         .write_all(format!("{line}\n").as_bytes())
@@ -633,5 +635,96 @@ fn a_listener_past_its_connection_cap_answers_busy() {
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(open);
+    daemon.shutdown();
+}
+
+/// A `SUBSCRIBE` client that never reads stalls only its own stream:
+/// the run still returns its report (the stream's sink sheds), `STATS`
+/// on the other connections answers while the stream is stalled, and
+/// the handler's blocked write times out (the daemon's 5 s
+/// per-connection timeout), so the stalled connection's slot serves
+/// again within `BOUND` of the run's end instead of staying held until
+/// the client hangs up. A Unix socket, whose send buffer stays full
+/// once the client stops reading: the loopback TCP receive queue keeps
+/// taking a little now and then, which moves the timeout by seconds.
+#[cfg(unix)]
+#[test]
+fn a_stalled_subscriber_gives_its_slot_back() {
+    use std::os::unix::net::UnixStream;
+    const BOUND: Duration = Duration::from_secs(10);
+
+    let path = std::env::temp_dir().join(format!("vcaml-daemon-stall-{}.sock", std::process::id()));
+    let connect = || {
+        let stream = UnixStream::connect(&path).expect("connect unix control socket");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .expect("set read timeout");
+        BufReader::new(stream)
+    };
+    let mut runner = MonitorRunner::new(builder());
+    let daemon = Daemon::start(
+        runner.handle(),
+        runner.bus_handle(),
+        DaemonConfig::new().control(ControlEndpoint::Unix(path.clone())),
+    )
+    .expect("start daemon");
+    let mut stalled = connect();
+    assert_eq!(exchange(&mut stalled, "SUBSCRIBE"), "OK subscribed");
+
+    // 3 000 window reports, ≈ 0.9 MB of lines: several times what the
+    // socket buffers between the handler and a client that never reads
+    // hold.
+    let report = runner
+        .source(ReplaySource::from_packets(merged_feed(50, 60)))
+        .run();
+    let ended = std::time::Instant::now();
+    assert!(report.events > 3_000, "{} events", report.events);
+
+    // Every other slot, each kept served by a STATS exchange well
+    // inside the daemon's read timeout.
+    let stats = |control: &mut BufReader<UnixStream>| {
+        let reply = exchange(control, "STATS");
+        assert!(
+            reply.starts_with("OK {"),
+            "STATS beside a stalled stream: {reply:.40}"
+        );
+    };
+    let mut others: Vec<_> = (1..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut control = connect();
+            stats(&mut control);
+            control
+        })
+        .collect();
+    // A refused connection may be closed under the probe's write, so
+    // any failure counts as "not yet".
+    let served = || {
+        let mut control = connect();
+        let mut reply = String::new();
+        control.get_mut().write_all(b"STATS\n").is_ok()
+            && control.read_line(&mut reply).is_ok()
+            && reply.starts_with("OK {")
+    };
+    let mut refreshed = std::time::Instant::now();
+    while !served() {
+        assert!(
+            ended.elapsed() < BOUND,
+            "the stalled subscriber still holds its slot {BOUND:?} after the run"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+        if refreshed.elapsed() > Duration::from_secs(1) {
+            others.iter_mut().for_each(stats);
+            refreshed = std::time::Instant::now();
+        }
+    }
+
+    // The stream was cut, not caught up: what reached the client ends
+    // short of what the bus published.
+    let received = stalled.lines().map_while(Result::ok).count() as u64;
+    assert!(
+        received < report.events,
+        "{received} of {} events",
+        report.events
+    );
     daemon.shutdown();
 }
