@@ -189,7 +189,26 @@ impl MonitorBuilder {
     /// Constructs the monitor, spawning its shard workers when
     /// [`MonitorBuilder::threads`] resolves to ≥ 2 (`threads(0)` sizes
     /// them from [`std::thread::available_parallelism`]).
+    ///
+    /// # Panics
+    /// When the method can build an ML engine and the attached forest
+    /// was fitted on more features than the narrowest vector those
+    /// engines build (14 under IP/UDP ML or [`EstimationMethod::AutoMl`],
+    /// 24 under RTP ML): it would read past the vector at a flow's first
+    /// sealed window, on every shard.
     pub fn build(self) -> Monitor {
+        let narrowest = [self.method.fallback(), self.method.preferred()]
+            .iter()
+            .filter_map(Method::feature_width)
+            .min();
+        if let (Some(model), Some(narrowest)) = (&self.model, narrowest) {
+            let width = model.feature_importances().len();
+            assert!(
+                width <= narrowest,
+                "a forest fitted on {width} features reads past the {narrowest}-feature vector of {:?}",
+                self.method
+            );
+        }
         Monitor::start(self)
     }
 }

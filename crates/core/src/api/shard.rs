@@ -105,25 +105,27 @@ impl DecidedEngine {
     }
 
     /// Max-lag flush accounting after `pushed` packets went into the
-    /// engine: once `flush_after` packets pass without a finalized
-    /// window, snapshot the pending windows into `snapshots`.
+    /// engine, which finalized the windows in `reports`: once
+    /// `flush_after` packets pass without a finalized window, snapshot
+    /// the pending windows after them. Returns where the snapshots start.
     fn note_pushed(
         &mut self,
         pushed: u32,
-        finalized_any: bool,
         flush_after: Option<u32>,
-        snapshots: &mut Vec<WindowReport>,
-    ) {
-        let Some(k) = flush_after else { return };
-        self.since_report = if finalized_any {
+        reports: &mut Vec<WindowReport>,
+    ) -> usize {
+        let finals = reports.len();
+        let Some(k) = flush_after else { return finals };
+        self.since_report = if finals > 0 {
             0
         } else {
             self.since_report + pushed
         };
         if self.since_report >= k {
             self.since_report = 0;
-            self.engine.provisional_into(snapshots);
+            self.engine.provisional_into(reports);
         }
+        finals
     }
 }
 
@@ -218,16 +220,16 @@ impl Engines {
 
     /// Ends a probation: decides the flow's method from its RTP parse
     /// confidence, builds the engine, and replays the buffered packets
-    /// through it — finalized windows into `reports`, a max-lag snapshot
-    /// into `snapshots`. A flow decided on the fallback keeps re-probing
-    /// for RTP (see [`RTP_REPROBE_PACKETS`]); one decided on the RTP
-    /// variant is settled for good.
+    /// through it into `reports` — finalized windows, then any max-lag
+    /// snapshot, whose start it returns with the engine. A flow decided
+    /// on the fallback keeps re-probing for RTP (see
+    /// [`RTP_REPROBE_PACKETS`]); one decided on the RTP variant is
+    /// settled for good.
     fn decide(
         &self,
         probation: &Probation,
         reports: &mut Vec<WindowReport>,
-        snapshots: &mut Vec<WindowReport>,
-    ) -> DecidedEngine {
+    ) -> (DecidedEngine, usize) {
         let confident = confident_rtp(probation.rtp_ok.into(), probation.len.into());
         let method = if confident {
             self.method.preferred()
@@ -240,13 +242,9 @@ impl Engines {
         for pkt in probation.packets() {
             decided.engine.push_into(&pkt, reports);
         }
-        decided.note_pushed(
-            u32::from(probation.len),
-            !reports.is_empty(),
-            self.flush_after,
-            snapshots,
-        );
-        decided
+        let provisional_from =
+            decided.note_pushed(u32::from(probation.len), self.flush_after, reports);
+        (decided, provisional_from)
     }
 }
 
@@ -270,34 +268,29 @@ impl Outbox {
         self.emit(QoeEvent::FlowOpened { flow, ts });
     }
 
-    fn window(&mut self, shared: &Shared, flow: FlowKey, report: WindowReport, provisional: bool) {
-        let counter = if provisional {
-            &shared.provisional_reports
-        } else {
-            &shared.window_reports
-        };
-        counter.fetch_add(1, Relaxed);
-        self.emit(QoeEvent::WindowReport {
-            flow,
-            report,
-            provisional,
-        });
-    }
-
-    /// Drains the scratch buffers into events — finalized windows, then
-    /// provisional snapshots — leaving both empty with their capacity.
+    /// Drains the report buffer into events — final windows, then the
+    /// provisional ones from `provisional_from` on — leaving it empty
+    /// with its capacity.
     fn windows(
         &mut self,
         shared: &Shared,
         flow: FlowKey,
         reports: &mut Vec<WindowReport>,
-        snapshots: &mut Vec<WindowReport>,
+        provisional_from: usize,
     ) {
-        for report in reports.drain(..) {
-            self.window(shared, flow, report, false);
-        }
-        for report in snapshots.drain(..) {
-            self.window(shared, flow, report, true);
+        for (i, report) in reports.drain(..).enumerate() {
+            let provisional = i >= provisional_from;
+            let counter = if provisional {
+                &shared.provisional_reports
+            } else {
+                &shared.window_reports
+            };
+            counter.fetch_add(1, Relaxed);
+            self.emit(QoeEvent::WindowReport {
+                flow,
+                report,
+                provisional,
+            });
         }
     }
 
@@ -357,12 +350,10 @@ pub(super) struct ShardState {
     /// [`MonitorHandle::force_flush`](crate::control::MonitorHandle::force_flush)).
     seen_flush_epoch: u64,
     outbox: Outbox,
-    /// Scratch for finalized windows, drained after every engine push
-    /// and every seal and kept warm — the per-packet path allocates no
-    /// report buffer.
+    /// Scratch for a flow's windows, final and provisional, drained
+    /// after every engine push, snapshot and seal and kept warm — the
+    /// per-packet path allocates no report buffer.
     reports: Vec<WindowReport>,
-    /// Scratch for provisional (max-lag flush) snapshots, same lifecycle.
-    snapshots: Vec<WindowReport>,
 }
 
 impl ShardState {
@@ -392,7 +383,6 @@ impl ShardState {
             seen_flush_epoch: 0,
             outbox: Outbox { events: Vec::new() },
             reports: Vec::new(),
-            snapshots: Vec::new(),
         }
     }
 
@@ -434,32 +424,26 @@ impl ShardState {
         let Some(tracked) = self.table.get_mut_seen_hashed(hash, &flow, pkt.ts) else {
             return false;
         };
-        match tracked {
+        let provisional_from = match tracked {
             TrackedEngine::Decided(decided) => {
                 if decided.reprobe_says_rtp(pkt) {
                     self.upgrade_flow(hash, flow, pkt);
                     return true;
                 }
                 decided.engine.push_into(pkt, &mut self.reports);
-                decided.note_pushed(
-                    1,
-                    !self.reports.is_empty(),
-                    self.engines.flush_after,
-                    &mut self.snapshots,
-                );
+                decided.note_pushed(1, self.engines.flush_after, &mut self.reports)
             }
             TrackedEngine::Probing(probation) => {
-                if probation.buffer(*pkt) {
-                    *tracked = TrackedEngine::Decided(self.engines.decide(
-                        probation,
-                        &mut self.reports,
-                        &mut self.snapshots,
-                    ));
+                if !probation.buffer(*pkt) {
+                    return true;
                 }
+                let (decided, provisional_from) = self.engines.decide(probation, &mut self.reports);
+                *tracked = TrackedEngine::Decided(decided);
+                provisional_from
             }
-        }
+        };
         self.outbox
-            .windows(&self.shared, flow, &mut self.reports, &mut self.snapshots);
+            .windows(&self.shared, flow, &mut self.reports, provisional_from);
         true
     }
 
@@ -546,15 +530,13 @@ impl ShardState {
             table,
             shared,
             outbox,
-            snapshots,
+            reports,
             ..
         } = self;
         table.for_each_mut(|flow, tracked| {
             if let TrackedEngine::Decided(decided) = tracked {
-                decided.engine.provisional_into(snapshots);
-                for report in snapshots.drain(..) {
-                    outbox.window(shared, *flow, report, true);
-                }
+                decided.engine.provisional_into(reports);
+                outbox.windows(shared, *flow, reports, 0);
             }
         });
     }
@@ -568,11 +550,10 @@ impl ShardState {
         let mut decided = match tracked {
             TrackedEngine::Decided(decided) => decided,
             TrackedEngine::Probing(probation) => {
-                let decided =
-                    self.engines
-                        .decide(&probation, &mut self.reports, &mut self.snapshots);
+                let (decided, provisional_from) =
+                    self.engines.decide(&probation, &mut self.reports);
                 self.outbox
-                    .windows(&self.shared, flow, &mut self.reports, &mut self.snapshots);
+                    .windows(&self.shared, flow, &mut self.reports, provisional_from);
                 decided
             }
         };
@@ -633,10 +614,9 @@ impl ShardState {
         // all older), so exactly the boundary overlap is provisional.
         let anchor = (pkt.ts.as_micros().div_euclid(self.window_us)) as u64;
         old.engine.finish_into(&mut self.reports);
-        for report in self.reports.drain(..) {
-            let provisional = report.window >= anchor;
-            self.outbox.window(&self.shared, flow, report, provisional);
-        }
+        let provisional_from = self.reports.partition_point(|r| r.window < anchor);
+        self.outbox
+            .windows(&self.shared, flow, &mut self.reports, provisional_from);
         self.open_engine(hash, flow, self.engines.method.preferred(), pkt.ts);
         self.push_tracked(hash, flow, pkt);
     }

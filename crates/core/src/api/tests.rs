@@ -352,6 +352,118 @@ fn default_has_no_provisional_reports() {
     )));
 }
 
+/// An RTP video flow (Teams' lab payload type) from `from_us`: three
+/// packets a frame at about 30 fps, with sizes and start times that
+/// wander, and every fifth frame's marker packet arriving after the next
+/// frame has begun — so frames stay open across each other and seal out
+/// of end order.
+fn rtp_video(from_us: i64, frames: i64) -> Vec<TracePacket> {
+    use vcaml_rtp::RtpHeader;
+    let mut out = Vec::new();
+    for f in 0..frames {
+        let t0 = from_us + f * 33_333 + (f * 7_919) % 4_000;
+        let size = 900 + ((f * 37) % 300) as u16;
+        for i in 0..3i64 {
+            let late = if i == 2 && f % 5 == 0 { 34_000 } else { 0 };
+            let mut p = pkt(t0 + i * 400 + late, size + i as u16);
+            p.rtp = Some(RtpHeader::basic(
+                102,
+                (f * 3 + i) as u16,
+                (f * 3000) as u32,
+                1,
+                i == 2,
+            ));
+            out.push(p);
+        }
+    }
+    out.sort_by_key(|p| p.ts);
+    out
+}
+
+/// Flows `(flow, packets)` merged into one arrival-ordered feed.
+fn merged(flows: Vec<(FlowKey, Vec<TracePacket>)>) -> Vec<(FlowKey, TracePacket)> {
+    let mut feed: Vec<(FlowKey, TracePacket)> = flows
+        .into_iter()
+        .flat_map(|(flow, packets)| packets.into_iter().map(move |p| (flow, p)))
+        .collect();
+    feed.sort_by_key(|&(flow, p)| (p.ts, flow));
+    feed
+}
+
+/// Provisional output from all three of its sources, pinned by an FNV-1a
+/// digest of every event line: the max-lag flush under each fixed method,
+/// a forced flush between two ingests, and the boundary window of an
+/// auto-method flow that upgrades after re-probe. The literal was
+/// computed when each source cut its snapshots on a path of its own, and
+/// holds now that they share the windower's walk and one report buffer.
+#[test]
+fn provisional_reports_from_every_source_are_pinned() {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |events: &[QoeEvent]| {
+        for byte in events.iter().flat_map(|e| e.to_json_line().into_bytes()) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    QoeEvent::WindowReport {
+                        provisional: true,
+                        ..
+                    }
+                )
+            })
+            .count()
+    };
+    let two_flows = || {
+        merged(vec![
+            (flow_key(1), rtp_video(0, 150)),
+            (flow_key(2), rtp_video(250_000, 120)),
+        ])
+    };
+    for method in Method::ALL {
+        let mut m = fixed(method).flush_after_packets(16).build();
+        for (flow, p) in two_flows() {
+            m.ingest_packet(flow, p);
+        }
+        let mut events: Vec<QoeEvent> = m.drain_events().collect();
+        events.extend(m.finish());
+        assert!(fold(&events) > 0, "{method:?}: no max-lag snapshot");
+    }
+    for method in Method::ALL {
+        let mut m = fixed(method).build();
+        let feed = two_flows();
+        let (before, after) = feed.split_at(feed.len() / 2);
+        for &(flow, p) in before {
+            m.ingest_packet(flow, p);
+        }
+        let mut events: Vec<QoeEvent> = m.drain_events().collect();
+        assert_eq!(fold(&events), 0, "{method:?}: nothing forced yet");
+        m.handle().force_flush();
+        for &(flow, p) in after {
+            m.ingest_packet(flow, p);
+        }
+        events = m.drain_events().collect();
+        events.extend(m.finish());
+        assert!(fold(&events) > 0, "{method:?}: no forced snapshot");
+    }
+    for method in [EstimationMethod::AutoHeuristic, EstimationMethod::AutoMl] {
+        let mut m = MonitorBuilder::new(VcaKind::Teams).method(method).build();
+        let flow = flow_key(1);
+        // A handshake long enough to flunk probation, then RTP media.
+        for i in 0..RTP_PROBATION_PACKETS as i64 {
+            m.ingest_packet(flow, pkt(i * 10_000, 900));
+        }
+        for p in rtp_video(200_000, 200) {
+            m.ingest_packet(flow, p);
+        }
+        let events = m.finish();
+        assert!(fold(&events) > 0, "{method:?}: no boundary snapshot");
+    }
+    assert_eq!(digest, 0xe1b4_f0f1_9ed9_c7ef, "digest {digest:#018x}");
+}
+
 /// Every parse-drop summary in `events`, as `(first_us, last_us,
 /// by_reason)`.
 fn summaries(events: &[QoeEvent]) -> Vec<(i64, i64, [u64; 4])> {
@@ -922,6 +1034,53 @@ fn corrupt_future_timestamp_does_not_mass_evict() {
         .filter(|e| matches!(e, QoeEvent::FlowEvicted { .. }))
         .count();
     assert_eq!(evicted, 0);
+}
+
+/// A regression forest over `width` features, 3 trees.
+fn forest(width: usize) -> vcaml_mlcore::RandomForest {
+    use vcaml_mlcore::{Dataset, RandomForest, RandomForestParams, Task};
+    let names: Vec<String> = (0..width).map(|j| format!("f{j}")).collect();
+    let mut data = Dataset::new(names);
+    for i in 0..120 {
+        let row: Vec<f64> = (0..width).map(|j| ((i * (j + 3)) % 31) as f64).collect();
+        data.push(&row, row[width - 1]);
+    }
+    let params = RandomForestParams {
+        n_trees: 3,
+        ..RandomForestParams::default()
+    };
+    RandomForest::fit(&data, Task::Regression, &params)
+}
+
+/// A forest wider than the vector a flow's ML engine builds would read
+/// past it at the first sealed window, on every shard: `build()` refuses
+/// it. An auto-ML flow may decide on IP/UDP ML, so a 24-feature forest
+/// is too wide there too.
+#[test]
+#[should_panic(expected = "a forest fitted on 30 features reads past the 14-feature vector")]
+fn a_forest_wider_than_the_feature_vector_is_refused() {
+    let _ = fixed(Method::IpUdpMl).model(forest(30)).build();
+}
+
+#[test]
+#[should_panic(
+    expected = "a forest fitted on 24 features reads past the 14-feature vector of AutoMl"
+)]
+fn an_auto_ml_forest_must_fit_the_ip_udp_vector() {
+    let _ = MonitorBuilder::new(VcaKind::Teams)
+        .method(EstimationMethod::AutoMl)
+        .model(forest(24))
+        .build();
+}
+
+/// A forest as wide as the vector, or narrower, is accepted, and a
+/// heuristic method never reads one.
+#[test]
+fn forests_that_fit_the_vector_are_accepted() {
+    let _ = fixed(Method::RtpMl).model(forest(24)).build();
+    let _ = fixed(Method::RtpMl).model(forest(14)).build();
+    let _ = fixed(Method::IpUdpMl).model(forest(14)).build();
+    let _ = fixed(Method::IpUdpHeuristic).model(forest(30)).build();
 }
 
 /// Every ML flow shares the monitor's one forest, so the per-flow gauge

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often accept loops and subscriber streams re-check the shutdown
 /// flag while idle.
@@ -48,9 +48,10 @@ const SCRAPE_BUSY: &[u8] =
 /// count accounted on its sink.
 const SUBSCRIBER_QUEUE: usize = 4096;
 
-/// Per-connection read and write timeout: a client that connects and
-/// goes silent, or stops reading what it is sent (a stalled `SUBSCRIBE`
-/// stream), is disconnected after this long without progress.
+/// Per-connection read timeout, and the time a `SUBSCRIBE` line may take
+/// to write: a client that connects and goes silent, or stops reading
+/// what it is sent (a stalled `SUBSCRIBE` stream, however slowly it
+/// trickles), is disconnected after this long.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Connections one listener serves at once. A connection past it is
@@ -287,6 +288,47 @@ impl Listener for UnixListener {
     }
 }
 
+/// A control connection's stream, whose write timeout a `SUBSCRIBE`
+/// stream resets before each write ([`write_line`]).
+trait Connection: Read + Write {
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
+}
+
+impl Connection for TcpStream {
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        TcpStream::set_write_timeout(self, timeout)
+    }
+}
+
+impl Connection for UnixStream {
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        UnixStream::set_write_timeout(self, timeout)
+    }
+}
+
+/// Writes `line` whole, or fails once [`READ_TIMEOUT`] has passed since
+/// its first byte. A socket's write timeout bounds each `write` call, so
+/// `write_all` would wait afresh whenever a client that reads a trickle
+/// admits a few more bytes; the time left is the timeout of each write.
+fn write_line(stream: &mut impl Connection, line: &[u8]) -> std::io::Result<()> {
+    let deadline = Instant::now() + READ_TIMEOUT;
+    let mut rest = line;
+    while !rest.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// One served connection of a listener's [`MAX_CONNECTIONS`]: the
 /// count falls when it drops — when its handler thread ends, or with
 /// the handler's closure when the thread could not be spawned.
@@ -448,7 +490,7 @@ impl LineReader {
 /// until the client leaves, the daemon stops, or the connection
 /// upgrades to a `SUBSCRIBE` stream. Client errors are replies, never
 /// panics.
-fn serve_control<S: Read + Write>(mut stream: S, ctx: &ControlCtx) {
+fn serve_control(mut stream: impl Connection, ctx: &ControlCtx) {
     let mut reader = LineReader::new();
     while !ctx.stop.load(Relaxed) {
         let line = match reader.next_line(&mut stream) {
@@ -513,7 +555,7 @@ fn serve_control<S: Read + Write>(mut stream: S, ctx: &ControlCtx) {
                             line.clear();
                             event.write_json(&mut line);
                             line.push('\n');
-                            if stream.write_all(line.as_bytes()).is_err() {
+                            if write_line(&mut stream, line.as_bytes()).is_err() {
                                 return;
                             }
                         }

@@ -113,6 +113,16 @@ impl Method {
         matches!(self, Method::IpUdpMl | Method::RtpMl)
     }
 
+    /// The width of the feature vector this method's engine builds, for
+    /// an ML method.
+    pub(crate) fn feature_width(&self) -> Option<usize> {
+        match self {
+            Method::IpUdpMl => Some(IpUdpFeatures::WIDTH),
+            Method::RtpMl => Some(RtpFeatures::WIDTH),
+            Method::IpUdpHeuristic | Method::RtpHeuristic => None,
+        }
+    }
+
     /// Stable machine-readable slug (metric labels, JSON keys).
     pub fn slug(&self) -> &'static str {
         match self {
@@ -279,19 +289,17 @@ pub trait QoeEstimator {
     /// engines, boundary windows held back by open frames — into `out`.
     /// The reports are *provisional*: metrics are lower bounds that the
     /// eventual final report supersedes, and nothing is consumed from the
-    /// engine. Used by the facade's optional max-lag flush; engines that
-    /// cannot snapshot append nothing (the default).
-    fn provisional_into(&self, _out: &mut Vec<WindowReport>) {}
+    /// engine (a heuristic engine sorts its frame log in place, hence
+    /// `&mut`). Used by the facade's max-lag and forced flushes.
+    fn provisional_into(&mut self, out: &mut Vec<WindowReport>);
 
     /// Approximate resident size of this flow's state — the engine value
     /// itself plus owned heap — feeding the monitor's bytes-per-flow
     /// gauge. An attached model's trees are shared by every flow and are
     /// not counted. Engines hold heap only for what their flow carries:
     /// an IP/UDP Heuristic engine that has seen no video packet reads
-    /// exactly its own size. Engines that do not account return 0.
-    fn state_bytes(&self) -> usize {
-        0
-    }
+    /// exactly its own size.
+    fn state_bytes(&self) -> usize;
 }
 
 impl<T: QoeEstimator + ?Sized> QoeEstimator for Box<T> {
@@ -311,7 +319,7 @@ impl<T: QoeEstimator + ?Sized> QoeEstimator for Box<T> {
         (**self).empty_report(window)
     }
 
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
+    fn provisional_into(&mut self, out: &mut Vec<WindowReport>) {
         (**self).provisional_into(out)
     }
 
@@ -633,14 +641,11 @@ impl<S: FrameSource> QoeEstimator for HeuristicDriver<S> {
     /// Snapshots every pending window (`next emission ..= clock`) without
     /// consuming anything: frames still open in the assembler are not
     /// included, so the estimates are lower bounds.
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        let Some(now) = self.clock.now() else {
-            return;
-        };
-        out.extend((self.windower.next_window()..=now).map(|w| {
-            let (estimate, packets) = self.windower.peek(w);
-            Self::report(w, estimate, packets)
-        }));
+    fn provisional_into(&mut self, out: &mut Vec<WindowReport>) {
+        if let Some(now) = self.clock.now() {
+            self.windower
+                .provisional_through(now, |w, e, packets| out.push(Self::report(w, e, packets)));
+        }
     }
 
     fn state_bytes(&self) -> usize {
@@ -850,7 +855,7 @@ impl<F: FeatureSource> QoeEstimator for MlDriver<F> {
         }
     }
 
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
+    fn provisional_into(&mut self, out: &mut Vec<WindowReport>) {
         if let Some(now) = self.clock.now() {
             out.push(self.snapshot(now));
         }

@@ -36,9 +36,12 @@ impl QoeEstimate {
 /// The ledger of a heuristic flow's pending windows: holds the flow's
 /// sealed, not-yet-emitted frames and its video-packet counts per window,
 /// and emits one [`QoeEstimate`] and packet count per window, in window
-/// order, as soon as the caller declares a window final.
+/// order, as soon as the caller declares a window final — or, for a
+/// provisional snapshot, estimates the pending windows without emitting
+/// them.
 ///
-/// This is the single implementation of §3.2.1's window estimation, and
+/// This is the single implementation of §3.2.1's window estimation: final
+/// and provisional windows are cut by one walk of the frame log, and
 /// its frame log is the only place a sealed frame lives: the heuristic
 /// engines' assemblers append to [`QoeWindower::sealed`] directly. A
 /// frame's window follows from its end time (window `w` holds ends in
@@ -106,10 +109,38 @@ impl QoeWindower {
     /// handing each `(window, estimate, video packets)` to `emit` in window
     /// order — the caller writes it straight to where it belongs, with no
     /// buffer in between.
-    pub fn drain_until(&mut self, safe: u64, mut emit: impl FnMut(u64, QoeEstimate, usize)) {
+    pub fn drain_until(&mut self, safe: u64, emit: impl FnMut(u64, QoeEstimate, usize)) {
         if self.next_emit >= safe {
             return;
         }
+        let cut = self.walk(safe, emit);
+        self.frames.drain(..cut);
+        while self.counts.pop_front_if(|&mut (w, _)| w < safe).is_some() {}
+        self.next_emit = safe;
+    }
+
+    /// Estimates each pending window, from the next emission through
+    /// `through`, from the frames sealed into it so far and hands it to
+    /// `emit` with its video-packet count, as [`Self::drain_until`] does,
+    /// but emits nothing. More frames may still arrive, so the results are
+    /// lower bounds on frame count and bitrate — the provisional windows
+    /// the max-lag and forced flushes publish for dashboards that prefer
+    /// freshness over exactness. The log is sorted in place, so a
+    /// snapshot allocates nothing.
+    pub(crate) fn provisional_through(
+        &mut self,
+        through: u64,
+        emit: impl FnMut(u64, QoeEstimate, usize),
+    ) {
+        self.walk(through + 1, emit);
+    }
+
+    /// The one cut of windows from the log, final or provisional: sorts
+    /// the log and hands `emit` each window from the next emission up to
+    /// (not including) `until`, with its frames' estimate and its count,
+    /// consuming nothing. Returns the length of the log's prefix those
+    /// windows and the late frames before them take.
+    fn walk(&mut self, until: u64, mut emit: impl FnMut(u64, QoeEstimate, usize)) -> usize {
         // End-time order, creation order breaking ties (ids are unique, so
         // the unstable sort is deterministic): windows are then runs of
         // the log, in window order.
@@ -120,24 +151,15 @@ impl QoeWindower {
         let mut start = self
             .frames
             .partition_point(|(_, f)| Self::window_of(secs, f.end_ts).is_none_or(|w| w < next));
-        while self.next_emit < safe {
-            let w = self.next_emit;
+        let mut counts = self.counts.iter().peekable();
+        for w in next..until {
             let run = self.frames[start..]
                 .partition_point(|(_, f)| Self::window_of(secs, f.end_ts) == Some(w));
-            let packets = self
-                .counts
-                .pop_front_if(|&mut (cw, _)| cw == w)
-                .map_or(0, |(_, n)| n);
+            let packets = counts.next_if(|&&(cw, _)| cw == w).map_or(0, |&(_, n)| n);
             emit(w, self.estimate(&self.frames[start..start + run]), packets);
             start += run;
-            self.next_emit += 1;
         }
-        self.frames.drain(..start);
-    }
-
-    /// Next window index that would be emitted.
-    pub fn next_window(&self) -> u64 {
-        self.next_emit
+        start
     }
 
     /// Highest pending window, if any.
@@ -169,23 +191,6 @@ impl QoeWindower {
             fps: 0.0,
             frame_jitter_ms: 0.0,
         }
-    }
-
-    /// Estimates a not-yet-final window from the frames sealed into it so
-    /// far, with the video packets counted in it, without emitting it.
-    /// More frames may still arrive, so the result is a lower bound on
-    /// frame count and bitrate — the "provisional window" the max-lag flush
-    /// publishes for dashboards that prefer freshness over exactness.
-    pub fn peek(&self, window: u64) -> (QoeEstimate, usize) {
-        let mut frames: Vec<(u64, Frame)> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| Self::window_of(self.window_secs, f.end_ts) == Some(window))
-            .copied()
-            .collect();
-        frames.sort_unstable_by_key(|&(id, f)| (f.end_ts, id));
-        let packets = self.counts.iter().find(|&&(w, _)| w == window);
-        (self.estimate(&frames), packets.map_or(0, |&(_, n)| n))
     }
 
     /// Heap bytes currently held (frame log and count capacity), for
@@ -313,11 +318,10 @@ mod tests {
         windower.count(0);
         windower.count(0);
         let empty = bits(windower.empty_estimate());
-        let (peeked, packets) = windower.peek(0);
-        assert_eq!((bits(peeked), packets), (empty, 2));
         let mut out = Vec::new();
+        windower.provisional_through(0, |w, e, n| out.push((w, bits(e), n)));
         windower.drain_until(1, |w, e, n| out.push((w, bits(e), n)));
-        assert_eq!(out, [(0, empty, 2)]);
+        assert_eq!(out, [(0, empty, 2), (0, empty, 2)]);
     }
 
     #[test]
@@ -330,9 +334,10 @@ mod tests {
         windower.count(1);
         windower.count(2);
         let kbps = |frames: f64| frames * 125.0 * 8.0 / 1000.0;
-        let (e, packets) = windower.peek(1);
-        assert_eq!((e.fps, e.bitrate_kbps, packets), (1.0, kbps(1.0), 2));
         let mut out = Vec::new();
+        windower.provisional_through(1, |w, e, n| out.push((w, e.fps, e.bitrate_kbps, n)));
+        assert_eq!(out, [(0, 2.0, kbps(2.0), 2), (1, 1.0, kbps(1.0), 2)]);
+        out.clear();
         windower.drain_until(3, |w, e, n| out.push((w, e.fps, e.bitrate_kbps, n)));
         assert_eq!(
             out,

@@ -383,6 +383,24 @@ impl Drop for IngestDone<'_> {
     }
 }
 
+/// Unblocks a threaded run whose drain unwinds — a sink that panics, as
+/// [`JsonLinesSink`](crate::sink::JsonLinesSink) does when a write fails.
+/// Leaving the scope joins the ingest threads, which may be blocked
+/// sending to shard workers parked on a full `Block` queue that only the
+/// dead drain empties: while panicking, this stops the ports and lifts
+/// the queue's bound, so every thread winds down and the panic reaches
+/// the run's caller.
+struct DrainUnwind<'a>(&'a MonitorHandle);
+
+impl Drop for DrainUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+            self.0.shared.queue.release();
+        }
+    }
+}
+
 /// Threaded path: one ingest thread per source, each with its own port;
 /// the caller's thread is the event loop, draining to the bus as events
 /// are published until every ingest thread is done. Between drains it
@@ -439,6 +457,7 @@ fn run_threaded(
                 })
             })
             .collect();
+        let _unwind = DrainUnwind(handle);
         loop {
             for event in monitor.drain_shared() {
                 bus.publish(&event);

@@ -13,7 +13,8 @@
 //! * a listener serves at most `MAX_CONNECTIONS` at once: one more is
 //!   answered `ERR busy` and closed, and a freed slot serves again;
 //! * a `SUBSCRIBE` client that stops reading stalls only itself, and
-//!   gives its slot back once its blocked write times out.
+//!   gives its slot back once a line has taken longer than the daemon's
+//!   timeout to write, over a Unix socket and over TCP alike.
 
 #![allow(
     clippy::expect_used,
@@ -641,48 +642,43 @@ fn a_listener_past_its_connection_cap_answers_busy() {
 /// A `SUBSCRIBE` client that never reads stalls only its own stream:
 /// the run still returns its report (the stream's sink sheds), `STATS`
 /// on the other connections answers while the stream is stalled, and
-/// the handler's blocked write times out (the daemon's 5 s
-/// per-connection timeout), so the stalled connection's slot serves
-/// again within `BOUND` of the run's end instead of staying held until
-/// the client hangs up. A Unix socket, whose send buffer stays full
-/// once the client stops reading: the loopback TCP receive queue keeps
-/// taking a little now and then, which moves the timeout by seconds.
-#[cfg(unix)]
-#[test]
-fn a_stalled_subscriber_gives_its_slot_back() {
-    use std::os::unix::net::UnixStream;
+/// the handler gives up on the line it cannot finish within the daemon's
+/// 5 s per-line deadline, so the stalled connection's slot serves again
+/// within `BOUND` of the run's end instead of staying held until the
+/// client hangs up. Over TCP the loopback receive queue keeps taking a
+/// little now and then: a timeout per `write` call, which each trickle
+/// restarts, held the slot there for 15 s. Each transport's case takes
+/// about 6 s.
+fn stalled_subscriber_gives_its_slot_back<S: Read + Write>(
+    endpoint: ControlEndpoint,
+    connect: impl Fn(&Daemon) -> S,
+) {
     const BOUND: Duration = Duration::from_secs(10);
 
-    let path = std::env::temp_dir().join(format!("vcaml-daemon-stall-{}.sock", std::process::id()));
-    let connect = || {
-        let stream = UnixStream::connect(&path).expect("connect unix control socket");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(15)))
-            .expect("set read timeout");
-        BufReader::new(stream)
-    };
-    let mut runner = MonitorRunner::new(builder());
+    let mut runner = MonitorRunner::new(builder().flush_after_packets(2));
     let daemon = Daemon::start(
         runner.handle(),
         runner.bus_handle(),
-        DaemonConfig::new().control(ControlEndpoint::Unix(path.clone())),
+        DaemonConfig::new().control(endpoint),
     )
     .expect("start daemon");
+    let connect = || BufReader::new(connect(&daemon));
     let mut stalled = connect();
     assert_eq!(exchange(&mut stalled, "SUBSCRIBE"), "OK subscribed");
 
-    // 3 000 window reports, ≈ 0.9 MB of lines: several times what the
+    // 3 000 final window reports and a provisional snapshot every other
+    // packet, 90 000 events and ≈ 25 MB of lines: several times what the
     // socket buffers between the handler and a client that never reads
-    // hold.
+    // hold, over loopback TCP (≈ 4 MB here) as over a Unix socket.
     let report = runner
         .source(ReplaySource::from_packets(merged_feed(50, 60)))
         .run();
     let ended = std::time::Instant::now();
-    assert!(report.events > 3_000, "{} events", report.events);
+    assert!(report.events > 80_000, "{} events", report.events);
 
     // Every other slot, each kept served by a STATS exchange well
     // inside the daemon's read timeout.
-    let stats = |control: &mut BufReader<UnixStream>| {
+    let stats = |control: &mut BufReader<S>| {
         let reply = exchange(control, "STATS");
         assert!(
             reply.starts_with("OK {"),
@@ -727,4 +723,27 @@ fn a_stalled_subscriber_gives_its_slot_back() {
         report.events
     );
     daemon.shutdown();
+}
+
+/// [`stalled_subscriber_gives_its_slot_back`] on a Unix socket.
+#[cfg(unix)]
+#[test]
+fn a_stalled_subscriber_gives_its_slot_back() {
+    use std::os::unix::net::UnixStream;
+    let path = std::env::temp_dir().join(format!("vcaml-daemon-stall-{}.sock", std::process::id()));
+    let endpoint = ControlEndpoint::Unix(path.clone());
+    stalled_subscriber_gives_its_slot_back(endpoint, |_| {
+        let stream = UnixStream::connect(&path).expect("connect unix control socket");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .expect("set read timeout");
+        stream
+    });
+}
+
+/// [`stalled_subscriber_gives_its_slot_back`] on loopback TCP.
+#[test]
+fn a_stalled_tcp_subscriber_gives_its_slot_back() {
+    let endpoint = ControlEndpoint::Tcp("127.0.0.1:0".into());
+    stalled_subscriber_gives_its_slot_back(endpoint, |daemon| connect(tcp_control_addr(daemon)));
 }

@@ -15,9 +15,10 @@
 //!
 //! This file is where the contract is held; no static rule shadows it.
 //! Seeding an allocation into each per-packet function makes a test here
-//! fail, except in two that no non-sealing packet reaches and so need
-//! no case: `QoeWindower::drain_until`'s emission and `peek` run only
-//! when a report is built.
+//! fail, except in one that no non-sealing packet reaches and so needs
+//! no case: `QoeWindower::drain_until`'s emission runs only when a report
+//! is built. A heuristic engine's provisional snapshot, which the max-lag
+//! and forced flushes take between packets, allocates nothing either.
 //!
 //! Every engine runs under [`EngineConfig::paper`], the configuration
 //! `MonitorBuilder::new` ships. The ML engines keep per-window value logs
@@ -216,6 +217,51 @@ fn rtp_ml_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Teams);
     let engine = RtpMlEngine::new(EngineConfig::paper(VcaKind::Teams), t.payload_map);
     assert_engine_alloc_free(engine, &t, "RtpMl");
+}
+
+/// A provisional snapshot — what the max-lag and forced flushes take of
+/// a heuristic flow — is cut from the frame log in place: once the
+/// report buffer is warm, it allocates nothing, however many frames the
+/// pending windows hold. Snapshots every 16 packets, as
+/// `flush_after_packets(16)` would.
+fn assert_snapshot_alloc_free<E: QoeEstimator>(mut engine: E, trace: &Trace, label: &str) {
+    let mut out = Vec::with_capacity(64);
+    let mut snapshots = Vec::with_capacity(64);
+    let (mut with_frames, mut dirty) = (0usize, Vec::new());
+    for (i, p) in trace.packets.iter().enumerate() {
+        engine.push_into(p, &mut out);
+        out.clear();
+        if i % 16 != 15 {
+            continue;
+        }
+        let (allocs, ()) = metered(|| engine.provisional_into(&mut snapshots));
+        if allocs > 0 {
+            dirty.push((i, allocs));
+        }
+        with_frames += snapshots
+            .drain(..)
+            .filter(|r| r.estimate.is_some_and(|e| e.fps > 0.0))
+            .count();
+    }
+    assert!(
+        with_frames > 100,
+        "{label}: only {with_frames} snapshots held a frame"
+    );
+    assert!(
+        dirty.is_empty(),
+        "{label}: {} snapshots allocated: {:?}",
+        dirty.len(),
+        &dirty[..dirty.len().min(8)]
+    );
+}
+
+#[test]
+fn heuristic_snapshots_are_alloc_free() {
+    let t = trace(VcaKind::Meet);
+    let config = EngineConfig::paper(VcaKind::Meet);
+    assert_snapshot_alloc_free(IpUdpHeuristicEngine::new(config), &t, "IpUdpHeuristic");
+    let engine = RtpHeuristicEngine::new(config, t.payload_map);
+    assert_snapshot_alloc_free(engine, &t, "RtpHeuristic");
 }
 
 /// A 40-tree regression forest over `width` features, fitted on rows

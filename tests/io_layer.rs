@@ -3,8 +3,9 @@
 //! window-exact against sequential single-source ingest for all four
 //! methods, the pcap source round-trips written captures (property
 //! test), the per-flow shed accounting survives the whole pipeline, a
-//! paced (live) threaded run yields the closed-loop run's events, and the
-//! parse-drop summaries are a function of the record stream alone.
+//! paced (live) threaded run yields the closed-loop run's events, the
+//! parse-drop summaries are a function of the record stream alone, and a
+//! run whose sink dies ends with its panic instead of hanging.
 
 #![allow(
     clippy::expect_used,
@@ -549,6 +550,76 @@ fn handed_over_monitor_with_a_buffered_batch_completes() {
         assert_eq!(
             report.events, inline.events,
             "round {round}: every event delivered"
+        );
+    }
+}
+
+/// A writer that takes `room` bytes, then fails every write, as a pipe
+/// does once its reader has gone.
+struct FailsAfter {
+    room: usize,
+}
+
+impl Write for FailsAfter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.room == 0 {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        let n = buf.len().min(self.room);
+        self.room -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A sink that dies mid-run (a [`JsonLinesSink`] panics on a failed
+/// write) ends the run with its panic, inline and threaded, within
+/// 10 s (it takes well under one): the threaded drain's unwind stops the ports and releases the 64-event `Block`
+/// queue, on which the workers it no longer empties are parked while
+/// the ingest thread blocks on their full channels. 4 000 three-packet
+/// flows open far more events than the queue holds.
+#[test]
+fn a_dying_sink_ends_the_run_with_its_panic() {
+    const BOUND: std::time::Duration = std::time::Duration::from_secs(10);
+    let feed: Vec<(FlowKey, TracePacket)> = (0..4_000u16)
+        .flat_map(|n| {
+            (0..3i64).map(move |i| {
+                let ts = Timestamp::from_micros(i64::from(n) * 100 + i * 10);
+                let pkt = TracePacket {
+                    ts,
+                    size: 1100,
+                    rtp: None,
+                    truth_media: None,
+                };
+                (flow_key(n), pkt)
+            })
+        })
+        .collect();
+    for threads in [1, 2] {
+        let runner = MonitorRunner::new(
+            MonitorBuilder::new(VcaKind::Teams)
+                .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
+                .threads(threads)
+                .queue_capacity(64)
+                .overflow(OverflowPolicy::Block),
+        )
+        .source(ReplaySource::from_packets(feed.clone()))
+        .sink(JsonLinesSink::new(FailsAfter { room: 4096 }));
+        let run = std::thread::spawn(move || runner.run());
+        let started = std::time::Instant::now();
+        while !run.is_finished() {
+            assert!(
+                started.elapsed() < BOUND,
+                "threads({threads}): the run is still going {BOUND:?} after its sink died"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert!(
+            run.join().is_err(),
+            "threads({threads}): the sink's panic reaches the run's join"
         );
     }
 }

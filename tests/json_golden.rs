@@ -1,7 +1,8 @@
 //! The product's JSON documents, pinned byte for byte: the event line
 //! ([`QoeEvent::to_json_line`]) for every variant, the
 //! `"type":"stats"` line ([`MonitorSnapshot::to_json_line`]) and the
-//! three alert lines of [`AlertSink`].
+//! three alert lines of [`AlertSink`] — and the exporter's OpenMetrics
+//! page ([`render_openmetrics`]) for the stats line's fixtures.
 //!
 //! Every literal here also holds on the commit before the serializer
 //! was rewritten to write directly, except the two in
@@ -24,6 +25,7 @@ use std::sync::Arc;
 use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::LadderRung;
 use vcaml_suite::vcaml::api::{EvictReason, MonitorStats, ParseDropReason, QoeEvent};
+use vcaml_suite::vcaml::daemon::render_openmetrics;
 use vcaml_suite::vcaml::sink::EventSink;
 use vcaml_suite::vcaml::{
     AlertSink, AlertThresholds, Method, MonitorSnapshot, QoeEstimate, WindowReport,
@@ -453,5 +455,227 @@ fn alert_bar_that_is_not_a_number_is_null() {
             r#"{{"type":"alert","metric":"fps","flow":"{FLOW}","window":0,"fps":30.0,"threshold":null}}
 "#
         )
+    );
+}
+
+/// The exporter's page for the stats line's fixtures, byte for byte:
+/// family names, HELP text, labels, order and the closing `# EOF`. The
+/// optional alert-floor families appear only when set, and shed flows
+/// are listed worst first.
+#[test]
+fn openmetrics_pages() {
+    assert_eq!(
+        render_openmetrics(&snapshot(stats())),
+        r#"# HELP vcaml_packets_total Packets routed to a flow engine.
+# TYPE vcaml_packets_total counter
+vcaml_packets_total 112340
+# HELP vcaml_parse_drops_total Packets dropped at parse time.
+# TYPE vcaml_parse_drops_total counter
+vcaml_parse_drops_total 17
+# HELP vcaml_parse_drops_by_reason_total Packets dropped at parse time, by why they were rejected.
+# TYPE vcaml_parse_drops_by_reason_total counter
+vcaml_parse_drops_by_reason_total{reason="truncated"} 2
+vcaml_parse_drops_by_reason_total{reason="malformed"} 3
+vcaml_parse_drops_by_reason_total{reason="not_udp"} 11
+vcaml_parse_drops_by_reason_total{reason="negative_timestamp"} 0
+# HELP vcaml_flows_opened_total Flows opened.
+# TYPE vcaml_flows_opened_total counter
+vcaml_flows_opened_total 16
+# HELP vcaml_flows_evicted_total Flows evicted (idle, requested, or end of stream).
+# TYPE vcaml_flows_evicted_total counter
+vcaml_flows_evicted_total 4
+# HELP vcaml_window_reports_total Final window reports emitted.
+# TYPE vcaml_window_reports_total counter
+vcaml_window_reports_total 480
+# HELP vcaml_provisional_reports_total Provisional (flush-forced) window snapshots emitted.
+# TYPE vcaml_provisional_reports_total counter
+vcaml_provisional_reports_total 3
+# HELP vcaml_events_dropped_total Events shed by the bounded queue (DropOldest only).
+# TYPE vcaml_events_dropped_total counter
+vcaml_events_dropped_total 0
+# HELP vcaml_events_dropped_by_flow_total Events shed by the bounded queue, attributed per flow (top offenders).
+# TYPE vcaml_events_dropped_by_flow_total counter
+# HELP vcaml_events_published_total Events published on the bus, by classified severity.
+# TYPE vcaml_events_published_total counter
+vcaml_events_published_total{severity="info"} 500
+vcaml_events_published_total{severity="warning"} 20
+vcaml_events_published_total{severity="critical"} 1
+# HELP vcaml_windows_by_method_total Finalized window reports published on the bus, by estimation method.
+# TYPE vcaml_windows_by_method_total counter
+vcaml_windows_by_method_total{method="rtp_ml"} 1
+vcaml_windows_by_method_total{method="ip_udp_ml"} 2
+vcaml_windows_by_method_total{method="rtp_heuristic"} 3
+vcaml_windows_by_method_total{method="ip_udp_heuristic"} 474
+# HELP vcaml_flows_live Flows currently tracked.
+# TYPE vcaml_flows_live gauge
+vcaml_flows_live 12
+# HELP vcaml_pending_events Events queued for the consumer and not yet drained.
+# TYPE vcaml_pending_events gauge
+vcaml_pending_events 5
+# HELP vcaml_bytes_per_flow Estimated resident bytes per tracked flow (engine + table overhead).
+# TYPE vcaml_bytes_per_flow gauge
+vcaml_bytes_per_flow 2968
+# HELP vcaml_model_bytes Heap bytes of the attached model, shared by every flow (0 without one).
+# TYPE vcaml_model_bytes gauge
+vcaml_model_bytes 151232
+# HELP vcaml_ingest_depth Per-shard-worker ingest backlog, in packets handed over and not yet processed.
+# TYPE vcaml_ingest_depth gauge
+vcaml_ingest_depth{shard="0"} 0
+vcaml_ingest_depth{shard="1"} 64
+# HELP vcaml_stop_requested Whether a graceful stop has been requested (0/1).
+# TYPE vcaml_stop_requested gauge
+vcaml_stop_requested 0
+# EOF
+"#
+    );
+    let floors = MonitorSnapshot {
+        shard_depths: Vec::new(),
+        alert_fps: Some(15.0),
+        alert_min_kbps: Some(250.5),
+        alert_resolution_floor: Some(360),
+        stop_requested: true,
+        ..snapshot(stats())
+    };
+    assert_eq!(
+        render_openmetrics(&floors),
+        r#"# HELP vcaml_packets_total Packets routed to a flow engine.
+# TYPE vcaml_packets_total counter
+vcaml_packets_total 112340
+# HELP vcaml_parse_drops_total Packets dropped at parse time.
+# TYPE vcaml_parse_drops_total counter
+vcaml_parse_drops_total 17
+# HELP vcaml_parse_drops_by_reason_total Packets dropped at parse time, by why they were rejected.
+# TYPE vcaml_parse_drops_by_reason_total counter
+vcaml_parse_drops_by_reason_total{reason="truncated"} 2
+vcaml_parse_drops_by_reason_total{reason="malformed"} 3
+vcaml_parse_drops_by_reason_total{reason="not_udp"} 11
+vcaml_parse_drops_by_reason_total{reason="negative_timestamp"} 0
+# HELP vcaml_flows_opened_total Flows opened.
+# TYPE vcaml_flows_opened_total counter
+vcaml_flows_opened_total 16
+# HELP vcaml_flows_evicted_total Flows evicted (idle, requested, or end of stream).
+# TYPE vcaml_flows_evicted_total counter
+vcaml_flows_evicted_total 4
+# HELP vcaml_window_reports_total Final window reports emitted.
+# TYPE vcaml_window_reports_total counter
+vcaml_window_reports_total 480
+# HELP vcaml_provisional_reports_total Provisional (flush-forced) window snapshots emitted.
+# TYPE vcaml_provisional_reports_total counter
+vcaml_provisional_reports_total 3
+# HELP vcaml_events_dropped_total Events shed by the bounded queue (DropOldest only).
+# TYPE vcaml_events_dropped_total counter
+vcaml_events_dropped_total 0
+# HELP vcaml_events_dropped_by_flow_total Events shed by the bounded queue, attributed per flow (top offenders).
+# TYPE vcaml_events_dropped_by_flow_total counter
+# HELP vcaml_events_published_total Events published on the bus, by classified severity.
+# TYPE vcaml_events_published_total counter
+vcaml_events_published_total{severity="info"} 500
+vcaml_events_published_total{severity="warning"} 20
+vcaml_events_published_total{severity="critical"} 1
+# HELP vcaml_windows_by_method_total Finalized window reports published on the bus, by estimation method.
+# TYPE vcaml_windows_by_method_total counter
+vcaml_windows_by_method_total{method="rtp_ml"} 1
+vcaml_windows_by_method_total{method="ip_udp_ml"} 2
+vcaml_windows_by_method_total{method="rtp_heuristic"} 3
+vcaml_windows_by_method_total{method="ip_udp_heuristic"} 474
+# HELP vcaml_flows_live Flows currently tracked.
+# TYPE vcaml_flows_live gauge
+vcaml_flows_live 12
+# HELP vcaml_pending_events Events queued for the consumer and not yet drained.
+# TYPE vcaml_pending_events gauge
+vcaml_pending_events 5
+# HELP vcaml_bytes_per_flow Estimated resident bytes per tracked flow (engine + table overhead).
+# TYPE vcaml_bytes_per_flow gauge
+vcaml_bytes_per_flow 2968
+# HELP vcaml_model_bytes Heap bytes of the attached model, shared by every flow (0 without one).
+# TYPE vcaml_model_bytes gauge
+vcaml_model_bytes 151232
+# HELP vcaml_ingest_depth Per-shard-worker ingest backlog, in packets handed over and not yet processed.
+# TYPE vcaml_ingest_depth gauge
+# HELP vcaml_alert_fps Live frame-rate floor.
+# TYPE vcaml_alert_fps gauge
+vcaml_alert_fps 15
+# HELP vcaml_alert_min_kbps Live bitrate floor (kbps).
+# TYPE vcaml_alert_min_kbps gauge
+vcaml_alert_min_kbps 250.5
+# HELP vcaml_alert_resolution_floor Live resolution-class floor (frame height).
+# TYPE vcaml_alert_resolution_floor gauge
+vcaml_alert_resolution_floor 360
+# HELP vcaml_stop_requested Whether a graceful stop has been requested (0/1).
+# TYPE vcaml_stop_requested gauge
+vcaml_stop_requested 1
+# EOF
+"#
+    );
+    let shed = MonitorStats {
+        events_dropped: 11,
+        dropped_by_flow: vec![(flow(), 3), (flow6(), 8)],
+        ..stats()
+    };
+    assert_eq!(
+        render_openmetrics(&snapshot(shed)),
+        r#"# HELP vcaml_packets_total Packets routed to a flow engine.
+# TYPE vcaml_packets_total counter
+vcaml_packets_total 112340
+# HELP vcaml_parse_drops_total Packets dropped at parse time.
+# TYPE vcaml_parse_drops_total counter
+vcaml_parse_drops_total 17
+# HELP vcaml_parse_drops_by_reason_total Packets dropped at parse time, by why they were rejected.
+# TYPE vcaml_parse_drops_by_reason_total counter
+vcaml_parse_drops_by_reason_total{reason="truncated"} 2
+vcaml_parse_drops_by_reason_total{reason="malformed"} 3
+vcaml_parse_drops_by_reason_total{reason="not_udp"} 11
+vcaml_parse_drops_by_reason_total{reason="negative_timestamp"} 0
+# HELP vcaml_flows_opened_total Flows opened.
+# TYPE vcaml_flows_opened_total counter
+vcaml_flows_opened_total 16
+# HELP vcaml_flows_evicted_total Flows evicted (idle, requested, or end of stream).
+# TYPE vcaml_flows_evicted_total counter
+vcaml_flows_evicted_total 4
+# HELP vcaml_window_reports_total Final window reports emitted.
+# TYPE vcaml_window_reports_total counter
+vcaml_window_reports_total 480
+# HELP vcaml_provisional_reports_total Provisional (flush-forced) window snapshots emitted.
+# TYPE vcaml_provisional_reports_total counter
+vcaml_provisional_reports_total 3
+# HELP vcaml_events_dropped_total Events shed by the bounded queue (DropOldest only).
+# TYPE vcaml_events_dropped_total counter
+vcaml_events_dropped_total 11
+# HELP vcaml_events_dropped_by_flow_total Events shed by the bounded queue, attributed per flow (top offenders).
+# TYPE vcaml_events_dropped_by_flow_total counter
+vcaml_events_dropped_by_flow_total{flow="[2001:db8::1]:40000-[2001:db8::2]:3478/17"} 8
+vcaml_events_dropped_by_flow_total{flow="10.0.0.1:5000-10.0.0.2:3478/17"} 3
+# HELP vcaml_events_published_total Events published on the bus, by classified severity.
+# TYPE vcaml_events_published_total counter
+vcaml_events_published_total{severity="info"} 500
+vcaml_events_published_total{severity="warning"} 20
+vcaml_events_published_total{severity="critical"} 1
+# HELP vcaml_windows_by_method_total Finalized window reports published on the bus, by estimation method.
+# TYPE vcaml_windows_by_method_total counter
+vcaml_windows_by_method_total{method="rtp_ml"} 1
+vcaml_windows_by_method_total{method="ip_udp_ml"} 2
+vcaml_windows_by_method_total{method="rtp_heuristic"} 3
+vcaml_windows_by_method_total{method="ip_udp_heuristic"} 474
+# HELP vcaml_flows_live Flows currently tracked.
+# TYPE vcaml_flows_live gauge
+vcaml_flows_live 12
+# HELP vcaml_pending_events Events queued for the consumer and not yet drained.
+# TYPE vcaml_pending_events gauge
+vcaml_pending_events 5
+# HELP vcaml_bytes_per_flow Estimated resident bytes per tracked flow (engine + table overhead).
+# TYPE vcaml_bytes_per_flow gauge
+vcaml_bytes_per_flow 2968
+# HELP vcaml_model_bytes Heap bytes of the attached model, shared by every flow (0 without one).
+# TYPE vcaml_model_bytes gauge
+vcaml_model_bytes 151232
+# HELP vcaml_ingest_depth Per-shard-worker ingest backlog, in packets handed over and not yet processed.
+# TYPE vcaml_ingest_depth gauge
+vcaml_ingest_depth{shard="0"} 0
+vcaml_ingest_depth{shard="1"} 64
+# HELP vcaml_stop_requested Whether a graceful stop has been requested (0/1).
+# TYPE vcaml_stop_requested gauge
+vcaml_stop_requested 0
+# EOF
+"#
     );
 }
